@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .root_system import (
+    ParabolicSpace,
     RootSystem,
     Weight,
     dominantize,
     dual_weight,
-    homogeneous_dimension,
+    reflection_walk,
     weyl_dimension,
 )
 
@@ -38,35 +39,6 @@ __all__ = [
     "levi_dual_weight",
     "serre_dual_weight",
 ]
-
-
-@dataclass(frozen=True)
-class ParabolicSpace:
-    """A rational homogeneous space G/P, P given by crossed Dynkin nodes."""
-
-    rs: RootSystem
-    crossed: frozenset[int]
-
-    def __post_init__(self) -> None:
-        crossed = frozenset(int(i) for i in self.crossed)
-        if not crossed:
-            raise ValueError("a parabolic space needs at least one crossed node")
-        bad = sorted(i for i in crossed if not 1 <= i <= self.rs.rank)
-        if bad:
-            raise ValueError(f"crossed nodes {bad} out of range 1..{self.rs.rank}")
-        object.__setattr__(self, "crossed", crossed)
-
-    @property
-    def dimension(self) -> int:
-        return homogeneous_dimension(self.rs, self.crossed)
-
-    @property
-    def uncrossed(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.rs.rank + 1) if i not in self.crossed)
-
-    def __str__(self) -> str:
-        nodes = ",".join(str(i) for i in sorted(self.crossed))
-        return f"{self.rs.name}/P({nodes})"
 
 
 @dataclass(frozen=True)
@@ -153,26 +125,13 @@ class CohomologyTable:
         return ()
 
 
-def _check_p_dominant(space: ParabolicSpace, omega: Weight) -> None:
-    if omega.rank != space.rs.rank:
-        raise ValueError(
-            f"rank mismatch: weight {omega} on {space.rs.name}"
-        )
-    for i in space.uncrossed:
-        if omega.coeffs[i - 1] < 0:
-            raise ValueError(
-                f"weight {omega} is not P-dominant on {space}: "
-                f"negative coefficient at uncrossed node {i}"
-            )
-
-
 def bwb(space: ParabolicSpace, omega: Weight) -> BWBResult:
     """Cohomology of the irreducible equivariant bundle with weight ``omega``.
 
     ``omega`` must be P-dominant (nonnegative at every uncrossed node); the
     crossed-node coefficients are unrestricted.
     """
-    _check_p_dominant(space, omega)
+    space.check_p_dominant(omega)
     rs = space.rs
     res = dominantize(rs, omega + rs.rho)
     if res.is_singular:
@@ -228,9 +187,8 @@ def canonical_twist_weight(space: ParabolicSpace) -> Weight:
     """Weight of the canonical bundle of G/P: minus the sum of nilradical roots."""
     rs = space.rs
     total = Weight.zero(rs.rank)
-    for root in rs.positive_roots:
-        if any(root[i - 1] for i in space.crossed):
-            total = total + _root_to_weight(rs, root)
+    for root in space.nilradical:
+        total = total + _root_to_weight(rs, root)
     return -total
 
 
@@ -240,23 +198,8 @@ def levi_dual_weight(space: ParabolicSpace, omega: Weight) -> Weight:
     Computed as the Levi-dominant representative of ``-omega``: reflect at
     uncrossed nodes while a coefficient there is negative.
     """
-    _check_p_dominant(space, omega)
-    rs = space.rs
-    coeffs = list((-omega).coeffs)
-    guard = 0
-    bound = len(rs.positive_roots) + 1
-    while True:
-        negatives = [i for i in space.uncrossed if coeffs[i - 1] < 0]
-        if not negatives:
-            return Weight(tuple(coeffs))
-        i = negatives[0] - 1
-        ci = coeffs[i]
-        row = rs.cartan[i]
-        for k in range(rs.rank):
-            coeffs[k] -= ci * row[k]
-        guard += 1
-        if guard > bound:
-            raise AssertionError("Levi dominantization failed to terminate")
+    space.check_p_dominant(omega)
+    return reflection_walk(space.rs, -omega, space.uncrossed)[0]
 
 
 def serre_dual_weight(space: ParabolicSpace, omega: Weight) -> Weight:

@@ -25,7 +25,7 @@ import os
 import sys
 import textwrap
 
-from .bott import ParabolicSpace, bwb
+from .bott import ParabolicSpace, bwb, euler_characteristic
 from .koszul import build_koszul, chase
 from .root_system import Weight, adjoint_dimension, build_root_system
 from .schur import gl_dimension, lr_coefficients, parse_partition
@@ -77,7 +77,7 @@ def _table_payload(table) -> dict:
                 for w, m in table.weights_at(d)
             ]
         degrees[str(d)] = row
-    return {"degrees": degrees, "euler": sum((-1) ** d * t for d, t in table.total_dims)}
+    return {"degrees": degrees, "euler": euler_characteristic(table)}
 
 
 # ---------------------------------------------------------------------------

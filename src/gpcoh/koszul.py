@@ -12,7 +12,12 @@ caller-provided hint when present, otherwise the maximal possible rank,
 which is the generic-section default. Every such assumption is recorded, so
 a determined answer is auditable. When an assignment contradicts exactness
 (left exactness of global sections, or a negative dimension downstream),
-the chase refuses to guess and reports the blocking positions instead.
+the chase refuses to guess and reports the blocking positions instead. It
+does the same when the assignment leaves cohomology above dim S =
+dim G/P - rank E, which no sheaf on S can have: the maximal ranks of one
+cohomology row need not be compatible with each other, and this is where
+an incompatible choice shows. Such an answer is blocked at (0, q) for each
+offending degree q.
 """
 
 from __future__ import annotations
@@ -160,7 +165,8 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable = ()) -> ChaseResult:
     A_0 = F|_S. Within each sequence the rank of H^q(A_{j+1}) -> H^q(C_j) is
     forced only by a zero source or target; otherwise a hint is consulted and
     the maximal rank is the recorded default. Providing the defaults
-    explicitly as hints reproduces the same result.
+    explicitly as hints reproduces the same result. An output with
+    cohomology above dim S is blocked at (0, q) instead of returned.
     """
     space = complex_.ambient
     r = complex_.section_rank
@@ -229,12 +235,17 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable = ()) -> ChaseResult:
             elif val:
                 nxt[q] = val
         if blocking:
-            page = ChasePage(grid=grid, term_tables=tuple(tables), hints_used=tuple(used))
-            return ChaseResult(
-                determined=False, page=page, blocking_positions=tuple(sorted(set(blocking)))
-            )
+            break
         current = nxt
+    else:
+        # no sheaf on S has cohomology above dim S = dim G/P - rank E
+        blocking = [(0, q) for q in current if q > max_degree - r]
 
+    page = ChasePage(grid=grid, term_tables=tuple(tables), hints_used=tuple(used))
+    if blocking:
+        return ChaseResult(
+            determined=False, page=page, blocking_positions=tuple(sorted(set(blocking)))
+        )
     table = CohomologyTable.from_dimensions(current)
     expected = sum(
         (-1) ** j * euler_characteristic(tables[j]) for j in range(r + 1)
@@ -244,7 +255,6 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable = ()) -> ChaseResult:
             "Euler characteristic of the chase output disagrees with the "
             "alternating sum over the resolution"
         )
-    page = ChasePage(grid=grid, term_tables=tuple(tables), hints_used=tuple(used))
     return ChaseResult(determined=True, page=page, table=table)
 
 

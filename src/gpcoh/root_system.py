@@ -25,16 +25,17 @@ function; concurrent reads from multiple threads are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 __all__ = [
     "Weight",
     "RootSystem",
     "DominantizationResult",
+    "ParabolicSpace",
     "build_root_system",
+    "reflection_walk",
     "dominantize",
     "weyl_dimension",
     "dual_weight",
@@ -148,8 +149,8 @@ class RootSystem:
 class DominantizationResult:
     """Outcome of pushing a weight into the dominant chamber.
 
-    ``outcome`` is "singular" when the Weyl orbit meets a wall (some
-    coefficient hits zero along the way), otherwise "regular" with the
+    ``outcome`` is "singular" when the Weyl orbit meets a wall (the
+    dominant representative has a zero coefficient), otherwise "regular" with the
     strictly dominant representative and the number of simple reflections
     used, which is the length of the unique Weyl element involved.
     """
@@ -290,6 +291,30 @@ def _check_weight(rs: RootSystem, w: Weight) -> None:
         raise ValueError(f"rank mismatch: weight {w} has rank {w.rank}, root system is {rs.name}")
 
 
+def reflection_walk(rs: RootSystem, w: Weight, nodes: Sequence[int]) -> tuple[Weight, int]:
+    """Reflect at the first node of ``nodes`` with a negative coefficient until none is left.
+
+    ``nodes`` are 1-based and their order decides which reflection comes
+    first. Returns the final weight and the number of reflections; each one
+    removes exactly one positive root from those pairing negatively with the
+    weight, so the count never exceeds the number of positive roots.
+    """
+    coeffs = list(w.coeffs)
+    bound = len(rs.positive_roots)
+    length = 0
+    while True:
+        i = next((i - 1 for i in nodes if coeffs[i - 1] < 0), None)
+        if i is None:
+            return Weight(tuple(coeffs)), length
+        ci = coeffs[i]
+        row = rs.cartan[i]
+        for k in range(rs.rank):
+            coeffs[k] -= ci * row[k]
+        length += 1
+        if length > bound:
+            raise AssertionError("reflection walk exceeded the longest-element bound")
+
+
 def dominantize(
     rs: RootSystem,
     w: Weight,
@@ -297,33 +322,35 @@ def dominantize(
 ) -> DominantizationResult:
     """Iterate simple reflections at negative coefficients until dominant.
 
-    Returns "singular" as soon as some coefficient vanishes (the weight is
-    then orthogonal to a root), otherwise the strictly dominant representative
-    together with the reflection count. The outcome does not depend on the
-    choice of reflection order; ``strategy`` exists so tests can compare the
-    two extreme orders.
+    Returns "singular" when the dominant representative has a zero
+    coefficient (the weight is then orthogonal to a root, a Weyl-invariant
+    property), otherwise the strictly dominant representative together with
+    the reflection count. The outcome does not depend on the choice of
+    reflection order; ``strategy`` exists so tests can compare the two
+    extreme orders.
     """
     _check_weight(rs, w)
-    coeffs = list(w.coeffs)
-    length = 0
-    bound = len(rs.positive_roots)
-    while True:
-        if any(c == 0 for c in coeffs):
-            return DominantizationResult(outcome="singular")
-        negatives = [i for i, c in enumerate(coeffs) if c < 0]
-        if not negatives:
-            result = Weight(tuple(coeffs))
-            if length > bound:
-                raise AssertionError("dominantization exceeded the longest-element bound")
-            return DominantizationResult(
-                outcome="regular", length=length, dominant_weight=result
-            )
-        i = negatives[0] if strategy == "least_index" else negatives[-1]
-        ci = coeffs[i]
-        row = rs.cartan[i]
-        for k in range(rs.rank):
-            coeffs[k] -= ci * row[k]
-        length += 1
+    nodes = range(1, rs.rank + 1)
+    if strategy == "greatest_index":
+        nodes = nodes[::-1]
+    dominant, length = reflection_walk(rs, w, nodes)
+    if 0 in dominant.coeffs:
+        return DominantizationResult(outcome="singular")
+    return DominantizationResult(outcome="regular", length=length, dominant_weight=dominant)
+
+
+def _weyl_product(rs: RootSystem, weight: Weight, roots: Iterable[tuple[int, ...]]) -> int:
+    """Product over ``roots`` of <weight + rho, alpha^vee> / <rho, alpha^vee>, exactly."""
+    d = rs.symmetrizer
+    num = 1
+    den = 1
+    for root in roots:
+        num *= sum(c * (weight.coeffs[i] + 1) * d[i] for i, c in enumerate(root) if c)
+        den *= sum(c * d[i] for i, c in enumerate(root) if c)
+    value, remainder = divmod(num, den)
+    if remainder:
+        raise AssertionError("Weyl dimension product failed to be integral")
+    return value
 
 
 def weyl_dimension(rs: RootSystem, dominant: Weight) -> int:
@@ -338,16 +365,7 @@ def weyl_dimension(rs: RootSystem, dominant: Weight) -> int:
             raise ValueError(
                 f"weight {dominant} is not dominant: coefficient {c} at node {i + 1}"
             )
-    d = rs.symmetrizer
-    num = 1
-    den = 1
-    for root in rs.positive_roots:
-        num *= sum(c * (dominant.coeffs[i] + 1) * d[i] for i, c in enumerate(root) if c)
-        den *= sum(c * d[i] for i, c in enumerate(root) if c)
-    value = Fraction(num, den)
-    if value.denominator != 1:
-        raise AssertionError("Weyl dimension product failed to be integral")
-    return int(value)
+    return _weyl_product(rs, dominant, rs.positive_roots)
 
 
 _E6_INVOLUTION = (6, 2, 5, 4, 3, 1)  # node i maps to _E6_INVOLUTION[i-1]
@@ -377,14 +395,59 @@ def dual_weight(rs: RootSystem, dominant: Weight) -> Weight:
     return Weight(tuple(out))
 
 
-def _check_crossed(rs: RootSystem, crossed_nodes: Iterable[int]) -> frozenset[int]:
-    crossed = frozenset(int(i) for i in crossed_nodes)
-    if not crossed:
-        raise ValueError("crossed node set must be nonempty")
-    bad = [i for i in crossed if not 1 <= i <= rs.rank]
-    if bad:
-        raise ValueError(f"crossed nodes {sorted(bad)} out of range 1..{rs.rank}")
-    return crossed
+@dataclass(frozen=True)
+class ParabolicSpace:
+    """A rational homogeneous space G/P, P given by crossed Dynkin nodes.
+
+    Construction validates the crossed set and splits the positive roots
+    once: ``nilradical`` holds those whose simple-root support meets a
+    crossed node (one per dimension of G/P), ``levi_roots`` the rest.
+    """
+
+    rs: RootSystem
+    crossed: frozenset[int]
+    uncrossed: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    nilradical: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    levi_roots: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        crossed = frozenset(int(i) for i in self.crossed)
+        if not crossed:
+            raise ValueError(
+                "a parabolic space needs at least one crossed node; the crossed node set "
+                "must be nonempty"
+            )
+        bad = sorted(i for i in crossed if not 1 <= i <= self.rs.rank)
+        if bad:
+            raise ValueError(f"crossed nodes {bad} out of range 1..{self.rs.rank}")
+        nilradical: list[tuple[int, ...]] = []
+        levi: list[tuple[int, ...]] = []
+        for root in self.rs.positive_roots:
+            (nilradical if any(root[i - 1] for i in crossed) else levi).append(root)
+        object.__setattr__(self, "crossed", crossed)
+        object.__setattr__(
+            self, "uncrossed", tuple(i for i in range(1, self.rs.rank + 1) if i not in crossed)
+        )
+        object.__setattr__(self, "nilradical", tuple(nilradical))
+        object.__setattr__(self, "levi_roots", tuple(levi))
+
+    @property
+    def dimension(self) -> int:
+        return len(self.nilradical)
+
+    def check_p_dominant(self, omega: Weight) -> None:
+        """Reject a weight of the wrong rank or negative at an uncrossed node."""
+        _check_weight(self.rs, omega)
+        for i in self.uncrossed:
+            if omega.coeffs[i - 1] < 0:
+                raise ValueError(
+                    f"weight {omega} is not P-dominant on {self}: "
+                    f"negative coefficient at uncrossed node {i}"
+                )
+
+    def __str__(self) -> str:
+        nodes = ",".join(str(i) for i in sorted(self.crossed))
+        return f"{self.rs.name}/P({nodes})"
 
 
 def homogeneous_dimension(rs: RootSystem, crossed_nodes: Iterable[int]) -> int:
@@ -393,12 +456,7 @@ def homogeneous_dimension(rs: RootSystem, crossed_nodes: Iterable[int]) -> int:
     Counts the positive roots supported outside the Levi, i.e. those whose
     simple-root support meets the crossed set.
     """
-    crossed = _check_crossed(rs, crossed_nodes)
-    return sum(
-        1
-        for root in rs.positive_roots
-        if any(root[i - 1] for i in crossed)
-    )
+    return ParabolicSpace(rs, crossed_nodes).dimension
 
 
 def levi_dimension(rs: RootSystem, crossed_nodes: Iterable[int], weight: Weight) -> int:
@@ -408,22 +466,6 @@ def levi_dimension(rs: RootSystem, crossed_nodes: Iterable[int], weight: Weight)
     weight. Crossed-node coefficients are unconstrained; the weight must be
     dominant for the Levi.
     """
-    crossed = _check_crossed(rs, crossed_nodes)
-    _check_weight(rs, weight)
-    for i in range(1, rs.rank + 1):
-        if i not in crossed and weight.coeffs[i - 1] < 0:
-            raise ValueError(
-                f"weight {weight} is negative at uncrossed node {i}"
-            )
-    d = rs.symmetrizer
-    num = 1
-    den = 1
-    for root in rs.positive_roots:
-        if any(root[i - 1] for i in crossed):
-            continue
-        num *= sum(c * (weight.coeffs[i] + 1) * d[i] for i, c in enumerate(root) if c)
-        den *= sum(c * d[i] for i, c in enumerate(root) if c)
-    value = Fraction(num, den)
-    if value.denominator != 1:
-        raise AssertionError("Levi dimension product failed to be integral")
-    return int(value)
+    space = ParabolicSpace(rs, crossed_nodes)
+    space.check_p_dominant(weight)
+    return _weyl_product(rs, weight, space.levi_roots)

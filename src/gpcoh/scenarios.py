@@ -11,16 +11,17 @@ never silently mixed with engine output.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-from .bott import ParabolicSpace, bundle_cohomology, canonical_twist_weight
+from .bott import ParabolicSpace, canonical_twist_weight
 from .koszul import RankHint, build_koszul, chase, restriction_sequence
 from .root_system import Weight, adjoint_dimension, build_root_system, homogeneous_dimension, weyl_dimension
-from .schur import BundleSum, exterior_power_sum, parse_bundle, sum_to_weights
+from .schur import BundleSum, exterior_power_sum, parse_bundle
 
 __all__ = [
     "ExternalConstant",
@@ -111,21 +112,28 @@ def _grassmannian_kn(space: ParabolicSpace) -> tuple[int, int]:
 def load_scenario(name_or_path: str | Path) -> Scenario:
     """Load a scenario JSON file by path or by builtin name.
 
-    Builtin names resolve to the files shipped with the package
-    (cayley.json, vmrt_audit.json, theorem1_audit.json, adjunction.json).
+    A string with no directory part that names a builtin (cayley, vmrt,
+    vmrt_audit, theorem1, theorem1_audit, adjunction, with or without
+    ".json") always loads the file shipped with the package, whatever the
+    current directory holds; a local file of such a name is reached with a
+    directory part, as in "./cayley". Anything else is read as a path.
     """
-    path = Path(name_or_path)
-    if path.exists():
-        data = json.loads(path.read_text())
+    text = str(name_or_path)
+    key = text.removesuffix(".json")
+    if isinstance(name_or_path, str) and not os.path.dirname(text) and key in _BUILTIN_FILES:
+        source = resources.files("gpcoh").joinpath("data", _BUILTIN_FILES[key])
     else:
-        key = str(name_or_path).removesuffix(".json")
-        if key not in _BUILTIN_FILES:
+        source = Path(name_or_path)
+        if not source.is_file():
             raise FileNotFoundError(
-                f"no scenario file {name_or_path!r} and no builtin scenario of that name"
+                f"no scenario file {text!r} and no builtin scenario of that name"
             )
-        data = json.loads(
-            resources.files("gpcoh").joinpath("data", _BUILTIN_FILES[key]).read_text()
-        )
+    try:
+        data = json.loads(source.read_text())
+    except ValueError as exc:
+        raise ValueError(f"scenario file {text!r} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"scenario file {text!r} does not hold a JSON object")
     space = _parse_space(data["ambient"]) if "ambient" in data else None
     section = None
     twists: list[tuple[str, BundleSum]] = []
@@ -245,17 +253,20 @@ def _external(key: str, text: str, const: ExternalConstant, passed: bool | None 
 # Cayley Grassmannian pipeline
 
 
-def _chase_for(scenario: Scenario, twist_name: str):
+def _chase_for(scenario: Scenario, twist_name: str, step: str):
+    """Build and chase one twisted resolution; any failure names the report step."""
     assert scenario.space is not None and scenario.section_bundle is not None
-    complex_ = build_koszul(
-        scenario.space, scenario.section_bundle, scenario.twist_named(twist_name)
-    )
-    result = chase(complex_, scenario.rank_hints)
-    if not result.determined:
-        raise RuntimeError(
-            f"step {twist_name!r}: chase was indeterminate at {result.blocking_positions}"
+    try:
+        complex_ = build_koszul(
+            scenario.space, scenario.section_bundle, scenario.twist_named(twist_name)
         )
-    assert result.table is not None
+        result = chase(complex_, scenario.rank_hints)
+        if not result.determined:
+            raise RuntimeError(
+                f"step {twist_name!r}: chase was indeterminate at {result.blocking_positions}"
+            )
+    except Exception as exc:
+        raise RuntimeError(f"step {step!r} failed: {exc}") from exc
     return complex_, result
 
 
@@ -286,16 +297,11 @@ def run_cayley(scenario: Scenario | None = None) -> RigidityReport:
     sc = scenario or load_scenario("cayley")
     if sc.space is None or sc.section_bundle is None:
         raise ValueError(f"scenario {sc.name!r} does not define a chase pipeline")
-    space = sc.space
     sections: list[ReportSection] = []
 
     # step: structure sheaf
-    try:
-        _, triv = _chase_for(sc, "trivial")
-    except Exception as exc:
-        raise RuntimeError(f"step 'structure sheaf' failed: {exc}") from exc
+    triv_complex, triv = _chase_for(sc, "trivial", "structure sheaf")
     h0_o = triv.table.total_dimension(0)
-    triv_complex = build_koszul(space, sc.section_bundle, sc.twist_named("trivial"))
     sections.append(
         ReportSection(
             "Structure sheaf of the zero locus",
@@ -312,14 +318,9 @@ def run_cayley(scenario: Scenario | None = None) -> RigidityReport:
         )
     )
 
-    # step: sections of the normal bundle
-    try:
-        normal_complex, normal = _chase_for(sc, "normal")
-    except Exception as exc:
-        raise RuntimeError(f"step 'normal bundle' failed: {exc}") from exc
-    ambient_normal = normal_complex.term(0)
-    ambient_normal_table = bundle_cohomology(space, sum_to_weights(ambient_normal, space))
-    normal_h0_ambient = ambient_normal_table.total_dimension(0)
+    # step: sections of the normal bundle; term_tables[0] is the ambient C_0 = F
+    normal_complex, normal = _chase_for(sc, "normal", "normal bundle")
+    normal_h0_ambient = normal.page.term_tables[0].total_dimension(0)
     normal_h0 = normal.table.total_dimension(0)
     normal_higher = sum(v for d, v in normal.table.total_dims if d >= 1)
     hint_lines = tuple(
@@ -363,13 +364,8 @@ def run_cayley(scenario: Scenario | None = None) -> RigidityReport:
     )
 
     # step: restricted ambient tangent bundle
-    try:
-        tangent_complex, tangent = _chase_for(sc, "tangent")
-    except Exception as exc:
-        raise RuntimeError(f"step 'ambient tangent' failed: {exc}") from exc
-    ambient_tangent_table = bundle_cohomology(
-        space, sum_to_weights(tangent_complex.term(0), space)
-    )
+    tangent_complex, tangent = _chase_for(sc, "tangent", "ambient tangent")
+    ambient_tangent_table = tangent.page.term_tables[0]
     t_amb_h0 = ambient_tangent_table.total_dimension(0)
     t_amb_h1 = ambient_tangent_table.total_dimension(1)
     t_res_h0 = tangent.table.total_dimension(0)
@@ -479,34 +475,40 @@ def _non_claims_section(constants: tuple[ExternalConstant, ...]) -> ReportSectio
 # Dimension audits
 
 
+def _adjoint_dim(block: dict) -> int:
+    return adjoint_dimension(build_root_system(block["type"], block["rank"]))
+
+
+def _pair_dims(block: dict) -> tuple[int, int, int]:
+    """dim G, dim H and dim G/H = dim G - dim H for a block naming both root systems."""
+    g_dim = _adjoint_dim(block["group_root_system"])
+    h_dim = _adjoint_dim(block["subgroup_root_system"])
+    return g_dim, h_dim, g_dim - h_dim
+
+
+def _gp_dim_line(sp: dict) -> ReportLine:
+    """Ledger line for dim G/P of a block naming a type, a rank and crossed nodes."""
+    dim = homogeneous_dimension(build_root_system(sp["type"], sp["rank"]), sp["crossed"])
+    return _computed(
+        f"dim_{sp['type']}{sp['rank']}_P{sp['crossed'][0]}",
+        f"dim {sp['name']} = {dim}  [{sp['type']}{sp['rank']}/P{sp['crossed'][0]}]",
+        dim,
+        "positive roots off the Levi",
+    )
+
+
 def run_vmrt_audit(scenario: Scenario | None = None) -> RigidityReport:
     """Nondegeneracy ledger: each VMRT dimension beats half the space dimension minus one."""
     sc = scenario or load_scenario("vmrt")
     sections: list[ReportSection] = []
     for case in sc.raw.get("cases", ()):
         name = case["name"]
-        lines: list[ReportLine] = []
         vm = case["vmrt"]
-        vmrt_rs = build_root_system(vm["type"], vm["rank"])
-        vmrt_dim = homogeneous_dimension(vmrt_rs, vm["crossed"])
-        lines.append(
-            _computed(
-                f"dim_{vm['type']}{vm['rank']}_P{vm['crossed'][0]}",
-                f"dim {vm['name']} = {vmrt_dim}  [{vm['type']}{vm['rank']}/P{vm['crossed'][0]}]",
-                vmrt_dim,
-                "positive roots off the Levi",
-            )
-        )
+        vmrt_line = _gp_dim_line(vm)
+        vmrt_dim = vmrt_line.value
+        lines = [vmrt_line]
         ss = case["symmetric_space"]
-        g_dim = adjoint_dimension(
-            build_root_system(ss["group_root_system"]["type"], ss["group_root_system"]["rank"])
-        )
-        h_dim = adjoint_dimension(
-            build_root_system(
-                ss["subgroup_root_system"]["type"], ss["subgroup_root_system"]["rank"]
-            )
-        )
-        space_dim = g_dim - h_dim
+        g_dim, h_dim, space_dim = _pair_dims(ss)
         lines.append(
             _computed(
                 f"dim_{name}",
@@ -556,30 +558,9 @@ def run_vmrt_audit(scenario: Scenario | None = None) -> RigidityReport:
                 "projectivization minus one hyperplane",
             )
         )
-        hp = case["hyperplane_section_of"]
-        hp_rs = build_root_system(hp["type"], hp["rank"])
-        hp_dim = homogeneous_dimension(hp_rs, hp["crossed"])
-        lines.append(
-            _computed(
-                f"dim_{hp['type']}{hp['rank']}_P{hp['crossed'][0]}",
-                f"dim {hp['name']} = {hp_dim}  [{hp['type']}{hp['rank']}/P{hp['crossed'][0]}]",
-                hp_dim,
-                "positive roots off the Levi",
-            )
-        )
+        lines.append(_gp_dim_line(case["hyperplane_section_of"]))
         sections.append(ReportSection(f"Case {ss['group']}/{ss['fixed_subgroup']}", tuple(lines)))
-    extra_lines = []
-    for sp in sc.raw.get("extra_spaces", ()):
-        rs = build_root_system(sp["type"], sp["rank"])
-        dim = homogeneous_dimension(rs, sp["crossed"])
-        extra_lines.append(
-            _computed(
-                f"dim_{sp['type']}{sp['rank']}_P{sp['crossed'][0]}",
-                f"dim {sp['name']} = {dim}  [{sp['type']}{sp['rank']}/P{sp['crossed'][0]}]",
-                dim,
-                "positive roots off the Levi",
-            )
-        )
+    extra_lines = [_gp_dim_line(sp) for sp in sc.raw.get("extra_spaces", ())]
     if extra_lines:
         sections.append(ReportSection("Companion homogeneous dimensions", tuple(extra_lines)))
     return RigidityReport(name="vmrt", title=sc.title, sections=tuple(sections))
@@ -596,20 +577,9 @@ def run_theorem1_audit(scenario: Scenario | None = None) -> RigidityReport:
         cone_const = consts["cone_aut_dim"]
         h1_const = consts["h1_general_fiber"]
         collected_constants.extend([cone_const, h1_const])
-        aut_rs = build_root_system(case["aut_root_system"]["type"], case["aut_root_system"]["rank"])
-        aut_dim = adjoint_dimension(aut_rs)
-        sd = case["space_dim"]
-        g_dim = adjoint_dimension(
-            build_root_system(sd["group_root_system"]["type"], sd["group_root_system"]["rank"])
-        )
-        h_dim = adjoint_dimension(
-            build_root_system(sd["subgroup_root_system"]["type"], sd["subgroup_root_system"]["rank"])
-        )
-        space_dim = g_dim - h_dim
-        ss_rs = build_root_system(
-            case["cone_aut_semisimple"]["type"], case["cone_aut_semisimple"]["rank"]
-        )
-        cone_ss = adjoint_dimension(ss_rs)
+        aut_dim = _adjoint_dim(case["aut_root_system"])
+        g_dim, h_dim, space_dim = _pair_dims(case["space_dim"])
+        cone_ss = _adjoint_dim(case["cone_aut_semisimple"])
         lines = [
             _computed(
                 f"aut_dim_{name}",

@@ -30,8 +30,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .bott import ParabolicSpace
-from .root_system import Weight, build_root_system, weyl_dimension
+from .root_system import ParabolicSpace, Weight, build_root_system, weyl_dimension
 
 __all__ = [
     "Partition",

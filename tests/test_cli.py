@@ -159,3 +159,38 @@ def test_bwb_text_and_json_numbers_agree(capsys):
 def test_json_documents_echo_the_command(capsys):
     _, doc, _ = run_json(capsys, "lr", "1", "1", "--rows", "2")
     assert doc["command"] == {"name": "lr", "args": {"mu": "1", "nu": "1", "rows": 2}}
+
+
+def test_bare_builtin_name_ignores_a_local_file_of_that_name(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cayley").write_text("not a scenario")
+    code, doc, _ = run_json(capsys, "report", "cayley")
+    assert code == 0
+    code, doc, _ = run_json(capsys, "koszul", "--scenario", "cayley", "--twist", "normal")
+    assert code == 0
+    assert doc["result"]["table"]["degrees"]["0"]["total"] == 34
+
+
+def test_local_file_named_like_a_builtin_is_reached_with_a_directory_part(
+    capsys, tmp_path, monkeypatch
+):
+    from gpcoh import load_scenario
+
+    data = json.loads(json.dumps(load_scenario("cayley").raw))
+    data["name"] = "local copy"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cayley").write_text(json.dumps(data))
+    code, doc, _ = run_json(capsys, "koszul", "--scenario", "./cayley", "--twist", "normal")
+    assert code == 0
+    assert doc["result"]["scenario"] == "local copy"
+
+
+def test_unparsable_scenario_file_is_named_in_the_error(capsys, tmp_path):
+    p = tmp_path / "broken.json"
+    p.write_text("not a scenario")
+    code, out, err = run(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(p) in err
+    assert "Expecting value" in err

@@ -253,3 +253,16 @@ def test_restriction_sequence_rejects_negative_h1():
     normal = CohomologyTable.from_dimensions({0: 3})
     with pytest.raises(ValueError, match="h1 = -2 < 0"):
         restriction_sequence(0, ambient, normal)
+
+
+def test_chase_blocks_cohomology_above_the_zero_locus_dimension():
+    # two linear forms on P^3 cut out a line; maximal ranks everywhere would
+    # give {1: 2, 3: 1}, but H^3 cannot live on a curve (the truth is
+    # H^1(P^1, O(-4)) = 3), so the chase must refuse to answer
+    p3 = ParabolicSpace(rs=build_root_system("A", 3), crossed=frozenset({1}))
+    amb = (1, 4)
+    section = BundleSum.from_pairs(amb, [(generator_power(amb, "U*", "ext", 1), 2)])
+    res = chase(build_koszul(p3, section, BundleSum.of(line_bundle(amb, -4))))
+    assert not res.determined
+    assert res.table is None
+    assert res.blocking_positions == ((0, 3),)
