@@ -10,14 +10,15 @@ The chase works on dimension tables, never on actual maps. The rank of an
 induced map between nonzero cohomology groups is therefore an assumption: a
 caller-provided hint when present, otherwise the maximal possible rank,
 which is the generic-section default. Every such assumption is recorded, so
-a determined answer is auditable. When an assignment contradicts exactness
-(left exactness of global sections, or a negative dimension downstream),
-the chase refuses to guess and reports the blocking positions instead. It
-does the same when the assignment leaves cohomology above dim S =
-dim G/P - rank E, which no sheaf on S can have: the maximal ranks of one
-cohomology row need not be compatible with each other, and this is where
-an incompatible choice shows. Such an answer is blocked at (0, q) for each
-offending degree q.
+a determined answer is auditable; so is every provided hint at a position
+the chase reaches, even where a zero source or target forces rank 0. When
+an assignment contradicts exactness (left exactness of global sections, or
+a negative dimension downstream), the chase refuses to guess and reports
+the blocking positions instead. It does the same when the assignment
+leaves cohomology above dim S = dim G/P - rank E, which no sheaf on S can
+have: the maximal ranks of one cohomology row need not be compatible with
+each other, and this is where an incompatible choice shows. Such an answer
+is blocked at (0, q) for each offending degree q.
 """
 
 from __future__ import annotations
@@ -118,19 +119,11 @@ class ChaseResult:
 def _normalize_hints(rank_hints: Iterable) -> list[RankHint]:
     out = []
     for h in rank_hints or ():
-        if isinstance(h, RankHint):
-            out.append(h)
-        elif isinstance(h, Mapping):
-            out.append(
-                RankHint(
-                    target_term=int(h["target_term"]),
-                    degree=int(h["degree"]),
-                    rank=int(h["rank"]),
-                )
-            )
-        else:
-            target, degree, rank = h
-            out.append(RankHint(int(target), int(degree), int(rank)))
+        if isinstance(h, Mapping):
+            h = RankHint(int(h["target_term"]), int(h["degree"]), int(h["rank"]))
+        elif not isinstance(h, RankHint):
+            raise ValueError(f"a rank hint is a RankHint or a mapping, got {type(h).__name__}")
+        out.append(h)
     return out
 
 
@@ -212,8 +205,7 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable = ()) -> ChaseResult:
                         f"maximal possible rank {cap}"
                     )
                 rho[q] = provided
-                if cap > 0:
-                    used.append(UsedHint(j, q, provided, "provided"))
+                used.append(UsedHint(j, q, provided, "provided"))
             elif cap > 0:
                 rho[q] = cap
                 used.append(UsedHint(j, q, cap, "default_maximal"))

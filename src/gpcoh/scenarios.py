@@ -49,6 +49,11 @@ _BUILTIN_FILES = {
 
 REPORT_NAMES = ("cayley", "vmrt", "theorem1", "adjunction")
 
+_TOP_LEVEL_KEYS = (
+    "schema_version", "name", "title", "description", "ambient", "section_bundle",
+    "twists", "external_constants", "rank_hints", "cases", "extra_spaces",
+)
+
 
 @dataclass(frozen=True)
 class ExternalConstant:
@@ -82,9 +87,18 @@ class Scenario:
         raise KeyError(f"scenario {self.name!r} has no twist {name!r}; known: {known}")
 
 
-def _parse_constants(items: Iterable[dict]) -> dict[str, ExternalConstant]:
+def _fields(block: dict, keys: tuple[str, ...], file: str, name: str) -> tuple:
+    """The values of ``keys`` in ``block``; a missing key fails naming the
+    file, the block and the key."""
+    for key in keys:
+        if key not in block:
+            raise ValueError(f"scenario file {file!r}: block {name!r} lacks key {key!r}")
+    return tuple(block[key] for key in keys)
+
+
+def _parse_constants(items: Iterable[dict], file: str, block: str) -> dict[str, ExternalConstant]:
     out: dict[str, ExternalConstant] = {}
-    for item in items or ():
+    for i, item in enumerate(items or ()):
         name = item.get("name")
         if not name:
             raise ValueError("external constant without a name")
@@ -93,13 +107,15 @@ def _parse_constants(items: Iterable[dict]) -> dict[str, ExternalConstant]:
             raise ValueError(
                 f"external constant {name!r} lacks a provenance string; refusing to load"
             )
-        out[name] = ExternalConstant(name=name, value=int(item["value"]), provenance=provenance)
+        (value,) = _fields(item, ("value",), file, f"{block}[{i}]")
+        out[name] = ExternalConstant(name=name, value=int(value), provenance=provenance)
     return out
 
 
-def _parse_space(block: dict) -> ParabolicSpace:
-    rs = build_root_system(block["type"], int(block["rank"]))
-    return ParabolicSpace(rs=rs, crossed=frozenset(int(i) for i in block["crossed"]))
+def _parse_space(block: dict, file: str) -> ParabolicSpace:
+    type_letter, rank, crossed = _fields(block, ("type", "rank", "crossed"), file, "ambient")
+    rs = build_root_system(type_letter, int(rank))
+    return ParabolicSpace(rs=rs, crossed=frozenset(int(i) for i in crossed))
 
 
 def _grassmannian_kn(space: ParabolicSpace) -> tuple[int, int]:
@@ -116,7 +132,9 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     vmrt_audit, theorem1, theorem1_audit, adjunction, with or without
     ".json") always loads the file shipped with the package, whatever the
     current directory holds; a local file of such a name is reached with a
-    directory part, as in "./cayley". Anything else is read as a path.
+    directory part, as in "./cayley". Anything else is read as a path. An
+    unknown top-level key fails naming the file and the key; a missing
+    required key also names its block.
     """
     text = str(name_or_path)
     key = text.removesuffix(".json")
@@ -134,21 +152,27 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
         raise ValueError(f"scenario file {text!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"scenario file {text!r} does not hold a JSON object")
-    space = _parse_space(data["ambient"]) if "ambient" in data else None
+    unknown = [key for key in data if key not in _TOP_LEVEL_KEYS]
+    if unknown:
+        known = ", ".join(_TOP_LEVEL_KEYS)
+        raise ValueError(f"scenario file {text!r} has unknown key {unknown[0]!r}; known: {known}")
+    space = _parse_space(data["ambient"], text) if "ambient" in data else None
     section = None
     twists: list[tuple[str, BundleSum]] = []
     if space is not None and data.get("section_bundle"):
         kn = _grassmannian_kn(space)
         section = parse_bundle(kn, data["section_bundle"])
-        for tw in data.get("twists", ()):
-            twists.append((tw["name"], parse_bundle(kn, tw["label"])))
-    constants = _parse_constants(data.get("external_constants", ()))
+        for i, tw in enumerate(data.get("twists", ())):
+            name, label = _fields(tw, ("name", "label"), text, f"twists[{i}]")
+            twists.append((name, parse_bundle(kn, label)))
+    constants = _parse_constants(data.get("external_constants", ()), text, "external_constants")
     # audit cases carry their own constants; validate them on load as well
-    for case in data.get("cases", ()):
-        _parse_constants(case.get("external_constants", ()))
+    for i, case in enumerate(data.get("cases", ())):
+        _parse_constants(case.get("external_constants", ()), text, f"cases[{i}].external_constants")
+    hint_keys = ("target_term", "degree", "rank")
     hints = tuple(
-        RankHint(int(h["target_term"]), int(h["degree"]), int(h["rank"]))
-        for h in data.get("rank_hints", ())
+        RankHint(*(int(x) for x in _fields(h, hint_keys, text, f"rank_hints[{i}]")))
+        for i, h in enumerate(data.get("rank_hints", ()))
     )
     return Scenario(
         name=data.get("name", str(name_or_path)),
@@ -573,7 +597,7 @@ def run_theorem1_audit(scenario: Scenario | None = None) -> RigidityReport:
     collected_constants: list[ExternalConstant] = []
     for case in sc.raw.get("cases", ()):
         name = case["name"]
-        consts = _parse_constants(case.get("external_constants", ()))
+        consts = _parse_constants(case.get("external_constants", ()), sc.name, name)
         cone_const = consts["cone_aut_dim"]
         h1_const = consts["h1_general_fiber"]
         collected_constants.extend([cone_const, h1_const])

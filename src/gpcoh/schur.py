@@ -11,8 +11,9 @@ determinant twist before anything else happens.
 
 Tensor products distribute over direct sums and apply the
 Littlewood-Richardson rule independently on the two sides, truncated to the
-side's rank. The rule is evaluated by direct enumeration of lattice-word
-skew tableaux, which doubles as its own certificate at the sizes needed.
+side's rank. The rule is evaluated in one pass that grows the LR tableaux a
+value at a time, each value a horizontal strip, and merges tableaux that
+agree on their shape and their last strip.
 
 Exterior powers are restricted to the closed-form cases a Koszul complex of
 a column bundle requires: powers of (possibly dual, possibly twisted) single
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable, Iterator
 
 from .root_system import ParabolicSpace, Weight, build_root_system, weyl_dimension
@@ -73,10 +75,6 @@ class Partition:
             if a < b:
                 raise ValueError(f"partition parts must be weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
-
-    @classmethod
-    def of(cls, *parts: int) -> "Partition":
-        return cls(tuple(parts))
 
     @property
     def size(self) -> int:
@@ -178,9 +176,6 @@ class BundleSum:
     def rank(self) -> int:
         return sum(m * label_rank(lab) for lab, m in self.summands)
 
-    def labels(self) -> tuple[BundleLabel, ...]:
-        return tuple(lab for lab, _ in self.summands)
-
     def __str__(self) -> str:
         return format_sum(self)
 
@@ -205,94 +200,64 @@ def canonicalize(label: BundleLabel) -> BundleLabel:
 
 
 # ---------------------------------------------------------------------------
-# Littlewood-Richardson by skew-tableau enumeration
+# Littlewood-Richardson by a horizontal-strip pass
 
 
-def _candidate_shapes(mu: Partition, nu: Partition, max_rows: int) -> Iterator[Partition]:
-    total = mu.size + nu.size
-    cap_first = mu.part(0) + nu.part(0)
+def _strips(
+    shape: tuple[int, ...], size: int, prev: tuple[int, ...], room: int
+) -> Iterator[tuple[int, ...]]:
+    """Horizontal strips of ``size`` cells on ``shape``, as cells per row.
 
-    def rec(prefix: list[int], remaining: int, row: int) -> Iterator[Partition]:
-        if row == max_rows:
-            if remaining == 0:
-                yield Partition(tuple(prefix))
-            return
-        hi = min(prefix[-1] if prefix else cap_first, remaining)
-        lo = mu.part(row)
-        # rows below still need at least mu's parts
-        needed_below = sum(mu.part(r) for r in range(row + 1, max_rows))
-        for val in range(hi, lo - 1, -1):
-            if remaining - val < needed_below:
-                continue
-            prefix.append(val)
-            yield from rec(prefix, remaining - val, row + 1)
-            prefix.pop()
-
-    yield from rec([], total, 0)
-
-
-def _count_lr_tableaux(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """LR skew tableaux of shape lam/mu and content nu.
-
-    Cells are filled in reverse reading order (top row to bottom, right to
-    left) so the lattice-word condition is a running check on value counts.
+    Row r >= 1 takes at most shape[r-1] - shape[r] cells. The lattice-word
+    rule bounds the strip's cells in rows <= r by ``prev``'s cells in rows < r,
+    plus ``room``: 0 for a value after the first, ``size`` for the first.
     """
-    rows = lam.length
-    cells = []
-    for r in range(rows):
-        for c in range(lam.part(r) - 1, mu.part(r) - 1, -1):
-            cells.append((r, c))
-    if len(cells) != nu.size:
-        return 0
-    nvals = nu.length
-    counts = [0] * (nvals + 1)
-    values: dict[tuple[int, int], int] = {}
-    total = 0
+    strip = [0] * len(shape)
 
-    def place(idx: int) -> None:
-        nonlocal total
-        if idx == len(cells):
-            total += 1
+    def rec(r: int, remaining: int, room: int) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield tuple(strip)
             return
-        r, c = cells[idx]
-        right = values.get((r, c + 1))
-        above = values.get((r - 1, c))
-        for v in range(1, nvals + 1):
-            if counts[v] >= nu.part(v - 1):
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue  # lattice word
-            if right is not None and v > right:
-                continue  # rows weakly increase
-            if above is not None and v <= above:
-                continue  # columns strictly increase
-            counts[v] += 1
-            values[(r, c)] = v
-            place(idx + 1)
-            del values[(r, c)]
-            counts[v] -= 1
+        if r == len(shape):
+            return
+        cap = remaining if r == 0 else shape[r - 1] - shape[r]
+        for a in range(min(cap, remaining, room), -1, -1):
+            strip[r] = a
+            yield from rec(r + 1, remaining - a, room - a + prev[r])
 
-    place(0)
-    return total
+    yield from rec(0, size, room)
 
 
 def lr_coefficients(
     mu: Partition | Iterable[int], nu: Partition | Iterable[int], max_rows: int
 ) -> dict[Partition, int]:
     """All Littlewood-Richardson coefficients c^lam_{mu,nu} with at most
-    ``max_rows`` rows; shapes needing more rows are discarded (GL truncation)."""
+    ``max_rows`` rows; shapes needing more rows are discarded (GL truncation).
+
+    LR tableaux of shape lam/mu and content nu are grown one value at a time:
+    nu_1 ones, then nu_2 twos, and so on, each value a horizontal strip
+    obeying the lattice-word rule. Tableaux with the same shape and the same
+    last strip extend alike, so each such state carries only its count.
+    """
     if max_rows < 1:
         raise ValueError(f"max_rows must be at least 1, got {max_rows}")
     mu = mu if isinstance(mu, Partition) else Partition(tuple(mu))
     nu = nu if isinstance(nu, Partition) else Partition(tuple(nu))
     if mu.length > max_rows or nu.length > max_rows:
         return {}
-    out: dict[Partition, int] = {}
-    for lam in _candidate_shapes(mu, nu, max_rows):
-        count = _count_lr_tableaux(lam, mu, nu)
-        if count:
-            out[lam] = count
-    return out
+    # state (shape, previous strip) -> number of tableaux reaching it
+    states = {(mu.padded(max_rows), (0,) * max_rows): 1}
+    for value, size in enumerate(nu.parts):
+        grown: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        for (shape, prev), count in states.items():
+            for strip in _strips(shape, size, prev, size if value == 0 else 0):
+                key = (tuple(map(add, shape, strip)), strip)
+                grown[key] = grown.get(key, 0) + count
+        states = grown
+    totals: dict[tuple[int, ...], int] = {}
+    for (shape, _), count in states.items():
+        totals[shape] = totals.get(shape, 0) + count
+    return {Partition(shape): totals[shape] for shape in sorted(totals, reverse=True)}
 
 
 def gl_dimension(p: Partition | Iterable[int], r: int) -> int:
@@ -437,10 +402,9 @@ def tensor_labels(a: BundleLabel, b: BundleLabel) -> BundleSum:
     if a.ambient != b.ambient:
         raise ValueError(f"ambient mismatch: Gr{a.ambient} vs Gr{b.ambient}")
     k, n = a.ambient
-    m = n - k
     twist = a.twist + b.twist
-    u_products = lr_coefficients(a.u_part, b.u_part, k) if k else {Partition(): 1}
-    q_products = lr_coefficients(a.q_part, b.q_part, m) if m else {Partition(): 1}
+    u_products = lr_coefficients(a.u_part, b.u_part, k)
+    q_products = lr_coefficients(a.q_part, b.q_part, n - k)
     pairs = []
     for pu, cu in u_products.items():
         for pq, cq in q_products.items():

@@ -3,10 +3,13 @@
 These deliberately avoid the package's own code paths: dimensions come from
 brute-force semistandard tableau enumeration and A-type roots from their
 interval description, so the main engines are checked against something
-that cannot share their bugs.
+that cannot share their bugs. Littlewood-Richardson coefficients come from
+listing every candidate shape and backtracking over the fillings of each,
+cell by cell, a search unrelated to the engine's strip pass.
 """
 
 from functools import lru_cache
+from typing import Iterator
 
 
 @lru_cache(maxsize=None)
@@ -48,4 +51,105 @@ def a_type_positive_roots(n: int) -> set[tuple[int, ...]]:
     for i in range(n):
         for j in range(i, n):
             out.add(tuple(1 if i <= p <= j else 0 for p in range(n)))
+    return out
+
+
+class Partition:
+    """The few partition accessors the LR oracle reads; no package code."""
+
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        self.parts = tuple(p for p in parts if p)
+
+    @property
+    def size(self) -> int:
+        return sum(self.parts)
+
+    @property
+    def length(self) -> int:
+        return len(self.parts)
+
+    def part(self, i: int) -> int:
+        return self.parts[i] if i < len(self.parts) else 0
+
+
+def _candidate_shapes(mu: Partition, nu: Partition, max_rows: int) -> Iterator[Partition]:
+    total = mu.size + nu.size
+    cap_first = mu.part(0) + nu.part(0)
+
+    def rec(prefix: list[int], remaining: int, row: int) -> Iterator[Partition]:
+        if row == max_rows:
+            if remaining == 0:
+                yield Partition(tuple(prefix))
+            return
+        hi = min(prefix[-1] if prefix else cap_first, remaining)
+        lo = mu.part(row)
+        # rows below still need at least mu's parts
+        needed_below = sum(mu.part(r) for r in range(row + 1, max_rows))
+        for val in range(hi, lo - 1, -1):
+            if remaining - val < needed_below:
+                continue
+            prefix.append(val)
+            yield from rec(prefix, remaining - val, row + 1)
+            prefix.pop()
+
+    yield from rec([], total, 0)
+
+
+def _count_lr_tableaux(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """LR skew tableaux of shape lam/mu and content nu.
+
+    Cells are filled in reverse reading order (top row to bottom, right to
+    left) so the lattice-word condition is a running check on value counts.
+    """
+    rows = lam.length
+    cells = []
+    for r in range(rows):
+        for c in range(lam.part(r) - 1, mu.part(r) - 1, -1):
+            cells.append((r, c))
+    if len(cells) != nu.size:
+        return 0
+    nvals = nu.length
+    counts = [0] * (nvals + 1)
+    values: dict[tuple[int, int], int] = {}
+    total = 0
+
+    def place(idx: int) -> None:
+        nonlocal total
+        if idx == len(cells):
+            total += 1
+            return
+        r, c = cells[idx]
+        right = values.get((r, c + 1))
+        above = values.get((r - 1, c))
+        for v in range(1, nvals + 1):
+            if counts[v] >= nu.part(v - 1):
+                continue
+            if v > 1 and counts[v] >= counts[v - 1]:
+                continue  # lattice word
+            if right is not None and v > right:
+                continue  # rows weakly increase
+            if above is not None and v <= above:
+                continue  # columns strictly increase
+            counts[v] += 1
+            values[(r, c)] = v
+            place(idx + 1)
+            del values[(r, c)]
+            counts[v] -= 1
+
+    place(0)
+    return total
+
+
+def lr_tableau_oracle(
+    mu: tuple[int, ...], nu: tuple[int, ...], rows: int
+) -> dict[tuple[int, ...], int]:
+    """Nonzero c^lam_{mu,nu} with at most ``rows`` rows, keyed by lam's parts."""
+    mu, nu = Partition(mu), Partition(nu)
+    if mu.length > rows or nu.length > rows:
+        return {}
+    out = {}
+    for lam in _candidate_shapes(mu, nu, rows):
+        count = _count_lr_tableaux(lam, mu, nu)
+        if count:
+            out[lam.parts] = count
     return out

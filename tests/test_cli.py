@@ -194,3 +194,52 @@ def test_unparsable_scenario_file_is_named_in_the_error(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(p) in err
     assert "Expecting value" in err
+
+
+def _cayley_copy(tmp_path, edit):
+    from gpcoh import load_scenario
+
+    data = json.loads(json.dumps(load_scenario("cayley").raw))
+    edit(data)
+    p = tmp_path / "edited.json"
+    p.write_text(json.dumps(data))
+    return p
+
+
+def test_a_provided_hint_at_capacity_zero_is_listed(capsys, tmp_path):
+    p = _cayley_copy(
+        tmp_path, lambda d: d.update(rank_hints=[{"target_term": 2, "degree": 3, "rank": 0}])
+    )
+    code, doc, _ = run_json(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
+    assert code == 0
+    assert {"target_term": 2, "degree": 3, "rank": 0, "origin": "provided"} in doc["result"][
+        "hints_used"
+    ]
+
+
+def test_a_missing_ambient_key_names_the_file_the_block_and_the_key(capsys, tmp_path):
+    p = _cayley_copy(tmp_path, lambda d: d["ambient"].pop("type"))
+    code, out, err = run(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert str(p) in err and "'ambient'" in err and "'type'" in err
+
+
+def test_a_missing_hint_key_names_the_file_the_block_and_the_key(capsys, tmp_path):
+    p = _cayley_copy(tmp_path, lambda d: d.update(rank_hints=[{"target_term": 0, "degree": 0}]))
+    code, doc, _ = run_json(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
+    assert code == 2
+    assert str(p) in doc["error"] and "rank_hints[0]" in doc["error"] and "'rank'" in doc["error"]
+
+
+def test_an_unknown_top_level_key_is_rejected(capsys, tmp_path):
+    # a misspelled rank_hints would silently drop a hint that blocks the chase
+    def rename(d):
+        d.pop("rank_hints")
+        d["rank_hint"] = [{"target_term": 0, "degree": 0, "rank": 0}]
+
+    p = _cayley_copy(tmp_path, rename)
+    code, doc, _ = run_json(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
+    assert code == 2
+    assert str(p) in doc["error"] and "'rank_hint'" in doc["error"]

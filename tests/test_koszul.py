@@ -266,3 +266,19 @@ def test_chase_blocks_cohomology_above_the_zero_locus_dimension():
     assert not res.determined
     assert res.table is None
     assert res.blocking_positions == ((0, 3),)
+
+
+def test_a_provided_hint_at_capacity_zero_is_recorded():
+    # nothing maps into H^3(C_2) of the normal-twisted resolution, so rank 0 is forced
+    cx = build_koszul(gr47(), section_bundle(), section_bundle())
+    res = chase(cx, [RankHint(target_term=2, degree=3, rank=0)])
+    assert res.determined
+    assert res.table.dims() == chase(cx).table.dims()
+    provided = [h for h in res.page.hints_used if h.origin == "provided"]
+    assert [(h.target_term, h.degree, h.rank) for h in provided] == [(2, 3, 0)]
+
+
+def test_chase_rejects_a_hint_that_is_neither_a_rank_hint_nor_a_mapping():
+    cx = build_koszul(gr47(), section_bundle(), section_bundle())
+    with pytest.raises(ValueError, match="RankHint or a mapping, got tuple"):
+        chase(cx, [(0, 0, 1)])

@@ -1,0 +1,36 @@
+"""The Littlewood-Richardson strip pass against an independent tableau search."""
+
+from gpcoh import lr_coefficients
+
+from conftest import lr_tableau_oracle
+
+
+def _partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def test_lr_matches_the_tableau_oracle_on_every_small_pair():
+    for total in range(10):
+        for size in range(total + 1):
+            for mu in _partitions(size):
+                for nu in _partitions(total - size):
+                    for rows in range(1, 7):
+                        got = {lam.parts: c for lam, c in lr_coefficients(mu, nu, rows).items()}
+                        assert got == lr_tableau_oracle(mu, nu, rows), (mu, nu, rows)
+
+
+def test_lr_of_a_long_column_needs_no_recursion_per_value():
+    out = lr_coefficients((1,), (1,) * 60, 61)
+    assert {lam.parts: c for lam, c in out.items()} == {(2,) + (1,) * 59: 1, (1,) * 61: 1}
+
+
+def test_lr_square_of_the_five_staircase():
+    staircase = (5, 4, 3, 2, 1)
+    out = lr_coefficients(staircase, staircase, 10)
+    assert len(out) == 1433
+    assert sum(out.values()) == 26704
