@@ -191,6 +191,11 @@ def _cmd_koszul(ns) -> tuple[dict, list[str]]:
         "hints_used": hints_payload,
         "determined": result.determined,
     }
+    if result.page.hints_unreached:
+        payload["hints_unreached"] = [
+            {"target_term": h.target_term, "degree": h.degree, "rank": h.rank}
+            for h in result.page.hints_unreached
+        ]
     failures: list = []
     lines = [f"Koszul chase for scenario {sc.name!r}, twist {ns.twist!r} on {sc.space}"]
     for t in terms_payload:
@@ -205,6 +210,10 @@ def _cmd_koszul(ns) -> tuple[dict, list[str]]:
         lines.append("every term of the resolution is acyclic")
     for h in result.page.hints_used:
         lines.append(f"  assumed {h.describe()}")
+    for h in result.page.hints_unreached:
+        lines.append(
+            f"  not reached: provided hint at term {h.target_term} degree {h.degree} rank {h.rank}"
+        )
     if result.determined:
         payload["table"] = _table_payload(result.table)
         dims = result.table.dims()

@@ -11,7 +11,9 @@ induced map between nonzero cohomology groups is therefore an assumption: a
 caller-provided hint when present, otherwise the maximal possible rank,
 which is the generic-section default. Every such assumption is recorded, so
 a determined answer is auditable; so is every provided hint at a position
-the chase reaches, even where a zero source or target forces rank 0. When
+the chase reaches, even where a zero source or target forces rank 0. A hint
+whose rank exceeds dim H^q(C_j) is rejected before the chase starts, and a
+blocked chase lists the provided hints it never reached. When
 an assignment contradicts exactness (left exactness of global sections, or
 a negative dimension downstream), the chase refuses to guess and reports
 the blocking positions instead. It does the same when the assignment
@@ -96,11 +98,16 @@ class UsedHint:
 
 @dataclass(frozen=True)
 class ChasePage:
-    """First-page data of a chase: per-term tables and the assumptions used."""
+    """First-page data of a chase: per-term tables and the assumptions used.
+
+    ``hints_unreached`` holds the provided hints at terms below the point
+    where a blocked chase stopped; it is empty when the chase ran through.
+    """
 
     grid: tuple[tuple[tuple[int, int], int], ...]  # ((term j, degree q), dim)
     term_tables: tuple[CohomologyTable, ...]  # index j = 0..r
     hints_used: tuple[UsedHint, ...]
+    hints_unreached: tuple[RankHint, ...] = ()
 
     def grid_dims(self) -> dict[tuple[int, int], int]:
         return dict(self.grid)
@@ -164,6 +171,10 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable = ()) -> ChaseResult:
     space = complex_.ambient
     r = complex_.section_rank
     max_degree = space.dimension
+    tables = [
+        bundle_cohomology(space, sum_to_weights(complex_.term(j), space))
+        for j in range(r + 1)
+    ]  # index j = C_j
     hints = {}
     for h in _normalize_hints(rank_hints):
         if not 0 <= h.target_term < r:
@@ -176,15 +187,16 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable = ()) -> ChaseResult:
             )
         if h.rank < 0:
             raise ValueError(f"hint rank must be nonnegative, got {h.rank}")
+        bound = tables[h.target_term].total_dimension(h.degree)
+        if h.rank > bound:
+            raise ValueError(
+                f"hint {h} exceeds the maximal possible rank {bound} = "
+                f"dim H^{h.degree}(C_{h.target_term})"
+            )
         key = (h.target_term, h.degree)
         if key in hints:
             raise ValueError(f"duplicate hint for position {key}")
         hints[key] = h.rank
-
-    tables = [
-        bundle_cohomology(space, sum_to_weights(complex_.term(j), space))
-        for j in range(r + 1)
-    ]  # index j = C_j
     grid = tuple(
         ((j, q), dim) for j in range(r, -1, -1) for q, dim in tables[j].total_dims
     )
@@ -233,7 +245,12 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable = ()) -> ChaseResult:
         # no sheaf on S has cohomology above dim S = dim G/P - rank E
         blocking = [(0, q) for q in current if q > max_degree - r]
 
-    page = ChasePage(grid=grid, term_tables=tuple(tables), hints_used=tuple(used))
+    page = ChasePage(
+        grid=grid,
+        term_tables=tuple(tables),
+        hints_used=tuple(used),
+        hints_unreached=tuple(RankHint(j, q, rank) for (j, q), rank in hints.items()),
+    )
     if blocking:
         return ChaseResult(
             determined=False, page=page, blocking_positions=tuple(sorted(set(blocking)))

@@ -19,6 +19,10 @@ Node numbering follows Bourbaki throughout::
 The Cartan matrix convention is ``cartan[i][j] = <alpha_i, alpha_j^vee>``, so
 row i is the i-th simple root written in fundamental-weight coordinates.
 
+Weyl dimensions walk a root chain: each non-simple positive root is a
+positive root beta plus a simple root (Humphreys, Lie Algebras, 10.2), so its
+pairing with lambda + rho is beta's plus one integer; the denominator is stored.
+
 All values are immutable after construction and every operation is a pure
 function; concurrent reads from multiple threads are safe.
 """
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import prod
 from typing import Iterable, Literal, Sequence
 
 __all__ = [
@@ -127,7 +132,9 @@ class RootSystem:
     in graded lexicographic order (so golden outputs are stable).
     ``symmetrizer`` holds the integers d_i with d_i * <alpha_i, alpha_j^vee>
     symmetric; these carry the root-length data used by the Weyl dimension
-    formula.
+    formula. ``root_chain[k]`` is (-1, i) if ``positive_roots[k]`` is alpha_i
+    (0-based i), else (p, i) with p < k and positive_roots[k] = positive_roots[p]
+    + alpha_i; ``rho_product`` is the Weyl product's denominator over them all.
     """
 
     type_letter: str
@@ -136,6 +143,8 @@ class RootSystem:
     positive_roots: tuple[tuple[int, ...], ...]
     rho: Weight
     symmetrizer: tuple[int, ...]
+    root_chain: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
+    rho_product: int = field(compare=False, repr=False)
 
     @property
     def name(self) -> str:
@@ -250,6 +259,30 @@ def _generate_positive_roots(
     return tuple(positives)
 
 
+def _root_chain(roots: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int], ...]:
+    """Each root's parent position and added simple root; ``roots`` sorted by height."""
+    index = {root: k for k, root in enumerate(roots)}
+    chain = []
+    for root in roots:
+        for i, c in enumerate(root):
+            parent = root[:i] + (c - 1,) + root[i + 1 :]
+            if c and (parent in index or not any(parent)):
+                chain.append((index.get(parent, -1), i))
+                break
+        else:
+            raise AssertionError(f"positive root {root} has no parent root")
+    return tuple(chain)
+
+
+def _pairings(chain, symmetrizer: tuple[int, ...], coeffs: tuple[int, ...]) -> list[int]:
+    """<lambda + rho, alpha^vee> for each positive root in chain order, times a per-root factor."""
+    s = [(c + 1) * d for c, d in zip(coeffs, symmetrizer)]
+    values: list[int] = []
+    for parent, i in chain:
+        values.append(s[i] if parent < 0 else values[parent] + s[i])
+    return values
+
+
 @lru_cache(maxsize=None)
 def build_root_system(type_letter: str, rank: int) -> RootSystem:
     """Construct the simple root system of the given type and rank.
@@ -271,13 +304,17 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
         for j in range(rank):
             if cartan[i][j] * sym[j] != cartan[j][i] * sym[i]:
                 raise AssertionError(f"Cartan matrix of {letter}{rank} fails symmetrizability")
+    roots = _generate_positive_roots(cartan, rank)
+    chain = _root_chain(roots)
     return RootSystem(
         type_letter=letter,
         rank=rank,
         cartan=cartan,
-        positive_roots=_generate_positive_roots(cartan, rank),
+        positive_roots=roots,
         rho=Weight((1,) * rank),
         symmetrizer=sym,
+        root_chain=chain,
+        rho_product=prod(_pairings(chain, sym, (0,) * rank)),
     )
 
 
@@ -339,14 +376,15 @@ def dominantize(
     return DominantizationResult(outcome="regular", length=length, dominant_weight=dominant)
 
 
-def _weyl_product(rs: RootSystem, weight: Weight, roots: Iterable[tuple[int, ...]]) -> int:
-    """Product over ``roots`` of <weight + rho, alpha^vee> / <rho, alpha^vee>, exactly."""
-    d = rs.symmetrizer
-    num = 1
-    den = 1
-    for root in roots:
-        num *= sum(c * (weight.coeffs[i] + 1) * d[i] for i, c in enumerate(root) if c)
-        den *= sum(c * d[i] for i, c in enumerate(root) if c)
+def _weyl_product(rs: RootSystem, weight: Weight, indices: Sequence[int] | None = None) -> int:
+    """Product of <weight + rho, alpha^vee> / <rho, alpha^vee>, exactly, over all
+    positive roots or over those at ``indices`` in ``rs.positive_roots``."""
+    values = _pairings(rs.root_chain, rs.symmetrizer, weight.coeffs)
+    if indices is None:
+        num, den = prod(values), rs.rho_product
+    else:
+        rho_values = _pairings(rs.root_chain, rs.symmetrizer, (0,) * rs.rank)
+        num, den = (prod(v[k] for k in indices) for v in (values, rho_values))
     value, remainder = divmod(num, den)
     if remainder:
         raise AssertionError("Weyl dimension product failed to be integral")
@@ -357,7 +395,7 @@ def weyl_dimension(rs: RootSystem, dominant: Weight) -> int:
     """Exact dimension of the irreducible representation with this highest weight.
 
     Product over positive roots of <lambda + rho, alpha^vee> / <rho, alpha^vee>,
-    evaluated with exact integers.
+    exact: one addition per root along ``rs.root_chain``, over ``rs.rho_product``.
     """
     _check_weight(rs, dominant)
     for i, c in enumerate(dominant.coeffs):
@@ -365,7 +403,7 @@ def weyl_dimension(rs: RootSystem, dominant: Weight) -> int:
             raise ValueError(
                 f"weight {dominant} is not dominant: coefficient {c} at node {i + 1}"
             )
-    return _weyl_product(rs, dominant, rs.positive_roots)
+    return _weyl_product(rs, dominant)
 
 
 _E6_INVOLUTION = (6, 2, 5, 4, 3, 1)  # node i maps to _E6_INVOLUTION[i-1]
@@ -401,14 +439,14 @@ class ParabolicSpace:
 
     Construction validates the crossed set and splits the positive roots
     once: ``nilradical`` holds those whose simple-root support meets a
-    crossed node (one per dimension of G/P), ``levi_roots`` the rest.
+    crossed node (one per dimension of G/P), ``levi_indices`` the positions of the rest.
     """
 
     rs: RootSystem
     crossed: frozenset[int]
     uncrossed: tuple[int, ...] = field(init=False, repr=False, compare=False)
     nilradical: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    levi_roots: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    levi_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         crossed = frozenset(int(i) for i in self.crossed)
@@ -420,16 +458,18 @@ class ParabolicSpace:
         bad = sorted(i for i in crossed if not 1 <= i <= self.rs.rank)
         if bad:
             raise ValueError(f"crossed nodes {bad} out of range 1..{self.rs.rank}")
-        nilradical: list[tuple[int, ...]] = []
-        levi: list[tuple[int, ...]] = []
-        for root in self.rs.positive_roots:
-            (nilradical if any(root[i - 1] for i in crossed) else levi).append(root)
+        roots = self.rs.positive_roots
+        meets = [any(root[i - 1] for i in crossed) for root in roots]
         object.__setattr__(self, "crossed", crossed)
         object.__setattr__(
             self, "uncrossed", tuple(i for i in range(1, self.rs.rank + 1) if i not in crossed)
         )
-        object.__setattr__(self, "nilradical", tuple(nilradical))
-        object.__setattr__(self, "levi_roots", tuple(levi))
+        object.__setattr__(self, "nilradical", tuple(r for r, m in zip(roots, meets) if m))
+        object.__setattr__(self, "levi_indices", tuple(k for k, m in enumerate(meets) if not m))
+
+    @property
+    def levi_roots(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.rs.positive_roots[k] for k in self.levi_indices)
 
     @property
     def dimension(self) -> int:
@@ -468,4 +508,4 @@ def levi_dimension(rs: RootSystem, crossed_nodes: Iterable[int], weight: Weight)
     """
     space = ParabolicSpace(rs, crossed_nodes)
     space.check_p_dominant(weight)
-    return _weyl_product(rs, weight, space.levi_roots)
+    return _weyl_product(rs, weight, space.levi_indices)

@@ -49,6 +49,8 @@ _BUILTIN_FILES = {
 
 REPORT_NAMES = ("cayley", "vmrt", "theorem1", "adjunction")
 
+_SCHEMA_VERSION = 1  # the only scenario file layout this loader reads
+
 _TOP_LEVEL_KEYS = (
     "schema_version", "name", "title", "description", "ambient", "section_bundle",
     "twists", "external_constants", "rank_hints", "cases", "extra_spaces",
@@ -134,7 +136,8 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     current directory holds; a local file of such a name is reached with a
     directory part, as in "./cayley". Anything else is read as a path. An
     unknown top-level key fails naming the file and the key; a missing
-    required key also names its block.
+    required key also names its block. A missing or unsupported
+    ``schema_version`` fails naming the file.
     """
     text = str(name_or_path)
     key = text.removesuffix(".json")
@@ -156,6 +159,13 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     if unknown:
         known = ", ".join(_TOP_LEVEL_KEYS)
         raise ValueError(f"scenario file {text!r} has unknown key {unknown[0]!r}; known: {known}")
+    version = data.get("schema_version")
+    if type(version) is not int or version != _SCHEMA_VERSION:
+        found = repr(version) if "schema_version" in data else "missing"
+        raise ValueError(
+            f"scenario file {text!r}: schema_version {found} is not supported; "
+            f"expected {_SCHEMA_VERSION}"
+        )
     space = _parse_space(data["ambient"], text) if "ambient" in data else None
     section = None
     twists: list[tuple[str, BundleSum]] = []

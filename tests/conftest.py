@@ -5,7 +5,9 @@ brute-force semistandard tableau enumeration and A-type roots from their
 interval description, so the main engines are checked against something
 that cannot share their bugs. Littlewood-Richardson coefficients come from
 listing every candidate shape and backtracking over the fillings of each,
-cell by cell, a search unrelated to the engine's strip pass.
+cell by cell, a search unrelated to the engine's strip pass. Weyl products
+pair each root's coordinates with the weight directly, without the engine's
+root chain or stored denominator.
 """
 
 from functools import lru_cache
@@ -153,3 +155,17 @@ def lr_tableau_oracle(
         if count:
             out[lam.parts] = count
     return out
+
+
+def weyl_product_oracle(rs, weight, roots) -> int:
+    """Product over ``roots`` of <weight + rho, alpha^vee> / <rho, alpha^vee>, exactly."""
+    d = rs.symmetrizer
+    num = 1
+    den = 1
+    for root in roots:
+        num *= sum(c * (weight.coeffs[i] + 1) * d[i] for i, c in enumerate(root) if c)
+        den *= sum(c * d[i] for i, c in enumerate(root) if c)
+    value, remainder = divmod(num, den)
+    if remainder:
+        raise AssertionError("Weyl dimension product failed to be integral")
+    return value

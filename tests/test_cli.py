@@ -243,3 +243,33 @@ def test_an_unknown_top_level_key_is_rejected(capsys, tmp_path):
     code, doc, _ = run_json(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
     assert code == 2
     assert str(p) in doc["error"] and "'rank_hint'" in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "edit,found",
+    [(lambda d: d.update(schema_version=99), "99"), (lambda d: d.pop("schema_version"), "missing")],
+    ids=["unsupported", "missing"],
+)
+def test_an_unsupported_or_missing_schema_version_is_rejected(capsys, tmp_path, edit, found):
+    p = _cayley_copy(tmp_path, edit)
+    code, out, err = run(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert str(p) in err and f"schema_version {found} is not supported" in err
+
+
+def test_a_blocked_chase_shows_its_unreached_hints(capsys, tmp_path):
+    def edit(d):
+        d["twists"] = [{"name": "o2", "label": "O(2)"}]
+        d["rank_hints"] = [
+            {"target_term": 1, "degree": 0, "rank": 0},
+            {"target_term": 0, "degree": 0, "rank": 1},
+        ]
+
+    p = _cayley_copy(tmp_path, edit)
+    code, doc, _ = run_json(capsys, "koszul", "--scenario", str(p), "--twist", "o2")
+    assert code == 1
+    assert doc["result"]["hints_unreached"] == [{"target_term": 0, "degree": 0, "rank": 1}]
+    code, text, _ = run(capsys, "koszul", "--scenario", str(p), "--twist", "o2")
+    assert "not reached: provided hint at term 0 degree 0 rank 1" in text

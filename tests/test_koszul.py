@@ -282,3 +282,21 @@ def test_chase_rejects_a_hint_that_is_neither_a_rank_hint_nor_a_mapping():
     cx = build_koszul(gr47(), section_bundle(), section_bundle())
     with pytest.raises(ValueError, match="RankHint or a mapping, got tuple"):
         chase(cx, [(0, 0, 1)])
+
+
+def test_a_hint_below_a_block_is_checked_against_the_term_dimension():
+    # the chase blocks at (1, 0) before it reaches (0, 0), so the rank bound
+    # dim H^0(C_0) = 490 must be checked before the walk starts
+    cx = build_koszul(gr47(), section_bundle(), BundleSum.of(line_bundle(AMB, 2)))
+    hints = [RankHint(1, 0, 0), RankHint(0, 0, 99999)]
+    with pytest.raises(ValueError, match=r"rank=99999\) exceeds the maximal possible rank 490"):
+        chase(cx, hints)
+
+
+def test_a_blocked_chase_lists_the_hints_it_never_reached():
+    cx = build_koszul(gr47(), section_bundle(), BundleSum.of(line_bundle(AMB, 2)))
+    res = chase(cx, [RankHint(1, 0, 0), RankHint(0, 0, 1)])
+    assert not res.determined
+    assert res.blocking_positions == ((1, 0),)
+    assert [(h.target_term, h.degree, h.rank) for h in res.page.hints_used] == [(1, 0, 0)]
+    assert res.page.hints_unreached == (RankHint(0, 0, 1),)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gpcoh import (
+    ParabolicSpace,
     Weight,
     adjoint_dimension,
     build_root_system,
@@ -14,7 +15,7 @@ from gpcoh import (
     weyl_dimension,
 )
 
-from conftest import a_type_positive_roots, ssyt_count
+from conftest import a_type_positive_roots, ssyt_count, weyl_product_oracle
 
 ALL_TYPES = (
     [("A", n) for n in range(1, 9)]
@@ -323,3 +324,46 @@ def test_levi_dimension_rejects_negative_uncrossed_coefficient():
     a6 = build_root_system("A", 6)
     with pytest.raises(ValueError, match="uncrossed node 3"):
         levi_dimension(a6, {4}, Weight.of(0, 0, -1, 0, 0, 0))
+
+
+@pytest.mark.parametrize("letter,rank", ALL_TYPES)
+def test_weyl_dimension_matches_the_oracle_on_random_dominant_weights(letter, rank):
+    rs = build_root_system(letter, rank)
+    rng = random.Random(f"weyl {letter}{rank}")
+    for _ in range(6):
+        w = Weight(tuple(rng.randint(0, 40) for _ in range(rank)))
+        assert weyl_dimension(rs, w) == weyl_product_oracle(rs, w, rs.positive_roots)
+
+
+@pytest.mark.parametrize("letter,rank", ALL_TYPES)
+def test_levi_dimension_matches_the_oracle_on_random_parabolics(letter, rank):
+    rs = build_root_system(letter, rank)
+    rng = random.Random(f"levi {letter}{rank}")
+    for _ in range(6):
+        crossed = frozenset(rng.sample(range(1, rank + 1), rng.randint(1, rank)))
+        space = ParabolicSpace(rs, crossed)
+        w = Weight(
+            tuple(
+                rng.randint(-40, 40) if i in crossed else rng.randint(0, 40)
+                for i in range(1, rank + 1)
+            )
+        )
+        assert levi_dimension(rs, crossed, w) == weyl_product_oracle(rs, w, space.levi_roots)
+
+
+@pytest.mark.parametrize("letter,rank", ALL_TYPES)
+def test_root_chain_rebuilds_the_positive_roots(letter, rank):
+    rs = build_root_system(letter, rank)
+    assert len(rs.root_chain) == len(rs.positive_roots)
+    for k, (parent, i) in enumerate(rs.root_chain):
+        root = [0] * rank if parent < 0 else list(rs.positive_roots[parent])
+        assert parent < k
+        root[i] += 1
+        assert tuple(root) == rs.positive_roots[k]
+
+
+def test_root_chain_rejects_a_root_without_a_parent():
+    from gpcoh.root_system import _root_chain
+
+    with pytest.raises(AssertionError, match=r"\(2, 1\) has no parent"):
+        _root_chain(((0, 1), (1, 0), (2, 1)))
