@@ -20,8 +20,8 @@ from typing import Iterable, Mapping
 
 from .root_system import (
     ParabolicSpace,
-    RootSystem,
     Weight,
+    _coroot_pairing,
     dominantize,
     dual_weight,
     reflection_walk,
@@ -174,22 +174,11 @@ def euler_characteristic(table: CohomologyTable) -> int:
     return sum((-1) ** d * t for d, t in table.total_dims)
 
 
-def _root_to_weight(rs: RootSystem, coords: tuple[int, ...]) -> Weight:
-    out = [0] * rs.rank
-    for i, c in enumerate(coords):
-        if c:
-            for k in range(rs.rank):
-                out[k] += c * rs.cartan[i][k]
-    return Weight(tuple(out))
-
-
 def canonical_twist_weight(space: ParabolicSpace) -> Weight:
     """Weight of the canonical bundle of G/P: minus the sum of nilradical roots."""
     rs = space.rs
-    total = Weight.zero(rs.rank)
-    for root in space.nilradical:
-        total = total + _root_to_weight(rs, root)
-    return -total
+    total = [sum(coords) for coords in zip(*space.nilradical)]
+    return Weight(tuple(-_coroot_pairing(rs.cartan, total, k) for k in range(rs.rank)))
 
 
 def levi_dual_weight(space: ParabolicSpace, omega: Weight) -> Weight:

@@ -164,10 +164,8 @@ def _cmd_lr(ns) -> tuple[dict, list[str]]:
 
 def _cmd_koszul(ns) -> tuple[dict, list[str]]:
     sc = load_scenario(ns.scenario)
-    if sc.space is None or sc.section_bundle is None:
-        raise ValueError(f"scenario {sc.name!r} does not define a chase pipeline")
-    twist = sc.twist_named(ns.twist)
-    complex_ = build_koszul(sc.space, sc.section_bundle, twist)
+    space, section = sc.zero_locus()
+    complex_ = build_koszul(space, section, sc.twist_named(ns.twist))
     result = chase(complex_, sc.rank_hints)
     args = {"scenario": ns.scenario, "twist": ns.twist}
     terms_payload = [
@@ -185,7 +183,7 @@ def _cmd_koszul(ns) -> tuple[dict, list[str]]:
     payload = {
         "scenario": sc.name,
         "twist": ns.twist,
-        "space": str(sc.space),
+        "space": str(space),
         "terms": terms_payload,
         "page": grid_payload,
         "hints_used": hints_payload,
@@ -197,7 +195,7 @@ def _cmd_koszul(ns) -> tuple[dict, list[str]]:
             for h in result.page.hints_unreached
         ]
     failures: list = []
-    lines = [f"Koszul chase for scenario {sc.name!r}, twist {ns.twist!r} on {sc.space}"]
+    lines = [f"Koszul chase for scenario {sc.name!r}, twist {ns.twist!r} on {space}"]
     for t in terms_payload:
         lines.append(f"  C_{t['index']} = {t['bundle']}")
     if grid_payload:

@@ -352,25 +352,17 @@ def reflection_walk(rs: RootSystem, w: Weight, nodes: Sequence[int]) -> tuple[We
             raise AssertionError("reflection walk exceeded the longest-element bound")
 
 
-def dominantize(
-    rs: RootSystem,
-    w: Weight,
-    strategy: Literal["least_index", "greatest_index"] = "least_index",
-) -> DominantizationResult:
+def dominantize(rs: RootSystem, w: Weight) -> DominantizationResult:
     """Iterate simple reflections at negative coefficients until dominant.
 
     Returns "singular" when the dominant representative has a zero
     coefficient (the weight is then orthogonal to a root, a Weyl-invariant
     property), otherwise the strictly dominant representative together with
-    the reflection count. The outcome does not depend on the choice of
-    reflection order; ``strategy`` exists so tests can compare the two
-    extreme orders.
+    the reflection count. The walk reflects at the least-index negative node
+    first; the outcome does not depend on that order.
     """
     _check_weight(rs, w)
-    nodes = range(1, rs.rank + 1)
-    if strategy == "greatest_index":
-        nodes = nodes[::-1]
-    dominant, length = reflection_walk(rs, w, nodes)
+    dominant, length = reflection_walk(rs, w, range(1, rs.rank + 1))
     if 0 in dominant.coeffs:
         return DominantizationResult(outcome="singular")
     return DominantizationResult(outcome="regular", length=length, dominant_weight=dominant)

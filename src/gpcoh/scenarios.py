@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -66,6 +65,10 @@ class ExternalConstant:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A loaded scenario file. ``space`` or ``section_bundle`` is None when
+    the file gives none (the dimension audits give neither); ``zero_locus``
+    returns both or fails naming the scenario."""
+
     name: str
     title: str
     description: str
@@ -87,6 +90,14 @@ class Scenario:
                 return bundle
         known = ", ".join(n for n, _ in self.twists) or "none"
         raise KeyError(f"scenario {self.name!r} has no twist {name!r}; known: {known}")
+
+    def zero_locus(self) -> tuple[ParabolicSpace, BundleSum]:
+        if self.space is None or self.section_bundle is None:
+            raise ValueError(
+                f"scenario {self.name!r} defines no zero locus: "
+                "it needs an ambient space and a section bundle"
+            )
+        return self.space, self.section_bundle
 
 
 def _fields(block: dict, keys: tuple[str, ...], file: str, name: str) -> tuple:
@@ -137,7 +148,8 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     directory part, as in "./cayley". Anything else is read as a path. An
     unknown top-level key fails naming the file and the key; a missing
     required key also names its block. A missing or unsupported
-    ``schema_version`` fails naming the file.
+    ``schema_version`` fails naming the file. A file without an ambient
+    space or a section bundle loads; ``Scenario.zero_locus`` then rejects it.
     """
     text = str(name_or_path)
     key = text.removesuffix(".json")
@@ -211,14 +223,7 @@ class ReportLine:
     passed: bool | None = None  # None marks an informational line
 
     def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "text": self.text,
-            "value": self.value,
-            "source": self.source,
-            "provenance": self.provenance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -289,11 +294,9 @@ def _external(key: str, text: str, const: ExternalConstant, passed: bool | None 
 
 def _chase_for(scenario: Scenario, twist_name: str, step: str):
     """Build and chase one twisted resolution; any failure names the report step."""
-    assert scenario.space is not None and scenario.section_bundle is not None
+    space, section = scenario.zero_locus()
     try:
-        complex_ = build_koszul(
-            scenario.space, scenario.section_bundle, scenario.twist_named(twist_name)
-        )
+        complex_ = build_koszul(space, section, scenario.twist_named(twist_name))
         result = chase(complex_, scenario.rank_hints)
         if not result.determined:
             raise RuntimeError(
@@ -329,8 +332,6 @@ def _chase_record_lines(twist_name: str, complex_, result) -> tuple[ReportLine, 
 def run_cayley(scenario: Scenario | None = None) -> RigidityReport:
     """Full local-rigidity computation for the Cayley Grassmannian scenario."""
     sc = scenario or load_scenario("cayley")
-    if sc.space is None or sc.section_bundle is None:
-        raise ValueError(f"scenario {sc.name!r} does not define a chase pipeline")
     sections: list[ReportSection] = []
 
     # step: structure sheaf
@@ -553,8 +554,8 @@ def run_vmrt_audit(scenario: Scenario | None = None) -> RigidityReport:
         )
         # strict inequality dim VMRT > dim/2 - 1, kept integral as 2d > n - 2
         ok = 2 * vmrt_dim > space_dim - 2
-        half = Fraction(space_dim - 2, 2)
-        bound = int(half) if half.denominator == 1 else half
+        half, odd = divmod(space_dim - 2, 2)
+        bound = f"{space_dim - 2}/2" if odd else half  # exact, and JSON-safe
         lines.append(
             _computed(
                 f"nondegeneracy_{name}",
@@ -685,10 +686,7 @@ def run_theorem1_audit(scenario: Scenario | None = None) -> RigidityReport:
 def run_adjunction_audit(scenario: Scenario | None = None) -> RigidityReport:
     """Adjunction arithmetic for the zero locus: canonical twist, index, dimension."""
     sc = scenario or load_scenario("adjunction")
-    if sc.space is None or sc.section_bundle is None:
-        raise ValueError(f"scenario {sc.name!r} does not define an adjunction setup")
-    space = sc.space
-    section = sc.section_bundle
+    space, section = sc.zero_locus()
     kappa = canonical_twist_weight(space)
     (k,) = tuple(space.crossed)
     off_node = [c for i, c in enumerate(kappa.coeffs) if i != k - 1]

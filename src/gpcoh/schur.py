@@ -126,14 +126,6 @@ class BundleLabel:
         if self.q_part.length > n - k:
             raise ValueError(f"q-side partition {self.q_part} exceeds rank {n - k}")
 
-    @property
-    def k(self) -> int:
-        return self.ambient[0]
-
-    @property
-    def n(self) -> int:
-        return self.ambient[1]
-
     def sort_key(self) -> tuple:
         return (self.u_part.parts, self.q_part.parts, self.twist)
 
@@ -310,25 +302,14 @@ _GENERATORS = ("U", "U*", "Q", "Q*")
 
 
 def _general_schur(ambient: tuple[int, int], gen: str, p: Partition, twist: int) -> BundleLabel:
-    """S_p applied to a generator, duals rewritten to straight partitions."""
-    k, n = ambient
-    m = n - k
+    """S_p applied to a generator; S_p(W^*) (x) O(t) is the dual of S_p(W) (x) O(-t)."""
     if gen not in _GENERATORS:
         raise ValueError(f"unknown generator {gen!r}; expected one of {_GENERATORS}")
+    if gen.endswith("*"):
+        return dual_label(_general_schur(ambient, gen[:-1], p, -twist))
     if gen == "U":
         return canonicalize(BundleLabel(ambient, u_part=p, twist=twist))
-    if gen == "Q":
-        return canonicalize(BundleLabel(ambient, q_part=p, twist=twist))
-    first = p.part(0)
-    if gen == "U*":
-        # S_p(U^*) = S_rc(U) (x) (det U)^{-p_1} = S_rc(U) (x) O(+p_1)
-        return canonicalize(
-            BundleLabel(ambient, u_part=_reversed_complement(p, k), twist=twist + first)
-        )
-    # S_p(Q^*) = S_rc(Q) (x) (det Q)^{-p_1} = S_rc(Q) (x) O(-p_1)
-    return canonicalize(
-        BundleLabel(ambient, q_part=_reversed_complement(p, m), twist=twist - first)
-    )
+    return canonicalize(BundleLabel(ambient, q_part=p, twist=twist))
 
 
 def generator_power(

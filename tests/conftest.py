@@ -7,7 +7,9 @@ that cannot share their bugs. Littlewood-Richardson coefficients come from
 listing every candidate shape and backtracking over the fillings of each,
 cell by cell, a search unrelated to the engine's strip pass. Weyl products
 pair each root's coordinates with the weight directly, without the engine's
-root chain or stored denominator.
+root chain or stored denominator. Schur functors of the dual generators U*
+and Q* apply the reversed-complement rule with its determinant twist
+directly, without the engine's ``dual_label``.
 """
 
 from functools import lru_cache
@@ -169,3 +171,38 @@ def weyl_product_oracle(rs, weight, roots) -> int:
     if remainder:
         raise AssertionError("Weyl dimension product failed to be integral")
     return value
+
+
+def _reversed_complement(parts: tuple[int, ...], rows: int) -> tuple[int, ...]:
+    padded = tuple(parts) + (0,) * (rows - len(parts))
+    first = padded[0] if padded else 0
+    return tuple(first - padded[rows - 1 - i] for i in range(rows))
+
+
+def _canonical(
+    ambient: tuple[int, int], u: tuple[int, ...], q: tuple[int, ...], twist: int
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(u, q, twist) with full columns moved into the twist, zeros dropped."""
+    k, n = ambient
+    if len(u) == k and u[-1] > 0:
+        c = u[-1]
+        u, twist = tuple(p - c for p in u), twist - c  # det U = O(-1)
+    if len(q) == n - k and q[-1] > 0:
+        c = q[-1]
+        q, twist = tuple(p - c for p in q), twist + c  # det Q = O(+1)
+    return tuple(p for p in u if p), tuple(p for p in q if p), twist
+
+
+def general_schur_oracle(
+    ambient: tuple[int, int], gen: str, p: tuple[int, ...], twist: int
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """S_p(U*) or S_p(Q*) tensored with O(twist) on Gr(k, n), as canonical
+    (u parts, q parts, twist)."""
+    k, n = ambient
+    m = n - k
+    first = p[0] if p else 0
+    if gen == "U*":
+        # S_p(U^*) = S_rc(U) (x) (det U)^{-p_1} = S_rc(U) (x) O(+p_1)
+        return _canonical(ambient, _reversed_complement(p, k), (), twist + first)
+    # S_p(Q^*) = S_rc(Q) (x) (det Q)^{-p_1} = S_rc(Q) (x) O(-p_1)
+    return _canonical(ambient, (), _reversed_complement(p, m), twist - first)

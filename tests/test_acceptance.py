@@ -19,7 +19,6 @@ from gpcoh import (
     bwb,
     canonicalize,
     chase,
-    dominantize,
     euler_characteristic,
     generator_power,
     label_to_weight,
@@ -33,6 +32,7 @@ from gpcoh import (
     tangent_label,
     tensor,
 )
+from gpcoh.root_system import reflection_walk
 from gpcoh.schur import format_sum
 
 from conftest import ssyt_count
@@ -230,8 +230,8 @@ def test_criterion_5_property_suites():
             rs = build_root_system(letter, rank)
             for _ in range(1000):
                 w = Weight(tuple(rng.randint(-6, 6) for _ in range(rank)))
-                assert dominantize(rs, w, strategy="least_index") == dominantize(
-                    rs, w, strategy="greatest_index"
+                assert reflection_walk(rs, w, range(1, rank + 1)) == reflection_walk(
+                    rs, w, range(rank, 0, -1)
                 )
 
         # the classical line bundle table on the projective line

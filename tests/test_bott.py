@@ -153,6 +153,44 @@ def test_canonical_twist_weights():
     assert canonical_twist_weight(p2) == Weight.of(-3, 0)
 
 
+def _fano_index(letter: str, n: int, k: int) -> int:
+    """Fano index of G/P_k for maximal parabolics, from the standard table."""
+    if letter == "A":
+        return n + 1
+    if letter == "B":
+        return 2 * n - k if k < n else 2 * n
+    if letter == "C":
+        return 2 * n - k + 1
+    if letter == "D":
+        return 2 * n - k - 1 if k <= n - 2 else 2 * n - 2
+    return {
+        "E6": (12, 11, 9, 7, 9, 12),
+        "E7": (17, 14, 11, 8, 10, 13, 18),
+        "E8": (23, 17, 13, 9, 11, 14, 19, 29),
+        "F4": (8, 5, 7, 11),
+        "G2": (5, 3),
+    }[f"{letter}{n}"][k - 1]
+
+
+def test_canonical_twist_is_minus_the_fano_index_on_every_maximal_parabolic():
+    types = (
+        [("A", n) for n in range(1, 9)]
+        + [("B", n) for n in range(2, 9)]
+        + [("C", n) for n in range(3, 9)]
+        + [("D", n) for n in range(4, 9)]
+        + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+    )
+    checked = 0
+    for letter, n in types:
+        rs = build_root_system(letter, n)
+        for k in range(1, n + 1):
+            space = ParabolicSpace(rs=rs, crossed=frozenset({k}))
+            index = _fano_index(letter, n, k)
+            assert canonical_twist_weight(space) == -index * Weight.fundamental(n, k), (letter, n, k)
+            checked += 1
+    assert checked == 161
+
+
 def test_tangent_sections_and_canonical_cohomology_across_grassmannians():
     from gpcoh.schur import label_to_weight, tangent_label
 

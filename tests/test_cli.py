@@ -117,6 +117,14 @@ def test_koszul_unknown_twist(capsys):
     assert "no twist" in doc["error"]
 
 
+def test_koszul_on_a_scenario_without_a_zero_locus_exits_2_naming_it(capsys):
+    code, out, err = run(capsys, "koszul", "--scenario", "vmrt", "--twist", "normal")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "'vmrt'" in err and "zero locus" in err
+
+
 def test_indeterminate_koszul_exits_nonzero_with_failure_list(capsys, tmp_path):
     from gpcoh import load_scenario
 

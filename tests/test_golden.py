@@ -31,16 +31,3 @@ def test_cli_output_matches_golden_file(capsys, filename, argv):
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / filename).read_text()
 
-
-def test_report_script_writes_the_golden_results(tmp_path, capsys):
-    import importlib.util
-    import json
-
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_rigidity_reports.py"
-    spec = importlib.util.spec_from_file_location("run_rigidity_reports", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert module.main(["--json-dir", str(tmp_path)]) == 0
-    for name in ("cayley", "vmrt", "theorem1", "adjunction"):
-        golden = json.loads((GOLDEN / f"report_{name}.json").read_text())
-        assert json.loads((tmp_path / f"{name}.json").read_text()) == golden["result"]

@@ -14,6 +14,7 @@ from gpcoh import (
     levi_dimension,
     weyl_dimension,
 )
+from gpcoh.root_system import reflection_walk
 
 from conftest import a_type_positive_roots, ssyt_count, weyl_product_oracle
 
@@ -145,16 +146,16 @@ def test_dominantize_order_independence_counted_suite():
         rs = build_root_system(letter, rank)
         for _ in range(1000):
             w = Weight(tuple(rng.randint(-6, 6) for _ in range(rank)))
-            lo = dominantize(rs, w, strategy="least_index")
-            hi = dominantize(rs, w, strategy="greatest_index")
+            lo = reflection_walk(rs, w, range(1, rank + 1))
+            hi = reflection_walk(rs, w, range(rank, 0, -1))
             assert lo == hi
 
 
 @given(st.tuples(*[st.integers(-8, 8)] * 4))
 def test_dominantize_strategies_agree_on_d4(coeffs):
     rs = build_root_system("D", 4)
-    assert dominantize(rs, Weight(coeffs)) == dominantize(
-        rs, Weight(coeffs), strategy="greatest_index"
+    assert reflection_walk(rs, Weight(coeffs), range(1, 5)) == reflection_walk(
+        rs, Weight(coeffs), range(4, 0, -1)
     )
 
 

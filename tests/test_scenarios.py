@@ -169,6 +169,26 @@ def test_vmrt_audit_values():
     assert v["ambient_rep_dim_e6_mod_f4"] == 27
 
 
+def test_vmrt_audit_with_an_odd_dimensional_space_serializes_its_bound(tmp_path):
+    data = load_scenario("vmrt").raw
+    data["cases"][0]["symmetric_space"]["subgroup_root_system"] = {"type": "B", "rank": 2}
+    p = tmp_path / "odd.json"
+    p.write_text(json.dumps(data))
+    rep = run_vmrt_audit(load_scenario(p))
+    v = rep.values()
+    assert v["dim_sl6_mod_sp6"] == 35 - 10
+    assert v["bound_sl6_mod_sp6"] == "23/2"
+    assert "half-dimension bound = 23/2" in rep.line("bound_sl6_mod_sp6").text
+    assert v["bound_e6_mod_f4"] == 12
+    assert json.loads(json.dumps(rep.to_dict())) == rep.to_dict()
+
+
+@pytest.mark.parametrize("runner", [run_cayley, run_adjunction_audit])
+def test_runners_needing_a_zero_locus_reject_a_scenario_without_one(runner):
+    with pytest.raises(ValueError, match="scenario 'vmrt' defines no zero locus"):
+        runner(load_scenario("vmrt"))
+
+
 def test_theorem1_audit_values():
     rep = run_theorem1_audit()
     assert rep.passed

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,8 +28,9 @@ from gpcoh import (
     tangent_label,
     tensor,
 )
+from gpcoh.schur import _general_schur
 
-from conftest import ssyt_count
+from conftest import general_schur_oracle, ssyt_count
 
 AMB = (4, 7)
 
@@ -401,3 +403,29 @@ def test_format_parse_round_trip(u, q, t):
     )
     parsed = parse_bundle(AMB, format_label(label))
     assert parsed.summands == ((label, 1),)
+
+
+def _box_partitions(rows: int, width: int):
+    """Every partition with at most ``rows`` rows and parts at most ``width``."""
+    for parts in combinations_with_replacement(range(width, -1, -1), rows):
+        yield tuple(p for p in parts if p)
+
+
+def test_dual_generators_match_the_reversed_complement_oracle():
+    checked = 0
+    for n in range(2, 8):
+        for k in range(1, n):
+            amb = (k, n)
+            for gen, rank in (("U*", k), ("Q*", n - k)):
+                for p in _box_partitions(rank, 3):
+                    for t in range(-2, 3):
+                        want = general_schur_oracle(amb, gen, p, t)
+                        got = [_general_schur(amb, gen, Partition(p), t)]
+                        if all(x == 1 for x in p):
+                            got.append(generator_power(amb, gen, "ext", len(p), t))
+                        if len(p) <= 1:
+                            got.append(generator_power(amb, gen, "sym", sum(p), t))
+                        for lab in got:
+                            assert (lab.u_part.parts, lab.q_part.parts, lab.twist) == want
+                        checked += 1
+    assert checked == 4_550
