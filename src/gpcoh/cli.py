@@ -301,7 +301,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         document, lines = _HANDLERS[ns.command](ns)
     except (ValueError, KeyError, FileNotFoundError) as exc:
-        message = str(exc)
+        # str() of a KeyError is the repr of its argument, quotes included
+        message = str(exc.args[0]) if isinstance(exc, KeyError) else str(exc)
         if ns.format == "json":
             print(json.dumps({"schema_version": SCHEMA_VERSION, "error": message}))
         else:

@@ -135,7 +135,8 @@ def _normalize_hints(rank_hints: Iterable) -> list[RankHint]:
 
 
 def build_koszul(ambient: ParabolicSpace, section: BundleSum, twist: BundleSum | None = None) -> KoszulComplex:
-    """Assemble the Koszul complex of a section of E, twisted by F."""
+    """Assemble the Koszul complex of a section of E, twisted by F: one
+    exterior-power fold of E^* gives every Lambda^j E^*, each tensored with F."""
     if twist is None:
         twist = BundleSum.of(trivial_label(section.ambient))
     if section.ambient != twist.ambient:
@@ -150,10 +151,8 @@ def build_koszul(ambient: ParabolicSpace, section: BundleSum, twist: BundleSum |
             f"rank {rank} section bundle on a {ambient.dimension}-dimensional space "
             "violates the expected codimension condition"
         )
-    dual = dual_sum(section)
-    terms = tuple(
-        tensor(exterior_power_sum(dual, j), twist) for j in range(rank, -1, -1)
-    )
+    powers = exterior_power_sum(dual_sum(section), rank)
+    terms = tuple(tensor(power, twist) for power in reversed(powers))
     return KoszulComplex(ambient=ambient, section_bundle=section, twist=twist, terms=terms)
 
 

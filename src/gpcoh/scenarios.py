@@ -696,7 +696,7 @@ def run_adjunction_audit(scenario: Scenario | None = None) -> RigidityReport:
         )
     ambient_twist = kappa.coeffs[k - 1]
     rank = section.rank()
-    det = exterior_power_sum(section, rank)
+    det = exterior_power_sum(section, rank)[rank]
     if len(det.summands) != 1:
         raise AssertionError("determinant of the section bundle is not a line bundle")
     det_label, det_mult = det.summands[0]

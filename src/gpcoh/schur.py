@@ -15,8 +15,11 @@ side's rank. The rule is evaluated in one pass that grows the LR tableaux a
 value at a time, each value a horizontal strip, and merges tableaux that
 agree on their shape and their last strip.
 
-Exterior powers are restricted to the closed-form cases a Koszul complex of
-a column bundle requires: powers of (possibly dual, possibly twisted) single
+Exterior powers of a direct sum come from one fold over its summands that
+keeps every degree at once. A line bundle L of multiplicity m folds in one
+step as Lambda^d(L^m) = C(m, d) L^d; any other summand folds once per copy
+and is restricted to the closed-form cases a Koszul complex of a column
+bundle requires: powers of (possibly dual, possibly twisted) single
 columns. General plethysm is out of scope and rejected.
 
 Conversion to fundamental-weight coordinates sends a label to the highest
@@ -237,6 +240,8 @@ def lr_coefficients(
     nu = nu if isinstance(nu, Partition) else Partition(tuple(nu))
     if mu.length > max_rows or nu.length > max_rows:
         return {}
+    if not mu.parts:
+        return {nu: 1}  # c^lam_{(),nu} = delta_{lam,nu}
     # state (shape, previous strip) -> number of tableaux reaching it
     states = {(mu.padded(max_rows), (0,) * max_rows): 1}
     for value, size in enumerate(nu.parts):
@@ -466,33 +471,35 @@ def exterior_power(label: BundleLabel, j: int) -> BundleSum:
     )
 
 
-def exterior_power_sum(bsum: BundleSum, j: int) -> BundleSum:
-    """Lambda^j of a direct sum via Lambda(A + B) = Lambda(A) (x) Lambda(B)."""
+def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
+    """(Lambda^0, ..., Lambda^j) of a direct sum, in one fold of its summands
+    by Lambda(A + B) = Lambda(A) (x) Lambda(B); entries past the rank are zero.
+
+    A line bundle L of multiplicity m folds in one step as
+    Lambda^d(L^m) = C(m, d) L^d; any other summand folds once per copy.
+    """
     if j < 0:
         raise ValueError("exterior power degree must be nonnegative")
     ambient = bsum.ambient
-    flat: list[BundleLabel] = []
-    for lab, m in bsum.summands:
-        flat.extend([lab] * m)
-    # graded[d] = Lambda^d of the labels folded so far
+    # graded[d] = Lambda^d of the summands folded so far
     graded: list[BundleSum] = [BundleSum.of(trivial_label(ambient))]
-    for lab in flat:
-        rank = label_rank(lab)
-        powers = [exterior_power(lab, d) for d in range(0, min(rank, j) + 1)]
-        new_len = min(j, len(graded) - 1 + rank) + 1
-        new: list[BundleSum] = []
-        for d in range(new_len):
-            pieces: list[tuple[BundleLabel, int]] = []
-            for p in range(0, min(d, rank) + 1):
-                if d - p >= len(graded):
-                    continue
-                prod = tensor(graded[d - p], powers[p])
-                pieces.extend(prod.summands)
-            new.append(BundleSum.from_pairs(ambient, pieces))
-        graded = new
-    if j >= len(graded):
-        return BundleSum.from_pairs(ambient, [])
-    return graded[j]
+    for lab, m in bsum.summands:
+        if lab.u_part.parts or lab.q_part.parts:
+            blocks = [[exterior_power(lab, d) for d in range(min(label_rank(lab), j) + 1)]] * m
+        else:
+            blocks = [[BundleSum.of(line_bundle(ambient, d * lab.twist), _binomial(m, d))
+                       for d in range(min(m, j) + 1)]]
+        for powers in blocks:
+            top = min(j, len(graded) + len(powers) - 2)
+            graded = [
+                BundleSum.from_pairs(ambient, [
+                    pair
+                    for p in range(max(0, d - len(graded) + 1), min(d, len(powers) - 1) + 1)
+                    for pair in tensor(graded[d - p], powers[p]).summands
+                ])
+                for d in range(top + 1)
+            ]
+    return tuple(graded) + (BundleSum.from_pairs(ambient, []),) * (j + 1 - len(graded))
 
 
 def _binomial(n: int, k: int) -> int:

@@ -9,30 +9,34 @@ cell by cell, a search unrelated to the engine's strip pass. Weyl products
 pair each root's coordinates with the weight directly, without the engine's
 root chain or stored denominator. Schur functors of the dual generators U*
 and Q* apply the reversed-complement rule with its determinant twist
-directly, without the engine's ``dual_label``.
+directly, without the engine's ``dual_label``. Bundles on Gr(k, n) are also
+compared by their formal characters on the maximal torus of SL(n): Schur
+polynomials from enumerated tableaux, and exterior powers from the subsets
+of a weight multiset, with no use of the label calculus.
 """
 
+from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator
 
 
 @lru_cache(maxsize=None)
-def ssyt_count(shape: tuple[int, ...], max_entry: int) -> int:
-    """Number of semistandard Young tableaux of the given shape with entries
-    in 1..max_entry, counted by direct backtracking."""
+def ssyt_contents(shape: tuple[int, ...], max_entry: int) -> tuple[tuple[int, ...], ...]:
+    """Content of every semistandard Young tableau of the given shape with
+    entries in 1..max_entry (how many entries equal 1, 2, ...), one vector per
+    tableau, enumerated by direct backtracking."""
     shape = tuple(p for p in shape if p)
-    if not shape:
-        return 1
     if len(shape) > max_entry:
-        return 0
+        return ()
     cells = [(r, c) for r, row in enumerate(shape) for c in range(row)]
     values: dict[tuple[int, int], int] = {}
-    total = 0
+    content = [0] * max_entry
+    out = []
 
     def place(idx: int) -> None:
-        nonlocal total
         if idx == len(cells):
-            total += 1
+            out.append(tuple(content))
             return
         r, c = cells[idx]
         lo = 1
@@ -42,11 +46,62 @@ def ssyt_count(shape: tuple[int, ...], max_entry: int) -> int:
             lo = max(lo, values[(r - 1, c)] + 1)  # columns strictly increase
         for v in range(lo, max_entry + 1):
             values[(r, c)] = v
+            content[v - 1] += 1
             place(idx + 1)
+            content[v - 1] -= 1
         values.pop((r, c), None)
 
     place(0)
-    return total
+    return tuple(out)
+
+
+def ssyt_count(shape: tuple[int, ...], max_entry: int) -> int:
+    """Number of semistandard Young tableaux of the given shape with entries
+    in 1..max_entry."""
+    return len(ssyt_contents(tuple(shape), max_entry))
+
+
+def _mod_diagonal(v: tuple[int, ...]) -> tuple[int, ...]:
+    """Exponent vector modulo (1, ..., 1): a weight of the torus of SL(n)."""
+    return tuple(c - v[-1] for c in v)
+
+
+def torus_character(
+    ambient: tuple[int, int], u: tuple[int, ...], q: tuple[int, ...], twist: int
+) -> Counter:
+    """Character of S_u(U) (x) S_q(Q) (x) O(twist) on Gr(k, n).
+
+    U carries the torus weights x_1..x_k and Q the weights y_1..y_{n-k}, and
+    O(1) = det U^*, so the character is s_u(x) s_q(y) (x_1...x_k)^(-twist).
+    Exponent vectors are taken modulo (1, ..., 1), where det U (x) det Q = O.
+    """
+    k, n = ambient
+    out: Counter = Counter()
+    for cx in ssyt_contents(tuple(u), k):
+        for cy in ssyt_contents(tuple(q), n - k):
+            out[_mod_diagonal(tuple(c - twist for c in cx) + cy)] += 1
+    return out
+
+
+def exterior_character(n: int, weights: list[tuple[int, ...]], d: int) -> Counter:
+    """Character of Lambda^d of a bundle whose torus weights, with repeats,
+    are ``weights``: one weight per d-subset of the multiset."""
+    out: Counter = Counter()
+    for subset in combinations(weights, d):
+        out[_mod_diagonal(tuple(map(sum, zip(*subset))) if subset else (0,) * n)] += 1
+    return out
+
+
+def section_atom_weights(ambient: tuple[int, int], atom: str) -> list[tuple[int, ...]]:
+    """Torus weights of U*, L(k-1) U*, O(1) or O(2) on Gr(k, n), with repeats."""
+    k, n = ambient
+    u_dual = [tuple(-1 if i == j else 0 for i in range(n)) for j in range(k)]
+    if atom == "U*":
+        return u_dual
+    if atom == f"L{k - 1} U*":
+        return list(exterior_character(n, u_dual, k - 1).elements())
+    degree = {"O(1)": 1, "O(2)": 2}[atom]
+    return [tuple(-degree if i < k else 0 for i in range(n))]
 
 
 def a_type_positive_roots(n: int) -> set[tuple[int, ...]]:

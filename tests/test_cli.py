@@ -125,6 +125,14 @@ def test_koszul_on_a_scenario_without_a_zero_locus_exits_2_naming_it(capsys):
     assert "'vmrt'" in err and "zero locus" in err
 
 
+def test_a_key_error_prints_its_message_unquoted_in_both_formats(capsys):
+    expected = "scenario 'adjunction' has no twist 'normal'; known: none"
+    code, out, err = run(capsys, "koszul", "--scenario", "adjunction", "--twist", "normal")
+    assert (code, out, err) == (2, "", f"error: {expected}\n")
+    code, doc, err = run_json(capsys, "koszul", "--scenario", "adjunction", "--twist", "normal")
+    assert (code, doc["error"], err) == (2, expected, "")
+
+
 def test_indeterminate_koszul_exits_nonzero_with_failure_list(capsys, tmp_path):
     from gpcoh import load_scenario
 

@@ -1,5 +1,6 @@
 import pytest
 
+import gpcoh.koszul
 from gpcoh import (
     BundleSum,
     CohomologyTable,
@@ -10,6 +11,7 @@ from gpcoh import (
     bundle_cohomology,
     chase,
     euler_characteristic,
+    exterior_power_sum,
     generator_power,
     line_bundle,
     restriction_sequence,
@@ -61,6 +63,21 @@ def test_hypersurface_koszul_is_two_terms():
     amb = (1, 2)
     cx = build_koszul(p1, BundleSum.of(line_bundle(amb, 1)))
     assert [format_sum(cx.term(j)) for j in (1, 0)] == ["O(-1)", "O"]
+
+
+def test_koszul_folds_the_exterior_powers_once_per_complex(monkeypatch):
+    calls = []
+
+    def counted(bsum, j):
+        calls.append(j)
+        return exterior_power_sum(bsum, j)
+
+    monkeypatch.setattr(gpcoh.koszul, "exterior_power_sum", counted)
+    mixed = BundleSum.from_pairs(AMB, [(line_bundle(AMB, 1), 2), (line_bundle(AMB, 2), 1)])
+    for section in (section_bundle(), mixed):
+        calls.clear()
+        cx = build_koszul(gr47(), section, tangent())
+        assert calls == [cx.section_rank]
 
 
 def test_koszul_rejects_codimension_violation():

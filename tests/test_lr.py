@@ -1,6 +1,6 @@
 """The Littlewood-Richardson strip pass against an independent tableau search."""
 
-from gpcoh import lr_coefficients
+from gpcoh import Partition, lr_coefficients
 
 from conftest import lr_tableau_oracle
 
@@ -22,6 +22,19 @@ def test_lr_matches_the_tableau_oracle_on_every_small_pair():
                     for rows in range(1, 7):
                         got = {lam.parts: c for lam, c in lr_coefficients(mu, nu, rows).items()}
                         assert got == lr_tableau_oracle(mu, nu, rows), (mu, nu, rows)
+
+
+def test_lr_with_an_empty_first_factor_is_the_identity():
+    # c^lam_{(),nu} = delta_{lam,nu}, and a nu longer than the row bound gives nothing
+    seen = set()
+    for size in range(10):
+        for nu in _partitions(size):
+            for rows in range(1, 7):
+                got = lr_coefficients((), nu, rows)
+                assert {lam.parts: c for lam, c in got.items()} == lr_tableau_oracle((), nu, rows)
+                assert got == ({} if len(nu) > rows else {Partition(nu): 1})
+                seen.add(len(nu) > rows)
+    assert seen == {False, True}
 
 
 def test_lr_of_a_long_column_needs_no_recursion_per_value():

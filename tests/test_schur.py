@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -30,7 +31,13 @@ from gpcoh import (
 )
 from gpcoh.schur import _general_schur
 
-from conftest import general_schur_oracle, ssyt_count
+from conftest import (
+    exterior_character,
+    general_schur_oracle,
+    section_atom_weights,
+    ssyt_count,
+    torus_character,
+)
 
 AMB = (4, 7)
 
@@ -290,8 +297,11 @@ def test_exterior_power_sum_of_repeated_line_bundles():
     # Lambda^2 of O(1) + O(1) is O(2)
     two = BundleSum.from_pairs(AMB, [(line_bundle(AMB, 1), 2)])
     out = exterior_power_sum(two, 2)
-    assert out.summands == ((line_bundle(AMB, 2), 1),)
-    assert exterior_power_sum(two, 3).is_zero
+    assert len(out) == 3
+    assert out[2].summands == ((line_bundle(AMB, 2), 1),)
+    out = exterior_power_sum(two, 3)
+    assert len(out) == 4
+    assert out[3].is_zero
 
 
 def test_exterior_power_sum_rank_is_binomial_of_total_rank():
@@ -299,7 +309,35 @@ def test_exterior_power_sum_rank_is_binomial_of_total_rank():
         AMB, [(generator_power(AMB, "U", "ext", 1), 1), (line_bundle(AMB, 1), 1)]
     )  # rank 5
     for j, expected in enumerate((1, 5, 10, 10, 5, 1)):
-        assert exterior_power_sum(mixed, j).rank() == expected
+        out = exterior_power_sum(mixed, j)
+        assert len(out) == j + 1
+        assert out[j].rank() == expected
+
+
+def test_exterior_power_sum_matches_the_character_oracle():
+    # every section of 1-3 summands from U*, L(k-1) U*, O(1), O(2) on Gr(k, n), n <= 6
+    for n in range(2, 7):
+        for k in range(1, n):
+            amb = (k, n)
+            for size in (1, 2, 3):
+                for atoms in combinations_with_replacement(
+                    ("U*", f"L{k - 1} U*", "O(1)", "O(2)"), size
+                ):
+                    section = BundleSum.from_pairs(
+                        amb, [p for atom in atoms for p in parse_bundle(amb, atom).summands]
+                    )
+                    weights = [w for atom in atoms for w in section_atom_weights(amb, atom)]
+                    rank = section.rank()
+                    powers = exterior_power_sum(section, rank)
+                    assert len(powers) == rank + 1 == len(weights) + 1
+                    for d, power in enumerate(powers):
+                        character = Counter()
+                        for lab, m in power.summands:
+                            for w, c in torus_character(
+                                amb, lab.u_part.parts, lab.q_part.parts, lab.twist
+                            ).items():
+                                character[w] += m * c
+                        assert character == exterior_character(n, weights, d), (amb, atoms, d)
 
 
 # ---------------------------------------------------------------------------
