@@ -31,7 +31,6 @@ from .schur import (
     BundleLabel,
     BundleSum,
     Partition,
-    canonicalize,
     dual_label,
     exterior_power,
     exterior_power_sum,

@@ -100,35 +100,57 @@ class Scenario:
         return self.space, self.section_bundle
 
 
-def _fields(block: dict, keys: tuple[str, ...], file: str, name: str) -> tuple:
-    """The values of ``keys`` in ``block``; a missing key fails naming the
-    file, the block and the key."""
+_JSON_TYPES = {dict: "a JSON object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _typed(value, kind: type, file: str, block: str, key: str):
+    """``value`` if its JSON type is exactly ``kind`` (a bool or a float is no
+    integer); otherwise fail naming the file, the block and the key."""
+    if type(value) is not kind:
+        raise ValueError(
+            f"scenario file {file!r}: block {block!r} key {key!r} must be "
+            f"{_JSON_TYPES[kind]}, got {json.dumps(value)}"
+        )
+    return value
+
+
+def _items(block: dict, key: str, kind: type, file: str, name: str) -> list:
+    """The list ``block[key]``, empty when absent, each item of JSON type ``kind``."""
+    items = _typed(block.get(key, []), list, file, name, key)
+    return [_typed(item, kind, file, name, f"{key}[{i}]") for i, item in enumerate(items)]
+
+
+def _fields(block: dict, keys: dict[str, type], file: str, name: str) -> tuple:
+    """The values of ``keys`` in ``block``, each of the JSON type it maps to;
+    a missing key or a wrong type fails naming the file, the block and the key."""
     for key in keys:
         if key not in block:
             raise ValueError(f"scenario file {file!r}: block {name!r} lacks key {key!r}")
-    return tuple(block[key] for key in keys)
+    return tuple(_typed(block[key], kind, file, name, key) for key, kind in keys.items())
 
 
 def _parse_constants(items: Iterable[dict], file: str, block: str) -> dict[str, ExternalConstant]:
     out: dict[str, ExternalConstant] = {}
-    for i, item in enumerate(items or ()):
-        name = item.get("name")
+    for i, item in enumerate(items):
+        where = f"{block}[{i}]"
+        name, value = _fields(item, {"name": str, "value": int}, file, where)
         if not name:
-            raise ValueError("external constant without a name")
-        provenance = str(item.get("provenance", "")).strip()
+            raise ValueError(f"scenario file {file!r}: block {where!r} key 'name' is empty")
+        provenance = _typed(item.get("provenance", ""), str, file, where, "provenance").strip()
         if not provenance:
             raise ValueError(
                 f"external constant {name!r} lacks a provenance string; refusing to load"
             )
-        (value,) = _fields(item, ("value",), file, f"{block}[{i}]")
-        out[name] = ExternalConstant(name=name, value=int(value), provenance=provenance)
+        out[name] = ExternalConstant(name=name, value=value, provenance=provenance)
     return out
 
 
 def _parse_space(block: dict, file: str) -> ParabolicSpace:
-    type_letter, rank, crossed = _fields(block, ("type", "rank", "crossed"), file, "ambient")
-    rs = build_root_system(type_letter, int(rank))
-    return ParabolicSpace(rs=rs, crossed=frozenset(int(i) for i in crossed))
+    _typed(block, dict, file, "top level", "ambient")
+    kinds = {"type": str, "rank": int, "crossed": list}
+    type_letter, rank, _ = _fields(block, kinds, file, "ambient")
+    crossed = _items(block, "crossed", int, file, "ambient")
+    return ParabolicSpace(rs=build_root_system(type_letter, rank), crossed=frozenset(crossed))
 
 
 def _grassmannian_kn(space: ParabolicSpace) -> tuple[int, int]:
@@ -178,23 +200,25 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
             f"scenario file {text!r}: schema_version {found} is not supported; "
             f"expected {_SCHEMA_VERSION}"
         )
+    top = "top level"
     space = _parse_space(data["ambient"], text) if "ambient" in data else None
     section = None
     twists: list[tuple[str, BundleSum]] = []
     if space is not None and data.get("section_bundle"):
         kn = _grassmannian_kn(space)
-        section = parse_bundle(kn, data["section_bundle"])
-        for i, tw in enumerate(data.get("twists", ())):
-            name, label = _fields(tw, ("name", "label"), text, f"twists[{i}]")
+        section = parse_bundle(kn, *_fields(data, {"section_bundle": str}, text, top))
+        for i, tw in enumerate(_items(data, "twists", dict, text, top)):
+            name, label = _fields(tw, {"name": str, "label": str}, text, f"twists[{i}]")
             twists.append((name, parse_bundle(kn, label)))
-    constants = _parse_constants(data.get("external_constants", ()), text, "external_constants")
+    ec = "external_constants"
+    constants = _parse_constants(_items(data, ec, dict, text, top), text, ec)
     # audit cases carry their own constants; validate them on load as well
-    for i, case in enumerate(data.get("cases", ())):
-        _parse_constants(case.get("external_constants", ()), text, f"cases[{i}].external_constants")
-    hint_keys = ("target_term", "degree", "rank")
+    for i, case in enumerate(_items(data, "cases", dict, text, top)):
+        _parse_constants(_items(case, ec, dict, text, f"cases[{i}]"), text, f"cases[{i}].{ec}")
+    hint_keys = dict.fromkeys(("target_term", "degree", "rank"), int)
     hints = tuple(
-        RankHint(*(int(x) for x in _fields(h, hint_keys, text, f"rank_hints[{i}]")))
-        for i, h in enumerate(data.get("rank_hints", ()))
+        RankHint(*_fields(h, hint_keys, text, f"rank_hints[{i}]"))
+        for i, h in enumerate(_items(data, "rank_hints", dict, text, top))
     )
     return Scenario(
         name=data.get("name", str(name_or_path)),

@@ -2,10 +2,12 @@
 
 An irreducible equivariant bundle on the Grassmannian is written as
 ``S_mu(U) (x) S_nu(Q) (x) O(t)`` with U the rank-k tautological subbundle, Q
-the rank-(n-k) quotient and O(1) = det U^*. The canonical form keeps both
-partitions strictly shorter than the rank of their side; a full column on
-the U side is det U = O(-1) and moves into the twist (and symmetrically,
-det Q = O(+1) on the quotient side). Duals never appear in stored labels:
+the rank-(n-k) quotient and O(1) = det U^*. Every label is canonical once
+constructed: the ``BundleLabel`` constructor keeps both partitions strictly
+shorter than the rank of their side by moving a full column on the U side,
+det U = O(-1), into the twist (and symmetrically det Q = O(+1) on the
+quotient side), so two labels are equal exactly when they name the same
+bundle and nothing canonicalizes later. Duals never appear in stored labels:
 ``S_mu(W^*)`` is rewritten as the reversed-complement partition on W with a
 determinant twist before anything else happens.
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import comb
 from operator import add
 from typing import Iterable, Iterator
 
@@ -41,7 +44,6 @@ __all__ = [
     "Partition",
     "BundleLabel",
     "BundleSum",
-    "canonicalize",
     "lr_coefficients",
     "tensor",
     "exterior_power",
@@ -112,7 +114,11 @@ def _reversed_complement(p: Partition, rows: int) -> Partition:
 
 @dataclass(frozen=True)
 class BundleLabel:
-    """One irreducible bundle on Gr(k, n): partitions on U and Q plus a twist."""
+    """One irreducible bundle on Gr(k, n): partitions on U and Q plus a twist.
+
+    Canonical once constructed: full columns move into the twist, so equal
+    bundles are equal labels with equal hashes.
+    """
 
     ambient: tuple[int, int]
     u_part: Partition = Partition()
@@ -123,11 +129,21 @@ class BundleLabel:
         k, n = (int(x) for x in self.ambient)
         if not 1 <= k < n:
             raise ValueError(f"ambient Gr({k},{n}) requires 1 <= k < n")
+        u, q, t = self.u_part, self.q_part, self.twist
+        if u.length > k:
+            raise ValueError(f"u-side partition {u} exceeds rank {k}")
+        if q.length > n - k:
+            raise ValueError(f"q-side partition {q} exceeds rank {n - k}")
+        if u.length == k:
+            c = u.parts[-1]
+            u, t = Partition(tuple(p - c for p in u.parts)), t - c  # det U = O(-1)
+        if q.length == n - k:
+            c = q.parts[-1]
+            q, t = Partition(tuple(p - c for p in q.parts)), t + c  # det Q = O(+1)
         object.__setattr__(self, "ambient", (k, n))
-        if self.u_part.length > k:
-            raise ValueError(f"u-side partition {self.u_part} exceeds rank {k}")
-        if self.q_part.length > n - k:
-            raise ValueError(f"q-side partition {self.q_part} exceeds rank {n - k}")
+        object.__setattr__(self, "u_part", u)
+        object.__setattr__(self, "q_part", q)
+        object.__setattr__(self, "twist", t)
 
     def sort_key(self) -> tuple:
         return (self.u_part.parts, self.q_part.parts, self.twist)
@@ -138,7 +154,8 @@ class BundleLabel:
 
 @dataclass(frozen=True)
 class BundleSum:
-    """Formal direct sum of labels with positive multiplicities, canonicalized."""
+    """Formal direct sum of canonical labels with positive multiplicities,
+    equal labels merged and summands in ``sort_key`` order."""
 
     ambient: tuple[int, int]
     summands: tuple[tuple[BundleLabel, int], ...] = field(default=())
@@ -155,8 +172,7 @@ class BundleSum:
                 )
             if mult <= 0:
                 raise ValueError(f"multiplicity must be positive, got {mult}")
-            canon = canonicalize(label)
-            acc[canon] = acc.get(canon, 0) + mult
+            acc[label] = acc.get(label, 0) + mult
         ordered = tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key()))
         return cls(ambient=tuple(ambient), summands=ordered)
 
@@ -173,25 +189,6 @@ class BundleSum:
 
     def __str__(self) -> str:
         return format_sum(self)
-
-
-def canonicalize(label: BundleLabel) -> BundleLabel:
-    """Extract full columns into the twist so both partitions sit strictly
-    inside their side; idempotent and rank-preserving."""
-    k, n = label.ambient
-    m = n - k
-    u, q, t = label.u_part, label.q_part, label.twist
-    if u.length == k and k > 0:
-        c = u.parts[-1]
-        if c > 0:
-            u = Partition(tuple(p - c for p in u.parts))
-            t -= c  # det U = O(-1)
-    if q.length == m and m > 0:
-        c = q.parts[-1]
-        if c > 0:
-            q = Partition(tuple(p - c for p in q.parts))
-            t += c  # det Q = O(+1)
-    return BundleLabel(ambient=label.ambient, u_part=u, q_part=q, twist=t)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +310,8 @@ def _general_schur(ambient: tuple[int, int], gen: str, p: Partition, twist: int)
     if gen.endswith("*"):
         return dual_label(_general_schur(ambient, gen[:-1], p, -twist))
     if gen == "U":
-        return canonicalize(BundleLabel(ambient, u_part=p, twist=twist))
-    return canonicalize(BundleLabel(ambient, q_part=p, twist=twist))
+        return BundleLabel(ambient, u_part=p, twist=twist)
+    return BundleLabel(ambient, q_part=p, twist=twist)
 
 
 def generator_power(
@@ -349,13 +346,8 @@ def generator_power(
 def tangent_label(ambient: tuple[int, int]) -> BundleLabel:
     """Tangent bundle U^* (x) Q of Gr(k, n)."""
     k, n = ambient
-    return canonicalize(
-        BundleLabel(
-            tuple(ambient),
-            u_part=Partition((1,) * (k - 1)),
-            q_part=Partition((1,)),
-            twist=1,
-        )
+    return BundleLabel(
+        tuple(ambient), u_part=Partition((1,) * (k - 1)), q_part=Partition((1,)), twist=1
     )
 
 
@@ -364,13 +356,11 @@ def dual_label(label: BundleLabel) -> BundleLabel:
     m = n - k
     u1 = label.u_part.part(0)
     q1 = label.q_part.part(0)
-    return canonicalize(
-        BundleLabel(
-            label.ambient,
-            u_part=_reversed_complement(label.u_part, k),
-            q_part=_reversed_complement(label.q_part, m),
-            twist=u1 - q1 - label.twist,
-        )
+    return BundleLabel(
+        label.ambient,
+        u_part=_reversed_complement(label.u_part, k),
+        q_part=_reversed_complement(label.q_part, m),
+        twist=u1 - q1 - label.twist,
     )
 
 
@@ -384,44 +374,33 @@ def dual_sum(bsum: BundleSum) -> BundleSum:
 # Tensor products and exterior powers
 
 
-def tensor_labels(a: BundleLabel, b: BundleLabel) -> BundleSum:
+def tensor(a: BundleSum, b: BundleSum) -> BundleSum:
+    """Exact tensor product of two sums: the LR rule on each side of every
+    pair of summands, each product label canonical as built, merged once."""
     if a.ambient != b.ambient:
         raise ValueError(f"ambient mismatch: Gr{a.ambient} vs Gr{b.ambient}")
     k, n = a.ambient
-    twist = a.twist + b.twist
-    u_products = lr_coefficients(a.u_part, b.u_part, k)
-    q_products = lr_coefficients(a.q_part, b.q_part, n - k)
-    pairs = []
-    for pu, cu in u_products.items():
-        for pq, cq in q_products.items():
-            pairs.append(
-                (BundleLabel(a.ambient, u_part=pu, q_part=pq, twist=twist), cu * cq)
-            )
-    return BundleSum.from_pairs(a.ambient, pairs)
-
-
-def tensor(a: BundleSum, b: BundleSum) -> BundleSum:
-    """Exact tensor product of two sums, canonicalized and deduplicated."""
-    if a.ambient != b.ambient:
-        raise ValueError(f"ambient mismatch: Gr{a.ambient} vs Gr{b.ambient}")
     pairs: list[tuple[BundleLabel, int]] = []
     for la, ma in a.summands:
         for lb, mb in b.summands:
-            for lab, c in tensor_labels(la, lb).summands:
-                pairs.append((lab, ma * mb * c))
+            twist = la.twist + lb.twist
+            u_products = lr_coefficients(la.u_part, lb.u_part, k)
+            q_products = lr_coefficients(la.q_part, lb.q_part, n - k)
+            for pu, cu in u_products.items():
+                for pq, cq in q_products.items():
+                    pairs.append((BundleLabel(a.ambient, pu, pq, twist), ma * mb * cu * cq))
     return BundleSum.from_pairs(a.ambient, pairs)
 
 
 def _column_form(label: BundleLabel) -> tuple[str, int, int]:
-    """Decompose a canonical label as Lambda^a(side) (x) O(t), or fail."""
-    canon = canonicalize(label)
-    u, q, t = canon.u_part, canon.q_part, canon.twist
+    """Decompose a label as Lambda^a(side) (x) O(t), or fail."""
+    u, q, t = label.u_part, label.q_part, label.twist
     if not q.parts and all(p == 1 for p in u.parts):
         return ("U", u.length, t)
     if not u.parts and all(p == 1 for p in q.parts):
         return ("Q", q.length, t)
     raise ValueError(
-        f"unsupported plethysm shape: {format_label(canon)} is not a column power "
+        f"unsupported plethysm shape: {format_label(label)} is not a column power "
         "of U or Q up to twist"
     )
 
@@ -437,16 +416,17 @@ def _column_sum(ambient: tuple[int, int], side: str, a: int, twist: int, mult: i
 def exterior_power(label: BundleLabel, j: int) -> BundleSum:
     """Lambda^j of a column bundle, by the closed-form rules.
 
-    Supported after canonicalization: O(t), G (x) O(t) and
-    Lambda^(rank-1) G (x) O(t) for a generator G; the last case runs through
-    the dual rewrite Lambda^(r-1) G = G^* (x) det G. Anything else is a
-    genuine plethysm and is rejected.
+    Supported: O(t), G (x) O(t) and Lambda^(rank-1) G (x) O(t) for a
+    generator G; the last case runs through the dual rewrite
+    Lambda^(r-1) G = G^* (x) det G. The label is canonical as constructed, so
+    a full column Lambda^rank G is already the line bundle det G. Anything
+    else is a genuine plethysm and is rejected.
     """
     side, a, t = _column_form(label)
     k, n = label.ambient
     gen_rank = k if side == "U" else n - k
     det_twist = -1 if side == "U" else 1
-    rank = _binomial(gen_rank, a)
+    rank = comb(gen_rank, a)
     if not 0 <= j <= rank:
         raise ValueError(f"Lambda^{j} of a rank-{rank} bundle is out of range")
     ambient = label.ambient
@@ -463,12 +443,7 @@ def exterior_power(label: BundleLabel, j: int) -> BundleSum:
         # Lambda^(r-1) G = G^* (x) det G, so
         # Lambda^j = Lambda^(r-j) G (x) (det G)^(j-1)
         return _column_sum(ambient, side, gen_rank - j, line_part + det_twist * (j - 1))
-    if a == gen_rank:
-        # full column is a line bundle; canonicalize made this unreachable
-        raise AssertionError("full column survived canonicalization")
-    raise ValueError(
-        f"unsupported plethysm shape: Lambda^{j} of {format_label(canonicalize(label))}"
-    )
+    raise ValueError(f"unsupported plethysm shape: Lambda^{j} of {format_label(label)}")
 
 
 def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
@@ -487,7 +462,7 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
         if lab.u_part.parts or lab.q_part.parts:
             blocks = [[exterior_power(lab, d) for d in range(min(label_rank(lab), j) + 1)]] * m
         else:
-            blocks = [[BundleSum.of(line_bundle(ambient, d * lab.twist), _binomial(m, d))
+            blocks = [[BundleSum.of(line_bundle(ambient, d * lab.twist), comb(m, d))
                        for d in range(min(m, j) + 1)]]
         for powers in blocks:
             top = min(j, len(graded) + len(powers) - 2)
@@ -502,29 +477,18 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
     return tuple(graded) + (BundleSum.from_pairs(ambient, []),) * (j + 1 - len(graded))
 
 
-def _binomial(n: int, k: int) -> int:
-    if not 0 <= k <= n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Conversion to weights
 
 
 def label_to_weight(label: BundleLabel, space: ParabolicSpace) -> Weight:
-    """Fundamental-weight coordinates of a canonical label.
+    """Fundamental-weight coordinates of a label.
 
-    The label must be canonical and ``space`` must be the A-type space
-    Gr(k, n) = SL(n)/P_k matching the label's ambient. The result is
-    P-dominant by construction.
+    ``space`` must be the A-type space Gr(k, n) = SL(n)/P_k matching the
+    label's ambient. Every label is canonical once constructed, so the
+    result is P-dominant without a further check.
     """
     k, n = label.ambient
-    if canonicalize(label) != label:
-        raise ValueError(f"label {format_label(label)} is not canonical")
     if space.rs.type_letter != "A" or space.rs.rank != n - 1 or space.crossed != {k}:
         raise ValueError(
             f"label on Gr({k},{n}) needs the space A{n - 1}/P{k}, got {space}"
@@ -592,9 +556,7 @@ def _parse_atom(ambient: tuple[int, int], text: str) -> BundleLabel:
         return line_bundle(ambient, twist)
     if match.group("tangent"):
         lab = tangent_label(ambient)
-        return canonicalize(
-            BundleLabel(ambient, lab.u_part, lab.q_part, lab.twist + twist)
-        )
+        return BundleLabel(ambient, lab.u_part, lab.q_part, lab.twist + twist)
     gen = match.group("gen")
     if match.group("ext") is not None:
         return generator_power(ambient, gen, "ext", int(match.group("ext")), twist)

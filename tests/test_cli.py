@@ -249,6 +249,53 @@ def test_a_missing_hint_key_names_the_file_the_block_and_the_key(capsys, tmp_pat
     assert str(p) in doc["error"] and "rank_hints[0]" in doc["error"] and "'rank'" in doc["error"]
 
 
+def _set_constant(d, **kv):
+    d["external_constants"][0].update(kv)
+
+
+def _drop_constant_name(d):
+    d["external_constants"][0].pop("name")
+
+
+# JSON values of the wrong type, and the block and key each error must name
+@pytest.mark.parametrize(
+    "edit,block,key",
+    [
+        (lambda d: d["ambient"].update(crossed=4), "ambient", "crossed"),
+        (lambda d: d["ambient"].update(crossed=[4.0]), "ambient", "crossed[0]"),
+        (lambda d: d["ambient"].update(rank=6.5), "ambient", "rank"),
+        (lambda d: d["ambient"].update(rank=True), "ambient", "rank"),
+        (lambda d: d.update(external_constants=["x"]), "top level", "external_constants[0]"),
+        (lambda d: _set_constant(d, value=None), "external_constants[0]", "value"),
+        (lambda d: _set_constant(d, value=14.9), "external_constants[0]", "value"),
+        (_drop_constant_name, "external_constants[0]", "name"),
+        (lambda d: _set_constant(d, name=""), "external_constants[0]", "name"),
+        (
+            lambda d: d.update(rank_hints=[{"target_term": None, "degree": 0, "rank": 0}]),
+            "rank_hints[0]",
+            "target_term",
+        ),
+        (lambda d: d.update(section_bundle=5), "top level", "section_bundle"),
+        (lambda d: d.update(rank_hints=[5]), "top level", "rank_hints[0]"),
+        (lambda d: d.update(cases=[5]), "top level", "cases[0]"),
+    ],
+    ids=[
+        "crossed-int", "crossed-float-item", "rank-float", "rank-bool", "constant-not-object",
+        "value-null", "value-float", "name-missing", "name-empty", "hint-term-null",
+        "section-int", "hint-not-object", "case-not-object",
+    ],
+)
+def test_a_wrongly_typed_value_names_the_file_the_block_and_the_key(
+    capsys, tmp_path, edit, block, key
+):
+    p = _cayley_copy(tmp_path, edit)
+    code, out, err = run(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(p) in err and f"block '{block}'" in err and f"key '{key}'" in err
+
+
 def test_an_unknown_top_level_key_is_rejected(capsys, tmp_path):
     # a misspelled rank_hints would silently drop a hint that blocks the chase
     def rename(d):
