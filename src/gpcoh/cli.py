@@ -6,22 +6,21 @@ Subcommands::
     bwb    TYPE RANK --crossed K --weight C1,..,Cn    one bundle through Borel-Weil-Bott
     lr     MU NU --rows R                 Littlewood-Richardson coefficients
     koszul --scenario FILE --twist NAME   one restriction chase from a scenario
-    report NAME                           cayley | vmrt | theorem1 | adjunction
+    report NAME                           cayley | vmrt | theorem1 | adjunction (scenarios.REPORTS)
 
 Weights are comma-separated fundamental-weight coefficients (negatives
 allowed); partitions are comma lists like "2,1,1". Bundle labels use the
 compact grammar from the schur module: "O(-3)", "L3 U*", "S2 U (-1)",
 "W[2,1]U * Q", "T". Output is text or JSON (--format); both carry the same
 numbers. Exit status is 0 only when every assertion made by the invoked
-command holds; failures are listed machine-readably. The only environment
-knob is GPCOH_WIDTH for text wrapping.
+command holds; failures are listed machine-readably. Nothing is read from the
+environment; text output wraps at 100 columns.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import textwrap
 
@@ -29,16 +28,10 @@ from .bott import ParabolicSpace, bwb, euler_characteristic
 from .koszul import build_koszul, chase
 from .root_system import Weight, adjoint_dimension, build_root_system
 from .schur import gl_dimension, lr_coefficients, parse_partition
-from .scenarios import REPORT_NAMES, get_report_runner, load_scenario
+from . import scenarios
+from .scenarios import REPORTS, load_scenario
 
 SCHEMA_VERSION = 1
-
-
-def _width() -> int:
-    try:
-        return max(40, int(os.environ.get("GPCOH_WIDTH", "100")))
-    except ValueError:
-        return 100
 
 
 def _parse_weight(text: str, rank: int) -> Weight:
@@ -104,7 +97,7 @@ def _cmd_roots(ns) -> tuple[dict, list[str]]:
     roots_text = "  ".join(
         "(" + ",".join(str(c) for c in r) + ")" for r in rs.positive_roots
     )
-    lines.extend(textwrap.wrap("roots: " + roots_text, width=_width()))
+    lines.extend(textwrap.wrap("roots: " + roots_text, width=100))
     return _document("roots", {"type": ns.type, "rank": ns.rank}, payload, []), lines
 
 
@@ -236,8 +229,8 @@ def _cmd_koszul(ns) -> tuple[dict, list[str]]:
 
 
 def _cmd_report(ns) -> tuple[dict, list[str]]:
-    runner = get_report_runner(ns.name)
-    report = runner()
+    # looked up on the module by name, so a runner rebound there (a tracing wrapper) is the one run
+    report = getattr(scenarios, REPORTS[ns.name].__name__)()
     failures = [
         {"kind": "failed_assertion", "key": ln.key, "text": ln.text}
         for ln in report.failures()
@@ -281,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_koszul.add_argument("--twist", required=True)
 
     p_report = sub.add_parser("report", help="run a shipped rigidity report")
-    p_report.add_argument("name", choices=REPORT_NAMES)
+    p_report.add_argument("name", choices=REPORTS)
 
     return parser
 

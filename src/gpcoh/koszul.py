@@ -9,11 +9,12 @@ image sheaves and propagates dimensions down to H^*(F|_S).
 The chase works on dimension tables, never on actual maps. The rank of an
 induced map between nonzero cohomology groups is therefore an assumption: a
 caller-provided hint when present, otherwise the maximal possible rank,
-which is the generic-section default. Every such assumption is recorded, so
-a determined answer is auditable; so is every provided hint at a position
-the chase reaches, even where a zero source or target forces rank 0. A hint
-whose rank exceeds dim H^q(C_j) is rejected before the chase starts, and a
-blocked chase lists the provided hints it never reached. When
+which is the generic-section default. A hint is a ``RankHint``; the scenario
+loader is the one place that builds them from JSON. Every such assumption
+is recorded, so a determined answer is auditable; so is every provided hint
+at a position the chase reaches, even where a zero source or target forces
+rank 0. A hint whose rank exceeds dim H^q(C_j) is rejected before the chase
+starts, and a blocked chase lists the provided hints it never reached. When
 an assignment contradicts exactness (left exactness of global sections, or
 a negative dimension downstream), the chase refuses to guess and reports
 the blocking positions instead. It does the same when the assignment
@@ -26,7 +27,7 @@ is blocked at (0, q) for each offending degree q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .bott import (
     CohomologyTable,
@@ -123,17 +124,6 @@ class ChaseResult:
     blocking_positions: tuple[tuple[int, int], ...] = ()
 
 
-def _normalize_hints(rank_hints: Iterable) -> list[RankHint]:
-    out = []
-    for h in rank_hints or ():
-        if isinstance(h, Mapping):
-            h = RankHint(int(h["target_term"]), int(h["degree"]), int(h["rank"]))
-        elif not isinstance(h, RankHint):
-            raise ValueError(f"a rank hint is a RankHint or a mapping, got {type(h).__name__}")
-        out.append(h)
-    return out
-
-
 def build_koszul(ambient: ParabolicSpace, section: BundleSum, twist: BundleSum | None = None) -> KoszulComplex:
     """Assemble the Koszul complex of a section of E, twisted by F: one
     exterior-power fold of E^* gives every Lambda^j E^*, each tensored with F."""
@@ -156,7 +146,7 @@ def build_koszul(ambient: ParabolicSpace, section: BundleSum, twist: BundleSum |
     return KoszulComplex(ambient=ambient, section_bundle=section, twist=twist, terms=terms)
 
 
-def chase(complex_: KoszulComplex, rank_hints: Iterable = ()) -> ChaseResult:
+def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> ChaseResult:
     """Propagate the term tables down the resolution to H^*(F|_S).
 
     Peels the exact complex into short exact sequences
@@ -164,7 +154,8 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable = ()) -> ChaseResult:
     A_0 = F|_S. Within each sequence the rank of H^q(A_{j+1}) -> H^q(C_j) is
     forced only by a zero source or target; otherwise a hint is consulted and
     the maximal rank is the recorded default. Providing the defaults
-    explicitly as hints reproduces the same result. An output with
+    explicitly as hints reproduces the same result. A hint that is not a
+    ``RankHint`` is rejected with ValueError. An output with
     cohomology above dim S is blocked at (0, q) instead of returned.
     """
     space = complex_.ambient
@@ -175,7 +166,9 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable = ()) -> ChaseResult:
         for j in range(r + 1)
     ]  # index j = C_j
     hints = {}
-    for h in _normalize_hints(rank_hints):
+    for h in rank_hints:
+        if not isinstance(h, RankHint):
+            raise ValueError(f"a rank hint is a RankHint, got {type(h).__name__}")
         if not 0 <= h.target_term < r:
             raise ValueError(
                 f"malformed hint position: target_term {h.target_term} not in 0..{r - 1}"

@@ -133,8 +133,9 @@ class RootSystem:
     ``symmetrizer`` holds the integers d_i with d_i * <alpha_i, alpha_j^vee>
     symmetric; these carry the root-length data used by the Weyl dimension
     formula. ``root_chain[k]`` is (-1, i) if ``positive_roots[k]`` is alpha_i
-    (0-based i), else (p, i) with p < k and positive_roots[k] = positive_roots[p]
-    + alpha_i; ``rho_product`` is the Weyl product's denominator over them all.
+    (0-based i), else (p, i) with p < k, positive_roots[k] = positive_roots[p]
+    + alpha_i and i the least such index; each entry is recorded as its root is
+    found. ``rho_product`` is the Weyl product's denominator over them all.
     """
 
     type_letter: str
@@ -231,47 +232,35 @@ def _coroot_pairing(cartan: tuple[tuple[int, ...], ...], coords: Iterable[int], 
     return sum(c * row[i] for c, row in zip(coords, cartan))
 
 
-def _generate_positive_roots(
+def _positive_roots(
     cartan: tuple[tuple[int, ...], ...], rank: int
-) -> tuple[tuple[int, ...], ...]:
-    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    seen: set[tuple[int, ...]] = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for beta in frontier:
-            for i in range(rank):
-                p = _coroot_pairing(cartan, beta, i)
-                img = list(beta)
-                img[i] -= p
-                timg = tuple(img)
-                if timg not in seen:
-                    seen.add(timg)
-                    nxt.append(timg)
-        frontier = nxt
-    positives = []
-    for root in seen:
-        if all(c >= 0 for c in root):
-            positives.append(root)
-        elif not all(c <= 0 for c in root):
-            raise AssertionError(f"mixed-sign root generated: {root}")
-    positives.sort(key=lambda c: (sum(c), c))
-    return tuple(positives)
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:
+    """The positive roots in graded lexicographic order and their root chain.
 
-
-def _root_chain(roots: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int], ...]:
-    """Each root's parent position and added simple root; ``roots`` sorted by height."""
+    Built by height: beta + alpha_i is a root exactly when p > <beta, alpha_i^vee>,
+    p the number of roots beta - alpha_i, beta - 2 alpha_i, ... (Humphreys, 8.4),
+    all of lower height and so already found. A root's parent is recorded as it
+    is found, with the least simple root i that reaches it.
+    """
+    found: dict[tuple[int, ...], tuple] = {
+        tuple(int(j == i) for j in range(rank)): (None, i) for i in range(rank)
+    }
+    level = list(found)
+    while level:
+        nxt: dict[tuple[int, ...], tuple] = {}
+        for i in range(rank):
+            for beta in level:
+                p = 0
+                while beta[:i] + (beta[i] - p - 1,) + beta[i + 1 :] in found:
+                    p += 1
+                if p > _coroot_pairing(cartan, beta, i):
+                    nxt.setdefault(beta[:i] + (beta[i] + 1,) + beta[i + 1 :], (beta, i))
+        found.update(nxt)
+        level = list(nxt)
+    roots = sorted(found, key=lambda c: (sum(c), c))
     index = {root: k for k, root in enumerate(roots)}
-    chain = []
-    for root in roots:
-        for i, c in enumerate(root):
-            parent = root[:i] + (c - 1,) + root[i + 1 :]
-            if c and (parent in index or not any(parent)):
-                chain.append((index.get(parent, -1), i))
-                break
-        else:
-            raise AssertionError(f"positive root {root} has no parent root")
-    return tuple(chain)
+    chain = tuple((index.get(found[r][0], -1), found[r][1]) for r in roots)
+    return tuple(roots), chain
 
 
 def _pairings(chain, symmetrizer: tuple[int, ...], coeffs: tuple[int, ...]) -> list[int]:
@@ -287,7 +276,7 @@ def _pairings(chain, symmetrizer: tuple[int, ...], coeffs: tuple[int, ...]) -> l
 def build_root_system(type_letter: str, rank: int) -> RootSystem:
     """Construct the simple root system of the given type and rank.
 
-    Positive roots are the reflection closure of the simple roots; the
+    Positive roots are built by height together with their root chain; the
     ordering is graded lexicographic in simple-root coordinates.
     """
     letter = str(type_letter).strip().upper()
@@ -304,8 +293,7 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
         for j in range(rank):
             if cartan[i][j] * sym[j] != cartan[j][i] * sym[i]:
                 raise AssertionError(f"Cartan matrix of {letter}{rank} fails symmetrizability")
-    roots = _generate_positive_roots(cartan, rank)
-    chain = _root_chain(roots)
+    roots, chain = _positive_roots(cartan, rank)
     return RootSystem(
         type_letter=letter,
         rank=rank,

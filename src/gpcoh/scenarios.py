@@ -33,20 +33,8 @@ __all__ = [
     "run_vmrt_audit",
     "run_theorem1_audit",
     "run_adjunction_audit",
-    "get_report_runner",
-    "REPORT_NAMES",
+    "REPORTS",
 ]
-
-_BUILTIN_FILES = {
-    "cayley": "cayley.json",
-    "vmrt": "vmrt_audit.json",
-    "vmrt_audit": "vmrt_audit.json",
-    "theorem1": "theorem1_audit.json",
-    "theorem1_audit": "theorem1_audit.json",
-    "adjunction": "adjunction.json",
-}
-
-REPORT_NAMES = ("cayley", "vmrt", "theorem1", "adjunction")
 
 _SCHEMA_VERSION = 1  # the only scenario file layout this loader reads
 
@@ -67,9 +55,12 @@ class ExternalConstant:
 class Scenario:
     """A loaded scenario file. ``space`` or ``section_bundle`` is None when
     the file gives none (the dimension audits give neither); ``zero_locus``
-    returns both or fails naming the scenario."""
+    returns both or fails naming the scenario. ``file`` is the name or path it
+    was loaded from, as errors name it; ``case_constants[i]`` holds the
+    external constants of ``cases[i]``."""
 
     name: str
+    file: str
     title: str
     description: str
     space: ParabolicSpace | None
@@ -77,6 +68,7 @@ class Scenario:
     twists: tuple[tuple[str, BundleSum], ...]
     external_constants: dict[str, ExternalConstant]
     rank_hints: tuple[RankHint, ...]
+    case_constants: tuple[dict[str, ExternalConstant], ...]
     raw: dict = field(repr=False, default_factory=dict)
 
     def constant(self, name: str) -> ExternalConstant:
@@ -145,12 +137,17 @@ def _parse_constants(items: Iterable[dict], file: str, block: str) -> dict[str, 
     return out
 
 
+def _root_system_block(block: dict, file: str, where: str, **extra: type) -> tuple:
+    """The root system of a block {"type": str, "rank": int, ...}, then the
+    values of the ``extra`` keys, each checked as ``_fields`` checks it."""
+    type_letter, rank, *values = _fields(block, {"type": str, "rank": int, **extra}, file, where)
+    return (build_root_system(type_letter, rank), *values)
+
+
 def _parse_space(block: dict, file: str) -> ParabolicSpace:
     _typed(block, dict, file, "top level", "ambient")
-    kinds = {"type": str, "rank": int, "crossed": list}
-    type_letter, rank, _ = _fields(block, kinds, file, "ambient")
-    crossed = _items(block, "crossed", int, file, "ambient")
-    return ParabolicSpace(rs=build_root_system(type_letter, rank), crossed=frozenset(crossed))
+    rs, _ = _root_system_block(block, file, "ambient", crossed=list)
+    return ParabolicSpace(rs=rs, crossed=frozenset(_items(block, "crossed", int, file, "ambient")))
 
 
 def _grassmannian_kn(space: ParabolicSpace) -> tuple[int, int]:
@@ -163,11 +160,11 @@ def _grassmannian_kn(space: ParabolicSpace) -> tuple[int, int]:
 def load_scenario(name_or_path: str | Path) -> Scenario:
     """Load a scenario JSON file by path or by builtin name.
 
-    A string with no directory part that names a builtin (cayley, vmrt,
-    vmrt_audit, theorem1, theorem1_audit, adjunction, with or without
-    ".json") always loads the file shipped with the package, whatever the
-    current directory holds; a local file of such a name is reached with a
-    directory part, as in "./cayley". Anything else is read as a path. An
+    A string with no directory part that names a report of ``REPORTS``
+    (cayley, vmrt, theorem1, adjunction), with or without ".json", always
+    loads the file ``data/<name>.json`` shipped with the package, whatever
+    the current directory holds; a local file of such a name is reached with
+    a directory part, as in "./cayley". Anything else is read as a path. An
     unknown top-level key fails naming the file and the key; a missing
     required key also names its block. A missing or unsupported
     ``schema_version`` fails naming the file. A file without an ambient
@@ -175,8 +172,8 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     """
     text = str(name_or_path)
     key = text.removesuffix(".json")
-    if isinstance(name_or_path, str) and not os.path.dirname(text) and key in _BUILTIN_FILES:
-        source = resources.files("gpcoh").joinpath("data", _BUILTIN_FILES[key])
+    if isinstance(name_or_path, str) and not os.path.dirname(text) and key in REPORTS:
+        source = resources.files("gpcoh").joinpath("data", f"{key}.json")
     else:
         source = Path(name_or_path)
         if not source.is_file():
@@ -212,9 +209,10 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
             twists.append((name, parse_bundle(kn, label)))
     ec = "external_constants"
     constants = _parse_constants(_items(data, ec, dict, text, top), text, ec)
-    # audit cases carry their own constants; validate them on load as well
-    for i, case in enumerate(_items(data, "cases", dict, text, top)):
+    case_constants = tuple(
         _parse_constants(_items(case, ec, dict, text, f"cases[{i}]"), text, f"cases[{i}].{ec}")
+        for i, case in enumerate(_items(data, "cases", dict, text, top))
+    )
     hint_keys = dict.fromkeys(("target_term", "degree", "rank"), int)
     hints = tuple(
         RankHint(*_fields(h, hint_keys, text, f"rank_hints[{i}]"))
@@ -222,6 +220,7 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     )
     return Scenario(
         name=data.get("name", str(name_or_path)),
+        file=text,
         title=data.get("title", data.get("name", "")),
         description=data.get("description", ""),
         space=space,
@@ -229,6 +228,7 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
         twists=tuple(twists),
         external_constants=constants,
         rank_hints=hints,
+        case_constants=case_constants,
         raw=data,
     )
 
@@ -534,23 +534,23 @@ def _non_claims_section(constants: tuple[ExternalConstant, ...]) -> ReportSectio
 # Dimension audits
 
 
-def _adjoint_dim(block: dict) -> int:
-    return adjoint_dimension(build_root_system(block["type"], block["rank"]))
-
-
-def _pair_dims(block: dict) -> tuple[int, int, int]:
+def _pair_dims(block: dict, file: str, where: str) -> tuple[int, int, int]:
     """dim G, dim H and dim G/H = dim G - dim H for a block naming both root systems."""
-    g_dim = _adjoint_dim(block["group_root_system"])
-    h_dim = _adjoint_dim(block["subgroup_root_system"])
+    keys = ("group_root_system", "subgroup_root_system")
+    blocks = _fields(block, dict.fromkeys(keys, dict), file, where)
+    g_rs, h_rs = (_root_system_block(b, file, f"{where}.{k}")[0] for b, k in zip(blocks, keys))
+    g_dim, h_dim = adjoint_dimension(g_rs), adjoint_dimension(h_rs)
     return g_dim, h_dim, g_dim - h_dim
 
 
-def _gp_dim_line(sp: dict) -> ReportLine:
+def _gp_dim_line(block: dict, file: str, where: str) -> ReportLine:
     """Ledger line for dim G/P of a block naming a type, a rank and crossed nodes."""
-    dim = homogeneous_dimension(build_root_system(sp["type"], sp["rank"]), sp["crossed"])
+    rs, _, label = _root_system_block(block, file, where, crossed=list, name=str)
+    crossed = _items(block, "crossed", int, file, where)
+    dim = homogeneous_dimension(rs, crossed)
     return _computed(
-        f"dim_{sp['type']}{sp['rank']}_P{sp['crossed'][0]}",
-        f"dim {sp['name']} = {dim}  [{sp['type']}{sp['rank']}/P{sp['crossed'][0]}]",
+        f"dim_{rs.name}_P{crossed[0]}",
+        f"dim {label} = {dim}  [{rs.name}/P{crossed[0]}]",
         dim,
         "positive roots off the Levi",
     )
@@ -559,19 +559,23 @@ def _gp_dim_line(sp: dict) -> ReportLine:
 def run_vmrt_audit(scenario: Scenario | None = None) -> RigidityReport:
     """Nondegeneracy ledger: each VMRT dimension beats half the space dimension minus one."""
     sc = scenario or load_scenario("vmrt")
+    file = sc.file
     sections: list[ReportSection] = []
-    for case in sc.raw.get("cases", ()):
-        name = case["name"]
-        vm = case["vmrt"]
-        vmrt_line = _gp_dim_line(vm)
+    blocks = ("vmrt", "symmetric_space", "vmrt_ambient_rep", "hyperplane_section_of")
+    case_keys = {"name": str, **dict.fromkeys(blocks, dict)}
+    for i, case in enumerate(sc.raw.get("cases", ())):
+        where = f"cases[{i}]"
+        name, vm, ss, rep, hyperplane = _fields(case, case_keys, file, where)
+        vmrt_line = _gp_dim_line(vm, file, f"{where}.vmrt")
         vmrt_dim = vmrt_line.value
         lines = [vmrt_line]
-        ss = case["symmetric_space"]
-        g_dim, h_dim, space_dim = _pair_dims(ss)
+        ss_where = f"{where}.symmetric_space"
+        group, fixed = _fields(ss, {"group": str, "fixed_subgroup": str}, file, ss_where)
+        g_dim, h_dim, space_dim = _pair_dims(ss, file, ss_where)
         lines.append(
             _computed(
                 f"dim_{name}",
-                f"dim {ss['group']}/{ss['fixed_subgroup']} = {g_dim} - {h_dim} = {space_dim}",
+                f"dim {group}/{fixed} = {g_dim} - {h_dim} = {space_dim}",
                 space_dim,
                 "root-system dimensions of the pair",
             )
@@ -597,14 +601,18 @@ def run_vmrt_audit(scenario: Scenario | None = None) -> RigidityReport:
                 "computed from the symmetric-space dimension",
             )
         )
-        rep = case["vmrt_ambient_rep"]
-        rep_rs = build_root_system(rep["type"], rep["rank"])
-        rep_dim = weyl_dimension(rep_rs, Weight(tuple(rep["weight"])))
+        rep_where = f"{where}.vmrt_ambient_rep"
+        rep_rs, _, rep_name = _root_system_block(rep, file, rep_where, weight=list, name=str)
+        weight = Weight(tuple(_items(rep, "weight", int, file, rep_where)))
+        try:  # a weight of the wrong length or not dominant
+            rep_dim = weyl_dimension(rep_rs, weight)
+        except ValueError as exc:
+            raise ValueError(f"scenario file {file!r}: block {rep_where!r} key 'weight': {exc}") from exc
         proj_dim = rep_dim - 2
         lines.append(
             _computed(
                 f"ambient_rep_dim_{name}",
-                f"dim of {rep['name']} = {rep_dim}",
+                f"dim of {rep_name} = {rep_dim}",
                 rep_dim,
                 "Weyl dimension formula",
             )
@@ -617,9 +625,12 @@ def run_vmrt_audit(scenario: Scenario | None = None) -> RigidityReport:
                 "projectivization minus one hyperplane",
             )
         )
-        lines.append(_gp_dim_line(case["hyperplane_section_of"]))
-        sections.append(ReportSection(f"Case {ss['group']}/{ss['fixed_subgroup']}", tuple(lines)))
-    extra_lines = [_gp_dim_line(sp) for sp in sc.raw.get("extra_spaces", ())]
+        lines.append(_gp_dim_line(hyperplane, file, f"{where}.hyperplane_section_of"))
+        sections.append(ReportSection(f"Case {group}/{fixed}", tuple(lines)))
+    extra_lines = [
+        _gp_dim_line(sp, file, f"extra_spaces[{i}]")
+        for i, sp in enumerate(_items(sc.raw, "extra_spaces", dict, file, "top level"))
+    ]
     if extra_lines:
         sections.append(ReportSection("Companion homogeneous dimensions", tuple(extra_lines)))
     return RigidityReport(name="vmrt", title=sc.title, sections=tuple(sections))
@@ -628,21 +639,25 @@ def run_vmrt_audit(scenario: Scenario | None = None) -> RigidityReport:
 def run_theorem1_audit(scenario: Scenario | None = None) -> RigidityReport:
     """Automorphism balance dim aut(S) + 1 = dim S + dim aut(cone), plus the h^1 <= 1 bound."""
     sc = scenario or load_scenario("theorem1")
+    file = sc.file
     sections: list[ReportSection] = []
     collected_constants: list[ExternalConstant] = []
-    for case in sc.raw.get("cases", ()):
-        name = case["name"]
-        consts = _parse_constants(case.get("external_constants", ()), sc.name, name)
-        cone_const = consts["cone_aut_dim"]
-        h1_const = consts["h1_general_fiber"]
+    case_keys = {"name": str, "aut_root_system": dict, "space_dim": dict, "cone_aut_semisimple": dict}
+    const_keys = dict.fromkeys(("cone_aut_dim", "h1_general_fiber"), ExternalConstant)
+    for i, (case, consts) in enumerate(zip(sc.raw.get("cases", ()), sc.case_constants)):
+        where = f"cases[{i}]"
+        name, aut, pair, cone = _fields(case, case_keys, file, where)
+        cone_const, h1_const = _fields(consts, const_keys, file, f"{where}.external_constants")
         collected_constants.extend([cone_const, h1_const])
-        aut_dim = _adjoint_dim(case["aut_root_system"])
-        g_dim, h_dim, space_dim = _pair_dims(case["space_dim"])
-        cone_ss = _adjoint_dim(case["cone_aut_semisimple"])
+        aut_rs, aut_name = _root_system_block(aut, file, f"{where}.aut_root_system", name=str)
+        aut_dim = adjoint_dimension(aut_rs)
+        g_dim, h_dim, space_dim = _pair_dims(pair, file, f"{where}.space_dim")
+        cone_rs, cone_name = _root_system_block(cone, file, f"{where}.cone_aut_semisimple", name=str)
+        cone_ss = adjoint_dimension(cone_rs)
         lines = [
             _computed(
                 f"aut_dim_{name}",
-                f"dim aut(S) = dim {case['aut_root_system']['name']} = {aut_dim}",
+                f"dim aut(S) = dim {aut_name} = {aut_dim}",
                 aut_dim,
                 "adjoint dimension from the root system",
             ),
@@ -654,7 +669,7 @@ def run_theorem1_audit(scenario: Scenario | None = None) -> RigidityReport:
             ),
             _computed(
                 f"cone_aut_semisimple_dim_{name}",
-                f"dim {case['cone_aut_semisimple']['name']} = {cone_ss}",
+                f"dim {cone_name} = {cone_ss}",
                 cone_ss,
                 "adjoint dimension from the root system",
             ),
@@ -776,13 +791,9 @@ def run_adjunction_audit(scenario: Scenario | None = None) -> RigidityReport:
     )
 
 
-def get_report_runner(name: str):
-    runners = {
-        "cayley": run_cayley,
-        "vmrt": run_vmrt_audit,
-        "theorem1": run_theorem1_audit,
-        "adjunction": run_adjunction_audit,
-    }
-    if name not in runners:
-        raise KeyError(f"unknown report {name!r}; known: {', '.join(REPORT_NAMES)}")
-    return runners[name]
+REPORTS = {
+    "cayley": run_cayley,
+    "vmrt": run_vmrt_audit,
+    "theorem1": run_theorem1_audit,
+    "adjunction": run_adjunction_audit,
+}

@@ -405,12 +405,12 @@ def _column_form(label: BundleLabel) -> tuple[str, int, int]:
     )
 
 
-def _column_sum(ambient: tuple[int, int], side: str, a: int, twist: int, mult: int = 1) -> BundleSum:
+def _column_sum(ambient: tuple[int, int], side: str, a: int, twist: int) -> BundleSum:
     if side == "U":
         label = BundleLabel(ambient, u_part=Partition((1,) * a), twist=twist)
     else:
         label = BundleLabel(ambient, q_part=Partition((1,) * a), twist=twist)
-    return BundleSum.from_pairs(ambient, [(label, mult)])
+    return BundleSum.of(label)
 
 
 def exterior_power(label: BundleLabel, j: int) -> BundleSum:

@@ -3,9 +3,11 @@
 These deliberately avoid the package's own code paths: dimensions come from
 brute-force semistandard tableau enumeration and A-type roots from their
 interval description, so the main engines are checked against something
-that cannot share their bugs. Littlewood-Richardson coefficients come from
-listing every candidate shape and backtracking over the fillings of each,
-cell by cell, a search unrelated to the engine's strip pass. Weyl products
+that cannot share their bugs. The positive roots of every type also come
+from the reflection closure of the simple roots, with no root strings or
+heights. Littlewood-Richardson coefficients come from listing every
+candidate shape and backtracking over the fillings of each, cell by cell, a
+search unrelated to the engine's strip pass. Weyl products
 pair each root's coordinates with the weight directly, without the engine's
 root chain or stored denominator. Schur functors of the dual generators U*
 and Q* apply the reversed-complement rule with its determinant twist
@@ -111,6 +113,36 @@ def a_type_positive_roots(n: int) -> set[tuple[int, ...]]:
         for j in range(i, n):
             out.add(tuple(1 if i <= p <= j else 0 for p in range(n)))
     return out
+
+
+def positive_roots_oracle(
+    cartan: tuple[tuple[int, ...], ...], rank: int
+) -> tuple[tuple[int, ...], ...]:
+    """Positive roots in graded lexicographic order: the closure of the simple
+    roots under the simple reflections, keeping the nonnegative vectors."""
+    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    seen: set[tuple[int, ...]] = set(simple)
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for beta in frontier:
+            for i in range(rank):
+                p = sum(c * row[i] for c, row in zip(beta, cartan))  # <beta, alpha_i^vee>
+                img = list(beta)
+                img[i] -= p
+                timg = tuple(img)
+                if timg not in seen:
+                    seen.add(timg)
+                    nxt.append(timg)
+        frontier = nxt
+    positives = []
+    for root in seen:
+        if all(c >= 0 for c in root):
+            positives.append(root)
+        elif not all(c <= 0 for c in root):
+            raise AssertionError(f"mixed-sign root generated: {root}")
+    positives.sort(key=lambda c: (sum(c), c))
+    return tuple(positives)
 
 
 class Partition:

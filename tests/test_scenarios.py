@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import gpcoh
 from gpcoh import (
     build_koszul,
     bundle_cohomology,
@@ -12,6 +14,7 @@ from gpcoh import (
     run_theorem1_audit,
     run_vmrt_audit,
 )
+from gpcoh.scenarios import REPORTS
 from gpcoh.schur import sum_to_weights
 
 
@@ -35,8 +38,15 @@ def test_load_scenario_from_path(tmp_path):
 
 
 def test_unknown_scenario_rejected():
-    with pytest.raises(FileNotFoundError, match="no builtin scenario"):
-        load_scenario("nonexistent")
+    # the file names of the two dimension audits are no longer aliases
+    for name in ("nonexistent", "vmrt_audit", "theorem1_audit"):
+        with pytest.raises(FileNotFoundError, match="no builtin scenario"):
+            load_scenario(name)
+
+
+def test_every_report_has_its_shipped_file_and_nothing_else_ships():
+    stems = sorted(p.stem for p in (Path(gpcoh.__file__).parent / "data").glob("*.json"))
+    assert sorted(REPORTS) == stems
 
 
 def test_scenario_without_provenance_fails_closed(tmp_path):
@@ -181,6 +191,63 @@ def test_vmrt_audit_with_an_odd_dimensional_space_serializes_its_bound(tmp_path)
     assert "half-dimension bound = 23/2" in rep.line("bound_sl6_mod_sp6").text
     assert v["bound_e6_mod_f4"] == 12
     assert json.loads(json.dumps(rep.to_dict())) == rep.to_dict()
+
+
+def _drop_case_constant(d):
+    consts = d["cases"][0]["external_constants"]
+    consts[:] = [c for c in consts if c["name"] != "cone_aut_dim"]
+
+
+# malformed audit case blocks: (id, report, edit, block, key) with the block
+# and the key each error must name besides the file
+AUDIT_CASE_PROBES = [
+    ("vmrt-missing", "vmrt", lambda d: d["cases"][0].pop("vmrt"), "cases[0]", "vmrt"),
+    ("crossed-int", "vmrt", lambda d: d["cases"][0]["vmrt"].update(crossed=2), "cases[0].vmrt", "crossed"),
+    ("extra-space-int", "vmrt", lambda d: d.update(extra_spaces=[5]), "top level", "extra_spaces[0]"),
+    ("rank-string", "vmrt", lambda d: d["cases"][0]["vmrt"].update(rank="6"), "cases[0].vmrt", "rank"),
+    ("rank-float", "vmrt", lambda d: d["cases"][0]["vmrt"].update(rank=3.0), "cases[0].vmrt", "rank"),
+    ("name-int", "vmrt", lambda d: d["cases"][0]["vmrt"].update(name=7), "cases[0].vmrt", "name"),
+    (
+        "weight-float", "vmrt", lambda d: d["cases"][0]["vmrt_ambient_rep"]["weight"].__setitem__(1, 1.0),
+        "cases[0].vmrt_ambient_rep", "weight[1]",
+    ),
+    (
+        "weight-short", "vmrt", lambda d: d["cases"][0]["vmrt_ambient_rep"]["weight"].pop(),
+        "cases[0].vmrt_ambient_rep", "weight",
+    ),
+    ("aut-missing", "theorem1", lambda d: d["cases"][0].pop("aut_root_system"), "cases[0]", "aut_root_system"),
+    (
+        "subgroup-missing", "theorem1", lambda d: d["cases"][0]["space_dim"].pop("subgroup_root_system"),
+        "cases[0].space_dim", "subgroup_root_system",
+    ),
+    ("constant-missing", "theorem1", _drop_case_constant, "cases[0].external_constants", "cone_aut_dim"),
+    (
+        "aut-rank-bool", "theorem1", lambda d: d["cases"][0]["aut_root_system"].update(rank=True),
+        "cases[0].aut_root_system", "rank",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "report,edit,block,key", [p[1:] for p in AUDIT_CASE_PROBES], ids=[p[0] for p in AUDIT_CASE_PROBES]
+)
+def test_a_malformed_audit_case_names_the_file_the_block_and_the_key(
+    tmp_path, monkeypatch, report, edit, block, key
+):
+    data = json.loads(json.dumps(load_scenario(report).raw))
+    edit(data)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.json").write_text(json.dumps(data))
+    with pytest.raises(ValueError) as exc:
+        REPORTS[report](load_scenario("./x.json"))
+    message = str(exc.value)
+    assert "'./x.json'" in message and repr(block) in message and repr(key) in message
+
+
+def test_audit_case_constants_are_kept_from_the_load():
+    sc = load_scenario("theorem1")
+    assert [sorted(c) for c in sc.case_constants] == [["cone_aut_dim", "h1_general_fiber"]] * 2
+    assert sc.case_constants[1]["cone_aut_dim"].value == 53
 
 
 @pytest.mark.parametrize("runner", [run_cayley, run_adjunction_audit])
