@@ -65,13 +65,16 @@ class Weight:
     """Integral weight in fundamental-weight coordinates.
 
     ``coeffs[i]`` is the pairing with the (i+1)-th simple coroot (1-based
-    Bourbaki node i+1).
+    Bourbaki node i+1). A coefficient that is not an ``int`` is rejected, never truncated.
     """
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))  # a tuple comes back as itself
+        for c in self.coeffs:
+            if type(c) is not int:
+                raise ValueError(f"weight coefficient {c!r} in {self.coeffs!r} is not an integer")
 
     @classmethod
     def of(cls, *coeffs: int) -> "Weight":
@@ -136,6 +139,8 @@ class RootSystem:
     (0-based i), else (p, i) with p < k, positive_roots[k] = positive_roots[p]
     + alpha_i and i the least such index; each entry is recorded as its root is
     found. ``rho_product`` is the Weyl product's denominator over them all.
+    ``neighbours[i]`` holds the off-diagonal nonzeros of Cartan row i as 0-based
+    (j, cartan[i][j]) pairs: the Dynkin neighbours of node i + 1.
     """
 
     type_letter: str
@@ -146,6 +151,7 @@ class RootSystem:
     symmetrizer: tuple[int, ...]
     root_chain: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
     rho_product: int = field(compare=False, repr=False)
+    neighbours: tuple[tuple[tuple[int, int], ...], ...] = field(compare=False, repr=False)
 
     @property
     def name(self) -> str:
@@ -303,6 +309,9 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
         symmetrizer=sym,
         root_chain=chain,
         rho_product=prod(_pairings(chain, sym, (0,) * rank)),
+        neighbours=tuple(
+            tuple((j, a) for j, a in enumerate(row) if a and j != i) for i, row in enumerate(cartan)
+        ),
     )
 
 
@@ -317,27 +326,33 @@ def _check_weight(rs: RootSystem, w: Weight) -> None:
 
 
 def reflection_walk(rs: RootSystem, w: Weight, nodes: Sequence[int]) -> tuple[Weight, int]:
-    """Reflect at the first node of ``nodes`` with a negative coefficient until none is left.
+    """Reflect at the 1-based ``nodes`` while one of them has a negative coefficient.
 
-    ``nodes`` are 1-based and their order decides which reflection comes
-    first. Returns the final weight and the number of reflections; each one
-    removes exactly one positive root from those pairing negatively with the
-    weight, so the count never exceeds the number of positive roots.
+    ``nodes`` gives a node set, not an order: a stack holds the nodes that may be negative,
+    and a reflection lowers, and may push, only its Dynkin neighbours (``rs.neighbours``).
+    Returns the final weight and the number of reflections, both independent of the order:
+    each reflection removes exactly one positive root from those pairing negatively with
+    the weight (Humphreys, 10.3), so the count never exceeds the number of positive roots.
     """
     coeffs = list(w.coeffs)
+    members = {i - 1 for i in nodes}
+    stack = [i for i in members if coeffs[i] < 0]
     bound = len(rs.positive_roots)
     length = 0
-    while True:
-        i = next((i - 1 for i in nodes if coeffs[i - 1] < 0), None)
-        if i is None:
-            return Weight(tuple(coeffs)), length
+    while stack:
+        i = stack.pop()
         ci = coeffs[i]
-        row = rs.cartan[i]
-        for k in range(rs.rank):
-            coeffs[k] -= ci * row[k]
+        if ci >= 0:
+            continue
+        coeffs[i] = -ci
+        for j, a in rs.neighbours[i]:
+            cj = coeffs[j] = coeffs[j] - ci * a
+            if cj < 0 and j in members:
+                stack.append(j)
         length += 1
         if length > bound:
             raise AssertionError("reflection walk exceeded the longest-element bound")
+    return Weight(tuple(coeffs)), length
 
 
 def dominantize(rs: RootSystem, w: Weight) -> DominantizationResult:
@@ -346,8 +361,7 @@ def dominantize(rs: RootSystem, w: Weight) -> DominantizationResult:
     Returns "singular" when the dominant representative has a zero
     coefficient (the weight is then orthogonal to a root, a Weyl-invariant
     property), otherwise the strictly dominant representative together with
-    the reflection count. The walk reflects at the least-index negative node
-    first; the outcome does not depend on that order.
+    the reflection count.
     """
     _check_weight(rs, w)
     dominant, length = reflection_walk(rs, w, range(1, rs.rank + 1))

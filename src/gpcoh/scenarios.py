@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .bott import ParabolicSpace, canonical_twist_weight
 from .koszul import RankHint, build_koszul, chase, restriction_sequence
-from .root_system import Weight, adjoint_dimension, build_root_system, homogeneous_dimension, weyl_dimension
+from .root_system import Weight, adjoint_dimension, build_root_system, weyl_dimension
 from .schur import BundleSum, exterior_power_sum, parse_bundle
 
 __all__ = [
@@ -138,16 +138,22 @@ def _parse_constants(items: Iterable[dict], file: str, block: str) -> dict[str, 
 
 
 def _root_system_block(block: dict, file: str, where: str, **extra: type) -> tuple:
-    """The root system of a block {"type": str, "rank": int, ...}, then the
-    values of the ``extra`` keys, each checked as ``_fields`` checks it."""
+    """The root system of a block {"type": str, "rank": int, ...}, or with ``crossed=list`` its
+    ParabolicSpace, then the values of the ``extra`` keys, each checked as ``_fields`` checks
+    it. A type, rank or crossed set that the engine rejects names the file, the block and the key."""
     type_letter, rank, *values = _fields(block, {"type": str, "rank": int, **extra}, file, where)
-    return (build_root_system(type_letter, rank), *values)
+    nodes = frozenset(_items(block, "crossed", int, file, where)) if "crossed" in extra else None
+    try:
+        rs = build_root_system(type_letter, rank)
+        return (rs if nodes is None else ParabolicSpace(rs, nodes), *values)
+    except ValueError as exc:  # build_root_system's messages start "unknown type" or "invalid rank"
+        key = {"unknown type": "type", "invalid rank": "rank"}.get(str(exc)[:12], "crossed")
+        raise ValueError(f"scenario file {file!r}: block {where!r} key {key!r}: {exc}") from exc
 
 
 def _parse_space(block: dict, file: str) -> ParabolicSpace:
     _typed(block, dict, file, "top level", "ambient")
-    rs, _ = _root_system_block(block, file, "ambient", crossed=list)
-    return ParabolicSpace(rs=rs, crossed=frozenset(_items(block, "crossed", int, file, "ambient")))
+    return _root_system_block(block, file, "ambient", crossed=list)[0]
 
 
 def _grassmannian_kn(space: ParabolicSpace) -> tuple[int, int]:
@@ -218,11 +224,12 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
         RankHint(*_fields(h, hint_keys, text, f"rank_hints[{i}]"))
         for i, h in enumerate(_items(data, "rank_hints", dict, text, top))
     )
+    strings = {k: _typed(data[k], str, text, top, k) for k in ("name", "title", "description") if k in data}
     return Scenario(
-        name=data.get("name", str(name_or_path)),
+        name=strings.get("name", text),
         file=text,
-        title=data.get("title", data.get("name", "")),
-        description=data.get("description", ""),
+        title=strings.get("title", strings.get("name", "")),
+        description=strings.get("description", ""),
         space=space,
         section_bundle=section,
         twists=tuple(twists),
@@ -545,9 +552,8 @@ def _pair_dims(block: dict, file: str, where: str) -> tuple[int, int, int]:
 
 def _gp_dim_line(block: dict, file: str, where: str) -> ReportLine:
     """Ledger line for dim G/P of a block naming a type, a rank and crossed nodes."""
-    rs, _, label = _root_system_block(block, file, where, crossed=list, name=str)
-    crossed = _items(block, "crossed", int, file, where)
-    dim = homogeneous_dimension(rs, crossed)
+    space, crossed, label = _root_system_block(block, file, where, crossed=list, name=str)
+    rs, dim = space.rs, space.dimension
     return _computed(
         f"dim_{rs.name}_P{crossed[0]}",
         f"dim {label} = {dim}  [{rs.name}/P{crossed[0]}]",
@@ -603,7 +609,7 @@ def run_vmrt_audit(scenario: Scenario | None = None) -> RigidityReport:
         )
         rep_where = f"{where}.vmrt_ambient_rep"
         rep_rs, _, rep_name = _root_system_block(rep, file, rep_where, weight=list, name=str)
-        weight = Weight(tuple(_items(rep, "weight", int, file, rep_where)))
+        weight = Weight(_items(rep, "weight", int, file, rep_where))
         try:  # a weight of the wrong length or not dominant
             rep_dim = weyl_dimension(rep_rs, weight)
         except ValueError as exc:

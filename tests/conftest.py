@@ -5,16 +5,18 @@ brute-force semistandard tableau enumeration and A-type roots from their
 interval description, so the main engines are checked against something
 that cannot share their bugs. The positive roots of every type also come
 from the reflection closure of the simple roots, with no root strings or
-heights. Littlewood-Richardson coefficients come from listing every
-candidate shape and backtracking over the fillings of each, cell by cell, a
-search unrelated to the engine's strip pass. Weyl products
-pair each root's coordinates with the weight directly, without the engine's
-root chain or stored denominator. Schur functors of the dual generators U*
-and Q* apply the reversed-complement rule with its determinant twist
-directly, without the engine's ``dual_label``. Bundles on Gr(k, n) are also
-compared by their formal characters on the maximal torus of SL(n): Schur
-polynomials from enumerated tableaux, and exterior powers from the subsets
-of a weight multiset, with no use of the label calculus.
+heights. The reflection walk is checked against the engine's earlier one,
+which rescans the nodes in order and subtracts whole Cartan rows.
+Littlewood-Richardson coefficients come from listing every candidate shape
+and backtracking over the fillings of each, cell by cell, a search unrelated
+to the engine's strip pass. Weyl products pair each root's coordinates with
+the weight directly, without the engine's root chain or stored denominator.
+Schur functors of the dual generators U* and Q* apply the reversed-complement
+rule with its determinant twist directly, without the engine's
+``dual_label``. Bundles on Gr(k, n) are also compared by their formal
+characters on the maximal torus of SL(n): Schur polynomials from enumerated
+tableaux, and exterior powers from the subsets of a weight multiset, with no
+use of the label calculus.
 """
 
 from collections import Counter
@@ -143,6 +145,29 @@ def positive_roots_oracle(
             raise AssertionError(f"mixed-sign root generated: {root}")
     positives.sort(key=lambda c: (sum(c), c))
     return tuple(positives)
+
+
+def reflection_walk_oracle(rs, w, nodes):
+    """Reflect at the first node of ``nodes`` with a negative coefficient until none is left.
+
+    The engine's earlier walk, kept as it was apart from building its result
+    with ``type(w)``: each step rescans ``nodes`` in order and subtracts a whole
+    Cartan row. Returns the final weight and the number of reflections.
+    """
+    coeffs = list(w.coeffs)
+    bound = len(rs.positive_roots)
+    length = 0
+    while True:
+        i = next((i - 1 for i in nodes if coeffs[i - 1] < 0), None)
+        if i is None:
+            return type(w)(tuple(coeffs)), length
+        ci = coeffs[i]
+        row = rs.cartan[i]
+        for k in range(rs.rank):
+            coeffs[k] -= ci * row[k]
+        length += 1
+        if length > bound:
+            raise AssertionError("reflection walk exceeded the longest-element bound")
 
 
 class Partition:

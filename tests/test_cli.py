@@ -74,6 +74,14 @@ def test_bwb_bad_weight_length(capsys):
     assert "coefficients" in doc["error"]
 
 
+def test_bwb_a_fractional_weight_coefficient_exits_2_with_one_line(capsys):
+    code, out, err = run(capsys, "bwb", "A", "2", "--crossed", "1", "--weight", "1.5,0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1.5,0" in err
+
+
 def test_lr_pieri(capsys):
     code, doc, _ = run_json(capsys, "lr", "1,1,1", "1", "--rows", "4")
     assert code == 0
@@ -294,6 +302,40 @@ def test_a_wrongly_typed_value_names_the_file_the_block_and_the_key(
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(p) in err and f"block '{block}'" in err and f"key '{key}'" in err
+
+
+# well-typed values that the engine rejects, and the key each error must name
+@pytest.mark.parametrize(
+    "edit,key,reason",
+    [
+        (lambda d: d["ambient"].update(type="Z"), "type", "unknown type 'Z'"),
+        (lambda d: d["ambient"].update(rank=0), "rank", "invalid rank 0 for type A"),
+        (lambda d: d["ambient"].update(crossed=[]), "crossed", "at least one crossed node"),
+        (lambda d: d["ambient"].update(crossed=[9]), "crossed", "crossed nodes [9] out of range 1..6"),
+    ],
+    ids=["type", "rank", "crossed-empty", "crossed-out-of-range"],
+)
+def test_an_invalid_root_system_block_names_the_file_the_block_and_the_key(
+    capsys, tmp_path, edit, key, reason
+):
+    p = _cayley_copy(tmp_path, edit)
+    code, out, err = run(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"scenario file {str(p)!r}: block 'ambient' key {key!r}: " in err and reason in err
+
+
+@pytest.mark.parametrize("key,value", [("name", 7), ("title", 7), ("description", ["a"])])
+def test_a_top_level_string_of_another_type_names_the_file_and_the_key(
+    capsys, tmp_path, key, value
+):
+    p = _cayley_copy(tmp_path, lambda d: d.update({key: value}))
+    code, out, err = run(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(p) in err and "block 'top level'" in err and f"key {key!r} must be a string" in err
 
 
 def test_an_unknown_top_level_key_is_rejected(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +17,13 @@ from gpcoh import (
 )
 from gpcoh.root_system import reflection_walk
 
-from conftest import a_type_positive_roots, positive_roots_oracle, ssyt_count, weyl_product_oracle
+from conftest import (
+    a_type_positive_roots,
+    positive_roots_oracle,
+    reflection_walk_oracle,
+    ssyt_count,
+    weyl_product_oracle,
+)
 
 ALL_TYPES = (
     [("A", n) for n in range(1, 9)]
@@ -170,6 +177,77 @@ def test_dominantize_regular_output_is_strictly_dominant_and_stable(coeffs):
         assert again.is_regular
         assert again.length == 0
         assert again.dominant_weight == res.dominant_weight
+
+
+def _negative_root_count(rs, coeffs, nodes):
+    """Positive roots supported on ``nodes`` with sum_i c_i d_i w_i < 0, that is,
+    those pairing negatively with the weight w; from the roots and d alone."""
+    d = rs.symmetrizer
+    return sum(
+        1
+        for root in rs.positive_roots
+        if all(c == 0 or i + 1 in nodes for i, c in enumerate(root))
+        and sum(c * d[i] * coeffs[i] for i, c in enumerate(root)) < 0
+    )
+
+
+@pytest.mark.parametrize("letter,rank", ALL_TYPES)
+def test_reflection_walk_matches_the_oracle_and_counts_the_negative_roots(letter, rank):
+    rs = build_root_system(letter, rank)
+    rng = random.Random(f"walk {letter}{rank}")
+    singular = 0
+    for trial in range(40):
+        coeffs = [rng.randint(-40, 40) for _ in range(rank)]
+        if trial % 4 == 0:
+            coeffs[rng.randrange(rank)] = 0  # orthogonal to a simple root: singular
+        w = Weight(tuple(coeffs))
+        levi = rng.sample(range(1, rank + 1), rng.randint(0, rank))
+        for nodes in (range(1, rank + 1), levi):
+            got = reflection_walk(rs, w, nodes)
+            assert got == reflection_walk_oracle(rs, w, nodes)
+            assert got[1] == _negative_root_count(rs, coeffs, set(nodes))
+        full = reflection_walk(rs, w, range(1, rank + 1))[0]
+        assert full.is_dominant()
+        singular += 0 in full.coeffs
+    assert singular >= 10
+
+
+@pytest.mark.parametrize("letter,rank", ALL_TYPES)
+def test_neighbours_are_the_off_diagonal_cartan_nonzeros(letter, rank):
+    rs = build_root_system(letter, rank)
+    a = rs.cartan
+    expected = tuple(
+        tuple((j, a[i][j]) for j in range(rank) if j != i and a[i][j] != 0) for i in range(rank)
+    )
+    assert rs.neighbours == expected
+    assert max(len(row) for row in rs.neighbours) <= 3
+
+
+# ---------------------------------------------------------------------------
+# Weight
+
+
+@pytest.mark.parametrize(
+    "make,coefficient",
+    [
+        (lambda: Weight((1.9, 0)), "1.9"),
+        (lambda: Weight((True, 0)), "True"),
+        (lambda: Weight(("3", 0)), "'3'"),
+        (lambda: Weight.of(1) * 2.5, "2.5"),
+        (lambda: weyl_dimension(build_root_system("A", 3), Weight((1.9, 0, 0))), "1.9"),
+    ],
+    ids=["float", "bool", "string", "float-scalar", "weyl-dimension-float"],
+)
+def test_a_coefficient_that_is_not_an_int_is_rejected_by_name(make, coefficient):
+    with pytest.raises(ValueError, match=re.escape(f"weight coefficient {coefficient} in ")):
+        make()
+
+
+def test_a_weight_keeps_a_tuple_and_converts_a_list():
+    t = (1, 2)
+    assert Weight(t).coeffs is t
+    assert Weight([1, 2]).coeffs == (1, 2)
+    assert type(Weight([1, 2]).coeffs) is tuple
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,22 @@ AUDIT_CASE_PROBES = [
         "aut-rank-bool", "theorem1", lambda d: d["cases"][0]["aut_root_system"].update(rank=True),
         "cases[0].aut_root_system", "rank",
     ),
+    # well-typed values that build_root_system or ParabolicSpace rejects
+    ("type-unknown", "vmrt", lambda d: d["cases"][0]["vmrt"].update(type="Z"), "cases[0].vmrt", "type"),
+    ("rank-invalid", "vmrt", lambda d: d["cases"][0]["vmrt"].update(rank=2), "cases[0].vmrt", "rank"),
+    ("crossed-empty", "vmrt", lambda d: d["cases"][0]["vmrt"].update(crossed=[]), "cases[0].vmrt", "crossed"),
+    (
+        "crossed-out-of-range", "vmrt", lambda d: d["cases"][0]["vmrt"].update(crossed=[9]),
+        "cases[0].vmrt", "crossed",
+    ),
+    (
+        "rep-type-unknown", "vmrt", lambda d: d["cases"][0]["vmrt_ambient_rep"].update(type="Z"),
+        "cases[0].vmrt_ambient_rep", "type",
+    ),
+    (
+        "aut-rank-invalid", "theorem1", lambda d: d["cases"][0]["aut_root_system"].update(type="E", rank=5),
+        "cases[0].aut_root_system", "rank",
+    ),
 ]
 
 
