@@ -6,7 +6,6 @@ floating point anywhere.
 """
 
 from .root_system import (
-    DominantizationResult,
     RootSystem,
     Weight,
     adjoint_dimension,

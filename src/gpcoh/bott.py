@@ -45,21 +45,21 @@ __all__ = [
 class BWBResult:
     """Either total vanishing or a single nonzero cohomology degree.
 
-    ``weight`` is the highest weight of the cohomology as a G-representation
-    (already dualized); ``predual_weight`` records the dominant weight
-    produced by the rho-shifted Weyl walk before dualization. The two have
-    the same dimension.
+    Total vanishing leaves every field None; otherwise ``degree`` is the
+    nonzero degree, ``weight`` the highest weight of the cohomology as a
+    G-representation (already dualized) and ``predual_weight`` the dominant
+    weight produced by the rho-shifted Weyl walk before dualization. The two
+    weights have the same dimension.
     """
 
-    all_vanish: bool
     degree: int | None = None
     weight: Weight | None = None
     dimension: int | None = None
     predual_weight: Weight | None = None
 
-    @classmethod
-    def vanishing(cls) -> "BWBResult":
-        return cls(all_vanish=True)
+    @property
+    def all_vanish(self) -> bool:
+        return self.degree is None
 
 
 @dataclass(frozen=True)
@@ -77,31 +77,11 @@ class CohomologyTable:
     entries: tuple[tuple[int, tuple[tuple[Weight, int], ...]], ...] | None = None
 
     @classmethod
-    def from_contributions(
-        cls, contributions: Iterable[tuple[int, Weight, int, int]]
-    ) -> "CohomologyTable":
-        """Build from (degree, weight, multiplicity, dimension-per-copy) tuples."""
-        by_degree: dict[int, dict[Weight, int]] = {}
-        totals: dict[int, int] = {}
-        for degree, weight, mult, dim in contributions:
-            if mult <= 0:
-                raise ValueError(f"multiplicity must be positive, got {mult}")
-            by_degree.setdefault(degree, {})
-            by_degree[degree][weight] = by_degree[degree].get(weight, 0) + mult
-            totals[degree] = totals.get(degree, 0) + mult * dim
-        entries = tuple(
-            (d, tuple(sorted(by_degree[d].items(), key=lambda kv: kv[0].coeffs)))
-            for d in sorted(by_degree)
-        )
-        total_dims = tuple(sorted(totals.items()))
-        return cls(total_dims=total_dims, entries=entries)
-
-    @classmethod
     def from_dimensions(cls, dims: Mapping[int, int]) -> "CohomologyTable":
-        cleaned = {int(d): int(v) for d, v in dims.items() if v}
-        if any(v < 0 for v in cleaned.values()):
-            raise ValueError("cohomology dimensions cannot be negative")
-        return cls(total_dims=tuple(sorted(cleaned.items())), entries=None)
+        for d, v in dims.items():
+            if type(d) is not int or type(v) is not int or v < 0:
+                raise ValueError(f"H^{d!r} = {v!r}: need an int degree and an int dimension >= 0")
+        return cls(total_dims=tuple(sorted((d, v) for d, v in dims.items() if v)), entries=None)
 
     def dims(self) -> dict[int, int]:
         return dict(self.total_dims)
@@ -133,18 +113,16 @@ def bwb(space: ParabolicSpace, omega: Weight) -> BWBResult:
     """
     space.check_p_dominant(omega)
     rs = space.rs
-    res = dominantize(rs, omega + rs.rho)
-    if res.is_singular:
-        return BWBResult.vanishing()
-    assert res.dominant_weight is not None and res.length is not None
-    mu = res.dominant_weight - rs.rho
-    degree = res.length
+    found = dominantize(rs, omega + rs.rho)
+    if found is None:
+        return BWBResult()
+    dominant, degree = found
+    mu = dominant - rs.rho
     if degree > space.dimension:
         raise AssertionError(
             f"cohomology degree {degree} exceeds dim {space} = {space.dimension}"
         )
     return BWBResult(
-        all_vanish=False,
         degree=degree,
         weight=dual_weight(rs, mu),
         dimension=weyl_dimension(rs, mu),
@@ -156,17 +134,21 @@ def bundle_cohomology(
     space: ParabolicSpace, summands: Iterable[tuple[Weight, int]]
 ) -> CohomologyTable:
     """Union of bwb results over a direct sum, multiplicities accumulated."""
-    contributions = []
+    weights: dict[int, dict[Weight, int]] = {}
+    totals: dict[int, int] = {}
     for omega, mult in summands:
         if mult <= 0:
             raise ValueError(f"multiplicity must be positive, got {mult}")
         res = bwb(space, omega)
         if res.all_vanish:
             continue
-        assert res.degree is not None and res.weight is not None
-        assert res.dimension is not None
-        contributions.append((res.degree, res.weight, mult, res.dimension))
-    return CohomologyTable.from_contributions(contributions)
+        at = weights.setdefault(res.degree, {})
+        at[res.weight] = at.get(res.weight, 0) + mult
+        totals[res.degree] = totals.get(res.degree, 0) + mult * res.dimension
+    entries = tuple(
+        (d, tuple(sorted(weights[d].items(), key=lambda kv: kv[0].coeffs))) for d in sorted(weights)
+    )
+    return CohomologyTable(total_dims=tuple(sorted(totals.items())), entries=entries)
 
 
 def euler_characteristic(table: CohomologyTable) -> int:

@@ -20,6 +20,7 @@ environment; text output wraps at 100 columns.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import textwrap
@@ -169,10 +170,7 @@ def _cmd_koszul(ns) -> tuple[dict, list[str]]:
         {"term": j, "degree": q, "dimension": dim}
         for (j, q), dim in result.page.grid
     ]
-    hints_payload = [
-        {"target_term": h.target_term, "degree": h.degree, "rank": h.rank, "origin": h.origin}
-        for h in result.page.hints_used
-    ]
+    hints_payload = [dataclasses.asdict(h) for h in result.page.hints_used]
     payload = {
         "scenario": sc.name,
         "twist": ns.twist,
@@ -183,10 +181,7 @@ def _cmd_koszul(ns) -> tuple[dict, list[str]]:
         "determined": result.determined,
     }
     if result.page.hints_unreached:
-        payload["hints_unreached"] = [
-            {"target_term": h.target_term, "degree": h.degree, "rank": h.rank}
-            for h in result.page.hints_unreached
-        ]
+        payload["hints_unreached"] = [dataclasses.asdict(h) for h in result.page.hints_unreached]
     failures: list = []
     lines = [f"Koszul chase for scenario {sc.name!r}, twist {ns.twist!r} on {space}"]
     for t in terms_payload:

@@ -51,10 +51,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KoszulComplex:
-    """Terms C_j = Lambda^j(E^*) (x) F for j = rank E down to 0.
+    """Terms C_j = Lambda^j(E^*) (x) F for j = 0 up to rank E.
 
-    ``terms[0]`` is the top term C_r and ``terms[-1]`` is C_0 = F. The
-    expected codimension condition rank E <= dim G/P is enforced.
+    ``terms[j]`` is C_j, so ``terms[0]`` is C_0 = F and ``terms[-1]`` is the
+    top term C_r. The expected codimension condition rank E <= dim G/P is
+    enforced.
     """
 
     ambient: ParabolicSpace
@@ -70,7 +71,7 @@ class KoszulComplex:
         """C_j for 0 <= j <= rank E."""
         if not 0 <= j <= self.section_rank:
             raise ValueError(f"term index {j} out of range 0..{self.section_rank}")
-        return self.terms[self.section_rank - j]
+        return self.terms[j]
 
 
 @dataclass(frozen=True)
@@ -101,27 +102,36 @@ class UsedHint:
 class ChasePage:
     """First-page data of a chase: per-term tables and the assumptions used.
 
+    ``term_tables[j]`` is H^*(C_j). ``grid`` lists them as
+    ((term j, degree q), dim) cells, j from r down to 0 and q ascending.
     ``hints_unreached`` holds the provided hints at terms below the point
     where a blocked chase stopped; it is empty when the chase ran through.
     """
 
-    grid: tuple[tuple[tuple[int, int], int], ...]  # ((term j, degree q), dim)
-    term_tables: tuple[CohomologyTable, ...]  # index j = 0..r
+    term_tables: tuple[CohomologyTable, ...]
     hints_used: tuple[UsedHint, ...]
     hints_unreached: tuple[RankHint, ...] = ()
 
-    def grid_dims(self) -> dict[tuple[int, int], int]:
-        return dict(self.grid)
+    @property
+    def grid(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        return tuple(
+            ((j, q), dim)
+            for j in range(len(self.term_tables) - 1, -1, -1)
+            for q, dim in self.term_tables[j].total_dims
+        )
 
 
 @dataclass(frozen=True)
 class ChaseResult:
     """Either a determined cohomology table for F|_S or the blocked page."""
 
-    determined: bool
     page: ChasePage
     table: CohomologyTable | None = None
     blocking_positions: tuple[tuple[int, int], ...] = ()
+
+    @property
+    def determined(self) -> bool:
+        return self.table is not None
 
 
 def build_koszul(ambient: ParabolicSpace, section: BundleSum, twist: BundleSum | None = None) -> KoszulComplex:
@@ -142,7 +152,7 @@ def build_koszul(ambient: ParabolicSpace, section: BundleSum, twist: BundleSum |
             "violates the expected codimension condition"
         )
     powers = exterior_power_sum(dual_sum(section), rank)
-    terms = tuple(tensor(power, twist) for power in reversed(powers))
+    terms = tuple(tensor(power, twist) for power in powers)
     return KoszulComplex(ambient=ambient, section_bundle=section, twist=twist, terms=terms)
 
 
@@ -161,10 +171,7 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> Chase
     space = complex_.ambient
     r = complex_.section_rank
     max_degree = space.dimension
-    tables = [
-        bundle_cohomology(space, sum_to_weights(complex_.term(j), space))
-        for j in range(r + 1)
-    ]  # index j = C_j
+    tables = [bundle_cohomology(space, sum_to_weights(term, space)) for term in complex_.terms]
     hints = {}
     for h in rank_hints:
         if not isinstance(h, RankHint):
@@ -189,10 +196,6 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> Chase
         if key in hints:
             raise ValueError(f"duplicate hint for position {key}")
         hints[key] = h.rank
-    grid = tuple(
-        ((j, q), dim) for j in range(r, -1, -1) for q, dim in tables[j].total_dims
-    )
-
     used: list[UsedHint] = []
     blocking: list[tuple[int, int]] = []
     current = tables[r].dims()  # dims of A_r = C_r
@@ -238,15 +241,12 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> Chase
         blocking = [(0, q) for q in current if q > max_degree - r]
 
     page = ChasePage(
-        grid=grid,
         term_tables=tuple(tables),
         hints_used=tuple(used),
         hints_unreached=tuple(RankHint(j, q, rank) for (j, q), rank in hints.items()),
     )
     if blocking:
-        return ChaseResult(
-            determined=False, page=page, blocking_positions=tuple(sorted(set(blocking)))
-        )
+        return ChaseResult(page=page, blocking_positions=tuple(sorted(set(blocking))))
     table = CohomologyTable.from_dimensions(current)
     expected = sum(
         (-1) ** j * euler_characteristic(tables[j]) for j in range(r + 1)
@@ -256,7 +256,7 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> Chase
             "Euler characteristic of the chase output disagrees with the "
             "alternating sum over the resolution"
         )
-    return ChaseResult(determined=True, page=page, table=table)
+    return ChaseResult(page=page, table=table)
 
 
 def restriction_sequence(

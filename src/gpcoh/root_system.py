@@ -32,12 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "Weight",
     "RootSystem",
-    "DominantizationResult",
     "ParabolicSpace",
     "build_root_system",
     "reflection_walk",
@@ -161,29 +160,6 @@ class RootSystem:
         return self.name
 
 
-@dataclass(frozen=True)
-class DominantizationResult:
-    """Outcome of pushing a weight into the dominant chamber.
-
-    ``outcome`` is "singular" when the Weyl orbit meets a wall (the
-    dominant representative has a zero coefficient), otherwise "regular" with the
-    strictly dominant representative and the number of simple reflections
-    used, which is the length of the unique Weyl element involved.
-    """
-
-    outcome: Literal["singular", "regular"]
-    length: int | None = None
-    dominant_weight: Weight | None = None
-
-    @property
-    def is_singular(self) -> bool:
-        return self.outcome == "singular"
-
-    @property
-    def is_regular(self) -> bool:
-        return self.outcome == "regular"
-
-
 def _cartan_matrix(type_letter: str, rank: int) -> list[list[int]]:
     a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
 
@@ -278,7 +254,7 @@ def _pairings(chain, symmetrizer: tuple[int, ...], coeffs: tuple[int, ...]) -> l
     return values
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_root_system(type_letter: str, rank: int) -> RootSystem:
     """Construct the simple root system of the given type and rank.
 
@@ -290,9 +266,8 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
         valid = ", ".join(f"{t} ({r[0]})" for t, r in _RANK_RULES.items())
         raise ValueError(f"unknown type {type_letter!r}; valid types: {valid}")
     rule_text, rule = _RANK_RULES[letter]
-    rank = int(rank)
-    if not rule(rank):
-        raise ValueError(f"invalid rank {rank} for type {letter}; valid range: {rule_text}")
+    if type(rank) is not int or not rule(rank):
+        raise ValueError(f"invalid rank {rank!r} for type {letter}; valid range: {rule_text}")
     cartan = tuple(tuple(row) for row in _cartan_matrix(letter, rank))
     sym = _symmetrizer(letter, rank)
     for i in range(rank):
@@ -355,19 +330,19 @@ def reflection_walk(rs: RootSystem, w: Weight, nodes: Sequence[int]) -> tuple[We
     return Weight(tuple(coeffs)), length
 
 
-def dominantize(rs: RootSystem, w: Weight) -> DominantizationResult:
+def dominantize(rs: RootSystem, w: Weight) -> tuple[Weight, int] | None:
     """Iterate simple reflections at negative coefficients until dominant.
 
-    Returns "singular" when the dominant representative has a zero
-    coefficient (the weight is then orthogonal to a root, a Weyl-invariant
-    property), otherwise the strictly dominant representative together with
-    the reflection count.
+    Returns None when the weight is singular: its dominant representative has a
+    zero coefficient (the weight is then orthogonal to a root, a Weyl-invariant
+    property). Otherwise returns the strictly dominant representative and the
+    reflection count, which is the length of the unique Weyl element involved.
     """
     _check_weight(rs, w)
     dominant, length = reflection_walk(rs, w, range(1, rs.rank + 1))
     if 0 in dominant.coeffs:
-        return DominantizationResult(outcome="singular")
-    return DominantizationResult(outcome="regular", length=length, dominant_weight=dominant)
+        return None
+    return dominant, length
 
 
 def _weyl_product(rs: RootSystem, weight: Weight, indices: Sequence[int] | None = None) -> int:
@@ -443,7 +418,11 @@ class ParabolicSpace:
     levi_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        crossed = frozenset(int(i) for i in self.crossed)
+        nodes = tuple(self.crossed)
+        for i in nodes:
+            if type(i) is not int:
+                raise ValueError(f"crossed node {i!r} in {nodes!r} is not an integer")
+        crossed = frozenset(nodes)
         if not crossed:
             raise ValueError(
                 "a parabolic space needs at least one crossed node; the crossed node set "

@@ -70,12 +70,12 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(self.parts)
+        for p in parts:
+            if type(p) is not int or p < 0:
+                raise ValueError(f"partition parts must be nonnegative integers: {parts}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        for p in parts:
-            if p < 0:
-                raise ValueError(f"partition parts must be nonnegative: {parts}")
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"partition parts must be weakly decreasing: {parts}")
@@ -126,10 +126,12 @@ class BundleLabel:
     twist: int = 0
 
     def __post_init__(self) -> None:
-        k, n = (int(x) for x in self.ambient)
+        k, n = self.ambient
+        u, q, t = self.u_part, self.q_part, self.twist
+        if type(k) is not int or type(n) is not int or type(t) is not int:
+            raise ValueError(f"ambient Gr({k!r},{n!r}) and twist {t!r} must be integers")
         if not 1 <= k < n:
             raise ValueError(f"ambient Gr({k},{n}) requires 1 <= k < n")
-        u, q, t = self.u_part, self.q_part, self.twist
         if u.length > k:
             raise ValueError(f"u-side partition {u} exceeds rank {k}")
         if q.length > n - k:
@@ -288,7 +290,7 @@ def schur_label(
         ambient=tuple(ambient),
         u_part=Partition(tuple(u_part)),
         q_part=Partition(tuple(q_part)),
-        twist=int(twist),
+        twist=twist,
     )
 
 

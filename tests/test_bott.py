@@ -11,6 +11,7 @@ from gpcoh import (
     bwb,
     canonical_twist_weight,
     euler_characteristic,
+    homogeneous_dimension,
     levi_dimension,
     serre_dual_weight,
 )
@@ -32,6 +33,16 @@ def test_space_validation():
     with pytest.raises(ValueError, match="out of range"):
         ParabolicSpace(rs=rs, crossed=frozenset({9}))
     assert ParabolicSpace(rs=rs, crossed=frozenset({1, 3})).dimension == 5
+
+
+def test_crossed_nodes_that_are_not_integers_are_rejected():
+    a3 = build_root_system("A", 3)
+    with pytest.raises(ValueError, match=r"crossed node 1\.9 in \(1\.9,\) is not an integer"):
+        homogeneous_dimension(a3, [1.9])
+    with pytest.raises(ValueError, match="crossed node True in"):
+        levi_dimension(a3, [True], Weight.of(0, 1, 0))
+    with pytest.raises(ValueError, match="crossed node 2.0 in"):
+        ParabolicSpace(rs=a3, crossed=frozenset({1, 2.0}))
 
 
 def test_bwb_triple_twist_bundle_vanishes():
@@ -100,6 +111,45 @@ def test_bundle_cohomology_accumulates_multiplicity():
     table = bundle_cohomology(gr47(), [(Weight.zero(6), 2), (Weight.zero(6), 1)])
     assert table.dims() == {0: 3}
     assert table.weights_at(0) == ((Weight.zero(6), 3),)
+
+
+def test_bundle_cohomology_over_several_degrees_matches_separate_bwb_calls():
+    # E6/P2: nonzero cohomology in degrees 0, 1, 10, 11, 13 and 18; the trivial
+    # representation comes from several weights, and one weight is listed twice
+    space = ParabolicSpace(rs=build_root_system("E", 6), crossed=frozenset({2}))
+    summands = [
+        (Weight.of(0, -12, 1, 2, 0, 2), 1),
+        (Weight.of(1, -12, 0, 0, 2, 0), 2),
+        (Weight.of(0, -12, 2, 0, 0, 1), 1),
+        (Weight.of(0, -2, 0, 1, 0, 1), 3),
+        (Weight.of(2, -10, 0, 2, 0, 2), 1),
+        (Weight.of(0, -1, 0, 0, 0, 0), 2),
+        (Weight.zero(6), 1),
+        (Weight.of(1, -12, 0, 0, 2, 0), 1),
+        (Weight.of(2, -11, 0, 2, 0, 2), 2),
+        (Weight.of(0, -2, 0, 1, 0, 1), 1),
+        (Weight.of(1, -3, 0, 2, 1, 2), 1),
+        (Weight.of(2, -3, 1, 2, 0, 0), 1),
+    ]
+    totals: dict[int, int] = {}
+    weights: dict[int, dict[Weight, int]] = {}
+    for omega, mult in summands:
+        res = bwb(space, omega)
+        if not res.all_vanish:
+            totals[res.degree] = totals.get(res.degree, 0) + mult * res.dimension
+            at = weights.setdefault(res.degree, {})
+            at[res.weight] = at.get(res.weight, 0) + mult
+    table = bundle_cohomology(space, summands)
+    assert table.degrees() == (0, 1, 10, 11, 13, 18)
+    assert table.dims() == totals
+    assert table.weights_at(18) == ((Weight.zero(6), 4),)
+    for d in table.degrees():
+        want = sorted(weights[d].items(), key=lambda kv: kv[0].coeffs)
+        assert table.weights_at(d) == tuple(want)
+    assert [w for w, _ in table.weights_at(1)] == [
+        Weight.of(0, 1, 0, 0, 1, 2), Weight.of(1, 0, 0, 0, 0, 0), Weight.of(2, 1, 1, 0, 0, 1)
+    ]
+    assert bundle_cohomology(space, summands[::-1]) == table
 
 
 def test_table_totals_are_multiplicity_weighted_weyl_dimensions():

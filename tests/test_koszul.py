@@ -117,7 +117,7 @@ def test_normal_twist_chase_logs_one_maximal_rank_default():
     assert hint.origin == "default_maximal"
     assert hint.describe() == "H^0(C_1) -> H^0(C_0) rank 1 [default_maximal]"
     # the page shows exactly the two nonzero groups
-    assert res.page.grid_dims() == {(1, 0): 1, (0, 0): 35}
+    assert dict(res.page.grid) == {(1, 0): 1, (0, 0): 35}
 
 
 def test_tangent_twist_chase_needs_no_assumptions():
@@ -125,7 +125,7 @@ def test_tangent_twist_chase_needs_no_assumptions():
     assert res.determined
     assert res.table.dims() == {0: 48}
     assert res.page.hints_used == ()
-    assert res.page.grid_dims() == {(0, 0): 48}
+    assert dict(res.page.grid) == {(0, 0): 48}
 
 
 def test_point_in_p1_chase():
@@ -178,7 +178,7 @@ def test_contradicting_hint_makes_the_chase_indeterminate():
     assert not res.determined
     assert res.table is None
     assert res.blocking_positions == ((0, 0),)
-    assert res.page.grid_dims() == {(1, 0): 1, (0, 0): 35}
+    assert dict(res.page.grid) == {(1, 0): 1, (0, 0): 35}
 
 
 def test_chase_euler_consistency():
@@ -219,7 +219,7 @@ def test_chase_grid_matches_standalone_tables():
         standalone = bundle_cohomology(space, sum_to_weights(cx.term(j), space))
         assert res.page.term_tables[j].dims() == standalone.dims()
         for q, dim in standalone.dims().items():
-            assert res.page.grid_dims()[(j, q)] == dim
+            assert dict(res.page.grid)[(j, q)] == dim
 
 
 # ---------------------------------------------------------------------------

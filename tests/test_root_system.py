@@ -77,6 +77,13 @@ def test_invalid_type_rank_pairs_rejected(letter, rank):
         build_root_system(letter, rank)
 
 
+@pytest.mark.parametrize("cached,probe", [(3, 3.7), (3, 3.0), (1, True)])
+def test_a_rank_that_is_not_an_int_is_rejected_even_when_an_equal_int_is_cached(cached, probe):
+    assert build_root_system("A", cached).rank == cached
+    with pytest.raises(ValueError, match=f"^invalid rank {probe!r} for type A"):
+        build_root_system("A", probe)
+
+
 @pytest.mark.parametrize("letter,rank", ALL_TYPES)
 def test_cartan_matrix_shape(letter, rank):
     rs = build_root_system(letter, rank)
@@ -124,21 +131,18 @@ def test_positive_roots_in_graded_lex_order(letter, rank):
 
 def test_dominantize_zero_weight_on_p1_is_singular():
     rs = build_root_system("A", 1)
-    assert dominantize(rs, Weight.of(0)).is_singular
+    assert dominantize(rs, Weight.of(0)) is None
 
 
 def test_dominantize_shifted_triple_twist_weight_is_singular():
     # (w3 - 3 w4) + rho on A6
     rs = build_root_system("A", 6)
-    assert dominantize(rs, Weight.of(1, 1, 2, -2, 1, 1)).is_singular
+    assert dominantize(rs, Weight.of(1, 1, 2, -2, 1, 1)) is None
 
 
 def test_dominantize_shifted_adjoint_weight_is_regular_of_length_zero():
     rs = build_root_system("A", 6)
-    res = dominantize(rs, Weight.of(2, 1, 1, 1, 1, 2))
-    assert res.is_regular
-    assert res.length == 0
-    assert res.dominant_weight == Weight.of(2, 1, 1, 1, 1, 2)
+    assert dominantize(rs, Weight.of(2, 1, 1, 1, 1, 2)) == (Weight.of(2, 1, 1, 1, 1, 2), 0)
 
 
 def test_dominantize_rank_mismatch_rejected():
@@ -170,13 +174,11 @@ def test_dominantize_strategies_agree_on_d4(coeffs):
 def test_dominantize_regular_output_is_strictly_dominant_and_stable(coeffs):
     rs = build_root_system("C", 4)
     res = dominantize(rs, Weight(coeffs))
-    if res.is_regular:
-        assert res.dominant_weight.is_strictly_dominant()
-        assert res.length <= len(rs.positive_roots)
-        again = dominantize(rs, res.dominant_weight)
-        assert again.is_regular
-        assert again.length == 0
-        assert again.dominant_weight == res.dominant_weight
+    if res is not None:
+        dominant, length = res
+        assert dominant.is_strictly_dominant()
+        assert length <= len(rs.positive_roots)
+        assert dominantize(rs, dominant) == (dominant, 0)
 
 
 def _negative_root_count(rs, coeffs, nodes):

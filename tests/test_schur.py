@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gpcoh import (
+    BundleLabel,
     BundleSum,
+    CohomologyTable,
     ParabolicSpace,
     Partition,
     Weight,
@@ -60,6 +62,22 @@ def test_partition_rejects_bad_shapes():
         Partition((1, 2))
     with pytest.raises(ValueError, match="nonnegative"):
         Partition((2, -1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Partition((1.9,)),
+        lambda: BundleLabel((2.5, 4)),
+        lambda: BundleLabel((2, 4), twist=1.5),
+        lambda: schur_label(AMB, (1,), twist=1.7),
+        lambda: CohomologyTable.from_dimensions({0.5: 3.9}),
+    ],
+    ids=["partition", "ambient", "twist", "schur_label-twist", "from_dimensions"],
+)
+def test_a_value_that_is_not_an_int_is_rejected_not_truncated(build):
+    with pytest.raises(ValueError, match="integer|int degree"):
+        build()
 
 
 def test_parse_partition():
