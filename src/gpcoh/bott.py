@@ -137,8 +137,8 @@ def bundle_cohomology(
     weights: dict[int, dict[Weight, int]] = {}
     totals: dict[int, int] = {}
     for omega, mult in summands:
-        if mult <= 0:
-            raise ValueError(f"multiplicity must be positive, got {mult}")
+        if type(mult) is not int or mult <= 0:  # a float or a bool is no multiplicity
+            raise ValueError(f"multiplicity must be a positive int, got {mult!r}")
         res = bwb(space, omega)
         if res.all_vanish:
             continue

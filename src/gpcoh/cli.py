@@ -26,7 +26,6 @@ import sys
 import textwrap
 
 from .bott import ParabolicSpace, bwb, euler_characteristic
-from .koszul import build_koszul, chase
 from .root_system import Weight, adjoint_dimension, build_root_system
 from .schur import gl_dimension, lr_coefficients, parse_partition
 from . import scenarios
@@ -158,9 +157,8 @@ def _cmd_lr(ns) -> tuple[dict, list[str]]:
 
 def _cmd_koszul(ns) -> tuple[dict, list[str]]:
     sc = load_scenario(ns.scenario)
-    space, section = sc.zero_locus()
-    complex_ = build_koszul(space, section, sc.twist_named(ns.twist))
-    result = chase(complex_, sc.rank_hints)
+    complex_, result = sc.chase_twist(ns.twist)
+    space = sc.space
     args = {"scenario": ns.scenario, "twist": ns.twist}
     terms_payload = [
         {"index": j, "bundle": str(complex_.term(j))}

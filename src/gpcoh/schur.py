@@ -172,8 +172,8 @@ class BundleSum:
                 raise ValueError(
                     f"label on Gr{label.ambient} cannot join a sum on Gr{tuple(ambient)}"
                 )
-            if mult <= 0:
-                raise ValueError(f"multiplicity must be positive, got {mult}")
+            if type(mult) is not int or mult <= 0:  # a float or a bool is no multiplicity
+                raise ValueError(f"multiplicity must be a positive int, got {mult!r}")
             acc[label] = acc.get(label, 0) + mult
         ordered = tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key()))
         return cls(ambient=tuple(ambient), summands=ordered)

@@ -16,6 +16,7 @@ from gpcoh import (
     serre_dual_weight,
 )
 from gpcoh.bott import levi_dual_weight
+from gpcoh.schur import BundleSum, line_bundle
 
 
 def gr47():
@@ -111,6 +112,21 @@ def test_bundle_cohomology_accumulates_multiplicity():
     table = bundle_cohomology(gr47(), [(Weight.zero(6), 2), (Weight.zero(6), 1)])
     assert table.dims() == {0: 3}
     assert table.weights_at(0) == ((Weight.zero(6), 3),)
+
+
+@pytest.mark.parametrize("mult", [1.5, 2.0, True], ids=["float", "integral-float", "bool"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda m: bundle_cohomology(gr47(), [(Weight.of(1, 0, 0, 0, 0, 1), m)]),
+        lambda m: BundleSum.of(line_bundle((4, 7), 1), m),
+    ],
+    ids=["bundle_cohomology", "BundleSum.from_pairs"],
+)
+def test_a_multiplicity_that_is_not_an_int_is_rejected(build, mult):
+    # exact arithmetic: 1.5 would give a float h^0, 2.0 a rank of 2.0, True would count as 1
+    with pytest.raises(ValueError, match="multiplicity must be a positive int"):
+        build(mult)
 
 
 def test_bundle_cohomology_over_several_degrees_matches_separate_bwb_calls():

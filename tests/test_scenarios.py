@@ -319,3 +319,38 @@ def test_reports_render_text():
 def test_report_json_round_trip():
     doc = run_cayley().to_dict()
     assert json.loads(json.dumps(doc)) == doc
+
+
+def test_lines_that_cannot_fail_are_informational():
+    # h1_upper_bound is (aut_dim + 1) - aut_dim, and sub_twist is set to the sum it was checked against
+    t, a = run_theorem1_audit(), run_adjunction_audit()
+    for line in (
+        t.line("h1_upper_bound_sl6_mod_sp6"),
+        t.line("h1_upper_bound_e6_mod_f4"),
+        a.line("subvariety_canonical_twist"),
+    ):
+        assert line.passed is None, line.key
+
+
+def test_the_scope_section_lists_each_constant_read_and_only_when_one_was_read(tmp_path):
+    data = json.loads(json.dumps(load_scenario("theorem1").raw))
+    data["cases"] = [case for case in data["cases"] if case["name"] == "e6_mod_f4"]
+    p = tmp_path / "one_case.json"
+    p.write_text(json.dumps(data))
+    rep = run_theorem1_audit(load_scenario(p))
+    scope = rep.sections[-1]
+    assert scope.title == "Scope: externally sourced inputs and non-claims"
+    assert [ln.key for ln in scope.lines] == [
+        "non_claim_global_rigidity",
+        "non_claim_prolongation",
+        "input_0_cone_aut_dim",
+        "input_1_h1_general_fiber",
+    ]
+    assert rep.line("input_0_cone_aut_dim").value == 53
+    assert all(ln.source == "external" and ln.provenance.strip() for ln in scope.lines)
+    data["cases"] = []
+    p.write_text(json.dumps(data))
+    assert run_theorem1_audit(load_scenario(p)).sections == ()
+    # the dimension audit and the adjunction report read no constant, so they have no scope section
+    for rep in (run_vmrt_audit(), run_adjunction_audit()):
+        assert all(not sec.title.startswith("Scope") for sec in rep.sections)
