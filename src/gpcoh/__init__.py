@@ -48,7 +48,6 @@ from .schur import (
     tensor,
 )
 from .koszul import (
-    ChasePage,
     ChaseResult,
     KoszulComplex,
     RankHint,

@@ -12,9 +12,11 @@ Weights are comma-separated fundamental-weight coefficients (negatives
 allowed); partitions are comma lists like "2,1,1". Bundle labels use the
 compact grammar from the schur module: "O(-3)", "L3 U*", "S2 U (-1)",
 "W[2,1]U * Q", "T". Output is text or JSON (--format); both carry the same
-numbers. Exit status is 0 only when every assertion made by the invoked
-command holds; failures are listed machine-readably. Nothing is read from the
-environment; text output wraps at 100 columns.
+numbers. Each subcommand binds its handler, which returns (payload, failures,
+text lines); the JSON document echoes every parsed argument as ``command.args``.
+Exit status is 0 only when every assertion made by the invoked command holds;
+failures are listed machine-readably. Nothing is read from the environment;
+text output wraps at 100 columns.
 """
 
 from __future__ import annotations
@@ -51,33 +53,16 @@ def _parse_crossed(text: str) -> frozenset[int]:
         raise ValueError(f"cannot parse crossed nodes from {text!r}") from exc
 
 
-def _document(command: str, args: dict, result: dict, failures: list) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": {"name": command, "args": args},
-        "result": result,
-        "failures": failures,
-    }
-
-
 def _table_payload(table) -> dict:
-    degrees = {}
-    for d, total in table.total_dims:
-        row: dict = {"total": total}
-        if table.entries is not None:
-            row["weights"] = [
-                {"coeffs": list(w.coeffs), "multiplicity": m}
-                for w, m in table.weights_at(d)
-            ]
-        degrees[str(d)] = row
+    degrees = {str(d): {"total": total} for d, total in table.total_dims}
     return {"degrees": degrees, "euler": euler_characteristic(table)}
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (payload, text_lines)
+# command handlers: each returns (payload, failures, text_lines)
 
 
-def _cmd_roots(ns) -> tuple[dict, list[str]]:
+def _cmd_roots(ns) -> tuple[dict, list, list[str]]:
     rs = build_root_system(ns.type, ns.rank)
     payload = {
         "type": rs.type_letter,
@@ -98,15 +83,14 @@ def _cmd_roots(ns) -> tuple[dict, list[str]]:
         "(" + ",".join(str(c) for c in r) + ")" for r in rs.positive_roots
     )
     lines.extend(textwrap.wrap("roots: " + roots_text, width=100))
-    return _document("roots", {"type": ns.type, "rank": ns.rank}, payload, []), lines
+    return payload, [], lines
 
 
-def _cmd_bwb(ns) -> tuple[dict, list[str]]:
+def _cmd_bwb(ns) -> tuple[dict, list, list[str]]:
     rs = build_root_system(ns.type, ns.rank)
     space = ParabolicSpace(rs=rs, crossed=_parse_crossed(ns.crossed))
     omega = _parse_weight(ns.weight, rs.rank)
     res = bwb(space, omega)
-    args = {"type": ns.type, "rank": ns.rank, "crossed": ns.crossed, "weight": ns.weight}
     if res.all_vanish:
         payload = {"space": str(space), "weight": list(omega.coeffs), "outcome": "all_vanish"}
         lines = [f"{space}, weight {omega}: all cohomology vanishes"]
@@ -125,10 +109,10 @@ def _cmd_bwb(ns) -> tuple[dict, list[str]]:
             f"H^{res.degree} has dimension {res.dimension}, highest weight {res.weight}"
             f" (pre-dual {res.predual_weight})",
         ]
-    return _document("bwb", args, payload, []), lines
+    return payload, [], lines
 
 
-def _cmd_lr(ns) -> tuple[dict, list[str]]:
+def _cmd_lr(ns) -> tuple[dict, list, list[str]]:
     mu = parse_partition(ns.mu)
     nu = parse_partition(ns.nu)
     coeffs = lr_coefficients(mu, nu, ns.rows)
@@ -152,23 +136,22 @@ def _cmd_lr(ns) -> tuple[dict, list[str]]:
     for lam, c in items:
         lines.append(f"  {lam}: {c}  (dim {gl_dimension(lam, ns.rows)})")
     lines.append(f"dimension sum over GL({ns.rows}): {dim_sum}")
-    return _document("lr", {"mu": ns.mu, "nu": ns.nu, "rows": ns.rows}, payload, []), lines
+    return payload, [], lines
 
 
-def _cmd_koszul(ns) -> tuple[dict, list[str]]:
+def _cmd_koszul(ns) -> tuple[dict, list, list[str]]:
     sc = load_scenario(ns.scenario)
     complex_, result = sc.chase_twist(ns.twist)
     space = sc.space
-    args = {"scenario": ns.scenario, "twist": ns.twist}
     terms_payload = [
         {"index": j, "bundle": str(complex_.term(j))}
         for j in range(complex_.section_rank, -1, -1)
     ]
     grid_payload = [
         {"term": j, "degree": q, "dimension": dim}
-        for (j, q), dim in result.page.grid
+        for (j, q), dim in result.grid
     ]
-    hints_payload = [dataclasses.asdict(h) for h in result.page.hints_used]
+    hints_payload = [dataclasses.asdict(h) for h in result.hints_used]
     payload = {
         "scenario": sc.name,
         "twist": ns.twist,
@@ -178,8 +161,8 @@ def _cmd_koszul(ns) -> tuple[dict, list[str]]:
         "hints_used": hints_payload,
         "determined": result.determined,
     }
-    if result.page.hints_unreached:
-        payload["hints_unreached"] = [dataclasses.asdict(h) for h in result.page.hints_unreached]
+    if result.hints_unreached:
+        payload["hints_unreached"] = [dataclasses.asdict(h) for h in result.hints_unreached]
     failures: list = []
     lines = [f"Koszul chase for scenario {sc.name!r}, twist {ns.twist!r} on {space}"]
     for t in terms_payload:
@@ -187,14 +170,12 @@ def _cmd_koszul(ns) -> tuple[dict, list[str]]:
     if grid_payload:
         lines.append("nonzero ambient cohomology on the page:")
         for cell in grid_payload:
-            lines.append(
-                f"  H^{cell['degree']}(C_{cell['term']}) = {cell['dimension']}"
-            )
+            lines.append(f"  H^{cell['degree']}(C_{cell['term']}) = {cell['dimension']}")
     else:
         lines.append("every term of the resolution is acyclic")
-    for h in result.page.hints_used:
+    for h in result.hints_used:
         lines.append(f"  assumed {h.describe()}")
-    for h in result.page.hints_unreached:
+    for h in result.hints_unreached:
         lines.append(
             f"  not reached: provided hint at term {h.target_term} degree {h.degree} rank {h.rank}"
         )
@@ -207,21 +188,17 @@ def _cmd_koszul(ns) -> tuple[dict, list[str]]:
         else:
             lines.append("all cohomology of the restriction vanishes")
     else:
-        payload["blocking_positions"] = [list(p) for p in result.blocking_positions]
-        failures.append(
-            {
-                "kind": "indeterminate_chase",
-                "blocking_positions": [list(p) for p in result.blocking_positions],
-            }
-        )
+        blocking = [list(p) for p in result.blocking_positions]
+        payload["blocking_positions"] = blocking
+        failures.append({"kind": "indeterminate_chase", "blocking_positions": blocking})
         lines.append(
             "chase is indeterminate; blocking positions: "
             + ", ".join(str(p) for p in result.blocking_positions)
         )
-    return _document("koszul", args, payload, failures), lines
+    return payload, failures, lines
 
 
-def _cmd_report(ns) -> tuple[dict, list[str]]:
+def _cmd_report(ns) -> tuple[dict, list, list[str]]:
     # looked up on the module by name, so a runner rebound there (a tracing wrapper) is the one run
     report = getattr(scenarios, REPORTS[ns.name].__name__)()
     failures = [
@@ -230,7 +207,7 @@ def _cmd_report(ns) -> tuple[dict, list[str]]:
     ]
     payload = report.to_dict()
     lines = report.to_text().splitlines()
-    return _document("report", {"name": ns.name}, payload, failures), lines
+    return payload, failures, lines
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -246,6 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_roots = sub.add_parser("roots", help="build a root system and list its data")
     p_roots.add_argument("type", help="simple type letter A-G")
     p_roots.add_argument("rank", type=int)
+    p_roots.set_defaults(handler=_cmd_roots)
 
     p_bwb = sub.add_parser("bwb", help="Borel-Weil-Bott for one bundle weight")
     p_bwb.add_argument("type")
@@ -256,36 +234,31 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma list of coefficients; use --weight=-3,0 when the first one is negative",
     )
+    p_bwb.set_defaults(handler=_cmd_bwb)
 
     p_lr = sub.add_parser("lr", help="Littlewood-Richardson coefficients")
     p_lr.add_argument("mu")
     p_lr.add_argument("nu")
     p_lr.add_argument("--rows", type=int, required=True)
+    p_lr.set_defaults(handler=_cmd_lr)
 
     p_koszul = sub.add_parser("koszul", help="run one twisted Koszul chase")
     p_koszul.add_argument("--scenario", required=True)
     p_koszul.add_argument("--twist", required=True)
+    p_koszul.set_defaults(handler=_cmd_koszul)
 
     p_report = sub.add_parser("report", help="run a shipped rigidity report")
     p_report.add_argument("name", choices=REPORTS)
+    p_report.set_defaults(handler=_cmd_report)
 
     return parser
-
-
-_HANDLERS = {
-    "roots": _cmd_roots,
-    "bwb": _cmd_bwb,
-    "lr": _cmd_lr,
-    "koszul": _cmd_koszul,
-    "report": _cmd_report,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
-        document, lines = _HANDLERS[ns.command](ns)
+        payload, failures, lines = ns.handler(ns)
     except (ValueError, KeyError, FileNotFoundError) as exc:
         # str() of a KeyError is the repr of its argument, quotes included
         message = str(exc.args[0]) if isinstance(exc, KeyError) else str(exc)
@@ -295,14 +268,22 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {message}", file=sys.stderr)
         return 2
     if ns.format == "json":
+        # the command echo is every parsed argument but the output format and the dispatch
+        args = {k: v for k, v in vars(ns).items() if k not in ("format", "command", "handler")}
+        document = {
+            "schema_version": SCHEMA_VERSION,
+            "command": {"name": ns.command, "args": args},
+            "result": payload,
+            "failures": failures,
+        }
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
         print("\n".join(lines))
-        if document["failures"]:
+        if failures:
             print("failures:")
-            for f in document["failures"]:
+            for f in failures:
                 print(f"  {json.dumps(f, sort_keys=True)}")
-    return 0 if not document["failures"] else 1
+    return 0 if not failures else 1
 
 
 if __name__ == "__main__":

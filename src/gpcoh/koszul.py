@@ -35,13 +35,13 @@ from .bott import (
     bundle_cohomology,
     euler_characteristic,
 )
-from .schur import BundleSum, dual_sum, exterior_power_sum, sum_to_weights, tensor, trivial_label
+from .schur import BundleSum, check_grassmannian, dual_sum, exterior_power_sum, sum_to_weights
+from .schur import tensor, trivial_label
 
 __all__ = [
     "KoszulComplex",
     "RankHint",
     "UsedHint",
-    "ChasePage",
     "ChaseResult",
     "build_koszul",
     "chase",
@@ -99,18 +99,21 @@ class UsedHint:
 
 
 @dataclass(frozen=True)
-class ChasePage:
-    """First-page data of a chase: per-term tables and the assumptions used.
+class ChaseResult:
+    """A chase's first page and its outcome.
 
-    ``term_tables[j]`` is H^*(C_j). ``grid`` lists them as
-    ((term j, degree q), dim) cells, j from r down to 0 and q ascending.
-    ``hints_unreached`` holds the provided hints at terms below the point
-    where a blocked chase stopped; it is empty when the chase ran through.
+    ``term_tables[j]`` is H^*(C_j). ``grid`` lists them as ((term j, degree q), dim)
+    cells, j from r down to 0 and q ascending. ``hints_used`` records every rank
+    assumed. ``table`` is H^*(F|_S) when the chase is ``determined``; otherwise it is
+    None and ``blocking_positions`` says where the chase stopped, and
+    ``hints_unreached`` holds the provided hints at terms below that point.
     """
 
     term_tables: tuple[CohomologyTable, ...]
     hints_used: tuple[UsedHint, ...]
     hints_unreached: tuple[RankHint, ...] = ()
+    table: CohomologyTable | None = None
+    blocking_positions: tuple[tuple[int, int], ...] = ()
 
     @property
     def grid(self) -> tuple[tuple[tuple[int, int], int], ...]:
@@ -120,15 +123,6 @@ class ChasePage:
             for q, dim in self.term_tables[j].total_dims
         )
 
-
-@dataclass(frozen=True)
-class ChaseResult:
-    """Either a determined cohomology table for F|_S or the blocked page."""
-
-    page: ChasePage
-    table: CohomologyTable | None = None
-    blocking_positions: tuple[tuple[int, int], ...] = ()
-
     @property
     def determined(self) -> bool:
         return self.table is not None
@@ -136,7 +130,9 @@ class ChaseResult:
 
 def build_koszul(ambient: ParabolicSpace, section: BundleSum, twist: BundleSum | None = None) -> KoszulComplex:
     """Assemble the Koszul complex of a section of E, twisted by F: one
-    exterior-power fold of E^* gives every Lambda^j E^*, each tensored with F."""
+    exterior-power fold of E^* gives every Lambda^j E^*, each tensored with F.
+    ``ambient`` must be the Grassmannian the bundles live on."""
+    check_grassmannian(section.ambient, ambient)
     if twist is None:
         twist = BundleSum.of(trivial_label(section.ambient))
     if section.ambient != twist.ambient:
@@ -240,13 +236,13 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> Chase
         # no sheaf on S has cohomology above dim S = dim G/P - rank E
         blocking = [(0, q) for q in current if q > max_degree - r]
 
-    page = ChasePage(
+    page = dict(
         term_tables=tuple(tables),
         hints_used=tuple(used),
         hints_unreached=tuple(RankHint(j, q, rank) for (j, q), rank in hints.items()),
     )
     if blocking:
-        return ChaseResult(page=page, blocking_positions=tuple(sorted(set(blocking))))
+        return ChaseResult(**page, blocking_positions=tuple(sorted(set(blocking))))
     table = CohomologyTable.from_dimensions(current)
     expected = sum(
         (-1) ** j * euler_characteristic(tables[j]) for j in range(r + 1)
@@ -256,7 +252,7 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> Chase
             "Euler characteristic of the chase output disagrees with the "
             "alternating sum over the resolution"
         )
-    return ChaseResult(page=page, table=table)
+    return ChaseResult(**page, table=table)
 
 
 def restriction_sequence(

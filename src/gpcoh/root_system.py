@@ -17,7 +17,8 @@ Node numbering follows Bourbaki throughout::
     G_2   1 <<= 2                             (node 1 short)
 
 The Cartan matrix convention is ``cartan[i][j] = <alpha_i, alpha_j^vee>``, so
-row i is the i-th simple root written in fundamental-weight coordinates.
+row i is the i-th simple root written in fundamental-weight coordinates. The
+symmetrizer and -w0 on the nodes are derived from it, -w0 by one reflection walk.
 
 Weyl dimensions walk a root chain: each non-simple positive root is a
 positive root beta plus a simple root (Humphreys, Lie Algebras, 10.2), so its
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import prod
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -132,12 +133,13 @@ class RootSystem:
 
     ``positive_roots`` are integer coordinate vectors over the simple roots,
     in graded lexicographic order (so golden outputs are stable).
-    ``symmetrizer`` holds the integers d_i with d_i * <alpha_i, alpha_j^vee>
-    symmetric; these carry the root-length data used by the Weyl dimension
-    formula. ``root_chain[k]`` is (-1, i) if ``positive_roots[k]`` is alpha_i
-    (0-based i), else (p, i) with p < k, positive_roots[k] = positive_roots[p]
-    + alpha_i and i the least such index; each entry is recorded as its root is
-    found. ``rho_product`` is the Weyl product's denominator over them all.
+    ``symmetrizer`` holds the coprime positive integers d_j with
+    <alpha_i, alpha_j^vee> * d_j symmetric, derived from the Cartan matrix; these
+    carry the root-length data used by the Weyl dimension formula.
+    ``root_chain[k]`` is (-1, i) if ``positive_roots[k]`` is alpha_i (0-based i),
+    else (p, i) with p < k, positive_roots[k] = positive_roots[p] + alpha_i and i
+    the least such index; each entry is recorded as its root is found.
+    ``rho_product`` is the Weyl product's denominator over them all.
     ``neighbours[i]`` holds the off-diagonal nonzeros of Cartan row i as 0-based
     (j, cartan[i][j]) pairs: the Dynkin neighbours of node i + 1.
     """
@@ -197,16 +199,24 @@ def _cartan_matrix(type_letter: str, rank: int) -> list[list[int]]:
     return a
 
 
-def _symmetrizer(type_letter: str, rank: int) -> tuple[int, ...]:
-    if type_letter == "B":
-        return tuple([2] * (rank - 1) + [1])
-    if type_letter == "C":
-        return tuple([1] * (rank - 1) + [2])
-    if type_letter == "F":
-        return (2, 2, 1, 1)
-    if type_letter == "G":
-        return (1, 3)
-    return (1,) * rank
+def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The coprime positive d with a_ij d_j = a_ji d_i, so that a_ij d_j is symmetric.
+
+    Propagated from node 1 along the Dynkin tree as d_j = d_i a_ji / a_ij; every
+    value found so far is scaled by -a_ij first, which keeps them integers.
+    """
+    d = [1] + [0] * (len(cartan) - 1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j, a_ij in enumerate(cartan[i]):
+            if a_ij and not d[j]:
+                d_j = -d[i] * cartan[j][i]
+                d = [-a_ij * x for x in d]
+                d[j] = d_j
+                stack.append(j)
+    g = gcd(*d)
+    return tuple(x // g for x in d)
 
 
 def _coroot_pairing(cartan: tuple[tuple[int, ...], ...], coords: Iterable[int], i: int) -> int:
@@ -269,11 +279,7 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
     if type(rank) is not int or not rule(rank):
         raise ValueError(f"invalid rank {rank!r} for type {letter}; valid range: {rule_text}")
     cartan = tuple(tuple(row) for row in _cartan_matrix(letter, rank))
-    sym = _symmetrizer(letter, rank)
-    for i in range(rank):
-        for j in range(rank):
-            if cartan[i][j] * sym[j] != cartan[j][i] * sym[i]:
-                raise AssertionError(f"Cartan matrix of {letter}{rank} fails symmetrizability")
+    sym = _symmetrizer(cartan)
     roots, chain = _positive_roots(cartan, rank)
     return RootSystem(
         type_letter=letter,
@@ -375,31 +381,20 @@ def weyl_dimension(rs: RootSystem, dominant: Weight) -> int:
     return _weyl_product(rs, dominant)
 
 
-_E6_INVOLUTION = (6, 2, 5, 4, 3, 1)  # node i maps to _E6_INVOLUTION[i-1]
-
-
-def _diagram_involution(rs: RootSystem) -> tuple[int, ...]:
-    """Permutation realizing -w0 on the nodes, as a 1-based lookup tuple."""
-    n = rs.rank
-    if rs.type_letter == "A":
-        return tuple(n - i for i in range(n))
-    if rs.type_letter == "D" and n % 2 == 1:
-        perm = list(range(1, n + 1))
-        perm[n - 2], perm[n - 1] = perm[n - 1], perm[n - 2]
-        return tuple(perm)
-    if rs.type_letter == "E" and n == 6:
-        return _E6_INVOLUTION
-    return tuple(range(1, n + 1))
+@lru_cache(maxsize=None)
+def _dual_nodes(type_letter: str, rank: int) -> tuple[int, ...]:
+    """-w0 on the nodes: the dual of a weight has at node j the weight's coefficient at
+    node ``_dual_nodes(...)[j - 1]``. -w0 maps omega_i to omega_sigma(i), so the walk of the
+    antidominant -(omega_1 + 2 omega_2 + ... + n omega_n) ends at the weight whose
+    coefficient at node sigma(i) is i (Humphreys, 10.3)."""
+    rs = build_root_system(type_letter, rank)
+    return reflection_walk(rs, -Weight(tuple(range(1, rank + 1))), range(1, rank + 1))[0].coeffs
 
 
 def dual_weight(rs: RootSystem, dominant: Weight) -> Weight:
-    """Highest weight of the dual representation, -w0 applied via the diagram flip."""
+    """Highest weight of the dual representation: -w0 permutes the fundamental weights."""
     _check_weight(rs, dominant)
-    perm = _diagram_involution(rs)
-    out = [0] * rs.rank
-    for i, c in enumerate(dominant.coeffs):
-        out[perm[i] - 1] = c
-    return Weight(tuple(out))
+    return Weight(tuple(dominant.coeffs[i - 1] for i in _dual_nodes(rs.type_letter, rs.rank)))
 
 
 @dataclass(frozen=True)

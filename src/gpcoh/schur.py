@@ -483,6 +483,13 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
 # Conversion to weights
 
 
+def check_grassmannian(ambient: tuple[int, int], space: ParabolicSpace) -> None:
+    """Reject a ``space`` that is not Gr(k, n) = SL(n)/P_k for ``ambient`` = (k, n)."""
+    k, n = ambient
+    if space.rs.type_letter != "A" or space.rs.rank != n - 1 or space.crossed != {k}:
+        raise ValueError(f"label on Gr({k},{n}) needs the space A{n - 1}/P{k}, got {space}")
+
+
 def label_to_weight(label: BundleLabel, space: ParabolicSpace) -> Weight:
     """Fundamental-weight coordinates of a label.
 
@@ -490,11 +497,8 @@ def label_to_weight(label: BundleLabel, space: ParabolicSpace) -> Weight:
     label's ambient. Every label is canonical once constructed, so the
     result is P-dominant without a further check.
     """
+    check_grassmannian(label.ambient, space)
     k, n = label.ambient
-    if space.rs.type_letter != "A" or space.rs.rank != n - 1 or space.crossed != {k}:
-        raise ValueError(
-            f"label on Gr({k},{n}) needs the space A{n - 1}/P{k}, got {space}"
-        )
     m = n - k
     mu = label.u_part.padded(k)
     nu = label.q_part.padded(m)

@@ -256,7 +256,7 @@ def test_criterion_5_property_suites():
             res = chase(cx)
             assert res.determined
             expected = sum(
-                (-1) ** j * euler_characteristic(res.page.term_tables[j])
+                (-1) ** j * euler_characteristic(res.term_tables[j])
                 for j in range(cx.section_rank + 1)
             )
             assert euler_characteristic(res.table) == expected

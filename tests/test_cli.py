@@ -180,9 +180,27 @@ def test_bwb_text_and_json_numbers_agree(capsys):
     assert str(doc["result"]["dimension"]) in text
 
 
-def test_json_documents_echo_the_command(capsys):
-    _, doc, _ = run_json(capsys, "lr", "1", "1", "--rows", "2")
-    assert doc["command"] == {"name": "lr", "args": {"mu": "1", "nu": "1", "rows": 2}}
+@pytest.mark.parametrize(
+    "argv,args",
+    [
+        (("roots", "A", "3"), {"type": "A", "rank": 3}),
+        (
+            ("bwb", "A", "3", "--crossed", "2", "--weight=1,0,0"),
+            {"type": "A", "rank": 3, "crossed": "2", "weight": "1,0,0"},
+        ),
+        (("lr", "1", "1", "--rows", "2"), {"mu": "1", "nu": "1", "rows": 2}),
+        (
+            ("koszul", "--scenario", "cayley", "--twist", "normal"),
+            {"scenario": "cayley", "twist": "normal"},
+        ),
+        (("report", "vmrt"), {"name": "vmrt"}),
+    ],
+    ids=["roots", "bwb", "lr", "koszul", "report"],
+)
+def test_json_documents_echo_the_command(capsys, argv, args):
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["command"] == {"name": argv[0], "args": args}
 
 
 def test_bare_builtin_name_ignores_a_local_file_of_that_name(capsys, tmp_path, monkeypatch):

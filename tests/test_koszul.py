@@ -88,6 +88,13 @@ def test_koszul_rejects_codimension_violation():
         build_koszul(p1, too_big)
 
 
+@pytest.mark.parametrize("letter,rank,node", [("D", 6, 6), ("A", 6, 3), ("A", 6, 2)])
+def test_koszul_rejects_a_space_that_is_not_the_bundles_grassmannian(letter, rank, node):
+    space = ParabolicSpace(rs=build_root_system(letter, rank), crossed=frozenset({node}))
+    with pytest.raises(ValueError, match=rf"Gr\(4,7\).*{letter}{rank}/P\({node}\)"):
+        build_koszul(space, section_bundle())
+
+
 def test_koszul_rejects_unsupported_section_bundles():
     # rank 6 passes the codimension check but Lambda^2 of a two-column
     # bundle is genuine plethysm
@@ -104,28 +111,28 @@ def test_trivial_twist_chase_gives_the_structure_sheaf():
     res = chase(build_koszul(gr47(), section_bundle(), trivial()))
     assert res.determined
     assert res.table.dims() == {0: 1}
-    assert res.page.hints_used == ()
+    assert res.hints_used == ()
 
 
 def test_normal_twist_chase_logs_one_maximal_rank_default():
     res = chase(build_koszul(gr47(), section_bundle(), section_bundle()))
     assert res.determined
     assert res.table.dims() == {0: 34}
-    assert len(res.page.hints_used) == 1
-    hint = res.page.hints_used[0]
+    assert len(res.hints_used) == 1
+    hint = res.hints_used[0]
     assert (hint.target_term, hint.degree, hint.rank) == (0, 0, 1)
     assert hint.origin == "default_maximal"
     assert hint.describe() == "H^0(C_1) -> H^0(C_0) rank 1 [default_maximal]"
     # the page shows exactly the two nonzero groups
-    assert dict(res.page.grid) == {(1, 0): 1, (0, 0): 35}
+    assert dict(res.grid) == {(1, 0): 1, (0, 0): 35}
 
 
 def test_tangent_twist_chase_needs_no_assumptions():
     res = chase(build_koszul(gr47(), section_bundle(), tangent()))
     assert res.determined
     assert res.table.dims() == {0: 48}
-    assert res.page.hints_used == ()
-    assert dict(res.page.grid) == {(0, 0): 48}
+    assert res.hints_used == ()
+    assert dict(res.grid) == {(0, 0): 48}
 
 
 def test_point_in_p1_chase():
@@ -143,7 +150,7 @@ def test_negative_twists_reproduce_kodaira_vanishing_on_the_zero_locus():
         res = chase(build_koszul(gr47(), section_bundle(), BundleSum.of(line_bundle(AMB, t))))
         assert res.determined
         assert res.table.dims() == {}
-        assert res.page.hints_used == ()
+        assert res.hints_used == ()
 
 
 def test_canonical_twist_chase_reproduces_serre_duality_in_top_degree():
@@ -152,7 +159,7 @@ def test_canonical_twist_chase_reproduces_serre_duality_in_top_degree():
     res = chase(build_koszul(gr47(), section_bundle(), BundleSum.of(line_bundle(AMB, -4))))
     assert res.determined
     assert res.table.dims() == {8: 1}
-    assert res.page.hints_used == ()
+    assert res.hints_used == ()
 
 
 def test_identity_chase_returns_the_bottom_table():
@@ -169,7 +176,7 @@ def test_chase_is_monotone_in_hints():
     explicit = chase(cx, [RankHint(target_term=0, degree=0, rank=1)])
     assert explicit.determined
     assert explicit.table.dims() == default.table.dims()
-    assert explicit.page.hints_used[0].origin == "provided"
+    assert explicit.hints_used[0].origin == "provided"
 
 
 def test_contradicting_hint_makes_the_chase_indeterminate():
@@ -178,7 +185,7 @@ def test_contradicting_hint_makes_the_chase_indeterminate():
     assert not res.determined
     assert res.table is None
     assert res.blocking_positions == ((0, 0),)
-    assert dict(res.page.grid) == {(1, 0): 1, (0, 0): 35}
+    assert dict(res.grid) == {(1, 0): 1, (0, 0): 35}
 
 
 def test_chase_euler_consistency():
@@ -217,9 +224,9 @@ def test_chase_grid_matches_standalone_tables():
     res = chase(cx)
     for j in range(cx.section_rank + 1):
         standalone = bundle_cohomology(space, sum_to_weights(cx.term(j), space))
-        assert res.page.term_tables[j].dims() == standalone.dims()
+        assert res.term_tables[j].dims() == standalone.dims()
         for q, dim in standalone.dims().items():
-            assert dict(res.page.grid)[(j, q)] == dim
+            assert dict(res.grid)[(j, q)] == dim
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +291,7 @@ def test_a_provided_hint_at_capacity_zero_is_recorded():
     res = chase(cx, [RankHint(target_term=2, degree=3, rank=0)])
     assert res.determined
     assert res.table.dims() == chase(cx).table.dims()
-    provided = [h for h in res.page.hints_used if h.origin == "provided"]
+    provided = [h for h in res.hints_used if h.origin == "provided"]
     assert [(h.target_term, h.degree, h.rank) for h in provided] == [(2, 3, 0)]
 
 
@@ -311,5 +318,5 @@ def test_a_blocked_chase_lists_the_hints_it_never_reached():
     res = chase(cx, [RankHint(1, 0, 0), RankHint(0, 0, 1)])
     assert not res.determined
     assert res.blocking_positions == ((1, 0),)
-    assert [(h.target_term, h.degree, h.rank) for h in res.page.hints_used] == [(1, 0, 0)]
-    assert res.page.hints_unreached == (RankHint(0, 0, 1),)
+    assert [(h.target_term, h.degree, h.rank) for h in res.hints_used] == [(1, 0, 0)]
+    assert res.hints_unreached == (RankHint(0, 0, 1),)

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -215,6 +216,15 @@ def test_reflection_walk_matches_the_oracle_and_counts_the_negative_roots(letter
 
 
 @pytest.mark.parametrize("letter,rank", ALL_TYPES)
+def test_symmetrizer_is_the_coprime_positive_solution(letter, rank):
+    # a connected diagram fixes d up to a scalar, and coprime positive fixes the scalar
+    rs = build_root_system(letter, rank)
+    a, d = rs.cartan, rs.symmetrizer
+    assert all(x > 0 for x in d) and math.gcd(*d) == 1
+    assert all(a[i][j] * d[j] == a[j][i] * d[i] for i in range(rank) for j in range(rank))
+
+
+@pytest.mark.parametrize("letter,rank", ALL_TYPES)
 def test_neighbours_are_the_off_diagonal_cartan_nonzeros(letter, rank):
     rs = build_root_system(letter, rank)
     a = rs.cartan
@@ -361,6 +371,15 @@ def test_dual_weight_is_a_dimension_preserving_involution(letter, rank, data):
     d = dual_weight(rs, w)
     assert dual_weight(rs, d) == w
     assert weyl_dimension(rs, d) == weyl_dimension(rs, w)
+
+
+@pytest.mark.parametrize("letter,rank", ALL_TYPES)
+def test_dual_weight_is_the_dominant_end_of_the_walk_of_the_negative(letter, rank):
+    rs = build_root_system(letter, rank)
+    rng = random.Random(f"dual {letter}{rank}")
+    for _ in range(6):
+        w = Weight(tuple(rng.randint(0, 9) for _ in range(rank)))
+        assert dual_weight(rs, w) == reflection_walk_oracle(rs, -w, range(1, rank + 1))[0]
 
 
 def test_e6_dual_exchanges_the_two_minimal_representations():

@@ -322,12 +322,14 @@ def test_report_json_round_trip():
 
 
 def test_lines_that_cannot_fail_are_informational():
-    # h1_upper_bound is (aut_dim + 1) - aut_dim, and sub_twist is set to the sum it was checked against
-    t, a = run_theorem1_audit(), run_adjunction_audit()
+    # h1_upper_bound is (aut_dim + 1) - aut_dim, sub_twist is set to the sum it was checked
+    # against, and locally_rigid repeats the h1_sub == 0 check of h1_tangent_subvariety
+    t, a, c = run_theorem1_audit(), run_adjunction_audit(), run_cayley()
     for line in (
         t.line("h1_upper_bound_sl6_mod_sp6"),
         t.line("h1_upper_bound_e6_mod_f4"),
         a.line("subvariety_canonical_twist"),
+        c.line("locally_rigid"),
     ):
         assert line.passed is None, line.key
 
