@@ -15,8 +15,7 @@ commutative), so the tables are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .root_system import (
     ParabolicSpace,
@@ -41,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BWBResult:
+class BWBResult(NamedTuple):
     """Either total vanishing or a single nonzero cohomology degree.
 
     Total vanishing leaves every field None; otherwise ``degree`` is the
@@ -62,8 +60,7 @@ class BWBResult:
         return self.degree is None
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
+class CohomologyTable(NamedTuple):
     """Map from cohomology degree to dimensions, with weight multiplicities.
 
     ``entries`` lists per degree the (dominant weight, multiplicity) pairs

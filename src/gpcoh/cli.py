@@ -22,7 +22,6 @@ text output wraps at 100 columns.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import textwrap
@@ -151,18 +150,17 @@ def _cmd_koszul(ns) -> tuple[dict, list, list[str]]:
         {"term": j, "degree": q, "dimension": dim}
         for (j, q), dim in result.grid
     ]
-    hints_payload = [dataclasses.asdict(h) for h in result.hints_used]
     payload = {
         "scenario": sc.name,
         "twist": ns.twist,
         "space": str(space),
         "terms": terms_payload,
         "page": grid_payload,
-        "hints_used": hints_payload,
+        "hints_used": [h._asdict() for h in result.hints_used],
         "determined": result.determined,
     }
     if result.hints_unreached:
-        payload["hints_unreached"] = [dataclasses.asdict(h) for h in result.hints_unreached]
+        payload["hints_unreached"] = [h._asdict() for h in result.hints_unreached]
     failures: list = []
     lines = [f"Koszul chase for scenario {sc.name!r}, twist {ns.twist!r} on {space}"]
     for t in terms_payload:

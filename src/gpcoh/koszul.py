@@ -26,8 +26,7 @@ is blocked at (0, q) for each offending degree q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .bott import (
     CohomologyTable,
@@ -35,7 +34,7 @@ from .bott import (
     bundle_cohomology,
     euler_characteristic,
 )
-from .schur import BundleSum, check_grassmannian, dual_sum, exterior_power_sum, sum_to_weights
+from .schur import BundleSum, dual_sum, exterior_power_sum, grassmannian_kn, sum_to_weights
 from .schur import tensor, trivial_label
 
 __all__ = [
@@ -49,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KoszulComplex:
+class KoszulComplex(NamedTuple):
     """Terms C_j = Lambda^j(E^*) (x) F for j = 0 up to rank E.
 
     ``terms[j]`` is C_j, so ``terms[0]`` is C_0 = F and ``terms[-1]`` is the
@@ -74,8 +72,7 @@ class KoszulComplex:
         return self.terms[j]
 
 
-@dataclass(frozen=True)
-class RankHint:
+class RankHint(NamedTuple):
     """Caller-supplied rank for the map H^degree(A) -> H^degree(C_target_term),
     where A is the image sheaf coming from term target_term + 1."""
 
@@ -84,8 +81,7 @@ class RankHint:
     rank: int
 
 
-@dataclass(frozen=True)
-class UsedHint:
+class UsedHint(NamedTuple):
     target_term: int
     degree: int
     rank: int
@@ -98,8 +94,7 @@ class UsedHint:
         )
 
 
-@dataclass(frozen=True)
-class ChaseResult:
+class ChaseResult(NamedTuple):
     """A chase's first page and its outcome.
 
     ``term_tables[j]`` is H^*(C_j). ``grid`` lists them as ((term j, degree q), dim)
@@ -132,7 +127,7 @@ def build_koszul(ambient: ParabolicSpace, section: BundleSum, twist: BundleSum |
     """Assemble the Koszul complex of a section of E, twisted by F: one
     exterior-power fold of E^* gives every Lambda^j E^*, each tensored with F.
     ``ambient`` must be the Grassmannian the bundles live on."""
-    check_grassmannian(section.ambient, ambient)
+    grassmannian_kn(ambient, section.ambient)
     if twist is None:
         twist = BundleSum.of(trivial_label(section.ambient))
     if section.ambient != twist.ambient:

@@ -25,15 +25,17 @@ positive root beta plus a simple root (Humphreys, Lie Algebras, 10.2), so its
 pairing with lambda + rho is beta's plus one integer; the denominator is stored.
 
 All values are immutable after construction and every operation is a pure
-function; concurrent reads from multiple threads are safe.
+function; concurrent reads from multiple threads are safe. Every record is a
+tuple of its fields (a ``NamedTuple``, or a ``_Record`` where construction validates),
+so records of two types compare equal when their fields do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, prod
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "Weight",
@@ -60,21 +62,43 @@ _RANK_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class Weight:
+class _Record(tuple):
+    """A record whose constructor validates: a tuple of the fields its subclass annotates,
+    in order, each read by name. The subclass ``__new__`` runs the checks and ends in
+    ``tuple.__new__``; copy and pickle call it again on ``__getnewargs__``, so they re-run
+    the checks, and there is no ``_make`` or ``_replace`` to skip them."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __getnewargs__(self) -> tuple:
+        return self[:]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+
+class Weight(_Record):
     """Integral weight in fundamental-weight coordinates.
 
     ``coeffs[i]`` is the pairing with the (i+1)-th simple coroot (1-based
     Bourbaki node i+1). A coefficient that is not an ``int`` is rejected, never truncated.
     """
 
+    __slots__ = ()
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))  # a tuple comes back as itself
-        for c in self.coeffs:
+    def __new__(cls, coeffs: Iterable[int]) -> "Weight":
+        coeffs = tuple(coeffs)  # a tuple comes back as itself
+        for c in coeffs:
             if type(c) is not int:
-                raise ValueError(f"weight coefficient {c!r} in {self.coeffs!r} is not an integer")
+                raise ValueError(f"weight coefficient {c!r} in {coeffs!r} is not an integer")
+        return tuple.__new__(cls, (coeffs,))
 
     @classmethod
     def of(cls, *coeffs: int) -> "Weight":
@@ -127,8 +151,7 @@ class Weight:
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """Cartan data of one simple type, with its positive roots precomputed.
 
     ``positive_roots`` are integer coordinate vectors over the simple roots,
@@ -142,6 +165,8 @@ class RootSystem:
     ``rho_product`` is the Weyl product's denominator over them all.
     ``neighbours[i]`` holds the off-diagonal nonzeros of Cartan row i as 0-based
     (j, cartan[i][j]) pairs: the Dynkin neighbours of node i + 1.
+    These last three are derived from the others, and like them take part in
+    equality and ``repr``.
     """
 
     type_letter: str
@@ -150,9 +175,9 @@ class RootSystem:
     positive_roots: tuple[tuple[int, ...], ...]
     rho: Weight
     symmetrizer: tuple[int, ...]
-    root_chain: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
-    rho_product: int = field(compare=False, repr=False)
-    neighbours: tuple[tuple[tuple[int, int], ...], ...] = field(compare=False, repr=False)
+    root_chain: tuple[tuple[int, int], ...]
+    rho_product: int
+    neighbours: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def name(self) -> str:
@@ -397,23 +422,25 @@ def dual_weight(rs: RootSystem, dominant: Weight) -> Weight:
     return Weight(tuple(dominant.coeffs[i - 1] for i in _dual_nodes(rs.type_letter, rs.rank)))
 
 
-@dataclass(frozen=True)
-class ParabolicSpace:
+class ParabolicSpace(_Record):
     """A rational homogeneous space G/P, P given by crossed Dynkin nodes.
 
     Construction validates the crossed set and splits the positive roots
     once: ``nilradical`` holds those whose simple-root support meets a
     crossed node (one per dimension of G/P), ``levi_indices`` the positions of the rest.
+    ``uncrossed``, ``nilradical`` and ``levi_indices`` are derived from ``rs`` and
+    ``crossed`` and take part in equality and ``repr``; copy and pickle derive them again.
     """
 
+    __slots__ = ()
     rs: RootSystem
     crossed: frozenset[int]
-    uncrossed: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    nilradical: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    levi_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    uncrossed: tuple[int, ...]
+    nilradical: tuple[tuple[int, ...], ...]
+    levi_indices: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        nodes = tuple(self.crossed)
+    def __new__(cls, rs: RootSystem, crossed: Iterable[int]) -> "ParabolicSpace":
+        nodes = tuple(crossed)
         for i in nodes:
             if type(i) is not int:
                 raise ValueError(f"crossed node {i!r} in {nodes!r} is not an integer")
@@ -423,17 +450,18 @@ class ParabolicSpace:
                 "a parabolic space needs at least one crossed node; the crossed node set "
                 "must be nonempty"
             )
-        bad = sorted(i for i in crossed if not 1 <= i <= self.rs.rank)
+        bad = sorted(i for i in crossed if not 1 <= i <= rs.rank)
         if bad:
-            raise ValueError(f"crossed nodes {bad} out of range 1..{self.rs.rank}")
-        roots = self.rs.positive_roots
+            raise ValueError(f"crossed nodes {bad} out of range 1..{rs.rank}")
+        roots = rs.positive_roots
         meets = [any(root[i - 1] for i in crossed) for root in roots]
-        object.__setattr__(self, "crossed", crossed)
-        object.__setattr__(
-            self, "uncrossed", tuple(i for i in range(1, self.rs.rank + 1) if i not in crossed)
-        )
-        object.__setattr__(self, "nilradical", tuple(r for r, m in zip(roots, meets) if m))
-        object.__setattr__(self, "levi_indices", tuple(k for k, m in enumerate(meets) if not m))
+        uncrossed = tuple(i for i in range(1, rs.rank + 1) if i not in crossed)
+        nilradical = tuple(r for r, m in zip(roots, meets) if m)
+        levi_indices = tuple(k for k, m in enumerate(meets) if not m)
+        return tuple.__new__(cls, (rs, crossed, uncrossed, nilradical, levi_indices))
+
+    def __getnewargs__(self) -> tuple:
+        return self[:2]
 
     @property
     def levi_roots(self) -> tuple[tuple[int, ...], ...]:

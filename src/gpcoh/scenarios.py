@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .bott import ParabolicSpace, canonical_twist_weight
 from .koszul import ChaseResult, KoszulComplex, RankHint, build_koszul, chase, restriction_sequence
 from .root_system import Weight, adjoint_dimension, build_root_system, weyl_dimension
-from .schur import BundleSum, exterior_power_sum, parse_bundle
+from .schur import BundleSum, exterior_power_sum, grassmannian_kn, parse_bundle
 
 __all__ = [
     "ExternalConstant",
@@ -45,15 +44,13 @@ _TOP_LEVEL_KEYS = (
 )
 
 
-@dataclass(frozen=True)
-class ExternalConstant:
+class ExternalConstant(NamedTuple):
     name: str
     value: int
     provenance: str
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A loaded scenario file. ``space`` or ``section_bundle`` is None when
     the file gives none (the dimension audits give neither); ``zero_locus``
     returns both or fails naming the scenario. ``file`` is the name or path it
@@ -70,7 +67,7 @@ class Scenario:
     external_constants: dict[str, ExternalConstant]
     rank_hints: tuple[RankHint, ...]
     case_constants: tuple[dict[str, ExternalConstant], ...]
-    raw: dict = field(repr=False, default_factory=dict)
+    raw: dict
 
     def constant(self, name: str) -> ExternalConstant:
         if name not in self.external_constants:
@@ -163,13 +160,6 @@ def _parse_space(block: dict, file: str) -> ParabolicSpace:
     return _root_system_block(block, file, "ambient", crossed=list)[0]
 
 
-def _grassmannian_kn(space: ParabolicSpace) -> tuple[int, int]:
-    if space.rs.type_letter != "A" or len(space.crossed) != 1:
-        raise ValueError(f"bundle labels need an A-type Grassmannian, got {space}")
-    (k,) = tuple(space.crossed)
-    return (k, space.rs.rank + 1)
-
-
 def load_scenario(name_or_path: str | Path) -> Scenario:
     """Load a scenario JSON file by path or by builtin name.
 
@@ -215,7 +205,7 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     section = None
     twists: list[tuple[str, BundleSum]] = []
     if space is not None and data.get("section_bundle"):
-        kn = _grassmannian_kn(space)
+        kn = grassmannian_kn(space)
         section = parse_bundle(kn, *_fields(data, {"section_bundle": str}, text, top))
         for i, tw in enumerate(_items(data, "twists", dict, text, top)):
             name, label = _fields(tw, {"name": str, "label": str}, text, f"twists[{i}]")
@@ -251,8 +241,7 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
 # Report structure
 
 
-@dataclass(frozen=True)
-class ReportLine:
+class ReportLine(NamedTuple):
     key: str
     text: str
     value: object
@@ -260,18 +249,13 @@ class ReportLine:
     provenance: str
     passed: bool | None = None  # None marks an informational line
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-@dataclass(frozen=True)
-class ReportSection:
+class ReportSection(NamedTuple):
     title: str
     lines: tuple[ReportLine, ...]
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(NamedTuple):
     name: str
     title: str
     sections: tuple[ReportSection, ...]
@@ -301,7 +285,7 @@ class RigidityReport:
             "title": self.title,
             "passed": self.passed,
             "sections": [
-                {"title": sec.title, "lines": [ln.to_dict() for ln in sec.lines]}
+                {"title": sec.title, "lines": [ln._asdict() for ln in sec.lines]}
                 for sec in self.sections
             ],
         }

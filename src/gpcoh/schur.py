@@ -33,12 +33,11 @@ bundle U^* (x) Q of Gr(k, n) carries the weight omega_1 + omega_{n-1}.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from math import comb
 from operator import add
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .root_system import ParabolicSpace, Weight, build_root_system, weyl_dimension
+from .root_system import ParabolicSpace, Weight, _Record, build_root_system, weyl_dimension
 
 __all__ = [
     "Partition",
@@ -63,14 +62,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
-    """Weakly decreasing tuple of nonnegative integers, trailing zeros dropped."""
+class Partition(_Record):
+    """Weakly decreasing nonnegative integers, trailing zeros dropped; ordered as ``parts``."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ()
+    parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
+    def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
+        parts = tuple(parts)
         for p in parts:
             if type(p) is not int or p < 0:
                 raise ValueError(f"partition parts must be nonnegative integers: {parts}")
@@ -79,7 +78,7 @@ class Partition:
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"partition parts must be weakly decreasing: {parts}")
-        object.__setattr__(self, "parts", parts)
+        return tuple.__new__(cls, (parts,))
 
     @property
     def size(self) -> int:
@@ -98,9 +97,6 @@ class Partition:
             raise ValueError(f"partition {self.parts} has more than {rows} rows")
         return self.parts + (0,) * (rows - len(self.parts))
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")" if self.parts else "()"
 
@@ -112,22 +108,23 @@ def _reversed_complement(p: Partition, rows: int) -> Partition:
     return Partition(tuple(first - padded[rows - 1 - i] for i in range(rows)))
 
 
-@dataclass(frozen=True)
-class BundleLabel:
+class BundleLabel(_Record):
     """One irreducible bundle on Gr(k, n): partitions on U and Q plus a twist.
 
     Canonical once constructed: full columns move into the twist, so equal
     bundles are equal labels with equal hashes.
     """
 
+    __slots__ = ()
     ambient: tuple[int, int]
-    u_part: Partition = Partition()
-    q_part: Partition = Partition()
-    twist: int = 0
+    u_part: Partition
+    q_part: Partition
+    twist: int
 
-    def __post_init__(self) -> None:
-        k, n = self.ambient
-        u, q, t = self.u_part, self.q_part, self.twist
+    def __new__(cls, ambient: tuple[int, int], u_part: Partition = Partition(),
+                q_part: Partition = Partition(), twist: int = 0) -> "BundleLabel":
+        k, n = ambient
+        u, q, t = u_part, q_part, twist
         if type(k) is not int or type(n) is not int or type(t) is not int:
             raise ValueError(f"ambient Gr({k!r},{n!r}) and twist {t!r} must be integers")
         if not 1 <= k < n:
@@ -142,10 +139,7 @@ class BundleLabel:
         if q.length == n - k:
             c = q.parts[-1]
             q, t = Partition(tuple(p - c for p in q.parts)), t + c  # det Q = O(+1)
-        object.__setattr__(self, "ambient", (k, n))
-        object.__setattr__(self, "u_part", u)
-        object.__setattr__(self, "q_part", q)
-        object.__setattr__(self, "twist", t)
+        return tuple.__new__(cls, ((k, n), u, q, t))
 
     def sort_key(self) -> tuple:
         return (self.u_part.parts, self.q_part.parts, self.twist)
@@ -154,13 +148,12 @@ class BundleLabel:
         return format_label(self)
 
 
-@dataclass(frozen=True)
-class BundleSum:
+class BundleSum(NamedTuple):
     """Formal direct sum of canonical labels with positive multiplicities,
     equal labels merged and summands in ``sort_key`` order."""
 
     ambient: tuple[int, int]
-    summands: tuple[tuple[BundleLabel, int], ...] = field(default=())
+    summands: tuple[tuple[BundleLabel, int], ...] = ()
 
     @classmethod
     def from_pairs(
@@ -241,6 +234,8 @@ def lr_coefficients(
         return {}
     if not mu.parts:
         return {nu: 1}  # c^lam_{(),nu} = delta_{lam,nu}
+    if not nu.parts:
+        return {mu: 1}  # likewise c^lam_{mu,()} = delta_{lam,mu}
     # state (shape, previous strip) -> number of tableaux reaching it
     states = {(mu.padded(max_rows), (0,) * max_rows): 1}
     for value, size in enumerate(nu.parts):
@@ -483,11 +478,15 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
 # Conversion to weights
 
 
-def check_grassmannian(ambient: tuple[int, int], space: ParabolicSpace) -> None:
-    """Reject a ``space`` that is not Gr(k, n) = SL(n)/P_k for ``ambient`` = (k, n)."""
-    k, n = ambient
-    if space.rs.type_letter != "A" or space.rs.rank != n - 1 or space.crossed != {k}:
-        raise ValueError(f"label on Gr({k},{n}) needs the space A{n - 1}/P{k}, got {space}")
+def grassmannian_kn(space: ParabolicSpace, ambient: tuple[int, int] | None = None) -> tuple[int, int]:
+    """(k, n) of a ``space`` that is Gr(k, n) = SL(n)/P_k, the one kind of space bundle labels
+    live on. Any other space is rejected, and so is a Gr(k, n) other than ``ambient`` when given."""
+    rs, crossed = space.rs, space.crossed
+    kn = (min(crossed), rs.rank + 1)  # a parabolic space crosses at least one node
+    if rs.type_letter != "A" or len(crossed) != 1 or ambient is not None and tuple(ambient) != kn:
+        k, n, n1 = ("k", "n", "(n-1)") if ambient is None else (*ambient, ambient[1] - 1)
+        raise ValueError(f"label on Gr({k},{n}) needs the space A{n1}/P({k}), got {space}")
+    return kn
 
 
 def label_to_weight(label: BundleLabel, space: ParabolicSpace) -> Weight:
@@ -497,8 +496,7 @@ def label_to_weight(label: BundleLabel, space: ParabolicSpace) -> Weight:
     label's ambient. Every label is canonical once constructed, so the
     result is P-dominant without a further check.
     """
-    check_grassmannian(label.ambient, space)
-    k, n = label.ambient
+    k, n = grassmannian_kn(space, label.ambient)
     m = n - k
     mu = label.u_part.padded(k)
     nu = label.q_part.padded(m)

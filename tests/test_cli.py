@@ -322,6 +322,18 @@ def test_a_wrongly_typed_value_names_the_file_the_block_and_the_key(
     assert str(p) in err and f"block '{block}'" in err and f"key '{key}'" in err
 
 
+# bundle labels live on Gr(k, n) = A(n-1)/P(k) only; schur alone checks it, with one message
+@pytest.mark.parametrize("ambient", [{"type": "D", "rank": 6, "crossed": [6]},
+                                     {"type": "A", "rank": 6, "crossed": [3, 4]}], ids=["D6-P6", "A6-P34"])
+def test_a_scenario_off_a_grassmannian_exits_2_with_the_schur_message(capsys, tmp_path, ambient):
+    p = _cayley_copy(tmp_path, lambda d: d.update(ambient=ambient))
+    code, out, err = run(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
+    assert code == 2
+    assert out == ""
+    space = "D6/P(6)" if ambient["type"] == "D" else "A6/P(3,4)"
+    assert err == f"error: label on Gr(k,n) needs the space A(n-1)/P(k), got {space}\n"
+
+
 # well-typed values that the engine rejects, and the key each error must name
 @pytest.mark.parametrize(
     "edit,key,reason",

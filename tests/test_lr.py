@@ -25,14 +25,15 @@ def test_lr_matches_the_tableau_oracle_on_every_small_pair():
 
 
 def test_lr_with_an_empty_first_factor_is_the_identity():
-    # c^lam_{(),nu} = delta_{lam,nu}, and a nu longer than the row bound gives nothing
+    # c^lam_{(),nu} = delta_{lam,nu}, and a nu longer than the row bound gives nothing;
+    # the same holds with the empty partition as the second factor
     seen = set()
     for size in range(10):
         for nu in _partitions(size):
             for rows in range(1, 7):
-                got = lr_coefficients((), nu, rows)
-                assert {lam.parts: c for lam, c in got.items()} == lr_tableau_oracle((), nu, rows)
-                assert got == ({} if len(nu) > rows else {Partition(nu): 1})
+                for got in (lr_coefficients((), nu, rows), lr_coefficients(nu, (), rows)):
+                    assert {lam.parts: c for lam, c in got.items()} == lr_tableau_oracle((), nu, rows)
+                    assert got == ({} if len(nu) > rows else {Partition(nu): 1})
                 seen.add(len(nu) > rows)
     assert seen == {False, True}
 
