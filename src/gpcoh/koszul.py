@@ -14,14 +14,14 @@ loader is the one place that builds them from JSON. Every such assumption
 is recorded, so a determined answer is auditable; so is every provided hint
 at a position the chase reaches, even where a zero source or target forces
 rank 0. A hint whose rank exceeds dim H^q(C_j) is rejected before the chase
-starts, and a blocked chase lists the provided hints it never reached. When
-an assignment contradicts exactness (left exactness of global sections, or
-a negative dimension downstream), the chase refuses to guess and reports
-the blocking positions instead. It does the same when the assignment
-leaves cohomology above dim S = dim G/P - rank E, which no sheaf on S can
-have: the maximal ranks of one cohomology row need not be compatible with
-each other, and this is where an incompatible choice shows. Such an answer
-is blocked at (0, q) for each offending degree q.
+starts, and a blocked chase lists the provided hints it never reached.
+A chase blocks in two cases only, refusing to guess. If H^0(A_{j+1}) ->
+H^0(C_j) is not injective, global sections are not left exact: blocked at
+(j, 0). If the output has cohomology above dim S = dim G/P - rank E, which
+no sheaf on S can have, it is blocked at (0, q) for each such degree q: the
+maximal ranks of one cohomology row need not be compatible with each other,
+and this is where an incompatible choice shows. No rank exceeds its source
+or its target, so no dimension downstream can turn negative.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .bott import (
     euler_characteristic,
 )
 from .schur import BundleSum, dual_sum, exterior_power_sum, grassmannian_kn, sum_to_weights
-from .schur import tensor, trivial_label
+from .schur import BundleLabel, tensor
 
 __all__ = [
     "KoszulComplex",
@@ -129,7 +129,7 @@ def build_koszul(ambient: ParabolicSpace, section: BundleSum, twist: BundleSum |
     ``ambient`` must be the Grassmannian the bundles live on."""
     grassmannian_kn(ambient, section.ambient)
     if twist is None:
-        twist = BundleSum.of(trivial_label(section.ambient))
+        twist = BundleSum.of(BundleLabel(section.ambient))
     if section.ambient != twist.ambient:
         raise ValueError(
             f"section on Gr{section.ambient} but twist on Gr{twist.ambient}"
@@ -188,11 +188,10 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> Chase
             raise ValueError(f"duplicate hint for position {key}")
         hints[key] = h.rank
     used: list[UsedHint] = []
-    blocking: list[tuple[int, int]] = []
     current = tables[r].dims()  # dims of A_r = C_r
     for j in range(r - 1, -1, -1):
         below = tables[j].dims()
-        rho: dict[int, int] = {}
+        rho: list[int] = []
         for q in range(max_degree + 2):
             cap = min(current.get(q, 0), below.get(q, 0))
             provided = hints.pop((j, q), None)
@@ -202,31 +201,23 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> Chase
                         f"hint rank {provided} at term {j} degree {q} exceeds the "
                         f"maximal possible rank {cap}"
                     )
-                rho[q] = provided
+                rho.append(provided)
                 used.append(UsedHint(j, q, provided, "provided"))
             elif cap > 0:
-                rho[q] = cap
+                rho.append(cap)
                 used.append(UsedHint(j, q, cap, "default_maximal"))
             else:
-                rho[q] = 0
+                rho.append(0)
         # global sections are left exact: H^0(A_{j+1}) injects into H^0(C_j)
         if rho[0] < current.get(0, 0):
-            blocking.append((j, 0))
-        nxt: dict[int, int] = {}
-        for q in range(max_degree + 1):
-            val = (
-                below.get(q, 0)
-                - rho[q]
-                + current.get(q + 1, 0)
-                - rho.get(q + 1, 0)
-            )
-            if val < 0:
-                blocking.append((j, q))
-            elif val:
-                nxt[q] = val
-        if blocking:
+            blocking = [(j, 0)]
             break
-        current = nxt
+        # H^q(A_j) = coker in degree q + ker in degree q + 1, never negative as rho <= cap
+        current = {
+            q: val
+            for q in range(max_degree + 1)
+            if (val := below.get(q, 0) - rho[q] + current.get(q + 1, 0) - rho[q + 1])
+        }
     else:
         # no sheaf on S has cohomology above dim S = dim G/P - rank E
         blocking = [(0, q) for q in current if q > max_degree - r]
@@ -237,7 +228,7 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> Chase
         hints_unreached=tuple(RankHint(j, q, rank) for (j, q), rank in hints.items()),
     )
     if blocking:
-        return ChaseResult(**page, blocking_positions=tuple(sorted(set(blocking))))
+        return ChaseResult(**page, blocking_positions=tuple(blocking))
     table = CohomologyTable.from_dimensions(current)
     expected = sum(
         (-1) ** j * euler_characteristic(tables[j]) for j in range(r + 1)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -42,6 +41,8 @@ _TOP_LEVEL_KEYS = (
     "schema_version", "name", "title", "description", "ambient", "section_bundle",
     "twists", "external_constants", "rank_hints", "cases", "extra_spaces",
 )
+# the zero-locus keys, each read only beside the key it needs
+_NEEDS = {"section_bundle": "ambient", "twists": "section_bundle", "rank_hints": "section_bundle"}
 
 
 class ExternalConstant(NamedTuple):
@@ -170,13 +171,15 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     a directory part, as in "./cayley". Anything else is read as a path. An
     unknown top-level key fails naming the file and the key; a missing
     required key also names its block. A missing or unsupported
-    ``schema_version`` fails naming the file. A file without an ambient
-    space or a section bundle loads; ``Scenario.zero_locus`` then rejects it.
+    ``schema_version`` fails naming the file. A file without a zero locus loads
+    (``Scenario.zero_locus`` then rejects it), but a ``_NEEDS`` key without the
+    key it needs, an empty section bundle, or a section bundle on a space other
+    than a Grassmannian fails naming the file.
     """
     text = str(name_or_path)
     key = text.removesuffix(".json")
     if isinstance(name_or_path, str) and not os.path.dirname(text) and key in REPORTS:
-        source = resources.files("gpcoh").joinpath("data", f"{key}.json")
+        source = Path(__file__).with_name("data") / f"{key}.json"
     else:
         source = Path(name_or_path)
         if not source.is_file():
@@ -201,12 +204,21 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
             f"expected {_SCHEMA_VERSION}"
         )
     top = "top level"
+    for needing, needed in _NEEDS.items():
+        if needing in data and needed not in data:
+            raise ValueError(f"scenario file {text!r}: block {top!r} key {needing!r} needs {needed!r}")
     space = _parse_space(data["ambient"], text) if "ambient" in data else None
     section = None
     twists: list[tuple[str, BundleSum]] = []
-    if space is not None and data.get("section_bundle"):
-        kn = grassmannian_kn(space)
-        section = parse_bundle(kn, *_fields(data, {"section_bundle": str}, text, top))
+    if "section_bundle" in data:
+        (bundle,) = _fields(data, {"section_bundle": str}, text, top)
+        if not bundle.strip():
+            raise ValueError(f"scenario file {text!r}: block {top!r} key 'section_bundle' is empty")
+        try:
+            kn = grassmannian_kn(space)
+        except ValueError as exc:
+            raise ValueError(f"scenario file {text!r}: block 'ambient': {exc}") from exc
+        section = parse_bundle(kn, bundle)
         for i, tw in enumerate(_items(data, "twists", dict, text, top)):
             name, label = _fields(tw, {"name": str, "label": str}, text, f"twists[{i}]")
             twists.append((name, parse_bundle(kn, label)))

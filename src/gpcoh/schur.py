@@ -293,10 +293,6 @@ def line_bundle(ambient: tuple[int, int], twist: int) -> BundleLabel:
     return schur_label(ambient, twist=twist)
 
 
-def trivial_label(ambient: tuple[int, int]) -> BundleLabel:
-    return line_bundle(ambient, 0)
-
-
 _GENERATORS = ("U", "U*", "Q", "Q*")
 
 
@@ -402,14 +398,6 @@ def _column_form(label: BundleLabel) -> tuple[str, int, int]:
     )
 
 
-def _column_sum(ambient: tuple[int, int], side: str, a: int, twist: int) -> BundleSum:
-    if side == "U":
-        label = BundleLabel(ambient, u_part=Partition((1,) * a), twist=twist)
-    else:
-        label = BundleLabel(ambient, q_part=Partition((1,) * a), twist=twist)
-    return BundleSum.of(label)
-
-
 def exterior_power(label: BundleLabel, j: int) -> BundleSum:
     """Lambda^j of a column bundle, by the closed-form rules.
 
@@ -426,21 +414,20 @@ def exterior_power(label: BundleLabel, j: int) -> BundleSum:
     rank = comb(gen_rank, a)
     if not 0 <= j <= rank:
         raise ValueError(f"Lambda^{j} of a rank-{rank} bundle is out of range")
-    ambient = label.ambient
     if j == 0:
-        return BundleSum.of(trivial_label(ambient))
+        return BundleSum.of(BundleLabel(label.ambient))
     # Lambda^j(W (x) L) = Lambda^j(W) (x) L^j for a line bundle L
-    line_part = j * t
-    if a == 0:
-        # pure line bundle, so j = 1 here
-        return BundleSum.of(line_bundle(ambient, line_part))
-    if a == 1:
-        return _column_sum(ambient, side, j, line_part)
-    if a == gen_rank - 1:
+    if a <= 1:  # a pure line bundle (a = 0) has j = 1 here
+        height, twist = j * a, j * t
+    elif a == gen_rank - 1:
         # Lambda^(r-1) G = G^* (x) det G, so
         # Lambda^j = Lambda^(r-j) G (x) (det G)^(j-1)
-        return _column_sum(ambient, side, gen_rank - j, line_part + det_twist * (j - 1))
-    raise ValueError(f"unsupported plethysm shape: Lambda^{j} of {format_label(label)}")
+        height, twist = gen_rank - j, j * t + det_twist * (j - 1)
+    else:
+        raise ValueError(f"unsupported plethysm shape: Lambda^{j} of {format_label(label)}")
+    column = Partition((1,) * height)
+    u, q = (column, Partition()) if side == "U" else (Partition(), column)
+    return BundleSum.of(BundleLabel(label.ambient, u, q, twist))
 
 
 def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
@@ -454,7 +441,7 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
         raise ValueError("exterior power degree must be nonnegative")
     ambient = bsum.ambient
     # graded[d] = Lambda^d of the summands folded so far
-    graded: list[BundleSum] = [BundleSum.of(trivial_label(ambient))]
+    graded: list[BundleSum] = [BundleSum.of(BundleLabel(ambient))]
     for lab, m in bsum.summands:
         if lab.u_part.parts or lab.q_part.parts:
             blocks = [[exterior_power(lab, d) for d in range(min(label_rank(lab), j) + 1)]] * m
@@ -576,15 +563,10 @@ def parse_bundle(ambient: tuple[int, int], text: str) -> BundleSum:
     """Parse the compact bundle syntax into a canonical sum."""
     ambient = tuple(ambient)
     # a star glued to U or Q marks a dual; any other star separates atoms
-    protected = text.replace("U*", "U\x00").replace("Q*", "Q\x00")
-    atoms = [
-        piece.replace("\x00", "*").strip()
-        for piece in protected.split("*")
-        if piece.strip()
-    ]
+    atoms = [piece.strip() for piece in re.split(r"(?<![UQ])\*", text) if piece.strip()]
     if not atoms:
         raise ValueError(f"cannot parse bundle {text!r}")
-    out = BundleSum.of(trivial_label(ambient))
+    out = BundleSum.of(BundleLabel(ambient))
     for atom in atoms:
         out = tensor(out, BundleSum.of(_parse_atom(ambient, atom)))
     return out

@@ -74,6 +74,13 @@ def test_bwb_bad_weight_length(capsys):
     assert "coefficients" in doc["error"]
 
 
+def test_bwb_an_unparsable_crossed_node_exits_2_with_one_line(capsys):
+    code, out, err = run(capsys, "bwb", "A", "2", "--crossed", "1,x", "--weight", "0,0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot parse crossed nodes from '1,x'\n"
+
+
 def test_bwb_a_fractional_weight_coefficient_exits_2_with_one_line(capsys):
     code, out, err = run(capsys, "bwb", "A", "2", "--crossed", "1", "--weight", "1.5,0")
     assert code == 2
@@ -117,6 +124,16 @@ def test_koszul_trivial_twist(capsys):
     code, doc, _ = run_json(capsys, "koszul", "--scenario", "cayley", "--twist", "trivial")
     assert code == 0
     assert doc["result"]["table"]["degrees"]["0"]["total"] == 1
+
+
+def test_koszul_on_an_acyclic_twist_says_every_term_and_the_restriction_vanish(capsys, tmp_path):
+    # O(-1) on the Cayley Grassmannian S, Fano of index 4: Kodaira vanishing and Serre duality
+    # (K_S = O(-4)) kill all of H^*(O(-1)|_S), and each term Lambda^(4-j) U (x) O(-j) is acyclic
+    p = _cayley_copy(tmp_path, lambda d: d.update(twists=[{"name": "minus", "label": "O(-1)"}]))
+    code, out, _ = run(capsys, "koszul", "--scenario", str(p), "--twist", "minus")
+    assert code == 0
+    assert "every term of the resolution is acyclic" in out.splitlines()
+    assert out.splitlines()[-1] == "all cohomology of the restriction vanishes"
 
 
 def test_koszul_unknown_twist(capsys):
@@ -304,11 +321,16 @@ def _drop_constant_name(d):
         (lambda d: d.update(section_bundle=5), "top level", "section_bundle"),
         (lambda d: d.update(rank_hints=[5]), "top level", "rank_hints[0]"),
         (lambda d: d.update(cases=[5]), "top level", "cases[0]"),
+        # zero-locus keys that would be read nowhere: an empty section, or twists without one
+        (lambda d: d.update(section_bundle=""), "top level", "section_bundle"),
+        (lambda d: d.update(section_bundle=" "), "top level", "section_bundle"),
+        (lambda d: d.pop("section_bundle"), "top level", "twists"),
     ],
     ids=[
         "crossed-int", "crossed-float-item", "rank-float", "rank-bool", "constant-not-object",
         "value-null", "value-float", "name-missing", "name-empty", "hint-term-null",
         "section-int", "hint-not-object", "case-not-object",
+        "section-empty", "section-blank", "section-missing",
     ],
 )
 def test_a_wrongly_typed_value_names_the_file_the_block_and_the_key(
@@ -322,7 +344,8 @@ def test_a_wrongly_typed_value_names_the_file_the_block_and_the_key(
     assert str(p) in err and f"block '{block}'" in err and f"key '{key}'" in err
 
 
-# bundle labels live on Gr(k, n) = A(n-1)/P(k) only; schur alone checks it, with one message
+# bundle labels live on Gr(k, n) = A(n-1)/P(k) only; schur alone checks it, and the loader
+# prefixes the file and the block to its one message
 @pytest.mark.parametrize("ambient", [{"type": "D", "rank": 6, "crossed": [6]},
                                      {"type": "A", "rank": 6, "crossed": [3, 4]}], ids=["D6-P6", "A6-P34"])
 def test_a_scenario_off_a_grassmannian_exits_2_with_the_schur_message(capsys, tmp_path, ambient):
@@ -331,7 +354,10 @@ def test_a_scenario_off_a_grassmannian_exits_2_with_the_schur_message(capsys, tm
     assert code == 2
     assert out == ""
     space = "D6/P(6)" if ambient["type"] == "D" else "A6/P(3,4)"
-    assert err == f"error: label on Gr(k,n) needs the space A(n-1)/P(k), got {space}\n"
+    assert err == (
+        f"error: scenario file {str(p)!r}: block 'ambient': "
+        f"label on Gr(k,n) needs the space A(n-1)/P(k), got {space}\n"
+    )
 
 
 # well-typed values that the engine rejects, and the key each error must name

@@ -16,10 +16,11 @@ def test_every_name_in_all_exists(module):
 
 
 def test_the_package_reexports_only_names_its_modules_export():
+    # equality: no module name is missing from the package and nothing else is added
     exported = {name for module in MODULES for name in module.__all__}
     public = {
         name
         for name, value in vars(gpcoh).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     }
-    assert sorted(public - exported) == []
+    assert sorted(public ^ exported) == []

@@ -31,14 +31,19 @@ VALIDATING = (Weight, Partition, BundleLabel, ParabolicSpace)
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # a fresh process, since the test suite imports inspect itself
-    code = "import sys, gpcoh.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # a fresh process, since the test suite imports inspect itself; under -S no site hook
+    # loads modules first, so the shipped data must be found without importlib.resources
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    for flags, banned in (
+        ((), {"dataclasses", "inspect"}),
+        (("-S",), {"dataclasses", "inspect", "importlib.resources", "zipfile", "tempfile"}),
+    ):
+        code = f"import sys, gpcoh.cli; print(sorted({banned!r} & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", flags
 
 
 @functools.cache

@@ -241,6 +241,10 @@ AUDIT_CASE_PROBES = [
         "aut-rank-invalid", "theorem1", lambda d: d["cases"][0]["aut_root_system"].update(type="E", rank=5),
         "cases[0].aut_root_system", "rank",
     ),
+    # zero-locus keys that the audits would read nowhere: no ambient, no section bundle
+    ("section-without-ambient", "vmrt", lambda d: d.update(section_bundle=5), "top level", "section_bundle"),
+    ("twists-without-section", "vmrt", lambda d: d.update(twists=5), "top level", "twists"),
+    ("hints-without-section", "vmrt", lambda d: d.update(rank_hints=[]), "top level", "rank_hints"),
 ]
 
 
