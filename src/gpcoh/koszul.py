@@ -130,10 +130,6 @@ def build_koszul(ambient: ParabolicSpace, section: BundleSum, twist: BundleSum |
     grassmannian_kn(ambient, section.ambient)
     if twist is None:
         twist = BundleSum.of(BundleLabel(section.ambient))
-    if section.ambient != twist.ambient:
-        raise ValueError(
-            f"section on Gr{section.ambient} but twist on Gr{twist.ambient}"
-        )
     rank = section.rank()
     if rank < 1:
         raise ValueError("section bundle must have positive rank")

@@ -46,7 +46,6 @@ __all__ = [
     "dominantize",
     "weyl_dimension",
     "dual_weight",
-    "homogeneous_dimension",
     "levi_dimension",
     "adjoint_dimension",
 ]
@@ -484,15 +483,6 @@ class ParabolicSpace(_Record):
     def __str__(self) -> str:
         nodes = ",".join(str(i) for i in sorted(self.crossed))
         return f"{self.rs.name}/P({nodes})"
-
-
-def homogeneous_dimension(rs: RootSystem, crossed_nodes: Iterable[int]) -> int:
-    """Dimension of G/P for the parabolic crossing the given nodes.
-
-    Counts the positive roots supported outside the Levi, i.e. those whose
-    simple-root support meets the crossed set.
-    """
-    return ParabolicSpace(rs, crossed_nodes).dimension
 
 
 def levi_dimension(rs: RootSystem, crossed_nodes: Iterable[int], weight: Weight) -> int:

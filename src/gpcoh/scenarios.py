@@ -133,6 +133,8 @@ def _parse_constants(items: Iterable[dict], file: str, block: str) -> dict[str, 
         name, value = _fields(item, {"name": str, "value": int}, file, where)
         if not name:
             raise ValueError(f"scenario file {file!r}: block {where!r} key 'name' is empty")
+        if name in out:
+            raise ValueError(f"scenario file {file!r}: block {where!r} key 'name' repeats {name!r}")
         provenance = _typed(item.get("provenance", ""), str, file, where, "provenance").strip()
         if not provenance:
             raise ValueError(
@@ -156,9 +158,12 @@ def _root_system_block(block: dict, file: str, where: str, **extra: type) -> tup
         raise ValueError(f"scenario file {file!r}: block {where!r} key {key!r}: {exc}") from exc
 
 
-def _parse_space(block: dict, file: str) -> ParabolicSpace:
-    _typed(block, dict, file, "top level", "ambient")
-    return _root_system_block(block, file, "ambient", crossed=list)[0]
+def _parsed_bundle(kn: tuple[int, int], label: str, file: str, block: str, key: str) -> BundleSum:
+    """``parse_bundle(kn, label)``; a label it rejects fails naming the file, the block and the key."""
+    try:
+        return parse_bundle(kn, label)
+    except ValueError as exc:
+        raise ValueError(f"scenario file {file!r}: block {block!r} key {key!r}: {exc}") from exc
 
 
 def load_scenario(name_or_path: str | Path) -> Scenario:
@@ -173,8 +178,9 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     required key also names its block. A missing or unsupported
     ``schema_version`` fails naming the file. A file without a zero locus loads
     (``Scenario.zero_locus`` then rejects it), but a ``_NEEDS`` key without the
-    key it needs, an empty section bundle, or a section bundle on a space other
-    than a Grassmannian fails naming the file.
+    key it needs, an empty section bundle, a section bundle on a space other
+    than a Grassmannian, a label the grammar rejects, or a twist or constant name
+    repeated within its list fails naming the file.
     """
     text = str(name_or_path)
     key = text.removesuffix(".json")
@@ -207,7 +213,10 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     for needing, needed in _NEEDS.items():
         if needing in data and needed not in data:
             raise ValueError(f"scenario file {text!r}: block {top!r} key {needing!r} needs {needed!r}")
-    space = _parse_space(data["ambient"], text) if "ambient" in data else None
+    space = None
+    if "ambient" in data:
+        block = _typed(data["ambient"], dict, text, top, "ambient")
+        space = _root_system_block(block, text, "ambient", crossed=list)[0]
     section = None
     twists: list[tuple[str, BundleSum]] = []
     if "section_bundle" in data:
@@ -218,10 +227,12 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
             kn = grassmannian_kn(space)
         except ValueError as exc:
             raise ValueError(f"scenario file {text!r}: block 'ambient': {exc}") from exc
-        section = parse_bundle(kn, bundle)
+        section = _parsed_bundle(kn, bundle, text, top, "section_bundle")
         for i, tw in enumerate(_items(data, "twists", dict, text, top)):
             name, label = _fields(tw, {"name": str, "label": str}, text, f"twists[{i}]")
-            twists.append((name, parse_bundle(kn, label)))
+            if any(name == seen for seen, _ in twists):
+                raise ValueError(f"scenario file {text!r}: block 'twists[{i}]' key 'name' repeats {name!r}")
+            twists.append((name, _parsed_bundle(kn, label, text, f"twists[{i}]", "label")))
     ec = "external_constants"
     constants = _parse_constants(_items(data, ec, dict, text, top), text, ec)
     case_constants = tuple(

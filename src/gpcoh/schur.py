@@ -51,9 +51,6 @@ __all__ = [
     "label_rank",
     "gl_dimension",
     "dual_label",
-    "schur_label",
-    "line_bundle",
-    "generator_power",
     "tangent_label",
     "parse_bundle",
     "parse_partition",
@@ -275,67 +272,6 @@ def label_rank(label: BundleLabel) -> int:
 # Constructors
 
 
-def schur_label(
-    ambient: tuple[int, int],
-    u_part: Iterable[int] = (),
-    q_part: Iterable[int] = (),
-    twist: int = 0,
-) -> BundleLabel:
-    return BundleLabel(
-        ambient=tuple(ambient),
-        u_part=Partition(tuple(u_part)),
-        q_part=Partition(tuple(q_part)),
-        twist=twist,
-    )
-
-
-def line_bundle(ambient: tuple[int, int], twist: int) -> BundleLabel:
-    return schur_label(ambient, twist=twist)
-
-
-_GENERATORS = ("U", "U*", "Q", "Q*")
-
-
-def _general_schur(ambient: tuple[int, int], gen: str, p: Partition, twist: int) -> BundleLabel:
-    """S_p applied to a generator; S_p(W^*) (x) O(t) is the dual of S_p(W) (x) O(-t)."""
-    if gen not in _GENERATORS:
-        raise ValueError(f"unknown generator {gen!r}; expected one of {_GENERATORS}")
-    if gen.endswith("*"):
-        return dual_label(_general_schur(ambient, gen[:-1], p, -twist))
-    if gen == "U":
-        return BundleLabel(ambient, u_part=p, twist=twist)
-    return BundleLabel(ambient, q_part=p, twist=twist)
-
-
-def generator_power(
-    ambient: tuple[int, int],
-    gen: str,
-    kind: str,
-    degree: int,
-    twist: int = 0,
-) -> BundleLabel:
-    """Lambda^degree or Sym^degree of a tautological generator.
-
-    ``kind`` is "ext" or "sym". Degrees beyond the generator rank give the
-    zero functor and are rejected.
-    """
-    k, n = ambient
-    rank = k if gen in ("U", "U*") else n - k
-    if kind == "ext":
-        if not 0 <= degree <= rank:
-            raise ValueError(
-                f"Lambda^{degree} of a rank-{rank} generator vanishes or is undefined"
-            )
-        p = Partition((1,) * degree)
-    elif kind == "sym":
-        if degree < 0:
-            raise ValueError("symmetric power degree must be nonnegative")
-        p = Partition((degree,)) if degree else Partition()
-    else:
-        raise ValueError(f"kind must be 'ext' or 'sym', got {kind!r}")
-    return _general_schur(tuple(ambient), gen, p, twist)
-
-
 def tangent_label(ambient: tuple[int, int]) -> BundleLabel:
     """Tangent bundle U^* (x) Q of Gr(k, n)."""
     k, n = ambient
@@ -446,7 +382,7 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
         if lab.u_part.parts or lab.q_part.parts:
             blocks = [[exterior_power(lab, d) for d in range(min(label_rank(lab), j) + 1)]] * m
         else:
-            blocks = [[BundleSum.of(line_bundle(ambient, d * lab.twist), comb(m, d))
+            blocks = [[BundleSum.of(BundleLabel(ambient, twist=d * lab.twist), comb(m, d))
                        for d in range(min(m, j) + 1)]]
         for powers in blocks:
             top = min(j, len(graded) + len(powers) - 2)
@@ -544,19 +480,24 @@ def _parse_atom(ambient: tuple[int, int], text: str) -> BundleLabel:
         raise ValueError(f"cannot parse bundle atom {text!r}")
     twist = int(match.group("twist") or 0)
     if match.group("line"):
-        return line_bundle(ambient, twist)
+        return BundleLabel(ambient, twist=twist)
     if match.group("tangent"):
         lab = tangent_label(ambient)
         return BundleLabel(ambient, lab.u_part, lab.q_part, lab.twist + twist)
-    gen = match.group("gen")
-    if match.group("ext") is not None:
-        return generator_power(ambient, gen, "ext", int(match.group("ext")), twist)
-    if match.group("sym") is not None:
-        return generator_power(ambient, gen, "sym", int(match.group("sym")), twist)
-    if match.group("schur") is not None:
-        p = parse_partition(match.group("schur"))
-        return _general_schur(ambient, gen, p, twist)
-    return generator_power(ambient, gen, "ext", 1, twist)
+    gen, ext, sym, schur = match.group("gen", "ext", "sym", "schur")
+    if schur is not None:
+        p = parse_partition(schur)
+    elif sym is not None:
+        p = Partition((int(sym),))
+    else:
+        degree, rank = int(ext or 1), ambient[0] if gen[0] == "U" else ambient[1] - ambient[0]
+        if degree > rank:  # checked before the column is built: a degree from text may be huge
+            raise ValueError(f"Lambda^{degree} of a rank-{rank} generator vanishes or is undefined")
+        p = Partition((1,) * degree)
+    side = (p, Partition()) if gen[0] == "U" else (Partition(), p)
+    if gen.endswith("*"):  # S_p(W^*) (x) O(t) is the dual of S_p(W) (x) O(-t)
+        return dual_label(BundleLabel(ambient, *side, -twist))
+    return BundleLabel(ambient, *side, twist)
 
 
 def parse_bundle(ambient: tuple[int, int], text: str) -> BundleSum:

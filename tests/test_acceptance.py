@@ -10,6 +10,7 @@ from contextlib import contextmanager
 from itertools import product
 
 from gpcoh import (
+    BundleLabel,
     BundleSum,
     ParabolicSpace,
     Partition,
@@ -19,15 +20,13 @@ from gpcoh import (
     bwb,
     chase,
     euler_characteristic,
-    generator_power,
     label_to_weight,
-    line_bundle,
     lr_coefficients,
+    parse_bundle,
     run_adjunction_audit,
     run_cayley,
     run_theorem1_audit,
     run_vmrt_audit,
-    schur_label,
     tangent_label,
     tensor,
 )
@@ -109,13 +108,11 @@ def test_criterion_3_decomposition_golden_files():
             return [(label_to_weight(lab, space).coeffs, m) for lab, m in bsum.summands]
 
         # 1. top exterior power of U is O(-1)
-        assert schur_label(AMB, u_part=(1, 1, 1, 1)) == line_bundle(AMB, -1)
+        assert BundleLabel(AMB, u_part=Partition((1, 1, 1, 1))) == BundleLabel(AMB, twist=-1)
         # 2. Lambda^3 U is U^*(-1)
-        assert schur_label(AMB, u_part=(1, 1, 1)) == generator_power(
-            AMB, "U*", "ext", 1, twist=-1
-        )
+        assert parse_bundle(AMB, "U* (-1)") == BundleSum.of(BundleLabel(AMB, Partition((1, 1, 1))))
         # 3. the untwisted resolution of the structure sheaf
-        E = BundleSum.of(generator_power(AMB, "U*", "ext", 3))
+        E = parse_bundle(AMB, "L3 U*")
         cx = build_koszul(space, E)
         assert [format_sum(cx.term(j)) for j in range(4, -1, -1)] == [
             "O(-3)",
@@ -125,13 +122,13 @@ def test_criterion_3_decomposition_golden_files():
             "O",
         ]
         # 4. U(-2) (x) Lambda^3 U^*
-        got = tensor(BundleSum.of(generator_power(AMB, "U", "ext", 1, twist=-2)), E)
+        got = tensor(parse_bundle(AMB, "U (-2)"), E)
         assert weights(got) == [((0, 1, 0, -2, 0, 0), 1), ((0, 0, 2, -3, 0, 0), 1)]
         # 5. Lambda^2 U(-1) (x) Lambda^3 U^*
-        got = tensor(BundleSum.of(generator_power(AMB, "U", "ext", 2, twist=-1)), E)
+        got = tensor(parse_bundle(AMB, "L2 U (-1)"), E)
         assert weights(got) == [((1, 0, 0, -1, 0, 0), 1), ((0, 1, 1, -2, 0, 0), 1)]
         # 6. Lambda^3 U (x) Lambda^3 U^* contains exactly the trivial bundle
-        got = tensor(BundleSum.of(schur_label(AMB, u_part=(1, 1, 1))), E)
+        got = tensor(BundleSum.of(BundleLabel(AMB, u_part=Partition((1, 1, 1)))), E)
         assert weights(got) == [((0, 0, 0, 0, 0, 0), 1), ((1, 0, 1, -1, 0, 0), 1)]
         # 7. the tangent-twisted resolution, label for label
         T = BundleSum.of(tangent_label(AMB))
@@ -246,9 +243,9 @@ def test_criterion_5_property_suites():
 
         # Euler consistency on every determined chase of the shipped scenario
         space = gr47()
-        E = BundleSum.of(generator_power(AMB, "U*", "ext", 3))
+        E = parse_bundle(AMB, "L3 U*")
         for twist in (
-            BundleSum.of(line_bundle(AMB, 0)),
+            BundleSum.of(BundleLabel(AMB)),
             E,
             BundleSum.of(tangent_label(AMB)),
         ):

@@ -11,12 +11,11 @@ from gpcoh import (
     bwb,
     canonical_twist_weight,
     euler_characteristic,
-    homogeneous_dimension,
     levi_dimension,
     serre_dual_weight,
 )
 from gpcoh.bott import levi_dual_weight
-from gpcoh.schur import BundleSum, line_bundle
+from gpcoh.schur import BundleLabel, BundleSum
 
 
 def gr47():
@@ -39,7 +38,7 @@ def test_space_validation():
 def test_crossed_nodes_that_are_not_integers_are_rejected():
     a3 = build_root_system("A", 3)
     with pytest.raises(ValueError, match=r"crossed node 1\.9 in \(1\.9,\) is not an integer"):
-        homogeneous_dimension(a3, [1.9])
+        ParabolicSpace(a3, [1.9]).dimension
     with pytest.raises(ValueError, match="crossed node True in"):
         levi_dimension(a3, [True], Weight.of(0, 1, 0))
     with pytest.raises(ValueError, match="crossed node 2.0 in"):
@@ -119,7 +118,7 @@ def test_bundle_cohomology_accumulates_multiplicity():
     "build",
     [
         lambda m: bundle_cohomology(gr47(), [(Weight.of(1, 0, 0, 0, 0, 1), m)]),
-        lambda m: BundleSum.of(line_bundle((4, 7), 1), m),
+        lambda m: BundleSum.of(BundleLabel((4, 7), twist=1), m),
     ],
     ids=["bundle_cohomology", "BundleSum.from_pairs"],
 )

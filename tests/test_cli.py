@@ -300,6 +300,10 @@ def _drop_constant_name(d):
     d["external_constants"][0].pop("name")
 
 
+def _set_twist_label(d, label):
+    d["twists"][1]["label"] = label
+
+
 # JSON values of the wrong type, and the block and key each error must name
 @pytest.mark.parametrize(
     "edit,block,key",
@@ -325,12 +329,24 @@ def _drop_constant_name(d):
         (lambda d: d.update(section_bundle=""), "top level", "section_bundle"),
         (lambda d: d.update(section_bundle=" "), "top level", "section_bundle"),
         (lambda d: d.pop("section_bundle"), "top level", "twists"),
+        # labels the grammar rejects, and names that repeat an earlier one
+        (lambda d: _set_twist_label(d, "garbage"), "twists[1]", "label"),
+        (lambda d: d.update(section_bundle="S2 U*x"), "top level", "section_bundle"),
+        (lambda d: _set_twist_label(d, "L5 U*"), "twists[1]", "label"),
+        (lambda d: d["twists"].append({"name": "normal", "label": "O"}), "twists[3]", "name"),
+        (
+            lambda d: d["external_constants"].append(dict(d["external_constants"][0], value=15)),
+            "external_constants[1]",
+            "name",
+        ),
     ],
     ids=[
         "crossed-int", "crossed-float-item", "rank-float", "rank-bool", "constant-not-object",
         "value-null", "value-float", "name-missing", "name-empty", "hint-term-null",
         "section-int", "hint-not-object", "case-not-object",
         "section-empty", "section-blank", "section-missing",
+        "twist-label-garbage", "section-unparsable", "twist-exterior-power-too-large",
+        "twist-name-repeated", "constant-name-repeated",
     ],
 )
 def test_a_wrongly_typed_value_names_the_file_the_block_and_the_key(

@@ -2,9 +2,11 @@ import pytest
 
 import gpcoh.koszul
 from gpcoh import (
+    BundleLabel,
     BundleSum,
     CohomologyTable,
     ParabolicSpace,
+    Partition,
     RankHint,
     build_koszul,
     build_root_system,
@@ -12,10 +14,8 @@ from gpcoh import (
     chase,
     euler_characteristic,
     exterior_power_sum,
-    generator_power,
-    line_bundle,
+    parse_bundle,
     restriction_sequence,
-    schur_label,
     tangent_label,
 )
 from gpcoh.schur import format_sum, sum_to_weights
@@ -28,11 +28,11 @@ def gr47():
 
 
 def section_bundle():
-    return BundleSum.of(generator_power(AMB, "U*", "ext", 3))
+    return parse_bundle(AMB, "L3 U*")
 
 
 def trivial():
-    return BundleSum.of(line_bundle(AMB, 0))
+    return BundleSum.of(BundleLabel(AMB))
 
 
 def tangent():
@@ -61,7 +61,7 @@ def test_twisted_koszul_ends_with_the_twisting_bundle():
 def test_hypersurface_koszul_is_two_terms():
     p1 = ParabolicSpace(rs=build_root_system("A", 1), crossed=frozenset({1}))
     amb = (1, 2)
-    cx = build_koszul(p1, BundleSum.of(line_bundle(amb, 1)))
+    cx = build_koszul(p1, BundleSum.of(BundleLabel(amb, twist=1)))
     assert [format_sum(cx.term(j)) for j in (1, 0)] == ["O(-1)", "O"]
 
 
@@ -73,7 +73,7 @@ def test_koszul_folds_the_exterior_powers_once_per_complex(monkeypatch):
         return exterior_power_sum(bsum, j)
 
     monkeypatch.setattr(gpcoh.koszul, "exterior_power_sum", counted)
-    mixed = BundleSum.from_pairs(AMB, [(line_bundle(AMB, 1), 2), (line_bundle(AMB, 2), 1)])
+    mixed = BundleSum.from_pairs(AMB, [(BundleLabel(AMB, twist=t), m) for t, m in ((1, 2), (2, 1))])
     for section in (section_bundle(), mixed):
         calls.clear()
         cx = build_koszul(gr47(), section, tangent())
@@ -83,7 +83,7 @@ def test_koszul_folds_the_exterior_powers_once_per_complex(monkeypatch):
 def test_koszul_rejects_codimension_violation():
     p1 = ParabolicSpace(rs=build_root_system("A", 1), crossed=frozenset({1}))
     amb = (1, 2)
-    too_big = BundleSum.from_pairs(amb, [(line_bundle(amb, 1), 2)])
+    too_big = BundleSum.from_pairs(amb, [(BundleLabel(amb, twist=1), 2)])
     with pytest.raises(ValueError, match="codimension"):
         build_koszul(p1, too_big)
 
@@ -95,10 +95,16 @@ def test_koszul_rejects_a_space_that_is_not_the_bundles_grassmannian(letter, ran
         build_koszul(space, section_bundle())
 
 
+def test_koszul_rejects_a_twist_on_another_grassmannian():
+    # tensor makes this check; build_koszul does not repeat it
+    with pytest.raises(ValueError, match=r"Gr\(4, 7\).*Gr\(3, 7\)"):
+        build_koszul(gr47(), section_bundle(), parse_bundle((3, 7), "O(1)"))
+
+
 def test_koszul_rejects_unsupported_section_bundles():
     # rank 6 passes the codimension check but Lambda^2 of a two-column
     # bundle is genuine plethysm
-    bad = BundleSum.of(schur_label(AMB, u_part=(1, 1)))
+    bad = BundleSum.of(BundleLabel(AMB, u_part=Partition((1, 1))))
     with pytest.raises(ValueError, match="unsupported plethysm"):
         build_koszul(gr47(), bad)
 
@@ -138,7 +144,7 @@ def test_tangent_twist_chase_needs_no_assumptions():
 def test_point_in_p1_chase():
     p1 = ParabolicSpace(rs=build_root_system("A", 1), crossed=frozenset({1}))
     amb = (1, 2)
-    res = chase(build_koszul(p1, BundleSum.of(line_bundle(amb, 1))))
+    res = chase(build_koszul(p1, BundleSum.of(BundleLabel(amb, twist=1))))
     assert res.determined
     assert res.table.dims() == {0: 1}
 
@@ -147,7 +153,7 @@ def test_negative_twists_reproduce_kodaira_vanishing_on_the_zero_locus():
     # the zero locus is Fano of index 4, so O(-1), O(-2), O(-3) restricted
     # to it have no cohomology at all
     for t in (-1, -2, -3):
-        res = chase(build_koszul(gr47(), section_bundle(), BundleSum.of(line_bundle(AMB, t))))
+        res = chase(build_koszul(gr47(), section_bundle(), BundleSum.of(BundleLabel(AMB, twist=t))))
         assert res.determined
         assert res.table.dims() == {}
         assert res.hints_used == ()
@@ -156,7 +162,7 @@ def test_negative_twists_reproduce_kodaira_vanishing_on_the_zero_locus():
 def test_canonical_twist_chase_reproduces_serre_duality_in_top_degree():
     # O(-4) is the canonical bundle of the eightfold zero locus, so its only
     # cohomology is H^8 = C; the chase must carry this through all five terms
-    res = chase(build_koszul(gr47(), section_bundle(), BundleSum.of(line_bundle(AMB, -4))))
+    res = chase(build_koszul(gr47(), section_bundle(), BundleSum.of(BundleLabel(AMB, twist=-4))))
     assert res.determined
     assert res.table.dims() == {8: 1}
     assert res.hints_used == ()
@@ -278,8 +284,8 @@ def test_chase_blocks_cohomology_above_the_zero_locus_dimension():
     # H^1(P^1, O(-4)) = 3), so the chase must refuse to answer
     p3 = ParabolicSpace(rs=build_root_system("A", 3), crossed=frozenset({1}))
     amb = (1, 4)
-    section = BundleSum.from_pairs(amb, [(generator_power(amb, "U*", "ext", 1), 2)])
-    res = chase(build_koszul(p3, section, BundleSum.of(line_bundle(amb, -4))))
+    section = BundleSum.from_pairs(amb, [(BundleLabel(amb, twist=1), 2)])
+    res = chase(build_koszul(p3, section, BundleSum.of(BundleLabel(amb, twist=-4))))
     assert not res.determined
     assert res.table is None
     assert res.blocking_positions == ((0, 3),)
@@ -307,14 +313,14 @@ def test_chase_rejects_a_hint_that_is_not_a_rank_hint(hint):
 def test_a_hint_below_a_block_is_checked_against_the_term_dimension():
     # the chase blocks at (1, 0) before it reaches (0, 0), so the rank bound
     # dim H^0(C_0) = 490 must be checked before the walk starts
-    cx = build_koszul(gr47(), section_bundle(), BundleSum.of(line_bundle(AMB, 2)))
+    cx = build_koszul(gr47(), section_bundle(), BundleSum.of(BundleLabel(AMB, twist=2)))
     hints = [RankHint(1, 0, 0), RankHint(0, 0, 99999)]
     with pytest.raises(ValueError, match=r"rank=99999\) exceeds the maximal possible rank 490"):
         chase(cx, hints)
 
 
 def test_a_blocked_chase_lists_the_hints_it_never_reached():
-    cx = build_koszul(gr47(), section_bundle(), BundleSum.of(line_bundle(AMB, 2)))
+    cx = build_koszul(gr47(), section_bundle(), BundleSum.of(BundleLabel(AMB, twist=2)))
     res = chase(cx, [RankHint(1, 0, 0), RankHint(0, 0, 1)])
     assert not res.determined
     assert res.blocking_positions == ((1, 0),)

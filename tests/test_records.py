@@ -22,7 +22,6 @@ from gpcoh import (
     bwb,
     load_scenario,
     run_cayley,
-    schur_label,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -80,7 +79,7 @@ def test_the_samples_cover_every_record_type():
     [
         Weight((3, -1, 0)),
         Partition((2, 1, 1)),
-        schur_label((4, 7), (2, 1), (1,), -2),
+        BundleLabel((4, 7), Partition((2, 1)), Partition((1,)), -2),
         ParabolicSpace(build_root_system("E", 6), frozenset({2, 5})),
         build_root_system("F", 4),
     ],

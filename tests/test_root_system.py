@@ -12,7 +12,6 @@ from gpcoh import (
     build_root_system,
     dominantize,
     dual_weight,
-    homogeneous_dimension,
     levi_dimension,
     weyl_dimension,
 )
@@ -389,28 +388,28 @@ def test_e6_dual_exchanges_the_two_minimal_representations():
 
 
 # ---------------------------------------------------------------------------
-# homogeneous_dimension / levi_dimension
+# ParabolicSpace.dimension / levi_dimension
 
 
 def test_homogeneous_dimension_examples():
-    assert homogeneous_dimension(build_root_system("C", 3), {2}) == 7
-    assert homogeneous_dimension(build_root_system("F", 4), {4}) == 15
-    assert homogeneous_dimension(build_root_system("A", 6), {4}) == 12
-    assert homogeneous_dimension(build_root_system("D", 6), {6}) == 15
+    assert ParabolicSpace(build_root_system("C", 3), {2}).dimension == 7
+    assert ParabolicSpace(build_root_system("F", 4), {4}).dimension == 15
+    assert ParabolicSpace(build_root_system("A", 6), {4}).dimension == 12
+    assert ParabolicSpace(build_root_system("D", 6), {6}).dimension == 15
 
 
 @pytest.mark.parametrize("letter,rank", ALL_TYPES)
 def test_full_flag_dimension_is_the_positive_root_count(letter, rank):
     rs = build_root_system(letter, rank)
-    assert homogeneous_dimension(rs, set(range(1, rank + 1))) == len(rs.positive_roots)
+    assert ParabolicSpace(rs, set(range(1, rank + 1))).dimension == len(rs.positive_roots)
 
 
 def test_homogeneous_dimension_rejects_bad_crossings():
     rs = build_root_system("A", 4)
     with pytest.raises(ValueError, match="nonempty"):
-        homogeneous_dimension(rs, set())
+        ParabolicSpace(rs, set()).dimension
     with pytest.raises(ValueError, match="out of range"):
-        homogeneous_dimension(rs, {0, 5})
+        ParabolicSpace(rs, {0, 5}).dimension
 
 
 def test_levi_dimension_examples():

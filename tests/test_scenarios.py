@@ -222,6 +222,11 @@ AUDIT_CASE_PROBES = [
     ),
     ("constant-missing", "theorem1", _drop_case_constant, "cases[0].external_constants", "cone_aut_dim"),
     (
+        "constant-repeated", "theorem1",
+        lambda d: (consts := d["cases"][0]["external_constants"]).append(consts[0]),
+        "cases[0].external_constants[2]", "name",
+    ),
+    (
         "aut-rank-bool", "theorem1", lambda d: d["cases"][0]["aut_root_system"].update(rank=True),
         "cases[0].aut_root_system", "rank",
     ),

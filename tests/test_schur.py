@@ -17,20 +17,16 @@ from gpcoh import (
     exterior_power,
     exterior_power_sum,
     format_label,
-    generator_power,
     gl_dimension,
     label_rank,
     label_to_weight,
     levi_dimension,
-    line_bundle,
     lr_coefficients,
     parse_bundle,
     parse_partition,
-    schur_label,
     tangent_label,
     tensor,
 )
-from gpcoh.schur import _general_schur
 
 from conftest import (
     _canonical,
@@ -70,10 +66,9 @@ def test_partition_rejects_bad_shapes():
         lambda: Partition((1.9,)),
         lambda: BundleLabel((2.5, 4)),
         lambda: BundleLabel((2, 4), twist=1.5),
-        lambda: schur_label(AMB, (1,), twist=1.7),
         lambda: CohomologyTable.from_dimensions({0.5: 3.9}),
     ],
-    ids=["partition", "ambient", "twist", "schur_label-twist", "from_dimensions"],
+    ids=["partition", "ambient", "twist", "from_dimensions"],
 )
 def test_a_value_that_is_not_an_int_is_rejected_not_truncated(build):
     with pytest.raises(ValueError, match="integer|int degree"):
@@ -92,22 +87,22 @@ def test_parse_partition():
 
 
 def test_top_exterior_power_of_u_is_the_negative_line_bundle():
-    assert schur_label(AMB, u_part=(1, 1, 1, 1)) == line_bundle(AMB, -1)
+    assert BundleLabel(AMB, u_part=Partition((1, 1, 1, 1))) == BundleLabel(AMB, twist=-1)
 
 
 def test_third_exterior_power_of_u_equals_twisted_dual():
     # the same bundle built two ways lands on one canonical form
-    via_dual = generator_power(AMB, "U*", "ext", 1, twist=-1)
-    assert schur_label(AMB, u_part=(1, 1, 1)) == via_dual
+    via_dual = parse_bundle(AMB, "U* (-1)")
+    assert BundleSum.of(BundleLabel(AMB, u_part=Partition((1, 1, 1)))) == via_dual
 
 
 def test_full_column_on_the_quotient_side_adds_a_positive_twist():
-    assert schur_label(AMB, q_part=(1, 1, 1)) == line_bundle(AMB, 1)
+    assert BundleLabel(AMB, q_part=Partition((1, 1, 1))) == BundleLabel(AMB, twist=1)
 
 
 def test_equal_bundles_are_equal_labels():
-    full = schur_label(AMB, u_part=(2, 1, 1, 1))
-    reduced = schur_label(AMB, u_part=(1,), twist=-1)
+    full = BundleLabel(AMB, u_part=Partition((2, 1, 1, 1)))
+    reduced = BundleLabel(AMB, u_part=Partition((1,)), twist=-1)
     assert full == reduced
     assert hash(full) == hash(reduced)
     assert BundleSum.from_pairs(AMB, [(full, 1), (reduced, 1)]).summands == ((reduced, 2),)
@@ -121,7 +116,7 @@ def test_equal_bundles_are_equal_labels():
 def test_constructed_labels_are_canonical_and_rank_preserving(u, q, t):
     u = tuple(sorted(u, reverse=True))
     q = tuple(sorted(q, reverse=True))
-    label = schur_label(AMB, u_part=u, q_part=q, twist=t)
+    label = BundleLabel(AMB, u_part=Partition(u), q_part=Partition(q), twist=t)
     assert (label.u_part.parts, label.q_part.parts, label.twist) == _canonical(AMB, u, q, t)
     assert label_rank(label) == ssyt_count(u, 4) * ssyt_count(q, 3)
     assert label.u_part.length < 4
@@ -189,38 +184,38 @@ def test_gl_dimension_matches_tableau_count():
 
 
 def test_tensor_u_twisted_with_dual_column():
-    left = BundleSum.of(generator_power(AMB, "U", "ext", 1, twist=-2))
-    right = BundleSum.of(generator_power(AMB, "U*", "ext", 3))
+    left = parse_bundle(AMB, "U (-2)")
+    right = parse_bundle(AMB, "L3 U*")
     out = tensor(left, right)
     assert out.summands == (
-        (schur_label(AMB, u_part=(1, 1), twist=-1), 1),
-        (schur_label(AMB, u_part=(2,), twist=-1), 1),
+        (BundleLabel(AMB, u_part=Partition((1, 1)), twist=-1), 1),
+        (BundleLabel(AMB, u_part=Partition((2,)), twist=-1), 1),
     )
 
 
 def test_tensor_second_exterior_with_dual_column():
-    left = BundleSum.of(generator_power(AMB, "U", "ext", 2, twist=-1))
-    right = BundleSum.of(generator_power(AMB, "U*", "ext", 3))
+    left = parse_bundle(AMB, "L2 U (-1)")
+    right = parse_bundle(AMB, "L3 U*")
     out = tensor(left, right)
     assert out.summands == (
-        (schur_label(AMB, u_part=(1, 1, 1)), 1),
-        (schur_label(AMB, u_part=(2, 1)), 1),
+        (BundleLabel(AMB, u_part=Partition((1, 1, 1))), 1),
+        (BundleLabel(AMB, u_part=Partition((2, 1))), 1),
     )
 
 
 def test_tensor_column_with_its_dual_contains_the_trivial_bundle():
-    left = BundleSum.of(schur_label(AMB, u_part=(1, 1, 1)))
-    right = BundleSum.of(generator_power(AMB, "U*", "ext", 3))
+    left = BundleSum.of(BundleLabel(AMB, u_part=Partition((1, 1, 1))))
+    right = parse_bundle(AMB, "L3 U*")
     out = tensor(left, right)
     assert out.summands == (
-        (line_bundle(AMB, 0), 1),
-        (schur_label(AMB, u_part=(2, 1, 1), twist=1), 1),
+        (BundleLabel(AMB), 1),
+        (BundleLabel(AMB, u_part=Partition((2, 1, 1)), twist=1), 1),
     )
 
 
 def test_tensor_rejects_ambient_mismatch():
-    a = BundleSum.of(line_bundle((4, 7), 0))
-    b = BundleSum.of(line_bundle((2, 5), 0))
+    a = BundleSum.of(BundleLabel((4, 7)))
+    b = BundleSum.of(BundleLabel((2, 5)))
     with pytest.raises(ValueError, match="ambient mismatch"):
         tensor(a, b)
 
@@ -234,18 +229,18 @@ def test_tensor_rejects_ambient_mismatch():
     st.integers(-2, 2),
 )
 def test_tensor_preserves_rank(ua, qa, ta, ub, qb, tb):
-    a = BundleSum.of(generator_power(AMB, "U", "ext", ua, ta)) if qa == 0 else BundleSum.of(
-        schur_label(AMB, u_part=(1,) * ua, q_part=(1,) * qa, twist=ta)
+    a = parse_bundle(AMB, f"L{ua} U ({ta})") if qa == 0 else BundleSum.of(
+        BundleLabel(AMB, Partition((1,) * ua), Partition((1,) * qa), ta)
     )
-    b = BundleSum.of(schur_label(AMB, u_part=(1,) * ub, q_part=(1,) * qb, twist=tb))
+    b = BundleSum.of(BundleLabel(AMB, Partition((1,) * ub), Partition((1,) * qb), tb))
     assert tensor(a, b).rank() == a.rank() * b.rank()
 
 
 def test_tensor_rank_matches_levi_dimension():
     space = gr47()
     rs = space.rs
-    a = BundleSum.of(schur_label(AMB, u_part=(2, 1), twist=-1))
-    b = BundleSum.of(schur_label(AMB, u_part=(1,), q_part=(1, 1)))
+    a = BundleSum.of(BundleLabel(AMB, u_part=Partition((2, 1)), twist=-1))
+    b = BundleSum.of(BundleLabel(AMB, u_part=Partition((1,)), q_part=Partition((1, 1))))
     prod = tensor(a, b)
     total = sum(
         m * levi_dimension(rs, space.crossed, label_to_weight(lab, space))
@@ -259,21 +254,21 @@ def test_tensor_rank_matches_levi_dimension():
 
 
 def test_exterior_powers_of_the_dual_column_bundle():
-    l3u = schur_label(AMB, u_part=(1, 1, 1))
-    assert exterior_power(l3u, 0).summands == ((line_bundle(AMB, 0), 1),)
+    l3u = BundleLabel(AMB, u_part=Partition((1, 1, 1)))
+    assert exterior_power(l3u, 0).summands == ((BundleLabel(AMB), 1),)
     assert exterior_power(l3u, 1).summands == ((l3u, 1),)
     assert exterior_power(l3u, 2).summands == (
-        (schur_label(AMB, u_part=(1, 1), twist=-1), 1),
+        (BundleLabel(AMB, u_part=Partition((1, 1)), twist=-1), 1),
     )
     assert exterior_power(l3u, 3).summands == (
-        (schur_label(AMB, u_part=(1,), twist=-2), 1),
+        (BundleLabel(AMB, u_part=Partition((1,)), twist=-2), 1),
     )
-    assert exterior_power(l3u, 4).summands == ((line_bundle(AMB, -3), 1),)
+    assert exterior_power(l3u, 4).summands == ((BundleLabel(AMB, twist=-3), 1),)
 
 
 def test_exterior_power_rank_is_binomial():
     space = gr47()
-    l3u = schur_label(AMB, u_part=(1, 1, 1))
+    l3u = BundleLabel(AMB, u_part=Partition((1, 1, 1)))
     for j, expected in enumerate((1, 4, 6, 4, 1)):
         out = exterior_power(l3u, j)
         total = sum(
@@ -285,40 +280,40 @@ def test_exterior_power_rank_is_binomial():
 
 def test_exterior_power_of_a_quotient_column():
     # Lambda^2(Q) on Gr(4,7) has rank 3 and equals Q^*(1)
-    q = schur_label(AMB, q_part=(1,))
+    q = BundleLabel(AMB, q_part=Partition((1,)))
     out = exterior_power(q, 2)
-    assert out.summands == ((schur_label(AMB, q_part=(1, 1)), 1),)
+    assert out.summands == ((BundleLabel(AMB, q_part=Partition((1, 1))), 1),)
     out3 = exterior_power(q, 3)
-    assert out3.summands == ((line_bundle(AMB, 1), 1),)
+    assert out3.summands == ((BundleLabel(AMB, twist=1), 1),)
 
 
 def test_exterior_power_rejects_out_of_range_degree():
     with pytest.raises(ValueError, match="out of range"):
-        exterior_power(schur_label(AMB, u_part=(1, 1, 1)), 5)
+        exterior_power(BundleLabel(AMB, u_part=Partition((1, 1, 1))), 5)
 
 
 def test_exterior_power_rejects_general_plethysm():
     with pytest.raises(ValueError, match="unsupported plethysm"):
-        exterior_power(schur_label(AMB, u_part=(2, 1)), 2)
+        exterior_power(BundleLabel(AMB, u_part=Partition((2, 1))), 2)
     with pytest.raises(ValueError, match="unsupported plethysm"):
-        exterior_power(schur_label(AMB, u_part=(1,), q_part=(1,)), 2)
+        exterior_power(BundleLabel(AMB, u_part=Partition((1,)), q_part=Partition((1,))), 2)
     # Lambda^2 of a genuine 2-column on Gr(4,7) is plethysm too
     with pytest.raises(ValueError, match="unsupported plethysm"):
-        exterior_power(schur_label(AMB, u_part=(1, 1)), 2)
+        exterior_power(BundleLabel(AMB, u_part=Partition((1, 1))), 2)
 
 
 def test_exterior_power_of_line_bundles():
-    o2 = line_bundle(AMB, 2)
+    o2 = BundleLabel(AMB, twist=2)
     assert exterior_power(o2, 1).summands == ((o2, 1),)
-    assert exterior_power(o2, 0).summands == ((line_bundle(AMB, 0), 1),)
+    assert exterior_power(o2, 0).summands == ((BundleLabel(AMB), 1),)
 
 
 def test_exterior_power_sum_of_repeated_line_bundles():
     # Lambda^2 of O(1) + O(1) is O(2)
-    two = BundleSum.from_pairs(AMB, [(line_bundle(AMB, 1), 2)])
+    two = BundleSum.from_pairs(AMB, [(BundleLabel(AMB, twist=1), 2)])
     out = exterior_power_sum(two, 2)
     assert len(out) == 3
-    assert out[2].summands == ((line_bundle(AMB, 2), 1),)
+    assert out[2].summands == ((BundleLabel(AMB, twist=2), 1),)
     out = exterior_power_sum(two, 3)
     assert len(out) == 4
     assert out[3].is_zero
@@ -326,7 +321,7 @@ def test_exterior_power_sum_of_repeated_line_bundles():
 
 def test_exterior_power_sum_rank_is_binomial_of_total_rank():
     mixed = BundleSum.from_pairs(
-        AMB, [(generator_power(AMB, "U", "ext", 1), 1), (line_bundle(AMB, 1), 1)]
+        AMB, [(BundleLabel(AMB, Partition((1,))), 1), (BundleLabel(AMB, twist=1), 1)]
     )  # rank 5
     for j, expected in enumerate((1, 5, 10, 10, 5, 1)):
         out = exterior_power_sum(mixed, j)
@@ -366,14 +361,12 @@ def test_exterior_power_sum_matches_the_character_oracle():
 
 def test_label_to_weight_pinned_generators():
     space = gr47()
-    assert label_to_weight(
-        generator_power(AMB, "U*", "ext", 3, twist=-3), space
-    ) == Weight.of(0, 0, 1, -3, 0, 0)
-    assert label_to_weight(line_bundle(AMB, 1), space) == Weight.fundamental(6, 4)
+    ((l3_twisted, _),) = parse_bundle(AMB, "L3 U* (-3)").summands
+    ((l3, _),) = parse_bundle(AMB, "L3 U*").summands
+    assert label_to_weight(l3_twisted, space) == Weight.of(0, 0, 1, -3, 0, 0)
+    assert label_to_weight(BundleLabel(AMB, twist=1), space) == Weight.fundamental(6, 4)
     assert label_to_weight(tangent_label(AMB), space) == Weight.of(1, 0, 0, 0, 0, 1)
-    assert label_to_weight(generator_power(AMB, "U*", "ext", 3), space) == Weight.of(
-        0, 0, 1, 0, 0, 0
-    )
+    assert label_to_weight(l3, space) == Weight.of(0, 0, 1, 0, 0, 0)
 
 
 def test_label_to_weight_output_is_p_dominant():
@@ -382,7 +375,7 @@ def test_label_to_weight_output_is_p_dominant():
     for _ in range(100):
         u = tuple(sorted((rng.randint(0, 3) for _ in range(3)), reverse=True))
         q = tuple(sorted((rng.randint(0, 3) for _ in range(2)), reverse=True))
-        label = schur_label(AMB, u_part=u, q_part=q, twist=rng.randint(-3, 3))
+        label = BundleLabel(AMB, u_part=Partition(u), q_part=Partition(q), twist=rng.randint(-3, 3))
         w = label_to_weight(label, space)
         assert all(w.coeffs[i - 1] >= 0 for i in space.uncrossed)
         assert levi_dimension(space.rs, space.crossed, w) == label_rank(label)
@@ -391,12 +384,13 @@ def test_label_to_weight_output_is_p_dominant():
 def test_label_to_weight_rejects_the_wrong_space():
     wrong = ParabolicSpace(rs=build_root_system("A", 6), crossed=frozenset({3}))
     with pytest.raises(ValueError, match="needs the space"):
-        label_to_weight(line_bundle(AMB, 1), wrong)
+        label_to_weight(BundleLabel(AMB, twist=1), wrong)
 
 
 def test_rank_of_the_tangent_bundle():
     assert label_rank(tangent_label(AMB)) == 12
-    assert label_rank(generator_power(AMB, "U*", "ext", 3)) == 4
+    ((l3, _),) = parse_bundle(AMB, "L3 U*").summands
+    assert label_rank(l3) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +398,7 @@ def test_rank_of_the_tangent_bundle():
 
 
 def test_second_exterior_of_dual_is_twist_of_second_exterior():
-    assert generator_power(AMB, "U*", "ext", 2) == schur_label(AMB, u_part=(1, 1), twist=1)
+    assert parse_bundle(AMB, "L2 U*") == BundleSum.of(BundleLabel(AMB, Partition((1, 1)), twist=1))
 
 
 def test_dual_label_is_an_involution():
@@ -412,32 +406,29 @@ def test_dual_label_is_an_involution():
     for _ in range(50):
         u = tuple(sorted((rng.randint(0, 3) for _ in range(3)), reverse=True))
         q = tuple(sorted((rng.randint(0, 2) for _ in range(2)), reverse=True))
-        label = schur_label(AMB, u_part=u, q_part=q, twist=rng.randint(-3, 3))
+        label = BundleLabel(AMB, u_part=Partition(u), q_part=Partition(q), twist=rng.randint(-3, 3))
         assert dual_label(dual_label(label)) == label
         assert label_rank(dual_label(label)) == label_rank(label)
 
 
 def test_dual_of_line_bundle_flips_the_twist():
-    assert dual_label(line_bundle(AMB, 3)) == line_bundle(AMB, -3)
+    assert dual_label(BundleLabel(AMB, twist=3)) == BundleLabel(AMB, twist=-3)
 
 
 def test_parse_bundle_goldens():
-    assert parse_bundle(AMB, "O(-3)").summands == ((line_bundle(AMB, -3), 1),)
+    assert parse_bundle(AMB, "O(-3)").summands == ((BundleLabel(AMB, twist=-3), 1),)
     assert parse_bundle(AMB, "L3 U*").summands == (
-        (schur_label(AMB, u_part=(1,), twist=1), 1),
+        (BundleLabel(AMB, u_part=Partition((1,)), twist=1), 1),
     )
     assert parse_bundle(AMB, "T").summands == ((tangent_label(AMB), 1),)
     assert parse_bundle(AMB, "L3 U* (-3)").summands == (
-        (schur_label(AMB, u_part=(1,), twist=-2), 1),
+        (BundleLabel(AMB, u_part=Partition((1,)), twist=-2), 1),
     )
     assert parse_bundle(AMB, "W[2,1]U * Q").summands == (
-        (schur_label(AMB, u_part=(2, 1), q_part=(1,)), 1),
+        (BundleLabel(AMB, u_part=Partition((2, 1)), q_part=Partition((1,))), 1),
     )
     # a dual star glued to the generator is not a product separator
-    assert parse_bundle(AMB, "U* * Q*") == tensor(
-        BundleSum.of(generator_power(AMB, "U*", "ext", 1)),
-        BundleSum.of(generator_power(AMB, "Q*", "ext", 1)),
-    )
+    assert parse_bundle(AMB, "U* * Q*") == tensor(parse_bundle(AMB, "U*"), parse_bundle(AMB, "Q*"))
 
 
 def test_parse_bundle_rejects_garbage():
@@ -453,9 +444,7 @@ def test_parse_bundle_rejects_garbage():
     st.integers(-3, 3),
 )
 def test_format_parse_round_trip(u, q, t):
-    label = schur_label(
-        AMB, u_part=tuple(sorted(u, reverse=True)), q_part=tuple(sorted(q, reverse=True)), twist=t
-    )
+    label = BundleLabel(AMB, Partition(sorted(u, reverse=True)), Partition(sorted(q, reverse=True)), t)
     parsed = parse_bundle(AMB, format_label(label))
     assert parsed.summands == ((label, 1),)
 
@@ -475,12 +464,14 @@ def test_dual_generators_match_the_reversed_complement_oracle():
                 for p in _box_partitions(rank, 3):
                     for t in range(-2, 3):
                         want = general_schur_oracle(amb, gen, p, t)
-                        got = [_general_schur(amb, gen, Partition(p), t)]
+                        texts = [f"W[{','.join(map(str, p)) or 0}] {gen} ({t})"]
                         if all(x == 1 for x in p):
-                            got.append(generator_power(amb, gen, "ext", len(p), t))
+                            texts.append(f"L{len(p)} {gen} ({t})")
                         if len(p) <= 1:
-                            got.append(generator_power(amb, gen, "sym", sum(p), t))
-                        for lab in got:
+                            texts.append(f"S{sum(p)} {gen} ({t})")
+                        for text in texts:
+                            ((lab, mult),) = parse_bundle(amb, text).summands
+                            assert mult == 1
                             assert (lab.u_part.parts, lab.q_part.parts, lab.twist) == want
                         checked += 1
     assert checked == 4_550
