@@ -130,16 +130,13 @@ def _parse_constants(items: Iterable[dict], file: str, block: str) -> dict[str, 
     out: dict[str, ExternalConstant] = {}
     for i, item in enumerate(items):
         where = f"{block}[{i}]"
-        name, value = _fields(item, {"name": str, "value": int}, file, where)
-        if not name:
-            raise ValueError(f"scenario file {file!r}: block {where!r} key 'name' is empty")
+        name, value, provenance = _fields(item, {"name": str, "value": int, "provenance": str}, file, where)
+        provenance = provenance.strip()
+        for key, text in (("name", name), ("provenance", provenance)):
+            if not text:
+                raise ValueError(f"scenario file {file!r}: block {where!r} key {key!r} is empty")
         if name in out:
             raise ValueError(f"scenario file {file!r}: block {where!r} key 'name' repeats {name!r}")
-        provenance = _typed(item.get("provenance", ""), str, file, where, "provenance").strip()
-        if not provenance:
-            raise ValueError(
-                f"external constant {name!r} lacks a provenance string; refusing to load"
-            )
         out[name] = ExternalConstant(name=name, value=value, provenance=provenance)
     return out
 

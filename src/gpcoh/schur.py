@@ -13,9 +13,10 @@ determinant twist before anything else happens.
 
 Tensor products distribute over direct sums and apply the
 Littlewood-Richardson rule independently on the two sides, truncated to the
-side's rank. The rule is evaluated in one pass that grows the LR tableaux a
-value at a time, each value a horizontal strip, and merges tableaux that
-agree on their shape and their last strip.
+side's rank. The rule is evaluated in one pass that grows LR tableaux whose
+content is the factor with fewer rows, a value at a time, each value a
+horizontal strip laid top down with every row taking at least what the rows
+below it cannot hold, and merges tableaux that agree on shape and last strip.
 
 Exterior powers of a direct sum come from one fold over its summands that
 keeps every degree at once. A line bundle L of multiplicity m folds in one
@@ -34,8 +35,8 @@ from __future__ import annotations
 
 import re
 from math import comb
-from operator import add
-from typing import Iterable, Iterator, NamedTuple
+from operator import sub
+from typing import Iterable, NamedTuple
 
 from .root_system import ParabolicSpace, Weight, _Record, build_root_system, weyl_dimension
 
@@ -187,41 +188,20 @@ class BundleSum(NamedTuple):
 # Littlewood-Richardson by a horizontal-strip pass
 
 
-def _strips(
-    shape: tuple[int, ...], size: int, prev: tuple[int, ...], room: int
-) -> Iterator[tuple[int, ...]]:
-    """Horizontal strips of ``size`` cells on ``shape``, as cells per row.
-
-    Row r >= 1 takes at most shape[r-1] - shape[r] cells. The lattice-word
-    rule bounds the strip's cells in rows <= r by ``prev``'s cells in rows < r,
-    plus ``room``: 0 for a value after the first, ``size`` for the first.
-    """
-    strip = [0] * len(shape)
-
-    def rec(r: int, remaining: int, room: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(strip)
-            return
-        if r == len(shape):
-            return
-        cap = remaining if r == 0 else shape[r - 1] - shape[r]
-        for a in range(min(cap, remaining, room), -1, -1):
-            strip[r] = a
-            yield from rec(r + 1, remaining - a, room - a + prev[r])
-
-    yield from rec(0, size, room)
-
-
 def lr_coefficients(
     mu: Partition | Iterable[int], nu: Partition | Iterable[int], max_rows: int
 ) -> dict[Partition, int]:
     """All Littlewood-Richardson coefficients c^lam_{mu,nu} with at most
     ``max_rows`` rows; shapes needing more rows are discarded (GL truncation).
 
-    LR tableaux of shape lam/mu and content nu are grown one value at a time:
-    nu_1 ones, then nu_2 twos, and so on, each value a horizontal strip
-    obeying the lattice-word rule. Tableaux with the same shape and the same
-    last strip extend alike, so each such state carries only its count.
+    As c^lam_{mu,nu} = c^lam_{nu,mu}, the factor with fewer rows is the
+    content (``nu`` on a tie), so the pass runs one round per row of it: LR
+    tableaux of shape lam/(the other factor) grow a value at a time, each
+    value a horizontal strip of its row's length obeying the lattice-word
+    rule, and tableaux with the same shape and the same last strip extend
+    alike, so each such state carries only its count. A strip fills rows top
+    down, each row taking at least what the rows below it cannot hold, so a
+    partial strip dies only where the lattice-word rule leaves it no room.
     """
     if max_rows < 1:
         raise ValueError(f"max_rows must be at least 1, got {max_rows}")
@@ -229,18 +209,37 @@ def lr_coefficients(
     nu = nu if isinstance(nu, Partition) else Partition(tuple(nu))
     if mu.length > max_rows or nu.length > max_rows:
         return {}
-    if not mu.parts:
-        return {nu: 1}  # c^lam_{(),nu} = delta_{lam,nu}
+    if nu.length > mu.length:
+        mu, nu = nu, mu
     if not nu.parts:
-        return {mu: 1}  # likewise c^lam_{mu,()} = delta_{lam,mu}
-    # state (shape, previous strip) -> number of tableaux reaching it
-    states = {(mu.padded(max_rows), (0,) * max_rows): 1}
+        return {mu: 1}  # c^lam_{mu,()} = delta_{lam,mu}
+    # state (shape, shape before the last strip) -> number of tableaux reaching it
+    states = {(mu.padded(max_rows),) * 2: 1}
     for value, size in enumerate(nu.parts):
         grown: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for (shape, prev), count in states.items():
-            for strip in _strips(shape, size, prev, size if value == 0 else 0):
-                key = (tuple(map(add, shape, strip)), strip)
-                grown[key] = grown.get(key, 0) + count
+        for (shape, before), count in states.items():
+            prev = tuple(map(sub, shape, before))
+            # row r >= 1 holds at most shape[r-1] - shape[r] cells, row 0 none
+            # after the first value; tail[r] is what rows r and below hold. The
+            # lattice-word rule bounds the cells in rows <= r by prev's cells in
+            # rows < r plus caps[0]: that bound less the cells placed is the room
+            caps = (size if value == 0 else 0,) + tuple(map(sub, shape, shape[1:]))
+            tail = [0] * (max_rows + 1)
+            for r in range(max_rows - 1, -1, -1):
+                tail[r] = tail[r + 1] + caps[r]
+            # partial strip: next row, cells left, lattice room, rows grown so far
+            stack = [(0, size, caps[0], ())]
+            while stack:
+                r, left, room, top = stack.pop()
+                lo, hi = left - tail[r + 1], caps[r]  # inline: min() and max() cost a fifth
+                if hi > room:
+                    hi = room
+                if hi >= left:  # row r can take every cell left: the strip ends here
+                    key = (top + (shape[r] + left,) + shape[r + 1:], shape)
+                    grown[key] = grown.get(key, 0) + count
+                    hi = left - 1
+                for a in range(lo if lo > 0 else 0, hi + 1):
+                    stack.append((r + 1, left - a, room - a + prev[r], top + (shape[r] + a,)))
         states = grown
     totals: dict[tuple[int, ...], int] = {}
     for (shape, _), count in states.items():

@@ -339,6 +339,11 @@ def _set_twist_label(d, label):
             "external_constants[1]",
             "name",
         ),
+        # a constant must say where its value comes from
+        (lambda d: _set_constant(d, provenance=""), "external_constants[0]", "provenance"),
+        (lambda d: _set_constant(d, provenance="  "), "external_constants[0]", "provenance"),
+        (lambda d: d["external_constants"][0].pop("provenance"), "external_constants[0]", "provenance"),
+        (lambda d: _set_constant(d, provenance=7), "external_constants[0]", "provenance"),
     ],
     ids=[
         "crossed-int", "crossed-float-item", "rank-float", "rank-bool", "constant-not-object",
@@ -347,6 +352,7 @@ def _set_twist_label(d, label):
         "section-empty", "section-blank", "section-missing",
         "twist-label-garbage", "section-unparsable", "twist-exterior-power-too-large",
         "twist-name-repeated", "constant-name-repeated",
+        "provenance-empty", "provenance-blank", "provenance-missing", "provenance-int",
     ],
 )
 def test_a_wrongly_typed_value_names_the_file_the_block_and_the_key(

@@ -15,13 +15,17 @@ def _partitions(n, largest=None):
 
 
 def test_lr_matches_the_tableau_oracle_on_every_small_pair():
+    # rows 1-9 span the row counts of the lr_products benchmark pool; swapping the
+    # factors must give the same shapes in the same order, whichever factor is shorter
     for total in range(10):
         for size in range(total + 1):
             for mu in _partitions(size):
                 for nu in _partitions(total - size):
-                    for rows in range(1, 7):
-                        got = {lam.parts: c for lam, c in lr_coefficients(mu, nu, rows).items()}
+                    for rows in range(1, 10):
+                        out = lr_coefficients(mu, nu, rows)
+                        got = {lam.parts: c for lam, c in out.items()}
                         assert got == lr_tableau_oracle(mu, nu, rows), (mu, nu, rows)
+                        assert list(lr_coefficients(nu, mu, rows).items()) == list(out.items())
 
 
 def test_lr_with_an_empty_first_factor_is_the_identity():
@@ -40,6 +44,12 @@ def test_lr_with_an_empty_first_factor_is_the_identity():
 
 def test_lr_of_a_long_column_needs_no_recursion_per_value():
     out = lr_coefficients((1,), (1,) * 60, 61)
+    assert {lam.parts: c for lam, c in out.items()} == {(2,) + (1,) * 59: 1, (1,) * 61: 1}
+
+
+def test_lr_of_a_box_times_a_long_column_grows_by_the_box():
+    # the mirror of the test above: the one-row factor is the content either way
+    out = lr_coefficients((1,) * 60, (1,), 61)
     assert {lam.parts: c for lam, c in out.items()} == {(2,) + (1,) * 59: 1, (1,) * 61: 1}
 
 
