@@ -65,9 +65,14 @@ class _Record(tuple):
     """A record whose constructor validates: a tuple of the fields its subclass annotates,
     in order, each read by name. The subclass ``__new__`` runs the checks and ends in
     ``tuple.__new__``; copy and pickle call it again on ``__getnewargs__``, so they re-run
-    the checks, and there is no ``_make`` or ``_replace`` to skip them."""
+    the checks, and there is no ``_make`` or ``_replace`` to skip them. Only ``_trusted``
+    skips them, for fields computed from already validated records in this package."""
 
     __slots__ = ()
+
+    @classmethod
+    def _trusted(cls, *fields):
+        return tuple.__new__(cls, fields)
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__annotations__)
@@ -120,16 +125,16 @@ class Weight(_Record):
 
     def __add__(self, other: "Weight") -> "Weight":
         self._check_rank(other)
-        return Weight(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Weight._trusted(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Weight") -> "Weight":
         self._check_rank(other)
-        return Weight(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Weight._trusted(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coeffs))
+        return Weight._trusted(tuple(-a for a in self.coeffs))
 
-    def __mul__(self, scalar: int) -> "Weight":
+    def __mul__(self, scalar: int) -> "Weight":  # checked: the scalar may not be an int
         return Weight(tuple(scalar * a for a in self.coeffs))
 
     __rmul__ = __mul__
@@ -357,7 +362,7 @@ def reflection_walk(rs: RootSystem, w: Weight, nodes: Sequence[int]) -> tuple[We
         length += 1
         if length > bound:
             raise AssertionError("reflection walk exceeded the longest-element bound")
-    return Weight(tuple(coeffs)), length
+    return Weight._trusted(tuple(coeffs)), length  # int steps from a validated weight
 
 
 def dominantize(rs: RootSystem, w: Weight) -> tuple[Weight, int] | None:

@@ -11,19 +11,22 @@ bundle and nothing canonicalizes later. Duals never appear in stored labels:
 ``S_mu(W^*)`` is rewritten as the reversed-complement partition on W with a
 determinant twist before anything else happens.
 
-Tensor products distribute over direct sums and apply the
-Littlewood-Richardson rule independently on the two sides, truncated to the
-side's rank. The rule is evaluated in one pass that grows LR tableaux whose
-content is the factor with fewer rows, a value at a time, each value a
-horizontal strip laid top down with every row taking at least what the rows
-below it cannot hold, and merges tableaux that agree on shape and last strip.
+Tensor products distribute over direct sums. A pair of summands with a line
+bundle factor is the other summand with the twists added, O(t) (x) E = E(t);
+any other pair applies the Littlewood-Richardson rule independently on the
+two sides, truncated to the side's rank. The rule is evaluated in one pass
+that grows LR tableaux whose content is the factor with fewer rows, a value
+at a time, each value a horizontal strip laid top down with every row taking
+at least what the rows below it cannot hold, and merges tableaux that agree
+on shape and last strip.
 
 Exterior powers of a direct sum come from one fold over its summands that
-keeps every degree at once. A line bundle L of multiplicity m folds in one
-step as Lambda^d(L^m) = C(m, d) L^d; any other summand folds once per copy
-and is restricted to the closed-form cases a Koszul complex of a column
-bundle requires: powers of (possibly dual, possibly twisted) single
-columns. General plethysm is out of scope and rejected.
+keeps every degree at once and merges each degree once per step. A line
+bundle L of multiplicity m folds in one step as Lambda^d(L^m) = C(m, d) L^d;
+any other summand folds once per copy and is restricted to the closed-form
+cases a Koszul complex of a column bundle requires: powers of (possibly
+dual, possibly twisted) single columns. General plethysm is out of scope and
+rejected.
 
 Conversion to fundamental-weight coordinates sends a label to the highest
 weight of the dual of its fiber, which is exactly the convention making
@@ -36,7 +39,7 @@ from __future__ import annotations
 import re
 from math import comb
 from operator import sub
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .root_system import ParabolicSpace, Weight, _Record, build_root_system, weyl_dimension
 
@@ -244,7 +247,10 @@ def lr_coefficients(
     totals: dict[tuple[int, ...], int] = {}
     for (shape, _), count in states.items():
         totals[shape] = totals.get(shape, 0) + count
-    return {Partition(shape): totals[shape] for shape in sorted(totals, reverse=True)}
+    # a shape is a partition by construction: strip its padding zeros and check nothing
+    return {
+        Partition._trusted(s[: max_rows - s.count(0)]): totals[s] for s in sorted(totals, reverse=True)
+    }
 
 
 def gl_dimension(p: Partition | Iterable[int], r: int) -> int:
@@ -302,22 +308,31 @@ def dual_sum(bsum: BundleSum) -> BundleSum:
 # Tensor products and exterior powers
 
 
-def tensor(a: BundleSum, b: BundleSum) -> BundleSum:
-    """Exact tensor product of two sums: the LR rule on each side of every
-    pair of summands, each product label canonical as built, merged once."""
-    if a.ambient != b.ambient:
-        raise ValueError(f"ambient mismatch: Gr{a.ambient} vs Gr{b.ambient}")
-    k, n = a.ambient
-    pairs: list[tuple[BundleLabel, int]] = []
+def _product_pairs(a: BundleSum, b: BundleSum) -> Iterator[tuple[BundleLabel, int]]:
+    """The summands of ``tensor(a, b)``, unmerged and each label canonical as built."""
+    ambient = a.ambient
+    k, n = ambient
     for la, ma in a.summands:
         for lb, mb in b.summands:
             twist = la.twist + lb.twist
-            u_products = lr_coefficients(la.u_part, lb.u_part, k)
-            q_products = lr_coefficients(la.q_part, lb.q_part, n - k)
-            for pu, cu in u_products.items():
-                for pq, cq in q_products.items():
-                    pairs.append((BundleLabel(a.ambient, pu, pq, twist), ma * mb * cu * cq))
-    return BundleSum.from_pairs(a.ambient, pairs)
+            if not lb.u_part.parts and not lb.q_part.parts:
+                yield BundleLabel(ambient, la.u_part, la.q_part, twist), ma * mb
+            elif not la.u_part.parts and not la.q_part.parts:
+                yield BundleLabel(ambient, lb.u_part, lb.q_part, twist), ma * mb
+            else:
+                u_products = lr_coefficients(la.u_part, lb.u_part, k)
+                q_products = lr_coefficients(la.q_part, lb.q_part, n - k)
+                for pu, cu in u_products.items():
+                    for pq, cq in q_products.items():
+                        yield BundleLabel(ambient, pu, pq, twist), ma * mb * cu * cq
+
+
+def tensor(a: BundleSum, b: BundleSum) -> BundleSum:
+    """Exact tensor product of two sums, merged once: a pair of summands with a line bundle
+    is the other with the twists added, O(t) (x) E = E(t); any other pair takes the LR rule."""
+    if a.ambient != b.ambient:
+        raise ValueError(f"ambient mismatch: Gr{a.ambient} vs Gr{b.ambient}")
+    return BundleSum.from_pairs(a.ambient, _product_pairs(a, b))
 
 
 def _column_form(label: BundleLabel) -> tuple[str, int, int]:
@@ -370,7 +385,8 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
     by Lambda(A + B) = Lambda(A) (x) Lambda(B); entries past the rank are zero.
 
     A line bundle L of multiplicity m folds in one step as
-    Lambda^d(L^m) = C(m, d) L^d; any other summand folds once per copy.
+    Lambda^d(L^m) = C(m, d) L^d; any other summand folds once per copy. Each
+    step merges each degree once, over the unmerged products ``tensor`` builds.
     """
     if j < 0:
         raise ValueError("exterior power degree must be nonnegative")
@@ -389,7 +405,7 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
                 BundleSum.from_pairs(ambient, [
                     pair
                     for p in range(max(0, d - len(graded) + 1), min(d, len(powers) - 1) + 1)
-                    for pair in tensor(graded[d - p], powers[p]).summands
+                    for pair in _product_pairs(graded[d - p], powers[p])
                 ])
                 for d in range(top + 1)
             ]
@@ -411,6 +427,17 @@ def grassmannian_kn(space: ParabolicSpace, ambient: tuple[int, int] | None = Non
     return kn
 
 
+def _label_weight(label: BundleLabel, kn: tuple[int, int]) -> Weight:
+    """``label_to_weight`` on the Gr(k, n) that ``grassmannian_kn`` returned."""
+    if label.ambient != kn:  # only a sum built without from_pairs holds such a label
+        raise ValueError(f"label on Gr{label.ambient} cannot join a sum on Gr{kn}")
+    k, n = kn
+    # the dual fiber's highest weight is (t - mu reversed, -nu reversed) in the standard torus
+    # basis; its coefficients are the differences of neighbours there, ints from ints
+    r, s = label.u_part.padded(k)[::-1], label.q_part.padded(n - k)[::-1]
+    return Weight._trusted((*map(sub, r[1:], r), label.twist - r[-1] + s[0], *map(sub, s[1:], s)))
+
+
 def label_to_weight(label: BundleLabel, space: ParabolicSpace) -> Weight:
     """Fundamental-weight coordinates of a label.
 
@@ -418,19 +445,13 @@ def label_to_weight(label: BundleLabel, space: ParabolicSpace) -> Weight:
     label's ambient. Every label is canonical once constructed, so the
     result is P-dominant without a further check.
     """
-    k, n = grassmannian_kn(space, label.ambient)
-    m = n - k
-    mu = label.u_part.padded(k)
-    nu = label.q_part.padded(m)
-    t = label.twist
-    # highest weight of the dual fiber, in the standard torus basis
-    lam = [t - mu[k - 1 - i] for i in range(k)] + [-nu[m - 1 - i] for i in range(m)]
-    coeffs = tuple(lam[i] - lam[i + 1] for i in range(n - 1))
-    return Weight(coeffs)
+    return _label_weight(label, grassmannian_kn(space, label.ambient))
 
 
 def sum_to_weights(bsum: BundleSum, space: ParabolicSpace) -> tuple[tuple[Weight, int], ...]:
-    return tuple((label_to_weight(lab, space), m) for lab, m in bsum.summands)
+    """``label_to_weight`` of each summand; the space is checked once, against the sum's ambient."""
+    kn = grassmannian_kn(space, bsum.ambient)
+    return tuple((_label_weight(lab, kn), m) for lab, m in bsum.summands)
 
 
 # ---------------------------------------------------------------------------

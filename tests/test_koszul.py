@@ -1,6 +1,7 @@
 import pytest
 
 import gpcoh.koszul
+import gpcoh.schur
 from gpcoh import (
     BundleLabel,
     BundleSum,
@@ -14,6 +15,7 @@ from gpcoh import (
     chase,
     euler_characteristic,
     exterior_power_sum,
+    lr_coefficients,
     parse_bundle,
     restriction_sequence,
     tangent_label,
@@ -78,6 +80,26 @@ def test_koszul_folds_the_exterior_powers_once_per_complex(monkeypatch):
         calls.clear()
         cx = build_koszul(gr47(), section, tangent())
         assert calls == [cx.section_rank]
+
+
+def test_the_cayley_complexes_skip_lr_where_a_factor_is_a_line_bundle(monkeypatch):
+    # section L3 U* = U(1): its exterior powers are columns, so the fold only twists, and
+    # a twist O(t) shifts every term; L3 U* and T meet the three middle terms on both sides
+    calls = []
+
+    def counted(mu, nu, max_rows):
+        calls.append((mu, nu, max_rows))
+        return lr_coefficients(mu, nu, max_rows)
+
+    twists = {name: parse_bundle(AMB, name) for name in ("O", "L3 U*", "T")}
+    section = section_bundle()
+    monkeypatch.setattr(gpcoh.schur, "lr_coefficients", counted)
+    counts = {}
+    for name, twist in twists.items():
+        calls.clear()
+        build_koszul(gr47(), section, twist)
+        counts[name] = len(calls)
+    assert counts == {"O": 0, "L3 U*": 6, "T": 6}
 
 
 def test_koszul_rejects_codimension_violation():

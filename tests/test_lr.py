@@ -1,8 +1,13 @@
 """The Littlewood-Richardson strip pass against an independent tableau search."""
 
+import json
+from pathlib import Path
+
 from gpcoh import Partition, lr_coefficients
 
 from conftest import lr_tableau_oracle
+
+LR_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "lr_pool.json"
 
 
 def _partitions(n, largest=None):
@@ -58,3 +63,16 @@ def test_lr_square_of_the_five_staircase():
     out = lr_coefficients(staircase, staircase, 10)
     assert len(out) == 1433
     assert sum(out.values()) == 26704
+
+
+def test_every_key_over_the_lr_pool_is_the_partition_the_constructor_builds():
+    # the pass builds its keys without the Partition checks: each must be a partition as built
+    pool = json.loads(LR_POOL.read_text())
+    keys = 0
+    for mu, nu, rows, _ in pool["cases"] + [pool["anchor"]]:
+        for key in lr_coefficients(mu, nu, rows):
+            assert type(key) is Partition and type(key.parts) is tuple
+            assert key == Partition(key.parts) and hash(key) == hash(Partition(key.parts))
+            assert len(key.parts) <= rows
+            keys += 1
+    assert keys > 10_000

@@ -1,5 +1,5 @@
 """What the record types promise: a cold import without ``dataclasses``, copies and pickles
-equal to the original, no construction that skips validation, and no assignment."""
+equal to the original, no public construction that skips validation, and no assignment."""
 
 import copy
 import functools

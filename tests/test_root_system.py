@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import re
 
@@ -259,6 +261,55 @@ def test_a_weight_keeps_a_tuple_and_converts_a_list():
     assert Weight(t).coeffs is t
     assert Weight([1, 2]).coeffs == (1, 2)
     assert type(Weight([1, 2]).coeffs) is tuple
+
+
+def _is_validated_weight(w, coeffs):
+    """``w`` is exactly a Weight of ints and equals what the validating constructor builds."""
+    return (
+        type(w) is Weight
+        and type(w.coeffs) is tuple
+        and all(type(c) is int for c in w.coeffs)
+        and w == Weight(coeffs)
+        and hash(w) == hash(Weight(coeffs))
+    )
+
+
+@given(st.lists(st.integers(-10**20, 10**20), min_size=1, max_size=8), st.data())
+def test_weight_arithmetic_gives_the_validated_weight(a, data):
+    b = data.draw(st.lists(st.integers(-10**20, 10**20), min_size=len(a), max_size=len(a)))
+    x, y = Weight(a), Weight(b)
+    assert _is_validated_weight(x + y, [p + q for p, q in zip(a, b)])
+    assert _is_validated_weight(x - y, [p - q for p, q in zip(a, b)])
+    assert _is_validated_weight(-x, [-p for p in a])
+
+
+def test_a_reflection_walk_gives_the_validated_weight():
+    rng = random.Random(29)
+    for letter, rank in (("A", 6), ("E", 8), ("G", 2)):
+        rs = build_root_system(letter, rank)
+        for _ in range(20):
+            w = Weight(tuple(rng.randint(-6, 6) for _ in range(rank)))
+            walked, _ = reflection_walk(rs, w, range(1, rank + 1))
+            assert _is_validated_weight(walked, walked.coeffs)
+
+
+def test_weight_arithmetic_still_checks_what_was_never_validated():
+    with pytest.raises(ValueError, match="rank mismatch"):
+        Weight.of(1, 2) + Weight.of(1)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        Weight.of(1, 2) - Weight.of(1, 2, 3)
+    with pytest.raises(ValueError, match=re.escape("weight coefficient 1.5 in ")):
+        Weight.of(1, 2) * 1.5
+    with pytest.raises(AttributeError):
+        Weight.of(1, 2) + (1, 2)  # a bare tuple has no coeffs
+
+
+def test_copy_and_pickle_revalidate_a_weight():
+    # a tuple built around the checks stands for a record the checks would refuse
+    bad = tuple.__new__(Weight, ((1.5, 0),))
+    for rebuild in (copy.copy, copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))):
+        with pytest.raises(ValueError, match=re.escape("weight coefficient 1.5 in ")):
+            rebuild(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import json
 import random
+import re
 from collections import Counter
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +15,7 @@ from gpcoh import (
     ParabolicSpace,
     Partition,
     Weight,
+    build_koszul,
     build_root_system,
     dual_label,
     exterior_power,
@@ -27,6 +31,7 @@ from gpcoh import (
     tangent_label,
     tensor,
 )
+from gpcoh.schur import dual_sum, sum_to_weights
 
 from conftest import (
     _canonical,
@@ -38,6 +43,7 @@ from conftest import (
 )
 
 AMB = (4, 7)
+KOSZUL_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "koszul_pool.json"
 
 
 def gr47():
@@ -236,6 +242,47 @@ def test_tensor_preserves_rank(ua, qa, ta, ub, qb, tb):
     assert tensor(a, b).rank() == a.rank() * b.rank()
 
 
+def _lr_product(a, b):
+    """a (x) b with the LR rule on every pair of summands, line bundles included."""
+    k, n = a.ambient
+    pairs = [
+        (BundleLabel(a.ambient, pu, pq, la.twist + lb.twist), ma * mb * cu * cq)
+        for la, ma in a.summands
+        for lb, mb in b.summands
+        for pu, cu in lr_coefficients(la.u_part, lb.u_part, k).items()
+        for pq, cq in lr_coefficients(la.q_part, lb.q_part, n - k).items()
+    ]
+    return BundleSum.from_pairs(a.ambient, pairs)
+
+
+@st.composite
+def _sums(draw, ambient):
+    """A sum of 1-3 labels on ``ambient``; partitions may be empty, so line bundles occur."""
+    k, n = ambient
+
+    def part(rows):
+        return Partition(sorted(draw(st.lists(st.integers(0, 3), max_size=rows)), reverse=True))
+
+    items = draw(st.lists(
+        st.tuples(st.integers(0, k), st.integers(0, n - k), st.integers(-4, 4), st.integers(1, 3)),
+        min_size=1, max_size=3,
+    ))
+    return BundleSum.from_pairs(ambient, [
+        (BundleLabel(ambient, part(u_rows), part(q_rows), t), m) for u_rows, q_rows, t, m in items
+    ])
+
+
+@given(st.data(), st.integers(2, 6), st.integers(-5, 5), st.integers(1, 3))
+def test_tensor_with_a_line_bundle_is_the_lr_product(data, n, t, m):
+    # O(t) (x) E = E(t) takes no LR product, on either side and inside a mixed sum
+    ambient = (data.draw(st.integers(1, n - 1)), n)
+    e = data.draw(_sums(ambient))
+    line = BundleSum.of(BundleLabel(ambient, twist=t), m)
+    mixed = BundleSum.from_pairs(ambient, line.summands + data.draw(_sums(ambient)).summands)
+    for a, b in ((e, line), (line, e), (e, mixed), (mixed, e)):
+        assert tensor(a, b) == _lr_product(a, b)
+
+
 def test_tensor_rank_matches_levi_dimension():
     space = gr47()
     rs = space.rs
@@ -355,6 +402,39 @@ def test_exterior_power_sum_matches_the_character_oracle():
                         assert character == exterior_character(n, weights, d), (amb, atoms, d)
 
 
+def _two_merge_fold(bsum, j):
+    """(Lambda^0, ..., Lambda^j) by folding one copy of one summand at a time, each
+    product merged on its own and then each degree merged again."""
+    ambient = bsum.ambient
+    graded = [BundleSum.of(BundleLabel(ambient))]
+    for lab, m in bsum.summands:
+        powers = [exterior_power(lab, d) for d in range(min(label_rank(lab), j) + 1)]
+        for _ in range(m):
+            graded = [
+                BundleSum.from_pairs(ambient, [
+                    pair
+                    for p, power in enumerate(powers)
+                    if 0 <= d - p < len(graded)
+                    for pair in _lr_product(graded[d - p], power).summands
+                ])
+                for d in range(min(j, len(graded) + len(powers) - 2) + 1)
+            ]
+    return tuple(graded) + (BundleSum(ambient),) * (j + 1 - len(graded))
+
+
+def test_exterior_power_sum_matches_a_two_merge_fold_on_the_koszul_pool():
+    cases = json.loads(KOSZUL_POOL.read_text())["cases"]
+    for k, n, atoms, _ in random.Random(19).sample(cases, 60):
+        amb = (k, n)
+        section = BundleSum.from_pairs(
+            amb, [p for atom in atoms for p in parse_bundle(amb, atom).summands]
+        )
+        dual = dual_sum(section)
+        rank = dual.rank()
+        assert exterior_power_sum(dual, rank) == _two_merge_fold(dual, rank), (amb, atoms)
+        assert exterior_power_sum(dual, 2) == _two_merge_fold(dual, 2), (amb, atoms)
+
+
 # ---------------------------------------------------------------------------
 # weights
 
@@ -385,6 +465,25 @@ def test_label_to_weight_rejects_the_wrong_space():
     wrong = ParabolicSpace(rs=build_root_system("A", 6), crossed=frozenset({3}))
     with pytest.raises(ValueError, match="needs the space"):
         label_to_weight(BundleLabel(AMB, twist=1), wrong)
+
+
+def test_sum_to_weights_checks_the_space_once_and_fails_closed_on_an_empty_sum():
+    wrong = ParabolicSpace(rs=build_root_system("A", 6), crossed=frozenset({3}))
+    terms = build_koszul(gr47(), parse_bundle(AMB, "L3 U*"), parse_bundle(AMB, "T")).terms
+    for term in terms:
+        assert sum_to_weights(term, gr47()) == tuple(
+            (label_to_weight(lab, gr47()), m) for lab, m in term.summands
+        )
+    for bsum in (BundleSum.from_pairs(AMB, []), terms[1]):
+        with pytest.raises(ValueError, match=re.escape("label on Gr(4,7) needs the space A6/P(4)")):
+            sum_to_weights(bsum, wrong)
+
+
+def test_sum_to_weights_rejects_a_label_from_another_grassmannian():
+    # from_pairs refuses such a label; a sum built around it fails when converted
+    stray = BundleSum(AMB, ((BundleLabel((3, 7), twist=1), 1),))
+    with pytest.raises(ValueError, match=re.escape("label on Gr(3, 7) cannot join a sum on Gr(4, 7)")):
+        sum_to_weights(stray, gr47())
 
 
 def test_rank_of_the_tangent_bundle():
