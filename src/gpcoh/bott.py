@@ -7,6 +7,10 @@ read off from the dominant representative. Cohomology of the theorem lands
 in the dual representation; results here always report the highest weight of
 the cohomology itself, keeping the pre-dual weight as provenance.
 
+``bwb`` checks its weight once (rank, P-dominance) and derives the rest unchecked but for
+the rank check of each public ``root_system`` call. A rho-shift with a zero coefficient is
+on a wall: it vanishes with no walk, as the one shared ``BWBResult()``.
+
 Direct sums aggregate into :class:`CohomologyTable` objects, the common
 output currency for the Koszul chase and the reports. Everything is pure and
 immutable; summands of a sum may be evaluated in any order (accumulation is
@@ -21,9 +25,9 @@ from .root_system import (
     ParabolicSpace,
     Weight,
     _coroot_pairing,
+    _walk,
     dominantize,
     dual_weight,
-    reflection_walk,
     weyl_dimension,
 )
 
@@ -59,6 +63,8 @@ class BWBResult(NamedTuple):
     def all_vanish(self) -> bool:
         return self.degree is None
 
+
+_VANISHING = BWBResult()  # every vanishing result: a tuple of Nones, immutable
 
 class CohomologyTable(NamedTuple):
     """Map from cohomology degree to dimensions, with weight multiplicities.
@@ -112,19 +118,14 @@ def bwb(space: ParabolicSpace, omega: Weight) -> BWBResult:
     rs = space.rs
     found = dominantize(rs, omega + rs.rho)
     if found is None:
-        return BWBResult()
+        return _VANISHING
     dominant, degree = found
-    mu = dominant - rs.rho
     if degree > space.dimension:
         raise AssertionError(
             f"cohomology degree {degree} exceeds dim {space} = {space.dimension}"
         )
-    return BWBResult(
-        degree=degree,
-        weight=dual_weight(rs, mu),
-        dimension=weyl_dimension(rs, mu),
-        predual_weight=mu,
-    )
+    mu = dominant - rs.rho
+    return BWBResult(degree, dual_weight(rs, mu), weyl_dimension(rs, mu), mu)
 
 
 def bundle_cohomology(
@@ -136,12 +137,12 @@ def bundle_cohomology(
     for omega, mult in summands:
         if type(mult) is not int or mult <= 0:  # a float or a bool is no multiplicity
             raise ValueError(f"multiplicity must be a positive int, got {mult!r}")
-        res = bwb(space, omega)
-        if res.all_vanish:
+        degree, weight, dimension, _ = bwb(space, omega)
+        if degree is None:
             continue
-        at = weights.setdefault(res.degree, {})
-        at[res.weight] = at.get(res.weight, 0) + mult
-        totals[res.degree] = totals.get(res.degree, 0) + mult * res.dimension
+        at = weights.setdefault(degree, {})
+        at[weight] = at.get(weight, 0) + mult
+        totals[degree] = totals.get(degree, 0) + mult * dimension
     entries = tuple(
         (d, tuple(sorted(weights[d].items(), key=lambda kv: kv[0].coeffs))) for d in sorted(weights)
     )
@@ -167,7 +168,7 @@ def levi_dual_weight(space: ParabolicSpace, omega: Weight) -> Weight:
     uncrossed nodes while a coefficient there is negative.
     """
     space.check_p_dominant(omega)
-    return reflection_walk(space.rs, -omega, space.uncrossed)[0]
+    return _walk(space.rs, (-omega)[0], {i - 1 for i in space.uncrossed})[0]
 
 
 def serre_dual_weight(space: ParabolicSpace, omega: Weight) -> Weight:

@@ -24,6 +24,9 @@ Weyl dimensions walk a root chain: each non-simple positive root is a
 positive root beta plus a simple root (Humphreys, Lie Algebras, 10.2), so its
 pairing with lambda + rho is beta's plus one integer; the denominator is stored.
 
+Inputs are checked once, where they enter: ``Weight`` its coefficients, each public function
+the rank of its weight and its nodes. Weights derived here (sums, walks, duals) skip the check.
+
 All values are immutable after construction and every operation is a pure
 function; concurrent reads from multiple threads are safe. Every record is a
 tuple of its fields (a ``NamedTuple``, or a ``_Record`` where construction validates),
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, prod
-from operator import itemgetter
+from operator import add, itemgetter, sub
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -124,12 +127,16 @@ class Weight(_Record):
         return len(self.coeffs)
 
     def __add__(self, other: "Weight") -> "Weight":
-        self._check_rank(other)
-        return Weight._trusted(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = self[0], other[0] if type(other) is Weight else other.coeffs
+        if len(a) != len(b):
+            self._check_rank(other)
+        return Weight._trusted(tuple(map(add, a, b)))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        self._check_rank(other)
-        return Weight._trusted(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = self[0], other[0] if type(other) is Weight else other.coeffs
+        if len(a) != len(b):
+            self._check_rank(other)
+        return Weight._trusted(tuple(map(sub, a, b)))
 
     def __neg__(self) -> "Weight":
         return Weight._trusted(tuple(-a for a in self.coeffs))
@@ -331,23 +338,33 @@ def adjoint_dimension(rs: RootSystem) -> int:
 
 
 def _check_weight(rs: RootSystem, w: Weight) -> None:
-    if w.rank != rs.rank:
+    if len(w[0]) != rs.rank:
         raise ValueError(f"rank mismatch: weight {w} has rank {w.rank}, root system is {rs.name}")
 
 
-def reflection_walk(rs: RootSystem, w: Weight, nodes: Sequence[int]) -> tuple[Weight, int]:
-    """Reflect at the 1-based ``nodes`` while one of them has a negative coefficient.
+def _check_nodes(rs: RootSystem, nodes: Iterable[int], what: str) -> tuple[int, ...]:
+    """The 1-based ``nodes`` as given, once each is known to be an int in 1..rank."""
+    nodes = tuple(nodes)
+    for i in nodes:
+        if type(i) is not int:
+            raise ValueError(f"{what} node {i!r} in {nodes!r} is not an integer")
+    bad = sorted(i for i in set(nodes) if not 1 <= i <= rs.rank)
+    if bad:
+        raise ValueError(f"{what} nodes {bad} out of range 1..{rs.rank}")
+    return nodes
 
-    ``nodes`` gives a node set, not an order: a stack holds the nodes that may be negative,
-    and a reflection lowers, and may push, only its Dynkin neighbours (``rs.neighbours``).
-    Returns the final weight and the number of reflections, both independent of the order:
-    each reflection removes exactly one positive root from those pairing negatively with
-    the weight (Humphreys, 10.3), so the count never exceeds the number of positive roots.
-    """
-    coeffs = list(w.coeffs)
-    members = {i - 1 for i in nodes}
+
+@lru_cache(maxsize=None)
+def _all_nodes(rank: int) -> frozenset[int]:
+    return frozenset(range(rank))
+
+
+def _walk(rs: RootSystem, coeffs: Iterable[int], members) -> tuple[Weight, int]:
+    """``reflection_walk`` of checked input: ints of rank ``rs.rank``, 0-based node set."""
+    coeffs = list(coeffs)
     stack = [i for i in members if coeffs[i] < 0]
     bound = len(rs.positive_roots)
+    neighbours = rs.neighbours
     length = 0
     while stack:
         i = stack.pop()
@@ -355,14 +372,28 @@ def reflection_walk(rs: RootSystem, w: Weight, nodes: Sequence[int]) -> tuple[We
         if ci >= 0:
             continue
         coeffs[i] = -ci
-        for j, a in rs.neighbours[i]:
+        for j, a in neighbours[i]:
             cj = coeffs[j] = coeffs[j] - ci * a
             if cj < 0 and j in members:
                 stack.append(j)
         length += 1
         if length > bound:
             raise AssertionError("reflection walk exceeded the longest-element bound")
-    return Weight._trusted(tuple(coeffs)), length  # int steps from a validated weight
+    return Weight._trusted(tuple(coeffs)), length  # int steps from checked ints
+
+
+def reflection_walk(rs: RootSystem, w: Weight, nodes: Iterable[int]) -> tuple[Weight, int]:
+    """Reflect at the 1-based ``nodes`` while one of them has a negative coefficient.
+
+    ``nodes`` gives a node set, not an order: a stack holds the nodes that may be negative,
+    and a reflection lowers, and may push, only its Dynkin neighbours (``rs.neighbours``).
+    Returns the final weight and the number of reflections, both independent of the order:
+    each reflection removes exactly one positive root from those pairing negatively with
+    the weight (Humphreys, 10.3), so the count never exceeds the number of positive roots.
+    A weight of another rank, or a node that is not an int in 1..rank, is rejected.
+    """
+    _check_weight(rs, w)
+    return _walk(rs, w[0], {i - 1 for i in _check_nodes(rs, nodes, "walk")})
 
 
 def dominantize(rs: RootSystem, w: Weight) -> tuple[Weight, int] | None:
@@ -372,10 +403,13 @@ def dominantize(rs: RootSystem, w: Weight) -> tuple[Weight, int] | None:
     zero coefficient (the weight is then orthogonal to a root, a Weyl-invariant
     property). Otherwise returns the strictly dominant representative and the
     reflection count, which is the length of the unique Weyl element involved.
+    A zero coefficient of ``w`` itself is a wall already, so no walk is made.
     """
     _check_weight(rs, w)
-    dominant, length = reflection_walk(rs, w, range(1, rs.rank + 1))
-    if 0 in dominant.coeffs:
+    if 0 in w[0]:
+        return None
+    dominant, length = _walk(rs, w[0], _all_nodes(rs.rank))
+    if 0 in dominant[0]:
         return None
     return dominant, length
 
@@ -402,28 +436,26 @@ def weyl_dimension(rs: RootSystem, dominant: Weight) -> int:
     exact: one addition per root along ``rs.root_chain``, over ``rs.rho_product``.
     """
     _check_weight(rs, dominant)
-    for i, c in enumerate(dominant.coeffs):
-        if c < 0:
-            raise ValueError(
-                f"weight {dominant} is not dominant: coefficient {c} at node {i + 1}"
-            )
+    if min(dominant[0]) < 0:
+        i, c = next((i, c) for i, c in enumerate(dominant[0]) if c < 0)
+        raise ValueError(f"weight {dominant} is not dominant: coefficient {c} at node {i + 1}")
     return _weyl_product(rs, dominant)
 
 
 @lru_cache(maxsize=None)
-def _dual_nodes(type_letter: str, rank: int) -> tuple[int, ...]:
-    """-w0 on the nodes: the dual of a weight has at node j the weight's coefficient at
-    node ``_dual_nodes(...)[j - 1]``. -w0 maps omega_i to omega_sigma(i), so the walk of the
+def _minus_w0(type_letter: str, rank: int) -> tuple[int, ...]:
+    """-w0 on the 0-based nodes: the dual of a weight has at index j the weight's coefficient
+    at index ``_minus_w0(...)[j]``. -w0 maps omega_i to omega_sigma(i), so the walk of the
     antidominant -(omega_1 + 2 omega_2 + ... + n omega_n) ends at the weight whose
     coefficient at node sigma(i) is i (Humphreys, 10.3)."""
-    rs = build_root_system(type_letter, rank)
-    return reflection_walk(rs, -Weight(tuple(range(1, rank + 1))), range(1, rank + 1))[0].coeffs
+    walked = _walk(build_root_system(type_letter, rank), range(-1, -rank - 1, -1), _all_nodes(rank))
+    return tuple(i - 1 for i in walked[0][0])
 
 
 def dual_weight(rs: RootSystem, dominant: Weight) -> Weight:
     """Highest weight of the dual representation: -w0 permutes the fundamental weights."""
     _check_weight(rs, dominant)
-    return Weight(tuple(dominant.coeffs[i - 1] for i in _dual_nodes(rs.type_letter, rs.rank)))
+    return Weight._trusted(tuple(map(dominant[0].__getitem__, _minus_w0(rs.type_letter, rs.rank))))
 
 
 class ParabolicSpace(_Record):
@@ -444,19 +476,12 @@ class ParabolicSpace(_Record):
     levi_indices: tuple[int, ...]
 
     def __new__(cls, rs: RootSystem, crossed: Iterable[int]) -> "ParabolicSpace":
-        nodes = tuple(crossed)
-        for i in nodes:
-            if type(i) is not int:
-                raise ValueError(f"crossed node {i!r} in {nodes!r} is not an integer")
-        crossed = frozenset(nodes)
+        crossed = frozenset(_check_nodes(rs, crossed, "crossed"))
         if not crossed:
             raise ValueError(
                 "a parabolic space needs at least one crossed node; the crossed node set "
                 "must be nonempty"
             )
-        bad = sorted(i for i in crossed if not 1 <= i <= rs.rank)
-        if bad:
-            raise ValueError(f"crossed nodes {bad} out of range 1..{rs.rank}")
         roots = rs.positive_roots
         meets = [any(root[i - 1] for i in crossed) for root in roots]
         uncrossed = tuple(i for i in range(1, rs.rank + 1) if i not in crossed)
@@ -479,7 +504,7 @@ class ParabolicSpace(_Record):
         """Reject a weight of the wrong rank or negative at an uncrossed node."""
         _check_weight(self.rs, omega)
         for i in self.uncrossed:
-            if omega.coeffs[i - 1] < 0:
+            if omega[0][i - 1] < 0:
                 raise ValueError(
                     f"weight {omega} is not P-dominant on {self}: "
                     f"negative coefficient at uncrossed node {i}"

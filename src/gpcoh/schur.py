@@ -149,6 +149,11 @@ class BundleLabel(_Record):
         return format_label(self)
 
 
+def _check_multiplicity(mult: int) -> None:
+    if type(mult) is not int or mult <= 0:  # a float or a bool is no multiplicity
+        raise ValueError(f"multiplicity must be a positive int, got {mult!r}")
+
+
 class BundleSum(NamedTuple):
     """Formal direct sum of canonical labels with positive multiplicities,
     equal labels merged and summands in ``sort_key`` order."""
@@ -160,14 +165,20 @@ class BundleSum(NamedTuple):
     def from_pairs(
         cls, ambient: tuple[int, int], pairs: Iterable[tuple[BundleLabel, int]]
     ) -> "BundleSum":
-        acc: dict[BundleLabel, int] = {}
+        pairs = list(pairs)
         for label, mult in pairs:
             if label.ambient != tuple(ambient):
                 raise ValueError(
                     f"label on Gr{label.ambient} cannot join a sum on Gr{tuple(ambient)}"
                 )
-            if type(mult) is not int or mult <= 0:  # a float or a bool is no multiplicity
-                raise ValueError(f"multiplicity must be a positive int, got {mult!r}")
+            _check_multiplicity(mult)
+        return cls._merged(ambient, pairs)
+
+    @classmethod
+    def _merged(cls, ambient, pairs: Iterable[tuple[BundleLabel, int]]) -> "BundleSum":
+        """``from_pairs`` without its checks, for pairs built here from checked summands."""
+        acc: dict[BundleLabel, int] = {}
+        for label, mult in pairs:
             acc[label] = acc.get(label, 0) + mult
         ordered = tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key()))
         return cls(ambient=tuple(ambient), summands=ordered)
@@ -309,7 +320,7 @@ def dual_sum(bsum: BundleSum) -> BundleSum:
 
 
 def _product_pairs(a: BundleSum, b: BundleSum) -> Iterator[tuple[BundleLabel, int]]:
-    """The summands of ``tensor(a, b)``, unmerged and each label canonical as built."""
+    """The summands of ``tensor(a, b)``, unmerged, each label canonical on ``a``'s ambient."""
     ambient = a.ambient
     k, n = ambient
     for la, ma in a.summands:
@@ -332,7 +343,9 @@ def tensor(a: BundleSum, b: BundleSum) -> BundleSum:
     is the other with the twists added, O(t) (x) E = E(t); any other pair takes the LR rule."""
     if a.ambient != b.ambient:
         raise ValueError(f"ambient mismatch: Gr{a.ambient} vs Gr{b.ambient}")
-    return BundleSum.from_pairs(a.ambient, _product_pairs(a, b))
+    for _, mult in a.summands + b.summands:
+        _check_multiplicity(mult)
+    return BundleSum._merged(a.ambient, _product_pairs(a, b))
 
 
 def _column_form(label: BundleLabel) -> tuple[str, int, int]:
@@ -394,6 +407,7 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
     # graded[d] = Lambda^d of the summands folded so far
     graded: list[BundleSum] = [BundleSum.of(BundleLabel(ambient))]
     for lab, m in bsum.summands:
+        _check_multiplicity(m)
         if lab.u_part.parts or lab.q_part.parts:
             blocks = [[exterior_power(lab, d) for d in range(min(label_rank(lab), j) + 1)]] * m
         else:
@@ -402,14 +416,14 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
         for powers in blocks:
             top = min(j, len(graded) + len(powers) - 2)
             graded = [
-                BundleSum.from_pairs(ambient, [
+                BundleSum._merged(ambient, [
                     pair
                     for p in range(max(0, d - len(graded) + 1), min(d, len(powers) - 1) + 1)
                     for pair in _product_pairs(graded[d - p], powers[p])
                 ])
                 for d in range(top + 1)
             ]
-    return tuple(graded) + (BundleSum.from_pairs(ambient, []),) * (j + 1 - len(graded))
+    return tuple(graded) + (BundleSum(tuple(ambient)),) * (j + 1 - len(graded))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,16 @@ from itertools import combinations
 from typing import Iterator
 
 
+# every simple type up to rank 8 that the engine builds, E, F and G included
+ALL_TYPES = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(3, 9)]
+    + [("D", n) for n in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
 @lru_cache(maxsize=None)
 def ssyt_contents(shape: tuple[int, ...], max_entry: int) -> tuple[tuple[int, ...], ...]:
     """Content of every semistandard Young tableau of the given shape with

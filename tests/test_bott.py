@@ -1,8 +1,10 @@
 import random
+from typing import NamedTuple
 
 import pytest
 
 from gpcoh import (
+    BWBResult,
     CohomologyTable,
     ParabolicSpace,
     Weight,
@@ -16,6 +18,8 @@ from gpcoh import (
 )
 from gpcoh.bott import levi_dual_weight
 from gpcoh.schur import BundleLabel, BundleSum
+
+from conftest import ALL_TYPES, reflection_walk_oracle, weyl_product_oracle
 
 
 def gr47():
@@ -238,15 +242,8 @@ def _fano_index(letter: str, n: int, k: int) -> int:
 
 
 def test_canonical_twist_is_minus_the_fano_index_on_every_maximal_parabolic():
-    types = (
-        [("A", n) for n in range(1, 9)]
-        + [("B", n) for n in range(2, 9)]
-        + [("C", n) for n in range(3, 9)]
-        + [("D", n) for n in range(4, 9)]
-        + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
-    )
     checked = 0
-    for letter, n in types:
+    for letter, n in ALL_TYPES:
         rs = build_root_system(letter, n)
         for k in range(1, n + 1):
             space = ParabolicSpace(rs=rs, crossed=frozenset({k}))
@@ -290,3 +287,73 @@ def test_serre_duality_consistency_on_random_a_type_spaces():
         assert levi_dimension(rs, crossed, w) == levi_dimension(
             rs, crossed, levi_dual_weight(space, w)
         )
+
+
+class _OracleWeight(NamedTuple):
+    """Coefficients for the oracles, built with no package code."""
+
+    coeffs: tuple[int, ...]
+
+
+def _bwb_oracle(rs, coeffs):
+    """(degree, weight, dimension, predual weight) of Borel-Weil-Bott for ``coeffs``, or None
+    on a wall: the oracle walk of omega + rho, the Weyl product over every positive root, and
+    -w0 mu as the end of the oracle walk of -mu."""
+    nodes = range(1, rs.rank + 1)
+    dominant, length = reflection_walk_oracle(rs, _OracleWeight(tuple(c + 1 for c in coeffs)), nodes)
+    if 0 in dominant.coeffs:
+        return None
+    mu = tuple(c - 1 for c in dominant.coeffs)
+    dual = reflection_walk_oracle(rs, _OracleWeight(tuple(-c for c in mu)), nodes)[0].coeffs
+    return length, dual, weyl_product_oracle(rs, _OracleWeight(mu), rs.positive_roots), mu
+
+
+def _draw_weights(rs, k, rng):
+    """Four P-dominant weights off the walls and two on one: omega_k coefficient -1 (omega + rho
+    is zero at node k up front), and one with no zero coefficient, when a bounded search finds it."""
+    draw = lambda crossed: tuple(crossed if i == k else rng.randint(0, 3) for i in range(1, rs.rank + 1))
+    regular, hidden = [], []
+    for _ in range(300):
+        coeffs = draw(rng.choice((rng.randint(-30, -2), rng.randint(0, 3))))
+        if _bwb_oracle(rs, coeffs) is not None:
+            regular.append(coeffs)
+        elif not hidden:
+            hidden.append(coeffs)
+        if len(regular) >= 4 and hidden:
+            break
+    return regular[:4] + [draw(-1)] + hidden
+
+
+@pytest.mark.parametrize("letter,rank", ALL_TYPES)
+def test_bwb_and_tables_match_an_oracle_on_every_maximal_parabolic(letter, rank):
+    rs = build_root_system(letter, rank)
+    rng = random.Random(f"bwb oracle {letter}{rank}")
+    regular = walls = hidden_walls = 0
+    for k in range(1, rank + 1):
+        space = ParabolicSpace(rs=rs, crossed=frozenset({k}))
+        totals: dict[int, int] = {}
+        by_degree: dict[int, dict[tuple, int]] = {}
+        summands = []
+        for coeffs in _draw_weights(rs, k, rng):
+            want = _bwb_oracle(rs, coeffs)
+            got = bwb(space, Weight(coeffs))
+            mult = rng.randint(1, 3)
+            summands.append((Weight(coeffs), mult))
+            if want is None:
+                assert got == BWBResult() and got.all_vanish, (space, coeffs)
+                walls += 1
+                hidden_walls += -1 not in coeffs
+                continue
+            assert (got.degree, got.weight.coeffs, got.dimension, got.predual_weight.coeffs) == want
+            regular += 1
+            degree, dual, dimension, _ = want
+            totals[degree] = totals.get(degree, 0) + mult * dimension
+            at = by_degree.setdefault(degree, {})
+            at[dual] = at.get(dual, 0) + mult
+        table = bundle_cohomology(space, summands)
+        assert table.total_dims == tuple(sorted(totals.items()))
+        assert [(d, [(w.coeffs, m) for w, m in pairs]) for d, pairs in table.entries] == [
+            (d, sorted(by_degree[d].items())) for d in sorted(by_degree)
+        ]
+    # on A1 the only wall is omega + rho = 0; every larger space has one off the front too
+    assert (regular, walls, hidden_walls) == ((4, 1, 0) if rank == 1 else (4 * rank, 2 * rank, rank))

@@ -1,4 +1,6 @@
-"""Byte-for-byte CLI output of the shipped reports and Cayley chases.
+"""Byte-for-byte CLI output of the shipped reports, the Cayley chases and three
+Borel-Weil-Bott runs (a walk of length 77 on E8/P(1), a weight whose rho-shift
+lies on a wall with no zero coefficient, and H^1 of O(-2) on P^1).
 
 The files under ``tests/golden/`` are the stdout of ``gpcoh`` for each
 command below; any change to a number, a label or the formatting of these
@@ -23,6 +25,13 @@ CASES = [
         ["--format", "json", "koszul", "--scenario", "cayley", "--twist", twist],
     )
     for twist in ("trivial", "normal", "tangent")
+] + [
+    (f"bwb_{name}.json", ["--format", "json", "bwb", *args])
+    for name, args in (
+        ("e8_p1_nonvanishing", ["E", "8", "--crossed", "1", "--weight=-26,1,0,0,0,0,0,2"]),
+        ("e8_p1_vanishing", ["E", "8", "--crossed", "1", "--weight=-10,0,0,0,0,0,0,0"]),
+        ("a1_h1", ["A", "1", "--crossed", "1", "--weight", "-2"]),
+    )
 ]
 
 

@@ -20,6 +20,7 @@ from gpcoh import (
 from gpcoh.root_system import reflection_walk
 
 from conftest import (
+    ALL_TYPES,
     a_type_positive_roots,
     positive_roots_oracle,
     reflection_walk_oracle,
@@ -27,13 +28,6 @@ from conftest import (
     weyl_product_oracle,
 )
 
-ALL_TYPES = (
-    [("A", n) for n in range(1, 9)]
-    + [("B", n) for n in range(2, 9)]
-    + [("C", n) for n in range(3, 9)]
-    + [("D", n) for n in range(4, 9)]
-    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
-)
 
 
 def closed_form_count(letter: str, n: int) -> int:
@@ -145,6 +139,23 @@ def test_dominantize_shifted_triple_twist_weight_is_singular():
 def test_dominantize_shifted_adjoint_weight_is_regular_of_length_zero():
     rs = build_root_system("A", 6)
     assert dominantize(rs, Weight.of(2, 1, 1, 1, 1, 2)) == (Weight.of(2, 1, 1, 1, 1, 2), 0)
+
+
+@pytest.mark.parametrize(
+    "coeffs,nodes,message",
+    [
+        ((0, 0, -1), [0], "walk nodes [0] out of range 1..3"),
+        ((0, 0, -1), range(1, 5), "walk nodes [4] out of range 1..3"),
+        ((0, -1), [1, 2], "rank mismatch: weight (0,-1) has rank 2, root system is A3"),
+        ((0, 0, -1), [True], "walk node True in (True,) is not an integer"),
+        ((0, 0, -1), [3.0], "walk node 3.0 in (3.0,) is not an integer"),
+    ],
+    ids=["node-0", "node-4", "rank-2", "bool-node", "float-node"],
+)
+def test_reflection_walk_rejects_a_wrong_rank_or_a_node_outside_the_diagram(coeffs, nodes, message):
+    # node 0 used to reflect at node 3 (index -1), node 4 to raise IndexError, rank 2 to pass
+    with pytest.raises(ValueError, match=re.escape(message)):
+        reflection_walk(build_root_system("A", 3), Weight(coeffs), nodes)
 
 
 def test_dominantize_rank_mismatch_rejected():

@@ -226,6 +226,20 @@ def test_tensor_rejects_ambient_mismatch():
         tensor(a, b)
 
 
+@pytest.mark.parametrize("mult", [0, -1, 1.5, True], ids=["zero", "negative", "float", "bool"])
+@pytest.mark.parametrize("label", [BundleLabel(AMB, twist=1), BundleLabel(AMB, Partition((1,)))],
+                         ids=["line", "column"])
+def test_a_hand_built_sum_with_a_bad_multiplicity_is_rejected(label, mult):
+    # a NamedTuple built around from_pairs skips its checks; the products must not
+    bad = BundleSum(AMB, ((label, mult),))
+    good = BundleSum.of(BundleLabel(AMB, Partition((1, 1))))
+    message = re.escape(f"multiplicity must be a positive int, got {mult!r}")
+    for make in (lambda: tensor(bad, good), lambda: tensor(good, bad),
+                 lambda: exterior_power_sum(bad, 2)):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
 @given(
     st.integers(0, 4),
     st.integers(0, 3),
