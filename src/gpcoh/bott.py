@@ -24,6 +24,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .root_system import (
     ParabolicSpace,
     Weight,
+    _check_multiplicity,
     _coroot_pairing,
     _walk,
     dominantize,
@@ -135,8 +136,7 @@ def bundle_cohomology(
     weights: dict[int, dict[Weight, int]] = {}
     totals: dict[int, int] = {}
     for omega, mult in summands:
-        if type(mult) is not int or mult <= 0:  # a float or a bool is no multiplicity
-            raise ValueError(f"multiplicity must be a positive int, got {mult!r}")
+        _check_multiplicity(mult)
         degree, weight, dimension, _ = bwb(space, omega)
         if degree is None:
             continue

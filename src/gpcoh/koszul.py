@@ -22,6 +22,12 @@ no sheaf on S can have, it is blocked at (0, q) for each such degree q: the
 maximal ranks of one cohomology row need not be compatible with each other,
 and this is where an incompatible choice shows. No rank exceeds its source
 or its target, so no dimension downstream can turn negative.
+
+The peel visits, for each term, only the cells that can carry a rank: the
+degrees where both H^q(A_{j+1}) and H^q(C_j) are nonzero, and the cells with
+a provided hint. A map with a zero source or target has rank 0 by force, so
+every other cell would record nothing; the next image sheaf's dimensions come
+from the degrees of C_j and of A_{j+1} shifted down by one.
 """
 
 from __future__ import annotations
@@ -149,7 +155,9 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> Chase
     Peels the exact complex into short exact sequences
     0 -> A_{j+1} -> C_j -> A_j -> 0 with A_j the image sheaves, A_r = C_r and
     A_0 = F|_S. Within each sequence the rank of H^q(A_{j+1}) -> H^q(C_j) is
-    forced only by a zero source or target; otherwise a hint is consulted and
+    forced only by a zero source or target, to 0, so the peel visits only the
+    degrees where both are nonzero, plus any (j, q) with a provided hint, in
+    ascending q; at a visited cell a hint is consulted and
     the maximal rank is the recorded default. Providing the defaults
     explicitly as hints reproduces the same result. A hint that is not a
     ``RankHint`` is rejected with ValueError. An output with
@@ -187,8 +195,12 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> Chase
     current = tables[r].dims()  # dims of A_r = C_r
     for j in range(r - 1, -1, -1):
         below = tables[j].dims()
-        rho: list[int] = []
-        for q in range(max_degree + 2):
+        # a rank needs a nonzero source and target, or a provided hint; every other cell is 0
+        cells = current.keys() & below.keys()
+        if hints:
+            cells |= {q for i, q in hints if i == j}
+        rho: dict[int, int] = {}
+        for q in sorted(cells):
             cap = min(current.get(q, 0), below.get(q, 0))
             provided = hints.pop((j, q), None)
             if provided is not None:
@@ -197,23 +209,22 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> Chase
                         f"hint rank {provided} at term {j} degree {q} exceeds the "
                         f"maximal possible rank {cap}"
                     )
-                rho.append(provided)
+                rho[q] = provided
                 used.append(UsedHint(j, q, provided, "provided"))
-            elif cap > 0:
-                rho.append(cap)
-                used.append(UsedHint(j, q, cap, "default_maximal"))
             else:
-                rho.append(0)
+                rho[q] = cap
+                used.append(UsedHint(j, q, cap, "default_maximal"))
         # global sections are left exact: H^0(A_{j+1}) injects into H^0(C_j)
-        if rho[0] < current.get(0, 0):
+        if rho.get(0, 0) < current.get(0, 0):
             blocking = [(j, 0)]
             break
-        # H^q(A_j) = coker in degree q + ker in degree q + 1, never negative as rho <= cap
-        current = {
-            q: val
-            for q in range(max_degree + 1)
-            if (val := below.get(q, 0) - rho[q] + current.get(q + 1, 0) - rho[q + 1])
-        }
+        # H^q(A_j) = coker in degree q + ker in degree q + 1, never negative as rho <= cap;
+        # the kernel in degree 0 is empty once the check above passed
+        dims = {q: v - rho.get(q, 0) for q, v in below.items()}
+        for q, v in current.items():
+            if q:
+                dims[q - 1] = dims.get(q - 1, 0) + v - rho.get(q, 0)
+        current = {q: dims[q] for q in sorted(dims) if dims[q]}
     else:
         # no sheaf on S has cohomology above dim S = dim G/P - rank E
         blocking = [(0, q) for q in current if q > max_degree - r]

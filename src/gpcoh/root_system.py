@@ -354,6 +354,12 @@ def _check_nodes(rs: RootSystem, nodes: Iterable[int], what: str) -> tuple[int, 
     return nodes
 
 
+def _check_multiplicity(mult: int) -> None:
+    """A summand's multiplicity in a direct sum, in ``bott`` and ``schur`` alike."""
+    if type(mult) is not int or mult <= 0:  # a float or a bool is no multiplicity
+        raise ValueError(f"multiplicity must be a positive int, got {mult!r}")
+
+
 @lru_cache(maxsize=None)
 def _all_nodes(rank: int) -> frozenset[int]:
     return frozenset(range(rank))

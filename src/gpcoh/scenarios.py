@@ -391,7 +391,7 @@ def _chase_record(ledger: _Ledger, twist: str, complex_: KoszulComplex, result: 
         f"resolution_{twist}",
         "resolution terms: " + "; ".join(terms),
         terms,
-        "exterior powers of the dual section bundle, canonicalized",
+        "exterior powers of the dual section bundle",
     )
     ledger.add(
         f"page_{twist}",
@@ -710,7 +710,7 @@ def run_adjunction_audit(scenario: Scenario | None = None) -> RigidityReport:
         "section_det_twist",
         f"det(section bundle) = O({det_twist})",
         det_twist,
-        "top exterior power, canonicalized",
+        "top exterior power",
     )
     ledger.add(
         "subvariety_canonical_twist",

@@ -28,6 +28,14 @@ cases a Koszul complex of a column bundle requires: powers of (possibly
 dual, possibly twisted) single columns. General plethysm is out of scope and
 rejected.
 
+A label is checked once, where it enters. The ``BundleLabel`` constructor
+checks its fields; ``BundleSum.from_pairs``, ``tensor`` and the
+exterior-power fold check the ambient and the multiplicity of each summand
+they are given, by one rule. Labels derived from checked ones are trusted:
+a twist shift of a canonical label (a line-bundle factor, a power of a line
+bundle) is built as it is, and an LR product, one partition within the rows
+of each side, only has its full columns moved (``BundleLabel._canonical``).
+
 Conversion to fundamental-weight coordinates sends a label to the highest
 weight of the dual of its fiber, which is exactly the convention making
 ``O(1) -> omega_k`` and ``Lambda^j U^* -> omega_j``; with it the tangent
@@ -41,7 +49,14 @@ from math import comb
 from operator import sub
 from typing import Iterable, Iterator, NamedTuple
 
-from .root_system import ParabolicSpace, Weight, _Record, build_root_system, weyl_dimension
+from .root_system import (
+    ParabolicSpace,
+    Weight,
+    _check_multiplicity,
+    _Record,
+    build_root_system,
+    weyl_dimension,
+)
 
 __all__ = [
     "Partition",
@@ -134,29 +149,47 @@ class BundleLabel(_Record):
             raise ValueError(f"u-side partition {u} exceeds rank {k}")
         if q.length > n - k:
             raise ValueError(f"q-side partition {q} exceeds rank {n - k}")
-        if u.length == k:
-            c = u.parts[-1]
-            u, t = Partition(tuple(p - c for p in u.parts)), t - c  # det U = O(-1)
-        if q.length == n - k:
-            c = q.parts[-1]
-            q, t = Partition(tuple(p - c for p in q.parts)), t + c  # det Q = O(+1)
-        return tuple.__new__(cls, ((k, n), u, q, t))
+        return cls._canonical((k, n), u, q, t)
 
-    def sort_key(self) -> tuple:
-        return (self.u_part.parts, self.q_part.parts, self.twist)
+    @classmethod
+    def _canonical(
+        cls, ambient: tuple[int, int], u: Partition, q: Partition, t: int
+    ) -> "BundleLabel":
+        """The label of fields already checked, with at most rank-many rows per side: a full
+        column moves into the twist, and the zeros the move leaves at the end are dropped."""
+        k, n = ambient
+        parts = u[0]
+        if len(parts) == k:
+            c = parts[-1]
+            parts = tuple(p - c for p in parts)
+            u, t = Partition._trusted(parts[: k - parts.count(0)]), t - c  # det U = O(-1)
+        parts = q[0]
+        if len(parts) == n - k:
+            c = parts[-1]
+            parts = tuple(p - c for p in parts)
+            q, t = Partition._trusted(parts[: n - k - parts.count(0)]), t + c  # det Q = O(+1)
+        return tuple.__new__(cls, (ambient, u, q, t))
 
     def __str__(self) -> str:
         return format_label(self)
 
 
-def _check_multiplicity(mult: int) -> None:
-    if type(mult) is not int or mult <= 0:  # a float or a bool is no multiplicity
-        raise ValueError(f"multiplicity must be a positive int, got {mult!r}")
+def _check_summand(ambient: tuple[int, int], label: BundleLabel, mult: int) -> None:
+    """A summand of a sum on ``ambient``: a label on that Gr(k, n), a positive int multiplicity."""
+    if label.ambient != ambient:
+        raise ValueError(f"label on Gr{label.ambient} cannot join a sum on Gr{ambient}")
+    _check_multiplicity(mult)
+
+
+def _summand_key(pair: tuple[BundleLabel, int]) -> tuple:
+    """The order of the summands in a ``BundleSum``: u parts, then q parts, then twist."""
+    _, u, q, t = pair[0]
+    return u[0], q[0], t
 
 
 class BundleSum(NamedTuple):
     """Formal direct sum of canonical labels with positive multiplicities,
-    equal labels merged and summands in ``sort_key`` order."""
+    equal labels merged and summands ordered by u parts, q parts and twist."""
 
     ambient: tuple[int, int]
     summands: tuple[tuple[BundleLabel, int], ...] = ()
@@ -166,12 +199,9 @@ class BundleSum(NamedTuple):
         cls, ambient: tuple[int, int], pairs: Iterable[tuple[BundleLabel, int]]
     ) -> "BundleSum":
         pairs = list(pairs)
+        ambient = tuple(ambient)
         for label, mult in pairs:
-            if label.ambient != tuple(ambient):
-                raise ValueError(
-                    f"label on Gr{label.ambient} cannot join a sum on Gr{tuple(ambient)}"
-                )
-            _check_multiplicity(mult)
+            _check_summand(ambient, label, mult)
         return cls._merged(ambient, pairs)
 
     @classmethod
@@ -180,7 +210,7 @@ class BundleSum(NamedTuple):
         acc: dict[BundleLabel, int] = {}
         for label, mult in pairs:
             acc[label] = acc.get(label, 0) + mult
-        ordered = tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key()))
+        ordered = tuple(sorted(acc.items(), key=_summand_key))
         return cls(ambient=tuple(ambient), summands=ordered)
 
     @classmethod
@@ -320,22 +350,23 @@ def dual_sum(bsum: BundleSum) -> BundleSum:
 
 
 def _product_pairs(a: BundleSum, b: BundleSum) -> Iterator[tuple[BundleLabel, int]]:
-    """The summands of ``tensor(a, b)``, unmerged, each label canonical on ``a``'s ambient."""
-    ambient = a.ambient
+    """The summands of ``tensor(a, b)``, unmerged, each label canonical on ``a``'s ambient
+    and derived unchecked from the checked labels of ``a`` and ``b``."""
+    ambient = tuple(a.ambient)
     k, n = ambient
-    for la, ma in a.summands:
-        for lb, mb in b.summands:
-            twist = la.twist + lb.twist
-            if not lb.u_part.parts and not lb.q_part.parts:
-                yield BundleLabel(ambient, la.u_part, la.q_part, twist), ma * mb
-            elif not la.u_part.parts and not la.q_part.parts:
-                yield BundleLabel(ambient, lb.u_part, lb.q_part, twist), ma * mb
+    for (_, ua, qa, ta), ma in a.summands:
+        for (_, ub, qb, tb), mb in b.summands:
+            twist = ta + tb
+            if not ub[0] and not qb[0]:
+                yield BundleLabel._trusted(ambient, ua, qa, twist), ma * mb
+            elif not ua[0] and not qa[0]:
+                yield BundleLabel._trusted(ambient, ub, qb, twist), ma * mb
             else:
-                u_products = lr_coefficients(la.u_part, lb.u_part, k)
-                q_products = lr_coefficients(la.q_part, lb.q_part, n - k)
+                u_products = lr_coefficients(ua, ub, k)
+                q_products = lr_coefficients(qa, qb, n - k)
                 for pu, cu in u_products.items():
                     for pq, cq in q_products.items():
-                        yield BundleLabel(ambient, pu, pq, twist), ma * mb * cu * cq
+                        yield BundleLabel._canonical(ambient, pu, pq, twist), ma * mb * cu * cq
 
 
 def tensor(a: BundleSum, b: BundleSum) -> BundleSum:
@@ -343,9 +374,10 @@ def tensor(a: BundleSum, b: BundleSum) -> BundleSum:
     is the other with the twists added, O(t) (x) E = E(t); any other pair takes the LR rule."""
     if a.ambient != b.ambient:
         raise ValueError(f"ambient mismatch: Gr{a.ambient} vs Gr{b.ambient}")
-    for _, mult in a.summands + b.summands:
-        _check_multiplicity(mult)
-    return BundleSum._merged(a.ambient, _product_pairs(a, b))
+    ambient = tuple(a.ambient)
+    for label, mult in a.summands + b.summands:
+        _check_summand(ambient, label, mult)
+    return BundleSum._merged(ambient, _product_pairs(a, b))
 
 
 def _column_form(label: BundleLabel) -> tuple[str, int, int]:
@@ -403,16 +435,19 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
     """
     if j < 0:
         raise ValueError("exterior power degree must be nonnegative")
-    ambient = bsum.ambient
+    ambient = tuple(bsum.ambient)
     # graded[d] = Lambda^d of the summands folded so far
     graded: list[BundleSum] = [BundleSum.of(BundleLabel(ambient))]
     for lab, m in bsum.summands:
-        _check_multiplicity(m)
+        _check_summand(ambient, lab, m)
         if lab.u_part.parts or lab.q_part.parts:
             blocks = [[exterior_power(lab, d) for d in range(min(label_rank(lab), j) + 1)]] * m
         else:
-            blocks = [[BundleSum.of(BundleLabel(ambient, twist=d * lab.twist), comb(m, d))
-                       for d in range(min(m, j) + 1)]]
+            _, u, q, t = lab  # L^d is the checked line bundle L with its twist times d
+            blocks = [[
+                BundleSum(ambient, ((BundleLabel._trusted(ambient, u, q, d * t), comb(m, d)),))
+                for d in range(min(m, j) + 1)
+            ]]
         for powers in blocks:
             top = min(j, len(graded) + len(powers) - 2)
             graded = [
@@ -423,7 +458,7 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
                 ])
                 for d in range(top + 1)
             ]
-    return tuple(graded) + (BundleSum(tuple(ambient)),) * (j + 1 - len(graded))
+    return tuple(graded) + (BundleSum(ambient),) * (j + 1 - len(graded))
 
 
 # ---------------------------------------------------------------------------

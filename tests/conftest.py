@@ -16,13 +16,24 @@ rule with its determinant twist directly, without the engine's
 ``dual_label``. Bundles on Gr(k, n) are also compared by their formal
 characters on the maximal torus of SL(n): Schur polynomials from enumerated
 tableaux, and exterior powers from the subsets of a weight multiset, with no
-use of the label calculus.
+use of the label calculus. The chase's peel is checked against the loop it
+replaced, which visits every degree of every term.
 """
 
+import json
+import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 from typing import Iterator
+
+KOSZUL_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "koszul_pool.json"
+
+
+def koszul_pool_sample(seed: int, size: int) -> list:
+    """A seeded sample of the benchmark's Koszul cases, each [k, n, section atoms, twist]."""
+    return random.Random(seed).sample(json.loads(KOSZUL_POOL.read_text())["cases"], size)
 
 
 # every simple type up to rank 8 that the engine builds, E, F and G included
@@ -328,3 +339,49 @@ def general_schur_oracle(
         return _canonical(ambient, _reversed_complement(p, k), (), twist + first)
     # S_p(Q^*) = S_rc(Q) (x) (det Q)^{-p_1} = S_rc(Q) (x) O(-p_1)
     return _canonical(ambient, (), _reversed_complement(p, m), twist - first)
+
+
+def dense_peel_oracle(term_tables, hints: dict, max_degree: int):
+    """The chase's peel over every cell: for each term j from r - 1 down to 0, every degree
+    0..max_degree + 1, as the engine once walked it.
+
+    ``term_tables[j]`` is H^*(C_j) (only its ``total_dims`` are read) and ``hints`` maps
+    (j, q) to a provided rank. Returns the dims of H^*(F|_S) or None, the blocking
+    positions, the ranks used as (j, q, rank, origin) and the unreached hints as
+    (j, q, rank). A provided rank above its cell's capacity raises ValueError.
+    """
+    hints = dict(hints)
+    r = len(term_tables) - 1
+    used = []
+    current = dict(term_tables[r].total_dims)
+    for j in range(r - 1, -1, -1):
+        below = dict(term_tables[j].total_dims)
+        rho = []
+        for q in range(max_degree + 2):
+            cap = min(current.get(q, 0), below.get(q, 0))
+            provided = hints.pop((j, q), None)
+            if provided is not None:
+                if provided > cap:
+                    raise ValueError(
+                        f"hint rank {provided} at term {j} degree {q} exceeds the "
+                        f"maximal possible rank {cap}"
+                    )
+                rho.append(provided)
+                used.append((j, q, provided, "provided"))
+            elif cap > 0:
+                rho.append(cap)
+                used.append((j, q, cap, "default_maximal"))
+            else:
+                rho.append(0)
+        if rho[0] < current.get(0, 0):
+            blocking = [(j, 0)]
+            break
+        current = {
+            q: val
+            for q in range(max_degree + 1)
+            if (val := below.get(q, 0) - rho[q] + current.get(q + 1, 0) - rho[q + 1])
+        }
+    else:
+        blocking = [(0, q) for q in current if q > max_degree - r]
+    unreached = [(j, q, rank) for (j, q), rank in hints.items()]
+    return (None if blocking else current), blocking, used, unreached

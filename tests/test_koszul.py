@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 import gpcoh.koszul
@@ -21,6 +24,8 @@ from gpcoh import (
     tangent_label,
 )
 from gpcoh.schur import format_sum, sum_to_weights
+
+from conftest import dense_peel_oracle, koszul_pool_sample
 
 AMB = (4, 7)
 
@@ -348,3 +353,97 @@ def test_a_blocked_chase_lists_the_hints_it_never_reached():
     assert res.blocking_positions == ((1, 0),)
     assert [(h.target_term, h.degree, h.rank) for h in res.hints_used] == [(1, 0, 0)]
     assert res.hints_unreached == (RankHint(0, 0, 1),)
+
+
+# ---------------------------------------------------------------------------
+# the peel visits only the cells that can carry a rank
+
+
+def _pool_complex(k, n, atoms, twist):
+    amb = (k, n)
+    section = BundleSum.from_pairs(
+        amb, [p for atom in atoms for p in parse_bundle(amb, atom).summands]
+    )
+    space = ParabolicSpace(rs=build_root_system("A", n - 1), crossed=frozenset({k}))
+    return build_koszul(space, section, parse_bundle(amb, twist))
+
+
+CAYLEY_CASES = [[4, 7, ["L3 U*"], twist] for twist in ("O", "L3 U*", "T")]
+
+
+def _plain(res):
+    """A chase result in the oracle's form."""
+    return (
+        res.table.dims() if res.determined else None,
+        list(res.blocking_positions),
+        [tuple(h) for h in res.hints_used],
+        [tuple(h) for h in res.hints_unreached],
+    )
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_the_sparse_peel_matches_the_dense_peel_on_the_pool_with_and_without_hints():
+    # hints: none, every default given back as provided, one default lowered by 1, and a
+    # rank-0 hint where no default was taken (capacity 0), at a nonzero H^q(C_j) if any
+    rng = random.Random(2103)
+    seen = {"lowered": 0, "blocked": 0, "zero_capacity_nonzero_target": 0}
+    for case in koszul_pool_sample(2103, 80) + CAYLEY_CASES:
+        cx = _pool_complex(*case)
+        top = cx.ambient.dimension
+        base = chase(cx)
+        tables = base.term_tables
+        defaults = [RankHint(h.target_term, h.degree, h.rank) for h in base.hints_used]
+        hint_sets = [[], defaults]
+        lowered = [h for h in defaults if h.rank > 0]
+        if lowered:
+            h = rng.choice(lowered)
+            hint_sets.append([h._replace(rank=h.rank - 1)])
+            seen["lowered"] += 1
+        taken = {(h.target_term, h.degree) for h in defaults}
+        free = [
+            (j, q) for j in range(cx.section_rank) for q in range(top + 1) if (j, q) not in taken
+        ]
+        targeted = [(j, q) for j, q in free if tables[j].total_dimension(q)]
+        seen["zero_capacity_nonzero_target"] += bool(targeted)
+        j, q = rng.choice(targeted or free)
+        hint_sets.append([RankHint(j, q, 0)])
+        for hints in hint_sets:
+            given = {(h.target_term, h.degree): h.rank for h in hints}
+            expected = _outcome(lambda: dense_peel_oracle(tables, given, top))
+            got = _outcome(lambda: _plain(chase(cx, hints)))
+            assert got == expected, (case, hints)
+            seen["blocked"] += got[0] is None
+    assert min(seen.values()) >= 20, seen
+
+
+# seeded sample of the Koszul pool: format_sum of every term, then determined, the table,
+# the blocking positions, the ranks used in order and the page of each chase
+CHASE_PIN = "7b766881a45c28545902e29184d82f819b5d4699fb6104d92d4b804d454a7ec7"
+
+
+def test_chase_answers_on_a_pool_sample_match_the_pinned_digest():
+    """An equivalence pin for speed work on the Koszul path: the digest must not move.
+
+    A change that alters chase answers on purpose (the sound chase of ROADMAP item 1)
+    updates ``CHASE_PIN`` and lists the changed cases in CHANGES.md.
+    """
+    digest = hashlib.sha256()
+    for case in koszul_pool_sample(300, 300):
+        cx = _pool_complex(*case)
+        res = chase(cx)
+        record = (
+            [format_sum(term) for term in cx.terms],
+            res.determined,
+            res.table.total_dims if res.determined else None,
+            res.blocking_positions,
+            [tuple(h) for h in res.hints_used],
+            res.grid,
+        )
+        digest.update(f"{record!r}\n".encode())
+    assert digest.hexdigest() == CHASE_PIN

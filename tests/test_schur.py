@@ -1,9 +1,7 @@
-import json
 import random
 import re
 from collections import Counter
 from itertools import combinations_with_replacement
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,13 +35,13 @@ from conftest import (
     _canonical,
     exterior_character,
     general_schur_oracle,
+    koszul_pool_sample,
     section_atom_weights,
     ssyt_count,
     torus_character,
 )
 
 AMB = (4, 7)
-KOSZUL_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "koszul_pool.json"
 
 
 def gr47():
@@ -234,6 +232,19 @@ def test_a_hand_built_sum_with_a_bad_multiplicity_is_rejected(label, mult):
     bad = BundleSum(AMB, ((label, mult),))
     good = BundleSum.of(BundleLabel(AMB, Partition((1, 1))))
     message = re.escape(f"multiplicity must be a positive int, got {mult!r}")
+    for make in (lambda: tensor(bad, good), lambda: tensor(good, bad),
+                 lambda: exterior_power_sum(bad, 2)):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
+@pytest.mark.parametrize("label", [BundleLabel(AMB, twist=1), BundleLabel(AMB, Partition((1,)))],
+                         ids=["line", "column"])
+def test_a_hand_built_sum_with_a_label_from_another_grassmannian_is_rejected(label):
+    # the products build labels unchecked on the sum's ambient: no foreign label is re-homed
+    bad = BundleSum((3, 7), ((label, 1),))
+    good = BundleSum.of(BundleLabel((3, 7), Partition((1, 1))))
+    message = re.escape("label on Gr(4, 7) cannot join a sum on Gr(3, 7)")
     for make in (lambda: tensor(bad, good), lambda: tensor(good, bad),
                  lambda: exterior_power_sum(bad, 2)):
         with pytest.raises(ValueError, match=message):
@@ -437,8 +448,7 @@ def _two_merge_fold(bsum, j):
 
 
 def test_exterior_power_sum_matches_a_two_merge_fold_on_the_koszul_pool():
-    cases = json.loads(KOSZUL_POOL.read_text())["cases"]
-    for k, n, atoms, _ in random.Random(19).sample(cases, 60):
+    for k, n, atoms, _ in koszul_pool_sample(19, 60):
         amb = (k, n)
         section = BundleSum.from_pairs(
             amb, [p for atom in atoms for p in parse_bundle(amb, atom).summands]
@@ -447,6 +457,55 @@ def test_exterior_power_sum_matches_a_two_merge_fold_on_the_koszul_pool():
         rank = dual.rank()
         assert exterior_power_sum(dual, rank) == _two_merge_fold(dual, rank), (amb, atoms)
         assert exterior_power_sum(dual, 2) == _two_merge_fold(dual, 2), (amb, atoms)
+
+
+# ---------------------------------------------------------------------------
+# derived labels: tensor, the exterior-power fold and build_koszul build them unchecked
+
+
+def _assert_labels_revalidate(bsum):
+    """Every label of ``bsum`` is what the checked constructors build from its fields."""
+    for label, _ in bsum.summands:
+        assert type(label) is BundleLabel and BundleLabel(*label) == label, label
+        for p in (label.u_part, label.q_part):
+            assert type(p) is Partition and Partition(p.parts) == p, label
+
+
+@st.composite
+def _column_sums(draw, ambient):
+    """A sum of 1-3 twisted columns Lambda^a U or Lambda^a Q, a in {0, 1, rank - 1, rank}."""
+    k, n = ambient
+    pairs = []
+    for on_u, a, t, m in draw(st.lists(
+        st.tuples(st.booleans(), st.integers(0, 3), st.integers(-3, 3), st.integers(1, 2)),
+        min_size=1, max_size=3,
+    )):
+        rank = k if on_u else n - k
+        column = Partition((1,) * (0, 1, rank - 1, rank)[a])
+        sides = (column, Partition()) if on_u else (Partition(), column)
+        pairs.append((BundleLabel(ambient, *sides, t), m))
+    return BundleSum.from_pairs(ambient, pairs)
+
+
+@given(st.data(), st.integers(2, 7))
+def test_tensor_and_exterior_power_labels_revalidate_to_themselves(data, n):
+    ambient = (data.draw(st.integers(1, n - 1)), n)
+    _assert_labels_revalidate(tensor(data.draw(_sums(ambient)), data.draw(_sums(ambient))))
+    for power in exterior_power_sum(data.draw(_column_sums(ambient)), 4):
+        _assert_labels_revalidate(power)
+
+
+def test_koszul_labels_revalidate_to_themselves_on_the_koszul_pool():
+    for k, n, atoms, twist in koszul_pool_sample(21, 60):
+        amb = (k, n)
+        section = BundleSum.from_pairs(
+            amb, [p for atom in atoms for p in parse_bundle(amb, atom).summands]
+        )
+        space = ParabolicSpace(rs=build_root_system("A", n - 1), crossed=frozenset({k}))
+        dual = dual_sum(section)
+        complex_ = build_koszul(space, section, parse_bundle(amb, twist))
+        for bsum in (*exterior_power_sum(dual, dual.rank()), *complex_.terms):
+            _assert_labels_revalidate(bsum)
 
 
 # ---------------------------------------------------------------------------
