@@ -143,9 +143,8 @@ def bundle_cohomology(
         at = weights.setdefault(degree, {})
         at[weight] = at.get(weight, 0) + mult
         totals[degree] = totals.get(degree, 0) + mult * dimension
-    entries = tuple(
-        (d, tuple(sorted(weights[d].items(), key=lambda kv: kv[0].coeffs))) for d in sorted(weights)
-    )
+    # the weights of one space compare as their coefficients, and no two of one degree are equal
+    entries = tuple((d, tuple(sorted(weights[d].items()))) for d in sorted(weights))
     return CohomologyTable(total_dims=tuple(sorted(totals.items())), entries=entries)
 
 

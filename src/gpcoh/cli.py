@@ -115,7 +115,7 @@ def _cmd_lr(ns) -> tuple[dict, list, list[str]]:
     mu = parse_partition(ns.mu)
     nu = parse_partition(ns.nu)
     coeffs = lr_coefficients(mu, nu, ns.rows)
-    items = sorted(coeffs.items(), key=lambda kv: kv[0].parts)
+    items = sorted(coeffs.items())
     dim_sum = sum(c * gl_dimension(lam, ns.rows) for lam, c in items)
     payload = {
         "mu": list(mu.parts),

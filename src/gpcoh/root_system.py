@@ -37,7 +37,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, prod
-from operator import add, itemgetter, sub
+from itertools import compress
+from operator import add, itemgetter, not_, sub
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -467,8 +468,8 @@ def dual_weight(rs: RootSystem, dominant: Weight) -> Weight:
 class ParabolicSpace(_Record):
     """A rational homogeneous space G/P, P given by crossed Dynkin nodes.
 
-    Construction validates the crossed set and splits the positive roots
-    once: ``nilradical`` holds those whose simple-root support meets a
+    Construction validates the crossed set and splits the positive roots once, by the
+    crossed nodes' columns: ``nilradical`` holds those whose simple-root support meets a
     crossed node (one per dimension of G/P), ``levi_indices`` the positions of the rest.
     ``uncrossed``, ``nilradical`` and ``levi_indices`` are derived from ``rs`` and
     ``crossed`` and take part in equality and ``repr``; copy and pickle derive them again.
@@ -489,10 +490,11 @@ class ParabolicSpace(_Record):
                 "must be nonempty"
             )
         roots = rs.positive_roots
-        meets = [any(root[i - 1] for i in crossed) for root in roots]
+        columns = tuple(zip(*roots))  # columns[i - 1]: every root's coefficient at node i
+        meets = tuple(map(any, zip(*[columns[i - 1] for i in crossed])))
         uncrossed = tuple(i for i in range(1, rs.rank + 1) if i not in crossed)
-        nilradical = tuple(r for r, m in zip(roots, meets) if m)
-        levi_indices = tuple(k for k, m in enumerate(meets) if not m)
+        nilradical = tuple(compress(roots, meets))
+        levi_indices = tuple(compress(range(len(roots)), map(not_, meets)))
         return tuple.__new__(cls, (rs, crossed, uncrossed, nilradical, levi_indices))
 
     def __getnewargs__(self) -> tuple:

@@ -31,10 +31,11 @@ rejected.
 A label is checked once, where it enters. The ``BundleLabel`` constructor
 checks its fields; ``BundleSum.from_pairs``, ``tensor`` and the
 exterior-power fold check the ambient and the multiplicity of each summand
-they are given, by one rule. Labels derived from checked ones are trusted:
-a twist shift of a canonical label (a line-bundle factor, a power of a line
-bundle) is built as it is, and an LR product, one partition within the rows
-of each side, only has its full columns moved (``BundleLabel._canonical``).
+they are given, by one rule (``BundleSum.of`` only the multiplicity of its one
+summand). Labels derived from checked ones are trusted: a twist shift of a
+canonical label (a line-bundle factor, a power of a line bundle, a twisted
+``T``) is built as it is, and an LR product, a column power and a dual only
+have their full columns moved (``BundleLabel._canonical``).
 
 Conversion to fundamental-weight coordinates sends a label to the highest
 weight of the dual of its fiber, which is exactly the convention making
@@ -117,11 +118,16 @@ class Partition(_Record):
         return "(" + ",".join(str(p) for p in self.parts) + ")" if self.parts else "()"
 
 
+_EMPTY = Partition()
+
+
 def _reversed_complement(p: Partition, rows: int) -> Partition:
-    """Partition of the dual GL(rows)-representation, before the det twist."""
-    padded = p.padded(rows)
-    first = padded[0] if padded else 0
-    return Partition(tuple(first - padded[rows - 1 - i] for i in range(rows)))
+    """Partition of the dual GL(rows)-representation, before the det twist, of a canonical
+    label's side (fewer than ``rows`` rows): the complement ends in 0, so it has fewer too."""
+    parts = p[0]
+    first = parts[0] if parts else 0
+    dual = (first,) * (rows - len(parts)) + tuple(first - x for x in reversed(parts))
+    return Partition._trusted(dual[: rows - dual.count(0)])
 
 
 class BundleLabel(_Record):
@@ -137,8 +143,8 @@ class BundleLabel(_Record):
     q_part: Partition
     twist: int
 
-    def __new__(cls, ambient: tuple[int, int], u_part: Partition = Partition(),
-                q_part: Partition = Partition(), twist: int = 0) -> "BundleLabel":
+    def __new__(cls, ambient: tuple[int, int], u_part: Partition = _EMPTY,
+                q_part: Partition = _EMPTY, twist: int = 0) -> "BundleLabel":
         k, n = ambient
         u, q, t = u_part, q_part, twist
         if type(k) is not int or type(n) is not int or type(t) is not int:
@@ -181,12 +187,6 @@ def _check_summand(ambient: tuple[int, int], label: BundleLabel, mult: int) -> N
     _check_multiplicity(mult)
 
 
-def _summand_key(pair: tuple[BundleLabel, int]) -> tuple:
-    """The order of the summands in a ``BundleSum``: u parts, then q parts, then twist."""
-    _, u, q, t = pair[0]
-    return u[0], q[0], t
-
-
 class BundleSum(NamedTuple):
     """Formal direct sum of canonical labels with positive multiplicities,
     equal labels merged and summands ordered by u parts, q parts and twist."""
@@ -210,12 +210,14 @@ class BundleSum(NamedTuple):
         acc: dict[BundleLabel, int] = {}
         for label, mult in pairs:
             acc[label] = acc.get(label, 0) + mult
-        ordered = tuple(sorted(acc.items(), key=_summand_key))
-        return cls(ambient=tuple(ambient), summands=ordered)
+        # labels of one sum share the ambient and are unique: the tuple order is u, q, twist
+        return cls(ambient=tuple(ambient), summands=tuple(sorted(acc.items())))
 
     @classmethod
     def of(cls, label: BundleLabel, mult: int = 1) -> "BundleSum":
-        return cls.from_pairs(label.ambient, [(label, mult)])
+        """The one-summand sum: nothing to merge or order."""
+        _check_multiplicity(mult)
+        return cls(label.ambient, ((label, mult),))
 
     @property
     def is_zero(self) -> bool:
@@ -327,16 +329,11 @@ def tangent_label(ambient: tuple[int, int]) -> BundleLabel:
 
 
 def dual_label(label: BundleLabel) -> BundleLabel:
-    k, n = label.ambient
-    m = n - k
-    u1 = label.u_part.part(0)
-    q1 = label.q_part.part(0)
-    return BundleLabel(
-        label.ambient,
-        u_part=_reversed_complement(label.u_part, k),
-        q_part=_reversed_complement(label.q_part, m),
-        twist=u1 - q1 - label.twist,
-    )
+    """The dual bundle, derived from the checked label unchecked."""
+    ambient, u, q, t = label
+    k, n = ambient
+    u_dual, q_dual = _reversed_complement(u, k), _reversed_complement(q, n - k)
+    return BundleLabel._canonical(ambient, u_dual, q_dual, u.part(0) - q.part(0) - t)
 
 
 def dual_sum(bsum: BundleSum) -> BundleSum:
@@ -380,13 +377,13 @@ def tensor(a: BundleSum, b: BundleSum) -> BundleSum:
     return BundleSum._merged(ambient, _product_pairs(a, b))
 
 
-def _column_form(label: BundleLabel) -> tuple[str, int, int]:
-    """Decompose a label as Lambda^a(side) (x) O(t), or fail."""
-    u, q, t = label.u_part, label.q_part, label.twist
+def _column_form(label: BundleLabel) -> tuple[str, int, int, int]:
+    """Decompose a label as Lambda^a(side) (x) O(t), side of rank r: (side, a, t, r), or fail."""
+    (k, n), u, q, t = label
     if not q.parts and all(p == 1 for p in u.parts):
-        return ("U", u.length, t)
+        return ("U", u.length, t, k)
     if not u.parts and all(p == 1 for p in q.parts):
-        return ("Q", q.length, t)
+        return ("Q", q.length, t, n - k)
     raise ValueError(
         f"unsupported plethysm shape: {format_label(label)} is not a column power "
         "of U or Q up to twist"
@@ -402,15 +399,13 @@ def exterior_power(label: BundleLabel, j: int) -> BundleSum:
     a full column Lambda^rank G is already the line bundle det G. Anything
     else is a genuine plethysm and is rejected.
     """
-    side, a, t = _column_form(label)
-    k, n = label.ambient
-    gen_rank = k if side == "U" else n - k
+    side, a, t, gen_rank = _column_form(label)
     det_twist = -1 if side == "U" else 1
     rank = comb(gen_rank, a)
     if not 0 <= j <= rank:
         raise ValueError(f"Lambda^{j} of a rank-{rank} bundle is out of range")
     if j == 0:
-        return BundleSum.of(BundleLabel(label.ambient))
+        return BundleSum.of(BundleLabel._canonical(label.ambient, _EMPTY, _EMPTY, 0))
     # Lambda^j(W (x) L) = Lambda^j(W) (x) L^j for a line bundle L
     if a <= 1:  # a pure line bundle (a = 0) has j = 1 here
         height, twist = j * a, j * t
@@ -420,9 +415,9 @@ def exterior_power(label: BundleLabel, j: int) -> BundleSum:
         height, twist = gen_rank - j, j * t + det_twist * (j - 1)
     else:
         raise ValueError(f"unsupported plethysm shape: Lambda^{j} of {format_label(label)}")
-    column = Partition((1,) * height)
-    u, q = (column, Partition()) if side == "U" else (Partition(), column)
-    return BundleSum.of(BundleLabel(label.ambient, u, q, twist))
+    column = Partition._trusted((1,) * height)
+    u, q = (column, _EMPTY) if side == "U" else (_EMPTY, column)
+    return BundleSum.of(BundleLabel._canonical(label.ambient, u, q, twist))
 
 
 def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
@@ -441,7 +436,8 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
     for lab, m in bsum.summands:
         _check_summand(ambient, lab, m)
         if lab.u_part.parts or lab.q_part.parts:
-            blocks = [[exterior_power(lab, d) for d in range(min(label_rank(lab), j) + 1)]] * m
+            _, a, _, r = _column_form(lab)  # Lambda^a of a rank-r generator has rank C(r, a)
+            blocks = [[exterior_power(lab, d) for d in range(min(comb(r, a), j) + 1)]] * m
         else:
             _, u, q, t = lab  # L^d is the checked line bundle L with its twist times d
             blocks = [[
@@ -529,6 +525,7 @@ _ATOM_RE = re.compile(
     """,
     re.VERBOSE,
 )
+_ATOM_SEP = re.compile(r"(?<![UQ])\*")  # a star glued to U or Q marks a dual, any other separates
 
 
 def parse_partition(text: str) -> Partition:
@@ -551,8 +548,8 @@ def _parse_atom(ambient: tuple[int, int], text: str) -> BundleLabel:
     if match.group("line"):
         return BundleLabel(ambient, twist=twist)
     if match.group("tangent"):
-        lab = tangent_label(ambient)
-        return BundleLabel(ambient, lab.u_part, lab.q_part, lab.twist + twist)
+        _, u, q, t = tangent_label(ambient)  # a twist shift of a canonical label is canonical
+        return BundleLabel._trusted(ambient, u, q, t + twist)
     gen, ext, sym, schur = match.group("gen", "ext", "sym", "schur")
     if schur is not None:
         p = parse_partition(schur)
@@ -570,14 +567,17 @@ def _parse_atom(ambient: tuple[int, int], text: str) -> BundleLabel:
 
 
 def parse_bundle(ambient: tuple[int, int], text: str) -> BundleSum:
-    """Parse the compact bundle syntax into a canonical sum."""
+    """Parse the compact bundle syntax into a canonical sum: the first atom's label, times
+    each further atom by ``tensor``. Each atom's label is checked once, by ``BundleLabel``."""
     ambient = tuple(ambient)
-    # a star glued to U or Q marks a dual; any other star separates atoms
-    atoms = [piece.strip() for piece in re.split(r"(?<![UQ])\*", text) if piece.strip()]
+    atoms = [piece.strip() for piece in _ATOM_SEP.split(text) if piece.strip()]
     if not atoms:
         raise ValueError(f"cannot parse bundle {text!r}")
-    out = BundleSum.of(BundleLabel(ambient))
-    for atom in atoms:
+    k, n = ambient
+    if type(k) is not int or type(n) is not int or not 1 <= k < n:
+        BundleLabel(ambient)  # a bad ambient fails before any atom, with the constructor's reason
+    out = BundleSum.of(_parse_atom(ambient, atoms[0]))
+    for atom in atoms[1:]:
         out = tensor(out, BundleSum.of(_parse_atom(ambient, atom)))
     return out
 

@@ -123,8 +123,9 @@ def test_bundle_cohomology_accumulates_multiplicity():
     [
         lambda m: bundle_cohomology(gr47(), [(Weight.of(1, 0, 0, 0, 0, 1), m)]),
         lambda m: BundleSum.of(BundleLabel((4, 7), twist=1), m),
+        lambda m: BundleSum.from_pairs((4, 7), [(BundleLabel((4, 7)), 1), (BundleLabel((4, 7), twist=1), m)]),
     ],
-    ids=["bundle_cohomology", "BundleSum.from_pairs"],
+    ids=["bundle_cohomology", "BundleSum.from_pairs", "BundleSum.from_pairs-two-summands"],
 )
 def test_a_multiplicity_that_is_not_an_int_is_rejected(build, mult):
     # exact arithmetic: 1.5 would give a float h^0, 2.0 a rank of 2.0, True would count as 1

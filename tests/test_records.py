@@ -1,6 +1,7 @@
 """What the record types promise: a cold import without ``dataclasses``, copies and pickles
 equal to the original, no public construction that skips validation, and no assignment."""
 
+import ast
 import copy
 import functools
 import os
@@ -95,6 +96,53 @@ def test_copy_deepcopy_and_pickle_give_an_equal_record(record):
 @pytest.mark.parametrize("cls", VALIDATING, ids=lambda c: c.__name__)
 def test_a_validating_record_offers_no_unchecked_constructor(cls):
     assert not hasattr(cls, "_make") and not hasattr(cls, "_replace")
+
+
+# every function of the package that builds a record through ``_trusted`` or ``_canonical``
+UNCHECKED_PATHS = {
+    "root_system.Weight.__add__",
+    "root_system.Weight.__sub__",
+    "root_system.Weight.__neg__",
+    "root_system._walk",
+    "root_system.dual_weight",
+    "schur._reversed_complement",
+    "schur.BundleLabel.__new__",
+    "schur.BundleLabel._canonical",
+    "schur.lr_coefficients",
+    "schur.dual_label",
+    "schur._product_pairs",
+    "schur.exterior_power",
+    "schur.exterior_power_sum",
+    "schur._label_weight",
+    "schur._parse_atom",
+}
+
+
+def _unchecked_paths() -> set[str]:
+    """``module.qualname`` of every function in ``src/gpcoh`` that names ``_trusted`` or
+    ``_canonical`` as an attribute; a module-level use is listed as the module."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Attribute) and child.attr in ("_trusted", "_canonical"):
+                found.add(scope)
+            visit(child, inner)
+
+    for path in sorted((SRC / "gpcoh").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_the_unchecked_construction_paths_are_the_pinned_set():
+    """A record built through ``_trusted`` or ``_canonical`` skips its constructor's checks, so
+    each function doing so must derive its fields from records already checked. A new unchecked
+    path is added both to ``UNCHECKED_PATHS`` and to the README paragraph on ``_trusted``, which
+    says why its fields need no check; a path that no longer skips the checks leaves both."""
+    assert _unchecked_paths() == UNCHECKED_PATHS
 
 
 def test_copy_and_pickle_rebuild_a_parabolic_space_from_its_two_arguments():

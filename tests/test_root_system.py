@@ -466,6 +466,22 @@ def test_full_flag_dimension_is_the_positive_root_count(letter, rank):
     assert ParabolicSpace(rs, set(range(1, rank + 1))).dimension == len(rs.positive_roots)
 
 
+@pytest.mark.parametrize("letter,rank", ALL_TYPES)
+def test_parabolic_space_splits_the_roots_as_the_per_root_oracle(letter, rank):
+    rs = build_root_system(letter, rank)
+    roots = rs.positive_roots
+    rng = random.Random(f"split {letter}{rank}")
+    samples = [rng.sample(range(1, rank + 1), rng.randint(1, rank)) for _ in range(6)]
+    for crossed in [[i] for i in range(1, rank + 1)] + samples:
+        meets = [any(root[i - 1] for i in crossed) for root in roots]
+        space = ParabolicSpace(rs, crossed)
+        assert space.crossed == frozenset(crossed)
+        assert space.uncrossed == tuple(i for i in range(1, rank + 1) if i not in crossed)
+        assert space.nilradical == tuple(r for r, m in zip(roots, meets) if m)
+        assert space.levi_indices == tuple(k for k, m in enumerate(meets) if not m)
+        assert type(space.nilradical) is tuple and type(space.levi_indices) is tuple
+
+
 def test_homogeneous_dimension_rejects_bad_crossings():
     rs = build_root_system("A", 4)
     with pytest.raises(ValueError, match="nonempty"):

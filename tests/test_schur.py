@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from collections import Counter
@@ -29,9 +30,10 @@ from gpcoh import (
     tangent_label,
     tensor,
 )
-from gpcoh.schur import dual_sum, sum_to_weights
+from gpcoh.schur import _reversed_complement, dual_sum, sum_to_weights
 
 from conftest import (
+    KOSZUL_POOL,
     _canonical,
     exterior_character,
     general_schur_oracle,
@@ -583,6 +585,29 @@ def test_dual_label_is_an_involution():
         assert label_rank(dual_label(label)) == label_rank(label)
 
 
+@given(st.data(), st.integers(2, 7))
+def test_dual_labels_revalidate_to_themselves_and_dualize_back(data, n):
+    k = data.draw(st.integers(1, n - 1))
+    bsum = data.draw(_sums((k, n)))
+    _assert_labels_revalidate(dual_sum(bsum))
+    for label, _ in bsum.summands:
+        assert dual_label(dual_label(label)) == label
+        # each side's complement is canonical itself, not only once the label is built
+        for p, rows in ((label.u_part, k), (label.q_part, n - k)):
+            complement = _reversed_complement(p, rows)
+            assert Partition(complement.parts) == complement and complement.length < rows
+    assert dual_sum(dual_sum(bsum)) == bsum
+
+
+def test_a_one_summand_sum_is_the_checked_sum_of_that_summand():
+    label = BundleLabel(AMB, Partition((2, 1)), Partition((1,)), -2)
+    assert BundleSum.of(label, 3) == BundleSum.from_pairs(AMB, [(label, 3)])
+    assert type(BundleSum.of(label).ambient) is tuple
+    for mult in (0, -1):
+        with pytest.raises(ValueError, match=re.escape(f"positive int, got {mult}")):
+            BundleSum.of(label, mult)
+
+
 def test_dual_of_line_bundle_flips_the_twist():
     assert dual_label(BundleLabel(AMB, twist=3)) == BundleLabel(AMB, twist=-3)
 
@@ -608,6 +633,42 @@ def test_parse_bundle_rejects_garbage():
         parse_bundle(AMB, "L3 X")
     with pytest.raises(ValueError, match="parse"):
         parse_bundle(AMB, "")
+
+
+@pytest.mark.parametrize("ambient,text,reason", [
+    ((0, 3), "garbage", "requires 1 <= k < n"),
+    ((4, 4), "L9 U", "requires 1 <= k < n"),
+    ((4.0, 7), "T", "must be integers"),
+    ((4, "7"), "Q*", "must be integers"),
+])
+def test_parse_bundle_reports_a_bad_ambient_before_any_atom(ambient, text, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        parse_bundle(ambient, text)
+
+
+def _parse_bundle_fold_oracle(ambient, text):
+    """The sum ``text`` names, as the fold from the trivial bundle O: each atom, parsed alone,
+    is tensored in with ``tensor``, every sum built by ``from_pairs``."""
+    out = BundleSum.from_pairs(ambient, [(BundleLabel(ambient), 1)])
+    for atom in re.split(r"(?<![UQ])\*", text):
+        if atom.strip():
+            ((label, mult),) = parse_bundle(ambient, atom.strip()).summands
+            out = tensor(out, BundleSum.from_pairs(ambient, [(label, mult)]))
+    return out
+
+
+def test_parse_bundle_equals_the_fold_from_o_on_the_koszul_pool_and_the_goldens():
+    texts = {
+        (AMB, text)
+        for text in ("O(-3)", "L3 U*", "T", "L3 U* (-3)", "W[2,1]U * Q", "U* * Q*", "T(2) * S2 Q*")
+    }
+    for k, n, atoms, twist in json.loads(KOSZUL_POOL.read_text())["cases"]:
+        texts.update(((k, n), text) for text in (*atoms, twist, " * ".join(atoms)))
+    assert len(texts) > 1_000
+    for ambient, text in sorted(texts):
+        parsed = parse_bundle(ambient, text)
+        assert parsed == _parse_bundle_fold_oracle(ambient, text), (ambient, text)
+        _assert_labels_revalidate(parsed)
 
 
 @given(
