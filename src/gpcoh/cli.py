@@ -172,7 +172,7 @@ def _cmd_koszul(ns) -> tuple[dict, list, list[str]]:
     else:
         lines.append("every term of the resolution is acyclic")
     for h in result.hints_used:
-        lines.append(f"  assumed {h.describe()}")
+        lines.append(f"  {'assumed' if h.origin == 'provided' else 'forced'} {h.describe()}")
     for h in result.hints_unreached:
         lines.append(
             f"  not reached: provided hint at term {h.target_term} degree {h.degree} rank {h.rank}"

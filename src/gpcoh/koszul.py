@@ -6,28 +6,26 @@ a bundle F and feeding each term through Borel-Weil-Bott gives a grid of
 dimensions; the chase peels the resolution into short exact sequences of
 image sheaves and propagates dimensions down to H^*(F|_S).
 
-The chase works on dimension tables, never on actual maps. The rank of an
-induced map between nonzero cohomology groups is therefore an assumption: a
-caller-provided hint when present, otherwise the maximal possible rank,
-which is the generic-section default. A hint is a ``RankHint``; the scenario
-loader is the one place that builds them from JSON. Every such assumption
-is recorded, so a determined answer is auditable; so is every provided hint
-at a position the chase reaches, even where a zero source or target forces
-rank 0. A hint whose rank exceeds dim H^q(C_j) is rejected before the chase
-starts, and a blocked chase lists the provided hints it never reached.
-A chase blocks in two cases only, refusing to guess. If H^0(A_{j+1}) ->
-H^0(C_j) is not injective, global sections are not left exact: blocked at
-(j, 0). If the output has cohomology above dim S = dim G/P - rank E, which
-no sheaf on S can have, it is blocked at (0, q) for each such degree q: the
-maximal ranks of one cohomology row need not be compatible with each other,
-and this is where an incompatible choice shows. No rank exceeds its source
-or its target, so no dimension downstream can turn negative.
+The chase works on dimension tables, never on actual maps, so it takes the
+rank of each induced map H^q(A_{j+1}) -> H^q(C_j) from one of two sources
+and never guesses. A rank is forced: 0 when its source or target is zero,
+and in degree 0 the whole of H^0(A_{j+1}), since global sections are left
+exact (Weyman, Cohomology of Vector Bundles and Syzygies, ch. 5). Or it is
+provided by the caller as a ``RankHint``; the scenario loader is the one
+place that builds them from JSON. Every rank between nonzero groups is
+recorded with its origin, and so is every provided hint the chase reaches.
+A hint whose rank exceeds dim H^q(C_j) is rejected before the chase starts,
+and a blocked chase lists the provided hints it never reached. A chase
+blocks instead of answering: at every (j, q) of term j whose rank nothing
+forces or provides; at (j, 0) when H^0(A_{j+1}) cannot inject into
+H^0(C_j); and at (0, q) for each degree q above dim S = dim G/P - rank E,
+which no sheaf on S can have, where a wrong provided rank shows. No rank
+exceeds its source or its target, so no dimension downstream turns negative.
 
 The peel visits, for each term, only the cells that can carry a rank: the
 degrees where both H^q(A_{j+1}) and H^q(C_j) are nonzero, and the cells with
-a provided hint. A map with a zero source or target has rank 0 by force, so
-every other cell would record nothing; the next image sheaf's dimensions come
-from the degrees of C_j and of A_{j+1} shifted down by one.
+a provided hint. The next image sheaf's dimensions come from the degrees of
+C_j and of A_{j+1} shifted down by one.
 """
 
 from __future__ import annotations
@@ -91,7 +89,7 @@ class UsedHint(NamedTuple):
     target_term: int
     degree: int
     rank: int
-    origin: str  # "provided" | "default_maximal"
+    origin: str  # "forced" (left exactness in degree 0) | "provided"
 
     def describe(self) -> str:
         return (
@@ -104,10 +102,11 @@ class ChaseResult(NamedTuple):
     """A chase's first page and its outcome.
 
     ``term_tables[j]`` is H^*(C_j). ``grid`` lists them as ((term j, degree q), dim)
-    cells, j from r down to 0 and q ascending. ``hints_used`` records every rank
-    assumed. ``table`` is H^*(F|_S) when the chase is ``determined``; otherwise it is
-    None and ``blocking_positions`` says where the chase stopped, and
-    ``hints_unreached`` holds the provided hints at terms below that point.
+    cells, j from r down to 0 and q ascending. ``hints_used`` records every rank forced
+    or provided between nonzero groups, and every provided hint reached. ``table`` is
+    H^*(F|_S) when the chase is ``determined``; otherwise it is None,
+    ``blocking_positions`` says where the chase stopped, and ``hints_unreached``
+    holds the provided hints at terms below that point.
     """
 
     term_tables: tuple[CohomologyTable, ...]
@@ -154,14 +153,11 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> Chase
 
     Peels the exact complex into short exact sequences
     0 -> A_{j+1} -> C_j -> A_j -> 0 with A_j the image sheaves, A_r = C_r and
-    A_0 = F|_S. Within each sequence the rank of H^q(A_{j+1}) -> H^q(C_j) is
-    forced only by a zero source or target, to 0, so the peel visits only the
-    degrees where both are nonzero, plus any (j, q) with a provided hint, in
-    ascending q; at a visited cell a hint is consulted and
-    the maximal rank is the recorded default. Providing the defaults
-    explicitly as hints reproduces the same result. A hint that is not a
-    ``RankHint`` is rejected with ValueError. An output with
-    cohomology above dim S is blocked at (0, q) instead of returned.
+    A_0 = F|_S. A visited cell takes its provided rank, else in degree 0 the
+    forced rank dim H^0(A_{j+1}); any other cell blocks at (j, q), and the
+    chase stops after term j with every such cell listed. A hint that is not
+    a ``RankHint`` is rejected with ValueError. An output with cohomology
+    above dim S is blocked at (0, q) instead of returned.
     """
     space = complex_.ambient
     r = complex_.section_rank
@@ -200,6 +196,7 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> Chase
         if hints:
             cells |= {q for i, q in hints if i == j}
         rho: dict[int, int] = {}
+        blocking = []
         for q in sorted(cells):
             cap = min(current.get(q, 0), below.get(q, 0))
             provided = hints.pop((j, q), None)
@@ -211,12 +208,14 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> Chase
                     )
                 rho[q] = provided
                 used.append(UsedHint(j, q, provided, "provided"))
-            else:
-                rho[q] = cap
-                used.append(UsedHint(j, q, cap, "default_maximal"))
-        # global sections are left exact: H^0(A_{j+1}) injects into H^0(C_j)
-        if rho.get(0, 0) < current.get(0, 0):
-            blocking = [(j, 0)]
+            elif q:
+                blocking.append((j, q))  # a rank between nonzero groups that nothing forces
+            elif current[0] <= below[0]:  # left exactness: H^0(A_{j+1}) injects into H^0(C_j)
+                rho[0] = current[0]
+                used.append(UsedHint(j, 0, current[0], "forced"))
+        if rho.get(0, 0) < current.get(0, 0):  # H^0(A_{j+1}) does not inject into H^0(C_j)
+            blocking.insert(0, (j, 0))
+        if blocking:
             break
         # H^q(A_j) = coker in degree q + ker in degree q + 1, never negative as rho <= cap;
         # the kernel in degree 0 is empty once the check above passed

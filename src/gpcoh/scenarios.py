@@ -39,10 +39,10 @@ _SCHEMA_VERSION = 1  # the only scenario file layout this loader reads
 
 _TOP_LEVEL_KEYS = (
     "schema_version", "name", "title", "description", "ambient", "section_bundle",
-    "twists", "external_constants", "rank_hints", "cases", "extra_spaces",
+    "twists", "external_constants", "cases", "extra_spaces",
 )
 # the zero-locus keys, each read only beside the key it needs
-_NEEDS = {"section_bundle": "ambient", "twists": "section_bundle", "rank_hints": "section_bundle"}
+_NEEDS = {"section_bundle": "ambient", "twists": "section_bundle"}
 
 
 class ExternalConstant(NamedTuple):
@@ -55,8 +55,8 @@ class Scenario(NamedTuple):
     """A loaded scenario file. ``space`` or ``section_bundle`` is None when
     the file gives none (the dimension audits give neither); ``zero_locus``
     returns both or fails naming the scenario. ``file`` is the name or path it
-    was loaded from, as errors name it; ``case_constants[i]`` holds the
-    external constants of ``cases[i]``."""
+    was loaded from, as errors name it; ``rank_hints[name]`` holds the hints of
+    twist ``name``; ``case_constants[i]`` holds the external constants of ``cases[i]``."""
 
     name: str
     file: str
@@ -66,7 +66,7 @@ class Scenario(NamedTuple):
     section_bundle: BundleSum | None
     twists: tuple[tuple[str, BundleSum], ...]
     external_constants: dict[str, ExternalConstant]
-    rank_hints: tuple[RankHint, ...]
+    rank_hints: dict[str, tuple[RankHint, ...]]
     case_constants: tuple[dict[str, ExternalConstant], ...]
     raw: dict
 
@@ -91,10 +91,11 @@ class Scenario(NamedTuple):
         return self.space, self.section_bundle
 
     def chase_twist(self, name: str) -> tuple[KoszulComplex, ChaseResult]:
-        """The Koszul resolution twisted by ``name`` and its chase, which may be indeterminate."""
+        """The Koszul resolution twisted by ``name`` and its chase under that twist's own
+        rank hints, which may be indeterminate."""
         space, section = self.zero_locus()
         complex_ = build_koszul(space, section, self.twist_named(name))
-        return complex_, chase(complex_, self.rank_hints)
+        return complex_, chase(complex_, self.rank_hints[name])
 
 
 _JSON_TYPES = {dict: "a JSON object", list: "a list", str: "a string", int: "an integer"}
@@ -216,6 +217,7 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
         space = _root_system_block(block, text, "ambient", crossed=list)[0]
     section = None
     twists: list[tuple[str, BundleSum]] = []
+    hints: dict[str, tuple[RankHint, ...]] = {}
     if "section_bundle" in data:
         (bundle,) = _fields(data, {"section_bundle": str}, text, top)
         if not bundle.strip():
@@ -226,20 +228,20 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
             raise ValueError(f"scenario file {text!r}: block 'ambient': {exc}") from exc
         section = _parsed_bundle(kn, bundle, text, top, "section_bundle")
         for i, tw in enumerate(_items(data, "twists", dict, text, top)):
-            name, label = _fields(tw, {"name": str, "label": str}, text, f"twists[{i}]")
-            if any(name == seen for seen, _ in twists):
-                raise ValueError(f"scenario file {text!r}: block 'twists[{i}]' key 'name' repeats {name!r}")
-            twists.append((name, _parsed_bundle(kn, label, text, f"twists[{i}]", "label")))
+            where = f"twists[{i}]"
+            name, label = _fields(tw, {"name": str, "label": str}, text, where)
+            if name in hints:
+                raise ValueError(f"scenario file {text!r}: block {where!r} key 'name' repeats {name!r}")
+            twists.append((name, _parsed_bundle(kn, label, text, where, "label")))
+            hints[name] = tuple(
+                RankHint(*_fields(h, dict.fromkeys(RankHint._fields, int), text, f"{where}.rank_hints[{j}]"))
+                for j, h in enumerate(_items(tw, "rank_hints", dict, text, where))
+            )
     ec = "external_constants"
     constants = _parse_constants(_items(data, ec, dict, text, top), text, ec)
     case_constants = tuple(
         _parse_constants(_items(case, ec, dict, text, f"cases[{i}]"), text, f"cases[{i}].{ec}")
         for i, case in enumerate(_items(data, "cases", dict, text, top))
-    )
-    hint_keys = dict.fromkeys(("target_term", "degree", "rank"), int)
-    hints = tuple(
-        RankHint(*_fields(h, hint_keys, text, f"rank_hints[{i}]"))
-        for i, h in enumerate(_items(data, "rank_hints", dict, text, top))
     )
     strings = {k: _typed(data[k], str, text, top, k) for k in ("name", "title", "description") if k in data}
     return Scenario(
@@ -265,7 +267,7 @@ class ReportLine(NamedTuple):
     key: str
     text: str
     value: object
-    source: str  # "computed" | "external"
+    source: str  # "computed" | "assumed" (a provided rank hint) | "external"
     provenance: str
     passed: bool | None = None  # None marks an informational line
 
@@ -384,7 +386,13 @@ def _chase_step(ledger: _Ledger, sc: Scenario, twist: str, title: str):
 
 
 def _chase_record(ledger: _Ledger, twist: str, complex_: KoszulComplex, result: ChaseResult):
-    """Audit-trail lines: the resolution's decompositions and its chase page."""
+    """Audit-trail lines: the source of each rank the chase used, the resolution's terms and its page."""
+    for h in result.hints_used:  # a provided rank is assumed, a forced one computed
+        word, source, why = (
+            ("assumed", "assumed", f"rank hint of twist {twist!r}") if h.origin == "provided"
+            else ("forced", "computed", "left exactness of global sections")
+        )
+        ledger._line(f"{twist}_hint_{h.target_term}_{h.degree}", f"{word} rank: {h.describe()}", h.rank, source, why)
     terms = [f"C_{j} = {complex_.term(j)}" for j in range(complex_.section_rank, -1, -1)]
     page = {f"H^{q}(C_{j})": dim for (j, q), dim in result.grid}
     ledger.add(
@@ -446,13 +454,6 @@ def run_cayley(scenario: Scenario | None = None) -> RigidityReport:
         "Koszul chase",
         normal_higher == 0,
     )
-    for h in normal.hints_used:
-        ledger.add(
-            f"normal_hint_{h.target_term}_{h.degree}",
-            f"assumed rank: {h.describe()}",
-            h.rank,
-            "generic-section maximal-rank default" if h.origin == "default_maximal" else "caller-provided rank hint",
-        )
     _chase_record(ledger, "normal", normal_complex, normal)
 
     tangent_complex, tangent = _chase_step(

@@ -16,8 +16,9 @@ rule with its determinant twist directly, without the engine's
 ``dual_label``. Bundles on Gr(k, n) are also compared by their formal
 characters on the maximal torus of SL(n): Schur polynomials from enumerated
 tableaux, and exterior powers from the subsets of a weight multiset, with no
-use of the label calculus. The chase's peel is checked against the loop it
-replaced, which visits every degree of every term.
+use of the label calculus. The chase's peel is checked against a loop that
+visits every degree of every term under the same rank rule (forced or
+provided, else blocked).
 """
 
 import json
@@ -343,12 +344,14 @@ def general_schur_oracle(
 
 def dense_peel_oracle(term_tables, hints: dict, max_degree: int):
     """The chase's peel over every cell: for each term j from r - 1 down to 0, every degree
-    0..max_degree + 1, as the engine once walked it.
+    0..max_degree + 1, as the engine once walked it, under the same rank rule.
 
     ``term_tables[j]`` is H^*(C_j) (only its ``total_dims`` are read) and ``hints`` maps
-    (j, q) to a provided rank. Returns the dims of H^*(F|_S) or None, the blocking
-    positions, the ranks used as (j, q, rank, origin) and the unreached hints as
-    (j, q, rank). A provided rank above its cell's capacity raises ValueError.
+    (j, q) to a provided rank. A cell takes its provided rank; else 0 when its source or
+    target is zero; else in degree 0 the forced rank dim H^0(A_{j+1}) when it fits; any
+    other cell blocks. Returns the dims of H^*(F|_S) or None, the blocking positions, the
+    ranks used as (j, q, rank, origin) and the unreached hints as (j, q, rank). A provided
+    rank above its cell's capacity raises ValueError.
     """
     hints = dict(hints)
     r = len(term_tables) - 1
@@ -356,25 +359,29 @@ def dense_peel_oracle(term_tables, hints: dict, max_degree: int):
     current = dict(term_tables[r].total_dims)
     for j in range(r - 1, -1, -1):
         below = dict(term_tables[j].total_dims)
-        rho = []
+        rho = [0] * (max_degree + 2)
+        blocking = []
         for q in range(max_degree + 2):
-            cap = min(current.get(q, 0), below.get(q, 0))
+            source, target = current.get(q, 0), below.get(q, 0)
             provided = hints.pop((j, q), None)
             if provided is not None:
-                if provided > cap:
+                if provided > min(source, target):
                     raise ValueError(
                         f"hint rank {provided} at term {j} degree {q} exceeds the "
-                        f"maximal possible rank {cap}"
+                        f"maximal possible rank {min(source, target)}"
                     )
-                rho.append(provided)
+                rho[q] = provided
                 used.append((j, q, provided, "provided"))
-            elif cap > 0:
-                rho.append(cap)
-                used.append((j, q, cap, "default_maximal"))
-            else:
-                rho.append(0)
+            elif not source or not target:
+                pass  # rank 0 by force
+            elif q > 0:
+                blocking.append((j, q))
+            elif source <= target:
+                rho[0] = source
+                used.append((j, 0, source, "forced"))
         if rho[0] < current.get(0, 0):
-            blocking = [(j, 0)]
+            blocking = [(j, 0)] + blocking
+        if blocking:
             break
         current = {
             q: val

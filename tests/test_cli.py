@@ -108,8 +108,11 @@ def test_koszul_normal_twist(capsys):
     assert doc["result"]["determined"] is True
     assert doc["result"]["table"]["degrees"]["0"]["total"] == 34
     assert doc["result"]["hints_used"] == [
-        {"target_term": 0, "degree": 0, "rank": 1, "origin": "default_maximal"}
+        {"target_term": 0, "degree": 0, "rank": 1, "origin": "forced"}
     ]
+    code, text, _ = run(capsys, "koszul", "--scenario", "cayley", "--twist", "normal")
+    assert "  forced H^0(C_1) -> H^0(C_0) rank 1 [forced]" in text.splitlines()
+    assert "assumed" not in text
 
 
 def test_koszul_tangent_twist(capsys):
@@ -162,7 +165,7 @@ def test_indeterminate_koszul_exits_nonzero_with_failure_list(capsys, tmp_path):
     from gpcoh import load_scenario
 
     data = json.loads(json.dumps(load_scenario("cayley").raw))
-    data["rank_hints"] = [{"target_term": 0, "degree": 0, "rank": 0}]
+    data["twists"][1]["rank_hints"] = [{"target_term": 0, "degree": 0, "rank": 0}]
     p = tmp_path / "sabotaged.json"
     p.write_text(json.dumps(data))
     code, doc, _ = run_json(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
@@ -267,13 +270,15 @@ def _cayley_copy(tmp_path, edit):
 
 def test_a_provided_hint_at_capacity_zero_is_listed(capsys, tmp_path):
     p = _cayley_copy(
-        tmp_path, lambda d: d.update(rank_hints=[{"target_term": 2, "degree": 3, "rank": 0}])
+        tmp_path, lambda d: d["twists"][1].update(rank_hints=[{"target_term": 2, "degree": 3, "rank": 0}])
     )
     code, doc, _ = run_json(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
     assert code == 0
     assert {"target_term": 2, "degree": 3, "rank": 0, "origin": "provided"} in doc["result"][
         "hints_used"
     ]
+    code, text, _ = run(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
+    assert "  assumed H^3(C_3) -> H^3(C_2) rank 0 [provided]" in text.splitlines()
 
 
 def test_a_missing_ambient_key_names_the_file_the_block_and_the_key(capsys, tmp_path):
@@ -286,10 +291,10 @@ def test_a_missing_ambient_key_names_the_file_the_block_and_the_key(capsys, tmp_
 
 
 def test_a_missing_hint_key_names_the_file_the_block_and_the_key(capsys, tmp_path):
-    p = _cayley_copy(tmp_path, lambda d: d.update(rank_hints=[{"target_term": 0, "degree": 0}]))
+    p = _cayley_copy(tmp_path, lambda d: d["twists"][1].update(rank_hints=[{"target_term": 0, "degree": 0}]))
     code, doc, _ = run_json(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
     assert code == 2
-    assert str(p) in doc["error"] and "rank_hints[0]" in doc["error"] and "'rank'" in doc["error"]
+    assert str(p) in doc["error"] and "'twists[1].rank_hints[0]'" in doc["error"] and "'rank'" in doc["error"]
 
 
 def _set_constant(d, **kv):
@@ -318,12 +323,12 @@ def _set_twist_label(d, label):
         (_drop_constant_name, "external_constants[0]", "name"),
         (lambda d: _set_constant(d, name=""), "external_constants[0]", "name"),
         (
-            lambda d: d.update(rank_hints=[{"target_term": None, "degree": 0, "rank": 0}]),
-            "rank_hints[0]",
+            lambda d: d["twists"][1].update(rank_hints=[{"target_term": None, "degree": 0, "rank": 0}]),
+            "twists[1].rank_hints[0]",
             "target_term",
         ),
         (lambda d: d.update(section_bundle=5), "top level", "section_bundle"),
-        (lambda d: d.update(rank_hints=[5]), "top level", "rank_hints[0]"),
+        (lambda d: d["twists"][1].update(rank_hints=[5]), "twists[1]", "rank_hints[0]"),
         (lambda d: d.update(cases=[5]), "top level", "cases[0]"),
         # zero-locus keys that would be read nowhere: an empty section, or twists without one
         (lambda d: d.update(section_bundle=""), "top level", "section_bundle"),
@@ -417,15 +422,11 @@ def test_a_top_level_string_of_another_type_names_the_file_and_the_key(
 
 
 def test_an_unknown_top_level_key_is_rejected(capsys, tmp_path):
-    # a misspelled rank_hints would silently drop a hint that blocks the chase
-    def rename(d):
-        d.pop("rank_hints")
-        d["rank_hint"] = [{"target_term": 0, "degree": 0, "rank": 0}]
-
-    p = _cayley_copy(tmp_path, rename)
+    # rank hints belong to a twist: a top-level list would be read for no chase
+    p = _cayley_copy(tmp_path, lambda d: d.update(rank_hints=[{"target_term": 0, "degree": 0, "rank": 0}]))
     code, doc, _ = run_json(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
     assert code == 2
-    assert str(p) in doc["error"] and "'rank_hint'" in doc["error"]
+    assert str(p) in doc["error"] and "unknown key 'rank_hints'" in doc["error"]
 
 
 @pytest.mark.parametrize(
@@ -444,11 +445,10 @@ def test_an_unsupported_or_missing_schema_version_is_rejected(capsys, tmp_path, 
 
 def test_a_blocked_chase_shows_its_unreached_hints(capsys, tmp_path):
     def edit(d):
-        d["twists"] = [{"name": "o2", "label": "O(2)"}]
-        d["rank_hints"] = [
+        d["twists"] = [{"name": "o2", "label": "O(2)", "rank_hints": [
             {"target_term": 1, "degree": 0, "rank": 0},
             {"target_term": 0, "degree": 0, "rank": 1},
-        ]
+        ]}]
 
     p = _cayley_copy(tmp_path, edit)
     code, doc, _ = run_json(capsys, "koszul", "--scenario", str(p), "--twist", "o2")

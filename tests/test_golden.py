@@ -1,6 +1,7 @@
-"""Byte-for-byte CLI output of the shipped reports, the Cayley chases and three
+"""Byte-for-byte CLI output of the shipped reports, the Cayley chases, three
 Borel-Weil-Bott runs (a walk of length 77 on E8/P(1), a weight whose rho-shift
-lies on a wall with no zero coefficient, and H^1 of O(-2) on P^1).
+lies on a wall with no zero coefficient, and H^1 of O(-2) on P^1) and one chase
+that blocks (LG(3,6) twisted by S5 U* (-4), from ``tests/data/lg36.json``).
 
 The files under ``tests/golden/`` are the stdout of ``gpcoh`` for each
 command below; any change to a number, a label or the formatting of these
@@ -40,3 +41,11 @@ def test_cli_output_matches_golden_file(capsys, filename, argv):
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / filename).read_text()
 
+
+
+def test_a_chase_that_nothing_forces_blocks_as_in_its_golden_file(capsys, monkeypatch):
+    # the JSON echoes the scenario path, so it is given relative to the repository root
+    monkeypatch.chdir(GOLDEN.parents[1])
+    argv = ["--format", "json", "koszul", "--scenario", "tests/data/lg36.json", "--twist", "s5"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (GOLDEN / "koszul_lg36_blocked.json").read_text()

@@ -147,15 +147,16 @@ def test_trivial_twist_chase_gives_the_structure_sheaf():
     assert res.hints_used == ()
 
 
-def test_normal_twist_chase_logs_one_maximal_rank_default():
+def test_normal_twist_chase_records_one_rank_forced_by_left_exactness():
+    # H^0(A_1) = H^0(C_1) = 1 must inject into H^0(C_0) = 35: the rank is 1 by force
     res = chase(build_koszul(gr47(), section_bundle(), section_bundle()))
     assert res.determined
     assert res.table.dims() == {0: 34}
     assert len(res.hints_used) == 1
     hint = res.hints_used[0]
     assert (hint.target_term, hint.degree, hint.rank) == (0, 0, 1)
-    assert hint.origin == "default_maximal"
-    assert hint.describe() == "H^0(C_1) -> H^0(C_0) rank 1 [default_maximal]"
+    assert hint.origin == "forced"
+    assert hint.describe() == "H^0(C_1) -> H^0(C_0) rank 1 [forced]"
     # the page shows exactly the two nonzero groups
     assert dict(res.grid) == {(1, 0): 1, (0, 0): 35}
 
@@ -306,16 +307,41 @@ def test_restriction_sequence_rejects_negative_h1():
 
 
 def test_chase_blocks_cohomology_above_the_zero_locus_dimension():
-    # two linear forms on P^3 cut out a line; maximal ranks everywhere would
-    # give {1: 2, 3: 1}, but H^3 cannot live on a curve (the truth is
-    # H^1(P^1, O(-4)) = 3), so the chase must refuse to answer
+    # two linear forms on P^3 cut out a line; nothing forces the rank of
+    # H^3(C_2) = 10 -> H^3(C_1) = 8, so the chase blocks there. Given the maximal
+    # rank 8, term 0 has no cell left to visit and the output would be {1: 2, 3: 1},
+    # but H^3 cannot live on a curve (the truth is H^1(P^1, O(-4)) = 3), so the
+    # guard above dim S must refuse to answer
     p3 = ParabolicSpace(rs=build_root_system("A", 3), crossed=frozenset({1}))
     amb = (1, 4)
     section = BundleSum.from_pairs(amb, [(BundleLabel(amb, twist=1), 2)])
-    res = chase(build_koszul(p3, section, BundleSum.of(BundleLabel(amb, twist=-4))))
+    cx = build_koszul(p3, section, BundleSum.of(BundleLabel(amb, twist=-4)))
+    res = chase(cx)
+    assert not res.determined
+    assert res.blocking_positions == ((1, 3),)
+    assert res.hints_used == ()
+    res = chase(cx, [RankHint(1, 3, 8)])
     assert not res.determined
     assert res.table is None
     assert res.blocking_positions == ((0, 3),)
+    assert [tuple(h) for h in res.hints_used] == [(1, 3, 8, "provided")]
+
+
+def test_a_blocked_term_lists_every_rank_that_nothing_forces():
+    # on Gr(3,6) cut by L2 U* (so S = LG(3,6)), S5 U* (-4) alone blocks at (2, 6) and
+    # W[8,8] U* (-7) alone at (2, 3); their sum blocks at both cells of term 2, and a hint
+    # at one of them leaves the other
+    amb = (3, 6)
+    space = ParabolicSpace(rs=build_root_system("A", 5), crossed=frozenset({3}))
+    pairs = [p for label in ("S5 U* (-4)", "W[8,8] U* (-7)") for p in parse_bundle(amb, label).summands]
+    cx = build_koszul(space, parse_bundle(amb, "L2 U*"), BundleSum.from_pairs(amb, pairs))
+    res = chase(cx)
+    assert res.blocking_positions == ((2, 3), (2, 6))
+    assert res.hints_used == ()
+    for hinted, left in (((2, 3), (2, 6)), ((2, 6), (2, 3))):
+        res = chase(cx, [RankHint(*hinted, 0)])
+        assert res.blocking_positions == (left,)
+        assert [tuple(h) for h in res.hints_used] == [(*hinted, 0, "provided")]
 
 
 def test_a_provided_hint_at_capacity_zero_is_recorded():
@@ -388,24 +414,42 @@ def _outcome(run):
         return str(exc)
 
 
+def _zeroed_through(cx, res):
+    """Rank-0 hints at each blocking position in turn, until the chase stops blocking
+    at a position it was not already given."""
+    hints = []
+    while not res.determined:
+        fresh = [RankHint(j, q, 0) for j, q in res.blocking_positions if RankHint(j, q, 0) not in hints]
+        if not fresh:
+            break
+        hints += fresh
+        res = chase(cx, hints)
+    return hints
+
+
 def test_the_sparse_peel_matches_the_dense_peel_on_the_pool_with_and_without_hints():
-    # hints: none, every default given back as provided, one default lowered by 1, and a
-    # rank-0 hint where no default was taken (capacity 0), at a nonzero H^q(C_j) if any
+    # hints: none, every forced rank given back as provided, one forced rank lowered by 1,
+    # rank 0 at every blocking position in turn, and a rank-0 hint at a cell of capacity 0,
+    # at a nonzero H^q(C_j) if any
     rng = random.Random(2103)
-    seen = {"lowered": 0, "blocked": 0, "zero_capacity_nonzero_target": 0}
-    for case in koszul_pool_sample(2103, 80) + CAYLEY_CASES:
+    seen = {"lowered": 0, "blocked": 0, "zeroed": 0, "zero_capacity_nonzero_target": 0}
+    for case in koszul_pool_sample(2103, 300) + CAYLEY_CASES:
         cx = _pool_complex(*case)
         top = cx.ambient.dimension
         base = chase(cx)
         tables = base.term_tables
-        defaults = [RankHint(h.target_term, h.degree, h.rank) for h in base.hints_used]
-        hint_sets = [[], defaults]
-        lowered = [h for h in defaults if h.rank > 0]
+        forced = [RankHint(h.target_term, h.degree, h.rank) for h in base.hints_used]
+        hint_sets = [[], forced]
+        lowered = [h for h in forced if h.rank > 0]
         if lowered:
             h = rng.choice(lowered)
             hint_sets.append([h._replace(rank=h.rank - 1)])
             seen["lowered"] += 1
-        taken = {(h.target_term, h.degree) for h in defaults}
+        zeroed = _zeroed_through(cx, base)
+        if zeroed:
+            hint_sets.append(zeroed)
+            seen["zeroed"] += 1
+        taken = {(h.target_term, h.degree) for h in forced} | set(base.blocking_positions)
         free = [
             (j, q) for j in range(cx.section_rank) for q in range(top + 1) if (j, q) not in taken
         ]
@@ -424,7 +468,7 @@ def test_the_sparse_peel_matches_the_dense_peel_on_the_pool_with_and_without_hin
 
 # seeded sample of the Koszul pool: format_sum of every term, then determined, the table,
 # the blocking positions, the ranks used in order and the page of each chase
-CHASE_PIN = "7b766881a45c28545902e29184d82f819b5d4699fb6104d92d4b804d454a7ec7"
+CHASE_PIN = "491520b7ab133fa5dcdfa88fdf93ca1954bcf4ae9a62f5e8ab62fb62f06c3f3a"
 
 
 def test_chase_answers_on_a_pool_sample_match_the_pinned_digest():

@@ -5,6 +5,8 @@ import pytest
 
 import gpcoh
 from gpcoh import (
+    RankHint,
+    UsedHint,
     build_koszul,
     bundle_cohomology,
     chase,
@@ -97,11 +99,52 @@ def test_cayley_report_is_deterministic():
     assert run_cayley().to_dict() == run_cayley().to_dict()
 
 
-def test_cayley_report_records_the_generic_section_assumption():
+def test_cayley_report_records_the_rank_that_left_exactness_forces():
     rep = run_cayley()
     line = rep.line("normal_hint_0_0")
     assert line.value == 1
     assert "H^0(C_1) -> H^0(C_0)" in line.text
+    assert (line.source, line.provenance) == ("computed", "left exactness of global sections")
+    assert "assumed" not in line.text
+    # the one rank of the three chases is forced, so the report assumes nothing
+    assert [ln.key for ln in rep.lines() if "_hint_" in ln.key] == ["normal_hint_0_0"]
+    assert not [ln for ln in rep.lines() if ln.source == "assumed"]
+
+
+def _cayley_with_hints(tmp_path, **hints_by_twist):
+    data = json.loads(json.dumps(load_scenario("cayley").raw))
+    for tw in data["twists"]:
+        if tw["name"] in hints_by_twist:
+            tw["rank_hints"] = [dict(zip(RankHint._fields, h)) for h in hints_by_twist[tw["name"]]]
+    p = tmp_path / "hinted.json"
+    p.write_text(json.dumps(data))
+    return load_scenario(p)
+
+
+def test_a_rank_hint_applies_to_its_own_twist_only(tmp_path):
+    # H^0(C_0) is 0 on no twist but the normal one, so (0, 0, 1) would exceed the rank
+    # bound of the trivial and tangent chases if it reached them
+    plain = load_scenario("cayley")
+    hinted = _cayley_with_hints(tmp_path, normal=[(0, 0, 1)])
+    assert hinted.rank_hints == {"trivial": (), "normal": (RankHint(0, 0, 1),), "tangent": ()}
+    for twist in ("trivial", "tangent"):
+        assert hinted.chase_twist(twist)[1] == plain.chase_twist(twist)[1]
+    normal = hinted.chase_twist("normal")[1]
+    assert normal.hints_used == (UsedHint(0, 0, 1, "provided"),)
+    assert normal.table == plain.chase_twist("normal")[1].table
+
+
+def test_a_provided_rank_on_any_twist_is_reported_as_assumed(tmp_path):
+    # the tangent page is H^0(C_0) = 48 alone, so (0, 0) is a cell of capacity 0
+    rep = run_cayley(_cayley_with_hints(tmp_path, tangent=[(0, 0, 0)]))
+    assert rep.passed
+    assert rep.line("h1_tangent_subvariety").value == 0
+    hinted = [ln for ln in rep.lines() if ln.key.startswith("tangent_hint_")]
+    assert len(hinted) == 1
+    line = hinted[0]
+    assert (line.key, line.value, line.source) == ("tangent_hint_0_0", 0, "assumed")
+    assert line.text == "assumed rank: H^0(C_1) -> H^0(C_0) rank 0 [provided]"
+    assert line.provenance == "rank hint of twist 'tangent'"
 
 
 def test_cayley_report_carries_resolutions_and_pages():
@@ -129,7 +172,7 @@ def test_cayley_intermediates_match_standalone_engine_runs():
     ):
         cx = build_koszul(space, sc.section_bundle, sc.twist_named(twist_name))
         ambient = bundle_cohomology(space, sum_to_weights(cx.term(0), space))
-        res = chase(cx, sc.rank_hints)
+        res = chase(cx, sc.rank_hints[twist_name])
         assert rep.values()[keys[0]] == ambient.total_dimension(0)
         assert rep.values()[keys[1]] == res.table.total_dimension(0)
 
@@ -146,10 +189,10 @@ def test_cayley_external_constants_are_labelled():
 def test_cayley_engine_failures_name_the_step(tmp_path):
     data = json.loads(json.dumps(load_scenario("cayley").raw))
     # sabotage the pipeline with an impossible rank hint
-    data["rank_hints"] = [{"target_term": 0, "degree": 0, "rank": 0}]
+    data["twists"][1]["rank_hints"] = [{"target_term": 0, "degree": 0, "rank": 0}]
     p = tmp_path / "sabotaged.json"
     p.write_text(json.dumps(data))
-    with pytest.raises(RuntimeError, match="step"):
+    with pytest.raises(RuntimeError, match="step 'normal'"):
         run_cayley(load_scenario(p))
 
 
@@ -249,7 +292,6 @@ AUDIT_CASE_PROBES = [
     # zero-locus keys that the audits would read nowhere: no ambient, no section bundle
     ("section-without-ambient", "vmrt", lambda d: d.update(section_bundle=5), "top level", "section_bundle"),
     ("twists-without-section", "vmrt", lambda d: d.update(twists=5), "top level", "twists"),
-    ("hints-without-section", "vmrt", lambda d: d.update(rank_hints=[]), "top level", "rank_hints"),
 ]
 
 
