@@ -35,21 +35,23 @@ from .scenarios import REPORTS, load_scenario
 SCHEMA_VERSION = 1
 
 
-def _parse_weight(text: str, rank: int) -> Weight:
+def _int_list(text: str, what: str) -> tuple[int, ...]:
+    """The integers of a comma list; anything else fails naming ``what`` and the text."""
     try:
-        coeffs = tuple(int(t) for t in text.split(","))
+        return tuple(int(t) for t in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"cannot parse weight from {text!r}") from exc
+        raise ValueError(f"cannot parse {what} from {text!r}") from exc
+
+
+def _parse_weight(text: str, rank: int) -> Weight:
+    coeffs = _int_list(text, "weight")
     if len(coeffs) != rank:
         raise ValueError(f"weight {text!r} has {len(coeffs)} coefficients, expected {rank}")
     return Weight(coeffs)
 
 
 def _parse_crossed(text: str) -> frozenset[int]:
-    try:
-        return frozenset(int(t) for t in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"cannot parse crossed nodes from {text!r}") from exc
+    return frozenset(_int_list(text, "crossed nodes"))
 
 
 def _table_payload(table) -> dict:
@@ -115,25 +117,21 @@ def _cmd_lr(ns) -> tuple[dict, list, list[str]]:
     mu = parse_partition(ns.mu)
     nu = parse_partition(ns.nu)
     coeffs = lr_coefficients(mu, nu, ns.rows)
-    items = sorted(coeffs.items())
-    dim_sum = sum(c * gl_dimension(lam, ns.rows) for lam, c in items)
+    items = [(lam, c, gl_dimension(lam, ns.rows)) for lam, c in sorted(coeffs.items())]
+    dim_sum = sum(c * dim for _, c, dim in items)
     payload = {
         "mu": list(mu.parts),
         "nu": list(nu.parts),
         "rows": ns.rows,
         "coefficients": [
-            {
-                "partition": list(lam.parts),
-                "coefficient": c,
-                "gl_dimension": gl_dimension(lam, ns.rows),
-            }
-            for lam, c in items
+            {"partition": list(lam.parts), "coefficient": c, "gl_dimension": dim}
+            for lam, c, dim in items
         ],
         "gl_dimension_sum": dim_sum,
     }
     lines = [f"LR product {mu} x {nu} in at most {ns.rows} rows:"]
-    for lam, c in items:
-        lines.append(f"  {lam}: {c}  (dim {gl_dimension(lam, ns.rows)})")
+    for lam, c, dim in items:
+        lines.append(f"  {lam}: {c}  (dim {dim})")
     lines.append(f"dimension sum over GL({ns.rows}): {dim_sum}")
     return payload, [], lines
 
@@ -172,7 +170,7 @@ def _cmd_koszul(ns) -> tuple[dict, list, list[str]]:
     else:
         lines.append("every term of the resolution is acyclic")
     for h in result.hints_used:
-        lines.append(f"  {'assumed' if h.origin == 'provided' else 'forced'} {h.describe()}")
+        lines.append(f"  {'assumed' if h.assumed else 'forced'} {h.describe()}")
     for h in result.hints_unreached:
         lines.append(
             f"  not reached: provided hint at term {h.target_term} degree {h.degree} rank {h.rank}"

@@ -91,6 +91,10 @@ class UsedHint(NamedTuple):
     rank: int
     origin: str  # "forced" (left exactness in degree 0) | "provided"
 
+    @property
+    def assumed(self) -> bool:  # the one rule: a provided rank is assumed, a forced one computed
+        return self.origin == "provided"
+
     def describe(self) -> str:
         return (
             f"H^{self.degree}(C_{self.target_term + 1}) -> "

@@ -5,7 +5,8 @@ zero locus is under study, bundles to restrict, and the external constants
 the run is allowed to consume. Every external constant must carry a
 provenance string; loading fails closed without one, and reports label each
 numeric claim as computed or external so imported classification facts are
-never silently mixed with engine output. Each report is written through one
+never silently mixed with engine output. Each JSON block is read once, against
+the keys its kind declares (``_read``). Each report is written through one
 ledger (``_Ledger``); ``Scenario.chase_twist`` serves ``cayley`` and ``gpcoh koszul``.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .bott import ParabolicSpace, canonical_twist_weight
 from .koszul import ChaseResult, KoszulComplex, RankHint, build_koszul, chase, restriction_sequence
@@ -36,13 +37,33 @@ __all__ = [
 ]
 
 _SCHEMA_VERSION = 1  # the only scenario file layout this loader reads
+_TOP = "top level"  # the block name of the file's own keys
 
-_TOP_LEVEL_KEYS = (
-    "schema_version", "name", "title", "description", "ambient", "section_bundle",
-    "twists", "external_constants", "cases", "extra_spaces",
-)
+# Block kinds, each declared once, map each key to its kind; a key ending in "?" is optional. A kind is a
+# JSON type (str, int, or dict for an object its report reads), [kind] for a list of it, or a block kind.
+_ROOT_SYSTEM = {"type": str, "rank": int}
+_NAMED_ROOT_SYSTEM = {**_ROOT_SYSTEM, "name": str}
+_SPACE = {**_ROOT_SYSTEM, "crossed": [int]}
+_NAMED_SPACE = {**_SPACE, "name": str}
+_PAIR = {"group_root_system": _ROOT_SYSTEM, "subgroup_root_system": _ROOT_SYSTEM}
+_CONSTANT = {"name": str, "value": int, "provenance": str}
+_TOP_LEVEL = {
+    "schema_version": int, "name?": str, "title?": str, "description?": str,
+    "ambient?": _SPACE, "section_bundle?": str,
+    "twists?": [{"name": str, "label": str, "rank_hints?": [dict.fromkeys(RankHint._fields, int)]}],
+    "external_constants?": [_CONSTANT], "cases?": [dict], "extra_spaces?": [dict],
+}
+_VMRT_CASE = {  # a case of the vmrt report
+    "name": str, "vmrt": _NAMED_SPACE, "symmetric_space": {"group": str, "fixed_subgroup": str, **_PAIR},
+    "vmrt_ambient_rep": {**_ROOT_SYSTEM, "weight": [int], "name": str}, "hyperplane_section_of": _NAMED_SPACE,
+}
+_THEOREM1_CASE = {  # a case of the theorem1 report
+    "name": str, "aut_root_system": _NAMED_ROOT_SYSTEM, "space_dim": _PAIR,
+    "cone_aut_semisimple": _NAMED_ROOT_SYSTEM, "external_constants": [_CONSTANT],
+}
 # the zero-locus keys, each read only beside the key it needs
 _NEEDS = {"section_bundle": "ambient", "twists": "section_bundle"}
+_JSON_TYPES = {dict: "a JSON object", list: "a list", str: "a string", int: "an integer"}
 
 
 class ExternalConstant(NamedTuple):
@@ -56,7 +77,8 @@ class Scenario(NamedTuple):
     the file gives none (the dimension audits give neither); ``zero_locus``
     returns both or fails naming the scenario. ``file`` is the name or path it
     was loaded from, as errors name it; ``rank_hints[name]`` holds the hints of
-    twist ``name``; ``case_constants[i]`` holds the external constants of ``cases[i]``."""
+    twist ``name``; ``raw`` is the file's JSON object, from which each report
+    reads its own ``cases`` and ``extra_spaces``."""
 
     name: str
     file: str
@@ -67,7 +89,6 @@ class Scenario(NamedTuple):
     twists: tuple[tuple[str, BundleSum], ...]
     external_constants: dict[str, ExternalConstant]
     rank_hints: dict[str, tuple[RankHint, ...]]
-    case_constants: tuple[dict[str, ExternalConstant], ...]
     raw: dict
 
     def constant(self, name: str) -> ExternalConstant:
@@ -98,59 +119,60 @@ class Scenario(NamedTuple):
         return complex_, chase(complex_, self.rank_hints[name])
 
 
-_JSON_TYPES = {dict: "a JSON object", list: "a list", str: "a string", int: "an integer"}
-
-
-def _typed(value, kind: type, file: str, block: str, key: str):
-    """``value`` if its JSON type is exactly ``kind`` (a bool or a float is no
-    integer); otherwise fail naming the file, the block and the key."""
-    if type(value) is not kind:
-        raise ValueError(
-            f"scenario file {file!r}: block {block!r} key {key!r} must be "
-            f"{_JSON_TYPES[kind]}, got {json.dumps(value)}"
-        )
+def _read(value, kind, file: str, block: str, key: str):
+    """``value``, the value of ``key`` in ``block``, once checked against ``kind``: its JSON
+    type exactly (a bool or a float is no integer), then each item of a list and each key of a
+    nested block. Any fault fails naming the file, the block and the key."""
+    json_type = kind if isinstance(kind, type) else type(kind)
+    if type(value) is not json_type:
+        got, want = json.dumps(value), _JSON_TYPES[json_type]
+        raise ValueError(f"scenario file {file!r}: block {block!r} key {key!r} must be {want}, got {got}")
+    if type(kind) is list:
+        for i, item in enumerate(value):
+            _read(item, kind[0], file, block, f"{key}[{i}]")
+    elif type(kind) is dict:
+        _block(value, kind, file, key if block == _TOP else f"{block}.{key}")
     return value
 
 
-def _items(block: dict, key: str, kind: type, file: str, name: str) -> list:
-    """The list ``block[key]``, empty when absent, each item of JSON type ``kind``."""
-    items = _typed(block.get(key, []), list, file, name, key)
-    return [_typed(item, kind, file, name, f"{key}[{i}]") for i, item in enumerate(items)]
-
-
-def _fields(block: dict, keys: dict[str, type], file: str, name: str) -> tuple:
-    """The values of ``keys`` in ``block``, each of the JSON type it maps to;
-    a missing key or a wrong type fails naming the file, the block and the key."""
-    for key in keys:
-        if key not in block:
+def _block(block: dict, kind: dict, file: str, name: str) -> None:
+    """Read ``block`` against the block kind ``kind``: a key it does not declare or a
+    required key that is absent fails naming the file, the block and the key."""
+    keys = {declared.removesuffix("?"): declared for declared in kind}
+    for key in block:
+        if key not in keys:
+            known = ", ".join(keys)
+            raise ValueError(f"scenario file {file!r}: block {name!r} has unknown key {key!r}; known: {known}")
+    for key, declared in keys.items():
+        if key in block:
+            _read(block[key], kind[declared], file, name, key)
+        elif key == declared:
             raise ValueError(f"scenario file {file!r}: block {name!r} lacks key {key!r}")
-    return tuple(_typed(block[key], kind, file, name, key) for key, kind in keys.items())
 
 
-def _parse_constants(items: Iterable[dict], file: str, block: str) -> dict[str, ExternalConstant]:
+def _constants(items: list[dict], file: str, block: str) -> dict[str, ExternalConstant]:
+    """The read constant blocks ``items`` by name; an empty name or provenance, or a name
+    repeated within the list, fails naming the file, the block and the key."""
     out: dict[str, ExternalConstant] = {}
     for i, item in enumerate(items):
         where = f"{block}[{i}]"
-        name, value, provenance = _fields(item, {"name": str, "value": int, "provenance": str}, file, where)
-        provenance = provenance.strip()
-        for key, text in (("name", name), ("provenance", provenance)):
-            if not text:
+        const = ExternalConstant(item["name"], item["value"], item["provenance"].strip())
+        for key in ("name", "provenance"):
+            if not getattr(const, key):
                 raise ValueError(f"scenario file {file!r}: block {where!r} key {key!r} is empty")
-        if name in out:
-            raise ValueError(f"scenario file {file!r}: block {where!r} key 'name' repeats {name!r}")
-        out[name] = ExternalConstant(name=name, value=value, provenance=provenance)
+        if const.name in out:
+            raise ValueError(f"scenario file {file!r}: block {where!r} key 'name' repeats {const.name!r}")
+        out[const.name] = const
     return out
 
 
-def _root_system_block(block: dict, file: str, where: str, **extra: type) -> tuple:
-    """The root system of a block {"type": str, "rank": int, ...}, or with ``crossed=list`` its
-    ParabolicSpace, then the values of the ``extra`` keys, each checked as ``_fields`` checks
-    it. A type, rank or crossed set that the engine rejects names the file, the block and the key."""
-    type_letter, rank, *values = _fields(block, {"type": str, "rank": int, **extra}, file, where)
-    nodes = frozenset(_items(block, "crossed", int, file, where)) if "crossed" in extra else None
+def _root_system(block: dict, file: str, where: str):
+    """The root system of a read root-system block, or its ParabolicSpace when the block has
+    ``crossed``. A type, rank or crossed set that the engine rejects names the file, the block
+    and the key."""
     try:
-        rs = build_root_system(type_letter, rank)
-        return (rs if nodes is None else ParabolicSpace(rs, nodes), *values)
+        rs = build_root_system(block["type"], block["rank"])
+        return ParabolicSpace(rs, frozenset(block["crossed"])) if "crossed" in block else rs
     except ValueError as exc:  # build_root_system's messages start "unknown type" or "invalid rank"
         key = {"unknown type": "type", "invalid rank": "rank"}.get(str(exc)[:12], "crossed")
         raise ValueError(f"scenario file {file!r}: block {where!r} key {key!r}: {exc}") from exc
@@ -171,14 +193,15 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     (cayley, vmrt, theorem1, adjunction), with or without ".json", always
     loads the file ``data/<name>.json`` shipped with the package, whatever
     the current directory holds; a local file of such a name is reached with
-    a directory part, as in "./cayley". Anything else is read as a path. An
-    unknown top-level key fails naming the file and the key; a missing
-    required key also names its block. A missing or unsupported
-    ``schema_version`` fails naming the file. A file without a zero locus loads
-    (``Scenario.zero_locus`` then rejects it), but a ``_NEEDS`` key without the
-    key it needs, an empty section bundle, a section bundle on a space other
-    than a Grassmannian, a label the grammar rejects, or a twist or constant name
-    repeated within its list fails naming the file.
+    a directory part, as in "./cayley". Anything else is read as a path. A
+    missing or unsupported ``schema_version`` fails naming the file. Every other
+    block is read once against its block kind: the blocks every file shares
+    here, ``cases`` and ``extra_spaces`` by the report that uses them; a missing,
+    mistyped or unknown key fails naming the file, the block and the key. A file
+    without a zero locus loads (``Scenario.zero_locus`` then rejects it), but a
+    ``_NEEDS`` key without the key it needs, an empty section bundle, a section
+    bundle on a space other than a Grassmannian, a label the grammar rejects, or
+    a twist or constant name repeated within its list fails naming the file.
     """
     text = str(name_or_path)
     key = text.removesuffix(".json")
@@ -196,10 +219,6 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
         raise ValueError(f"scenario file {text!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"scenario file {text!r} does not hold a JSON object")
-    unknown = [key for key in data if key not in _TOP_LEVEL_KEYS]
-    if unknown:
-        known = ", ".join(_TOP_LEVEL_KEYS)
-        raise ValueError(f"scenario file {text!r} has unknown key {unknown[0]!r}; known: {known}")
     version = data.get("schema_version")
     if type(version) is not int or version != _SCHEMA_VERSION:
         found = repr(version) if "schema_version" in data else "missing"
@@ -207,54 +226,38 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
             f"scenario file {text!r}: schema_version {found} is not supported; "
             f"expected {_SCHEMA_VERSION}"
         )
-    top = "top level"
+    _block(data, _TOP_LEVEL, text, _TOP)
     for needing, needed in _NEEDS.items():
         if needing in data and needed not in data:
-            raise ValueError(f"scenario file {text!r}: block {top!r} key {needing!r} needs {needed!r}")
-    space = None
-    if "ambient" in data:
-        block = _typed(data["ambient"], dict, text, top, "ambient")
-        space = _root_system_block(block, text, "ambient", crossed=list)[0]
+            raise ValueError(f"scenario file {text!r}: block {_TOP!r} key {needing!r} needs {needed!r}")
+    space = _root_system(data["ambient"], text, "ambient") if "ambient" in data else None
     section = None
     twists: list[tuple[str, BundleSum]] = []
     hints: dict[str, tuple[RankHint, ...]] = {}
     if "section_bundle" in data:
-        (bundle,) = _fields(data, {"section_bundle": str}, text, top)
-        if not bundle.strip():
-            raise ValueError(f"scenario file {text!r}: block {top!r} key 'section_bundle' is empty")
+        if not data["section_bundle"].strip():
+            raise ValueError(f"scenario file {text!r}: block {_TOP!r} key 'section_bundle' is empty")
         try:
             kn = grassmannian_kn(space)
         except ValueError as exc:
             raise ValueError(f"scenario file {text!r}: block 'ambient': {exc}") from exc
-        section = _parsed_bundle(kn, bundle, text, top, "section_bundle")
-        for i, tw in enumerate(_items(data, "twists", dict, text, top)):
-            where = f"twists[{i}]"
-            name, label = _fields(tw, {"name": str, "label": str}, text, where)
+        section = _parsed_bundle(kn, data["section_bundle"], text, _TOP, "section_bundle")
+        for i, tw in enumerate(data.get("twists", ())):
+            where, name = f"twists[{i}]", tw["name"]
             if name in hints:
                 raise ValueError(f"scenario file {text!r}: block {where!r} key 'name' repeats {name!r}")
-            twists.append((name, _parsed_bundle(kn, label, text, where, "label")))
-            hints[name] = tuple(
-                RankHint(*_fields(h, dict.fromkeys(RankHint._fields, int), text, f"{where}.rank_hints[{j}]"))
-                for j, h in enumerate(_items(tw, "rank_hints", dict, text, where))
-            )
-    ec = "external_constants"
-    constants = _parse_constants(_items(data, ec, dict, text, top), text, ec)
-    case_constants = tuple(
-        _parse_constants(_items(case, ec, dict, text, f"cases[{i}]"), text, f"cases[{i}].{ec}")
-        for i, case in enumerate(_items(data, "cases", dict, text, top))
-    )
-    strings = {k: _typed(data[k], str, text, top, k) for k in ("name", "title", "description") if k in data}
+            twists.append((name, _parsed_bundle(kn, tw["label"], text, where, "label")))
+            hints[name] = tuple(RankHint(**h) for h in tw.get("rank_hints", ()))
     return Scenario(
-        name=strings.get("name", text),
+        name=data.get("name", text),
         file=text,
-        title=strings.get("title", strings.get("name", "")),
-        description=strings.get("description", ""),
+        title=data.get("title", data.get("name", "")),
+        description=data.get("description", ""),
         space=space,
         section_bundle=section,
         twists=tuple(twists),
-        external_constants=constants,
+        external_constants=_constants(data.get("external_constants", ()), text, "external_constants"),
         rank_hints=hints,
-        case_constants=case_constants,
         raw=data,
     )
 
@@ -387,9 +390,9 @@ def _chase_step(ledger: _Ledger, sc: Scenario, twist: str, title: str):
 
 def _chase_record(ledger: _Ledger, twist: str, complex_: KoszulComplex, result: ChaseResult):
     """Audit-trail lines: the source of each rank the chase used, the resolution's terms and its page."""
-    for h in result.hints_used:  # a provided rank is assumed, a forced one computed
+    for h in result.hints_used:
         word, source, why = (
-            ("assumed", "assumed", f"rank hint of twist {twist!r}") if h.origin == "provided"
+            ("assumed", "assumed", f"rank hint of twist {twist!r}") if h.assumed
             else ("forced", "computed", "left exactness of global sections")
         )
         ledger._line(f"{twist}_hint_{h.target_term}_{h.degree}", f"{word} rank: {h.describe()}", h.rank, source, why)
@@ -514,21 +517,21 @@ def run_cayley(scenario: Scenario | None = None) -> RigidityReport:
 
 
 def _pair_dims(block: dict, file: str, where: str) -> tuple[int, int, int]:
-    """dim G, dim H and dim G/H = dim G - dim H for a block naming both root systems."""
-    keys = ("group_root_system", "subgroup_root_system")
-    blocks = _fields(block, dict.fromkeys(keys, dict), file, where)
-    g_rs, h_rs = (_root_system_block(b, file, f"{where}.{k}")[0] for b, k in zip(blocks, keys))
-    g_dim, h_dim = adjoint_dimension(g_rs), adjoint_dimension(h_rs)
+    """dim G, dim H and dim G/H = dim G - dim H for a read block naming both root systems."""
+    g_dim, h_dim = (
+        adjoint_dimension(_root_system(block[k], file, f"{where}.{k}"))
+        for k in ("group_root_system", "subgroup_root_system")
+    )
     return g_dim, h_dim, g_dim - h_dim
 
 
 def _gp_dim(ledger: _Ledger, block: dict, file: str, where: str) -> int:
-    """dim G/P of a block naming a type, a rank and crossed nodes, written as a line."""
-    space, crossed, label = _root_system_block(block, file, where, crossed=list, name=str)
-    rs, dim = space.rs, space.dimension
+    """dim G/P of a read block naming a type, a rank and crossed nodes, written as a line."""
+    space = _root_system(block, file, where)
+    rs, dim, node = space.rs, space.dimension, block["crossed"][0]
     ledger.add(
-        f"dim_{rs.name}_P{crossed[0]}",
-        f"dim {label} = {dim}  [{rs.name}/P{crossed[0]}]",
+        f"dim_{rs.name}_P{node}",
+        f"dim {block['name']} = {dim}  [{rs.name}/P{node}]",
         dim,
         "positive roots off the Levi",
     )
@@ -540,16 +543,12 @@ def run_vmrt_audit(scenario: Scenario | None = None) -> RigidityReport:
     sc = scenario or load_scenario("vmrt")
     file = sc.file
     ledger = _Ledger()
-    blocks = ("vmrt", "symmetric_space", "vmrt_ambient_rep", "hyperplane_section_of")
-    case_keys = {"name": str, **dict.fromkeys(blocks, dict)}
-    for i, case in enumerate(sc.raw.get("cases", ())):
-        where = f"cases[{i}]"
-        name, vm, ss, rep, hyperplane = _fields(case, case_keys, file, where)
-        ss_where = f"{where}.symmetric_space"
-        group, fixed = _fields(ss, {"group": str, "fixed_subgroup": str}, file, ss_where)
+    for i, case in enumerate(_read(sc.raw.get("cases", []), [_VMRT_CASE], file, _TOP, "cases")):
+        where, name, ss = f"cases[{i}]", case["name"], case["symmetric_space"]
+        group, fixed, vmrt_name = ss["group"], ss["fixed_subgroup"], case["vmrt"]["name"]
         ledger.section(f"Case {group}/{fixed}")
-        vmrt_dim = _gp_dim(ledger, vm, file, f"{where}.vmrt")
-        g_dim, h_dim, space_dim = _pair_dims(ss, file, ss_where)
+        vmrt_dim = _gp_dim(ledger, case["vmrt"], file, f"{where}.vmrt")
+        g_dim, h_dim, space_dim = _pair_dims(ss, file, f"{where}.symmetric_space")
         ledger.add(
             f"dim_{name}",
             f"dim {group}/{fixed} = {g_dim} - {h_dim} = {space_dim}",
@@ -562,7 +561,7 @@ def run_vmrt_audit(scenario: Scenario | None = None) -> RigidityReport:
         bound = f"{space_dim - 2}/2" if odd else half  # exact, and JSON-safe
         ledger.add(
             f"nondegeneracy_{name}",
-            f"dim {vm['name']} = {vmrt_dim} > {bound} = dim/2 - 1",
+            f"dim {vmrt_name} = {vmrt_dim} > {bound} = dim/2 - 1",
             ok,
             "strict inequality on computed dimensions",
             ok,
@@ -573,28 +572,27 @@ def run_vmrt_audit(scenario: Scenario | None = None) -> RigidityReport:
             bound,
             "computed from the symmetric-space dimension",
         )
-        rep_where = f"{where}.vmrt_ambient_rep"
-        rep_rs, _, rep_name = _root_system_block(rep, file, rep_where, weight=list, name=str)
-        weight = Weight(_items(rep, "weight", int, file, rep_where))
+        rep, rep_where = case["vmrt_ambient_rep"], f"{where}.vmrt_ambient_rep"
+        rep_rs = _root_system(rep, file, rep_where)
         try:  # a weight of the wrong length or not dominant
-            rep_dim = weyl_dimension(rep_rs, weight)
+            rep_dim = weyl_dimension(rep_rs, Weight(rep["weight"]))
         except ValueError as exc:
             raise ValueError(f"scenario file {file!r}: block {rep_where!r} key 'weight': {exc}") from exc
         proj_dim = rep_dim - 2
         ledger.add(
             f"ambient_rep_dim_{name}",
-            f"dim of {rep_name} = {rep_dim}",
+            f"dim of {rep['name']} = {rep_dim}",
             rep_dim,
             "Weyl dimension formula",
         )
         ledger.add(
             f"ambient_proj_dim_{name}",
-            f"{vm['name']} sits in P^{proj_dim} = hyperplane section of P^{rep_dim - 1}",
+            f"{vmrt_name} sits in P^{proj_dim} = hyperplane section of P^{rep_dim - 1}",
             proj_dim,
             "projectivization minus one hyperplane",
         )
-        _gp_dim(ledger, hyperplane, file, f"{where}.hyperplane_section_of")
-    for i, sp in enumerate(_items(sc.raw, "extra_spaces", dict, file, "top level")):
+        _gp_dim(ledger, case["hyperplane_section_of"], file, f"{where}.hyperplane_section_of")
+    for i, sp in enumerate(_read(sc.raw.get("extra_spaces", []), [_NAMED_SPACE], file, _TOP, "extra_spaces")):
         if i == 0:
             ledger.section("Companion homogeneous dimensions")
         _gp_dim(ledger, sp, file, f"extra_spaces[{i}]")
@@ -606,22 +604,20 @@ def run_theorem1_audit(scenario: Scenario | None = None) -> RigidityReport:
     sc = scenario or load_scenario("theorem1")
     file = sc.file
     ledger = _Ledger()
-    case_keys = {"name": str, "aut_root_system": dict, "space_dim": dict, "cone_aut_semisimple": dict}
-    const_keys = dict.fromkeys(("cone_aut_dim", "h1_general_fiber"), ExternalConstant)
-    for i, (case, consts) in enumerate(zip(sc.raw.get("cases", ()), sc.case_constants)):
-        where = f"cases[{i}]"
-        name, aut, pair, cone = _fields(case, case_keys, file, where)
-        cone_const, h1_const = _fields(consts, const_keys, file, f"{where}.external_constants")
-        aut_rs, aut_name = _root_system_block(aut, file, f"{where}.aut_root_system", name=str)
-        aut_dim = adjoint_dimension(aut_rs)
-        g_dim, h_dim, space_dim = _pair_dims(pair, file, f"{where}.space_dim")
-        cone_rs, cone_name = _root_system_block(cone, file, f"{where}.cone_aut_semisimple", name=str)
-        cone_ss = adjoint_dimension(cone_rs)
-        cone_dim = cone_const.value
+    for i, case in enumerate(_read(sc.raw.get("cases", []), [_THEOREM1_CASE], file, _TOP, "cases")):
+        where, name = f"cases[{i}]", case["name"]
+        consts = _constants(case["external_constants"], file, f"{where}.external_constants")
+        if missing := [k for k in ("cone_aut_dim", "h1_general_fiber") if k not in consts]:
+            raise ValueError(f"scenario file {file!r}: block '{where}.external_constants' lacks key {missing[0]!r}")
+        aut, cone = case["aut_root_system"], case["cone_aut_semisimple"]
+        aut_dim = adjoint_dimension(_root_system(aut, file, f"{where}.aut_root_system"))
+        g_dim, h_dim, space_dim = _pair_dims(case["space_dim"], file, f"{where}.space_dim")
+        cone_ss = adjoint_dimension(_root_system(cone, file, f"{where}.cone_aut_semisimple"))
+        cone_dim = consts["cone_aut_dim"].value
         ledger.section(f"Case {name}")
         ledger.add(
             f"aut_dim_{name}",
-            f"dim aut(S) = dim {aut_name} = {aut_dim}",
+            f"dim aut(S) = dim {aut['name']} = {aut_dim}",
             aut_dim,
             "adjoint dimension from the root system",
         )
@@ -633,14 +629,14 @@ def run_theorem1_audit(scenario: Scenario | None = None) -> RigidityReport:
         )
         ledger.add(
             f"cone_aut_semisimple_dim_{name}",
-            f"dim {cone_name} = {cone_ss}",
+            f"dim {cone['name']} = {cone_ss}",
             cone_ss,
             "adjoint dimension from the root system",
         )
         ledger.external(
             f"cone_aut_dim_{name}",
             f"dim aut(affine VMRT cone) = {cone_dim}",
-            cone_const,
+            consts["cone_aut_dim"],
             cone_dim == cone_ss + 1,
         )
         ledger.add(
@@ -664,8 +660,8 @@ def run_theorem1_audit(scenario: Scenario | None = None) -> RigidityReport:
         )
         ledger.external(
             f"h1_general_fiber_{name}",
-            f"h^1(S, T_S) = {h1_const.value} on the general fiber",
-            h1_const,
+            f"h^1(S, T_S) = {consts['h1_general_fiber'].value} on the general fiber",
+            consts["h1_general_fiber"],
         )
         ledger.add(
             f"h0_bound_{name}",

@@ -429,6 +429,72 @@ def test_an_unknown_top_level_key_is_rejected(capsys, tmp_path):
     assert str(p) in doc["error"] and "unknown key 'rank_hints'" in doc["error"]
 
 
+# an unknown key in each block kind: (report whose shipped file is copied, path to the block,
+# the block name the error must give, the key put in); the misspellings are typical ones
+UNKNOWN_KEY_PROBES = [
+    ("cayley", (), "top level", "rank_hints"),
+    ("cayley", ("ambient",), "ambient", "crosed"),
+    ("cayley", ("twists", 1), "twists[1]", "rank_hint"),
+    ("cayley", ("twists", 1, "rank_hints", 0), "twists[1].rank_hints[0]", "degre"),
+    ("cayley", ("external_constants", 0), "external_constants[0]", "provenence"),
+    ("adjunction", ("ambient",), "ambient", "weight"),
+    ("vmrt", ("cases", 0), "cases[0]", "hyperplane_section"),
+    ("vmrt", ("cases", 0, "vmrt"), "cases[0].vmrt", "crosed"),
+    ("vmrt", ("cases", 0, "symmetric_space"), "cases[0].symmetric_space", "fixed_group"),
+    (
+        "vmrt", ("cases", 0, "symmetric_space", "group_root_system"),
+        "cases[0].symmetric_space.group_root_system", "crossed",
+    ),
+    (
+        "vmrt", ("cases", 1, "symmetric_space", "subgroup_root_system"),
+        "cases[1].symmetric_space.subgroup_root_system", "name",
+    ),
+    ("vmrt", ("cases", 1, "vmrt_ambient_rep"), "cases[1].vmrt_ambient_rep", "weights"),
+    ("vmrt", ("cases", 0, "hyperplane_section_of"), "cases[0].hyperplane_section_of", "weight"),
+    ("vmrt", ("extra_spaces", 1), "extra_spaces[1]", "crosed"),
+    ("theorem1", ("cases", 0), "cases[0]", "aut_root_sytem"),
+    ("theorem1", ("cases", 0, "aut_root_system"), "cases[0].aut_root_system", "crossed"),
+    ("theorem1", ("cases", 1, "space_dim"), "cases[1].space_dim", "group"),
+    ("theorem1", ("cases", 0, "space_dim", "group_root_system"), "cases[0].space_dim.group_root_system", "nme"),
+    (
+        "theorem1", ("cases", 1, "space_dim", "subgroup_root_system"),
+        "cases[1].space_dim.subgroup_root_system", "crossed",
+    ),
+    ("theorem1", ("cases", 0, "cone_aut_semisimple"), "cases[0].cone_aut_semisimple", "weight"),
+    (
+        "theorem1", ("cases", 1, "external_constants", 1),
+        "cases[1].external_constants[1]", "provenence",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "report,path,block,key", UNKNOWN_KEY_PROBES, ids=[f"{p[0]}:{p[2]}" for p in UNKNOWN_KEY_PROBES]
+)
+def test_an_unknown_key_in_any_block_exits_2_naming_the_file_the_block_and_the_key(
+    capsys, tmp_path, monkeypatch, report, path, block, key
+):
+    from gpcoh import load_scenario, scenarios
+
+    data = json.loads(json.dumps(load_scenario(report).raw))
+    if report == "cayley":  # a hint the chase accepts, so the hint block exists
+        data["twists"][1]["rank_hints"] = [{"target_term": 2, "degree": 3, "rank": 0}]
+    target = data
+    for step in path:
+        target = target[step]
+    target[key] = 0
+    p = tmp_path / "edited.json"
+    p.write_text(json.dumps(data))
+    # gpcoh report looks its runner up on the module, so the rebound one reads the edited copy
+    runner = scenarios.REPORTS[report]
+    monkeypatch.setattr(scenarios, runner.__name__, lambda: runner(load_scenario(str(p))))
+    code, out, err = run(capsys, "report", report)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"scenario file {str(p)!r}: block {block!r} has unknown key {key!r}; known: " in err
+
+
 @pytest.mark.parametrize(
     "edit,found",
     [(lambda d: d.update(schema_version=99), "99"), (lambda d: d.pop("schema_version"), "missing")],

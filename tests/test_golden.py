@@ -34,6 +34,13 @@ CASES = [
         ("a1_h1", ["A", "1", "--crossed", "1", "--weight", "-2"]),
     )
 ]
+LG36 = (
+    "koszul_lg36_blocked.json",
+    ["--format", "json", "koszul", "--scenario", "tests/data/lg36.json", "--twist", "s5"],
+)
+# every golden command with the exit status it must give, run from the repository root; the CI
+# "Shipped reports" step reads this list and runs each command as a fresh process
+COMMANDS = [(filename, argv, 0) for filename, argv in CASES] + [(*LG36, 1)]
 
 
 @pytest.mark.parametrize("filename,argv", CASES, ids=[c[0] for c in CASES])
@@ -46,6 +53,6 @@ def test_cli_output_matches_golden_file(capsys, filename, argv):
 def test_a_chase_that_nothing_forces_blocks_as_in_its_golden_file(capsys, monkeypatch):
     # the JSON echoes the scenario path, so it is given relative to the repository root
     monkeypatch.chdir(GOLDEN.parents[1])
-    argv = ["--format", "json", "koszul", "--scenario", "tests/data/lg36.json", "--twist", "s5"]
+    filename, argv = LG36
     assert main(argv) == 1
-    assert capsys.readouterr().out == (GOLDEN / "koszul_lg36_blocked.json").read_text()
+    assert capsys.readouterr().out == (GOLDEN / filename).read_text()

@@ -491,3 +491,9 @@ def test_chase_answers_on_a_pool_sample_match_the_pinned_digest():
         )
         digest.update(f"{record!r}\n".encode())
     assert digest.hexdigest() == CHASE_PIN
+
+
+def test_build_koszul_rejects_an_empty_section_sum():
+    space = ParabolicSpace(rs=build_root_system("A", 6), crossed=frozenset({4}))
+    with pytest.raises(ValueError, match="section bundle must have positive rank"):
+        build_koszul(space, BundleSum(AMB))

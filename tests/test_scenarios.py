@@ -65,8 +65,38 @@ def test_case_constants_without_provenance_fail_closed(tmp_path):
     data["cases"][0]["external_constants"][0]["provenance"] = "  "
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(data))
+    sc = load_scenario(p)  # the audit reads its own cases when it runs
     with pytest.raises(ValueError, match="provenance"):
+        run_theorem1_audit(sc)
+
+
+def test_a_file_holding_a_json_list_fails_naming_the_file(tmp_path):
+    p = tmp_path / "list.json"
+    p.write_text(json.dumps([load_scenario("cayley").raw]))
+    with pytest.raises(ValueError, match="does not hold a JSON object") as exc:
         load_scenario(p)
+    assert repr(str(p)) in str(exc.value)
+
+
+# a Schur functor with more rows than its tautological bundle's rank: U has rank 2 and Q rank 3
+@pytest.mark.parametrize(
+    "label,reason",
+    [("W[1,1,1]U", "u-side partition (1,1,1) exceeds rank 2"),
+     ("W[1,1,1,1]Q", "q-side partition (1,1,1,1) exceeds rank 3")],
+    ids=["u-side", "q-side"],
+)
+def test_a_twist_label_too_tall_for_its_bundle_names_the_file_the_block_and_the_key(tmp_path, label, reason):
+    data = {
+        "schema_version": 1,
+        "ambient": {"type": "A", "rank": 4, "crossed": [2]},
+        "section_bundle": "L2 U*",
+        "twists": [{"name": "tall", "label": label}],
+    }
+    p = tmp_path / "gr25.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as exc:
+        load_scenario(p)
+    assert str(exc.value) == f"scenario file {str(p)!r}: block 'twists[0]' key 'label': {reason}"
 
 
 def test_unknown_twist_rejected():
@@ -309,12 +339,6 @@ def test_a_malformed_audit_case_names_the_file_the_block_and_the_key(
         REPORTS[report](load_scenario("./x.json"))
     message = str(exc.value)
     assert "'./x.json'" in message and repr(block) in message and repr(key) in message
-
-
-def test_audit_case_constants_are_kept_from_the_load():
-    sc = load_scenario("theorem1")
-    assert [sorted(c) for c in sc.case_constants] == [["cone_aut_dim", "h1_general_fiber"]] * 2
-    assert sc.case_constants[1]["cone_aut_dim"].value == 53
 
 
 @pytest.mark.parametrize("runner", [run_cayley, run_adjunction_audit])

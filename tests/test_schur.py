@@ -30,7 +30,7 @@ from gpcoh import (
     tangent_label,
     tensor,
 )
-from gpcoh.schur import _reversed_complement, dual_sum, sum_to_weights
+from gpcoh.schur import _reversed_complement, dual_sum, format_sum, sum_to_weights
 
 from conftest import (
     KOSZUL_POOL,
@@ -708,3 +708,19 @@ def test_dual_generators_match_the_reversed_complement_oracle():
                             assert (lab.u_part.parts, lab.q_part.parts, lab.twist) == want
                         checked += 1
     assert checked == 4_550
+
+
+def test_exterior_power_sum_rejects_a_negative_degree():
+    with pytest.raises(ValueError, match="exterior power degree must be nonnegative"):
+        exterior_power_sum(parse_bundle(AMB, "U"), -1)
+
+
+def test_padding_a_partition_past_its_rows_is_rejected():
+    assert Partition((2, 1)).padded(3) == (2, 1, 0)
+    with pytest.raises(ValueError, match=r"partition \(2, 1, 1\) has more than 2 rows"):
+        Partition((2, 1, 1)).padded(2)
+
+
+def test_the_zero_sum_prints_as_0():
+    assert format_sum(BundleSum(AMB)) == "0"
+    assert format_sum(parse_bundle(AMB, "O")) == "O"
