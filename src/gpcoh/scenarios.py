@@ -1,13 +1,12 @@
 """Declarative scenarios binding the engines to auditable rigidity reports.
 
-A scenario file names an ambient homogeneous space, a section bundle whose
-zero locus is under study, bundles to restrict, and the external constants
-the run is allowed to consume. Every external constant must carry a
-provenance string; loading fails closed without one, and reports label each
-numeric claim as computed or external so imported classification facts are
-never silently mixed with engine output. Each JSON block is read once, against
-the keys its kind declares (``_read``). Each report is written through one
-ledger (``_Ledger``); ``Scenario.chase_twist`` serves ``cayley`` and ``gpcoh koszul``.
+Each report reads one kind of scenario file, whole, once, at load (``_load``). A
+zero-locus file names an ambient homogeneous space, a section bundle whose zero
+locus is under study, bundles to restrict, and the external constants the run
+may consume; an audit file lists the cases of its report. Every external constant
+must carry a provenance string, and reports label each numeric claim as computed
+or external. Each report is written through one ledger (``_Ledger``);
+``Scenario.chase_twist`` serves ``cayley`` and ``gpcoh koszul``.
 """
 
 from __future__ import annotations
@@ -40,19 +39,13 @@ _SCHEMA_VERSION = 1  # the only scenario file layout this loader reads
 _TOP = "top level"  # the block name of the file's own keys
 
 # Block kinds, each declared once, map each key to its kind; a key ending in "?" is optional. A kind is a
-# JSON type (str, int, or dict for an object its report reads), [kind] for a list of it, or a block kind.
+# JSON type (str or int), [kind] for a list of it, or a block kind.
 _ROOT_SYSTEM = {"type": str, "rank": int}
 _NAMED_ROOT_SYSTEM = {**_ROOT_SYSTEM, "name": str}
 _SPACE = {**_ROOT_SYSTEM, "crossed": [int]}
 _NAMED_SPACE = {**_SPACE, "name": str}
 _PAIR = {"group_root_system": _ROOT_SYSTEM, "subgroup_root_system": _ROOT_SYSTEM}
 _CONSTANT = {"name": str, "value": int, "provenance": str}
-_TOP_LEVEL = {
-    "schema_version": int, "name?": str, "title?": str, "description?": str,
-    "ambient?": _SPACE, "section_bundle?": str,
-    "twists?": [{"name": str, "label": str, "rank_hints?": [dict.fromkeys(RankHint._fields, int)]}],
-    "external_constants?": [_CONSTANT], "cases?": [dict], "extra_spaces?": [dict],
-}
 _VMRT_CASE = {  # a case of the vmrt report
     "name": str, "vmrt": _NAMED_SPACE, "symmetric_space": {"group": str, "fixed_subgroup": str, **_PAIR},
     "vmrt_ambient_rep": {**_ROOT_SYSTEM, "weight": [int], "name": str}, "hyperplane_section_of": _NAMED_SPACE,
@@ -61,8 +54,15 @@ _THEOREM1_CASE = {  # a case of the theorem1 report
     "name": str, "aut_root_system": _NAMED_ROOT_SYSTEM, "space_dim": _PAIR,
     "cone_aut_semisimple": _NAMED_ROOT_SYSTEM, "external_constants": [_CONSTANT],
 }
-# the zero-locus keys, each read only beside the key it needs
-_NEEDS = {"section_bundle": "ambient", "twists": "section_bundle"}
+_THEOREM1_CONSTANTS = ("cone_aut_dim", "h1_general_fiber")  # the constants a theorem1 case reads
+# File kinds: the keys every file shares, then those of the report that reads it
+_FILE = {"schema_version": int, "name?": str, "title?": str, "description?": str}
+_TWIST = {"name": str, "label": str, "rank_hints?": [dict.fromkeys(RankHint._fields, int)]}
+_ZERO_LOCUS_FILE = {
+    **_FILE, "ambient": _SPACE, "section_bundle": str, "twists?": [_TWIST], "external_constants?": [_CONSTANT],
+}
+_VMRT_FILE = {**_FILE, "cases": [_VMRT_CASE], "extra_spaces?": [_NAMED_SPACE]}
+_THEOREM1_FILE = {**_FILE, "cases": [_THEOREM1_CASE]}
 _JSON_TYPES = {dict: "a JSON object", list: "a list", str: "a string", int: "an integer"}
 
 
@@ -73,23 +73,17 @@ class ExternalConstant(NamedTuple):
 
 
 class Scenario(NamedTuple):
-    """A loaded scenario file. ``space`` or ``section_bundle`` is None when
-    the file gives none (the dimension audits give neither); ``zero_locus``
-    returns both or fails naming the scenario. ``file`` is the name or path it
-    was loaded from, as errors name it; ``rank_hints[name]`` holds the hints of
-    twist ``name``; ``raw`` is the file's JSON object, from which each report
-    reads its own ``cases`` and ``extra_spaces``."""
+    """A loaded zero-locus file: the ambient space, the section bundle, the named twists
+    with ``rank_hints[name]`` holding the hints of twist ``name``, and the external
+    constants by name."""
 
     name: str
-    file: str
     title: str
-    description: str
-    space: ParabolicSpace | None
-    section_bundle: BundleSum | None
+    space: ParabolicSpace
+    section_bundle: BundleSum
     twists: tuple[tuple[str, BundleSum], ...]
     external_constants: dict[str, ExternalConstant]
     rank_hints: dict[str, tuple[RankHint, ...]]
-    raw: dict
 
     def constant(self, name: str) -> ExternalConstant:
         if name not in self.external_constants:
@@ -103,25 +97,16 @@ class Scenario(NamedTuple):
         known = ", ".join(n for n, _ in self.twists) or "none"
         raise KeyError(f"scenario {self.name!r} has no twist {name!r}; known: {known}")
 
-    def zero_locus(self) -> tuple[ParabolicSpace, BundleSum]:
-        if self.space is None or self.section_bundle is None:
-            raise ValueError(
-                f"scenario {self.name!r} defines no zero locus: "
-                "it needs an ambient space and a section bundle"
-            )
-        return self.space, self.section_bundle
-
     def chase_twist(self, name: str) -> tuple[KoszulComplex, ChaseResult]:
         """The Koszul resolution twisted by ``name`` and its chase under that twist's own
         rank hints, which may be indeterminate."""
-        space, section = self.zero_locus()
-        complex_ = build_koszul(space, section, self.twist_named(name))
+        complex_ = build_koszul(self.space, self.section_bundle, self.twist_named(name))
         return complex_, chase(complex_, self.rank_hints[name])
 
 
-def _read(value, kind, file: str, block: str, key: str):
-    """``value``, the value of ``key`` in ``block``, once checked against ``kind``: its JSON
-    type exactly (a bool or a float is no integer), then each item of a list and each key of a
+def _read(value, kind, file: str, block: str, key: str) -> None:
+    """Check ``value``, the value of ``key`` in ``block``, against ``kind``: its JSON type
+    exactly (a bool or a float is no integer), then each item of a list and each key of a
     nested block. Any fault fails naming the file, the block and the key."""
     json_type = kind if isinstance(kind, type) else type(kind)
     if type(value) is not json_type:
@@ -132,7 +117,6 @@ def _read(value, kind, file: str, block: str, key: str):
             _read(item, kind[0], file, block, f"{key}[{i}]")
     elif type(kind) is dict:
         _block(value, kind, file, key if block == _TOP else f"{block}.{key}")
-    return value
 
 
 def _block(block: dict, kind: dict, file: str, name: str) -> None:
@@ -186,22 +170,16 @@ def _parsed_bundle(kn: tuple[int, int], label: str, file: str, block: str, key: 
         raise ValueError(f"scenario file {file!r}: block {block!r} key {key!r}: {exc}") from exc
 
 
-def load_scenario(name_or_path: str | Path) -> Scenario:
-    """Load a scenario JSON file by path or by builtin name.
+def _load(name_or_path: str | Path, kind: dict) -> tuple[str, dict]:
+    """The name or path as errors name it, and the scenario file's JSON object, read whole
+    against the file kind ``kind``.
 
-    A string with no directory part that names a report of ``REPORTS``
-    (cayley, vmrt, theorem1, adjunction), with or without ".json", always
-    loads the file ``data/<name>.json`` shipped with the package, whatever
-    the current directory holds; a local file of such a name is reached with
-    a directory part, as in "./cayley". Anything else is read as a path. A
-    missing or unsupported ``schema_version`` fails naming the file. Every other
-    block is read once against its block kind: the blocks every file shares
-    here, ``cases`` and ``extra_spaces`` by the report that uses them; a missing,
-    mistyped or unknown key fails naming the file, the block and the key. A file
-    without a zero locus loads (``Scenario.zero_locus`` then rejects it), but a
-    ``_NEEDS`` key without the key it needs, an empty section bundle, a section
-    bundle on a space other than a Grassmannian, a label the grammar rejects, or
-    a twist or constant name repeated within its list fails naming the file.
+    A string with no directory part that names a report of ``REPORTS``, with or without
+    ".json", always means the file ``data/<name>.json`` shipped with the package, whatever
+    the current directory holds; a local file of such a name is reached with a directory
+    part, as in "./cayley". Anything else is a path. A missing or unsupported
+    ``schema_version`` fails naming the file; a missing, mistyped or unknown key in any
+    block, a key of another file kind included, fails naming the file, the block and the key.
     """
     text = str(name_or_path)
     key = text.removesuffix(".json")
@@ -210,9 +188,7 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     else:
         source = Path(name_or_path)
         if not source.is_file():
-            raise FileNotFoundError(
-                f"no scenario file {text!r} and no builtin scenario of that name"
-            )
+            raise FileNotFoundError(f"no scenario file {text!r} and no builtin scenario of that name")
     try:
         data = json.loads(source.read_text())
     except ValueError as exc:
@@ -222,43 +198,43 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     version = data.get("schema_version")
     if type(version) is not int or version != _SCHEMA_VERSION:
         found = repr(version) if "schema_version" in data else "missing"
-        raise ValueError(
-            f"scenario file {text!r}: schema_version {found} is not supported; "
-            f"expected {_SCHEMA_VERSION}"
-        )
-    _block(data, _TOP_LEVEL, text, _TOP)
-    for needing, needed in _NEEDS.items():
-        if needing in data and needed not in data:
-            raise ValueError(f"scenario file {text!r}: block {_TOP!r} key {needing!r} needs {needed!r}")
-    space = _root_system(data["ambient"], text, "ambient") if "ambient" in data else None
-    section = None
+        raise ValueError(f"scenario file {text!r}: schema_version {found} is not supported; expected {_SCHEMA_VERSION}")
+    _block(data, kind, text, _TOP)
+    return text, data
+
+
+def _title(data: dict) -> str:
+    """A report's title: the file's ``title``, else its ``name``, else empty."""
+    return data.get("title", data.get("name", ""))
+
+
+def load_scenario(name_or_path: str | Path) -> Scenario:
+    """The zero-locus file ``name_or_path``, found and read as by ``_load``. A section bundle
+    off a Grassmannian, a label the grammar rejects (an empty one included), or a twist or
+    constant name repeated within its list also fails naming the file."""
+    file, data = _load(name_or_path, _ZERO_LOCUS_FILE)
+    space = _root_system(data["ambient"], file, "ambient")
+    try:
+        kn = grassmannian_kn(space)
+    except ValueError as exc:
+        raise ValueError(f"scenario file {file!r}: block 'ambient': {exc}") from exc
+    section = _parsed_bundle(kn, data["section_bundle"], file, _TOP, "section_bundle")
     twists: list[tuple[str, BundleSum]] = []
     hints: dict[str, tuple[RankHint, ...]] = {}
-    if "section_bundle" in data:
-        if not data["section_bundle"].strip():
-            raise ValueError(f"scenario file {text!r}: block {_TOP!r} key 'section_bundle' is empty")
-        try:
-            kn = grassmannian_kn(space)
-        except ValueError as exc:
-            raise ValueError(f"scenario file {text!r}: block 'ambient': {exc}") from exc
-        section = _parsed_bundle(kn, data["section_bundle"], text, _TOP, "section_bundle")
-        for i, tw in enumerate(data.get("twists", ())):
-            where, name = f"twists[{i}]", tw["name"]
-            if name in hints:
-                raise ValueError(f"scenario file {text!r}: block {where!r} key 'name' repeats {name!r}")
-            twists.append((name, _parsed_bundle(kn, tw["label"], text, where, "label")))
-            hints[name] = tuple(RankHint(**h) for h in tw.get("rank_hints", ()))
+    for i, tw in enumerate(data.get("twists", ())):
+        where, name = f"twists[{i}]", tw["name"]
+        if name in hints:
+            raise ValueError(f"scenario file {file!r}: block {where!r} key 'name' repeats {name!r}")
+        twists.append((name, _parsed_bundle(kn, tw["label"], file, where, "label")))
+        hints[name] = tuple(RankHint(**h) for h in tw.get("rank_hints", ()))
     return Scenario(
-        name=data.get("name", text),
-        file=text,
-        title=data.get("title", data.get("name", "")),
-        description=data.get("description", ""),
+        name=data.get("name", file),
+        title=_title(data),
         space=space,
         section_bundle=section,
         twists=tuple(twists),
-        external_constants=_constants(data.get("external_constants", ()), text, "external_constants"),
+        external_constants=_constants(data.get("external_constants", ()), file, "external_constants"),
         rank_hints=hints,
-        raw=data,
     )
 
 
@@ -412,10 +388,9 @@ def _chase_record(ledger: _Ledger, twist: str, complex_: KoszulComplex, result: 
     )
 
 
-def run_cayley(scenario: Scenario | None = None) -> RigidityReport:
-    """Full local-rigidity computation for the Cayley Grassmannian scenario."""
-    sc = scenario or load_scenario("cayley")
-    sc.zero_locus()  # a scenario without one fails naming itself, before any step
+def run_cayley(source: str | Path = "cayley") -> RigidityReport:
+    """Full local-rigidity computation for the Cayley Grassmannian scenario file ``source``."""
+    sc = load_scenario(source)
     ledger = _Ledger()
 
     triv_complex, triv = _chase_step(ledger, sc, "trivial", "Structure sheaf of the zero locus")
@@ -509,7 +484,7 @@ def run_cayley(scenario: Scenario | None = None) -> RigidityReport:
         h1_sub == 0,
         "Kodaira-Spencer criterion on the computed h^1",  # h1_tangent_subvariety checks it
     )
-    return ledger.report("cayley", sc.title or "Cayley Grassmannian local rigidity")
+    return ledger.report("cayley", sc.title)
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +513,12 @@ def _gp_dim(ledger: _Ledger, block: dict, file: str, where: str) -> int:
     return dim
 
 
-def run_vmrt_audit(scenario: Scenario | None = None) -> RigidityReport:
-    """Nondegeneracy ledger: each VMRT dimension beats half the space dimension minus one."""
-    sc = scenario or load_scenario("vmrt")
-    file = sc.file
+def run_vmrt_audit(source: str | Path = "vmrt") -> RigidityReport:
+    """Nondegeneracy ledger of the vmrt file ``source``: each VMRT dimension beats half the
+    space dimension minus one."""
+    file, data = _load(source, _VMRT_FILE)
     ledger = _Ledger()
-    for i, case in enumerate(_read(sc.raw.get("cases", []), [_VMRT_CASE], file, _TOP, "cases")):
+    for i, case in enumerate(data["cases"]):
         where, name, ss = f"cases[{i}]", case["name"], case["symmetric_space"]
         group, fixed, vmrt_name = ss["group"], ss["fixed_subgroup"], case["vmrt"]["name"]
         ledger.section(f"Case {group}/{fixed}")
@@ -592,23 +567,28 @@ def run_vmrt_audit(scenario: Scenario | None = None) -> RigidityReport:
             "projectivization minus one hyperplane",
         )
         _gp_dim(ledger, case["hyperplane_section_of"], file, f"{where}.hyperplane_section_of")
-    for i, sp in enumerate(_read(sc.raw.get("extra_spaces", []), [_NAMED_SPACE], file, _TOP, "extra_spaces")):
+    for i, sp in enumerate(data.get("extra_spaces", ())):
         if i == 0:
             ledger.section("Companion homogeneous dimensions")
         _gp_dim(ledger, sp, file, f"extra_spaces[{i}]")
-    return ledger.report("vmrt", sc.title)
+    return ledger.report("vmrt", _title(data))
 
 
-def run_theorem1_audit(scenario: Scenario | None = None) -> RigidityReport:
-    """Automorphism balance dim aut(S) + 1 = dim S + dim aut(cone), plus the h^1 <= 1 bound."""
-    sc = scenario or load_scenario("theorem1")
-    file = sc.file
+def run_theorem1_audit(source: str | Path = "theorem1") -> RigidityReport:
+    """Automorphism balance dim aut(S) + 1 = dim S + dim aut(cone), plus the h^1 <= 1 bound,
+    for each case of the theorem1 file ``source``."""
+    file, data = _load(source, _THEOREM1_FILE)
     ledger = _Ledger()
-    for i, case in enumerate(_read(sc.raw.get("cases", []), [_THEOREM1_CASE], file, _TOP, "cases")):
+    for i, case in enumerate(data["cases"]):
         where, name = f"cases[{i}]", case["name"]
-        consts = _constants(case["external_constants"], file, f"{where}.external_constants")
-        if missing := [k for k in ("cone_aut_dim", "h1_general_fiber") if k not in consts]:
-            raise ValueError(f"scenario file {file!r}: block '{where}.external_constants' lacks key {missing[0]!r}")
+        block = f"{where}.external_constants"
+        consts = _constants(case["external_constants"], file, block)
+        if unknown := [k for k in consts if k not in _THEOREM1_CONSTANTS]:
+            known = ", ".join(_THEOREM1_CONSTANTS)
+            message = f"has unknown constant {unknown[0]!r}; known: {known}"
+            raise ValueError(f"scenario file {file!r}: block {block!r} {message}")
+        if missing := [k for k in _THEOREM1_CONSTANTS if k not in consts]:
+            raise ValueError(f"scenario file {file!r}: block {block!r} lacks key {missing[0]!r}")
         aut, cone = case["aut_root_system"], case["cone_aut_semisimple"]
         aut_dim = adjoint_dimension(_root_system(aut, file, f"{where}.aut_root_system"))
         g_dim, h_dim, space_dim = _pair_dims(case["space_dim"], file, f"{where}.space_dim")
@@ -675,13 +655,13 @@ def run_theorem1_audit(scenario: Scenario | None = None) -> RigidityReport:
             1,  # (aut_dim + 1) - aut_dim by construction, so no pass/fail check
             "Euler characteristic constancy in the family plus the h^0 bound",
         )
-    return ledger.report("theorem1", sc.title)
+    return ledger.report("theorem1", _title(data))
 
 
-def run_adjunction_audit(scenario: Scenario | None = None) -> RigidityReport:
-    """Adjunction arithmetic for the zero locus: canonical twist, index, dimension."""
-    sc = scenario or load_scenario("adjunction")
-    space, section = sc.zero_locus()
+def run_adjunction_audit(source: str | Path = "adjunction") -> RigidityReport:
+    """Adjunction arithmetic for the zero locus of the file ``source``: canonical twist, index, dimension."""
+    sc = load_scenario(source)
+    space, section = sc.space, sc.section_bundle
     kappa = canonical_twist_weight(space)
     (k,) = tuple(space.crossed)
     ambient_twist = kappa.coeffs[k - 1]

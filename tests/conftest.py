@@ -19,6 +19,9 @@ tableaux, and exterior powers from the subsets of a weight multiset, with no
 use of the label calculus. The chase's peel is checked against a loop that
 visits every degree of every term under the same rank rule (forced or
 provided, else blocked).
+
+Tests that edit a shipped scenario file start from ``shipped_scenario``, a fresh copy of its
+JSON object read straight from the source tree.
 """
 
 import json
@@ -30,6 +33,12 @@ from pathlib import Path
 from typing import Iterator
 
 KOSZUL_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "koszul_pool.json"
+SCENARIO_DATA = Path(__file__).resolve().parents[1] / "src" / "gpcoh" / "data"
+
+
+def shipped_scenario(report: str) -> dict:
+    """A fresh copy of the JSON object of the scenario file shipped for ``report``."""
+    return json.loads((SCENARIO_DATA / f"{report}.json").read_text())
 
 
 def koszul_pool_sample(seed: int, size: int) -> list:

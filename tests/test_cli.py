@@ -5,6 +5,8 @@ import pytest
 
 from gpcoh.cli import main
 
+from conftest import shipped_scenario
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -146,11 +148,12 @@ def test_koszul_unknown_twist(capsys):
 
 
 def test_koszul_on_a_scenario_without_a_zero_locus_exits_2_naming_it(capsys):
+    # an audit file is read against the zero-locus file kind, which declares no cases
     code, out, err = run(capsys, "koszul", "--scenario", "vmrt", "--twist", "normal")
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert "'vmrt'" in err and "zero locus" in err
+    assert err.startswith("error: scenario file 'vmrt': block 'top level' has unknown key 'cases'; known: ")
 
 
 def test_a_key_error_prints_its_message_unquoted_in_both_formats(capsys):
@@ -162,9 +165,7 @@ def test_a_key_error_prints_its_message_unquoted_in_both_formats(capsys):
 
 
 def test_indeterminate_koszul_exits_nonzero_with_failure_list(capsys, tmp_path):
-    from gpcoh import load_scenario
-
-    data = json.loads(json.dumps(load_scenario("cayley").raw))
+    data = shipped_scenario("cayley")
     data["twists"][1]["rank_hints"] = [{"target_term": 0, "degree": 0, "rank": 0}]
     p = tmp_path / "sabotaged.json"
     p.write_text(json.dumps(data))
@@ -236,9 +237,7 @@ def test_bare_builtin_name_ignores_a_local_file_of_that_name(capsys, tmp_path, m
 def test_local_file_named_like_a_builtin_is_reached_with_a_directory_part(
     capsys, tmp_path, monkeypatch
 ):
-    from gpcoh import load_scenario
-
-    data = json.loads(json.dumps(load_scenario("cayley").raw))
+    data = shipped_scenario("cayley")
     data["name"] = "local copy"
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cayley").write_text(json.dumps(data))
@@ -259,9 +258,7 @@ def test_unparsable_scenario_file_is_named_in_the_error(capsys, tmp_path):
 
 
 def _cayley_copy(tmp_path, edit):
-    from gpcoh import load_scenario
-
-    data = json.loads(json.dumps(load_scenario("cayley").raw))
+    data = shipped_scenario("cayley")
     edit(data)
     p = tmp_path / "edited.json"
     p.write_text(json.dumps(data))
@@ -329,11 +326,10 @@ def _set_twist_label(d, label):
         ),
         (lambda d: d.update(section_bundle=5), "top level", "section_bundle"),
         (lambda d: d["twists"][1].update(rank_hints=[5]), "twists[1]", "rank_hints[0]"),
-        (lambda d: d.update(cases=[5]), "top level", "cases[0]"),
-        # zero-locus keys that would be read nowhere: an empty section, or twists without one
+        # an empty section bundle, or none
         (lambda d: d.update(section_bundle=""), "top level", "section_bundle"),
         (lambda d: d.update(section_bundle=" "), "top level", "section_bundle"),
-        (lambda d: d.pop("section_bundle"), "top level", "twists"),
+        (lambda d: d.pop("section_bundle"), "top level", "section_bundle"),
         # labels the grammar rejects, and names that repeat an earlier one
         (lambda d: _set_twist_label(d, "garbage"), "twists[1]", "label"),
         (lambda d: d.update(section_bundle="S2 U*x"), "top level", "section_bundle"),
@@ -353,7 +349,7 @@ def _set_twist_label(d, label):
     ids=[
         "crossed-int", "crossed-float-item", "rank-float", "rank-bool", "constant-not-object",
         "value-null", "value-float", "name-missing", "name-empty", "hint-term-null",
-        "section-int", "hint-not-object", "case-not-object",
+        "section-int", "hint-not-object",
         "section-empty", "section-blank", "section-missing",
         "twist-label-garbage", "section-unparsable", "twist-exterior-power-too-large",
         "twist-name-repeated", "constant-name-repeated",
@@ -430,9 +426,14 @@ def test_an_unknown_top_level_key_is_rejected(capsys, tmp_path):
 
 
 # an unknown key in each block kind: (report whose shipped file is copied, path to the block,
-# the block name the error must give, the key put in); the misspellings are typical ones
+# the block name the error must give, the key put in); the misspellings are typical ones, and
+# a top-level key of another file kind is unknown too
 UNKNOWN_KEY_PROBES = [
     ("cayley", (), "top level", "rank_hints"),
+    ("cayley", (), "top level", "cases"),
+    ("cayley", (), "top level", "extra_spaces"),
+    ("vmrt", (), "top level", "external_constants"),
+    ("theorem1", (), "top level", "ambient"),
     ("cayley", ("ambient",), "ambient", "crosed"),
     ("cayley", ("twists", 1), "twists[1]", "rank_hint"),
     ("cayley", ("twists", 1, "rank_hints", 0), "twists[1].rank_hints[0]", "degre"),
@@ -469,14 +470,16 @@ UNKNOWN_KEY_PROBES = [
 
 
 @pytest.mark.parametrize(
-    "report,path,block,key", UNKNOWN_KEY_PROBES, ids=[f"{p[0]}:{p[2]}" for p in UNKNOWN_KEY_PROBES]
+    "report,path,block,key",
+    UNKNOWN_KEY_PROBES,
+    ids=[f"{r}:{b}" if path else f"{r}:{b}:{k}" for r, path, b, k in UNKNOWN_KEY_PROBES],
 )
 def test_an_unknown_key_in_any_block_exits_2_naming_the_file_the_block_and_the_key(
     capsys, tmp_path, monkeypatch, report, path, block, key
 ):
-    from gpcoh import load_scenario, scenarios
+    from gpcoh import scenarios
 
-    data = json.loads(json.dumps(load_scenario(report).raw))
+    data = shipped_scenario(report)
     if report == "cayley":  # a hint the chase accepts, so the hint block exists
         data["twists"][1]["rank_hints"] = [{"target_term": 2, "degree": 3, "rank": 0}]
     target = data
@@ -487,7 +490,7 @@ def test_an_unknown_key_in_any_block_exits_2_naming_the_file_the_block_and_the_k
     p.write_text(json.dumps(data))
     # gpcoh report looks its runner up on the module, so the rebound one reads the edited copy
     runner = scenarios.REPORTS[report]
-    monkeypatch.setattr(scenarios, runner.__name__, lambda: runner(load_scenario(str(p))))
+    monkeypatch.setattr(scenarios, runner.__name__, lambda: runner(str(p)))
     code, out, err = run(capsys, "report", report)
     assert code == 2
     assert out == ""

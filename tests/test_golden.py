@@ -1,7 +1,8 @@
 """Byte-for-byte CLI output of the shipped reports, the Cayley chases, three
 Borel-Weil-Bott runs (a walk of length 77 on E8/P(1), a weight whose rho-shift
-lies on a wall with no zero coefficient, and H^1 of O(-2) on P^1) and one chase
-that blocks (LG(3,6) twisted by S5 U* (-4), from ``tests/data/lg36.json``).
+lies on a wall with no zero coefficient, and H^1 of O(-2) on P^1), one chase
+that blocks (LG(3,6) twisted by S5 U* (-4), from ``tests/data/lg36.json``) and
+one chase refused because its file is an audit file, not a zero-locus one.
 
 The files under ``tests/golden/`` are the stdout of ``gpcoh`` for each
 command below; any change to a number, a label or the formatting of these
@@ -34,13 +35,23 @@ CASES = [
         ("a1_h1", ["A", "1", "--crossed", "1", "--weight", "-2"]),
     )
 ]
-LG36 = (
-    "koszul_lg36_blocked.json",
-    ["--format", "json", "koszul", "--scenario", "tests/data/lg36.json", "--twist", "s5"],
-)
+# commands that must fail, each with its exit status: a chase that nothing forces blocks, and a
+# chase on an audit file is refused because that file is not of the zero-locus kind
+FAILING = [
+    (
+        "koszul_lg36_blocked.json",
+        ["--format", "json", "koszul", "--scenario", "tests/data/lg36.json", "--twist", "s5"],
+        1,
+    ),
+    (
+        "koszul_vmrt_not_a_zero_locus.json",
+        ["--format", "json", "koszul", "--scenario", "vmrt", "--twist", "normal"],
+        2,
+    ),
+]
 # every golden command with the exit status it must give, run from the repository root; the CI
 # "Shipped reports" step reads this list and runs each command as a fresh process
-COMMANDS = [(filename, argv, 0) for filename, argv in CASES] + [(*LG36, 1)]
+COMMANDS = [(filename, argv, 0) for filename, argv in CASES] + FAILING
 
 
 @pytest.mark.parametrize("filename,argv", CASES, ids=[c[0] for c in CASES])
@@ -49,10 +60,11 @@ def test_cli_output_matches_golden_file(capsys, filename, argv):
     assert capsys.readouterr().out == (GOLDEN / filename).read_text()
 
 
-
-def test_a_chase_that_nothing_forces_blocks_as_in_its_golden_file(capsys, monkeypatch):
-    # the JSON echoes the scenario path, so it is given relative to the repository root
+@pytest.mark.parametrize("filename,argv,status", FAILING, ids=[c[0] for c in FAILING])
+def test_a_failing_command_prints_its_golden_file_and_exits_with_its_status(
+    capsys, monkeypatch, filename, argv, status
+):
+    # the lg36 JSON echoes the scenario path, so it is given relative to the repository root
     monkeypatch.chdir(GOLDEN.parents[1])
-    filename, argv = LG36
-    assert main(argv) == 1
+    assert main(argv) == status
     assert capsys.readouterr().out == (GOLDEN / filename).read_text()

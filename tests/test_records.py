@@ -51,7 +51,7 @@ def _samples() -> dict:
     """One instance of every record type, taken from a real run where one exists."""
     sc = load_scenario("cayley")
     complex_, result = sc.chase_twist("normal")
-    report = run_cayley(sc)
+    report = run_cayley()
     label = complex_.terms[1].summands[0][0]
     records = [
         Weight((1, 0, -2)), label.u_part, label, sc.space, sc.space.rs,

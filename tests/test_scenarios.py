@@ -19,11 +19,15 @@ from gpcoh import (
 from gpcoh.scenarios import REPORTS
 from gpcoh.schur import sum_to_weights
 
+from conftest import shipped_scenario
+
 
 def test_load_builtin_scenarios():
-    for name in ("cayley", "vmrt", "theorem1", "adjunction"):
-        sc = load_scenario(name)
-        assert sc.name
+    # load_scenario reads the zero-locus files; each audit reads its own file kind when it runs
+    for name in ("cayley", "adjunction"):
+        assert load_scenario(name).name == name
+    for name in ("vmrt", "theorem1"):
+        assert REPORTS[name]().name == name
     sc = load_scenario("cayley.json")
     assert sc.name == "cayley"
     assert sc.space is not None
@@ -33,7 +37,7 @@ def test_load_builtin_scenarios():
 
 
 def test_load_scenario_from_path(tmp_path):
-    src = load_scenario("cayley").raw
+    src = shipped_scenario("cayley")
     p = tmp_path / "copy.json"
     p.write_text(json.dumps(src))
     assert load_scenario(p).name == "cayley"
@@ -52,7 +56,7 @@ def test_every_report_has_its_shipped_file_and_nothing_else_ships():
 
 
 def test_scenario_without_provenance_fails_closed(tmp_path):
-    data = load_scenario("cayley").raw.copy()
+    data = shipped_scenario("cayley")
     data["external_constants"] = [{"name": "h0_tangent_subvariety", "value": 14}]
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(data))
@@ -61,18 +65,17 @@ def test_scenario_without_provenance_fails_closed(tmp_path):
 
 
 def test_case_constants_without_provenance_fail_closed(tmp_path):
-    data = json.loads(json.dumps(load_scenario("theorem1").raw))
+    data = shipped_scenario("theorem1")
     data["cases"][0]["external_constants"][0]["provenance"] = "  "
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(data))
-    sc = load_scenario(p)  # the audit reads its own cases when it runs
     with pytest.raises(ValueError, match="provenance"):
-        run_theorem1_audit(sc)
+        run_theorem1_audit(p)
 
 
 def test_a_file_holding_a_json_list_fails_naming_the_file(tmp_path):
     p = tmp_path / "list.json"
-    p.write_text(json.dumps([load_scenario("cayley").raw]))
+    p.write_text(json.dumps([shipped_scenario("cayley")]))
     with pytest.raises(ValueError, match="does not hold a JSON object") as exc:
         load_scenario(p)
     assert repr(str(p)) in str(exc.value)
@@ -142,20 +145,20 @@ def test_cayley_report_records_the_rank_that_left_exactness_forces():
 
 
 def _cayley_with_hints(tmp_path, **hints_by_twist):
-    data = json.loads(json.dumps(load_scenario("cayley").raw))
+    data = shipped_scenario("cayley")
     for tw in data["twists"]:
         if tw["name"] in hints_by_twist:
             tw["rank_hints"] = [dict(zip(RankHint._fields, h)) for h in hints_by_twist[tw["name"]]]
     p = tmp_path / "hinted.json"
     p.write_text(json.dumps(data))
-    return load_scenario(p)
+    return p
 
 
 def test_a_rank_hint_applies_to_its_own_twist_only(tmp_path):
     # H^0(C_0) is 0 on no twist but the normal one, so (0, 0, 1) would exceed the rank
     # bound of the trivial and tangent chases if it reached them
     plain = load_scenario("cayley")
-    hinted = _cayley_with_hints(tmp_path, normal=[(0, 0, 1)])
+    hinted = load_scenario(_cayley_with_hints(tmp_path, normal=[(0, 0, 1)]))
     assert hinted.rank_hints == {"trivial": (), "normal": (RankHint(0, 0, 1),), "tangent": ()}
     for twist in ("trivial", "tangent"):
         assert hinted.chase_twist(twist)[1] == plain.chase_twist(twist)[1]
@@ -217,13 +220,13 @@ def test_cayley_external_constants_are_labelled():
 
 
 def test_cayley_engine_failures_name_the_step(tmp_path):
-    data = json.loads(json.dumps(load_scenario("cayley").raw))
+    data = shipped_scenario("cayley")
     # sabotage the pipeline with an impossible rank hint
     data["twists"][1]["rank_hints"] = [{"target_term": 0, "degree": 0, "rank": 0}]
     p = tmp_path / "sabotaged.json"
     p.write_text(json.dumps(data))
     with pytest.raises(RuntimeError, match="step 'normal'"):
-        run_cayley(load_scenario(p))
+        run_cayley(p)
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +256,11 @@ def test_vmrt_audit_values():
 
 
 def test_vmrt_audit_with_an_odd_dimensional_space_serializes_its_bound(tmp_path):
-    data = load_scenario("vmrt").raw
+    data = shipped_scenario("vmrt")
     data["cases"][0]["symmetric_space"]["subgroup_root_system"] = {"type": "B", "rank": 2}
     p = tmp_path / "odd.json"
     p.write_text(json.dumps(data))
-    rep = run_vmrt_audit(load_scenario(p))
+    rep = run_vmrt_audit(p)
     v = rep.values()
     assert v["dim_sl6_mod_sp6"] == 35 - 10
     assert v["bound_sl6_mod_sp6"] == "23/2"
@@ -276,6 +279,7 @@ def _drop_case_constant(d):
 AUDIT_CASE_PROBES = [
     ("vmrt-missing", "vmrt", lambda d: d["cases"][0].pop("vmrt"), "cases[0]", "vmrt"),
     ("crossed-int", "vmrt", lambda d: d["cases"][0]["vmrt"].update(crossed=2), "cases[0].vmrt", "crossed"),
+    ("case-not-object", "vmrt", lambda d: d.update(cases=[5]), "top level", "cases[0]"),
     ("extra-space-int", "vmrt", lambda d: d.update(extra_spaces=[5]), "top level", "extra_spaces[0]"),
     ("rank-string", "vmrt", lambda d: d["cases"][0]["vmrt"].update(rank="6"), "cases[0].vmrt", "rank"),
     ("rank-float", "vmrt", lambda d: d["cases"][0]["vmrt"].update(rank=3.0), "cases[0].vmrt", "rank"),
@@ -294,6 +298,13 @@ AUDIT_CASE_PROBES = [
         "cases[0].space_dim", "subgroup_root_system",
     ),
     ("constant-missing", "theorem1", _drop_case_constant, "cases[0].external_constants", "cone_aut_dim"),
+    (
+        "constant-unknown", "theorem1",
+        lambda d: d["cases"][0]["external_constants"].append(
+            {"name": "cone_aut_dimm", "value": 99, "provenance": "a misspelled name"}
+        ),
+        "cases[0].external_constants", "cone_aut_dimm",
+    ),
     (
         "constant-repeated", "theorem1",
         lambda d: (consts := d["cases"][0]["external_constants"]).append(consts[0]),
@@ -319,7 +330,7 @@ AUDIT_CASE_PROBES = [
         "aut-rank-invalid", "theorem1", lambda d: d["cases"][0]["aut_root_system"].update(type="E", rank=5),
         "cases[0].aut_root_system", "rank",
     ),
-    # zero-locus keys that the audits would read nowhere: no ambient, no section bundle
+    # zero-locus keys, which no audit file kind declares
     ("section-without-ambient", "vmrt", lambda d: d.update(section_bundle=5), "top level", "section_bundle"),
     ("twists-without-section", "vmrt", lambda d: d.update(twists=5), "top level", "twists"),
 ]
@@ -331,20 +342,21 @@ AUDIT_CASE_PROBES = [
 def test_a_malformed_audit_case_names_the_file_the_block_and_the_key(
     tmp_path, monkeypatch, report, edit, block, key
 ):
-    data = json.loads(json.dumps(load_scenario(report).raw))
+    data = shipped_scenario(report)
     edit(data)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "x.json").write_text(json.dumps(data))
     with pytest.raises(ValueError) as exc:
-        REPORTS[report](load_scenario("./x.json"))
+        REPORTS[report]("./x.json")
     message = str(exc.value)
     assert "'./x.json'" in message and repr(block) in message and repr(key) in message
 
 
 @pytest.mark.parametrize("runner", [run_cayley, run_adjunction_audit])
 def test_runners_needing_a_zero_locus_reject_a_scenario_without_one(runner):
-    with pytest.raises(ValueError, match="scenario 'vmrt' defines no zero locus"):
-        runner(load_scenario("vmrt"))
+    with pytest.raises(ValueError) as exc:
+        runner("vmrt")
+    assert str(exc.value).startswith("scenario file 'vmrt': block 'top level' has unknown key 'cases'; known: ")
 
 
 def test_theorem1_audit_values():
@@ -410,11 +422,11 @@ def test_lines_that_cannot_fail_are_informational():
 
 
 def test_the_scope_section_lists_each_constant_read_and_only_when_one_was_read(tmp_path):
-    data = json.loads(json.dumps(load_scenario("theorem1").raw))
+    data = shipped_scenario("theorem1")
     data["cases"] = [case for case in data["cases"] if case["name"] == "e6_mod_f4"]
     p = tmp_path / "one_case.json"
     p.write_text(json.dumps(data))
-    rep = run_theorem1_audit(load_scenario(p))
+    rep = run_theorem1_audit(p)
     scope = rep.sections[-1]
     assert scope.title == "Scope: externally sourced inputs and non-claims"
     assert [ln.key for ln in scope.lines] == [
@@ -427,7 +439,7 @@ def test_the_scope_section_lists_each_constant_read_and_only_when_one_was_read(t
     assert all(ln.source == "external" and ln.provenance.strip() for ln in scope.lines)
     data["cases"] = []
     p.write_text(json.dumps(data))
-    assert run_theorem1_audit(load_scenario(p)).sections == ()
+    assert run_theorem1_audit(p).sections == ()
     # the dimension audit and the adjunction report read no constant, so they have no scope section
     for rep in (run_vmrt_audit(), run_adjunction_audit()):
         assert all(not sec.title.startswith("Scope") for sec in rep.sections)
