@@ -100,14 +100,6 @@ class CohomologyTable(NamedTuple):
     def is_zero(self) -> bool:
         return not self.total_dims
 
-    def weights_at(self, degree: int) -> tuple[tuple[Weight, int], ...]:
-        if self.entries is None:
-            raise ValueError("this table carries dimensions only")
-        for d, pairs in self.entries:
-            if d == degree:
-                return pairs
-        return ()
-
 
 def bwb(space: ParabolicSpace, omega: Weight) -> BWBResult:
     """Cohomology of the irreducible equivariant bundle with weight ``omega``.

@@ -28,7 +28,9 @@ Inputs are checked once, where they enter: ``Weight`` its coefficients, each pub
 the rank of its weight and its nodes. Weights derived here (sums, walks, duals) skip the check.
 
 All values are immutable after construction and every operation is a pure
-function; concurrent reads from multiple threads are safe. Every record is a
+function; concurrent reads from multiple threads are safe. Memos (thread-safe): ``dominantize``
+and ``weyl_dimension`` by (root system, coefficients) after their checks, ``_MEMO_SIZE`` each; a
+root system hashes by type and rank. ``bott.bwb``, a traced layer, has none. Every record is a
 tuple of its fields (a ``NamedTuple``, or a ``_Record`` where construction validates),
 so records of two types compare equal when their fields do.
 """
@@ -54,6 +56,7 @@ __all__ = [
     "adjoint_dimension",
 ]
 
+_MEMO_SIZE = 4096  # entries per kernel memo, above the distinct weights of one Koszul pass
 _RANK_RULES = {
     "A": ("n >= 1", lambda n: n >= 1),
     "B": ("n >= 2", lambda n: n >= 2),
@@ -147,12 +150,6 @@ class Weight(_Record):
 
     __rmul__ = __mul__
 
-    def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
-
-    def is_strictly_dominant(self) -> bool:
-        return all(c > 0 for c in self.coeffs)
-
     def _check_rank(self, other: "Weight") -> None:
         if len(self.coeffs) != len(other.coeffs):
             raise ValueError(
@@ -190,6 +187,9 @@ class RootSystem(NamedTuple):
     root_chain: tuple[tuple[int, int], ...]
     rho_product: int
     neighbours: tuple[tuple[tuple[int, int], ...], ...]
+
+    def __hash__(self) -> int:  # equal systems share both; a tuple hash walks every root
+        return hash((self.type_letter, self.rank))
 
     @property
     def name(self) -> str:
@@ -413,18 +413,19 @@ def dominantize(rs: RootSystem, w: Weight) -> tuple[Weight, int] | None:
     A zero coefficient of ``w`` itself is a wall already, so no walk is made.
     """
     _check_weight(rs, w)
-    if 0 in w[0]:
-        return None
-    dominant, length = _walk(rs, w[0], _all_nodes(rs.rank))
-    if 0 in dominant[0]:
-        return None
-    return dominant, length
+    return None if 0 in w[0] else _dominantize(rs, w[0])
 
 
-def _weyl_product(rs: RootSystem, weight: Weight, indices: Sequence[int] | None = None) -> int:
-    """Product of <weight + rho, alpha^vee> / <rho, alpha^vee>, exactly, over all
-    positive roots or over those at ``indices`` in ``rs.positive_roots``."""
-    values = _pairings(rs.root_chain, rs.symmetrizer, weight.coeffs)
+@lru_cache(maxsize=_MEMO_SIZE)
+def _dominantize(rs: RootSystem, coeffs: tuple[int, ...]) -> tuple[Weight, int] | None:
+    dominant, length = _walk(rs, coeffs, _all_nodes(rs.rank))
+    return None if 0 in dominant[0] else (dominant, length)
+
+
+def _weyl_product(rs: RootSystem, coeffs: tuple, indices: Sequence[int] | None = None) -> int:
+    """Product of <weight + rho, alpha^vee> / <rho, alpha^vee>, exactly, for the weight of
+    ``coeffs``, over all positive roots or over those at ``indices`` in ``rs.positive_roots``."""
+    values = _pairings(rs.root_chain, rs.symmetrizer, coeffs)
     if indices is None:
         num, den = prod(values), rs.rho_product
     else:
@@ -446,7 +447,10 @@ def weyl_dimension(rs: RootSystem, dominant: Weight) -> int:
     if min(dominant[0]) < 0:
         i, c = next((i, c) for i, c in enumerate(dominant[0]) if c < 0)
         raise ValueError(f"weight {dominant} is not dominant: coefficient {c} at node {i + 1}")
-    return _weyl_product(rs, dominant)
+    return _weyl_dimension(rs, dominant[0])
+
+
+_weyl_dimension = lru_cache(maxsize=_MEMO_SIZE)(_weyl_product)  # keyed by (rs, coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -501,10 +505,6 @@ class ParabolicSpace(_Record):
         return self[:2]
 
     @property
-    def levi_roots(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.rs.positive_roots[k] for k in self.levi_indices)
-
-    @property
     def dimension(self) -> int:
         return len(self.nilradical)
 
@@ -532,4 +532,4 @@ def levi_dimension(rs: RootSystem, crossed_nodes: Iterable[int], weight: Weight)
     """
     space = ParabolicSpace(rs, crossed_nodes)
     space.check_p_dominant(weight)
-    return _weyl_product(rs, weight, space.levi_indices)
+    return _weyl_product(rs, weight[0], space.levi_indices)

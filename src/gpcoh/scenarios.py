@@ -73,10 +73,11 @@ class ExternalConstant(NamedTuple):
 
 
 class Scenario(NamedTuple):
-    """A loaded zero-locus file: the ambient space, the section bundle, the named twists
-    with ``rank_hints[name]`` holding the hints of twist ``name``, and the external
-    constants by name."""
+    """A loaded zero-locus file, named as errors name it: the ambient space, the section
+    bundle, the named twists with ``rank_hints[name]`` holding the hints of twist ``name``,
+    and the external constants by name."""
 
+    file: str
     name: str
     title: str
     space: ParabolicSpace
@@ -98,9 +99,12 @@ class Scenario(NamedTuple):
         raise KeyError(f"scenario {self.name!r} has no twist {name!r}; known: {known}")
 
     def chase_twist(self, name: str) -> tuple[KoszulComplex, ChaseResult]:
-        """The Koszul resolution twisted by ``name`` and its chase under that twist's own
-        rank hints, which may be indeterminate."""
-        complex_ = build_koszul(self.space, self.section_bundle, self.twist_named(name))
+        """The Koszul resolution twisted by ``name`` and its chase under that twist's own rank
+        hints, which may be indeterminate. A section the engine rejects fails naming the file."""
+        try:
+            complex_ = build_koszul(self.space, self.section_bundle, self.twist_named(name))
+        except ValueError as exc:
+            raise ValueError(f"scenario file {self.file!r}: key 'section_bundle' on block 'ambient': {exc}") from exc
         return complex_, chase(complex_, self.rank_hints[name])
 
 
@@ -228,6 +232,7 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
         twists.append((name, _parsed_bundle(kn, tw["label"], file, where, "label")))
         hints[name] = tuple(RankHint(**h) for h in tw.get("rank_hints", ()))
     return Scenario(
+        file=file,
         name=data.get("name", file),
         title=_title(data),
         space=space,

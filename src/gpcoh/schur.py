@@ -26,7 +26,8 @@ bundle L of multiplicity m folds in one step as Lambda^d(L^m) = C(m, d) L^d;
 any other summand folds once per copy and is restricted to the closed-form
 cases a Koszul complex of a column bundle requires: powers of (possibly
 dual, possibly twisted) single columns. General plethysm is out of scope and
-rejected.
+rejected. The fold is memoized after its checks, keyed by (O, summands, j), in a thread-safe
+``lru_cache`` of ``_FOLD_MEMO_SIZE``; ``lr_coefficients`` is not, as it returns a mutable dict.
 
 A label is checked once, where it enters. The ``BundleLabel`` constructor
 checks its fields; ``BundleSum.from_pairs``, ``tensor`` and the
@@ -46,6 +47,7 @@ bundle U^* (x) Q of Gr(k, n) carries the weight omega_1 + omega_{n-1}.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from math import comb
 from operator import sub
 from typing import Iterable, Iterator, NamedTuple
@@ -58,6 +60,8 @@ from .root_system import (
     build_root_system,
     weyl_dimension,
 )
+
+_FOLD_MEMO_SIZE = 1024  # sections held by the exterior-power memo
 
 __all__ = [
     "Partition",
@@ -430,11 +434,19 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
     """
     if j < 0:
         raise ValueError("exterior power degree must be nonnegative")
-    ambient = tuple(bsum.ambient)
-    # graded[d] = Lambda^d of the summands folded so far
-    graded: list[BundleSum] = [BundleSum.of(BundleLabel(ambient))]
+    unit = BundleLabel(tuple(bsum.ambient))  # O: Lambda^0, on the checked ambient
     for lab, m in bsum.summands:
-        _check_summand(ambient, lab, m)
+        _check_summand(unit.ambient, lab, m)
+    return _exterior_fold(unit, tuple(bsum.summands), j)
+
+
+@lru_cache(maxsize=_FOLD_MEMO_SIZE, typed=True)  # typed: a float or bool j is no int j
+def _exterior_fold(unit: BundleLabel, summands: tuple, j: int) -> tuple[BundleSum, ...]:
+    """``exterior_power_sum`` of checked summands on the ambient of ``unit``, the label O."""
+    ambient = unit.ambient
+    # graded[d] = Lambda^d of the summands folded so far
+    graded: list[BundleSum] = [BundleSum.of(unit)]
+    for lab, m in summands:
         if lab.u_part.parts or lab.q_part.parts:
             _, a, _, r = _column_form(lab)  # Lambda^a of a rank-r generator has rank C(r, a)
             blocks = [[exterior_power(lab, d) for d in range(min(comb(r, a), j) + 1)]] * m

@@ -18,7 +18,8 @@ characters on the maximal torus of SL(n): Schur polynomials from enumerated
 tableaux, and exterior powers from the subsets of a weight multiset, with no
 use of the label calculus. The chase's peel is checked against a loop that
 visits every degree of every term under the same rank rule (forced or
-provided, else blocked).
+provided, else blocked). Dominance tests, Levi roots and the weights of a
+cohomology degree, which only tests read, are small functions here too.
 
 Tests that edit a shipped scenario file start from ``shipped_scenario``, a fresh copy of its
 JSON object read straight from the source tree.
@@ -137,6 +138,27 @@ def section_atom_weights(ambient: tuple[int, int], atom: str) -> list[tuple[int,
         return list(exterior_character(n, u_dual, k - 1).elements())
     degree = {"O(1)": 1, "O(2)": 2}[atom]
     return [tuple(-degree if i < k else 0 for i in range(n))]
+
+
+def is_dominant(w) -> bool:
+    """Every coefficient of the weight ``w`` is nonnegative."""
+    return all(c >= 0 for c in w.coeffs)
+
+
+def is_strictly_dominant(w) -> bool:
+    """Every coefficient of the weight ``w`` is positive."""
+    return all(c > 0 for c in w.coeffs)
+
+
+def levi_roots(space) -> tuple[tuple[int, ...], ...]:
+    """The positive roots of the Levi of ``space``: those whose support misses every crossed
+    node, read off the coordinates rather than the engine's split by column."""
+    return tuple(r for r in space.rs.positive_roots if not any(r[i - 1] for i in space.crossed))
+
+
+def weights_at(table, degree: int) -> tuple:
+    """The (weight, multiplicity) pairs a Borel-Weil-Bott table holds in ``degree``."""
+    return dict(table.entries).get(degree, ())
 
 
 def a_type_positive_roots(n: int) -> set[tuple[int, ...]]:

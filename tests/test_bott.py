@@ -19,7 +19,7 @@ from gpcoh import (
 from gpcoh.bott import levi_dual_weight
 from gpcoh.schur import BundleLabel, BundleSum
 
-from conftest import ALL_TYPES, reflection_walk_oracle, weyl_product_oracle
+from conftest import ALL_TYPES, is_dominant, reflection_walk_oracle, weights_at, weyl_product_oracle
 
 
 def gr47():
@@ -88,7 +88,7 @@ def test_bwb_degree_zero_iff_dominant():
         res = bwb(space, w)
         if res.all_vanish:
             continue
-        assert (res.degree == 0) == w.is_dominant()
+        assert (res.degree == 0) == is_dominant(w)
         if res.degree == 0:
             assert res.predual_weight == w
 
@@ -114,7 +114,7 @@ def test_bundle_cohomology_empty_sum():
 def test_bundle_cohomology_accumulates_multiplicity():
     table = bundle_cohomology(gr47(), [(Weight.zero(6), 2), (Weight.zero(6), 1)])
     assert table.dims() == {0: 3}
-    assert table.weights_at(0) == ((Weight.zero(6), 3),)
+    assert weights_at(table, 0) == ((Weight.zero(6), 3),)
 
 
 @pytest.mark.parametrize("mult", [1.5, 2.0, True], ids=["float", "integral-float", "bool"])
@@ -162,11 +162,11 @@ def test_bundle_cohomology_over_several_degrees_matches_separate_bwb_calls():
     table = bundle_cohomology(space, summands)
     assert table.degrees() == (0, 1, 10, 11, 13, 18)
     assert table.dims() == totals
-    assert table.weights_at(18) == ((Weight.zero(6), 4),)
+    assert weights_at(table, 18) == ((Weight.zero(6), 4),)
     for d in table.degrees():
         want = sorted(weights[d].items(), key=lambda kv: kv[0].coeffs)
-        assert table.weights_at(d) == tuple(want)
-    assert [w for w, _ in table.weights_at(1)] == [
+        assert weights_at(table, d) == tuple(want)
+    assert [w for w, _ in weights_at(table, 1)] == [
         Weight.of(0, 1, 0, 0, 1, 2), Weight.of(1, 0, 0, 0, 0, 0), Weight.of(2, 1, 1, 0, 0, 1)
     ]
     assert bundle_cohomology(space, summands[::-1]) == table
@@ -182,7 +182,7 @@ def test_table_totals_are_multiplicity_weighted_weyl_dimensions():
     )
     for degree in table.degrees():
         expected = sum(
-            m * weyl_dimension(space.rs, w) for w, m in table.weights_at(degree)
+            m * weyl_dimension(space.rs, w) for w, m in weights_at(table, degree)
         )
         assert table.total_dimension(degree) == expected
 
@@ -195,7 +195,7 @@ def test_tables_keep_distinct_weights_of_equal_dimension_apart():
         space, [(Weight.fundamental(6, 3), 1), (Weight.fundamental(6, 4), 1)]
     )
     assert table.dims() == {0: 70}
-    assert len(table.weights_at(0)) == 2
+    assert len(weights_at(table, 0)) == 2
 
 
 def test_euler_characteristic_examples():

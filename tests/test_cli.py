@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -263,6 +264,37 @@ def _cayley_copy(tmp_path, edit):
     p = tmp_path / "edited.json"
     p.write_text(json.dumps(data))
     return p
+
+
+LG36 = Path(__file__).resolve().parent / "data" / "lg36.json"
+
+
+@pytest.mark.parametrize(
+    "base,edit,twist,reason",
+    [
+        (
+            "cayley",
+            lambda d: d.update(section_bundle="L3 U* * L3 U*"),
+            "normal",
+            "rank 16 section bundle on a 12-dimensional space violates the expected codimension condition",
+        ),
+        (
+            "lg36",
+            lambda d: d["ambient"].update(crossed=[4]),
+            "s5",
+            "unsupported plethysm shape: Lambda^1 of L2 U",
+        ),
+    ],
+    ids=["rank-above-dimension", "plethysm"],
+)
+def test_a_section_the_engine_rejects_names_the_file_and_the_keys(capsys, tmp_path, base, edit, twist, reason):
+    data = shipped_scenario("cayley") if base == "cayley" else json.loads(LG36.read_text())
+    edit(data)
+    p = tmp_path / "edited.json"
+    p.write_text(json.dumps(data))
+    code, out, err = run(capsys, "koszul", "--scenario", str(p), "--twist", twist)
+    assert (code, out) == (2, "")
+    assert err == f"error: scenario file {str(p)!r}: key 'section_bundle' on block 'ambient': {reason}\n"
 
 
 def test_a_provided_hint_at_capacity_zero_is_listed(capsys, tmp_path):

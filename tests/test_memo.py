@@ -1,0 +1,107 @@
+"""The kernel memos are invisible: ``dominantize`` and ``weyl_dimension`` cache by (root
+system, coefficients) and the exterior-power fold by (O, summands, j), each after its
+checks and each bounded. A root system hashes by type and rank only, so equal systems hash
+equal and an unequal system of the same type and rank is a separate key. A warm memo gives
+what a cold one gives, an error is never stored, and no memo outgrows its bound.
+"""
+
+import pickle
+
+import pytest
+
+from gpcoh import (
+    BundleLabel,
+    BundleSum,
+    Partition,
+    Weight,
+    build_root_system,
+    bundle_cohomology,
+    bwb,
+    build_koszul,
+    chase,
+    dominantize,
+    exterior_power_sum,
+    lr_coefficients,
+    tensor,
+    weyl_dimension,
+)
+from gpcoh import root_system, schur
+
+from test_chase_oracle import FAMILIES
+
+MEMOS = (root_system._dominantize, root_system._weyl_dimension, schur._exterior_fold)
+
+
+def clear_memos() -> None:
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def test_a_pickled_root_system_is_equal_hashes_equal_and_gets_equal_results():
+    e8 = build_root_system("E", 8)
+    copy = pickle.loads(pickle.dumps(e8))
+    assert copy is not e8
+    assert copy == e8 and hash(copy) == hash(e8)
+    for coeffs in [(1,) * 8, (-1, 2, 0, 1, -3, 1, 1, 2), (3, -1, 1, 1, -2, 1, 1, -1)]:
+        w = Weight(coeffs)
+        assert dominantize(copy, w) == dominantize(e8, w)
+    assert weyl_dimension(copy, Weight((0,) * 7 + (1,))) == weyl_dimension(e8, Weight((0,) * 7 + (1,))) == 248
+
+
+def test_an_unequal_system_of_the_same_type_and_rank_is_never_served_the_canonical_entries():
+    b3, c3 = build_root_system("B", 3), build_root_system("C", 3)
+    impostor = c3._replace(type_letter="B")  # C3's Cartan matrix and roots under B3's name
+    assert hash(impostor) == hash(b3) and impostor != b3
+    walked, omega1 = Weight((2, 1, -5)), Weight((1, 0, 0))
+    assert dominantize(b3, walked) != dominantize(c3, walked)
+    assert weyl_dimension(b3, omega1) == 7 and weyl_dimension(c3, omega1) == 6
+    # both B3 entries are warm now; the impostor still gets the answers of its own fields
+    assert dominantize(impostor, walked) == dominantize(c3, walked)
+    assert weyl_dimension(impostor, omega1) == 6
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_chase_is_the_same_cold_and_warm(family):
+    cases = FAMILIES[family][0]
+    warm = [chase(cx) for _, cx, _ in cases()]
+    clear_memos()
+    cold = [chase(cx) for _, cx, _ in cases()]
+    assert cold == warm
+
+
+def test_the_plethysm_error_raises_again_on_an_identical_second_call():
+    ambient = (2, 5)
+    section = BundleSum.of(BundleLabel(ambient, u_part=Partition((2,))))
+    before = schur._exterior_fold.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unsupported plethysm shape"):
+            exterior_power_sum(section, 2)
+    assert schur._exterior_fold.cache_info().currsize == before
+
+
+def test_a_float_or_bool_degree_is_not_served_the_int_degree_entry():
+    line = BundleSum.of(BundleLabel((2, 5), twist=1), 2)
+    assert len(exterior_power_sum(line, 1)) == 2
+    with pytest.raises(TypeError):
+        exterior_power_sum(line, 1.0)
+    assert exterior_power_sum(line, True) == exterior_power_sum(line, 1)  # as before the memo
+
+
+def test_no_memo_holds_more_than_its_bound():
+    a1 = build_root_system("A", 1)
+    size = root_system._MEMO_SIZE
+    for c in range(1, size + 11):
+        dominantize(a1, Weight((-c,)))
+        weyl_dimension(a1, Weight((c,)))
+    assert root_system._dominantize.cache_info().currsize == size
+    assert root_system._weyl_dimension.cache_info().currsize == size
+    fold_size = schur._FOLD_MEMO_SIZE
+    for t in range(1, fold_size + 11):
+        exterior_power_sum(BundleSum.of(BundleLabel((1, 2), twist=t)), 1)
+    assert schur._exterior_fold.cache_info().currsize == fold_size
+    clear_memos()
+
+
+@pytest.mark.parametrize("fn", [lr_coefficients, bwb, bundle_cohomology, tensor, build_koszul])
+def test_the_traced_layers_and_the_lr_rule_hold_no_memo(fn):
+    assert not hasattr(fn, "cache_info") and not hasattr(fn, "__wrapped__")

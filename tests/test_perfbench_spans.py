@@ -1,0 +1,47 @@
+"""A warm traced pass of the benchmark still reaches every span of its workload.
+
+The benchmark's traced passes (``perfbench/spans.py``) rebind each layer's public function
+and fail a run whose traced passes never reach one of the workload's spans. A traced pass
+follows a warm untraced one, so a memo put in front of a spanned function would hide that
+span: this test runs the first cases of two workloads once untraced and once traced, with
+the benchmark's own modules, and so catches such a memo in the suite. It reads
+``perfbench/`` and changes nothing there.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CASES = 40
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import spans
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    return spans, workloads
+
+
+@pytest.mark.parametrize("name", ["koszul_chase", "bwb_tables"])
+def test_a_warm_traced_pass_reaches_every_span_of_the_workload(bench, name):
+    spans, workloads = bench
+    w = workloads.WORKLOADS[name]
+    g = workloads.gpcoh_namespace()
+    items = [w.prepare(g, spec) for spec in w.cases(0)[:CASES]]
+    for prepared in items:
+        w.op(g, prepared)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for prepared in items:
+            w.op(g, prepared)
+    finally:
+        tracer.uninstall()
+    assert [span for span in w.spans if tracer.calls[span] == 0] == []
+    assert sum(tracer.calls.values()) > len(items)

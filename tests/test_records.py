@@ -112,7 +112,7 @@ UNCHECKED_PATHS = {
     "schur.dual_label",
     "schur._product_pairs",
     "schur.exterior_power",
-    "schur.exterior_power_sum",
+    "schur._exterior_fold",
     "schur._label_weight",
     "schur._parse_atom",
 }
