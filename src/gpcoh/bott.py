@@ -26,7 +26,6 @@ from .root_system import (
     Weight,
     _check_multiplicity,
     _coroot_pairing,
-    _walk,
     dominantize,
     dual_weight,
     weyl_dimension,
@@ -40,8 +39,6 @@ __all__ = [
     "bundle_cohomology",
     "euler_characteristic",
     "canonical_twist_weight",
-    "levi_dual_weight",
-    "serre_dual_weight",
 ]
 
 
@@ -150,18 +147,3 @@ def canonical_twist_weight(space: ParabolicSpace) -> Weight:
     rs = space.rs
     total = [sum(coords) for coords in zip(*space.nilradical)]
     return Weight(tuple(-_coroot_pairing(rs.cartan, total, k) for k in range(rs.rank)))
-
-
-def levi_dual_weight(space: ParabolicSpace, omega: Weight) -> Weight:
-    """Highest weight of the dual irreducible P-representation.
-
-    Computed as the Levi-dominant representative of ``-omega``: reflect at
-    uncrossed nodes while a coefficient there is negative.
-    """
-    space.check_p_dominant(omega)
-    return _walk(space.rs, (-omega)[0], {i - 1 for i in space.uncrossed})[0]
-
-
-def serre_dual_weight(space: ParabolicSpace, omega: Weight) -> Weight:
-    """Weight of the Serre-dual bundle E^* tensored with the canonical bundle."""
-    return canonical_twist_weight(space) + levi_dual_weight(space, omega)

@@ -157,8 +157,6 @@ def _cmd_koszul(ns) -> tuple[dict, list, list[str]]:
         "hints_used": [h._asdict() for h in result.hints_used],
         "determined": result.determined,
     }
-    if result.hints_unreached:
-        payload["hints_unreached"] = [h._asdict() for h in result.hints_unreached]
     failures: list = []
     lines = [f"Koszul chase for scenario {sc.name!r}, twist {ns.twist!r} on {space}"]
     for t in terms_payload:
@@ -171,10 +169,6 @@ def _cmd_koszul(ns) -> tuple[dict, list, list[str]]:
         lines.append("every term of the resolution is acyclic")
     for h in result.hints_used:
         lines.append(f"  {'assumed' if h.assumed else 'forced'} {h.describe()}")
-    for h in result.hints_unreached:
-        lines.append(
-            f"  not reached: provided hint at term {h.target_term} degree {h.degree} rank {h.rank}"
-        )
     if result.determined:
         payload["table"] = _table_payload(result.table)
         dims = result.table.dims()

@@ -1,43 +1,38 @@
-"""Koszul resolutions of zero loci and the cohomology chase along them.
+"""Koszul resolutions of zero loci, and one solver for the exact sequences on them.
 
 A regular section of a bundle E on G/P resolves the structure sheaf of its
 zero locus S by 0 -> Lambda^r E^* -> ... -> E^* -> O -> O_S -> 0. Twisting by
 a bundle F and feeding each term through Borel-Weil-Bott gives a grid of
-dimensions; the chase peels the resolution into short exact sequences of
-image sheaves and propagates dimensions down to H^*(F|_S).
+dimensions; the chase solves it for H^*(F|_S).
 
-The chase works on dimension tables, never on actual maps, so it takes the
-rank of each induced map H^q(A_{j+1}) -> H^q(C_j) from one of two sources
-and never guesses. A rank is forced: 0 when its source or target is zero,
-and in degree 0 the whole of H^0(A_{j+1}), since global sections are left
-exact (Weyman, Cohomology of Vector Bundles and Syzygies, ch. 5). Or it is
-provided by the caller as a ``RankHint``; the scenario loader is the one
-place that builds them from JSON. Every rank between nonzero groups is
-recorded with its origin, and so is every provided hint the chase reaches.
-A hint whose rank exceeds dim H^q(C_j) is rejected before the chase starts,
-and a blocked chase lists the provided hints it never reached. A chase
-blocks instead of answering: at every (j, q) of term j whose rank nothing
-forces or provides; at (j, 0) when H^0(A_{j+1}) cannot inject into
-H^0(C_j); and at (0, q) for each degree q above dim S = dim G/P - rank E,
-which no sheaf on S can have, where a wrong provided rank shows. No rank
-exceeds its source or its target, so no dimension downstream turns negative.
+``solve_sequence`` serves every exact sequence on S: the Koszul resolution and
+the normal sequence of the ``cayley`` report. It reads dimension tables, never
+maps. Split 0 -> E_r -> ... -> E_0 into short exact sequences
+0 -> A_{j+1} -> E_j -> A_j -> 0 with A_r = E_r. The unknowns are the ranks
+rho(j, q) of H^q(A_{j+1}) -> H^q(E_j), one for each cell where both sides can
+be nonzero; dim H^q(A_j) is the cokernel dim H^q(E_j) - rho(j, q) plus the
+kernel dim H^{q+1}(A_{j+1}) - rho(j, q + 1), a constant minus a sum of distinct
+ranks. The constraints: 0 <= rho <= dim H^q(E_j); every kernel >= 0; the
+kernel in degree 0 is 0, as global sections are left exact (Weyman,
+Cohomology of Vector Bundles and Syzygies, ch. 5); nothing above dim S; and a
+provided value, a ``RankHint`` or a known dimension, is an equality. Integer
+bounds on the ranks tighten until nothing changes. Each tightening shrinks a
+finite integer interval, so this ends, and the true ranks meet every
+constraint, so no rank it pins can be wrong.
 
-The peel visits, for each term, only the cells that can carry a rank: the
-degrees where both H^q(A_{j+1}) and H^q(C_j) are nonzero, and the cells with
-a provided hint. The next image sheaf's dimensions come from the degrees of
-C_j and of A_{j+1} shifted down by one.
+A chase is determined when every rank is pinned; each pinned rank between
+nonzero groups is recorded as ``forced``, each hint as ``provided``. A chase
+whose bounds stay open is blocked at each open rank. A hint above
+dim H^q(C_j) is rejected before the solver starts. An empty interval means the
+provided values contradict exactness, a ValueError naming them; with nothing
+provided it is an engine fault, an AssertionError.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .bott import (
-    CohomologyTable,
-    ParabolicSpace,
-    bundle_cohomology,
-    euler_characteristic,
-)
+from .bott import CohomologyTable, ParabolicSpace, bundle_cohomology, euler_characteristic
 from .schur import BundleSum, dual_sum, exterior_power_sum, grassmannian_kn, sum_to_weights
 from .schur import BundleLabel, tensor
 
@@ -48,7 +43,7 @@ __all__ = [
     "ChaseResult",
     "build_koszul",
     "chase",
-    "restriction_sequence",
+    "solve_sequence",
 ]
 
 
@@ -89,7 +84,7 @@ class UsedHint(NamedTuple):
     target_term: int
     degree: int
     rank: int
-    origin: str  # "forced" (left exactness in degree 0) | "provided"
+    origin: str  # "forced" (pinned by the exactness constraints) | "provided"
 
     @property
     def assumed(self) -> bool:  # the one rule: a provided rank is assumed, a forced one computed
@@ -106,16 +101,14 @@ class ChaseResult(NamedTuple):
     """A chase's first page and its outcome.
 
     ``term_tables[j]`` is H^*(C_j). ``grid`` lists them as ((term j, degree q), dim)
-    cells, j from r down to 0 and q ascending. ``hints_used`` records every rank forced
-    or provided between nonzero groups, and every provided hint reached. ``table`` is
-    H^*(F|_S) when the chase is ``determined``; otherwise it is None,
-    ``blocking_positions`` says where the chase stopped, and ``hints_unreached``
-    holds the provided hints at terms below that point.
+    cells, j from r down to 0 and q ascending. ``hints_used`` records, in that cell order,
+    every provided hint and every pinned rank between nonzero groups. ``table`` is
+    H^*(F|_S) when the chase is ``determined``; otherwise it is None and
+    ``blocking_positions`` lists each rank whose bounds stay open.
     """
 
     term_tables: tuple[CohomologyTable, ...]
     hints_used: tuple[UsedHint, ...]
-    hints_unreached: tuple[RankHint, ...] = ()
     table: CohomologyTable | None = None
     blocking_positions: tuple[tuple[int, int], ...] = ()
 
@@ -152,16 +145,100 @@ def build_koszul(ambient: ParabolicSpace, section: BundleSum, twist: BundleSum |
     return KoszulComplex(ambient=ambient, section_bundle=section, twist=twist, terms=terms)
 
 
-def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> ChaseResult:
-    """Propagate the term tables down the resolution to H^*(F|_S).
+def solve_sequence(
+    tables: Sequence[Mapping[int, int]], top: int, hints: Mapping = {}, values: Mapping = {}, kernel: bool = False
+):
+    """Bound the ranks of the exact sequence 0 -> E_r -> ... -> E_0 -> U -> 0, or with
+    ``kernel`` of 0 -> U -> E_r -> ... -> E_0 -> 0, where ``tables[j]`` maps each degree q
+    to dim H^q(E_j) and U has no cohomology above degree ``top``.
 
-    Peels the exact complex into short exact sequences
-    0 -> A_{j+1} -> C_j -> A_j -> 0 with A_j the image sheaves, A_r = C_r and
-    A_0 = F|_S. A visited cell takes its provided rank, else in degree 0 the
-    forced rank dim H^0(A_{j+1}); any other cell blocks at (j, q), and the
-    chase stops after term j with every such cell listed. A hint that is not
-    a ``RankHint`` is rejected with ValueError. An output with cohomology
-    above dim S is blocked at (0, q) instead of returned.
+    ``hints[(j, q)]`` is the rank of H^q(A_{j+1}) -> H^q(E_j) and ``values[q]`` is
+    dim H^q(U), each one more equality. Returns the ranks as ((j, q), low, high, source)
+    with j descending, then q ascending, where source is dim H^q(A_{j+1}) once pinned and
+    None while open; then H^*(U) by degree, or None while a rank is open. Left exactness
+    binds each A_j only for the resolution: with ``kernel`` the cones of the chase are
+    complexes, and H^q(U) is the chased degree q - r.
+    """
+    r = len(tables) - 1
+    low: list[int] = []
+    high: list[int] = []
+    cells = []  # ((j, q), x, the form of H^q(A_{j+1})) for each rank rho[x]
+    rows = []  # (xs, least, most): least <= the sum of rho[xs] <= most
+    # after s steps, forms[q + s] = (c, xs) holds dim H^q(A_j) = c - the sum of rho[xs]; a kernel
+    # moves one degree down per step, so it keeps its key
+    forms = {q: (d, ()) for q, d in tables[r].items()}
+    for s, j in enumerate(range(r - 1, -1, -1)):
+        below = tables[j]
+        if below or hints:  # an acyclic term with no hint adds no rank
+            cokernels = []
+            for q in sorted(below.keys() | {q for i, q in hints if i == j}) if hints else below:
+                c, xs = forms.get(q + s, (0, ()))
+                rank = ()
+                if (j, q) in hints or c or xs:
+                    x = len(low)
+                    fixed = hints.get((j, q))
+                    low.append(0 if fixed is None else fixed)
+                    high.append(below.get(q, 0) if fixed is None else fixed)
+                    cells.append(((j, q), x, c, xs))
+                    rank = (x,)
+                    forms[q + s] = (c, xs + rank)  # the kernel in degree q, part of H^{q-1}(A_j)
+                    rows.append((xs + rank, 0, c))  # and never negative
+                if q in below:  # the cokernel in degree q, part of H^q(A_j)
+                    cokernels.append((q + s + 1, below[q], rank))
+            for key, d, rank in cokernels:
+                c, xs = forms.get(key, (0, ()))
+                forms[key] = (c + d, xs + rank)
+        if s in forms and not kernel:  # left exactness: the kernel in degree 0 vanishes
+            c, xs = forms.pop(s)
+            rows.append((xs, c, c))
+    shift = 0 if kernel else r  # H^q(U) is at key q + shift: a kernel's is the chased degree q - r
+    rows += [(xs, c, c) for key, (c, xs) in forms.items() if key - shift > top]
+    for q, v in values.items():
+        c, xs = forms.get(q + shift, (0, ()))
+        rows.append((xs, c - v, c - v))
+    changed = bool(rows)
+    while changed:
+        changed = False
+        for xs, least, most in rows:
+            floor = sum([low[x] for x in xs])
+            ceiling = sum([high[x] for x in xs])
+            if ceiling < least or floor > most:
+                _contradiction(hints, values)
+            for x in xs:
+                lo = least - ceiling + high[x]
+                hi = most - floor + low[x]
+                if lo > low[x] or hi < high[x]:
+                    lo, hi = max(lo, low[x]), min(hi, high[x])
+                    if lo > hi:
+                        _contradiction(hints, values)
+                    low[x], high[x] = lo, hi
+                    changed = True
+    bounds = [
+        (cell, low[x], high[x], c - sum([low[y] for y in xs]) if all([low[y] == high[y] for y in xs]) else None)
+        for cell, x, c, xs in cells
+    ]
+    if low != high:
+        return bounds, None
+    return bounds, {key - shift: d for key, (c, xs) in forms.items() if (d := c - sum([low[x] for x in xs]))}
+
+
+def _contradiction(hints: Mapping, values: Mapping):
+    """Fail on an empty interval: the provided values contradict exactness, or with none
+    provided the tables are not those of an exact sequence, an engine fault."""
+    given = [repr(RankHint(j, q, rank)) for (j, q), rank in hints.items()]
+    given += [f"dim H^{q} = {v} of the unknown end" for q, v in values.items()]
+    if not given:
+        raise AssertionError(
+            "the tables admit no ranks of an exact sequence; with no value provided, the engine is at "
+            "fault or the section is not regular"
+        )
+    raise ValueError("the provided values contradict exactness: " + ", ".join(given))
+
+
+def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> ChaseResult:
+    """Solve the term tables of the resolution for H^*(F|_S) with ``solve_sequence``, which
+    admits no cohomology above dim S = dim G/P - rank E. A hint that is not a ``RankHint``, or
+    whose position or rank is out of range, is rejected with ValueError before the solver starts.
     """
     space = complex_.ambient
     r = complex_.section_rank
@@ -191,103 +268,20 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> Chase
         if key in hints:
             raise ValueError(f"duplicate hint for position {key}")
         hints[key] = h.rank
-    used: list[UsedHint] = []
-    current = tables[r].dims()  # dims of A_r = C_r
-    for j in range(r - 1, -1, -1):
-        below = tables[j].dims()
-        # a rank needs a nonzero source and target, or a provided hint; every other cell is 0
-        cells = current.keys() & below.keys()
-        if hints:
-            cells |= {q for i, q in hints if i == j}
-        rho: dict[int, int] = {}
-        blocking = []
-        for q in sorted(cells):
-            cap = min(current.get(q, 0), below.get(q, 0))
-            provided = hints.pop((j, q), None)
-            if provided is not None:
-                if provided > cap:
-                    raise ValueError(
-                        f"hint rank {provided} at term {j} degree {q} exceeds the "
-                        f"maximal possible rank {cap}"
-                    )
-                rho[q] = provided
-                used.append(UsedHint(j, q, provided, "provided"))
-            elif q:
-                blocking.append((j, q))  # a rank between nonzero groups that nothing forces
-            elif current[0] <= below[0]:  # left exactness: H^0(A_{j+1}) injects into H^0(C_j)
-                rho[0] = current[0]
-                used.append(UsedHint(j, 0, current[0], "forced"))
-        if rho.get(0, 0) < current.get(0, 0):  # H^0(A_{j+1}) does not inject into H^0(C_j)
-            blocking.insert(0, (j, 0))
-        if blocking:
-            break
-        # H^q(A_j) = coker in degree q + ker in degree q + 1, never negative as rho <= cap;
-        # the kernel in degree 0 is empty once the check above passed
-        dims = {q: v - rho.get(q, 0) for q, v in below.items()}
-        for q, v in current.items():
-            if q:
-                dims[q - 1] = dims.get(q - 1, 0) + v - rho.get(q, 0)
-        current = {q: dims[q] for q in sorted(dims) if dims[q]}
-    else:
-        # no sheaf on S has cohomology above dim S = dim G/P - rank E
-        blocking = [(0, q) for q in current if q > max_degree - r]
-
-    page = dict(
-        term_tables=tuple(tables),
-        hints_used=tuple(used),
-        hints_unreached=tuple(RankHint(j, q, rank) for (j, q), rank in hints.items()),
-    )
-    if blocking:
-        return ChaseResult(**page, blocking_positions=tuple(blocking))
-    table = CohomologyTable.from_dimensions(current)
-    expected = sum(
-        (-1) ** j * euler_characteristic(tables[j]) for j in range(r + 1)
-    )
+    bounds, dims = solve_sequence([t.dims() for t in tables], max_degree - r, hints)
+    used = tuple([
+        UsedHint(j, q, low, "provided" if (j, q) in hints else "forced")
+        for (j, q), low, high, source in bounds
+        if (j, q) in hints or (low == high and source)
+    ])
+    if dims is None:
+        blocking = tuple(cell for cell, low, high, _ in bounds if low < high)
+        return ChaseResult(tuple(tables), used, blocking_positions=blocking)
+    table = CohomologyTable.from_dimensions(dims)
+    expected = sum((-1) ** (j + q) * d for j, t in enumerate(tables) for q, d in t.total_dims)
     if euler_characteristic(table) != expected:
         raise AssertionError(
             "Euler characteristic of the chase output disagrees with the "
             "alternating sum over the resolution"
         )
-    return ChaseResult(**page, table=table)
-
-
-def restriction_sequence(
-    h0_sub: int, ambient_table: CohomologyTable, normal_table: CohomologyTable
-) -> tuple[int, int]:
-    """Four-term exact-sequence arithmetic for the tangent bundle of a zero locus.
-
-    From 0 -> T_S -> T_amb|_S -> N|_S -> 0 with the ambient restricted tangent
-    cohomology vanishing above degree zero:
-
-        0 -> H^0(T_S) -> H^0(T_amb|_S) -> H^0(N|_S) -> H^1(T_S) -> 0.
-
-    ``h0_sub`` is H^0(T_S), supplied externally; returns (h0, h1).
-    """
-    if h0_sub < 0:
-        raise ValueError("h0_sub must be nonnegative")
-    amb = ambient_table.dims()
-    nor = normal_table.dims()
-    high_amb = {d: v for d, v in amb.items() if d >= 1 and v}
-    if high_amb:
-        raise ValueError(
-            "restriction sequence needs the ambient tangent cohomology to vanish "
-            f"in positive degrees, got {high_amb}"
-        )
-    high_nor = {d: v for d, v in nor.items() if d >= 2 and v}
-    if high_nor:
-        raise ValueError(
-            f"restriction sequence needs the normal cohomology to vanish in degrees >= 2, got {high_nor}"
-        )
-    amb0 = amb.get(0, 0)
-    nor0 = nor.get(0, 0)
-    if h0_sub > amb0:
-        raise ValueError(
-            f"inconsistent inputs: h0 = {h0_sub} cannot inject into an ambient "
-            f"H^0 of dimension {amb0}"
-        )
-    h1 = nor0 - amb0 + h0_sub
-    if h1 < 0:
-        raise ValueError(
-            f"inconsistent inputs: the exact sequence forces h1 = {h1} < 0"
-        )
-    return (h0_sub, h1)
+    return ChaseResult(tuple(tables), used, table=table)

@@ -40,8 +40,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, prod
 from itertools import compress
-from operator import add, itemgetter, not_, sub
-from typing import Iterable, NamedTuple, Sequence
+from operator import add, itemgetter, sub
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "Weight",
@@ -52,7 +52,6 @@ __all__ = [
     "dominantize",
     "weyl_dimension",
     "dual_weight",
-    "levi_dimension",
     "adjoint_dimension",
 ]
 
@@ -422,16 +421,11 @@ def _dominantize(rs: RootSystem, coeffs: tuple[int, ...]) -> tuple[Weight, int] 
     return None if 0 in dominant[0] else (dominant, length)
 
 
-def _weyl_product(rs: RootSystem, coeffs: tuple, indices: Sequence[int] | None = None) -> int:
-    """Product of <weight + rho, alpha^vee> / <rho, alpha^vee>, exactly, for the weight of
-    ``coeffs``, over all positive roots or over those at ``indices`` in ``rs.positive_roots``."""
-    values = _pairings(rs.root_chain, rs.symmetrizer, coeffs)
-    if indices is None:
-        num, den = prod(values), rs.rho_product
-    else:
-        rho_values = _pairings(rs.root_chain, rs.symmetrizer, (0,) * rs.rank)
-        num, den = (prod(v[k] for k in indices) for v in (values, rho_values))
-    value, remainder = divmod(num, den)
+@lru_cache(maxsize=_MEMO_SIZE)
+def _weyl_dimension(rs: RootSystem, coeffs: tuple) -> int:
+    """Product over the positive roots of <weight + rho, alpha^vee> / <rho, alpha^vee>, exactly,
+    for the weight of ``coeffs``."""
+    value, remainder = divmod(prod(_pairings(rs.root_chain, rs.symmetrizer, coeffs)), rs.rho_product)
     if remainder:
         raise AssertionError("Weyl dimension product failed to be integral")
     return value
@@ -448,9 +442,6 @@ def weyl_dimension(rs: RootSystem, dominant: Weight) -> int:
         i, c = next((i, c) for i, c in enumerate(dominant[0]) if c < 0)
         raise ValueError(f"weight {dominant} is not dominant: coefficient {c} at node {i + 1}")
     return _weyl_dimension(rs, dominant[0])
-
-
-_weyl_dimension = lru_cache(maxsize=_MEMO_SIZE)(_weyl_product)  # keyed by (rs, coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -474,9 +465,9 @@ class ParabolicSpace(_Record):
 
     Construction validates the crossed set and splits the positive roots once, by the
     crossed nodes' columns: ``nilradical`` holds those whose simple-root support meets a
-    crossed node (one per dimension of G/P), ``levi_indices`` the positions of the rest.
-    ``uncrossed``, ``nilradical`` and ``levi_indices`` are derived from ``rs`` and
-    ``crossed`` and take part in equality and ``repr``; copy and pickle derive them again.
+    crossed node, one per dimension of G/P. ``uncrossed`` and ``nilradical`` are derived
+    from ``rs`` and ``crossed`` and take part in equality and ``repr``; copy and pickle
+    derive them again.
     """
 
     __slots__ = ()
@@ -484,7 +475,6 @@ class ParabolicSpace(_Record):
     crossed: frozenset[int]
     uncrossed: tuple[int, ...]
     nilradical: tuple[tuple[int, ...], ...]
-    levi_indices: tuple[int, ...]
 
     def __new__(cls, rs: RootSystem, crossed: Iterable[int]) -> "ParabolicSpace":
         crossed = frozenset(_check_nodes(rs, crossed, "crossed"))
@@ -498,8 +488,7 @@ class ParabolicSpace(_Record):
         meets = tuple(map(any, zip(*[columns[i - 1] for i in crossed])))
         uncrossed = tuple(i for i in range(1, rs.rank + 1) if i not in crossed)
         nilradical = tuple(compress(roots, meets))
-        levi_indices = tuple(compress(range(len(roots)), map(not_, meets)))
-        return tuple.__new__(cls, (rs, crossed, uncrossed, nilradical, levi_indices))
+        return tuple.__new__(cls, (rs, crossed, uncrossed, nilradical))
 
     def __getnewargs__(self) -> tuple:
         return self[:2]
@@ -521,15 +510,3 @@ class ParabolicSpace(_Record):
     def __str__(self) -> str:
         nodes = ",".join(str(i) for i in sorted(self.crossed))
         return f"{self.rs.name}/P({nodes})"
-
-
-def levi_dimension(rs: RootSystem, crossed_nodes: Iterable[int], weight: Weight) -> int:
-    """Weyl dimension formula restricted to the Levi on the uncrossed nodes.
-
-    This is the rank of the irreducible equivariant bundle labelled by the
-    weight. Crossed-node coefficients are unconstrained; the weight must be
-    dominant for the Levi.
-    """
-    space = ParabolicSpace(rs, crossed_nodes)
-    space.check_p_dominant(weight)
-    return _weyl_product(rs, weight[0], space.levi_indices)

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .bott import ParabolicSpace, canonical_twist_weight
-from .koszul import ChaseResult, KoszulComplex, RankHint, build_koszul, chase, restriction_sequence
+from .koszul import ChaseResult, KoszulComplex, RankHint, build_koszul, chase, solve_sequence
 from .root_system import Weight, adjoint_dimension, build_root_system, weyl_dimension
 from .schur import BundleSum, exterior_power_sum, grassmannian_kn, parse_bundle
 
@@ -100,12 +100,17 @@ class Scenario(NamedTuple):
 
     def chase_twist(self, name: str) -> tuple[KoszulComplex, ChaseResult]:
         """The Koszul resolution twisted by ``name`` and its chase under that twist's own rank
-        hints, which may be indeterminate. A section the engine rejects fails naming the file."""
+        hints, which may be indeterminate. A section or a hint the engine rejects fails naming
+        the file and the key."""
         try:
             complex_ = build_koszul(self.space, self.section_bundle, self.twist_named(name))
         except ValueError as exc:
             raise ValueError(f"scenario file {self.file!r}: key 'section_bundle' on block 'ambient': {exc}") from exc
-        return complex_, chase(complex_, self.rank_hints[name])
+        try:
+            return complex_, chase(complex_, self.rank_hints[name])
+        except ValueError as exc:
+            i = [n for n, _ in self.twists].index(name)
+            raise ValueError(f"scenario file {self.file!r}: key 'rank_hints' on block 'twists[{i}]': {exc}") from exc
 
 
 def _read(value, kind, file: str, block: str, key: str) -> None:
@@ -320,11 +325,11 @@ class _Ledger:
     """One report, written top to bottom: ``section`` opens a section, ``add`` writes a
     computed line into it and ``external`` a line read from an external constant.
     ``report`` closes the report; when it read at least one constant it first adds a
-    scope section: the non-claims, then each constant in the order it was read."""
+    scope section of the non-claims. Each constant is said once, on its own line."""
 
     def __init__(self) -> None:
         self._sections: list[tuple[str, list[ReportLine]]] = []
-        self._read: list[ExternalConstant] = []
+        self._read = False
 
     def section(self, title: str):
         self._sections.append((title, []))
@@ -336,18 +341,14 @@ class _Ledger:
         self._line(key, text, value, "computed", provenance, passed)
 
     def external(self, key: str, text: str, const: ExternalConstant, passed: bool | None = None):
-        self._read.append(const)
+        self._read = True
         self._line(key, text, const.value, "external", const.provenance, passed)
 
     def report(self, name: str, title: str) -> RigidityReport:
-        read = tuple(self._read)
-        if read:
+        if self._read:
             self.section("Scope: externally sourced inputs and non-claims")
             for key, text, value, provenance in _NON_CLAIMS:
                 self._line(key, text, value, "external", provenance)
-            for i, c in enumerate(read):
-                text = f"externally sourced constant {c.name} = {c.value}"
-                self.external(f"input_{i}_{c.name}", text, c)
         sections = tuple(ReportSection(t, tuple(lines)) for t, lines in self._sections)
         return RigidityReport(name=name, title=title, sections=sections)
 
@@ -374,7 +375,8 @@ def _chase_record(ledger: _Ledger, twist: str, complex_: KoszulComplex, result: 
     for h in result.hints_used:
         word, source, why = (
             ("assumed", "assumed", f"rank hint of twist {twist!r}") if h.assumed
-            else ("forced", "computed", "left exactness of global sections")
+            else ("forced", "computed", "integer rank bounds on the resolution" if h.degree else
+                  "left exactness of global sections")
         )
         ledger._line(f"{twist}_hint_{h.target_term}_{h.degree}", f"{word} rank: {h.describe()}", h.rank, source, why)
     terms = [f"C_{j} = {complex_.term(j)}" for j in range(complex_.section_rank, -1, -1)]
@@ -469,18 +471,25 @@ def run_cayley(source: str | Path = "cayley") -> RigidityReport:
     )
     _chase_record(ledger, "tangent", tangent_complex, tangent)
 
+    # the normal sequence 0 -> T_S -> T|_S -> N|_S -> 0, solved for H^*(T_S) with the external h^0
     h0_const = sc.constant("h0_tangent_subvariety")
+    dim_s = sc.space.dimension - normal_complex.section_rank
     try:
-        h0_sub, h1_sub = restriction_sequence(h0_const.value, tangent.table, normal.table)
+        bounds, dims = solve_sequence(
+            (normal.table.dims(), tangent.table.dims()), dim_s, values={0: h0_const.value}, kernel=True
+        )
+        if dims is None:
+            raise RuntimeError(f"open ranks at {[cell for cell, low, high, _ in bounds if low < high]}")
     except Exception as exc:
         raise RuntimeError(f"step 'normal exact sequence' failed: {exc}") from exc
+    h1_sub = dims.get(1, 0)
     ledger.section("Normal exact sequence and the conclusion")
     ledger.external("h0_tangent_subvariety", f"h^0(S, T_S) = {h0_const.value}", h0_const)
     ledger.add(
         "h1_tangent_subvariety",
         f"h^1(S, T_S) = {h1_sub}",
         h1_sub,
-        "four-term exact sequence arithmetic",
+        "exact rank bounds on the normal sequence",
         h1_sub == 0,
     )
     ledger.add(

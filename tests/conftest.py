@@ -156,6 +156,19 @@ def levi_roots(space) -> tuple[tuple[int, ...], ...]:
     return tuple(r for r in space.rs.positive_roots if not any(r[i - 1] for i in space.crossed))
 
 
+def levi_dual_weight(space, omega):
+    """Highest weight of the dual irreducible P-representation: the Levi-dominant
+    representative of -omega, walked by the oracle at the uncrossed nodes."""
+    return reflection_walk_oracle(space.rs, -omega, space.uncrossed)[0]
+
+
+def serre_dual_weight(space, omega):
+    """Weight of the Serre-dual bundle E^* tensored with the canonical bundle."""
+    from gpcoh import canonical_twist_weight
+
+    return canonical_twist_weight(space) + levi_dual_weight(space, omega)
+
+
 def weights_at(table, degree: int) -> tuple:
     """The (weight, multiplicity) pairs a Borel-Weil-Bott table holds in ``degree``."""
     return dict(table.entries).get(degree, ())

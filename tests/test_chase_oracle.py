@@ -10,9 +10,15 @@ must equal it, and the number of determined chases per family is pinned, so a
 loss of coverage shows as well as a wrong answer.
 """
 
+from pathlib import Path
+
 import pytest
 
-from gpcoh import ParabolicSpace, Weight, build_koszul, build_root_system, bwb, chase, parse_bundle
+from gpcoh import ParabolicSpace, Weight, build_koszul, build_root_system, bwb, chase, load_scenario, parse_bundle
+
+from conftest import dense_peel_oracle
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _bwb_dims(space, coeffs):
@@ -58,9 +64,9 @@ def g2_cases():
 
 
 FAMILIES = {
-    "IGr(3,6)": (lambda: igr_cases(3), 455, 195),
-    "IGr(3,8)": (lambda: igr_cases(4), 455, 329),
-    "G2/P(2)": (g2_cases, 208, 114),
+    "IGr(3,6)": (lambda: igr_cases(3), 455, 211),
+    "IGr(3,8)": (lambda: igr_cases(4), 455, 331),
+    "G2/P(2)": (g2_cases, 208, 148),
 }
 
 
@@ -79,14 +85,25 @@ def test_every_determined_chase_on_a_homogeneous_zero_locus_equals_bwb(family):
 
 @pytest.mark.parametrize(
     "cases,twist,blocked_at",
-    [(lambda: igr_cases(3), "S5 U* (-4)", ((2, 6),)), (g2_cases, "S7 U* (-6)", ((2, 5),))],
+    [(lambda: igr_cases(3), "S5 U* (-4)", ((2, 6), (1, 6))), (g2_cases, "S7 U* (-6)", ((2, 5), (1, 5), (0, 5)))],
     ids=["LG(3,6)", "G2/P(2)"],
 )
 def test_a_chase_with_an_unforced_rank_blocks_instead_of_answering(cases, twist, blocked_at):
-    # maximal ranks at the unforced cells would answer {5: 14}; BWB on the zero locus says H^3
+    # maximal ranks at the open cells would answer {5: 14}; BWB on the zero locus says H^3
     (cx, expected), = [(cx, want) for name, cx, want in cases() if name == twist]
     assert expected == {3: 14}
     res = chase(cx)
     assert not res.determined
     assert res.blocking_positions == blocked_at
     assert res.hints_used == ()
+
+
+def test_the_shipped_g2_scenario_is_solved_where_the_peel_blocks():
+    # tests/data/g2p2.json: G2/P(2) in Gr(2,7), twisted by O(-7), the weight (0, -7). The
+    # peel of rule (a) blocks at (4, 10); the solver pins every rank and equals BWB
+    sc = load_scenario(DATA / "g2p2.json")
+    _, res = sc.chase_twist("o_minus_7")
+    g2 = ParabolicSpace(build_root_system("G", 2), frozenset({2}))
+    assert res.table.dims() == _bwb_dims(g2, (0, -7)) == {5: 748}
+    peel = dense_peel_oracle(res.term_tables, {}, sc.space.dimension)
+    assert peel[:2] == (None, [(4, 10)])

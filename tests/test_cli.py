@@ -165,15 +165,13 @@ def test_a_key_error_prints_its_message_unquoted_in_both_formats(capsys):
     assert (code, doc["error"], err) == (2, expected, "")
 
 
-def test_indeterminate_koszul_exits_nonzero_with_failure_list(capsys, tmp_path):
-    data = shipped_scenario("cayley")
-    data["twists"][1]["rank_hints"] = [{"target_term": 0, "degree": 0, "rank": 0}]
-    p = tmp_path / "sabotaged.json"
-    p.write_text(json.dumps(data))
-    code, doc, _ = run_json(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
+def test_indeterminate_koszul_exits_nonzero_with_failure_list(capsys):
+    # LG(3,6) twisted by S5 U* (-4): the bounds leave the ranks at (2, 6) and (1, 6) open
+    code, doc, _ = run_json(capsys, "koszul", "--scenario", str(LG36), "--twist", "s5")
     assert code == 1
-    assert doc["failures"][0]["kind"] == "indeterminate_chase"
-    assert doc["failures"][0]["blocking_positions"] == [[0, 0]]
+    assert doc["failures"] == [{"kind": "indeterminate_chase", "blocking_positions": [[2, 6], [1, 6]]}]
+    code, text, _ = run(capsys, "koszul", "--scenario", str(LG36), "--twist", "s5")
+    assert "chase is indeterminate; blocking positions: (2, 6), (1, 6)" in text.splitlines()
 
 
 @pytest.mark.parametrize("name", ["cayley", "vmrt", "theorem1", "adjunction"])
@@ -544,7 +542,8 @@ def test_an_unsupported_or_missing_schema_version_is_rejected(capsys, tmp_path, 
     assert str(p) in err and f"schema_version {found} is not supported" in err
 
 
-def test_a_blocked_chase_shows_its_unreached_hints(capsys, tmp_path):
+def test_hints_that_contradict_exactness_exit_2_naming_the_file_and_the_twist(capsys, tmp_path):
+    # rank 0 at (1, 0) breaks left exactness on O(2), so the two hints have no solution
     def edit(d):
         d["twists"] = [{"name": "o2", "label": "O(2)", "rank_hints": [
             {"target_term": 1, "degree": 0, "rank": 0},
@@ -552,8 +551,21 @@ def test_a_blocked_chase_shows_its_unreached_hints(capsys, tmp_path):
         ]}]
 
     p = _cayley_copy(tmp_path, edit)
-    code, doc, _ = run_json(capsys, "koszul", "--scenario", str(p), "--twist", "o2")
-    assert code == 1
-    assert doc["result"]["hints_unreached"] == [{"target_term": 0, "degree": 0, "rank": 1}]
-    code, text, _ = run(capsys, "koszul", "--scenario", str(p), "--twist", "o2")
-    assert "not reached: provided hint at term 0 degree 0 rank 1" in text
+    code, out, err = run(capsys, "koszul", "--scenario", str(p), "--twist", "o2")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: scenario file {str(p)!r}: key 'rank_hints' on block 'twists[0]': the provided values "
+        "contradict exactness: RankHint(target_term=1, degree=0, rank=0), RankHint(target_term=0, degree=0, rank=1)\n"
+    )
+
+
+def test_a_hint_above_its_term_dimension_exits_2_naming_the_file_and_the_twist(capsys, tmp_path):
+    p = _cayley_copy(tmp_path, lambda d: d["twists"][1].update(
+        rank_hints=[{"target_term": 0, "degree": 0, "rank": 100000}]
+    ))
+    code, out, err = run(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: scenario file {str(p)!r}: key 'rank_hints' on block 'twists[1]': hint "
+        "RankHint(target_term=0, degree=0, rank=100000) exceeds the maximal possible rank 35 = dim H^0(C_0)\n"
+    )

@@ -1,4 +1,5 @@
-"""Byte-for-byte CLI output of the shipped reports, the Cayley chases, three
+"""Byte-for-byte CLI output of the shipped reports, the Cayley chases, one chase
+only the integer rank bounds solve (G2/P2 twisted by O(-7), from ``tests/data/g2p2.json``), three
 Borel-Weil-Bott runs (a walk of length 77 on E8/P(1), a weight whose rho-shift
 lies on a wall with no zero coefficient, and H^1 of O(-2) on P^1), one chase
 that blocks (LG(3,6) twisted by S5 U* (-4), from ``tests/data/lg36.json``) and
@@ -28,6 +29,11 @@ CASES = [
     )
     for twist in ("trivial", "normal", "tangent")
 ] + [
+    (
+        "koszul_g2p2.json",
+        ["--format", "json", "koszul", "--scenario", "tests/data/g2p2.json", "--twist", "o_minus_7"],
+    )
+] + [
     (f"bwb_{name}.json", ["--format", "json", "bwb", *args])
     for name, args in (
         ("e8_p1_nonvanishing", ["E", "8", "--crossed", "1", "--weight=-26,1,0,0,0,0,0,2"]),
@@ -55,7 +61,9 @@ COMMANDS = [(filename, argv, 0) for filename, argv in CASES] + FAILING
 
 
 @pytest.mark.parametrize("filename,argv", CASES, ids=[c[0] for c in CASES])
-def test_cli_output_matches_golden_file(capsys, filename, argv):
+def test_cli_output_matches_golden_file(capsys, monkeypatch, filename, argv):
+    # the g2p2 JSON echoes the scenario path, so it is given relative to the repository root
+    monkeypatch.chdir(GOLDEN.parents[1])
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / filename).read_text()
 
@@ -64,7 +72,6 @@ def test_cli_output_matches_golden_file(capsys, filename, argv):
 def test_a_failing_command_prints_its_golden_file_and_exits_with_its_status(
     capsys, monkeypatch, filename, argv, status
 ):
-    # the lg36 JSON echoes the scenario path, so it is given relative to the repository root
-    monkeypatch.chdir(GOLDEN.parents[1])
+    monkeypatch.chdir(GOLDEN.parents[1])  # the lg36 JSON echoes its relative scenario path
     assert main(argv) == status
     assert capsys.readouterr().out == (GOLDEN / filename).read_text()

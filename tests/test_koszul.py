@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -20,7 +21,7 @@ from gpcoh import (
     exterior_power_sum,
     lr_coefficients,
     parse_bundle,
-    restriction_sequence,
+    solve_sequence,
     tangent_label,
 )
 from gpcoh.schur import format_sum, sum_to_weights
@@ -213,13 +214,15 @@ def test_chase_is_monotone_in_hints():
     assert explicit.hints_used[0].origin == "provided"
 
 
-def test_contradicting_hint_makes_the_chase_indeterminate():
+def test_a_hint_that_contradicts_left_exactness_raises_naming_it():
+    # H^0(C_1) = 1 must inject into H^0(C_0) = 35, so rank 0 there has no solution
     cx = build_koszul(gr47(), section_bundle(), section_bundle())
-    res = chase(cx, [RankHint(target_term=0, degree=0, rank=0)])
-    assert not res.determined
-    assert res.table is None
-    assert res.blocking_positions == ((0, 0),)
-    assert dict(res.grid) == {(1, 0): 1, (0, 0): 35}
+    assert dict(chase(cx).grid) == {(1, 0): 1, (0, 0): 35}
+    with pytest.raises(ValueError) as exc:
+        chase(cx, [RankHint(target_term=0, degree=0, rank=0)])
+    assert str(exc.value) == (
+        "the provided values contradict exactness: RankHint(target_term=0, degree=0, rank=0)"
+    )
 
 
 def test_chase_euler_consistency():
@@ -244,7 +247,7 @@ def test_chase_rejects_malformed_hints():
         chase(cx, [RankHint(target_term=0, degree=99, rank=1)])
     with pytest.raises(ValueError, match="nonnegative"):
         chase(cx, [RankHint(target_term=0, degree=0, rank=-1)])
-    with pytest.raises(ValueError, match="exceeds the maximal possible rank"):
+    with pytest.raises(ValueError, match="contradict exactness"):  # H^0(C_1) = 1 has no rank 5
         chase(cx, [RankHint(target_term=0, degree=0, rank=5)])
     with pytest.raises(ValueError, match="exceeds the maximal possible rank"):
         chase(cx, [RankHint(target_term=2, degree=3, rank=1)])
@@ -264,83 +267,68 @@ def test_chase_grid_matches_standalone_tables():
 
 
 # ---------------------------------------------------------------------------
-# restriction_sequence
+# solve_sequence on a sequence with the unknown at the kernel end
 
 
-def test_restriction_sequence_closes_the_rigidity_computation():
-    ambient = CohomologyTable.from_dimensions({0: 48})
-    normal = CohomologyTable.from_dimensions({0: 34})
-    assert restriction_sequence(14, ambient, normal) == (14, 0)
+def test_the_normal_sequence_closes_the_rigidity_computation():
+    # 0 -> T_S -> T|_S -> N|_S -> 0 on the Cayley Grassmannian: H^*(T|_S) = {0: 48},
+    # H^*(N|_S) = {0: 34} and h^0(T_S) = 14 pin the one rank at 34, so h^1(T_S) = 0
+    bounds, dims = solve_sequence(({0: 34}, {0: 48}), 8, values={0: 14}, kernel=True)
+    assert bounds == [((0, 0), 34, 34, 48)]
+    assert dims == {0: 14}
 
 
-def test_restriction_sequence_balanced():
-    ambient = CohomologyTable.from_dimensions({0: 5})
-    normal = CohomologyTable.from_dimensions({0: 5})
-    assert restriction_sequence(0, ambient, normal) == (0, 0)
+def test_a_kernel_end_is_not_left_exact_and_stays_open_without_a_value():
+    # with no h^0 given, rank 0..34 each fit: h^0(T_S) = 48 - rank and h^1 = 34 - rank
+    bounds, dims = solve_sequence(({0: 34}, {0: 48}), 8, kernel=True)
+    assert (bounds, dims) == ([((0, 0), 0, 34, 48)], None)
 
 
-def test_restriction_sequence_rejects_h0_larger_than_the_ambient_sections():
-    empty = CohomologyTable.from_dimensions({})
-    with pytest.raises(ValueError, match="cannot inject"):
-        restriction_sequence(3, empty, empty)
+def test_a_value_the_sequence_cannot_carry_raises_naming_it():
+    # h^0(T_S) injects into H^0(T|_S) = 48
+    with pytest.raises(ValueError, match=r"contradict exactness: dim H\^0 = 49 of the unknown end"):
+        solve_sequence(({0: 34}, {0: 48}), 8, values={0: 49}, kernel=True)
+    # and h^1(T_S) = 0 with H^1(T|_S) = 1 forces H^1(N|_S) != 0
+    with pytest.raises(ValueError, match="contradict exactness"):
+        solve_sequence(({0: 34}, {0: 48, 1: 1}), 8, values={0: 14, 1: 0}, kernel=True)
 
 
-def test_restriction_sequence_rejects_positive_degree_ambient_cohomology():
-    ambient = CohomologyTable.from_dimensions({0: 5, 1: 1})
-    normal = CohomologyTable.from_dimensions({0: 5})
-    with pytest.raises(ValueError, match="positive degrees"):
-        restriction_sequence(0, ambient, normal)
-
-
-def test_restriction_sequence_rejects_high_degree_normal_cohomology():
-    ambient = CohomologyTable.from_dimensions({0: 5})
-    normal = CohomologyTable.from_dimensions({0: 5, 2: 1})
-    with pytest.raises(ValueError, match="degrees >= 2"):
-        restriction_sequence(0, ambient, normal)
-
-
-def test_restriction_sequence_rejects_negative_h1():
-    ambient = CohomologyTable.from_dimensions({0: 5})
-    normal = CohomologyTable.from_dimensions({0: 3})
-    with pytest.raises(ValueError, match="h1 = -2 < 0"):
-        restriction_sequence(0, ambient, normal)
+def test_an_empty_interval_with_nothing_provided_is_an_engine_fault():
+    # a resolution whose H^0(E_1) = 2 cannot inject into H^0(E_0) = 1
+    with pytest.raises(AssertionError, match="admit no ranks of an exact sequence"):
+        solve_sequence(({0: 1}, {0: 2}), 3)
 
 
 def test_chase_blocks_cohomology_above_the_zero_locus_dimension():
-    # two linear forms on P^3 cut out a line; nothing forces the rank of
-    # H^3(C_2) = 10 -> H^3(C_1) = 8, so the chase blocks there. Given the maximal
-    # rank 8, term 0 has no cell left to visit and the output would be {1: 2, 3: 1},
-    # but H^3 cannot live on a curve (the truth is H^1(P^1, O(-4)) = 3), so the
-    # guard above dim S must refuse to answer
+    # two linear forms on P^3 cut out a line. Nothing in H^3 may reach the output, as no
+    # sheaf on a curve has H^3, so the ranks H^3(C_2) = 10 -> H^3(C_1) = 8 and on to
+    # H^3(C_0) = 1 are pinned at 7 and 1, and the answer is H^1(P^1, O(-4)) = 3. The
+    # maximal rank 8 would leave H^3 = 1 on the curve, so that hint has no solution
     p3 = ParabolicSpace(rs=build_root_system("A", 3), crossed=frozenset({1}))
     amb = (1, 4)
     section = BundleSum.from_pairs(amb, [(BundleLabel(amb, twist=1), 2)])
     cx = build_koszul(p3, section, BundleSum.of(BundleLabel(amb, twist=-4)))
     res = chase(cx)
-    assert not res.determined
-    assert res.blocking_positions == ((1, 3),)
-    assert res.hints_used == ()
-    res = chase(cx, [RankHint(1, 3, 8)])
-    assert not res.determined
-    assert res.table is None
-    assert res.blocking_positions == ((0, 3),)
-    assert [tuple(h) for h in res.hints_used] == [(1, 3, 8, "provided")]
+    assert res.table.dims() == {1: 3}
+    assert [tuple(h) for h in res.hints_used] == [(1, 3, 7, "forced"), (0, 3, 1, "forced")]
+    with pytest.raises(ValueError, match=r"contradict exactness: RankHint\(target_term=1, degree=3, rank=8\)"):
+        chase(cx, [RankHint(1, 3, 8)])
 
 
-def test_a_blocked_term_lists_every_rank_that_nothing_forces():
-    # on Gr(3,6) cut by L2 U* (so S = LG(3,6)), S5 U* (-4) alone blocks at (2, 6) and
-    # W[8,8] U* (-7) alone at (2, 3); their sum blocks at both cells of term 2, and a hint
-    # at one of them leaves the other
+def test_a_blocked_chase_lists_every_rank_whose_bounds_stay_open():
+    # on Gr(3,6) cut by L2 U* (so S = LG(3,6)), S5 U* (-4) alone leaves (2, 6) and (1, 6)
+    # open and W[8,8] U* (-7) alone (2, 3), (1, 3) and (0, 3); their sum leaves all five,
+    # j descending then q ascending, and a hint at (2, 3) or (2, 6) closes that cell only
     amb = (3, 6)
     space = ParabolicSpace(rs=build_root_system("A", 5), crossed=frozenset({3}))
     pairs = [p for label in ("S5 U* (-4)", "W[8,8] U* (-7)") for p in parse_bundle(amb, label).summands]
     cx = build_koszul(space, parse_bundle(amb, "L2 U*"), BundleSum.from_pairs(amb, pairs))
     res = chase(cx)
-    assert res.blocking_positions == ((2, 3), (2, 6))
+    assert res.blocking_positions == ((2, 3), (2, 6), (1, 3), (1, 6), (0, 3))
     assert res.hints_used == ()
     for hinted, left in (((2, 3), (2, 6)), ((2, 6), (2, 3))):
         res = chase(cx, [RankHint(*hinted, 0)])
-        assert res.blocking_positions == (left,)
+        assert res.blocking_positions == (left, (1, 3), (1, 6), (0, 3))
         assert [tuple(h) for h in res.hints_used] == [(*hinted, 0, "provided")]
 
 
@@ -372,17 +360,19 @@ def test_a_hint_below_a_block_is_checked_against_the_term_dimension():
         chase(cx, hints)
 
 
-def test_a_blocked_chase_lists_the_hints_it_never_reached():
+def test_hints_that_contradict_exactness_together_raise_naming_every_hint():
+    # rank 0 at (1, 0) breaks left exactness there, wherever the other hint sits
     cx = build_koszul(gr47(), section_bundle(), BundleSum.of(BundleLabel(AMB, twist=2)))
-    res = chase(cx, [RankHint(1, 0, 0), RankHint(0, 0, 1)])
-    assert not res.determined
-    assert res.blocking_positions == ((1, 0),)
-    assert [(h.target_term, h.degree, h.rank) for h in res.hints_used] == [(1, 0, 0)]
-    assert res.hints_unreached == (RankHint(0, 0, 1),)
+    with pytest.raises(ValueError) as exc:
+        chase(cx, [RankHint(1, 0, 0), RankHint(0, 0, 1)])
+    assert str(exc.value) == (
+        "the provided values contradict exactness: RankHint(target_term=1, degree=0, rank=0), "
+        "RankHint(target_term=0, degree=0, rank=1)"
+    )
 
 
 # ---------------------------------------------------------------------------
-# the peel visits only the cells that can carry a rank
+# the solver answers wherever the peel of rule (a) answers
 
 
 def _pool_complex(k, n, atoms, twist):
@@ -397,59 +387,60 @@ def _pool_complex(k, n, atoms, twist):
 CAYLEY_CASES = [[4, 7, ["L3 U*"], twist] for twist in ("O", "L3 U*", "T")]
 
 
-def _plain(res):
-    """A chase result in the oracle's form."""
-    return (
-        res.table.dims() if res.determined else None,
-        list(res.blocking_positions),
-        [tuple(h) for h in res.hints_used],
-        [tuple(h) for h in res.hints_unreached],
-    )
-
-
-def _outcome(run):
+def _peel(tables, hints, top):
+    """The oracle's outcome: (dims or None, blocking positions, ranks used), or the message
+    of the ValueError it raised."""
     try:
-        return run()
+        return dense_peel_oracle(tables, {(h.target_term, h.degree): h.rank for h in hints}, top)[:3]
     except ValueError as exc:
         return str(exc)
 
 
-def _zeroed_through(cx, res):
-    """Rank-0 hints at each blocking position in turn, until the chase stops blocking
-    at a position it was not already given."""
+def _zeroed_through(tables, top, peeled):
+    """Rank-0 hints at each position where the peel blocks in turn, until it stops blocking
+    at a position it was not already given or rejects a hint."""
     hints = []
-    while not res.determined:
-        fresh = [RankHint(j, q, 0) for j, q in res.blocking_positions if RankHint(j, q, 0) not in hints]
+    while not isinstance(peeled, str) and peeled[0] is None:
+        fresh = [RankHint(j, q, 0) for j, q in peeled[1] if RankHint(j, q, 0) not in hints]
         if not fresh:
             break
         hints += fresh
-        res = chase(cx, hints)
+        peeled = _peel(tables, hints, top)
     return hints
 
 
-def test_the_sparse_peel_matches_the_dense_peel_on_the_pool_with_and_without_hints():
-    # hints: none, every forced rank given back as provided, one forced rank lowered by 1,
-    # rank 0 at every blocking position in turn, and a rank-0 hint at a cell of capacity 0,
-    # at a nonzero H^q(C_j) if any
+def test_the_solver_answers_wherever_the_peel_answers_with_and_without_hints():
+    # the hint sets: none, every rank the peel forces given back as provided, one forced rank
+    # lowered by 1, one raised by 1 below dim H^q(C_j), rank 0 at every position where the peel
+    # blocks in turn, and a rank-0 hint at a cell of capacity 0, at a nonzero H^q(C_j) if any.
+    # Where the peel determines a chase, the solver gives the same table and the same ranks in
+    # the same order; where the peel rejects a hint, the solver rejects the hints too
     rng = random.Random(2103)
-    seen = {"lowered": 0, "blocked": 0, "zeroed": 0, "zero_capacity_nonzero_target": 0}
+    seen = dict.fromkeys(
+        ("lowered", "raised", "blocked", "rejected", "zeroed", "zero_capacity_nonzero_target", "answered"), 0
+    )
     for case in koszul_pool_sample(2103, 300) + CAYLEY_CASES:
         cx = _pool_complex(*case)
         top = cx.ambient.dimension
-        base = chase(cx)
-        tables = base.term_tables
-        forced = [RankHint(h.target_term, h.degree, h.rank) for h in base.hints_used]
+        tables = chase(cx).term_tables
+        base = _peel(tables, [], top)
+        forced = [RankHint(j, q, rank) for j, q, rank, _ in base[2]]
         hint_sets = [[], forced]
         lowered = [h for h in forced if h.rank > 0]
         if lowered:
             h = rng.choice(lowered)
             hint_sets.append([h._replace(rank=h.rank - 1)])
             seen["lowered"] += 1
-        zeroed = _zeroed_through(cx, base)
+        raised = [h for h in forced if h.rank < tables[h.target_term].total_dimension(h.degree)]
+        if raised:
+            h = rng.choice(raised)
+            hint_sets.append([h._replace(rank=h.rank + 1)])
+            seen["raised"] += 1
+        zeroed = _zeroed_through(tables, top, base)
         if zeroed:
             hint_sets.append(zeroed)
             seen["zeroed"] += 1
-        taken = {(h.target_term, h.degree) for h in forced} | set(base.blocking_positions)
+        taken = {(h.target_term, h.degree) for h in forced} | set(base[1])
         free = [
             (j, q) for j in range(cx.section_rank) for q in range(top + 1) if (j, q) not in taken
         ]
@@ -458,17 +449,43 @@ def test_the_sparse_peel_matches_the_dense_peel_on_the_pool_with_and_without_hin
         j, q = rng.choice(targeted or free)
         hint_sets.append([RankHint(j, q, 0)])
         for hints in hint_sets:
-            given = {(h.target_term, h.degree): h.rank for h in hints}
-            expected = _outcome(lambda: dense_peel_oracle(tables, given, top))
-            got = _outcome(lambda: _plain(chase(cx, hints)))
-            assert got == expected, (case, hints)
-            seen["blocked"] += got[0] is None
+            expected = _peel(tables, hints, top)
+            if isinstance(expected, str):
+                with pytest.raises(ValueError, match="contradict exactness"):
+                    chase(cx, hints)
+                seen["rejected"] += 1
+            elif expected[0] is None:
+                seen["blocked"] += 1
+            else:
+                res = chase(cx, hints)
+                assert res.determined, (case, hints)
+                assert (res.table.dims(), [tuple(h) for h in res.hints_used]) == (expected[0], expected[2])
+                seen["answered"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_named_chases_the_peel_left_blocked_are_solved_quickly():
+    # each Serre partner pair agrees: O_S and O_S(2) = K_S^* on the eightfold in Gr(2,12)
+    cases = [
+        ((2, 12, ["O(1)"] * 10 + ["O(2)"] * 2, "O"), {0: 1, 8: 1099}),
+        ((2, 12, ["O(1)"] * 10 + ["O(2)"] * 2, "O(2)"), {0: 1099, 8: 1}),
+        ((6, 13, ["L5 U*"] * 3, "O"), {0: 1, 24: 675129}),
+        ((3, 12, ["L2 U*"] * 5 + ["O(1)"] * 6, "O"), {0: 1, 6: 752053}),
+    ]
+    for case, expected in cases:
+        cx = _pool_complex(*case)
+        res = chase(cx)
+        assert res.table.dims() == expected, case
+        tables = [t.dims() for t in res.term_tables]
+        start = time.perf_counter()
+        bounds, dims = solve_sequence(tables, cx.ambient.dimension - cx.section_rank)
+        assert time.perf_counter() - start < 0.1, case
+        assert dims == expected
 
 
 # seeded sample of the Koszul pool: format_sum of every term, then determined, the table,
 # the blocking positions, the ranks used in order and the page of each chase
-CHASE_PIN = "491520b7ab133fa5dcdfa88fdf93ca1954bcf4ae9a62f5e8ab62fb62f06c3f3a"
+CHASE_PIN = "5f2cfdede9faeff6f25b5271d1e35cbd45e49d773b2acda619eb859a57809b4f"
 
 
 def test_chase_answers_on_a_pool_sample_match_the_pinned_digest():

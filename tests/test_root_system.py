@@ -14,7 +14,6 @@ from gpcoh import (
     build_root_system,
     dominantize,
     dual_weight,
-    levi_dimension,
     weyl_dimension,
 )
 from gpcoh.root_system import reflection_walk
@@ -453,7 +452,7 @@ def test_e6_dual_exchanges_the_two_minimal_representations():
 
 
 # ---------------------------------------------------------------------------
-# ParabolicSpace.dimension / levi_dimension
+# ParabolicSpace.dimension and P-dominance
 
 
 def test_homogeneous_dimension_examples():
@@ -481,8 +480,7 @@ def test_parabolic_space_splits_the_roots_as_the_per_root_oracle(letter, rank):
         assert space.crossed == frozenset(crossed)
         assert space.uncrossed == tuple(i for i in range(1, rank + 1) if i not in crossed)
         assert space.nilradical == tuple(r for r, m in zip(roots, meets) if m)
-        assert space.levi_indices == tuple(k for k, m in enumerate(meets) if not m)
-        assert type(space.nilradical) is tuple and type(space.levi_indices) is tuple
+        assert type(space.nilradical) is tuple
 
 
 def test_homogeneous_dimension_rejects_bad_crossings():
@@ -493,17 +491,10 @@ def test_homogeneous_dimension_rejects_bad_crossings():
         ParabolicSpace(rs, {0, 5}).dimension
 
 
-def test_levi_dimension_examples():
-    a6 = build_root_system("A", 6)
-    assert levi_dimension(a6, {4}, Weight.of(0, 0, 1, -3, 0, 0)) == 4
-    assert levi_dimension(a6, {4}, Weight.of(0, 0, 0, -3, 0, 0)) == 1
-    assert levi_dimension(a6, {4}, Weight.of(1, 0, 0, 0, 0, 1)) == 12
-
-
-def test_levi_dimension_rejects_negative_uncrossed_coefficient():
-    a6 = build_root_system("A", 6)
+def test_a_weight_negative_at_an_uncrossed_node_is_not_p_dominant():
+    space = ParabolicSpace(build_root_system("A", 6), {4})
     with pytest.raises(ValueError, match="uncrossed node 3"):
-        levi_dimension(a6, {4}, Weight.of(0, 0, -1, 0, 0, 0))
+        space.check_p_dominant(Weight.of(0, 0, -1, 0, 0, 0))
 
 
 @pytest.mark.parametrize("letter,rank", ALL_TYPES)
@@ -513,22 +504,6 @@ def test_weyl_dimension_matches_the_oracle_on_random_dominant_weights(letter, ra
     for _ in range(6):
         w = Weight(tuple(rng.randint(0, 40) for _ in range(rank)))
         assert weyl_dimension(rs, w) == weyl_product_oracle(rs, w, rs.positive_roots)
-
-
-@pytest.mark.parametrize("letter,rank", ALL_TYPES)
-def test_levi_dimension_matches_the_oracle_on_random_parabolics(letter, rank):
-    rs = build_root_system(letter, rank)
-    rng = random.Random(f"levi {letter}{rank}")
-    for _ in range(6):
-        crossed = frozenset(rng.sample(range(1, rank + 1), rng.randint(1, rank)))
-        space = ParabolicSpace(rs, crossed)
-        w = Weight(
-            tuple(
-                rng.randint(-40, 40) if i in crossed else rng.randint(0, 40)
-                for i in range(1, rank + 1)
-            )
-        )
-        assert levi_dimension(rs, crossed, w) == weyl_product_oracle(rs, w, levi_roots(space))
 
 
 @pytest.mark.parametrize("letter,rank", ALL_TYPES)
