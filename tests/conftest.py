@@ -16,10 +16,12 @@ rule with its determinant twist directly, without the engine's
 ``dual_label``. Bundles on Gr(k, n) are also compared by their formal
 characters on the maximal torus of SL(n): Schur polynomials from enumerated
 tableaux, and exterior powers from the subsets of a weight multiset, with no
-use of the label calculus. The chase's peel is checked against a loop that
-visits every degree of every term under the same rank rule (forced or
-provided, else blocked). Dominance tests, Levi roots and the weights of a
-cohomology degree, which only tests read, are small functions here too.
+use of the label calculus. The chase's solver is checked against the peel of
+rule (a), a loop that visits every degree of every term and takes each rank
+forced in degree 0 or provided, else blocks: wherever the peel answers, the
+solver must give the same answer. Dominance tests, Levi roots, the Levi and
+Serre duals of a weight and the weights of a cohomology degree, which only
+tests read, are small functions here too.
 
 Tests that edit a shipped scenario file start from ``shipped_scenario``, a fresh copy of its
 JSON object read straight from the source tree.
@@ -387,8 +389,8 @@ def general_schur_oracle(
 
 
 def dense_peel_oracle(term_tables, hints: dict, max_degree: int):
-    """The chase's peel over every cell: for each term j from r - 1 down to 0, every degree
-    0..max_degree + 1, as the engine once walked it, under the same rank rule.
+    """Rule (a), the chase's peel before the integer solver, over every cell: for each term
+    j from r - 1 down to 0, every degree 0..max_degree + 1.
 
     ``term_tables[j]`` is H^*(C_j) (only its ``total_dims`` are read) and ``hints`` maps
     (j, q) to a provided rank. A cell takes its provided rank; else 0 when its source or
