@@ -249,9 +249,8 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         payload, failures, lines = ns.handler(ns)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
-        # str() of a KeyError is the repr of its argument, quotes included
-        message = str(exc.args[0]) if isinstance(exc, KeyError) else str(exc)
+    except (ValueError, FileNotFoundError) as exc:
+        message = str(exc)
         if ns.format == "json":
             print(json.dumps({"schema_version": SCHEMA_VERSION, "error": message}))
         else:

@@ -92,8 +92,8 @@ class UsedHint(NamedTuple):
 
     def describe(self) -> str:
         return (
-            f"H^{self.degree}(C_{self.target_term + 1}) -> "
-            f"H^{self.degree}(C_{self.target_term}) rank {self.rank} [{self.origin}]"
+            f"H^{self.degree}(A_{self.target_term + 1}) -> "
+            f"H^{self.degree}(C_{self.target_term}) rank {self.rank}"
         )
 
 

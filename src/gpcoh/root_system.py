@@ -24,8 +24,9 @@ Weyl dimensions walk a root chain: each non-simple positive root is a
 positive root beta plus a simple root (Humphreys, Lie Algebras, 10.2), so its
 pairing with lambda + rho is beta's plus one integer; the denominator is stored.
 
-Inputs are checked once, where they enter: ``Weight`` its coefficients, each public function
-the rank of its weight and its nodes. Weights derived here (sums, walks, duals) skip the check.
+Inputs are checked once, where they enter: ``Weight`` its coefficients, ``ParabolicSpace`` its
+nodes, each public function the rank of its weight. Weights derived here (sums, walks, duals) skip
+the check.
 
 All values are immutable after construction and every operation is a pure
 function; concurrent reads from multiple threads are safe. Memos (thread-safe): ``dominantize``
@@ -48,7 +49,6 @@ __all__ = [
     "RootSystem",
     "ParabolicSpace",
     "build_root_system",
-    "reflection_walk",
     "dominantize",
     "weyl_dimension",
     "dual_weight",
@@ -342,15 +342,15 @@ def _check_weight(rs: RootSystem, w: Weight) -> None:
         raise ValueError(f"rank mismatch: weight {w} has rank {w.rank}, root system is {rs.name}")
 
 
-def _check_nodes(rs: RootSystem, nodes: Iterable[int], what: str) -> tuple[int, ...]:
-    """The 1-based ``nodes`` as given, once each is known to be an int in 1..rank."""
+def _check_nodes(rs: RootSystem, nodes: Iterable[int]) -> tuple[int, ...]:
+    """The 1-based crossed ``nodes`` as given, once each is known to be an int in 1..rank."""
     nodes = tuple(nodes)
     for i in nodes:
         if type(i) is not int:
-            raise ValueError(f"{what} node {i!r} in {nodes!r} is not an integer")
+            raise ValueError(f"crossed node {i!r} in {nodes!r} is not an integer")
     bad = sorted(i for i in set(nodes) if not 1 <= i <= rs.rank)
     if bad:
-        raise ValueError(f"{what} nodes {bad} out of range 1..{rs.rank}")
+        raise ValueError(f"crossed nodes {bad} out of range 1..{rs.rank}")
     return nodes
 
 
@@ -360,15 +360,18 @@ def _check_multiplicity(mult: int) -> None:
         raise ValueError(f"multiplicity must be a positive int, got {mult!r}")
 
 
-@lru_cache(maxsize=None)
-def _all_nodes(rank: int) -> frozenset[int]:
-    return frozenset(range(rank))
+def _walk(rs: RootSystem, coeffs: Iterable[int]) -> tuple[Weight, int]:
+    """Reflect at a node with a negative coefficient while there is one, for checked ints of
+    rank ``rs.rank``.
 
-
-def _walk(rs: RootSystem, coeffs: Iterable[int], members) -> tuple[Weight, int]:
-    """``reflection_walk`` of checked input: ints of rank ``rs.rank``, 0-based node set."""
+    A stack holds the nodes that may be negative, and a reflection lowers, and may push, only
+    its Dynkin neighbours (``rs.neighbours``). Returns the dominant weight and the number of
+    reflections, both independent of the order: each reflection removes exactly one positive
+    root from those pairing negatively with the weight (Humphreys, 10.3), so the count never
+    exceeds the number of positive roots.
+    """
     coeffs = list(coeffs)
-    stack = [i for i in members if coeffs[i] < 0]
+    stack = [i for i, c in enumerate(coeffs) if c < 0]
     bound = len(rs.positive_roots)
     neighbours = rs.neighbours
     length = 0
@@ -380,26 +383,12 @@ def _walk(rs: RootSystem, coeffs: Iterable[int], members) -> tuple[Weight, int]:
         coeffs[i] = -ci
         for j, a in neighbours[i]:
             cj = coeffs[j] = coeffs[j] - ci * a
-            if cj < 0 and j in members:
+            if cj < 0:
                 stack.append(j)
         length += 1
         if length > bound:
             raise AssertionError("reflection walk exceeded the longest-element bound")
     return Weight._trusted(tuple(coeffs)), length  # int steps from checked ints
-
-
-def reflection_walk(rs: RootSystem, w: Weight, nodes: Iterable[int]) -> tuple[Weight, int]:
-    """Reflect at the 1-based ``nodes`` while one of them has a negative coefficient.
-
-    ``nodes`` gives a node set, not an order: a stack holds the nodes that may be negative,
-    and a reflection lowers, and may push, only its Dynkin neighbours (``rs.neighbours``).
-    Returns the final weight and the number of reflections, both independent of the order:
-    each reflection removes exactly one positive root from those pairing negatively with
-    the weight (Humphreys, 10.3), so the count never exceeds the number of positive roots.
-    A weight of another rank, or a node that is not an int in 1..rank, is rejected.
-    """
-    _check_weight(rs, w)
-    return _walk(rs, w[0], {i - 1 for i in _check_nodes(rs, nodes, "walk")})
 
 
 def dominantize(rs: RootSystem, w: Weight) -> tuple[Weight, int] | None:
@@ -417,7 +406,7 @@ def dominantize(rs: RootSystem, w: Weight) -> tuple[Weight, int] | None:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _dominantize(rs: RootSystem, coeffs: tuple[int, ...]) -> tuple[Weight, int] | None:
-    dominant, length = _walk(rs, coeffs, _all_nodes(rs.rank))
+    dominant, length = _walk(rs, coeffs)
     return None if 0 in dominant[0] else (dominant, length)
 
 
@@ -450,7 +439,7 @@ def _minus_w0(type_letter: str, rank: int) -> tuple[int, ...]:
     at index ``_minus_w0(...)[j]``. -w0 maps omega_i to omega_sigma(i), so the walk of the
     antidominant -(omega_1 + 2 omega_2 + ... + n omega_n) ends at the weight whose
     coefficient at node sigma(i) is i (Humphreys, 10.3)."""
-    walked = _walk(build_root_system(type_letter, rank), range(-1, -rank - 1, -1), _all_nodes(rank))
+    walked = _walk(build_root_system(type_letter, rank), range(-1, -rank - 1, -1))
     return tuple(i - 1 for i in walked[0][0])
 
 
@@ -477,7 +466,7 @@ class ParabolicSpace(_Record):
     nilradical: tuple[tuple[int, ...], ...]
 
     def __new__(cls, rs: RootSystem, crossed: Iterable[int]) -> "ParabolicSpace":
-        crossed = frozenset(_check_nodes(rs, crossed, "crossed"))
+        crossed = frozenset(_check_nodes(rs, crossed))
         if not crossed:
             raise ValueError(
                 "a parabolic space needs at least one crossed node; the crossed node set "

@@ -2,10 +2,11 @@
 
 Each report reads one kind of scenario file, whole, once, at load (``_load``). A
 zero-locus file names an ambient homogeneous space, a section bundle whose zero
-locus is under study, bundles to restrict, and the external constants the run
-may consume; an audit file lists the cases of its report. Every external constant
-must carry a provenance string, and reports label each numeric claim as computed
-or external. Each report is written through one ledger (``_Ledger``);
+locus is under study, bundles to restrict, and exactly the external constants its
+report reads (``_read_constants``); an audit file lists the cases of its report.
+Every external constant must carry a provenance string, and reports label each
+numeric claim as computed or external. A fault in a file names the file and the
+block one way (``_fault``). Each report is written through one ledger (``_Ledger``);
 ``Scenario.chase_twist`` serves ``cayley`` and ``gpcoh koszul``.
 """
 
@@ -13,13 +14,14 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
-from .bott import ParabolicSpace, canonical_twist_weight
+from .bott import ParabolicSpace, bwb, canonical_twist_weight
 from .koszul import ChaseResult, KoszulComplex, RankHint, build_koszul, chase, solve_sequence
 from .root_system import Weight, adjoint_dimension, build_root_system, weyl_dimension
-from .schur import BundleSum, exterior_power_sum, grassmannian_kn, parse_bundle
+from .schur import BundleSum, exterior_power_sum, grassmannian_kn, label_to_weight, parse_bundle
 
 __all__ = [
     "ExternalConstant",
@@ -54,7 +56,6 @@ _THEOREM1_CASE = {  # a case of the theorem1 report
     "name": str, "aut_root_system": _NAMED_ROOT_SYSTEM, "space_dim": _PAIR,
     "cone_aut_semisimple": _NAMED_ROOT_SYSTEM, "external_constants": [_CONSTANT],
 }
-_THEOREM1_CONSTANTS = ("cone_aut_dim", "h1_general_fiber")  # the constants a theorem1 case reads
 # File kinds: the keys every file shares, then those of the report that reads it
 _FILE = {"schema_version": int, "name?": str, "title?": str, "description?": str}
 _TWIST = {"name": str, "label": str, "rank_hints?": [dict.fromkeys(RankHint._fields, int)]}
@@ -72,45 +73,44 @@ class ExternalConstant(NamedTuple):
     provenance: str
 
 
+def _fault(file: str, block: str, message: str) -> ValueError:
+    """The one form of every fault that names a block of a scenario file."""
+    return ValueError(f"scenario file {file!r}: block {block!r} {message}")
+
+
+@contextmanager
+def _naming(file: str, block: str, key: str):
+    """Re-raise an engine ValueError raised inside as the fault of ``key`` in ``block``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _fault(file, block, f"key {key!r}: {exc}") from exc
+
+
 class Scenario(NamedTuple):
     """A loaded zero-locus file, named as errors name it: the ambient space, the section
-    bundle, the named twists with ``rank_hints[name]`` holding the hints of twist ``name``,
-    and the external constants by name."""
+    bundle, each twist by name as (its index in the file's ``twists``, its bundle, its rank
+    hints), and the external constants by name."""
 
     file: str
     name: str
     title: str
     space: ParabolicSpace
     section_bundle: BundleSum
-    twists: tuple[tuple[str, BundleSum], ...]
+    twists: dict[str, tuple[int, BundleSum, tuple[RankHint, ...]]]
     external_constants: dict[str, ExternalConstant]
-    rank_hints: dict[str, tuple[RankHint, ...]]
-
-    def constant(self, name: str) -> ExternalConstant:
-        if name not in self.external_constants:
-            raise KeyError(f"scenario {self.name!r} declares no external constant {name!r}")
-        return self.external_constants[name]
-
-    def twist_named(self, name: str) -> BundleSum:
-        for twist_name, bundle in self.twists:
-            if twist_name == name:
-                return bundle
-        known = ", ".join(n for n, _ in self.twists) or "none"
-        raise KeyError(f"scenario {self.name!r} has no twist {name!r}; known: {known}")
 
     def chase_twist(self, name: str) -> tuple[KoszulComplex, ChaseResult]:
         """The Koszul resolution twisted by ``name`` and its chase under that twist's own rank
-        hints, which may be indeterminate. A section or a hint the engine rejects fails naming
-        the file and the key."""
-        try:
-            complex_ = build_koszul(self.space, self.section_bundle, self.twist_named(name))
-        except ValueError as exc:
-            raise ValueError(f"scenario file {self.file!r}: key 'section_bundle' on block 'ambient': {exc}") from exc
-        try:
-            return complex_, chase(complex_, self.rank_hints[name])
-        except ValueError as exc:
-            i = [n for n, _ in self.twists].index(name)
-            raise ValueError(f"scenario file {self.file!r}: key 'rank_hints' on block 'twists[{i}]': {exc}") from exc
+        hints, which may be indeterminate. An unknown twist, or a section or a hint the engine
+        rejects, fails naming the file, the block and the key."""
+        if name not in self.twists:
+            raise _fault(self.file, "twists", f"has no twist {name!r}; known: {', '.join(self.twists) or 'none'}")
+        i, bundle, hints = self.twists[name]
+        with _naming(self.file, _TOP, "section_bundle"):
+            complex_ = build_koszul(self.space, self.section_bundle, bundle)
+        with _naming(self.file, f"twists[{i}]", "rank_hints"):
+            return complex_, chase(complex_, hints)
 
 
 def _read(value, kind, file: str, block: str, key: str) -> None:
@@ -119,8 +119,7 @@ def _read(value, kind, file: str, block: str, key: str) -> None:
     nested block. Any fault fails naming the file, the block and the key."""
     json_type = kind if isinstance(kind, type) else type(kind)
     if type(value) is not json_type:
-        got, want = json.dumps(value), _JSON_TYPES[json_type]
-        raise ValueError(f"scenario file {file!r}: block {block!r} key {key!r} must be {want}, got {got}")
+        raise _fault(file, block, f"key {key!r} must be {_JSON_TYPES[json_type]}, got {json.dumps(value)}")
     if type(kind) is list:
         for i, item in enumerate(value):
             _read(item, kind[0], file, block, f"{key}[{i}]")
@@ -134,13 +133,12 @@ def _block(block: dict, kind: dict, file: str, name: str) -> None:
     keys = {declared.removesuffix("?"): declared for declared in kind}
     for key in block:
         if key not in keys:
-            known = ", ".join(keys)
-            raise ValueError(f"scenario file {file!r}: block {name!r} has unknown key {key!r}; known: {known}")
+            raise _fault(file, name, f"has unknown key {key!r}; known: {', '.join(keys)}")
     for key, declared in keys.items():
         if key in block:
             _read(block[key], kind[declared], file, name, key)
         elif key == declared:
-            raise ValueError(f"scenario file {file!r}: block {name!r} lacks key {key!r}")
+            raise _fault(file, name, f"lacks key {key!r}")
 
 
 def _constants(items: list[dict], file: str, block: str) -> dict[str, ExternalConstant]:
@@ -152,11 +150,23 @@ def _constants(items: list[dict], file: str, block: str) -> dict[str, ExternalCo
         const = ExternalConstant(item["name"], item["value"], item["provenance"].strip())
         for key in ("name", "provenance"):
             if not getattr(const, key):
-                raise ValueError(f"scenario file {file!r}: block {where!r} key {key!r} is empty")
+                raise _fault(file, where, f"key {key!r} is empty")
         if const.name in out:
-            raise ValueError(f"scenario file {file!r}: block {where!r} key 'name' repeats {const.name!r}")
+            raise _fault(file, where, f"key 'name' repeats {const.name!r}")
         out[const.name] = const
     return out
+
+
+def _read_constants(consts: dict, names: tuple[str, ...], file: str, block: str) -> tuple[ExternalConstant, ...]:
+    """The constants ``names``, those a report reads, from ``consts``: a constant the report
+    does not read, or one it reads that ``consts`` lacks, fails naming the file and the block."""
+    for name in consts:
+        if name not in names:
+            raise _fault(file, block, f"has unknown constant {name!r}; known: {', '.join(names) or 'none'}")
+    for name in names:
+        if name not in consts:
+            raise _fault(file, block, f"lacks key {name!r}")
+    return tuple(consts[name] for name in names)
 
 
 def _root_system(block: dict, file: str, where: str):
@@ -168,15 +178,7 @@ def _root_system(block: dict, file: str, where: str):
         return ParabolicSpace(rs, frozenset(block["crossed"])) if "crossed" in block else rs
     except ValueError as exc:  # build_root_system's messages start "unknown type" or "invalid rank"
         key = {"unknown type": "type", "invalid rank": "rank"}.get(str(exc)[:12], "crossed")
-        raise ValueError(f"scenario file {file!r}: block {where!r} key {key!r}: {exc}") from exc
-
-
-def _parsed_bundle(kn: tuple[int, int], label: str, file: str, block: str, key: str) -> BundleSum:
-    """``parse_bundle(kn, label)``; a label it rejects fails naming the file, the block and the key."""
-    try:
-        return parse_bundle(kn, label)
-    except ValueError as exc:
-        raise ValueError(f"scenario file {file!r}: block {block!r} key {key!r}: {exc}") from exc
+        raise _fault(file, where, f"key {key!r}: {exc}") from exc
 
 
 def _load(name_or_path: str | Path, kind: dict) -> tuple[str, dict]:
@@ -218,33 +220,36 @@ def _title(data: dict) -> str:
 
 
 def load_scenario(name_or_path: str | Path) -> Scenario:
-    """The zero-locus file ``name_or_path``, found and read as by ``_load``. A section bundle
-    off a Grassmannian, a label the grammar rejects (an empty one included), or a twist or
-    constant name repeated within its list also fails naming the file."""
+    """The zero-locus file ``name_or_path``, found and read as by ``_load``. A space off a
+    Grassmannian, a label the grammar rejects (an empty one included), a section summand with
+    no global sections (H^0 of an irreducible bundle is nonzero exactly when it is globally
+    generated, which makes a general section regular; O(-8) on Gr(4,7) has only H^12, so the
+    test is degree 0), or a twist or constant name repeated in its list fails naming the key."""
     file, data = _load(name_or_path, _ZERO_LOCUS_FILE)
     space = _root_system(data["ambient"], file, "ambient")
-    try:
+    with _naming(file, _TOP, "ambient"):
         kn = grassmannian_kn(space)
-    except ValueError as exc:
-        raise ValueError(f"scenario file {file!r}: block 'ambient': {exc}") from exc
-    section = _parsed_bundle(kn, data["section_bundle"], file, _TOP, "section_bundle")
-    twists: list[tuple[str, BundleSum]] = []
-    hints: dict[str, tuple[RankHint, ...]] = {}
+    with _naming(file, _TOP, "section_bundle"):
+        section = parse_bundle(kn, data["section_bundle"])
+        for label, _ in section.summands:
+            if bwb(space, label_to_weight(label, space)).degree != 0:  # None when all vanishes
+                raise ValueError(f"summand {label} has no global sections, so no section is regular")
+    twists: dict[str, tuple[int, BundleSum, tuple[RankHint, ...]]] = {}
     for i, tw in enumerate(data.get("twists", ())):
         where, name = f"twists[{i}]", tw["name"]
-        if name in hints:
-            raise ValueError(f"scenario file {file!r}: block {where!r} key 'name' repeats {name!r}")
-        twists.append((name, _parsed_bundle(kn, tw["label"], file, where, "label")))
-        hints[name] = tuple(RankHint(**h) for h in tw.get("rank_hints", ()))
+        if name in twists:
+            raise _fault(file, where, f"key 'name' repeats {name!r}")
+        with _naming(file, where, "label"):
+            bundle = parse_bundle(kn, tw["label"])
+        twists[name] = (i, bundle, tuple(RankHint(**h) for h in tw.get("rank_hints", ())))
     return Scenario(
         file=file,
         name=data.get("name", file),
         title=_title(data),
         space=space,
         section_bundle=section,
-        twists=tuple(twists),
+        twists=twists,
         external_constants=_constants(data.get("external_constants", ()), file, "external_constants"),
-        rank_hints=hints,
     )
 
 
@@ -398,6 +403,7 @@ def _chase_record(ledger: _Ledger, twist: str, complex_: KoszulComplex, result: 
 def run_cayley(source: str | Path = "cayley") -> RigidityReport:
     """Full local-rigidity computation for the Cayley Grassmannian scenario file ``source``."""
     sc = load_scenario(source)
+    (h0_const,) = _read_constants(sc.external_constants, ("h0_tangent_subvariety",), sc.file, "external_constants")
     ledger = _Ledger()
 
     triv_complex, triv = _chase_step(ledger, sc, "trivial", "Structure sheaf of the zero locus")
@@ -472,7 +478,6 @@ def run_cayley(source: str | Path = "cayley") -> RigidityReport:
     _chase_record(ledger, "tangent", tangent_complex, tangent)
 
     # the normal sequence 0 -> T_S -> T|_S -> N|_S -> 0, solved for H^*(T_S) with the external h^0
-    h0_const = sc.constant("h0_tangent_subvariety")
     dim_s = sc.space.dimension - normal_complex.section_rank
     try:
         bounds, dims = solve_sequence(
@@ -563,10 +568,8 @@ def run_vmrt_audit(source: str | Path = "vmrt") -> RigidityReport:
         )
         rep, rep_where = case["vmrt_ambient_rep"], f"{where}.vmrt_ambient_rep"
         rep_rs = _root_system(rep, file, rep_where)
-        try:  # a weight of the wrong length or not dominant
+        with _naming(file, rep_where, "weight"):  # a weight of the wrong length or not dominant
             rep_dim = weyl_dimension(rep_rs, Weight(rep["weight"]))
-        except ValueError as exc:
-            raise ValueError(f"scenario file {file!r}: block {rep_where!r} key 'weight': {exc}") from exc
         proj_dim = rep_dim - 2
         ledger.add(
             f"ambient_rep_dim_{name}",
@@ -597,17 +600,12 @@ def run_theorem1_audit(source: str | Path = "theorem1") -> RigidityReport:
         where, name = f"cases[{i}]", case["name"]
         block = f"{where}.external_constants"
         consts = _constants(case["external_constants"], file, block)
-        if unknown := [k for k in consts if k not in _THEOREM1_CONSTANTS]:
-            known = ", ".join(_THEOREM1_CONSTANTS)
-            message = f"has unknown constant {unknown[0]!r}; known: {known}"
-            raise ValueError(f"scenario file {file!r}: block {block!r} {message}")
-        if missing := [k for k in _THEOREM1_CONSTANTS if k not in consts]:
-            raise ValueError(f"scenario file {file!r}: block {block!r} lacks key {missing[0]!r}")
+        cone_const, h1_const = _read_constants(consts, ("cone_aut_dim", "h1_general_fiber"), file, block)
         aut, cone = case["aut_root_system"], case["cone_aut_semisimple"]
         aut_dim = adjoint_dimension(_root_system(aut, file, f"{where}.aut_root_system"))
         g_dim, h_dim, space_dim = _pair_dims(case["space_dim"], file, f"{where}.space_dim")
         cone_ss = adjoint_dimension(_root_system(cone, file, f"{where}.cone_aut_semisimple"))
-        cone_dim = consts["cone_aut_dim"].value
+        cone_dim = cone_const.value
         ledger.section(f"Case {name}")
         ledger.add(
             f"aut_dim_{name}",
@@ -630,7 +628,7 @@ def run_theorem1_audit(source: str | Path = "theorem1") -> RigidityReport:
         ledger.external(
             f"cone_aut_dim_{name}",
             f"dim aut(affine VMRT cone) = {cone_dim}",
-            consts["cone_aut_dim"],
+            cone_const,
             cone_dim == cone_ss + 1,
         )
         ledger.add(
@@ -654,8 +652,8 @@ def run_theorem1_audit(source: str | Path = "theorem1") -> RigidityReport:
         )
         ledger.external(
             f"h1_general_fiber_{name}",
-            f"h^1(S, T_S) = {consts['h1_general_fiber'].value} on the general fiber",
-            consts["h1_general_fiber"],
+            f"h^1(S, T_S) = {h1_const.value} on the general fiber",
+            h1_const,
         )
         ledger.add(
             f"h0_bound_{name}",
@@ -675,6 +673,7 @@ def run_theorem1_audit(source: str | Path = "theorem1") -> RigidityReport:
 def run_adjunction_audit(source: str | Path = "adjunction") -> RigidityReport:
     """Adjunction arithmetic for the zero locus of the file ``source``: canonical twist, index, dimension."""
     sc = load_scenario(source)
+    _read_constants(sc.external_constants, (), sc.file, "external_constants")  # it reads none
     space, section = sc.space, sc.section_bundle
     kappa = canonical_twist_weight(space)
     (k,) = tuple(space.crossed)

@@ -114,7 +114,7 @@ def test_koszul_normal_twist(capsys):
         {"target_term": 0, "degree": 0, "rank": 1, "origin": "forced"}
     ]
     code, text, _ = run(capsys, "koszul", "--scenario", "cayley", "--twist", "normal")
-    assert "  forced H^0(C_1) -> H^0(C_0) rank 1 [forced]" in text.splitlines()
+    assert "  forced H^0(A_1) -> H^0(C_0) rank 1" in text.splitlines()
     assert "assumed" not in text
 
 
@@ -157,8 +157,8 @@ def test_koszul_on_a_scenario_without_a_zero_locus_exits_2_naming_it(capsys):
     assert err.startswith("error: scenario file 'vmrt': block 'top level' has unknown key 'cases'; known: ")
 
 
-def test_a_key_error_prints_its_message_unquoted_in_both_formats(capsys):
-    expected = "scenario 'adjunction' has no twist 'normal'; known: none"
+def test_an_unknown_twist_names_the_file_in_both_formats(capsys):
+    expected = "scenario file 'adjunction': block 'twists' has no twist 'normal'; known: none"
     code, out, err = run(capsys, "koszul", "--scenario", "adjunction", "--twist", "normal")
     assert (code, out, err) == (2, "", f"error: {expected}\n")
     code, doc, err = run_json(capsys, "koszul", "--scenario", "adjunction", "--twist", "normal")
@@ -292,7 +292,26 @@ def test_a_section_the_engine_rejects_names_the_file_and_the_keys(capsys, tmp_pa
     p.write_text(json.dumps(data))
     code, out, err = run(capsys, "koszul", "--scenario", str(p), "--twist", twist)
     assert (code, out) == (2, "")
-    assert err == f"error: scenario file {str(p)!r}: key 'section_bundle' on block 'ambient': {reason}\n"
+    assert err == f"error: scenario file {str(p)!r}: block 'top level' key 'section_bundle': {reason}\n"
+
+
+# a summand with no global sections makes every section non-regular: the loader rejects it, in
+# Borel-Weil-Bott degree 0 and not merely for vanishing (O(-8) has only H^12), before any chase
+@pytest.mark.parametrize(
+    "section,summand",
+    [("O(-1)", "O(-1)"), ("U", "U"), ("O(-8)", "O(-8)"), ("U * U*", "W[2,1,1] U (1)")],
+    ids=["O(-1)", "U", "O(-8)", "one-summand-of-two"],
+)
+def test_a_section_with_no_global_sections_exits_2_naming_the_file_and_the_key(
+    capsys, tmp_path, section, summand
+):
+    p = _cayley_copy(tmp_path, lambda d: d.update(section_bundle=section, twists=[{"name": "o", "label": "O"}]))
+    code, out, err = run(capsys, "koszul", "--scenario", str(p), "--twist", "o")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: scenario file {str(p)!r}: block 'top level' key 'section_bundle': "
+        f"summand {summand} has no global sections, so no section is regular\n"
+    )
 
 
 def test_a_provided_hint_at_capacity_zero_is_listed(capsys, tmp_path):
@@ -305,7 +324,7 @@ def test_a_provided_hint_at_capacity_zero_is_listed(capsys, tmp_path):
         "hints_used"
     ]
     code, text, _ = run(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
-    assert "  assumed H^3(C_3) -> H^3(C_2) rank 0 [provided]" in text.splitlines()
+    assert "  assumed H^3(A_3) -> H^3(C_2) rank 0" in text.splitlines()
 
 
 def test_a_missing_ambient_key_names_the_file_the_block_and_the_key(capsys, tmp_path):
@@ -398,7 +417,7 @@ def test_a_wrongly_typed_value_names_the_file_the_block_and_the_key(
 
 
 # bundle labels live on Gr(k, n) = A(n-1)/P(k) only; schur alone checks it, and the loader
-# prefixes the file and the block to its one message
+# prefixes the file, the block and the key to its one message
 @pytest.mark.parametrize("ambient", [{"type": "D", "rank": 6, "crossed": [6]},
                                      {"type": "A", "rank": 6, "crossed": [3, 4]}], ids=["D6-P6", "A6-P34"])
 def test_a_scenario_off_a_grassmannian_exits_2_with_the_schur_message(capsys, tmp_path, ambient):
@@ -408,7 +427,7 @@ def test_a_scenario_off_a_grassmannian_exits_2_with_the_schur_message(capsys, tm
     assert out == ""
     space = "D6/P(6)" if ambient["type"] == "D" else "A6/P(3,4)"
     assert err == (
-        f"error: scenario file {str(p)!r}: block 'ambient': "
+        f"error: scenario file {str(p)!r}: block 'top level' key 'ambient': "
         f"label on Gr(k,n) needs the space A(n-1)/P(k), got {space}\n"
     )
 
@@ -554,7 +573,7 @@ def test_hints_that_contradict_exactness_exit_2_naming_the_file_and_the_twist(ca
     code, out, err = run(capsys, "koszul", "--scenario", str(p), "--twist", "o2")
     assert (code, out) == (2, "")
     assert err == (
-        f"error: scenario file {str(p)!r}: key 'rank_hints' on block 'twists[0]': the provided values "
+        f"error: scenario file {str(p)!r}: block 'twists[0]' key 'rank_hints': the provided values "
         "contradict exactness: RankHint(target_term=1, degree=0, rank=0), RankHint(target_term=0, degree=0, rank=1)\n"
     )
 
@@ -566,6 +585,6 @@ def test_a_hint_above_its_term_dimension_exits_2_naming_the_file_and_the_twist(c
     code, out, err = run(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
     assert (code, out) == (2, "")
     assert err == (
-        f"error: scenario file {str(p)!r}: key 'rank_hints' on block 'twists[1]': hint "
+        f"error: scenario file {str(p)!r}: block 'twists[1]' key 'rank_hints': hint "
         "RankHint(target_term=0, degree=0, rank=100000) exceeds the maximal possible rank 35 = dim H^0(C_0)\n"
     )

@@ -2,8 +2,10 @@
 only the integer rank bounds solve (G2/P2 twisted by O(-7), from ``tests/data/g2p2.json``), three
 Borel-Weil-Bott runs (a walk of length 77 on E8/P(1), a weight whose rho-shift
 lies on a wall with no zero coefficient, and H^1 of O(-2) on P^1), one chase
-that blocks (LG(3,6) twisted by S5 U* (-4), from ``tests/data/lg36.json``) and
-one chase refused because its file is an audit file, not a zero-locus one.
+that blocks (LG(3,6) twisted by S5 U* (-4), from ``tests/data/lg36.json``), one
+chase refused because its file is an audit file, not a zero-locus one, and one refused
+because its section bundle has no regular section (O(-1) on Gr(4,7), from
+``tests/data/non_regular.json``).
 
 The files under ``tests/golden/`` are the stdout of ``gpcoh`` for each
 command below; any change to a number, a label or the formatting of these
@@ -41,8 +43,9 @@ CASES = [
         ("a1_h1", ["A", "1", "--crossed", "1", "--weight", "-2"]),
     )
 ]
-# commands that must fail, each with its exit status: a chase that nothing forces blocks, and a
-# chase on an audit file is refused because that file is not of the zero-locus kind
+# commands that must fail, each with its exit status: a chase that nothing forces blocks, a chase
+# on an audit file is refused because that file is not of the zero-locus kind, and a section with
+# no global sections is refused at load
 FAILING = [
     (
         "koszul_lg36_blocked.json",
@@ -52,6 +55,11 @@ FAILING = [
     (
         "koszul_vmrt_not_a_zero_locus.json",
         ["--format", "json", "koszul", "--scenario", "vmrt", "--twist", "normal"],
+        2,
+    ),
+    (
+        "koszul_non_regular.json",
+        ["--format", "json", "koszul", "--scenario", "tests/data/non_regular.json", "--twist", "o"],
         2,
     ),
 ]
@@ -72,6 +80,6 @@ def test_cli_output_matches_golden_file(capsys, monkeypatch, filename, argv):
 def test_a_failing_command_prints_its_golden_file_and_exits_with_its_status(
     capsys, monkeypatch, filename, argv, status
 ):
-    monkeypatch.chdir(GOLDEN.parents[1])  # the lg36 JSON echoes its relative scenario path
+    monkeypatch.chdir(GOLDEN.parents[1])  # the lg36 and non_regular JSON echo their relative paths
     assert main(argv) == status
     assert capsys.readouterr().out == (GOLDEN / filename).read_text()

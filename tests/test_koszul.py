@@ -157,7 +157,7 @@ def test_normal_twist_chase_records_one_rank_forced_by_left_exactness():
     hint = res.hints_used[0]
     assert (hint.target_term, hint.degree, hint.rank) == (0, 0, 1)
     assert hint.origin == "forced"
-    assert hint.describe() == "H^0(C_1) -> H^0(C_0) rank 1 [forced]"
+    assert hint.describe() == "H^0(A_1) -> H^0(C_0) rank 1"
     # the page shows exactly the two nonzero groups
     assert dict(res.grid) == {(1, 0): 1, (0, 0): 35}
 

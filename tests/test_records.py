@@ -57,7 +57,7 @@ def _samples() -> dict:
         Weight((1, 0, -2)), label.u_part, label, sc.space, sc.space.rs,
         bwb(sc.space, Weight((0, 0, 0, 1, 0, 0))), result.term_tables[0],
         complex_, RankHint(0, 0, 1), result.hints_used[0], result, complex_.terms[1],
-        sc.constant("h0_tangent_subvariety"), sc, report.sections[0].lines[0],
+        sc.external_constants["h0_tangent_subvariety"], sc, report.sections[0].lines[0],
         report.sections[0], report,
     ]
     return {type(r): r for r in records}

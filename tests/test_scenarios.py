@@ -32,8 +32,9 @@ def test_load_builtin_scenarios():
     assert sc.name == "cayley"
     assert sc.space is not None
     assert str(sc.space) == "A6/P(4)"
-    assert [n for n, _ in sc.twists] == ["trivial", "normal", "tangent"]
-    assert sc.constant("h0_tangent_subvariety").value == 14
+    assert list(sc.twists) == ["trivial", "normal", "tangent"]
+    assert [i for i, _, _ in sc.twists.values()] == [0, 1, 2]
+    assert sc.external_constants["h0_tangent_subvariety"].value == 14
 
 
 def test_load_scenario_from_path(tmp_path):
@@ -104,8 +105,10 @@ def test_a_twist_label_too_tall_for_its_bundle_names_the_file_the_block_and_the_
 
 def test_unknown_twist_rejected():
     sc = load_scenario("cayley")
-    with pytest.raises(KeyError, match="no twist"):
-        sc.twist_named("nonsense")
+    with pytest.raises(ValueError) as exc:
+        sc.chase_twist("nonsense")
+    known = "trivial, normal, tangent"
+    assert str(exc.value) == f"scenario file 'cayley': block 'twists' has no twist 'nonsense'; known: {known}"
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +139,7 @@ def test_cayley_report_records_the_rank_that_left_exactness_forces():
     rep = run_cayley()
     line = rep.line("normal_hint_0_0")
     assert line.value == 1
-    assert "H^0(C_1) -> H^0(C_0)" in line.text
+    assert "H^0(A_1) -> H^0(C_0)" in line.text
     assert (line.source, line.provenance) == ("computed", "left exactness of global sections")
     assert "assumed" not in line.text
     # the one rank of the three chases is forced, so the report assumes nothing
@@ -159,7 +162,8 @@ def test_a_rank_hint_applies_to_its_own_twist_only(tmp_path):
     # bound of the trivial and tangent chases if it reached them
     plain = load_scenario("cayley")
     hinted = load_scenario(_cayley_with_hints(tmp_path, normal=[(0, 0, 1)]))
-    assert hinted.rank_hints == {"trivial": (), "normal": (RankHint(0, 0, 1),), "tangent": ()}
+    hints = {name: twist_hints for name, (_, _, twist_hints) in hinted.twists.items()}
+    assert hints == {"trivial": (), "normal": (RankHint(0, 0, 1),), "tangent": ()}
     for twist in ("trivial", "tangent"):
         assert hinted.chase_twist(twist)[1] == plain.chase_twist(twist)[1]
     normal = hinted.chase_twist("normal")[1]
@@ -176,7 +180,7 @@ def test_a_provided_rank_on_any_twist_is_reported_as_assumed(tmp_path):
     assert len(hinted) == 1
     line = hinted[0]
     assert (line.key, line.value, line.source) == ("tangent_hint_0_0", 0, "assumed")
-    assert line.text == "assumed rank: H^0(C_1) -> H^0(C_0) rank 0 [provided]"
+    assert line.text == "assumed rank: H^0(A_1) -> H^0(C_0) rank 0"
     assert line.provenance == "rank hint of twist 'tangent'"
 
 
@@ -203,9 +207,10 @@ def test_cayley_intermediates_match_standalone_engine_runs():
         ("normal", ("normal_ambient_h0", "normal_restricted_h0")),
         ("tangent", ("tangent_ambient_h0", "tangent_restricted_h0")),
     ):
-        cx = build_koszul(space, sc.section_bundle, sc.twist_named(twist_name))
+        _, twist, hints = sc.twists[twist_name]
+        cx = build_koszul(space, sc.section_bundle, twist)
         ambient = bundle_cohomology(space, sum_to_weights(cx.term(0), space))
-        res = chase(cx, sc.rank_hints[twist_name])
+        res = chase(cx, hints)
         assert rep.values()[keys[0]] == ambient.total_dimension(0)
         assert rep.values()[keys[1]] == res.table.total_dimension(0)
 
@@ -227,6 +232,66 @@ def test_cayley_engine_failures_name_the_step(tmp_path):
     p.write_text(json.dumps(data))
     with pytest.raises(RuntimeError, match="step 'normal'"):
         run_cayley(p)
+
+
+# ---------------------------------------------------------------------------
+# the constant rule: a report reads exactly the constants it names, and gpcoh koszul none
+
+
+def _edited_copy(tmp_path, report, edit):
+    data = shipped_scenario(report)
+    edit(data)
+    p = tmp_path / "edited.json"
+    p.write_text(json.dumps(data))
+    return p
+
+
+_UNREAD = {"name": "h1_tangent_subvariety", "value": 7, "provenance": "a constant no report reads"}
+
+
+@pytest.mark.parametrize(
+    "report,known", [("cayley", "h0_tangent_subvariety"), ("adjunction", "none")], ids=["cayley", "adjunction"]
+)
+def test_a_constant_the_report_does_not_read_fails_naming_the_file_and_the_constant(tmp_path, report, known):
+    p = _edited_copy(tmp_path, report, lambda d: d["external_constants"].append(_UNREAD))
+    with pytest.raises(ValueError) as exc:
+        REPORTS[report](p)
+    assert str(exc.value) == (
+        f"scenario file {str(p)!r}: block 'external_constants' has unknown constant "
+        f"'h1_tangent_subvariety'; known: {known}"
+    )
+
+
+def test_a_cayley_file_without_its_constant_fails_naming_the_file_and_the_constant(tmp_path):
+    p = _edited_copy(tmp_path, "cayley", lambda d: d.pop("external_constants"))
+    with pytest.raises(ValueError) as exc:
+        run_cayley(p)
+    assert str(exc.value) == (
+        f"scenario file {str(p)!r}: block 'external_constants' lacks key 'h0_tangent_subvariety'"
+    )
+
+
+def test_a_chase_reads_no_constant_and_checks_none(tmp_path):
+    p = _edited_copy(tmp_path, "cayley", lambda d: d["external_constants"].append(_UNREAD))
+    assert load_scenario(p).chase_twist("tangent")[1].determined
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: d["cases"][0]["external_constants"].pop(0), "lacks key 'cone_aut_dim'"),
+        (
+            lambda d: d["cases"][0]["external_constants"].append(dict(_UNREAD, name="cone_aut_dimm")),
+            "has unknown constant 'cone_aut_dimm'; known: cone_aut_dim, h1_general_fiber",
+        ),
+    ],
+    ids=["missing", "unknown"],
+)
+def test_a_theorem1_case_reads_exactly_its_two_constants(tmp_path, edit, message):
+    p = _edited_copy(tmp_path, "theorem1", edit)
+    with pytest.raises(ValueError) as exc:
+        run_theorem1_audit(p)
+    assert str(exc.value) == f"scenario file {str(p)!r}: block 'cases[0].external_constants' {message}"
 
 
 # ---------------------------------------------------------------------------
