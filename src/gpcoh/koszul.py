@@ -131,7 +131,7 @@ def build_koszul(ambient: ParabolicSpace, section: BundleSum, twist: BundleSum |
     ``ambient`` must be the Grassmannian the bundles live on."""
     grassmannian_kn(ambient, section.ambient)
     if twist is None:
-        twist = BundleSum.of(BundleLabel(section.ambient))
+        twist = BundleSum(section.ambient, [(BundleLabel(section.ambient), 1)])
     rank = section.rank()
     if rank < 1:
         raise ValueError("section bundle must have positive rank")

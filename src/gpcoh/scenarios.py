@@ -364,14 +364,12 @@ class _Ledger:
 
 def _chase_step(ledger: _Ledger, sc: Scenario, twist: str, title: str):
     """Open the section of the report step ``twist`` and chase the zero locus twisted by
-    it; any failure, an indeterminate chase included, names the step."""
+    it; an indeterminate chase fails naming the file and the twist."""
     ledger.section(title)
-    try:
-        complex_, result = sc.chase_twist(twist)
-        if not result.determined:
-            raise RuntimeError(f"chase was indeterminate at {result.blocking_positions}")
-    except Exception as exc:
-        raise RuntimeError(f"step {twist!r} failed: {exc}") from exc
+    complex_, result = sc.chase_twist(twist)
+    if not result.determined:
+        where = f"twists[{sc.twists[twist][0]}]"
+        raise _fault(sc.file, where, f"leaves the chase indeterminate at {result.blocking_positions}")
     return complex_, result
 
 
@@ -404,6 +402,9 @@ def run_cayley(source: str | Path = "cayley") -> RigidityReport:
     """Full local-rigidity computation for the Cayley Grassmannian scenario file ``source``."""
     sc = load_scenario(source)
     (h0_const,) = _read_constants(sc.external_constants, ("h0_tangent_subvariety",), sc.file, "external_constants")
+    for twist in ("trivial", "normal", "tangent"):  # checked before any chase runs
+        if twist not in sc.twists:
+            raise _fault(sc.file, "twists", f"lacks twist {twist!r}")
     ledger = _Ledger()
 
     triv_complex, triv = _chase_step(ledger, sc, "trivial", "Structure sheaf of the zero locus")
@@ -479,14 +480,13 @@ def run_cayley(source: str | Path = "cayley") -> RigidityReport:
 
     # the normal sequence 0 -> T_S -> T|_S -> N|_S -> 0, solved for H^*(T_S) with the external h^0
     dim_s = sc.space.dimension - normal_complex.section_rank
-    try:
+    with _naming(sc.file, "external_constants", "h0_tangent_subvariety"):
         bounds, dims = solve_sequence(
             (normal.table.dims(), tangent.table.dims()), dim_s, values={0: h0_const.value}, kernel=True
         )
         if dims is None:
-            raise RuntimeError(f"open ranks at {[cell for cell, low, high, _ in bounds if low < high]}")
-    except Exception as exc:
-        raise RuntimeError(f"step 'normal exact sequence' failed: {exc}") from exc
+            open_cells = [cell for cell, low, high, _ in bounds if low < high]
+            raise ValueError(f"the normal sequence leaves ranks open at {open_cells}")
     h1_sub = dims.get(1, 0)
     ledger.section("Normal exact sequence and the conclusion")
     ledger.external("h0_tangent_subvariety", f"h^0(S, T_S) = {h0_const.value}", h0_const)

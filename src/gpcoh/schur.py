@@ -26,17 +26,16 @@ bundle L of multiplicity m folds in one step as Lambda^d(L^m) = C(m, d) L^d;
 any other summand folds once per copy and is restricted to the closed-form
 cases a Koszul complex of a column bundle requires: powers of (possibly
 dual, possibly twisted) single columns. General plethysm is out of scope and
-rejected. The fold is memoized after its checks, keyed by (O, summands, j), in a thread-safe
+rejected. The fold is memoized on ``exterior_power_sum``, keyed by (sum, j), in a thread-safe
 ``lru_cache`` of ``_FOLD_MEMO_SIZE``; ``lr_coefficients`` is not, as it returns a mutable dict.
 
-A label is checked once, where it enters. The ``BundleLabel`` constructor
-checks its fields; ``BundleSum.from_pairs``, ``tensor`` and the
-exterior-power fold check the ambient and the multiplicity of each summand
-they are given, by one rule (``BundleSum.of`` only the multiplicity of its one
-summand). Labels derived from checked ones are trusted: a twist shift of a
-canonical label (a line-bundle factor, a power of a line bundle, a twisted
-``T``) is built as it is, and an LR product, a column power and a dual only
-have their full columns moved (``BundleLabel._canonical``).
+A label or a sum is checked once, by its constructor: ``BundleLabel`` checks its fields and
+``BundleSum`` (``from_pairs`` is the same) the ambient and multiplicity of each summand, so no
+consumer of a sum checks it again. Labels and sums derived from checked ones are trusted: a
+twist shift of a canonical label (a line-bundle factor, a power of a line bundle, a twisted
+``T``) is built as it is, an LR product, a column power and a dual only have their full columns
+moved (``BundleLabel._canonical``), the sums of ``tensor``, ``dual_sum`` and the fold are merged
+unchecked (``BundleSum._merged``), and a sum of one checked summand is built as it is.
 
 Conversion to fundamental-weight coordinates sends a label to the highest
 weight of the dual of its fiber, which is exactly the convention making
@@ -50,7 +49,7 @@ import re
 from functools import lru_cache
 from math import comb
 from operator import sub
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .root_system import (
     ParabolicSpace,
@@ -184,44 +183,36 @@ class BundleLabel(_Record):
         return format_label(self)
 
 
-def _check_summand(ambient: tuple[int, int], label: BundleLabel, mult: int) -> None:
-    """A summand of a sum on ``ambient``: a label on that Gr(k, n), a positive int multiplicity."""
-    if label.ambient != ambient:
-        raise ValueError(f"label on Gr{label.ambient} cannot join a sum on Gr{ambient}")
-    _check_multiplicity(mult)
+class BundleSum(_Record):
+    """Formal direct sum of canonical labels with positive multiplicities, equal labels merged
+    and summands ordered by u parts, q parts and twist. The constructor checks that each label
+    lies on ``ambient`` and each multiplicity is a positive int, and an empty sum's ambient by
+    the ``BundleLabel`` rule (a label's own ambient was checked when the label was built)."""
 
-
-class BundleSum(NamedTuple):
-    """Formal direct sum of canonical labels with positive multiplicities,
-    equal labels merged and summands ordered by u parts, q parts and twist."""
-
+    __slots__ = ()
     ambient: tuple[int, int]
-    summands: tuple[tuple[BundleLabel, int], ...] = ()
+    summands: tuple[tuple[BundleLabel, int], ...]
 
-    @classmethod
-    def from_pairs(
-        cls, ambient: tuple[int, int], pairs: Iterable[tuple[BundleLabel, int]]
-    ) -> "BundleSum":
-        pairs = list(pairs)
-        ambient = tuple(ambient)
+    def __new__(cls, ambient: tuple[int, int], pairs: Iterable[tuple[BundleLabel, int]] = ()) -> "BundleSum":
+        ambient, pairs = tuple(ambient), list(pairs)
         for label, mult in pairs:
-            _check_summand(ambient, label, mult)
+            if label.ambient != ambient:
+                raise ValueError(f"label on Gr{label.ambient} cannot join a sum on Gr{ambient}")
+            _check_multiplicity(mult)
+        if not pairs:
+            BundleLabel(ambient)
         return cls._merged(ambient, pairs)
 
+    from_pairs = classmethod(__new__)
+
     @classmethod
-    def _merged(cls, ambient, pairs: Iterable[tuple[BundleLabel, int]]) -> "BundleSum":
-        """``from_pairs`` without its checks, for pairs built here from checked summands."""
+    def _merged(cls, ambient: tuple[int, int], pairs: Iterable[tuple[BundleLabel, int]]) -> "BundleSum":
+        """``pairs`` on ``ambient`` merged and ordered, unchecked: checked pairs or ones derived from them."""
         acc: dict[BundleLabel, int] = {}
         for label, mult in pairs:
             acc[label] = acc.get(label, 0) + mult
         # labels of one sum share the ambient and are unique: the tuple order is u, q, twist
-        return cls(ambient=tuple(ambient), summands=tuple(sorted(acc.items())))
-
-    @classmethod
-    def of(cls, label: BundleLabel, mult: int = 1) -> "BundleSum":
-        """The one-summand sum: nothing to merge or order."""
-        _check_multiplicity(mult)
-        return cls(label.ambient, ((label, mult),))
+        return cls._trusted(ambient, tuple(sorted(acc.items())))
 
     @property
     def is_zero(self) -> bool:
@@ -341,9 +332,7 @@ def dual_label(label: BundleLabel) -> BundleLabel:
 
 
 def dual_sum(bsum: BundleSum) -> BundleSum:
-    return BundleSum.from_pairs(
-        bsum.ambient, [(dual_label(lab), m) for lab, m in bsum.summands]
-    )
+    return BundleSum._merged(bsum.ambient, [(dual_label(lab), m) for lab, m in bsum.summands])
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +342,7 @@ def dual_sum(bsum: BundleSum) -> BundleSum:
 def _product_pairs(a: BundleSum, b: BundleSum) -> Iterator[tuple[BundleLabel, int]]:
     """The summands of ``tensor(a, b)``, unmerged, each label canonical on ``a``'s ambient
     and derived unchecked from the checked labels of ``a`` and ``b``."""
-    ambient = tuple(a.ambient)
+    ambient = a.ambient
     k, n = ambient
     for (_, ua, qa, ta), ma in a.summands:
         for (_, ub, qb, tb), mb in b.summands:
@@ -375,10 +364,7 @@ def tensor(a: BundleSum, b: BundleSum) -> BundleSum:
     is the other with the twists added, O(t) (x) E = E(t); any other pair takes the LR rule."""
     if a.ambient != b.ambient:
         raise ValueError(f"ambient mismatch: Gr{a.ambient} vs Gr{b.ambient}")
-    ambient = tuple(a.ambient)
-    for label, mult in a.summands + b.summands:
-        _check_summand(ambient, label, mult)
-    return BundleSum._merged(ambient, _product_pairs(a, b))
+    return BundleSum._merged(a.ambient, _product_pairs(a, b))
 
 
 def _column_form(label: BundleLabel) -> tuple[str, int, int, int]:
@@ -409,7 +395,7 @@ def exterior_power(label: BundleLabel, j: int) -> BundleSum:
     if not 0 <= j <= rank:
         raise ValueError(f"Lambda^{j} of a rank-{rank} bundle is out of range")
     if j == 0:
-        return BundleSum.of(BundleLabel._canonical(label.ambient, _EMPTY, _EMPTY, 0))
+        return BundleSum._trusted(label.ambient, ((BundleLabel._trusted(label.ambient, _EMPTY, _EMPTY, 0), 1),))
     # Lambda^j(W (x) L) = Lambda^j(W) (x) L^j for a line bundle L
     if a <= 1:  # a pure line bundle (a = 0) has j = 1 here
         height, twist = j * a, j * t
@@ -421,9 +407,10 @@ def exterior_power(label: BundleLabel, j: int) -> BundleSum:
         raise ValueError(f"unsupported plethysm shape: Lambda^{j} of {format_label(label)}")
     column = Partition._trusted((1,) * height)
     u, q = (column, _EMPTY) if side == "U" else (_EMPTY, column)
-    return BundleSum.of(BundleLabel._canonical(label.ambient, u, q, twist))
+    return BundleSum._trusted(label.ambient, ((BundleLabel._canonical(label.ambient, u, q, twist), 1),))
 
 
+@lru_cache(maxsize=_FOLD_MEMO_SIZE, typed=True)  # typed: a float or bool j is no int j
 def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
     """(Lambda^0, ..., Lambda^j) of a direct sum, in one fold of its summands
     by Lambda(A + B) = Lambda(A) (x) Lambda(B); entries past the rank are zero.
@@ -434,26 +421,17 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
     """
     if j < 0:
         raise ValueError("exterior power degree must be nonnegative")
-    unit = BundleLabel(tuple(bsum.ambient))  # O: Lambda^0, on the checked ambient
+    ambient = bsum.ambient
+    # graded[d] = Lambda^d of the summands folded so far, from O on the checked ambient
+    graded = [BundleSum._trusted(ambient, ((BundleLabel._trusted(ambient, _EMPTY, _EMPTY, 0), 1),))]
     for lab, m in bsum.summands:
-        _check_summand(unit.ambient, lab, m)
-    return _exterior_fold(unit, tuple(bsum.summands), j)
-
-
-@lru_cache(maxsize=_FOLD_MEMO_SIZE, typed=True)  # typed: a float or bool j is no int j
-def _exterior_fold(unit: BundleLabel, summands: tuple, j: int) -> tuple[BundleSum, ...]:
-    """``exterior_power_sum`` of checked summands on the ambient of ``unit``, the label O."""
-    ambient = unit.ambient
-    # graded[d] = Lambda^d of the summands folded so far
-    graded: list[BundleSum] = [BundleSum.of(unit)]
-    for lab, m in summands:
         if lab.u_part.parts or lab.q_part.parts:
             _, a, _, r = _column_form(lab)  # Lambda^a of a rank-r generator has rank C(r, a)
             blocks = [[exterior_power(lab, d) for d in range(min(comb(r, a), j) + 1)]] * m
         else:
             _, u, q, t = lab  # L^d is the checked line bundle L with its twist times d
             blocks = [[
-                BundleSum(ambient, ((BundleLabel._trusted(ambient, u, q, d * t), comb(m, d)),))
+                BundleSum._trusted(ambient, ((BundleLabel._trusted(ambient, u, q, d * t), comb(m, d)),))
                 for d in range(min(m, j) + 1)
             ]]
         for powers in blocks:
@@ -466,7 +444,7 @@ def _exterior_fold(unit: BundleLabel, summands: tuple, j: int) -> tuple[BundleSu
                 ])
                 for d in range(top + 1)
             ]
-    return tuple(graded) + (BundleSum(ambient),) * (j + 1 - len(graded))
+    return tuple(graded) + (BundleSum._trusted(ambient, ()),) * (j + 1 - len(graded))
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +464,6 @@ def grassmannian_kn(space: ParabolicSpace, ambient: tuple[int, int] | None = Non
 
 def _label_weight(label: BundleLabel, kn: tuple[int, int]) -> Weight:
     """``label_to_weight`` on the Gr(k, n) that ``grassmannian_kn`` returned."""
-    if label.ambient != kn:  # only a sum built without from_pairs holds such a label
-        raise ValueError(f"label on Gr{label.ambient} cannot join a sum on Gr{kn}")
     k, n = kn
     # the dual fiber's highest weight is (t - mu reversed, -nu reversed) in the standard torus
     # basis; its coefficients are the differences of neighbours there, ints from ints
@@ -579,8 +555,8 @@ def _parse_atom(ambient: tuple[int, int], text: str) -> BundleLabel:
 
 
 def parse_bundle(ambient: tuple[int, int], text: str) -> BundleSum:
-    """Parse the compact bundle syntax into a canonical sum: the first atom's label, times
-    each further atom by ``tensor``. Each atom's label is checked once, by ``BundleLabel``."""
+    """Parse the compact bundle syntax into a canonical sum: the first atom's label, times each
+    further atom by ``tensor``. An atom's label is checked once, by ``BundleLabel``, not its sum."""
     ambient = tuple(ambient)
     atoms = [piece.strip() for piece in _ATOM_SEP.split(text) if piece.strip()]
     if not atoms:
@@ -588,9 +564,9 @@ def parse_bundle(ambient: tuple[int, int], text: str) -> BundleSum:
     k, n = ambient
     if type(k) is not int or type(n) is not int or not 1 <= k < n:
         BundleLabel(ambient)  # a bad ambient fails before any atom, with the constructor's reason
-    out = BundleSum.of(_parse_atom(ambient, atoms[0]))
+    out = BundleSum._trusted(ambient, ((_parse_atom(ambient, atoms[0]), 1),))
     for atom in atoms[1:]:
-        out = tensor(out, BundleSum.of(_parse_atom(ambient, atom)))
+        out = tensor(out, BundleSum._trusted(ambient, ((_parse_atom(ambient, atom), 1),)))
     return out
 
 

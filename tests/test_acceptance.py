@@ -109,7 +109,7 @@ def test_criterion_3_decomposition_golden_files():
         # 1. top exterior power of U is O(-1)
         assert BundleLabel(AMB, u_part=Partition((1, 1, 1, 1))) == BundleLabel(AMB, twist=-1)
         # 2. Lambda^3 U is U^*(-1)
-        assert parse_bundle(AMB, "U* (-1)") == BundleSum.of(BundleLabel(AMB, Partition((1, 1, 1))))
+        assert parse_bundle(AMB, "U* (-1)") == BundleSum(AMB, [(BundleLabel(AMB, Partition((1, 1, 1))), 1)])
         # 3. the untwisted resolution of the structure sheaf
         E = parse_bundle(AMB, "L3 U*")
         cx = build_koszul(space, E)
@@ -127,10 +127,10 @@ def test_criterion_3_decomposition_golden_files():
         got = tensor(parse_bundle(AMB, "L2 U (-1)"), E)
         assert weights(got) == [((1, 0, 0, -1, 0, 0), 1), ((0, 1, 1, -2, 0, 0), 1)]
         # 6. Lambda^3 U (x) Lambda^3 U^* contains exactly the trivial bundle
-        got = tensor(BundleSum.of(BundleLabel(AMB, u_part=Partition((1, 1, 1)))), E)
+        got = tensor(BundleSum(AMB, [(BundleLabel(AMB, u_part=Partition((1, 1, 1))), 1)]), E)
         assert weights(got) == [((0, 0, 0, 0, 0, 0), 1), ((1, 0, 1, -1, 0, 0), 1)]
         # 7. the tangent-twisted resolution, label for label
-        T = BundleSum.of(tangent_label(AMB))
+        T = BundleSum(AMB, [(tangent_label(AMB), 1)])
         cxt = build_koszul(space, E, T)
         expected = {
             4: [((1, 0, 0, -3, 0, 1), 1)],
@@ -234,9 +234,9 @@ def test_criterion_5_property_suites():
         space = gr47()
         E = parse_bundle(AMB, "L3 U*")
         for twist in (
-            BundleSum.of(BundleLabel(AMB)),
+            BundleSum(AMB, [(BundleLabel(AMB), 1)]),
             E,
-            BundleSum.of(tangent_label(AMB)),
+            BundleSum(AMB, [(tangent_label(AMB), 1)]),
         ):
             cx = build_koszul(space, E, twist)
             res = chase(cx)

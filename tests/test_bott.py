@@ -128,7 +128,7 @@ def test_bundle_cohomology_accumulates_multiplicity():
     "build",
     [
         lambda m: bundle_cohomology(gr47(), [(Weight.of(1, 0, 0, 0, 0, 1), m)]),
-        lambda m: BundleSum.of(BundleLabel((4, 7), twist=1), m),
+        lambda m: BundleSum((4, 7), [(BundleLabel((4, 7), twist=1), m)]),
         lambda m: BundleSum.from_pairs((4, 7), [(BundleLabel((4, 7)), 1), (BundleLabel((4, 7), twist=1), m)]),
     ],
     ids=["bundle_cohomology", "BundleSum.from_pairs", "BundleSum.from_pairs-two-summands"],

@@ -40,11 +40,11 @@ def section_bundle():
 
 
 def trivial():
-    return BundleSum.of(BundleLabel(AMB))
+    return BundleSum(AMB, [(BundleLabel(AMB), 1)])
 
 
 def tangent():
-    return BundleSum.of(tangent_label(AMB))
+    return BundleSum(AMB, [(tangent_label(AMB), 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +69,7 @@ def test_twisted_koszul_ends_with_the_twisting_bundle():
 def test_hypersurface_koszul_is_two_terms():
     p1 = ParabolicSpace(rs=build_root_system("A", 1), crossed=frozenset({1}))
     amb = (1, 2)
-    cx = build_koszul(p1, BundleSum.of(BundleLabel(amb, twist=1)))
+    cx = build_koszul(p1, BundleSum(amb, [(BundleLabel(amb, twist=1), 1)]))
     assert [format_sum(cx.term(j)) for j in (1, 0)] == ["O(-1)", "O"]
 
 
@@ -132,7 +132,7 @@ def test_koszul_rejects_a_twist_on_another_grassmannian():
 def test_koszul_rejects_unsupported_section_bundles():
     # rank 6 passes the codimension check but Lambda^2 of a two-column
     # bundle is genuine plethysm
-    bad = BundleSum.of(BundleLabel(AMB, u_part=Partition((1, 1))))
+    bad = BundleSum(AMB, [(BundleLabel(AMB, u_part=Partition((1, 1))), 1)])
     with pytest.raises(ValueError, match="unsupported plethysm"):
         build_koszul(gr47(), bad)
 
@@ -173,7 +173,7 @@ def test_tangent_twist_chase_needs_no_assumptions():
 def test_point_in_p1_chase():
     p1 = ParabolicSpace(rs=build_root_system("A", 1), crossed=frozenset({1}))
     amb = (1, 2)
-    res = chase(build_koszul(p1, BundleSum.of(BundleLabel(amb, twist=1))))
+    res = chase(build_koszul(p1, BundleSum(amb, [(BundleLabel(amb, twist=1), 1)])))
     assert res.determined
     assert res.table.dims() == {0: 1}
 
@@ -182,7 +182,7 @@ def test_negative_twists_reproduce_kodaira_vanishing_on_the_zero_locus():
     # the zero locus is Fano of index 4, so O(-1), O(-2), O(-3) restricted
     # to it have no cohomology at all
     for t in (-1, -2, -3):
-        res = chase(build_koszul(gr47(), section_bundle(), BundleSum.of(BundleLabel(AMB, twist=t))))
+        res = chase(build_koszul(gr47(), section_bundle(), BundleSum(AMB, [(BundleLabel(AMB, twist=t), 1)])))
         assert res.determined
         assert res.table.dims() == {}
         assert res.hints_used == ()
@@ -191,7 +191,7 @@ def test_negative_twists_reproduce_kodaira_vanishing_on_the_zero_locus():
 def test_canonical_twist_chase_reproduces_serre_duality_in_top_degree():
     # O(-4) is the canonical bundle of the eightfold zero locus, so its only
     # cohomology is H^8 = C; the chase must carry this through all five terms
-    res = chase(build_koszul(gr47(), section_bundle(), BundleSum.of(BundleLabel(AMB, twist=-4))))
+    res = chase(build_koszul(gr47(), section_bundle(), BundleSum(AMB, [(BundleLabel(AMB, twist=-4), 1)])))
     assert res.determined
     assert res.table.dims() == {8: 1}
     assert res.hints_used == ()
@@ -307,7 +307,7 @@ def test_chase_blocks_cohomology_above_the_zero_locus_dimension():
     p3 = ParabolicSpace(rs=build_root_system("A", 3), crossed=frozenset({1}))
     amb = (1, 4)
     section = BundleSum.from_pairs(amb, [(BundleLabel(amb, twist=1), 2)])
-    cx = build_koszul(p3, section, BundleSum.of(BundleLabel(amb, twist=-4)))
+    cx = build_koszul(p3, section, BundleSum(amb, [(BundleLabel(amb, twist=-4), 1)]))
     res = chase(cx)
     assert res.table.dims() == {1: 3}
     assert [tuple(h) for h in res.hints_used] == [(1, 3, 7, "forced"), (0, 3, 1, "forced")]
@@ -354,7 +354,7 @@ def test_chase_rejects_a_hint_that_is_not_a_rank_hint(hint):
 def test_a_hint_below_a_block_is_checked_against_the_term_dimension():
     # the chase blocks at (1, 0) before it reaches (0, 0), so the rank bound
     # dim H^0(C_0) = 490 must be checked before the walk starts
-    cx = build_koszul(gr47(), section_bundle(), BundleSum.of(BundleLabel(AMB, twist=2)))
+    cx = build_koszul(gr47(), section_bundle(), BundleSum(AMB, [(BundleLabel(AMB, twist=2), 1)]))
     hints = [RankHint(1, 0, 0), RankHint(0, 0, 99999)]
     with pytest.raises(ValueError, match=r"rank=99999\) exceeds the maximal possible rank 490"):
         chase(cx, hints)
@@ -362,7 +362,7 @@ def test_a_hint_below_a_block_is_checked_against_the_term_dimension():
 
 def test_hints_that_contradict_exactness_together_raise_naming_every_hint():
     # rank 0 at (1, 0) breaks left exactness there, wherever the other hint sits
-    cx = build_koszul(gr47(), section_bundle(), BundleSum.of(BundleLabel(AMB, twist=2)))
+    cx = build_koszul(gr47(), section_bundle(), BundleSum(AMB, [(BundleLabel(AMB, twist=2), 1)]))
     with pytest.raises(ValueError) as exc:
         chase(cx, [RankHint(1, 0, 0), RankHint(0, 0, 1)])
     assert str(exc.value) == (

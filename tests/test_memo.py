@@ -1,8 +1,9 @@
 """The kernel memos are invisible: ``dominantize`` and ``weyl_dimension`` cache by (root
-system, coefficients) and the exterior-power fold by (O, summands, j), each after its
-checks and each bounded. A root system hashes by type and rank only, so equal systems hash
-equal and an unequal system of the same type and rank is a separate key. A warm memo gives
-what a cold one gives, an error is never stored, and no memo outgrows its bound.
+system, coefficients) after their checks, and ``exterior_power_sum`` by (sum, j), the sum
+checked when it was built; each memo is bounded. A root system hashes by type and rank
+only, so equal systems hash equal and an unequal system of the same type and rank is a
+separate key. A warm memo gives what a cold one gives, an error is never stored, and no
+memo outgrows its bound.
 """
 
 import pickle
@@ -29,7 +30,7 @@ from gpcoh import root_system, schur
 
 from test_chase_oracle import FAMILIES
 
-MEMOS = (root_system._dominantize, root_system._weyl_dimension, schur._exterior_fold)
+MEMOS = (root_system._dominantize, root_system._weyl_dimension, schur.exterior_power_sum)
 
 
 def clear_memos() -> None:
@@ -71,16 +72,18 @@ def test_every_family_chase_is_the_same_cold_and_warm(family):
 
 def test_the_plethysm_error_raises_again_on_an_identical_second_call():
     ambient = (2, 5)
-    section = BundleSum.of(BundleLabel(ambient, u_part=Partition((2,))))
-    before = schur._exterior_fold.cache_info().currsize
+    section = BundleSum(ambient, [(BundleLabel(ambient, u_part=Partition((2,))), 1)])
+    before = schur.exterior_power_sum.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ValueError, match="unsupported plethysm shape"):
             exterior_power_sum(section, 2)
-    assert schur._exterior_fold.cache_info().currsize == before
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            exterior_power_sum(section, -1)
+    assert schur.exterior_power_sum.cache_info().currsize == before
 
 
 def test_a_float_or_bool_degree_is_not_served_the_int_degree_entry():
-    line = BundleSum.of(BundleLabel((2, 5), twist=1), 2)
+    line = BundleSum((2, 5), [(BundleLabel((2, 5), twist=1), 2)])
     assert len(exterior_power_sum(line, 1)) == 2
     with pytest.raises(TypeError):
         exterior_power_sum(line, 1.0)
@@ -97,8 +100,8 @@ def test_no_memo_holds_more_than_its_bound():
     assert root_system._weyl_dimension.cache_info().currsize == size
     fold_size = schur._FOLD_MEMO_SIZE
     for t in range(1, fold_size + 11):
-        exterior_power_sum(BundleSum.of(BundleLabel((1, 2), twist=t)), 1)
-    assert schur._exterior_fold.cache_info().currsize == fold_size
+        exterior_power_sum(BundleSum((1, 2), [(BundleLabel((1, 2), twist=t), 1)]), 1)
+    assert schur.exterior_power_sum.cache_info().currsize == fold_size
     clear_memos()
 
 

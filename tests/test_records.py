@@ -15,6 +15,7 @@ import pytest
 from gpcoh import bott, koszul, root_system, scenarios, schur
 from gpcoh import (
     BundleLabel,
+    BundleSum,
     Partition,
     ParabolicSpace,
     RankHint,
@@ -27,7 +28,7 @@ from gpcoh import (
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-VALIDATING = (Weight, Partition, BundleLabel, ParabolicSpace)
+VALIDATING = (Weight, Partition, BundleLabel, BundleSum, ParabolicSpace)
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
@@ -81,6 +82,8 @@ def test_the_samples_cover_every_record_type():
         Weight((3, -1, 0)),
         Partition((2, 1, 1)),
         BundleLabel((4, 7), Partition((2, 1)), Partition((1,)), -2),
+        BundleSum((4, 7), [(BundleLabel((4, 7), twist=1), 2), (BundleLabel((4, 7), Partition((1,))), 1)]),
+        BundleSum((2, 5)),
         ParabolicSpace(build_root_system("E", 6), frozenset({2, 5})),
         build_root_system("F", 4),
     ],
@@ -98,7 +101,7 @@ def test_a_validating_record_offers_no_unchecked_constructor(cls):
     assert not hasattr(cls, "_make") and not hasattr(cls, "_replace")
 
 
-# every function of the package that builds a record through ``_trusted`` or ``_canonical``
+# every function of the package that builds a record through ``_trusted``, ``_canonical`` or ``_merged``
 UNCHECKED_PATHS = {
     "root_system.Weight.__add__",
     "root_system.Weight.__sub__",
@@ -108,19 +111,24 @@ UNCHECKED_PATHS = {
     "schur._reversed_complement",
     "schur.BundleLabel.__new__",
     "schur.BundleLabel._canonical",
+    "schur.BundleSum.__new__",
+    "schur.BundleSum._merged",
     "schur.lr_coefficients",
     "schur.dual_label",
+    "schur.dual_sum",
     "schur._product_pairs",
+    "schur.tensor",
     "schur.exterior_power",
-    "schur._exterior_fold",
+    "schur.exterior_power_sum",
     "schur._label_weight",
     "schur._parse_atom",
+    "schur.parse_bundle",
 }
 
 
 def _unchecked_paths() -> set[str]:
-    """``module.qualname`` of every function in ``src/gpcoh`` that names ``_trusted`` or
-    ``_canonical`` as an attribute; a module-level use is listed as the module."""
+    """``module.qualname`` of every function in ``src/gpcoh`` that names ``_trusted``,
+    ``_canonical`` or ``_merged`` as an attribute; a module-level use is listed as the module."""
     found = set()
 
     def visit(node, scope):
@@ -128,7 +136,7 @@ def _unchecked_paths() -> set[str]:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
-            elif isinstance(child, ast.Attribute) and child.attr in ("_trusted", "_canonical"):
+            elif isinstance(child, ast.Attribute) and child.attr in ("_trusted", "_canonical", "_merged"):
                 found.add(scope)
             visit(child, inner)
 
@@ -138,8 +146,8 @@ def _unchecked_paths() -> set[str]:
 
 
 def test_the_unchecked_construction_paths_are_the_pinned_set():
-    """A record built through ``_trusted`` or ``_canonical`` skips its constructor's checks, so
-    each function doing so must derive its fields from records already checked. A new unchecked
+    """A record built through ``_trusted``, ``_canonical`` or ``_merged`` skips its constructor's
+    checks, so each function doing so must derive its fields from records already checked. A new unchecked
     path is added both to ``UNCHECKED_PATHS`` and to the README paragraph on ``_trusted``, which
     says why its fields need no check; a path that no longer skips the checks leaves both."""
     assert _unchecked_paths() == UNCHECKED_PATHS

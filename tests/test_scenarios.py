@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -224,14 +225,49 @@ def test_cayley_external_constants_are_labelled():
     assert rep.line("h0_tangent_subvariety").source == "external"
 
 
-def test_cayley_engine_failures_name_the_step(tmp_path):
+def test_cayley_engine_failures_name_the_file_and_the_twist(tmp_path):
     data = shipped_scenario("cayley")
     # sabotage the pipeline with an impossible rank hint
     data["twists"][1]["rank_hints"] = [{"target_term": 0, "degree": 0, "rank": 0}]
     p = tmp_path / "sabotaged.json"
     p.write_text(json.dumps(data))
-    with pytest.raises(RuntimeError, match="step 'normal'"):
+    with pytest.raises(ValueError, match=re.escape(f"scenario file {str(p)!r}: block 'twists[1]' key 'rank_hints': ")):
         run_cayley(p)
+
+
+@pytest.mark.parametrize("twist", ["trivial", "normal", "tangent"])
+def test_cayley_without_a_twist_it_reads_fails_before_any_chase(tmp_path, monkeypatch, twist):
+    p = _edited_copy(tmp_path, "cayley", lambda d: d.__setitem__("twists", [
+        t for t in d["twists"] if t["name"] != twist
+    ]))
+    monkeypatch.setattr(gpcoh.scenarios.Scenario, "chase_twist", lambda *args: pytest.fail("a chase ran"))
+    with pytest.raises(ValueError) as exc:
+        run_cayley(p)
+    assert str(exc.value) == f"scenario file {str(p)!r}: block 'twists' lacks twist {twist!r}"
+
+
+def _set_normal_label(data):
+    (normal,) = [t for t in data["twists"] if t["name"] == "normal"]
+    normal["label"] = "S5 U* (-4)"
+
+
+def test_cayley_with_an_indeterminate_chase_fails_naming_the_file_and_the_twist(tmp_path):
+    p = _edited_copy(tmp_path, "cayley", _set_normal_label)
+    with pytest.raises(ValueError) as exc:
+        run_cayley(p)
+    assert str(exc.value) == (
+        f"scenario file {str(p)!r}: block 'twists[1]' leaves the chase indeterminate at ((3, 9),)"
+    )
+
+
+def test_cayley_with_a_constant_that_contradicts_the_normal_sequence_fails_naming_it(tmp_path):
+    p = _edited_copy(tmp_path, "cayley", lambda d: d["external_constants"][0].__setitem__("value", 60))
+    with pytest.raises(ValueError) as exc:
+        run_cayley(p)
+    assert str(exc.value) == (
+        f"scenario file {str(p)!r}: block 'external_constants' key 'h0_tangent_subvariety': "
+        "the provided values contradict exactness: dim H^0 = 60 of the unknown end"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 import re
@@ -100,7 +101,7 @@ def test_top_exterior_power_of_u_is_the_negative_line_bundle():
 def test_third_exterior_power_of_u_equals_twisted_dual():
     # the same bundle built two ways lands on one canonical form
     via_dual = parse_bundle(AMB, "U* (-1)")
-    assert BundleSum.of(BundleLabel(AMB, u_part=Partition((1, 1, 1)))) == via_dual
+    assert BundleSum(AMB, [(BundleLabel(AMB, u_part=Partition((1, 1, 1))), 1)]) == via_dual
 
 
 def test_full_column_on_the_quotient_side_adds_a_positive_twist():
@@ -211,7 +212,7 @@ def test_tensor_second_exterior_with_dual_column():
 
 
 def test_tensor_column_with_its_dual_contains_the_trivial_bundle():
-    left = BundleSum.of(BundleLabel(AMB, u_part=Partition((1, 1, 1))))
+    left = BundleSum(AMB, [(BundleLabel(AMB, u_part=Partition((1, 1, 1))), 1)])
     right = parse_bundle(AMB, "L3 U*")
     out = tensor(left, right)
     assert out.summands == (
@@ -221,8 +222,8 @@ def test_tensor_column_with_its_dual_contains_the_trivial_bundle():
 
 
 def test_tensor_rejects_ambient_mismatch():
-    a = BundleSum.of(BundleLabel((4, 7)))
-    b = BundleSum.of(BundleLabel((2, 5)))
+    a = BundleSum((4, 7), [(BundleLabel((4, 7)), 1)])
+    b = BundleSum((2, 5), [(BundleLabel((2, 5)), 1)])
     with pytest.raises(ValueError, match="ambient mismatch"):
         tensor(a, b)
 
@@ -230,27 +231,34 @@ def test_tensor_rejects_ambient_mismatch():
 @pytest.mark.parametrize("mult", [0, -1, 1.5, True], ids=["zero", "negative", "float", "bool"])
 @pytest.mark.parametrize("label", [BundleLabel(AMB, twist=1), BundleLabel(AMB, Partition((1,)))],
                          ids=["line", "column"])
-def test_a_hand_built_sum_with_a_bad_multiplicity_is_rejected(label, mult):
-    # a NamedTuple built around from_pairs skips its checks; the products must not
-    bad = BundleSum(AMB, ((label, mult),))
-    good = BundleSum.of(BundleLabel(AMB, Partition((1, 1))))
+def test_a_sum_with_a_bad_multiplicity_is_rejected_by_its_constructor(label, mult):
+    # the constructor is the one way to build a sum, so no product is ever handed such a summand
+    good = (BundleLabel(AMB, Partition((1, 1))), 1)
     message = re.escape(f"multiplicity must be a positive int, got {mult!r}")
-    for make in (lambda: tensor(bad, good), lambda: tensor(good, bad),
-                 lambda: exterior_power_sum(bad, 2)):
+    for make in (lambda: BundleSum(AMB, [(label, mult)]), lambda: BundleSum(AMB, [good, (label, mult)]),
+                 lambda: BundleSum.from_pairs(AMB, [(label, mult), good])):
         with pytest.raises(ValueError, match=message):
             make()
 
 
 @pytest.mark.parametrize("label", [BundleLabel(AMB, twist=1), BundleLabel(AMB, Partition((1,)))],
                          ids=["line", "column"])
-def test_a_hand_built_sum_with_a_label_from_another_grassmannian_is_rejected(label):
-    # the products build labels unchecked on the sum's ambient: no foreign label is re-homed
-    bad = BundleSum((3, 7), ((label, 1),))
-    good = BundleSum.of(BundleLabel((3, 7), Partition((1, 1))))
+def test_a_sum_with_a_label_from_another_grassmannian_is_rejected_by_its_constructor(label):
+    # the products build labels unchecked on the sum's ambient: no foreign label may get there
+    good = (BundleLabel((3, 7), Partition((1, 1))), 1)
     message = re.escape("label on Gr(4, 7) cannot join a sum on Gr(3, 7)")
-    for make in (lambda: tensor(bad, good), lambda: tensor(good, bad),
-                 lambda: exterior_power_sum(bad, 2)):
+    for make in (lambda: BundleSum((3, 7), [(label, 1)]), lambda: BundleSum((3, 7), [good, (label, 1)]),
+                 lambda: BundleSum.from_pairs((3, 7), [(label, 1), good])):
         with pytest.raises(ValueError, match=message):
+            make()
+
+
+@pytest.mark.parametrize("ambient", [(9, 3), ("a", 3), (0, 7), (4, 4)], ids=["k>n", "str", "k=0", "k=n"])
+def test_an_empty_sum_on_a_bad_ambient_is_rejected_with_the_label_message(ambient):
+    with pytest.raises(ValueError) as expected:
+        BundleLabel(ambient)
+    for make in (lambda: BundleSum(ambient), lambda: BundleSum.from_pairs(ambient, [])):
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             make()
 
 
@@ -263,10 +271,10 @@ def test_a_hand_built_sum_with_a_label_from_another_grassmannian_is_rejected(lab
     st.integers(-2, 2),
 )
 def test_tensor_preserves_rank(ua, qa, ta, ub, qb, tb):
-    a = parse_bundle(AMB, f"L{ua} U ({ta})") if qa == 0 else BundleSum.of(
-        BundleLabel(AMB, Partition((1,) * ua), Partition((1,) * qa), ta)
+    a = parse_bundle(AMB, f"L{ua} U ({ta})") if qa == 0 else BundleSum(
+        AMB, [(BundleLabel(AMB, Partition((1,) * ua), Partition((1,) * qa), ta), 1)]
     )
-    b = BundleSum.of(BundleLabel(AMB, Partition((1,) * ub), Partition((1,) * qb), tb))
+    b = BundleSum(AMB, [(BundleLabel(AMB, Partition((1,) * ub), Partition((1,) * qb), tb), 1)])
     assert tensor(a, b).rank() == a.rank() * b.rank()
 
 
@@ -305,7 +313,7 @@ def test_tensor_with_a_line_bundle_is_the_lr_product(data, n, t, m):
     # O(t) (x) E = E(t) takes no LR product, on either side and inside a mixed sum
     ambient = (data.draw(st.integers(1, n - 1)), n)
     e = data.draw(_sums(ambient))
-    line = BundleSum.of(BundleLabel(ambient, twist=t), m)
+    line = BundleSum(ambient, [(BundleLabel(ambient, twist=t), m)])
     mixed = BundleSum.from_pairs(ambient, line.summands + data.draw(_sums(ambient)).summands)
     for a, b in ((e, line), (line, e), (e, mixed), (mixed, e)):
         assert tensor(a, b) == _lr_product(a, b)
@@ -314,8 +322,8 @@ def test_tensor_with_a_line_bundle_is_the_lr_product(data, n, t, m):
 def test_tensor_rank_matches_the_levi_weyl_product():
     space = gr47()
     rs = space.rs
-    a = BundleSum.of(BundleLabel(AMB, u_part=Partition((2, 1)), twist=-1))
-    b = BundleSum.of(BundleLabel(AMB, u_part=Partition((1,)), q_part=Partition((1, 1))))
+    a = BundleSum(AMB, [(BundleLabel(AMB, u_part=Partition((2, 1)), twist=-1), 1)])
+    b = BundleSum(AMB, [(BundleLabel(AMB, u_part=Partition((1,)), q_part=Partition((1, 1))), 1)])
     prod = tensor(a, b)
     total = sum(
         m * weyl_product_oracle(rs, label_to_weight(lab, space), levi_roots(space))
@@ -434,7 +442,7 @@ def _two_merge_fold(bsum, j):
     """(Lambda^0, ..., Lambda^j) by folding one copy of one summand at a time, each
     product merged on its own and then each degree merged again."""
     ambient = bsum.ambient
-    graded = [BundleSum.of(BundleLabel(ambient))]
+    graded = [BundleSum(ambient, [(BundleLabel(ambient), 1)])]
     for lab, m in bsum.summands:
         powers = [exterior_power(lab, d) for d in range(min(label_rank(lab), j) + 1)]
         for _ in range(m):
@@ -555,11 +563,15 @@ def test_sum_to_weights_checks_the_space_once_and_fails_closed_on_an_empty_sum()
             sum_to_weights(bsum, wrong)
 
 
-def test_sum_to_weights_rejects_a_label_from_another_grassmannian():
-    # from_pairs refuses such a label; a sum built around it fails when converted
-    stray = BundleSum(AMB, ((BundleLabel((3, 7), twist=1), 1),))
-    with pytest.raises(ValueError, match=re.escape("label on Gr(3, 7) cannot join a sum on Gr(4, 7)")):
-        sum_to_weights(stray, gr47())
+def test_a_sum_on_the_space_holds_no_label_from_another_grassmannian():
+    # sum_to_weights checks the space against the sum's ambient only: the constructor has
+    # checked every label's ambient against it, in every way a sum is built or rebuilt
+    stray = [(BundleLabel((3, 7), twist=1), 1)]
+    message = re.escape("label on Gr(3, 7) cannot join a sum on Gr(4, 7)")
+    for make in (lambda: BundleSum(AMB, stray), lambda: BundleSum.from_pairs(AMB, stray),
+                 lambda: copy.copy(BundleSum._trusted(AMB, tuple(stray)))):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 def test_rank_of_the_tangent_bundle():
@@ -573,7 +585,7 @@ def test_rank_of_the_tangent_bundle():
 
 
 def test_second_exterior_of_dual_is_twist_of_second_exterior():
-    assert parse_bundle(AMB, "L2 U*") == BundleSum.of(BundleLabel(AMB, Partition((1, 1)), twist=1))
+    assert parse_bundle(AMB, "L2 U*") == BundleSum(AMB, [(BundleLabel(AMB, Partition((1, 1)), twist=1), 1)])
 
 
 def test_dual_label_is_an_involution():
@@ -602,11 +614,12 @@ def test_dual_labels_revalidate_to_themselves_and_dualize_back(data, n):
 
 def test_a_one_summand_sum_is_the_checked_sum_of_that_summand():
     label = BundleLabel(AMB, Partition((2, 1)), Partition((1,)), -2)
-    assert BundleSum.of(label, 3) == BundleSum.from_pairs(AMB, [(label, 3)])
-    assert type(BundleSum.of(label).ambient) is tuple
+    assert BundleSum(AMB, [(label, 3)]) == BundleSum.from_pairs(AMB, [(label, 3)])
+    assert BundleSum(AMB, [(label, 3)]).summands == ((label, 3),)
+    assert type(BundleSum(list(AMB), [(label, 1)]).ambient) is tuple
     for mult in (0, -1):
         with pytest.raises(ValueError, match=re.escape(f"positive int, got {mult}")):
-            BundleSum.of(label, mult)
+            BundleSum(AMB, [(label, mult)])
 
 
 def test_dual_of_line_bundle_flips_the_twist():
