@@ -3,7 +3,9 @@
 import json
 from pathlib import Path
 
-from gpcoh import Partition, lr_coefficients
+import pytest
+
+from gpcoh import Partition, lr_coefficients, schur
 
 from conftest import lr_tableau_oracle
 
@@ -76,3 +78,33 @@ def test_every_key_over_the_lr_pool_is_the_partition_the_constructor_builds():
             assert len(key.parts) <= rows
             keys += 1
     assert keys > 10_000
+
+
+PIERI_CASES = [
+    # a single-column content on a longer factor, where the row bound cuts strips
+    ((4, 3, 3, 1), (1,) * 3, 4),
+    ((4, 3, 3, 1), (1,) * 3, 5),
+    ((4, 3, 3, 1), (1,) * 3, 12),
+    ((4, 3, 3, 2, 1, 1), (1,) * 6, 6),
+    ((4, 3, 3, 2, 1, 1), (1,) * 6, 7),
+    ((4, 3, 3, 2, 1, 1), (1,) * 6, 12),
+    # a column times a column
+    ((1,) * 5, (1,) * 5, 12),
+    ((1,) * 6, (1,) * 4, 7),
+]
+
+
+@pytest.mark.parametrize("mu,nu,rows", PIERI_CASES)
+def test_pieri_past_the_sweep_matches_the_tableau_oracle(monkeypatch, mu, nu, rows):
+    calls = []
+    strips = schur._vertical_strips
+    monkeypatch.setattr(schur, "_vertical_strips", lambda *a: calls.append(a) or strips(*a))
+    out = lr_coefficients(mu, nu, rows)
+    assert len(calls) == 1  # the content is a single column: Pieri's rule, not the strip pass
+    assert {lam.parts: c for lam, c in out.items()} == lr_tableau_oracle(mu, nu, rows)
+    # the strip pass orders its keys by their padded rows, largest first
+    assert list(out) == sorted(out, key=lambda lam: lam.padded(rows), reverse=True)
+    for key in out:
+        assert type(key) is Partition and type(key.parts) is tuple
+        assert key == Partition(key.parts) and hash(key) == hash(Partition(key.parts))
+

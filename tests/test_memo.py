@@ -1,12 +1,14 @@
 """The kernel memos are invisible: ``dominantize`` and ``weyl_dimension`` cache by (root
-system, coefficients) after their checks, and ``exterior_power_sum`` by (sum, j), the sum
-checked when it was built; each memo is bounded. A root system hashes by type and rank
-only, so equal systems hash equal and an unequal system of the same type and rank is a
-separate key. A warm memo gives what a cold one gives, an error is never stored, and no
-memo outgrows its bound.
+system, coefficients) after their checks, ``exterior_power_sum`` by (sum, j), the sum
+checked when it was built, and a label's weight, rank and dual by the label alone; each
+memo is bounded. A root system hashes by type and rank only, so equal systems hash equal
+and an unequal system of the same type and rank is a separate key. A warm memo gives what
+a cold one gives, an error is never stored, and no memo outgrows its bound.
 """
 
+import ast
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +32,16 @@ from gpcoh import root_system, schur
 
 from test_chase_oracle import FAMILIES
 
-MEMOS = (root_system._dominantize, root_system._weyl_dimension, schur.exterior_power_sum)
+MEMOS = (
+    root_system._dominantize,
+    root_system._weyl_dimension,
+    schur.exterior_power_sum,
+    schur._label_weight,
+    schur.label_rank,
+    schur.dual_label,
+)
+LABEL_MEMOS = (schur._label_weight, schur.label_rank, schur.dual_label)
+SRC = Path(__file__).resolve().parents[1] / "src" / "gpcoh"
 
 
 def clear_memos() -> None:
@@ -102,9 +113,51 @@ def test_no_memo_holds_more_than_its_bound():
     for t in range(1, fold_size + 11):
         exterior_power_sum(BundleSum((1, 2), [(BundleLabel((1, 2), twist=t), 1)]), 1)
     assert schur.exterior_power_sum.cache_info().currsize == fold_size
+    label_size = schur._LABEL_MEMO_SIZE
+    for t in range(1, label_size + 11):
+        for memo in LABEL_MEMOS:
+            memo(BundleLabel((2, 5), u_part=Partition((1,)), twist=t))
+    assert [memo.cache_info().currsize for memo in LABEL_MEMOS] == [label_size] * 3
     clear_memos()
 
 
-@pytest.mark.parametrize("fn", [lr_coefficients, bwb, bundle_cohomology, tensor, build_koszul])
+@pytest.mark.parametrize(
+    "fn", [lr_coefficients, bwb, bundle_cohomology, tensor, build_koszul, schur.sum_to_weights, chase]
+)
 def test_the_traced_layers_and_the_lr_rule_hold_no_memo(fn):
     assert not hasattr(fn, "cache_info") and not hasattr(fn, "__wrapped__")
+
+
+def test_every_memo_but_the_two_keyed_by_type_and_rank_is_bounded_by_an_int():
+    # a memo keyed by anything but (type, rank) grows with its inputs: its lru_cache must be
+    # given an integer maxsize, a literal or a module constant bound to one
+    unbounded, memos = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        ints = {
+            target.id
+            for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and isinstance(node.value, ast.Constant)
+            and type(node.value.value) is int
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                name = ast.unparse(call.func if call else dec).rsplit(".", 1)[-1]
+                if name not in ("lru_cache", "cache"):
+                    continue
+                memos += 1
+                bound = None  # functools.cache and a bare lru_cache have none
+                if call and name == "lru_cache":
+                    given = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+                    bound = given[0] if given else None
+                if not (
+                    isinstance(bound, ast.Constant) and type(bound.value) is int
+                    or isinstance(bound, ast.Name) and bound.id in ints
+                ):
+                    unbounded.append(f"{path.stem}.{node.name}")
+    assert memos >= 8
+    assert sorted(unbounded) == ["root_system._minus_w0", "root_system.build_root_system"]

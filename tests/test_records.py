@@ -114,6 +114,7 @@ UNCHECKED_PATHS = {
     "schur.BundleSum.__new__",
     "schur.BundleSum._merged",
     "schur.lr_coefficients",
+    "schur._vertical_strips",
     "schur.dual_label",
     "schur.dual_sum",
     "schur._product_pairs",

@@ -169,6 +169,26 @@ def test_lr_rejects_nonpositive_row_bound():
         lr_coefficients(Partition((1,)), Partition((1,)), 0)
 
 
+def test_lr_rejects_a_bool_row_bound():
+    with pytest.raises(ValueError, match="max_rows must be an int"):
+        lr_coefficients((1,), (1,), True)
+
+
+def test_lr_rejects_a_float_row_bound():
+    with pytest.raises(ValueError, match="max_rows must be an int"):
+        lr_coefficients((1,), (1,), 2.0)
+
+
+def test_gl_dimension_rejects_a_float_rank_by_its_own_name():
+    with pytest.raises(ValueError, match=r"rank r must be a nonnegative int, got 2\.5"):
+        gl_dimension((1,), 2.5)
+
+
+def test_gl_dimension_rejects_a_bool_rank():
+    with pytest.raises(ValueError, match="rank r must be a nonnegative int, got True"):
+        gl_dimension((1,), True)
+
+
 @given(
     st.lists(st.integers(1, 3), min_size=0, max_size=3),
     st.lists(st.integers(1, 3), min_size=0, max_size=3),
