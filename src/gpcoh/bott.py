@@ -7,9 +7,12 @@ read off from the dominant representative. Cohomology of the theorem lands
 in the dual representation; results here always report the highest weight of
 the cohomology itself, keeping the pre-dual weight as provenance.
 
-``bwb`` checks its weight once (rank, P-dominance) and derives the rest unchecked but for
-the rank check of each public ``root_system`` call. A rho-shift with a zero coefficient is
-on a wall: it vanishes with no walk, as the one shared ``BWBResult()``.
+``bwb`` checks its weight once (rank, P-dominance) and derives the rest unchecked: rho is all
+ones, so it shifts and unshifts the coefficients and builds each weight with
+``Weight._trusted``; each public ``root_system`` call it makes compares the rank once more. A
+rho-shift with a zero coefficient is on a wall: it vanishes with no walk, as the one shared
+``BWBResult()``. ``bundle_cohomology`` reads ``bwb`` from this module once per call, so a
+rebinding of it (a traced run) sees every summand.
 
 Direct sums aggregate into :class:`CohomologyTable` objects, the common
 output currency for the Koszul chase and the reports. Everything is pure and
@@ -106,15 +109,16 @@ def bwb(space: ParabolicSpace, omega: Weight) -> BWBResult:
     """
     space.check_p_dominant(omega)
     rs = space.rs
-    found = dominantize(rs, omega + rs.rho)
+    # rho is all ones: shift and unshift on the checked coefficients
+    found = dominantize(rs, Weight._trusted(tuple([c + 1 for c in omega[0]])))
     if found is None:
         return _VANISHING
     dominant, degree = found
-    if degree > space.dimension:
+    if degree > len(space.nilradical):  # dim G/P, without a property call per summand
         raise AssertionError(
             f"cohomology degree {degree} exceeds dim {space} = {space.dimension}"
         )
-    mu = dominant - rs.rho
+    mu = Weight._trusted(tuple([c - 1 for c in dominant[0]]))
     return BWBResult(degree, dual_weight(rs, mu), weyl_dimension(rs, mu), mu)
 
 
@@ -124,9 +128,11 @@ def bundle_cohomology(
     """Union of bwb results over a direct sum, multiplicities accumulated."""
     weights: dict[int, dict[Weight, int]] = {}
     totals: dict[int, int] = {}
+    bwb_ = bwb  # read from the module once per call, so a rebinding (a traced run) still applies
     for omega, mult in summands:
-        _check_multiplicity(mult)
-        degree, weight, dimension, _ = bwb(space, omega)
+        if type(mult) is not int or mult <= 0:
+            _check_multiplicity(mult)
+        degree, weight, dimension, _ = bwb_(space, omega)
         if degree is None:
             continue
         at = weights.setdefault(degree, {})

@@ -18,15 +18,17 @@ Node numbering follows Bourbaki throughout::
 
 The Cartan matrix convention is ``cartan[i][j] = <alpha_i, alpha_j^vee>``, so
 row i is the i-th simple root written in fundamental-weight coordinates. The
-symmetrizer and -w0 on the nodes are derived from it, -w0 by one reflection walk.
+symmetrizer and -w0 on the nodes are derived from it when the root system is built, -w0 by
+one reflection walk; where -w0 fixes every node (all types but A_n for n >= 2, D_n for n
+odd and E6), a dual is the weight itself.
 
 Weyl dimensions walk a root chain: each non-simple positive root is a
 positive root beta plus a simple root (Humphreys, Lie Algebras, 10.2), so its
 pairing with lambda + rho is beta's plus one integer; the denominator is stored.
 
 Inputs are checked once, where they enter: ``Weight`` its coefficients, ``ParabolicSpace`` its
-nodes, each public function the rank of its weight. Weights derived here (sums, walks, duals) skip
-the check.
+nodes, each public function the rank of its weight, by one length comparison (``_check_weight``
+runs only to raise). Weights derived here (sums, walks, duals) skip the check.
 
 All values are immutable after construction and every operation is a pure
 function; concurrent reads from multiple threads are safe. Memos (thread-safe): ``dominantize``
@@ -173,7 +175,10 @@ class RootSystem(NamedTuple):
     ``rho_product`` is the Weyl product's denominator over them all.
     ``neighbours[i]`` holds the off-diagonal nonzeros of Cartan row i as 0-based
     (j, cartan[i][j]) pairs: the Dynkin neighbours of node i + 1.
-    These last three are derived from the others, and like them take part in
+    ``minus_w0`` is -w0 on the 0-based nodes: the dual of a weight has at index j
+    the weight's coefficient at index ``minus_w0[j]``; it is None when -w0 fixes
+    every node.
+    These last four are derived from the others, and like them take part in
     equality and ``repr``.
     """
 
@@ -186,6 +191,7 @@ class RootSystem(NamedTuple):
     root_chain: tuple[tuple[int, int], ...]
     rho_product: int
     neighbours: tuple[tuple[tuple[int, int], ...], ...]
+    minus_w0: tuple[int, ...] | None
 
     def __hash__(self) -> int:  # equal systems share both; a tuple hash walks every root
         return hash((self.type_letter, self.rank))
@@ -317,7 +323,7 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
     cartan = tuple(tuple(row) for row in _cartan_matrix(letter, rank))
     sym = _symmetrizer(cartan)
     roots, chain = _positive_roots(cartan, rank)
-    return RootSystem(
+    rs = RootSystem(
         type_letter=letter,
         rank=rank,
         cartan=cartan,
@@ -329,7 +335,13 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
         neighbours=tuple(
             tuple((j, a) for j, a in enumerate(row) if a and j != i) for i, row in enumerate(cartan)
         ),
+        minus_w0=None,
     )
+    # -w0 maps omega_i to omega_sigma(i), so the walk of the antidominant
+    # -(omega_1 + 2 omega_2 + ... + n omega_n) ends at the weight whose coefficient at node
+    # sigma(i) is i (Humphreys, 10.3)
+    sigma = tuple(i - 1 for i in _walk(rs, range(-1, -rank - 1, -1))[0][0])
+    return rs if sigma == tuple(range(rank)) else rs._replace(minus_w0=sigma)
 
 
 def adjoint_dimension(rs: RootSystem) -> int:
@@ -400,8 +412,10 @@ def dominantize(rs: RootSystem, w: Weight) -> tuple[Weight, int] | None:
     reflection count, which is the length of the unique Weyl element involved.
     A zero coefficient of ``w`` itself is a wall already, so no walk is made.
     """
-    _check_weight(rs, w)
-    return None if 0 in w[0] else _dominantize(rs, w[0])
+    coeffs = w[0]
+    if len(coeffs) != rs.rank:
+        _check_weight(rs, w)
+    return None if 0 in coeffs else _dominantize(rs, coeffs)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -426,27 +440,23 @@ def weyl_dimension(rs: RootSystem, dominant: Weight) -> int:
     Product over positive roots of <lambda + rho, alpha^vee> / <rho, alpha^vee>,
     exact: one addition per root along ``rs.root_chain``, over ``rs.rho_product``.
     """
-    _check_weight(rs, dominant)
-    if min(dominant[0]) < 0:
-        i, c = next((i, c) for i, c in enumerate(dominant[0]) if c < 0)
+    coeffs = dominant[0]
+    if len(coeffs) != rs.rank:
+        _check_weight(rs, dominant)
+    if min(coeffs) < 0:
+        i, c = next((i, c) for i, c in enumerate(coeffs) if c < 0)
         raise ValueError(f"weight {dominant} is not dominant: coefficient {c} at node {i + 1}")
-    return _weyl_dimension(rs, dominant[0])
-
-
-@lru_cache(maxsize=None)
-def _minus_w0(type_letter: str, rank: int) -> tuple[int, ...]:
-    """-w0 on the 0-based nodes: the dual of a weight has at index j the weight's coefficient
-    at index ``_minus_w0(...)[j]``. -w0 maps omega_i to omega_sigma(i), so the walk of the
-    antidominant -(omega_1 + 2 omega_2 + ... + n omega_n) ends at the weight whose
-    coefficient at node sigma(i) is i (Humphreys, 10.3)."""
-    walked = _walk(build_root_system(type_letter, rank), range(-1, -rank - 1, -1))
-    return tuple(i - 1 for i in walked[0][0])
+    return _weyl_dimension(rs, coeffs)
 
 
 def dual_weight(rs: RootSystem, dominant: Weight) -> Weight:
-    """Highest weight of the dual representation: -w0 permutes the fundamental weights."""
-    _check_weight(rs, dominant)
-    return Weight._trusted(tuple(map(dominant[0].__getitem__, _minus_w0(rs.type_letter, rs.rank))))
+    """Highest weight of the dual representation: -w0 permutes the fundamental weights, and
+    where it fixes them all (B, C, D even, E7, E8, F4, G2, A1) that is ``dominant`` itself."""
+    coeffs = dominant[0]
+    if len(coeffs) != rs.rank:
+        _check_weight(rs, dominant)
+    sigma = rs.minus_w0
+    return dominant if sigma is None else Weight._trusted(tuple(map(coeffs.__getitem__, sigma)))
 
 
 class ParabolicSpace(_Record):
@@ -488,9 +498,13 @@ class ParabolicSpace(_Record):
 
     def check_p_dominant(self, omega: Weight) -> None:
         """Reject a weight of the wrong rank or negative at an uncrossed node."""
-        _check_weight(self.rs, omega)
+        coeffs = omega[0]
+        if len(coeffs) != self[0].rank:  # self[0] is rs, read without its property
+            _check_weight(self.rs, omega)
+        if min(coeffs) >= 0:
+            return
         for i in self.uncrossed:
-            if omega[0][i - 1] < 0:
+            if coeffs[i - 1] < 0:
                 raise ValueError(
                     f"weight {omega} is not P-dominant on {self}: "
                     f"negative coefficient at uncrossed node {i}"

@@ -499,7 +499,9 @@ def run_cayley(source: str | Path = "cayley") -> RigidityReport:
     )
     ledger.add(
         "locally_rigid",
-        "h^1(S, T_S) = 0, so the zero locus is locally rigid",
+        "h^1(S, T_S) = 0, so the zero locus is locally rigid"
+        if h1_sub == 0
+        else f"h^1(S, T_S) = {h1_sub}, so the Kodaira-Spencer criterion does not apply",
         h1_sub == 0,
         "Kodaira-Spencer criterion on the computed h^1",  # h1_tangent_subvariety checks it
     )

@@ -18,10 +18,11 @@ two sides, truncated to the side's rank. The rule is evaluated in one pass
 that grows LR tableaux whose content is the factor with fewer rows, a value
 at a time, each value a horizontal strip laid top down with every row taking
 at least what the rows below it cannot hold, and merges tableaux that agree
-on shape and last strip. A content that is a single column (1^a) takes
-Pieri's rule instead: c^lam_{mu,(1^a)} is 1 when lam/mu is a vertical strip of
-a cells, at most one per row, and 0 otherwise (Macdonald I (5.17)), so its
-shapes are listed directly, keyed and ordered as the pass orders them.
+on shape and last strip. A factor that is a single column (1^a), shorter or
+longer, takes Pieri's rule instead: c^lam_{mu,(1^a)} is 1 when lam/mu is a
+vertical strip of a cells, at most one per row, and 0 otherwise (Macdonald I
+(5.17)), so its shapes are listed directly, keyed and ordered as the pass
+orders them.
 
 Exterior powers of a direct sum come from one fold over its summands that
 keeps every degree at once and merges each degree once per step. A line
@@ -256,8 +257,9 @@ def lr_coefficients(
     alike, so each such state carries only its count. A strip fills rows top
     down, each row taking at least what the rows below it cannot hold, so a
     partial strip dies only where the lattice-word rule leaves it no room.
-    A content that is a single column (1^a) skips the pass: Pieri's rule
-    gives its products in closed form (``_vertical_strips``).
+    A factor that is a single column (1^a), the content or the other one,
+    skips the pass: Pieri's rule gives its products in closed form
+    (``_vertical_strips``).
     """
     if type(max_rows) is not int or max_rows < 1:
         raise ValueError(f"max_rows must be an int of at least 1, got {max_rows!r}")
@@ -271,6 +273,8 @@ def lr_coefficients(
         return {mu: 1}  # c^lam_{mu,()} = delta_{lam,mu}
     if nu.parts[0] == 1:
         return _vertical_strips(mu, nu.length, max_rows)
+    if mu.parts[0] == 1:  # the longer factor is the column
+        return _vertical_strips(nu, mu.length, max_rows)
     # state (shape, shape before the last strip) -> number of tableaux reaching it
     states = {(mu.padded(max_rows),) * 2: 1}
     for value, size in enumerate(nu.parts):

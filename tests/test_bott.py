@@ -1,4 +1,5 @@
 import random
+import re
 from typing import NamedTuple
 
 import pytest
@@ -137,6 +138,22 @@ def test_a_multiplicity_that_is_not_an_int_is_rejected(build, mult):
     # exact arithmetic: 1.5 would give a float h^0, 2.0 a rank of 2.0, True would count as 1
     with pytest.raises(ValueError, match="multiplicity must be a positive int"):
         build(mult)
+
+
+@pytest.mark.parametrize("mult", [0, -1], ids=["zero", "negative"])
+def test_a_multiplicity_that_is_not_positive_is_rejected(mult):
+    with pytest.raises(ValueError, match=rf"multiplicity must be a positive int, got {mult}$"):
+        bundle_cohomology(gr47(), [(Weight.zero(6), 1), (Weight.of(1, 0, 0, 0, 0, 1), mult)])
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0), (0,) * 7], ids=["short", "long"])
+def test_bwb_rejects_a_weight_of_the_wrong_rank(coeffs):
+    w = Weight(coeffs)
+    message = f"rank mismatch: weight {w} has rank {len(coeffs)}, root system is A6"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bwb(gr47(), w)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bundle_cohomology(gr47(), [(Weight.zero(6), 1), (w, 1)])
 
 
 def test_bundle_cohomology_over_several_degrees_matches_separate_bwb_calls():

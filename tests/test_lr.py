@@ -88,6 +88,13 @@ PIERI_CASES = [
     ((4, 3, 3, 2, 1, 1), (1,) * 6, 6),
     ((4, 3, 3, 2, 1, 1), (1,) * 6, 7),
     ((4, 3, 3, 2, 1, 1), (1,) * 6, 12),
+    # a single-column factor that is the longer one, on either side
+    ((4, 3, 3, 1), (1,) * 6, 6),
+    ((4, 3, 3, 1), (1,) * 6, 7),
+    ((4, 3, 3, 1), (1,) * 6, 12),
+    ((1,) * 6, (2, 2, 2, 2, 1), 6),
+    ((1,) * 6, (2, 2, 2, 2, 1), 7),
+    ((1,) * 6, (2, 2, 2, 2, 1), 12),
     # a column times a column
     ((1,) * 5, (1,) * 5, 12),
     ((1,) * 6, (1,) * 4, 7),
@@ -100,7 +107,7 @@ def test_pieri_past_the_sweep_matches_the_tableau_oracle(monkeypatch, mu, nu, ro
     strips = schur._vertical_strips
     monkeypatch.setattr(schur, "_vertical_strips", lambda *a: calls.append(a) or strips(*a))
     out = lr_coefficients(mu, nu, rows)
-    assert len(calls) == 1  # the content is a single column: Pieri's rule, not the strip pass
+    assert len(calls) == 1  # a factor is a single column: Pieri's rule, not the strip pass
     assert {lam.parts: c for lam, c in out.items()} == lr_tableau_oracle(mu, nu, rows)
     # the strip pass orders its keys by their padded rows, largest first
     assert list(out) == sorted(out, key=lambda lam: lam.padded(rows), reverse=True)

@@ -4,8 +4,10 @@ The benchmark's traced passes (``perfbench/spans.py``) rebind each layer's publi
 and fail a run whose traced passes never reach one of the workload's spans. A traced pass
 follows a warm untraced one, so a memo put in front of a spanned function would hide that
 span: this test runs the first cases of two workloads once untraced and once traced, with
-the benchmark's own modules, and so catches such a memo in the suite. It reads
-``perfbench/`` and changes nothing there.
+the benchmark's own modules, and so catches such a memo in the suite. The same warm pass pins
+the per-op call counts that the benchmark's per-layer metrics compare: one walk per ``bwb``
+call and one Weyl product per nonvanishing one. It reads ``perfbench/`` and changes nothing
+there.
 """
 
 import sys
@@ -28,8 +30,8 @@ def bench():
     return spans, workloads
 
 
-@pytest.mark.parametrize("name", ["koszul_chase", "bwb_tables"])
-def test_a_warm_traced_pass_reaches_every_span_of_the_workload(bench, name):
+def _warm_traced_pass(bench, name):
+    """The workload's first cases, run once untraced and then once traced: (workload, items, tracer)."""
     spans, workloads = bench
     w = workloads.WORKLOADS[name]
     g = workloads.gpcoh_namespace()
@@ -43,5 +45,26 @@ def test_a_warm_traced_pass_reaches_every_span_of_the_workload(bench, name):
             w.op(g, prepared)
     finally:
         tracer.uninstall()
+    return w, items, tracer
+
+
+@pytest.mark.parametrize("name", ["koszul_chase", "bwb_tables"])
+def test_a_warm_traced_pass_reaches_every_span_of_the_workload(bench, name):
+    w, items, tracer = _warm_traced_pass(bench, name)
     assert [span for span in w.spans if tracer.calls[span] == 0] == []
     assert sum(tracer.calls.values()) > len(items)
+
+
+def test_bwb_makes_one_walk_per_summand_and_one_weyl_product_per_nonvanishing_one(bench):
+    # bwb_tables: each op is one bundle_cohomology call over a list of (weight, multiplicity)
+    _, items, tracer = _warm_traced_pass(bench, "bwb_tables")
+    calls = tracer.calls
+    summands = sum(len(pairs) for _, pairs in items)
+    assert calls["root_system.dominantize"] == calls["bott.bwb"] == summands
+    assert calls["root_system.weyl_dimension"] == tracer.counters["bott.bwb:nonvanishing"] > 0
+    assert calls["bott.bundle_cohomology"] == len(items)
+
+
+def test_the_koszul_chase_walks_only_inside_bwb(bench):
+    _, _, tracer = _warm_traced_pass(bench, "koszul_chase")
+    assert tracer.calls["root_system.dominantize"] == tracer.calls["bott.bwb"] > 0

@@ -108,6 +108,7 @@ UNCHECKED_PATHS = {
     "root_system.Weight.__neg__",
     "root_system._walk",
     "root_system.dual_weight",
+    "bott.bwb",
     "schur._reversed_complement",
     "schur.BundleLabel.__new__",
     "schur.BundleLabel._canonical",

@@ -397,13 +397,33 @@ def test_dual_weight_is_a_dimension_preserving_involution(letter, rank, data):
     assert weyl_dimension(rs, d) == weyl_dimension(rs, w)
 
 
+def _minus_w0_moves_a_node(letter, rank):
+    """-w0 is not the identity exactly on A_n (n >= 2), D_n (n odd) and E6 (Bourbaki, Lie VI, plates)."""
+    return (letter == "A" and rank >= 2) or (letter == "D" and rank % 2) or (letter, rank) == ("E", 6)
+
+
+def test_the_sweep_has_types_with_and_without_an_identity_minus_w0():
+    moved = [t for t in ALL_TYPES if _minus_w0_moves_a_node(*t)]
+    assert 0 < len(moved) < len(ALL_TYPES)
+    assert {letter for letter, _ in moved} == {"A", "D", "E"}
+
+
 @pytest.mark.parametrize("letter,rank", ALL_TYPES)
 def test_dual_weight_is_the_dominant_end_of_the_walk_of_the_negative(letter, rank):
     rs = build_root_system(letter, rank)
+    assert (rs.minus_w0 is not None) == _minus_w0_moves_a_node(letter, rank)
     rng = random.Random(f"dual {letter}{rank}")
+    moved = 0
     for _ in range(6):
         w = Weight(tuple(rng.randint(0, 9) for _ in range(rank)))
-        assert dual_weight(rs, w) == reflection_walk_oracle(rs, -w, range(1, rank + 1))[0]
+        dual = dual_weight(rs, w)
+        assert dual == reflection_walk_oracle(rs, -w, range(1, rank + 1))[0]
+        assert type(dual) is Weight and type(dual.coeffs) is tuple
+        if not _minus_w0_moves_a_node(letter, rank):
+            assert dual is w  # no permutation to apply: the checked weight comes back
+        moved += dual != w
+    # where -w0 is the identity the dual is the weight itself; elsewhere some draw moves
+    assert bool(moved) == _minus_w0_moves_a_node(letter, rank)
 
 
 def test_e6_dual_exchanges_the_two_minimal_representations():
@@ -456,6 +476,31 @@ def test_a_weight_negative_at_an_uncrossed_node_is_not_p_dominant():
     space = ParabolicSpace(build_root_system("A", 6), {4})
     with pytest.raises(ValueError, match="uncrossed node 3"):
         space.check_p_dominant(Weight.of(0, 0, -1, 0, 0, 0))
+
+
+def test_p_dominance_reads_only_the_uncrossed_nodes_and_names_the_first_negative_one():
+    space = ParabolicSpace(build_root_system("A", 6), {2, 4})
+    assert space.check_p_dominant(Weight.of(0, -3, 0, -1, 0, 0)) is None
+    with pytest.raises(ValueError) as exc:
+        space.check_p_dominant(Weight.of(0, -3, 0, -1, -2, -1))
+    assert str(exc.value) == (
+        "weight (0,-3,0,-1,-2,-1) is not P-dominant on A6/P(2,4): negative coefficient at uncrossed node 5"
+    )
+
+
+def test_every_public_kernel_rejects_a_wrong_rank_with_one_message():
+    rs = build_root_system("A", 3)
+    w = Weight.of(1, 1)
+    message = "rank mismatch: weight (1,1) has rank 2, root system is A3"
+    for call in (
+        lambda: dominantize(rs, w),
+        lambda: weyl_dimension(rs, w),
+        lambda: dual_weight(rs, w),
+        lambda: ParabolicSpace(rs, {1}).check_p_dominant(w),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("letter,rank", ALL_TYPES)

@@ -260,6 +260,18 @@ def test_cayley_with_an_indeterminate_chase_fails_naming_the_file_and_the_twist(
     )
 
 
+def test_cayley_with_a_nonzero_h1_does_not_claim_rigidity(tmp_path):
+    # h^0(S, T_S) = 15 leaves h^1(S, T_S) = 1: the criterion does not apply, and the line says so
+    p = _edited_copy(tmp_path, "cayley", lambda d: d["external_constants"][0].__setitem__("value", 15))
+    rep = run_cayley(p)
+    assert rep.line("h1_tangent_subvariety").value == 1
+    line = rep.line("locally_rigid")
+    assert (line.value, line.passed) == (False, None)
+    assert line.text == "h^1(S, T_S) = 1, so the Kodaira-Spencer criterion does not apply"
+    assert "rigid" not in line.text
+    assert not rep.passed
+
+
 def test_cayley_with_a_constant_that_contradicts_the_normal_sequence_fails_naming_it(tmp_path):
     p = _edited_copy(tmp_path, "cayley", lambda d: d["external_constants"][0].__setitem__("value", 60))
     with pytest.raises(ValueError) as exc:
