@@ -110,7 +110,7 @@ def bwb(space: ParabolicSpace, omega: Weight) -> BWBResult:
     space.check_p_dominant(omega)
     rs = space.rs
     # rho is all ones: shift and unshift on the checked coefficients
-    found = dominantize(rs, Weight._trusted(tuple([c + 1 for c in omega[0]])))
+    found = dominantize(rs, Weight._trusted((tuple([c + 1 for c in omega[0]]),)))
     if found is None:
         return _VANISHING
     dominant, degree = found
@@ -118,7 +118,7 @@ def bwb(space: ParabolicSpace, omega: Weight) -> BWBResult:
         raise AssertionError(
             f"cohomology degree {degree} exceeds dim {space} = {space.dimension}"
         )
-    mu = Weight._trusted(tuple([c - 1 for c in dominant[0]]))
+    mu = Weight._trusted((tuple([c - 1 for c in dominant[0]]),))
     return BWBResult(degree, dual_weight(rs, mu), weyl_dimension(rs, mu), mu)
 
 

@@ -40,7 +40,7 @@ so records of two types compare equal when their fields do.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, prod
 from itertools import compress
 from operator import add, itemgetter, sub
@@ -74,15 +74,13 @@ class _Record(tuple):
     in order, each read by name. The subclass ``__new__`` runs the checks and ends in
     ``tuple.__new__``; copy and pickle call it again on ``__getnewargs__``, so they re-run
     the checks, and there is no ``_make`` or ``_replace`` to skip them. Only ``_trusted``
-    skips them, for fields computed from already validated records in this package."""
+    skips them, for fields computed from already validated records in this package: it takes
+    the tuple of fields and is ``tuple.__new__`` bound to the subclass, with no Python frame."""
 
     __slots__ = ()
 
-    @classmethod
-    def _trusted(cls, *fields):
-        return tuple.__new__(cls, fields)
-
     def __init_subclass__(cls) -> None:
+        setattr(cls, "_trusted", partial(tuple.__new__, cls))
         cls._fields = tuple(cls.__annotations__)
         for i, name in enumerate(cls._fields):
             setattr(cls, name, property(itemgetter(i)))
@@ -135,16 +133,16 @@ class Weight(_Record):
         a, b = self[0], other[0] if type(other) is Weight else other.coeffs
         if len(a) != len(b):
             self._check_rank(other)
-        return Weight._trusted(tuple(map(add, a, b)))
+        return Weight._trusted((tuple(map(add, a, b)),))
 
     def __sub__(self, other: "Weight") -> "Weight":
         a, b = self[0], other[0] if type(other) is Weight else other.coeffs
         if len(a) != len(b):
             self._check_rank(other)
-        return Weight._trusted(tuple(map(sub, a, b)))
+        return Weight._trusted((tuple(map(sub, a, b)),))
 
     def __neg__(self) -> "Weight":
-        return Weight._trusted(tuple(-a for a in self.coeffs))
+        return Weight._trusted((tuple(-a for a in self.coeffs),))
 
     def __mul__(self, scalar: int) -> "Weight":  # checked: the scalar may not be an int
         return Weight(tuple(scalar * a for a in self.coeffs))
@@ -400,7 +398,7 @@ def _walk(rs: RootSystem, coeffs: Iterable[int]) -> tuple[Weight, int]:
         length += 1
         if length > bound:
             raise AssertionError("reflection walk exceeded the longest-element bound")
-    return Weight._trusted(tuple(coeffs)), length  # int steps from checked ints
+    return Weight._trusted((tuple(coeffs),)), length  # int steps from checked ints
 
 
 def dominantize(rs: RootSystem, w: Weight) -> tuple[Weight, int] | None:
@@ -456,7 +454,7 @@ def dual_weight(rs: RootSystem, dominant: Weight) -> Weight:
     if len(coeffs) != rs.rank:
         _check_weight(rs, dominant)
     sigma = rs.minus_w0
-    return dominant if sigma is None else Weight._trusted(tuple(map(coeffs.__getitem__, sigma)))
+    return dominant if sigma is None else Weight._trusted((tuple(map(coeffs.__getitem__, sigma)),))
 
 
 class ParabolicSpace(_Record):

@@ -16,9 +16,12 @@ bundle factor is the other summand with the twists added, O(t) (x) E = E(t);
 any other pair applies the Littlewood-Richardson rule independently on the
 two sides, truncated to the side's rank. The rule is evaluated in one pass
 that grows LR tableaux whose content is the factor with fewer rows, a value
-at a time, each value a horizontal strip laid top down with every row taking
-at least what the rows below it cannot hold, and merges tableaux that agree
-on shape and last strip. A factor that is a single column (1^a), shorter or
+at a time, each value a horizontal strip laid top down over the rows that can
+take a cell, every row taking at least what the rows below it cannot hold, and
+merges tableaux that agree on shape and last strip. A shape and a strip are
+each one int of a fixed number of bits per row, row 0 the most significant, so
+a state key is two ints and the ints in decreasing order are the shapes in
+decreasing padded order. A factor that is a single column (1^a), shorter or
 longer, takes Pieri's rule instead: c^lam_{mu,(1^a)} is 1 when lam/mu is a
 vertical strip of a cells, at most one per row, and 0 otherwise (Macdonald I
 (5.17)), so its shapes are listed directly, keyed and ordered as the pass
@@ -144,7 +147,7 @@ def _reversed_complement(p: Partition, rows: int) -> Partition:
     parts = p[0]
     first = parts[0] if parts else 0
     dual = (first,) * (rows - len(parts)) + tuple(first - x for x in reversed(parts))
-    return Partition._trusted(dual[: rows - dual.count(0)])
+    return Partition._trusted((dual[: rows - dual.count(0)],))
 
 
 class BundleLabel(_Record):
@@ -185,12 +188,12 @@ class BundleLabel(_Record):
         if len(parts) == k:
             c = parts[-1]
             parts = tuple(p - c for p in parts)
-            u, t = Partition._trusted(parts[: k - parts.count(0)]), t - c  # det U = O(-1)
+            u, t = Partition._trusted((parts[: k - parts.count(0)],)), t - c  # det U = O(-1)
         parts = q[0]
         if len(parts) == n - k:
             c = parts[-1]
             parts = tuple(p - c for p in parts)
-            q, t = Partition._trusted(parts[: n - k - parts.count(0)]), t + c  # det Q = O(+1)
+            q, t = Partition._trusted((parts[: n - k - parts.count(0)],)), t + c  # det Q = O(+1)
         return tuple.__new__(cls, (ambient, u, q, t))
 
     def __str__(self) -> str:
@@ -226,7 +229,7 @@ class BundleSum(_Record):
         for label, mult in pairs:
             acc[label] = acc.get(label, 0) + mult
         # labels of one sum share the ambient and are unique: the tuple order is u, q, twist
-        return cls._trusted(ambient, tuple(sorted(acc.items())))
+        return cls._trusted((ambient, tuple(sorted(acc.items()))))
 
     @property
     def is_zero(self) -> bool:
@@ -249,17 +252,20 @@ def lr_coefficients(
     """All Littlewood-Richardson coefficients c^lam_{mu,nu} with at most
     ``max_rows`` rows; shapes needing more rows are discarded (GL truncation).
 
-    As c^lam_{mu,nu} = c^lam_{nu,mu}, the factor with fewer rows is the
-    content (``nu`` on a tie), so the pass runs one round per row of it: LR
-    tableaux of shape lam/(the other factor) grow a value at a time, each
-    value a horizontal strip of its row's length obeying the lattice-word
-    rule, and tableaux with the same shape and the same last strip extend
-    alike, so each such state carries only its count. A strip fills rows top
-    down, each row taking at least what the rows below it cannot hold, so a
-    partial strip dies only where the lattice-word rule leaves it no room.
-    A factor that is a single column (1^a), the content or the other one,
-    skips the pass: Pieri's rule gives its products in closed form
-    (``_vertical_strips``).
+    No product has a shape of more than l(mu) + l(nu) rows, so a larger
+    ``max_rows`` is lowered to that first. As c^lam_{mu,nu} = c^lam_{nu,mu},
+    the factor with fewer rows is the content (``nu`` on a tie), so the pass
+    runs one round per row of it: LR tableaux of shape lam/(the other factor)
+    grow a value at a time, each value a horizontal strip of its row's length
+    obeying the lattice-word rule, and tableaux with the same shape and the
+    same last strip extend alike, so each such state carries only its count.
+    A shape or a strip is one int of (mu_1 + nu_1).bit_length() bits per row,
+    row 0 the most significant; the keys decode once, in decreasing order. A
+    strip fills the rows that can take a cell top down, each taking at least
+    what the rows below it cannot hold, so a partial strip dies only where the
+    lattice-word rule leaves it no room. A factor that is a single column
+    (1^a), the content or the other one, skips the pass: Pieri's rule gives
+    its products in closed form (``_vertical_strips``).
     """
     if type(max_rows) is not int or max_rows < 1:
         raise ValueError(f"max_rows must be an int of at least 1, got {max_rows!r}")
@@ -267,6 +273,7 @@ def lr_coefficients(
     nu = nu if isinstance(nu, Partition) else Partition(tuple(nu))
     if mu.length > max_rows or nu.length > max_rows:
         return {}
+    max_rows = min(max_rows, mu.length + nu.length)  # no shape of the product has more rows
     if nu.length > mu.length:
         mu, nu = nu, mu
     if not nu.parts:
@@ -275,40 +282,48 @@ def lr_coefficients(
         return _vertical_strips(mu, nu.length, max_rows)
     if mu.parts[0] == 1:  # the longer factor is the column
         return _vertical_strips(nu, mu.length, max_rows)
-    # state (shape, shape before the last strip) -> number of tableaux reaching it
-    states = {(mu.padded(max_rows),) * 2: 1}
+    width = (mu.parts[0] + nu.parts[0]).bit_length()  # no part of the product is longer
+    mask, shifts = (1 << width) - 1, range(width * (max_rows - 1), -1, -width)
+    # state (shape, its last strip) -> number of tableaux reaching it; the shape alone at the end
+    states = {(sum(p << s for p, s in zip(mu.parts, shifts)), 0): 1}
     for value, size in enumerate(nu.parts):
-        grown: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for (shape, before), count in states.items():
-            prev = tuple(map(sub, shape, before))
-            # row r >= 1 holds at most shape[r-1] - shape[r] cells, row 0 none
-            # after the first value; tail[r] is what rows r and below hold. The
-            # lattice-word rule bounds the cells in rows <= r by prev's cells in
-            # rows < r plus caps[0]: that bound less the cells placed is the room
-            caps = (size if value == 0 else 0,) + tuple(map(sub, shape, shape[1:]))
-            tail = [0] * (max_rows + 1)
-            for r in range(max_rows - 1, -1, -1):
-                tail[r] = tail[r + 1] + caps[r]
-            # partial strip: next row, cells left, lattice room, rows grown so far
-            stack = [(0, size, caps[0], ())]
+        grown, last = {}, value == nu.length - 1
+        for (shape, prev), count in states.items():
+            # (cell weight, cap, room gain, caps so far) of each row that can take a cell, top down:
+            # row r >= 1 holds at most shape[r-1] - shape[r] cells, row 0 none after the first value.
+            # The lattice-word rule bounds the cells in rows <= r by prev's cells in rows < r (plus
+            # size in the first round): that bound less the cells placed is the room
+            rows, gain, held = [], size if value == 0 else 0, 0
+            above = (shape >> shifts[0]) + gain
+            for s in shifts:
+                part = shape >> s & mask
+                if above > part:
+                    held += above - part
+                    rows.append((1 << s, above - part, gain, held))
+                    gain = 0
+                gain += prev >> s & mask
+                above = part
+            # partial strip: next row, cells left, lattice room, cells placed; none if no room
+            stack = [(0, size, 0, 0)] if held >= size else []
             while stack:
-                r, left, room, top = stack.pop()
-                lo, hi = left - tail[r + 1], caps[r]  # inline: min() and max() cost a fifth
-                if hi > room:
+                i, left, room, strip = stack.pop()
+                weight, hi, gain, lo = rows[i]
+                room += gain
+                lo += left - held  # each row takes at least what the rows below it cannot hold
+                if hi > room:  # inline: min() and max() cost a fifth
                     hi = room
-                if hi >= left:  # row r can take every cell left: the strip ends here
-                    key = (top + (shape[r] + left,) + shape[r + 1:], shape)
+                if hi >= left:  # row i can take every cell left: the strip ends here
+                    end = strip + left * weight
+                    key = shape + end if last else (shape + end, end)
                     grown[key] = grown.get(key, 0) + count
                     hi = left - 1
                 for a in range(lo if lo > 0 else 0, hi + 1):
-                    stack.append((r + 1, left - a, room - a + prev[r], top + (shape[r] + a,)))
+                    stack.append((i + 1, left - a, room - a, strip + a * weight))
         states = grown
-    totals: dict[tuple[int, ...], int] = {}
-    for (shape, _), count in states.items():
-        totals[shape] = totals.get(shape, 0) + count
-    # a shape is a partition by construction: strip its padding zeros and check nothing
+    # a shape is a partition by construction: its nonzero rows are its parts, and nothing checks them
     return {
-        Partition._trusted(s[: max_rows - s.count(0)]): totals[s] for s in sorted(totals, reverse=True)
+        Partition._trusted((tuple([p for s in shifts if (p := shape >> s & mask)]),)): states[shape]
+        for shape in sorted(states, reverse=True)
     }
 
 
@@ -331,7 +346,7 @@ def _vertical_strips(mu: Partition, a: int, max_rows: int) -> dict[Partition, in
         hi = end - start
         if left <= hi:  # the block takes every cell left: the strip ends here
             lam = top + (v + 1,) * left + shape[start + left:]
-            out[Partition._trusted(lam[: max_rows - lam.count(0)])] = 1
+            out[Partition._trusted((lam[: max_rows - lam.count(0)],))] = 1
             hi = left - 1
         # the rows below the block take at most one cell each; pushed smallest first, popped largest
         lo = left - max_rows + end
@@ -399,9 +414,9 @@ def _product_pairs(a: BundleSum, b: BundleSum) -> Iterator[tuple[BundleLabel, in
         for (_, ub, qb, tb), mb in b.summands:
             twist = ta + tb
             if not ub[0] and not qb[0]:
-                yield BundleLabel._trusted(ambient, ua, qa, twist), ma * mb
+                yield BundleLabel._trusted((ambient, ua, qa, twist)), ma * mb
             elif not ua[0] and not qa[0]:
-                yield BundleLabel._trusted(ambient, ub, qb, twist), ma * mb
+                yield BundleLabel._trusted((ambient, ub, qb, twist)), ma * mb
             else:
                 u_products = lr_coefficients(ua, ub, k)
                 q_products = lr_coefficients(qa, qb, n - k)
@@ -446,7 +461,7 @@ def exterior_power(label: BundleLabel, j: int) -> BundleSum:
     if not 0 <= j <= rank:
         raise ValueError(f"Lambda^{j} of a rank-{rank} bundle is out of range")
     if j == 0:
-        return BundleSum._trusted(label.ambient, ((BundleLabel._trusted(label.ambient, _EMPTY, _EMPTY, 0), 1),))
+        return BundleSum._trusted((label.ambient, ((BundleLabel._trusted((label.ambient, _EMPTY, _EMPTY, 0)), 1),)))
     # Lambda^j(W (x) L) = Lambda^j(W) (x) L^j for a line bundle L
     if a <= 1:  # a pure line bundle (a = 0) has j = 1 here
         height, twist = j * a, j * t
@@ -456,9 +471,9 @@ def exterior_power(label: BundleLabel, j: int) -> BundleSum:
         height, twist = gen_rank - j, j * t + det_twist * (j - 1)
     else:
         raise ValueError(f"unsupported plethysm shape: Lambda^{j} of {format_label(label)}")
-    column = Partition._trusted((1,) * height)
+    column = Partition._trusted(((1,) * height,))
     u, q = (column, _EMPTY) if side == "U" else (_EMPTY, column)
-    return BundleSum._trusted(label.ambient, ((BundleLabel._canonical(label.ambient, u, q, twist), 1),))
+    return BundleSum._trusted((label.ambient, ((BundleLabel._canonical(label.ambient, u, q, twist), 1),)))
 
 
 @lru_cache(maxsize=_FOLD_MEMO_SIZE, typed=True)  # typed: a float or bool j is no int j
@@ -474,7 +489,7 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
         raise ValueError("exterior power degree must be nonnegative")
     ambient = bsum.ambient
     # graded[d] = Lambda^d of the summands folded so far, from O on the checked ambient
-    graded = [BundleSum._trusted(ambient, ((BundleLabel._trusted(ambient, _EMPTY, _EMPTY, 0), 1),))]
+    graded = [BundleSum._trusted((ambient, ((BundleLabel._trusted((ambient, _EMPTY, _EMPTY, 0)), 1),)))]
     for lab, m in bsum.summands:
         if lab.u_part.parts or lab.q_part.parts:
             _, a, _, r = _column_form(lab)  # Lambda^a of a rank-r generator has rank C(r, a)
@@ -482,7 +497,7 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
         else:
             _, u, q, t = lab  # L^d is the checked line bundle L with its twist times d
             blocks = [[
-                BundleSum._trusted(ambient, ((BundleLabel._trusted(ambient, u, q, d * t), comb(m, d)),))
+                BundleSum._trusted((ambient, ((BundleLabel._trusted((ambient, u, q, d * t)), comb(m, d)),)))
                 for d in range(min(m, j) + 1)
             ]]
         for powers in blocks:
@@ -495,7 +510,7 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
                 ])
                 for d in range(top + 1)
             ]
-    return tuple(graded) + (BundleSum._trusted(ambient, ()),) * (j + 1 - len(graded))
+    return tuple(graded) + (BundleSum._trusted((ambient, ())),) * (j + 1 - len(graded))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +535,7 @@ def _label_weight(label: BundleLabel) -> Weight:
     # the dual fiber's highest weight is (t - mu reversed, -nu reversed) in the standard torus
     # basis; its coefficients are the differences of neighbours there, ints from ints
     r, s = label.u_part.padded(k)[::-1], label.q_part.padded(n - k)[::-1]
-    return Weight._trusted((*map(sub, r[1:], r), label.twist - r[-1] + s[0], *map(sub, s[1:], s)))
+    return Weight._trusted(((*map(sub, r[1:], r), label.twist - r[-1] + s[0], *map(sub, s[1:], s)),))
 
 
 def label_to_weight(label: BundleLabel, space: ParabolicSpace) -> Weight:
@@ -590,7 +605,7 @@ def _parse_atom(ambient: tuple[int, int], text: str) -> BundleLabel:
         return BundleLabel(ambient, twist=twist)
     if match.group("tangent"):
         _, u, q, t = tangent_label(ambient)  # a twist shift of a canonical label is canonical
-        return BundleLabel._trusted(ambient, u, q, t + twist)
+        return BundleLabel._trusted((ambient, u, q, t + twist))
     gen, ext, sym, schur = match.group("gen", "ext", "sym", "schur")
     if schur is not None:
         p = parse_partition(schur)
@@ -617,9 +632,9 @@ def parse_bundle(ambient: tuple[int, int], text: str) -> BundleSum:
     k, n = ambient
     if type(k) is not int or type(n) is not int or not 1 <= k < n:
         BundleLabel(ambient)  # a bad ambient fails before any atom, with the constructor's reason
-    out = BundleSum._trusted(ambient, ((_parse_atom(ambient, atoms[0]), 1),))
+    out = BundleSum._trusted((ambient, ((_parse_atom(ambient, atoms[0]), 1),)))
     for atom in atoms[1:]:
-        out = tensor(out, BundleSum._trusted(ambient, ((_parse_atom(ambient, atom), 1),)))
+        out = tensor(out, BundleSum._trusted((ambient, ((_parse_atom(ambient, atom), 1),))))
     return out
 
 

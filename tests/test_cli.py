@@ -1,5 +1,6 @@
 import json
 import re
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,21 @@ def test_lr_dimension_sum(capsys):
     code, doc, _ = run_json(capsys, "lr", "2,1", "2,1", "--rows", "3")
     assert code == 0
     assert doc["result"]["gl_dimension_sum"] == 64
+
+
+def test_lr_json_of_the_five_staircase_squared_on_ten_rows(capsys):
+    code, doc, _ = run_json(capsys, "lr", "5,4,3,2,1", "5,4,3,2,1", "--rows", "10")
+    assert code == 0
+    entries = doc["result"]["coefficients"]
+    assert len(entries) == 1433
+    assert sum(e["coefficient"] for e in entries) == 26704
+    # dim S_(5,4,3,2,1)(C^10) by the hook-content formula: prod (10 + j - i) / prod hook(i, j)
+    stair = (5, 4, 3, 2, 1)
+    cells = [(i, j) for i, p in enumerate(stair) for j in range(p)]
+    num = prod(10 + j - i for i, j in cells)
+    den = prod(stair[i] - j + sum(1 for p in stair if p > j) - i - 1 for i, j in cells)
+    assert num % den == 0
+    assert doc["result"]["gl_dimension_sum"] == (num // den) ** 2
 
 
 def test_koszul_normal_twist(capsys):

@@ -1,6 +1,7 @@
 """The Littlewood-Richardson strip pass against an independent tableau search."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -115,3 +116,36 @@ def test_pieri_past_the_sweep_matches_the_tableau_oracle(monkeypatch, mu, nu, ro
         assert type(key) is Partition and type(key.parts) is tuple
         assert key == Partition(key.parts) and hash(key) == hash(Partition(key.parts))
 
+
+
+# mu_1 + nu_1 on each side of a step of the row width, (mu_1 + nu_1).bit_length() bits,
+# on at most l(mu) + l(nu) rows and below it; then tall factors at 10-14 rows
+PACKED_CASES = [
+    ((4, 2), (3, 1), 4), ((5, 2), (3, 1), 3),
+    ((9, 3), (6, 2), 4), ((10, 3), (6, 2), 3),
+    ((20, 11), (11, 3), 4), ((20, 12), (12, 3), 4), ((20, 12), (12, 3), 3),
+    ((3, 2, 2, 1, 1), (2, 2, 1, 1, 1), 10),
+    ((3, 2, 2, 1, 1, 1, 1), (4, 1, 1, 1, 1), 12),
+    ((4, 2, 2, 1, 1, 1, 1), (4, 2, 1, 1, 1, 1, 1), 14),
+    ((4, 2, 2, 1, 1, 1, 1), (4, 2, 1, 1, 1, 1, 1), 11),
+    ((9, 2, 1, 1, 1), (7, 2, 1, 1, 1), 10),
+]
+
+
+@pytest.mark.parametrize("mu,nu,rows", PACKED_CASES)
+def test_the_packed_pass_matches_the_tableau_oracle_across_row_widths(mu, nu, rows):
+    out = lr_coefficients(mu, nu, rows)
+    assert {lam.parts: c for lam, c in out.items()} == lr_tableau_oracle(mu, nu, rows)
+    assert list(out) == sorted(out, key=lambda lam: lam.padded(rows), reverse=True)
+    assert list(lr_coefficients(nu, mu, rows).items()) == list(out.items())
+
+
+@pytest.mark.parametrize("mu,nu", [((2, 1), (2, 1)), ((3, 2, 2), (2, 1)), ((2, 1), (1, 1, 1)), ((4, 3, 3, 1), (1,))])
+def test_a_row_bound_past_every_product_shape_is_lowered_before_any_padding(mu, nu):
+    # no product has more than l(mu) + l(nu) rows: the pass and Pieri's rule give the same
+    # items in the same order for any larger bound, and never pad to it
+    start = time.perf_counter()
+    huge = lr_coefficients(mu, nu, 10**12)
+    assert time.perf_counter() - start < 1.0
+    assert list(huge.items()) == list(lr_coefficients(mu, nu, len(mu) + len(nu)).items())
+    assert list(huge.items()) == list(lr_coefficients(nu, mu, 10**7).items())

@@ -589,7 +589,7 @@ def test_a_sum_on_the_space_holds_no_label_from_another_grassmannian():
     stray = [(BundleLabel((3, 7), twist=1), 1)]
     message = re.escape("label on Gr(3, 7) cannot join a sum on Gr(4, 7)")
     for make in (lambda: BundleSum(AMB, stray), lambda: BundleSum.from_pairs(AMB, stray),
-                 lambda: copy.copy(BundleSum._trusted(AMB, tuple(stray)))):
+                 lambda: copy.copy(BundleSum._trusted((AMB, tuple(stray))))):
         with pytest.raises(ValueError, match=message):
             make()
 
