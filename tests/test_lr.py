@@ -140,7 +140,9 @@ def test_the_packed_pass_matches_the_tableau_oracle_across_row_widths(mu, nu, ro
     assert list(lr_coefficients(nu, mu, rows).items()) == list(out.items())
 
 
-@pytest.mark.parametrize("mu,nu", [((2, 1), (2, 1)), ((3, 2, 2), (2, 1)), ((2, 1), (1, 1, 1)), ((4, 3, 3, 1), (1,))])
+@pytest.mark.parametrize(
+    "mu,nu", [((2, 1), (2, 1)), ((3, 2, 2), (2, 1)), ((2, 1), (1, 1, 1)), ((4, 3, 3, 1), (1,))]
+)
 def test_a_row_bound_past_every_product_shape_is_lowered_before_any_padding(mu, nu):
     # no product has more than l(mu) + l(nu) rows: the pass and Pieri's rule give the same
     # items in the same order for any larger bound, and never pad to it
