@@ -43,7 +43,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from math import gcd, prod
 from itertools import compress
-from operator import add, itemgetter, sub
+from operator import add, gt, itemgetter, sub
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -267,32 +267,31 @@ def _coroot_pairing(cartan: tuple[tuple[int, ...], ...], coords: Iterable[int], 
 def _positive_roots(
     cartan: tuple[tuple[int, ...], ...], rank: int
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:
-    """The positive roots in graded lexicographic order and their root chain.
+    """The positive roots in graded lexicographic order and their root chain, in one pass by height.
 
-    Built by height: beta + alpha_i is a root exactly when p > <beta, alpha_i^vee>,
-    p the number of roots beta - alpha_i, beta - 2 alpha_i, ... (Humphreys, 8.4),
-    all of lower height and so already found. A root's parent is recorded as it
-    is found, with the least simple root i that reaches it.
+    Each root of the current height carries its chain entry, its pairings <beta, alpha_j^vee>
+    and its alpha_j-string lengths p_j, the number of roots beta - alpha_j, beta - 2 alpha_j, ...
+    beta + alpha_i is a root exactly when p_i > <beta, alpha_i^vee> (Humphreys, 8.4); the new
+    root pairs as beta plus Cartan row i, and its p_i is beta's plus one (its p_j stays 0 when no
+    root of this height reaches it through alpha_j). A height is listed in lexicographic order,
+    so a root's index is known before the next height is built; and gamma - alpha_i precedes
+    gamma - alpha_j for i < j, so the least simple root that reaches a root reaches it first and
+    is kept.
     """
-    found: dict[tuple[int, ...], tuple] = {
-        tuple(int(j == i) for j in range(rank)): (None, i) for i in range(rank)
-    }
-    level = list(found)
+    roots, chain = [], []
+    level = {tuple(int(j == i) for j in range(rank)): ((-1, i), cartan[i], [0] * rank) for i in range(rank)}
     while level:
         nxt: dict[tuple[int, ...], tuple] = {}
-        for i in range(rank):
-            for beta in level:
-                p = 0
-                while beta[:i] + (beta[i] - p - 1,) + beta[i + 1 :] in found:
-                    p += 1
-                if p > _coroot_pairing(cartan, beta, i):
-                    nxt.setdefault(beta[:i] + (beta[i] + 1,) + beta[i + 1 :], (beta, i))
-        found.update(nxt)
-        level = list(nxt)
-    roots = sorted(found, key=lambda c: (sum(c), c))
-    index = {root: k for k, root in enumerate(roots)}
-    chain = tuple((index.get(found[r][0], -1), found[r][1]) for r in roots)
-    return tuple(roots), chain
+        for k, beta in enumerate(sorted(level), len(roots)):
+            link, pairs, p = level[beta]
+            roots.append(beta)
+            chain.append(link)
+            for i in compress(range(rank), map(gt, p, pairs)):
+                gamma = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                carried = nxt.setdefault(gamma, ((k, i), tuple(map(add, pairs, cartan[i])), [0] * rank))
+                carried[2][i] = p[i] + 1
+        level = nxt
+    return tuple(roots), tuple(chain)
 
 
 def _pairings(chain, symmetrizer: tuple[int, ...], coeffs: tuple[int, ...]) -> list[int]:

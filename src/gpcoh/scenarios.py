@@ -522,8 +522,11 @@ def _pair_dims(block: dict, file: str, where: str) -> tuple[int, int, int]:
 
 
 def _gp_dim(ledger: _Ledger, block: dict, file: str, where: str) -> int:
-    """dim G/P of a read block naming a type, a rank and crossed nodes, written as a line."""
+    """dim G/P of a read block naming a type, a rank and the one crossed node of a maximal
+    parabolic, written as a line."""
     space = _root_system(block, file, where)
+    if len(block["crossed"]) != 1:
+        raise _fault(file, where, f"key 'crossed': {block['crossed']} must name exactly one node")
     rs, dim, node = space.rs, space.dimension, block["crossed"][0]
     ledger.add(
         f"dim_{rs.name}_P{node}",

@@ -1,12 +1,13 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the package's own code paths: dimensions come from
-brute-force semistandard tableau enumeration and A-type roots from their
-interval description, so the main engines are checked against something
-that cannot share their bugs. The positive roots of every type also come
-from the reflection closure of the simple roots, with no root strings or
-heights. The reflection walk is checked against the engine's earlier one,
-which rescans the nodes in order and subtracts whole Cartan rows.
+brute-force semistandard tableau enumeration (on many rows, from the
+hook-content formula) and A-type roots from their interval description, so
+the main engines are checked against something that cannot share their bugs.
+The positive roots of every type also come from the reflection closure of
+the simple roots, with no root strings or heights. The reflection walk is
+checked against the engine's earlier one, which rescans the nodes in order
+and subtracts whole Cartan rows.
 Littlewood-Richardson coefficients come from listing every candidate shape
 and backtracking over the fillings of each, cell by cell, a search unrelated
 to the engine's strip pass. Weyl products pair each root's coordinates with
@@ -32,6 +33,7 @@ import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 from pathlib import Path
 from typing import Iterator
 
@@ -183,6 +185,16 @@ def a_type_positive_roots(n: int) -> set[tuple[int, ...]]:
         for j in range(i, n):
             out.add(tuple(1 if i <= p <= j else 0 for p in range(n)))
     return out
+
+
+def hook_content_dimension(parts, r: int) -> int:
+    """dim S_lambda(C^r) by the hook-content formula: the product over the cells (i, j) of
+    (r + j - i) / hook(i, j), with no root system."""
+    cells = [(i, j) for i, p in enumerate(parts) for j in range(p)]
+    num = prod(r + j - i for i, j in cells)
+    den = prod(parts[i] - j + sum(1 for p in parts if p > j) - i - 1 for i, j in cells)
+    assert num % den == 0
+    return num // den
 
 
 def positive_roots_oracle(

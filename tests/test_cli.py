@@ -1,13 +1,17 @@
 import json
+import os
 import re
-from math import prod
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from gpcoh.cli import main
 
-from conftest import shipped_scenario
+from conftest import hook_content_dimension, shipped_scenario
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -112,13 +116,23 @@ def test_lr_json_of_the_five_staircase_squared_on_ten_rows(capsys):
     entries = doc["result"]["coefficients"]
     assert len(entries) == 1433
     assert sum(e["coefficient"] for e in entries) == 26704
-    # dim S_(5,4,3,2,1)(C^10) by the hook-content formula: prod (10 + j - i) / prod hook(i, j)
-    stair = (5, 4, 3, 2, 1)
-    cells = [(i, j) for i, p in enumerate(stair) for j in range(p)]
-    num = prod(10 + j - i for i, j in cells)
-    den = prod(stair[i] - j + sum(1 for p in stair if p > j) - i - 1 for i, j in cells)
-    assert num % den == 0
-    assert doc["result"]["gl_dimension_sum"] == (num // den) ** 2
+    assert doc["result"]["gl_dimension_sum"] == hook_content_dimension((5, 4, 3, 2, 1), 10) ** 2
+
+
+def test_lr_on_150_rows_finishes_in_seconds_with_the_hook_content_dimensions():
+    # each shape's dimension over GL(150) builds the root system A149, in a fresh process so
+    # that no earlier test has built it
+    argv = ["--format", "json", "lr", "2,1", "2,1", "--rows", "150"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gpcoh.cli", *argv], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert len(result["coefficients"]) == 7
+    for entry in result["coefficients"]:
+        assert entry["gl_dimension"] == hook_content_dimension(entry["partition"], 150)
+    assert result["gl_dimension_sum"] == hook_content_dimension((2, 1), 150) ** 2
 
 
 def test_koszul_normal_twist(capsys):

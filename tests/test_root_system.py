@@ -512,18 +512,25 @@ def test_weyl_dimension_matches_the_oracle_on_random_dominant_weights(letter, ra
         assert weyl_dimension(rs, w) == weyl_product_oracle(rs, w, rs.positive_roots)
 
 
-@pytest.mark.parametrize("letter,rank", ALL_TYPES)
+BUILDER_TYPES = ALL_TYPES + [("A", n) for n in range(9, 21)] + [(t, n) for t in "BCD" for n in range(9, 13)]
+
+
+@pytest.mark.parametrize("letter,rank", BUILDER_TYPES)
 def test_root_chain_rebuilds_the_positive_roots(letter, rank):
     rs = build_root_system(letter, rank)
     assert len(rs.root_chain) == len(rs.positive_roots)
+    below = set(rs.positive_roots) | {(0,) * rank}
     for k, (parent, i) in enumerate(rs.root_chain):
         root = [0] * rank if parent < 0 else list(rs.positive_roots[parent])
         assert parent < k
         root[i] += 1
         assert tuple(root) == rs.positive_roots[k]
+        # the documented rule: i is the least node whose simple root leaves a positive root or zero
+        lowered = (root[:j] + [root[j] - 1] + root[j + 1 :] for j in range(rank))
+        assert i == next(j for j, r in enumerate(lowered) if tuple(r) in below)
 
 
-@pytest.mark.parametrize("letter,rank", ALL_TYPES)
+@pytest.mark.parametrize("letter,rank", BUILDER_TYPES)
 def test_positive_roots_match_the_reflection_closure_oracle(letter, rank):
     rs = build_root_system(letter, rank)
     assert rs.positive_roots == positive_roots_oracle(rs.cartan, rs.rank)

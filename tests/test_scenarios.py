@@ -435,6 +435,15 @@ AUDIT_CASE_PROBES = [
         "crossed-out-of-range", "vmrt", lambda d: d["cases"][0]["vmrt"].update(crossed=[9]),
         "cases[0].vmrt", "crossed",
     ),
+    # a space block names a maximal parabolic, so it crosses exactly one node
+    (
+        "crossed-two-nodes", "vmrt", lambda d: d["cases"][0]["vmrt"].update(crossed=[2, 3]),
+        "cases[0].vmrt", "crossed",
+    ),
+    (
+        "extra-space-crossed-two-nodes", "vmrt", lambda d: d["extra_spaces"][0].update(crossed=[4, 1]),
+        "extra_spaces[0]", "crossed",
+    ),
     (
         "rep-type-unknown", "vmrt", lambda d: d["cases"][0]["vmrt_ambient_rep"].update(type="Z"),
         "cases[0].vmrt_ambient_rep", "type",
