@@ -237,8 +237,9 @@ def _contradiction(hints: Mapping, values: Mapping):
 
 def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> ChaseResult:
     """Solve the term tables of the resolution for H^*(F|_S) with ``solve_sequence``, which
-    admits no cohomology above dim S = dim G/P - rank E. A hint that is not a ``RankHint``, or
-    whose position or rank is out of range, is rejected with ValueError before the solver starts.
+    admits no cohomology above dim S = dim G/P - rank E. A hint that is not a ``RankHint``, has a
+    field that is not an int (a bool included), or whose position or rank is out of range, is
+    rejected with ValueError before the solver starts.
     """
     space = complex_.ambient
     r = complex_.section_rank
@@ -248,6 +249,8 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> Chase
     for h in rank_hints:
         if not isinstance(h, RankHint):
             raise ValueError(f"a rank hint is a RankHint, got {type(h).__name__}")
+        if any([type(field) is not int for field in h]):
+            raise ValueError(f"hint {h} has a field that is not an int")
         if not 0 <= h.target_term < r:
             raise ValueError(
                 f"malformed hint position: target_term {h.target_term} not in 0..{r - 1}"

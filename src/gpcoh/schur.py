@@ -67,14 +67,7 @@ from math import comb
 from operator import sub
 from typing import Iterable, Iterator
 
-from .root_system import (
-    ParabolicSpace,
-    Weight,
-    _check_multiplicity,
-    _Record,
-    build_root_system,
-    weyl_dimension,
-)
+from .root_system import ParabolicSpace, Weight, _Record, _check_multiplicity
 
 _FOLD_MEMO_SIZE = 1024  # sections held by the exterior-power memo
 _LABEL_MEMO_SIZE = 4096  # labels held by each label memo: weight, rank and dual
@@ -356,18 +349,21 @@ def _vertical_strips(mu: Partition, a: int, max_rows: int) -> dict[Partition, in
 
 
 def gl_dimension(p: Partition | Iterable[int], r: int) -> int:
-    """Dimension of the Schur functor S_p applied to a rank-r space."""
+    """Dimension of the Schur functor S_p applied to a rank-r space, by the hook-content
+    product over the cells (i, j) of p: prod (r + j - i) / hook(i, j) (Stanley, Enumerative
+    Combinatorics 2, Cor. 7.21.4). A cell in row r has content factor 0, so a p of more than
+    r rows has dimension 0, and the empty p has the empty product 1; no root system is built."""
     p = p if isinstance(p, Partition) else Partition(tuple(p))
     if type(r) is not int or r < 0:
         raise ValueError(f"rank r must be a nonnegative int, got {r!r}")
-    if p.length > r:
-        return 0
-    if r <= 1 or p.size == 0:
-        return 1
-    rs = build_root_system("A", r - 1)
-    padded = p.padded(r)
-    coeffs = tuple(padded[i] - padded[i + 1] for i in range(r - 1))
-    return weyl_dimension(rs, Weight(coeffs))
+    rows = p.parts
+    cols = [sum([row > j for row in rows]) for j in range(p.part(0))]  # column lengths
+    num = den = 1
+    for i, row in enumerate(rows):
+        for j in range(row):  # content j - i, hook (row - j - 1) + (cols[j] - i - 1) + 1
+            num *= r + j - i
+            den *= row - j + cols[j] - i - 1
+    return num // den
 
 
 @lru_cache(maxsize=_LABEL_MEMO_SIZE)
@@ -458,8 +454,8 @@ def exterior_power(label: BundleLabel, j: int) -> BundleSum:
     side, a, t, gen_rank = _column_form(label)
     det_twist = -1 if side == "U" else 1
     rank = comb(gen_rank, a)
-    if not 0 <= j <= rank:
-        raise ValueError(f"Lambda^{j} of a rank-{rank} bundle is out of range")
+    if type(j) is not int or not 0 <= j <= rank:
+        raise ValueError(f"Lambda^{j!r} of a rank-{rank} bundle is out of range: the degree is an int in 0..{rank}")
     if j == 0:
         return BundleSum._trusted((label.ambient, ((BundleLabel._trusted((label.ambient, _EMPTY, _EMPTY, 0)), 1),)))
     # Lambda^j(W (x) L) = Lambda^j(W) (x) L^j for a line bundle L
@@ -485,8 +481,8 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
     Lambda^d(L^m) = C(m, d) L^d; any other summand folds once per copy. Each
     step merges each degree once, over the unmerged products ``tensor`` builds.
     """
-    if j < 0:
-        raise ValueError("exterior power degree must be nonnegative")
+    if type(j) is not int or j < 0:
+        raise ValueError(f"exterior power degree must be nonnegative and an int, got {j!r}")
     ambient = bsum.ambient
     # graded[d] = Lambda^d of the summands folded so far, from O on the checked ambient
     graded = [BundleSum._trusted((ambient, ((BundleLabel._trusted((ambient, _EMPTY, _EMPTY, 0)), 1),)))]

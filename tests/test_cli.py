@@ -120,8 +120,7 @@ def test_lr_json_of_the_five_staircase_squared_on_ten_rows(capsys):
 
 
 def test_lr_on_150_rows_finishes_in_seconds_with_the_hook_content_dimensions():
-    # each shape's dimension over GL(150) builds the root system A149, in a fresh process so
-    # that no earlier test has built it
+    # in a fresh process, so that no earlier test has warmed a memo
     argv = ["--format", "json", "lr", "2,1", "2,1", "--rows", "150"]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
@@ -133,6 +132,21 @@ def test_lr_on_150_rows_finishes_in_seconds_with_the_hook_content_dimensions():
     for entry in result["coefficients"]:
         assert entry["gl_dimension"] == hook_content_dimension(entry["partition"], 150)
     assert result["gl_dimension_sum"] == hook_content_dimension((2, 1), 150) ** 2
+
+
+def test_lr_on_a_twenty_digit_row_bound_finishes_with_its_dimensions():
+    # a GL(r) dimension needs no root system, so the row bound does not set the work
+    r = 99999999999999999999
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gpcoh.cli", "--format", "json", "lr", "1", "1", "--rows", str(r)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    dims = {tuple(e["partition"]): e["gl_dimension"] for e in result["coefficients"]}
+    assert dims == {(2,): r * (r + 1) // 2, (1, 1): r * (r - 1) // 2}
+    assert result["gl_dimension_sum"] == r * r
 
 
 def test_koszul_normal_twist(capsys):

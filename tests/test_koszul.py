@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import time
 
 import pytest
@@ -253,6 +254,9 @@ def test_chase_rejects_malformed_hints():
         chase(cx, [RankHint(target_term=2, degree=3, rank=1)])
     with pytest.raises(ValueError, match="duplicate"):
         chase(cx, [RankHint(0, 0, 1), RankHint(0, 0, 1)])
+    for hint in (RankHint(0, 0, True), RankHint(0.0, 0, 1), RankHint(0, 0, 1.0), RankHint(0, 0.0, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"hint {hint!r} has a field that is not an int")):
+            chase(cx, [hint])
 
 
 def test_chase_grid_matches_standalone_tables():
@@ -369,6 +373,67 @@ def test_hints_that_contradict_exactness_together_raise_naming_every_hint():
         "the provided values contradict exactness: RankHint(target_term=1, degree=0, rank=0), "
         "RankHint(target_term=0, degree=0, rank=1)"
     )
+
+
+# ---------------------------------------------------------------------------
+# the solver is sound on random exact sequences with known ranks
+
+_DEGREES = range(4)
+
+
+def _random_exact_sequence(rng, terms):
+    """A random resolution 0 -> E_r -> ... -> E_0 -> U -> 0 of ``terms`` terms, each H^q(E_j)
+    of dimension at most 3 in degrees 0..3, built from the top by the long exact sequences of
+    0 -> A_{j+1} -> E_j -> A_j -> 0 with A_r = E_r and A_0 = U: each step draws dim H^q(E_j) and
+    the rank rho_q of H^q(A_{j+1}) -> H^q(E_j) in 0..min of the two, then
+    dim H^q(A_j) = (dim H^q(E_j) - rho_q) + (dim H^{q+1}(A_{j+1}) - rho_{q+1}). Left exactness
+    makes rho_0 = dim H^0(A_{j+1}). Returns (tables, rho by (j, q), H^*(U)) with zero entries
+    dropped, or None when H^0(A_{j+1}) is too large to inject into an H^0(E_j) of dimension 3."""
+    r = terms - 1
+    above = [rng.randint(0, 3) for _ in _DEGREES]  # dim H^q(A_{j+1}), first of A_r = E_r
+    tables, ranks = [above], {}
+    for j in range(r - 1, -1, -1):
+        if above[0] > 3:
+            return None
+        dims = [rng.randint(above[0], 3)] + [rng.randint(0, 3) for _ in _DEGREES[1:]]
+        rho = [above[0]] + [rng.randint(0, min(above[q], dims[q])) for q in _DEGREES[1:]]
+        ranks.update({(j, q): rho[q] for q in _DEGREES})
+        above = [dims[q] - rho[q] + (above[q + 1] - rho[q + 1] if q < 3 else 0) for q in _DEGREES]
+        tables.insert(0, dims)
+    # the Euler characteristics alternate along an exact sequence
+    assert sum((-1) ** q * d for q, d in enumerate(above)) == sum(
+        (-1) ** (i + q) * d for i, dims in enumerate(tables) for q, d in enumerate(dims)
+    )
+    return [{q: d for q, d in enumerate(dims) if d} for dims in tables], ranks, {q: d for q, d in enumerate(above) if d}
+
+
+def test_the_solver_is_sound_on_random_exact_sequences_with_known_ranks():
+    # every true rank lies in its interval, a rank the solver does not list is 0, and a
+    # determined output is the true H^*(U); some sequences also get true ranks as hints or
+    # a true dim H^q(U) as a value, each one more equality the true ranks meet
+    rng = random.Random(17)
+    seen = dict.fromkeys(("sequences", "determined", "hinted", "valued"), 0)
+    while seen["sequences"] < 600:
+        made = _random_exact_sequence(rng, rng.randint(1, 4))
+        if made is None:
+            continue
+        tables, ranks, out = made
+        top = max(out, default=0) + rng.randint(0, 1)
+        hints = dict(rng.sample(sorted(ranks.items()), min(len(ranks), rng.randint(0, 2))))
+        q = rng.randint(0, 3)
+        values = {q: out.get(q, 0)} if rng.random() < 0.25 else {}
+        bounds, dims = solve_sequence(tables, top, hints, values)
+        listed = {cell: (low, high) for cell, low, high, _ in bounds}
+        for cell, rank in ranks.items():
+            low, high = listed.get(cell, (0, 0))
+            assert low <= rank <= high, (tables, cell, rank, low, high)
+        if dims is not None:
+            assert dims == out, (tables, dims, out)
+        seen["sequences"] += 1
+        seen["determined"] += dims is not None
+        seen["hinted"] += bool(hints)
+        seen["valued"] += bool(values)
+    assert min(seen.values()) >= 100, seen
 
 
 # ---------------------------------------------------------------------------

@@ -96,9 +96,12 @@ def test_the_plethysm_error_raises_again_on_an_identical_second_call():
 def test_a_float_or_bool_degree_is_not_served_the_int_degree_entry():
     line = BundleSum((2, 5), [(BundleLabel((2, 5), twist=1), 2)])
     assert len(exterior_power_sum(line, 1)) == 2
-    with pytest.raises(TypeError):
-        exterior_power_sum(line, 1.0)
-    assert exterior_power_sum(line, True) == exterior_power_sum(line, 1)  # as before the memo
+    size = schur.exterior_power_sum.cache_info().currsize
+    for j in (1.0, True):  # each is rejected on every call, never served the entry of 1
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"must be nonnegative and an int, got {j!r}"):
+                exterior_power_sum(line, j)
+    assert schur.exterior_power_sum.cache_info().currsize == size
 
 
 def test_no_memo_holds_more_than_its_bound():

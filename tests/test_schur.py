@@ -29,6 +29,7 @@ from gpcoh import (
     parse_partition,
     tangent_label,
     tensor,
+    weyl_dimension,
 )
 from gpcoh.schur import _reversed_complement, dual_sum, format_sum, sum_to_weights
 
@@ -205,6 +206,34 @@ def test_gl_dimension_matches_tableau_count():
         r = rng.randint(1, 4)
         shape = tuple(sorted((rng.randint(0, 4) for _ in range(r)), reverse=True))
         assert gl_dimension(Partition(shape), r) == ssyt_count(shape, r)
+
+
+def test_gl_dimension_matches_the_weyl_product_over_the_roots_of_a():
+    # the hook-content product and the Weyl product over A(r - 1) share no code path
+    checked = 0
+    for r in range(2, 9):
+        rs = build_root_system("A", r - 1)
+        for parts in (p for p in _box_partitions(6, 6) if sum(p) <= 6):
+            if len(parts) > r:
+                assert gl_dimension(parts, r) == 0
+                continue
+            padded = parts + (0,) * (r - len(parts))
+            weight = Weight(tuple(padded[i] - padded[i + 1] for i in range(r - 1)))
+            assert gl_dimension(parts, r) == weyl_dimension(rs, weight)
+            checked += 1
+    assert checked == 185  # of the 7 * 30 pairs, 25 have more rows than r
+    assert gl_dimension((), 0) == gl_dimension((), 5) == 1
+
+
+def test_gl_dimension_and_label_rank_build_no_root_system():
+    misses = build_root_system.cache_info().misses
+    assert gl_dimension((2, 1), 97) == 97 * 98 * 96 // 3
+    assert build_root_system.cache_info().misses == misses
+    label = BundleLabel((40, 97), u_part=Partition((5, 3, 3)), q_part=Partition((4, 1)), twist=-11)
+    calls = label_rank.cache_info().misses
+    assert label_rank(label) > 0
+    assert label_rank.cache_info().misses == calls + 1  # a fresh label: the rank was computed
+    assert build_root_system.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +420,9 @@ def test_exterior_power_of_a_quotient_column():
 
 
 def test_exterior_power_rejects_out_of_range_degree():
-    with pytest.raises(ValueError, match="out of range"):
-        exterior_power(BundleLabel(AMB, u_part=Partition((1, 1, 1))), 5)
+    for j in (5, -1, True, 1.0, 1.5):
+        with pytest.raises(ValueError, match="out of range: the degree is an int in 0..4"):
+            exterior_power(BundleLabel(AMB, u_part=Partition((1, 1, 1))), j)
 
 
 def test_exterior_power_rejects_general_plethysm():
@@ -745,8 +775,9 @@ def test_dual_generators_match_the_reversed_complement_oracle():
 
 
 def test_exterior_power_sum_rejects_a_negative_degree():
-    with pytest.raises(ValueError, match="exterior power degree must be nonnegative"):
-        exterior_power_sum(parse_bundle(AMB, "U"), -1)
+    for j in (-1, True, 1.0, 1.5):
+        with pytest.raises(ValueError, match=f"exterior power degree must be nonnegative and an int, got {j!r}"):
+            exterior_power_sum(parse_bundle(AMB, "L3 U*"), j)
 
 
 def test_padding_a_partition_past_its_rows_is_rejected():
