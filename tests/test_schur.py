@@ -777,7 +777,7 @@ def test_dual_generators_match_the_reversed_complement_oracle():
 def test_exterior_power_sum_rejects_a_negative_degree():
     for j in (-1, True, 1.0, 1.5):
         with pytest.raises(ValueError, match=f"exterior power degree must be nonnegative and an int, got {j!r}"):
-            exterior_power_sum(parse_bundle(AMB, "L3 U*"), j)
+            exterior_power_sum(parse_bundle(AMB, "U"), j)
 
 
 def test_padding_a_partition_past_its_rows_is_rejected():
