@@ -50,10 +50,6 @@ def _parse_weight(text: str, rank: int) -> Weight:
     return Weight(coeffs)
 
 
-def _parse_crossed(text: str) -> frozenset[int]:
-    return frozenset(_int_list(text, "crossed nodes"))
-
-
 def _table_payload(table) -> dict:
     degrees = {str(d): {"total": total} for d, total in table.total_dims}
     return {"degrees": degrees, "euler": euler_characteristic(table)}
@@ -89,7 +85,7 @@ def _cmd_roots(ns) -> tuple[dict, list, list[str]]:
 
 def _cmd_bwb(ns) -> tuple[dict, list, list[str]]:
     rs = build_root_system(ns.type, ns.rank)
-    space = ParabolicSpace(rs=rs, crossed=_parse_crossed(ns.crossed))
+    space = ParabolicSpace(rs=rs, crossed=_int_list(ns.crossed, "crossed nodes"))
     omega = _parse_weight(ns.weight, rs.rank)
     res = bwb(space, omega)
     if res.all_vanish:

@@ -352,12 +352,15 @@ def _check_weight(rs: RootSystem, w: Weight) -> None:
 
 
 def _check_nodes(rs: RootSystem, nodes: Iterable[int]) -> tuple[int, ...]:
-    """The 1-based crossed ``nodes`` as given, once each is known to be an int in 1..rank."""
-    nodes = tuple(nodes)
+    """The 1-based crossed ``nodes`` as given, once each is known to be a distinct int in 1..rank."""
+    nodes, seen = tuple(nodes), set()
     for i in nodes:
         if type(i) is not int:
             raise ValueError(f"crossed node {i!r} in {nodes!r} is not an integer")
-    bad = sorted(i for i in set(nodes) if not 1 <= i <= rs.rank)
+        if i in seen:
+            raise ValueError(f"crossed node {i} is given twice in {nodes!r}")
+        seen.add(i)
+    bad = sorted(i for i in seen if not 1 <= i <= rs.rank)
     if bad:
         raise ValueError(f"crossed nodes {bad} out of range 1..{rs.rank}")
     return nodes

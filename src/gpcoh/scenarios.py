@@ -175,7 +175,7 @@ def _root_system(block: dict, file: str, where: str):
     and the key."""
     try:
         rs = build_root_system(block["type"], block["rank"])
-        return ParabolicSpace(rs, frozenset(block["crossed"])) if "crossed" in block else rs
+        return ParabolicSpace(rs, block["crossed"]) if "crossed" in block else rs
     except ValueError as exc:  # build_root_system's messages start "unknown type" or "invalid rank"
         key = {"unknown type": "type", "invalid rank": "rank"}.get(str(exc)[:12], "crossed")
         raise _fault(file, where, f"key {key!r}: {exc}") from exc

@@ -30,10 +30,11 @@ orders them.
 Exterior powers of a direct sum come from one fold over its summands that
 keeps every degree at once and merges each degree once per step. A line
 bundle L of multiplicity m folds in one step as Lambda^d(L^m) = C(m, d) L^d;
-any other summand folds once per copy and is restricted to the closed-form
-cases a Koszul complex of a column bundle requires: powers of (possibly
-dual, possibly twisted) single columns. General plethysm is out of scope and
-rejected. The fold is memoized on ``exterior_power_sum``, keyed by (sum, j), in a thread-safe
+any other summand folds once per copy, every power it needs taken in one call
+of ``_column_powers``, which checks the column shape once and covers the
+closed-form cases a Koszul complex of a column bundle requires: powers of
+(possibly dual, possibly twisted) single columns. General plethysm is out of
+scope and rejected. The fold is memoized on ``exterior_power_sum``, keyed by (sum, j), in a thread-safe
 ``lru_cache`` of ``_FOLD_MEMO_SIZE``; ``lr_coefficients`` is not, as it returns a mutable dict.
 
 Three label-level helpers are memoized, each keyed by the label alone in a thread-safe
@@ -78,7 +79,6 @@ __all__ = [
     "BundleSum",
     "lr_coefficients",
     "tensor",
-    "exterior_power",
     "exterior_power_sum",
     "label_to_weight",
     "label_rank",
@@ -349,20 +349,26 @@ def _vertical_strips(mu: Partition, a: int, max_rows: int) -> dict[Partition, in
 
 
 def gl_dimension(p: Partition | Iterable[int], r: int) -> int:
-    """Dimension of the Schur functor S_p applied to a rank-r space, by the hook-content
-    product over the cells (i, j) of p: prod (r + j - i) / hook(i, j) (Stanley, Enumerative
-    Combinatorics 2, Cor. 7.21.4). A cell in row r has content factor 0, so a p of more than
-    r rows has dimension 0, and the empty p has the empty product 1; no root system is built."""
+    """Dimension of the Schur functor S_p applied to a rank-r space, by the Weyl product over
+    the pairs i < j <= r of rows, prod (p_i - p_j + j - i) / (j - i) (Fulton-Harris, Thm. 6.3).
+    Pairs of two of the l nonzero rows are taken one by one; the pairs of a nonzero row i with
+    the zero rows l < j <= r telescope to C(p_i + r - i, p_i) / C(p_i + l - i, p_i). So the work
+    grows with l, not with |p| or r; a p of more than r rows has dimension 0, and the empty p
+    has the empty product 1. No root system is built."""
     p = p if isinstance(p, Partition) else Partition(tuple(p))
     if type(r) is not int or r < 0:
         raise ValueError(f"rank r must be a nonnegative int, got {r!r}")
     rows = p.parts
-    cols = [sum([row > j for row in rows]) for j in range(p.part(0))]  # column lengths
+    length = len(rows)
+    if length > r:
+        return 0
     num = den = 1
-    for i, row in enumerate(rows):
-        for j in range(row):  # content j - i, hook (row - j - 1) + (cols[j] - i - 1) + 1
-            num *= r + j - i
-            den *= row - j + cols[j] - i - 1
+    for i, row in enumerate(rows):  # row i + 1, 1-based
+        num *= comb(row + r - 1 - i, row)
+        den *= comb(row + length - 1 - i, row)
+        for j in range(i + 1, length):
+            num *= row - rows[j] + j - i
+            den *= j - i
     return num // den
 
 
@@ -429,47 +435,34 @@ def tensor(a: BundleSum, b: BundleSum) -> BundleSum:
     return BundleSum._merged(a.ambient, _product_pairs(a, b))
 
 
-def _column_form(label: BundleLabel) -> tuple[str, int, int, int]:
-    """Decompose a label as Lambda^a(side) (x) O(t), side of rank r: (side, a, t, r), or fail."""
-    (k, n), u, q, t = label
-    if not q.parts and all(p == 1 for p in u.parts):
-        return ("U", u.length, t, k)
-    if not u.parts and all(p == 1 for p in q.parts):
-        return ("Q", q.length, t, n - k)
-    raise ValueError(
-        f"unsupported plethysm shape: {format_label(label)} is not a column power "
-        "of U or Q up to twist"
-    )
-
-
-def exterior_power(label: BundleLabel, j: int) -> BundleSum:
-    """Lambda^j of a column bundle, by the closed-form rules.
-
-    Supported: O(t), G (x) O(t) and Lambda^(rank-1) G (x) O(t) for a
-    generator G; the last case runs through the dual rewrite
-    Lambda^(r-1) G = G^* (x) det G. The label is canonical as constructed, so
-    a full column Lambda^rank G is already the line bundle det G. Anything
-    else is a genuine plethysm and is rejected.
-    """
-    side, a, t, gen_rank = _column_form(label)
-    det_twist = -1 if side == "U" else 1
-    rank = comb(gen_rank, a)
-    if type(j) is not int or not 0 <= j <= rank:
-        raise ValueError(f"Lambda^{j!r} of a rank-{rank} bundle is out of range: the degree is an int in 0..{rank}")
-    if j == 0:
-        return BundleSum._trusted((label.ambient, ((BundleLabel._trusted((label.ambient, _EMPTY, _EMPTY, 0)), 1),)))
-    # Lambda^j(W (x) L) = Lambda^j(W) (x) L^j for a line bundle L
-    if a <= 1:  # a pure line bundle (a = 0) has j = 1 here
-        height, twist = j * a, j * t
-    elif a == gen_rank - 1:
-        # Lambda^(r-1) G = G^* (x) det G, so
-        # Lambda^j = Lambda^(r-j) G (x) (det G)^(j-1)
-        height, twist = gen_rank - j, j * t + det_twist * (j - 1)
+def _column_powers(label: BundleLabel, top: int) -> list[BundleSum]:
+    """Lambda^0, ..., Lambda^min(top, rank) of a column bundle Lambda^a(G) (x) O(t), G = U or Q
+    of rank r, each derived unchecked from the checked label by a closed form: a <= 1 gives
+    Lambda^(ja) G (x) O(jt), as Lambda^j(W (x) L) = Lambda^j(W) (x) L^j for a line bundle L, and
+    a = r - 1 gives Lambda^(r-j) G (x) (det G)^(j-1) (x) O(jt) through Lambda^(r-1) G =
+    G^* (x) det G (its full column at j = 0 is O once canonical). Any other label is rejected
+    whatever ``top`` is, and any other a from Lambda^1 on: both are genuine plethysm."""
+    ambient, u, q, t = label
+    k, n = ambient
+    if not q[0] and all(p == 1 for p in u[0]):
+        a, r, det = u.length, k, -1
+    elif not u[0] and all(p == 1 for p in q[0]):
+        a, r, det = q.length, n - k, 1
     else:
-        raise ValueError(f"unsupported plethysm shape: Lambda^{j} of {format_label(label)}")
-    column = Partition._trusted(((1,) * height,))
-    u, q = (column, _EMPTY) if side == "U" else (_EMPTY, column)
-    return BundleSum._trusted((label.ambient, ((BundleLabel._canonical(label.ambient, u, q, twist), 1),)))
+        raise ValueError(
+            f"unsupported plethysm shape: {format_label(label)} is not a column power "
+            "of U or Q up to twist"
+        )
+    top = min(top, comb(r, a))
+    if top and a > 1 and a != r - 1:
+        raise ValueError(f"unsupported plethysm shape: Lambda^1 of {format_label(label)}")
+    powers = []
+    for j in range(top + 1):
+        height, twist = (j * a, j * t) if a <= 1 else (r - j, j * t + det * (j - 1))
+        column = Partition._trusted(((1,) * height,))
+        sides = (column, _EMPTY) if det < 0 else (_EMPTY, column)  # det U = O(-1), det Q = O(1)
+        powers.append(BundleSum._trusted((ambient, ((BundleLabel._canonical(ambient, *sides, twist), 1),))))
+    return powers
 
 
 @lru_cache(maxsize=_FOLD_MEMO_SIZE, typed=True)  # typed: a float or bool j is no int j
@@ -488,8 +481,7 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
     graded = [BundleSum._trusted((ambient, ((BundleLabel._trusted((ambient, _EMPTY, _EMPTY, 0)), 1),)))]
     for lab, m in bsum.summands:
         if lab.u_part.parts or lab.q_part.parts:
-            _, a, _, r = _column_form(lab)  # Lambda^a of a rank-r generator has rank C(r, a)
-            blocks = [[exterior_power(lab, d) for d in range(min(comb(r, a), j) + 1)]] * m
+            blocks = [_column_powers(lab, j)] * m
         else:
             _, u, q, t = lab  # L^d is the checked line bundle L with its twist times d
             blocks = [[

@@ -43,6 +43,8 @@ def test_space_validation():
         ParabolicSpace(rs=rs, crossed=frozenset())
     with pytest.raises(ValueError, match="out of range"):
         ParabolicSpace(rs=rs, crossed=frozenset({9}))
+    with pytest.raises(ValueError, match=r"^crossed node 2 is given twice in \(1, 2, 2\)$"):
+        ParabolicSpace(rs=rs, crossed=[1, 2, 2])
     assert ParabolicSpace(rs=rs, crossed=frozenset({1, 3})).dimension == 5
 
 

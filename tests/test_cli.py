@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -89,6 +90,13 @@ def test_bwb_an_unparsable_crossed_node_exits_2_with_one_line(capsys):
     assert err == "error: cannot parse crossed nodes from '1,x'\n"
 
 
+def test_bwb_a_crossed_node_given_twice_exits_2_with_one_line(capsys):
+    code, out, err = run(capsys, "bwb", "A", "6", "--crossed", "4,4", "--weight", "0,0,0,1,0,0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: crossed node 4 is given twice in (4, 4)\n"
+
+
 def test_bwb_a_fractional_weight_coefficient_exits_2_with_one_line(capsys):
     code, out, err = run(capsys, "bwb", "A", "2", "--crossed", "1", "--weight", "1.5,0")
     assert code == 2
@@ -147,6 +155,20 @@ def test_lr_on_a_twenty_digit_row_bound_finishes_with_its_dimensions():
     dims = {tuple(e["partition"]): e["gl_dimension"] for e in result["coefficients"]}
     assert dims == {(2,): r * (r + 1) // 2, (1, 1): r * (r - 1) // 2}
     assert result["gl_dimension_sum"] == r * r
+
+
+def test_lr_of_a_million_box_row_finishes_with_its_dimensions():
+    # a GL(r) dimension is a product over pairs of nonzero rows, so a long row does not set the work
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gpcoh.cli", "--format", "json", "lr", "1000000", "1", "--rows", "3"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    dims = {tuple(e["partition"]): e["gl_dimension"] for e in result["coefficients"]}
+    assert dims[(1000001,)] == math.comb(1000003, 2)
+    assert result["gl_dimension_sum"] == 3 * math.comb(1000002, 2)
 
 
 def test_koszul_normal_twist(capsys):
@@ -484,8 +506,9 @@ def test_a_scenario_off_a_grassmannian_exits_2_with_the_schur_message(capsys, tm
         (lambda d: d["ambient"].update(rank=0), "rank", "invalid rank 0 for type A"),
         (lambda d: d["ambient"].update(crossed=[]), "crossed", "at least one crossed node"),
         (lambda d: d["ambient"].update(crossed=[9]), "crossed", "crossed nodes [9] out of range 1..6"),
+        (lambda d: d["ambient"].update(crossed=[4, 4]), "crossed", "crossed node 4 is given twice in (4, 4)"),
     ],
-    ids=["type", "rank", "crossed-empty", "crossed-out-of-range"],
+    ids=["type", "rank", "crossed-empty", "crossed-out-of-range", "crossed-repeated"],
 )
 def test_an_invalid_root_system_block_names_the_file_the_block_and_the_key(
     capsys, tmp_path, edit, key, reason

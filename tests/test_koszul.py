@@ -12,7 +12,6 @@ from gpcoh import (
     BundleSum,
     CohomologyTable,
     ParabolicSpace,
-    Partition,
     RankHint,
     build_koszul,
     build_root_system,
@@ -130,12 +129,23 @@ def test_koszul_rejects_a_twist_on_another_grassmannian():
         build_koszul(gr47(), section_bundle(), parse_bundle((3, 7), "O(1)"))
 
 
-def test_koszul_rejects_unsupported_section_bundles():
-    # rank 6 passes the codimension check but Lambda^2 of a two-column
-    # bundle is genuine plethysm
-    bad = BundleSum(AMB, [(BundleLabel(AMB, u_part=Partition((1, 1))), 1)])
-    with pytest.raises(ValueError, match="unsupported plethysm"):
-        build_koszul(gr47(), bad)
+# sections that need Lambda^j of a label no closed form covers; each is rejected at its first
+# such label, the column shape before any degree. Rank 6 of L2 U passes the codimension check
+@pytest.mark.parametrize(
+    "ambient,section,reason",
+    [
+        ((4, 7), "L2 U", "Lambda^1 of L2 U (1)"),
+        ((4, 8), "L2 U*", "Lambda^1 of L2 U"),
+        ((3, 7), "S2 U*", "S2 U is not a column power of U or Q up to twist"),
+        ((2, 5), "S2 U*", "S2 U is not a column power of U or Q up to twist"),
+        ((4, 7), "U * Q", "L3 U * L2 Q is not a column power of U or Q up to twist"),
+    ],
+)
+def test_koszul_rejects_unsupported_section_bundles(ambient, section, reason):
+    k, n = ambient
+    space = ParabolicSpace(rs=build_root_system("A", n - 1), crossed=frozenset({k}))
+    with pytest.raises(ValueError, match=f"^{re.escape('unsupported plethysm shape: ' + reason)}$"):
+        build_koszul(space, parse_bundle(ambient, section))
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ UNCHECKED_PATHS = {
     "schur.dual_sum",
     "schur._product_pairs",
     "schur.tensor",
-    "schur.exterior_power",
+    "schur._column_powers",
     "schur.exterior_power_sum",
     "schur._label_weight",
     "schur._parse_atom",
