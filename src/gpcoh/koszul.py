@@ -22,17 +22,18 @@ constraint, so no rank it pins can be wrong.
 
 A chase is determined when every rank is pinned; each pinned rank between
 nonzero groups is recorded as ``forced``, each hint as ``provided``. A chase
-whose bounds stay open is blocked at each open rank. A hint above
-dim H^q(C_j) is rejected before the solver starts. An empty interval means the
-provided values contradict exactness, a ValueError naming them; with nothing
-provided it is an engine fault, an AssertionError.
+whose bounds stay open is blocked at each open rank. The solver checks every
+hint's position and rank, and the Euler characteristic of every sequence it
+closes; ``chase`` only what needs its hint list or its space. An empty interval
+means the provided values contradict exactness, a ValueError naming them; with
+nothing provided it is an engine fault, an AssertionError.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .bott import CohomologyTable, ParabolicSpace, bundle_cohomology, euler_characteristic
+from .bott import CohomologyTable, ParabolicSpace, bundle_cohomology
 from .schur import BundleSum, dual_sum, exterior_power_sum, grassmannian_kn, sum_to_weights
 from .schur import BundleLabel, tensor
 
@@ -56,8 +57,6 @@ class KoszulComplex(NamedTuple):
     """
 
     ambient: ParabolicSpace
-    section_bundle: BundleSum
-    twist: BundleSum
     terms: tuple[BundleSum, ...]
 
     @property
@@ -142,7 +141,7 @@ def build_koszul(ambient: ParabolicSpace, section: BundleSum, twist: BundleSum |
         )
     powers = exterior_power_sum(dual_sum(section), rank)
     terms = tuple(tensor(power, twist) for power in powers)
-    return KoszulComplex(ambient=ambient, section_bundle=section, twist=twist, terms=terms)
+    return KoszulComplex(ambient=ambient, terms=terms)
 
 
 def solve_sequence(
@@ -157,9 +156,19 @@ def solve_sequence(
     with j descending, then q ascending, where source is dim H^q(A_{j+1}) once pinned and
     None while open; then H^*(U) by degree, or None while a rank is open. Left exactness
     binds each A_j only for the resolution: with ``kernel`` the cones of the chase are
-    complexes, and H^q(U) is the chased degree q - r.
+    complexes, and H^q(U) is the chased degree q - r. A hint at no map (0 <= j < r, q >= 0)
+    or of a rank outside 0..dim H^q(E_j) is a ValueError naming it, before any propagation; a
+    determined chi(U) other than (-1)^(r if ``kernel``) sum_j (-1)^j chi(E_j) raises AssertionError.
     """
     r = len(tables) - 1
+    for (j, q), rank in hints.items():
+        hint = RankHint(j, q, rank)
+        if not (0 <= j < r and q >= 0):
+            raise ValueError(f"malformed hint position: {hint!r} needs 0 <= target_term < {r} and degree >= 0")
+        if rank < 0:
+            raise ValueError(f"hint {hint!r}: rank must be nonnegative")
+        if rank > (bound := tables[j].get(q, 0)):
+            raise ValueError(f"hint {hint!r} exceeds the maximal possible rank {bound} = dim H^{q}(E_{j})")
     low: list[int] = []
     high: list[int] = []
     cells = []  # ((j, q), x, the form of H^q(A_{j+1})) for each rank rho[x]
@@ -219,7 +228,11 @@ def solve_sequence(
     ]
     if low != high:
         return bounds, None
-    return bounds, {key - shift: d for key, (c, xs) in forms.items() if (d := c - sum([low[x] for x in xs]))}
+    dims = {key - shift: d for key, (c, xs) in forms.items() if (d := c - sum([low[x] for x in xs]))}
+    chi = [sum([(-1) ** q * d for q, d in table.items()]) for table in (dims, *tables)]
+    if chi[0] != (-1) ** (r * kernel) * sum([(-1) ** j * c for j, c in enumerate(chi[1:])]):
+        raise AssertionError("the Euler characteristic of the solved end disagrees with the alternating sum over the sequence")
+    return bounds, dims
 
 
 def _contradiction(hints: Mapping, values: Mapping):
@@ -237,41 +250,25 @@ def _contradiction(hints: Mapping, values: Mapping):
 
 def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> ChaseResult:
     """Solve the term tables of the resolution for H^*(F|_S) with ``solve_sequence``, which
-    admits no cohomology above dim S = dim G/P - rank E. A hint that is not a ``RankHint``, has a
-    field that is not an int (a bool included), or whose position or rank is out of range, is
-    rejected with ValueError before the solver starts.
+    admits no cohomology above dim S = dim G/P - rank E and checks each hint's position and
+    rank. A hint that is not a ``RankHint``, has a field that is not an int (a bool included),
+    sits above degree dim G/P or repeats a position is rejected with ValueError here first.
     """
     space = complex_.ambient
-    r = complex_.section_rank
-    max_degree = space.dimension
-    tables = [bundle_cohomology(space, sum_to_weights(term, space)) for term in complex_.terms]
     hints = {}
     for h in rank_hints:
         if not isinstance(h, RankHint):
             raise ValueError(f"a rank hint is a RankHint, got {type(h).__name__}")
         if any([type(field) is not int for field in h]):
             raise ValueError(f"hint {h} has a field that is not an int")
-        if not 0 <= h.target_term < r:
-            raise ValueError(
-                f"malformed hint position: target_term {h.target_term} not in 0..{r - 1}"
-            )
-        if h.degree < 0 or h.degree > max_degree:
-            raise ValueError(
-                f"malformed hint position: degree {h.degree} not in 0..{max_degree}"
-            )
-        if h.rank < 0:
-            raise ValueError(f"hint rank must be nonnegative, got {h.rank}")
-        bound = tables[h.target_term].total_dimension(h.degree)
-        if h.rank > bound:
-            raise ValueError(
-                f"hint {h} exceeds the maximal possible rank {bound} = "
-                f"dim H^{h.degree}(C_{h.target_term})"
-            )
+        if h.degree > space.dimension:
+            raise ValueError(f"malformed hint position: degree {h.degree} not in 0..{space.dimension}")
         key = (h.target_term, h.degree)
         if key in hints:
             raise ValueError(f"duplicate hint for position {key}")
         hints[key] = h.rank
-    bounds, dims = solve_sequence([t.dims() for t in tables], max_degree - r, hints)
+    tables = [bundle_cohomology(space, sum_to_weights(term, space)) for term in complex_.terms]
+    bounds, dims = solve_sequence([t.dims() for t in tables], space.dimension - complex_.section_rank, hints)
     used = tuple([
         UsedHint(j, q, low, "provided" if (j, q) in hints else "forced")
         for (j, q), low, high, source in bounds
@@ -280,11 +277,4 @@ def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> Chase
     if dims is None:
         blocking = tuple(cell for cell, low, high, _ in bounds if low < high)
         return ChaseResult(tuple(tables), used, blocking_positions=blocking)
-    table = CohomologyTable.from_dimensions(dims)
-    expected = sum((-1) ** j * euler_characteristic(t) for j, t in enumerate(tables))
-    if euler_characteristic(table) != expected:
-        raise AssertionError(
-            "Euler characteristic of the chase output disagrees with the "
-            "alternating sum over the resolution"
-        )
-    return ChaseResult(tuple(tables), used, table=table)
+    return ChaseResult(tuple(tables), used, table=CohomologyTable.from_dimensions(dims))

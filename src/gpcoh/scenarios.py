@@ -181,6 +181,14 @@ def _root_system(block: dict, file: str, where: str):
         raise _fault(file, where, f"key {key!r}: {exc}") from exc
 
 
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object; ``json.loads`` alone keeps the last value of a repeated key, here a LookupError."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        raise LookupError(next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i])))
+    return data
+
+
 def _load(name_or_path: str | Path, kind: dict) -> tuple[str, dict]:
     """The name or path as errors name it, and the scenario file's JSON object, read whole
     against the file kind ``kind``.
@@ -188,9 +196,9 @@ def _load(name_or_path: str | Path, kind: dict) -> tuple[str, dict]:
     A string with no directory part that names a report of ``REPORTS``, with or without
     ".json", always means the file ``data/<name>.json`` shipped with the package, whatever
     the current directory holds; a local file of such a name is reached with a directory
-    part, as in "./cayley". Anything else is a path. A missing or unsupported
-    ``schema_version`` fails naming the file; a missing, mistyped or unknown key in any
-    block, a key of another file kind included, fails naming the file, the block and the key.
+    part, as in "./cayley". Anything else is a path. A key given twice in one object, or a
+    missing or unsupported ``schema_version``, fails naming the file; a missing, mistyped or
+    unknown key in any block, one of another file kind included, names the block and the key too.
     """
     text = str(name_or_path)
     key = text.removesuffix(".json")
@@ -201,9 +209,11 @@ def _load(name_or_path: str | Path, kind: dict) -> tuple[str, dict]:
         if not source.is_file():
             raise FileNotFoundError(f"no scenario file {text!r} and no builtin scenario of that name")
     try:
-        data = json.loads(source.read_text())
+        data = json.loads(source.read_text(), object_pairs_hook=_json_object)
     except ValueError as exc:
         raise ValueError(f"scenario file {text!r} is not valid JSON: {exc}") from exc
+    except LookupError as exc:
+        raise ValueError(f"scenario file {text!r}: key {exc.args[0]!r} is given twice in one object") from exc
     if not isinstance(data, dict):
         raise ValueError(f"scenario file {text!r} does not hold a JSON object")
     version = data.get("schema_version")

@@ -37,12 +37,12 @@ closed-form cases a Koszul complex of a column bundle requires: powers of
 scope and rejected. The fold is memoized on ``exterior_power_sum``, keyed by (sum, j), in a thread-safe
 ``lru_cache`` of ``_FOLD_MEMO_SIZE``; ``lr_coefficients`` is not, as it returns a mutable dict.
 
-Three label-level helpers are memoized, each keyed by the label alone in a thread-safe
+Two label-level helpers are memoized, each keyed by the label alone in a thread-safe
 ``lru_cache`` of ``_LABEL_MEMO_SIZE``: ``_label_weight`` (``sum_to_weights`` has checked the
-space against the sum's ambient, and every summand lies on it), ``label_rank`` and
-``dual_label``. On one cold pass of the Koszul benchmark pool the first serves 75% of its
-calls from the memo (2,888 distinct labels in 11,360 calls), the other two 94% each (129 in
-2,084). The traced layers (``sum_to_weights``, ``tensor``, ``lr_coefficients`` here) hold
+space against the sum's ambient, and every summand lies on it) and ``dual_label``, serving 75%
+(2,888 distinct labels in 11,360 calls) and 94% (129 in 2,084) of their calls on one cold pass
+of the Koszul benchmark pool; ``label_rank``, a product over pairs of rows, measured no faster
+with one. The traced layers (``sum_to_weights``, ``tensor``, ``lr_coefficients`` here) hold
 none: a traced benchmark pass follows a warm one, so a memo in front of a span would hide it
 and change its call counts.
 
@@ -372,7 +372,6 @@ def gl_dimension(p: Partition | Iterable[int], r: int) -> int:
     return num // den
 
 
-@lru_cache(maxsize=_LABEL_MEMO_SIZE)
 def label_rank(label: BundleLabel) -> int:
     k, n = label.ambient
     return gl_dimension(label.u_part, k) * gl_dimension(label.q_part, n - k)

@@ -322,6 +322,25 @@ def test_unparsable_scenario_file_is_named_in_the_error(capsys, tmp_path):
     assert "Expecting value" in err
 
 
+@pytest.mark.parametrize(
+    "once,twice,key",
+    [
+        ('"section_bundle": "L3 U*"', '"section_bundle": "O(1)", "section_bundle": "L3 U*"', "section_bundle"),
+        ('"name": "normal", "label": "L3 U*"', '"name": "normal", "label": "O(1)", "label": "L3 U*"', "label"),
+    ],
+    ids=["top-level", "twists[1]"],
+)
+def test_a_key_given_twice_in_one_object_exits_2_naming_the_file_and_the_key(capsys, tmp_path, once, twice, key):
+    # JSON alone keeps the last value, so either copy would run on L3 U* without a word
+    text = json.dumps(shipped_scenario("cayley"))
+    assert text.count(once) == 1
+    p = tmp_path / "repeated.json"
+    p.write_text(text.replace(once, twice))
+    code, out, err = run(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
+    assert (code, out) == (2, "")
+    assert err == f"error: scenario file {str(p)!r}: key {key!r} is given twice in one object\n"
+
+
 def _cayley_copy(tmp_path, edit):
     data = shipped_scenario("cayley")
     edit(data)
@@ -653,5 +672,5 @@ def test_a_hint_above_its_term_dimension_exits_2_naming_the_file_and_the_twist(c
     assert (code, out) == (2, "")
     assert err == (
         f"error: scenario file {str(p)!r}: block 'twists[1]' key 'rank_hints': hint "
-        "RankHint(target_term=0, degree=0, rank=100000) exceeds the maximal possible rank 35 = dim H^0(C_0)\n"
+        "RankHint(target_term=0, degree=0, rank=100000) exceeds the maximal possible rank 35 = dim H^0(E_0)\n"
     )

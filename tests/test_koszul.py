@@ -307,6 +307,31 @@ def test_a_value_the_sequence_cannot_carry_raises_naming_it():
         solve_sequence(({0: 34}, {0: 48, 1: 1}), 8, values={0: 14, 1: 0}, kernel=True)
 
 
+@pytest.mark.parametrize(
+    "tables,top,hints,kernel,message",
+    [
+        # at rank 3 the kernel end would have h^0 = 2 and h^1 = -2, whose Euler characteristic
+        # still balances, so only the rank bound dim H^0(E_0) = 1 catches it
+        (({0: 1}, {0: 5}), 8, {(0, 0): 3}, True,
+         "hint RankHint(target_term=0, degree=0, rank=3) exceeds the maximal possible rank 1 = dim H^0(E_0)"),
+        # a two-term sequence has one map, E_1 -> E_0, so no hint at term 7
+        (({0: 1}, {0: 1}), 5, {(7, 0): 1}, False,
+         "malformed hint position: RankHint(target_term=7, degree=0, rank=1) needs 0 <= target_term < 1 "
+         "and degree >= 0"),
+        (({0: 1}, {0: 1}), 5, {(0, -3): 0}, False,
+         "malformed hint position: RankHint(target_term=0, degree=-3, rank=0) needs 0 <= target_term < 1 "
+         "and degree >= 0"),
+        (({0: 1}, {0: 1}), 5, {(0, 0): -1}, False,
+         "hint RankHint(target_term=0, degree=0, rank=-1): rank must be nonnegative"),
+    ],
+    ids=["rank-above-its-term", "term-off-the-sequence", "negative-degree", "negative-rank"],
+)
+def test_the_solver_rejects_a_hint_off_its_maps_or_its_ranks_naming_it(tables, top, hints, kernel, message):
+    with pytest.raises(ValueError) as exc:
+        solve_sequence(tables, top, hints, kernel=kernel)
+    assert str(exc.value) == message
+
+
 def test_an_empty_interval_with_nothing_provided_is_an_engine_fault():
     # a resolution whose H^0(E_1) = 2 cannot inject into H^0(E_0) = 1
     with pytest.raises(AssertionError, match="admit no ranks of an exact sequence"):
@@ -391,40 +416,60 @@ def test_hints_that_contradict_exactness_together_raise_naming_every_hint():
 _DEGREES = range(4)
 
 
-def _random_exact_sequence(rng, terms):
-    """A random resolution 0 -> E_r -> ... -> E_0 -> U -> 0 of ``terms`` terms, each H^q(E_j)
-    of dimension at most 3 in degrees 0..3, built from the top by the long exact sequences of
-    0 -> A_{j+1} -> E_j -> A_j -> 0 with A_r = E_r and A_0 = U: each step draws dim H^q(E_j) and
-    the rank rho_q of H^q(A_{j+1}) -> H^q(E_j) in 0..min of the two, then
-    dim H^q(A_j) = (dim H^q(E_j) - rho_q) + (dim H^{q+1}(A_{j+1}) - rho_{q+1}). Left exactness
-    makes rho_0 = dim H^0(A_{j+1}). Returns (tables, rho by (j, q), H^*(U)) with zero entries
-    dropped, or None when H^0(A_{j+1}) is too large to inject into an H^0(E_j) of dimension 3."""
+def _random_exact_sequence(rng, terms, kernel=False):
+    """A random exact sequence of ``terms`` terms E_r, ..., E_0, each H^q(E_j) of dimension at
+    most 3 in degrees 0..3: the resolution 0 -> E_r -> ... -> E_0 -> U -> 0, or with ``kernel``
+    0 -> U -> E_r -> ... -> E_0 -> 0. It is built from the top by the long exact sequences of
+    A_{j+1} -> E_j -> A_j with A_r = E_r: each step draws dim H^q(E_j) and the rank rho_q of
+    H^q(A_{j+1}) -> H^q(E_j) in 0..min of the two, then
+    dim H^q(A_j) = (dim H^q(E_j) - rho_q) + (dim H^{q+1}(A_{j+1}) - rho_{q+1}).
+    For the resolution A_j is the image sheaf and A_0 = U, and left exactness makes
+    rho_0 = dim H^0(A_{j+1}). With ``kernel`` A_j is the complex E_r -> ... -> E_j, whose
+    hypercohomology may sit in negative degrees; nothing binds rho_0, and A_0 is U[r], so
+    H^q(U) = H^{q-r}(A_0). Returns (tables, rho by (j, q), H^*(U)) with zero entries dropped,
+    or None when a resolution's H^0(A_{j+1}) is too large to inject into an H^0(E_j) of
+    dimension 3."""
     r = terms - 1
-    above = [rng.randint(0, 3) for _ in _DEGREES]  # dim H^q(A_{j+1}), first of A_r = E_r
+    above = {q: rng.randint(0, 3) for q in _DEGREES}  # dim H^q(A_{j+1}), first of A_r = E_r
     tables, ranks = [above], {}
     for j in range(r - 1, -1, -1):
-        if above[0] > 3:
+        if kernel:
+            dims = [rng.randint(0, 3) for _ in _DEGREES]
+            rho = [rng.randint(0, min(above[q], dims[q])) for q in _DEGREES]
+        elif above[0] > 3:
             return None
-        dims = [rng.randint(above[0], 3)] + [rng.randint(0, 3) for _ in _DEGREES[1:]]
-        rho = [above[0]] + [rng.randint(0, min(above[q], dims[q])) for q in _DEGREES[1:]]
+        else:
+            dims = [rng.randint(above[0], 3)] + [rng.randint(0, 3) for _ in _DEGREES[1:]]
+            rho = [above[0]] + [rng.randint(0, min(above[q], dims[q])) for q in _DEGREES[1:]]
         ranks.update({(j, q): rho[q] for q in _DEGREES})
-        above = [dims[q] - rho[q] + (above[q + 1] - rho[q + 1] if q < 3 else 0) for q in _DEGREES]
+        dims, rho = dict(zip(_DEGREES, dims)), dict(zip(_DEGREES, rho))
+        above = {
+            q: dims.get(q, 0) - rho.get(q, 0) + above.get(q + 1, 0) - rho.get(q + 1, 0)
+            for q in range(min(above) - 1, 4)
+        }
         tables.insert(0, dims)
-    # the Euler characteristics alternate along an exact sequence
-    assert sum((-1) ** q * d for q, d in enumerate(above)) == sum(
-        (-1) ** (i + q) * d for i, dims in enumerate(tables) for q, d in enumerate(dims)
+    # the Euler characteristics alternate along the long exact sequences: chi(A_0) is the
+    # alternating sum over the terms, which is chi(U), or (-1)^r chi(U) with ``kernel``
+    assert sum((-1) ** q * d for q, d in above.items()) == sum(
+        (-1) ** (i + q) * d for i, dims in enumerate(tables) for q, d in dims.items()
     )
-    return [{q: d for q, d in enumerate(dims) if d} for dims in tables], ranks, {q: d for q, d in enumerate(above) if d}
+    shift = r if kernel else 0
+    return (
+        [{q: d for q, d in dims.items() if d} for dims in tables],
+        ranks,
+        {q + shift: d for q, d in above.items() if d},
+    )
 
 
-def test_the_solver_is_sound_on_random_exact_sequences_with_known_ranks():
+@pytest.mark.parametrize("kernel", [False, True], ids=["resolution", "kernel"])
+def test_the_solver_is_sound_on_random_exact_sequences_with_known_ranks(kernel):
     # every true rank lies in its interval, a rank the solver does not list is 0, and a
     # determined output is the true H^*(U); some sequences also get true ranks as hints or
     # a true dim H^q(U) as a value, each one more equality the true ranks meet
     rng = random.Random(17)
     seen = dict.fromkeys(("sequences", "determined", "hinted", "valued"), 0)
     while seen["sequences"] < 600:
-        made = _random_exact_sequence(rng, rng.randint(1, 4))
+        made = _random_exact_sequence(rng, rng.randint(1, 4), kernel)
         if made is None:
             continue
         tables, ranks, out = made
@@ -432,7 +477,7 @@ def test_the_solver_is_sound_on_random_exact_sequences_with_known_ranks():
         hints = dict(rng.sample(sorted(ranks.items()), min(len(ranks), rng.randint(0, 2))))
         q = rng.randint(0, 3)
         values = {q: out.get(q, 0)} if rng.random() < 0.25 else {}
-        bounds, dims = solve_sequence(tables, top, hints, values)
+        bounds, dims = solve_sequence(tables, top, hints, values, kernel)
         listed = {cell: (low, high) for cell, low, high, _ in bounds}
         for cell, rank in ranks.items():
             low, high = listed.get(cell, (0, 0))

@@ -1,6 +1,6 @@
 """The kernel memos are invisible: ``dominantize`` and ``weyl_dimension`` cache by (root
 system, coefficients) after their checks, ``exterior_power_sum`` by (sum, j), the sum
-checked when it was built, and a label's weight, rank and dual by the label alone; each
+checked when it was built, and a label's weight and dual by the label alone; each
 memo is bounded. A root system hashes by type and rank only, so equal systems hash equal
 and an unequal system of the same type and rank is a separate key. A warm memo gives what
 a cold one gives, an error is never stored, and no memo outgrows its bound.
@@ -37,10 +37,9 @@ MEMOS = (
     root_system._weyl_dimension,
     schur.exterior_power_sum,
     schur._label_weight,
-    schur.label_rank,
     schur.dual_label,
 )
-LABEL_MEMOS = (schur._label_weight, schur.label_rank, schur.dual_label)
+LABEL_MEMOS = (schur._label_weight, schur.dual_label)
 SRC = Path(__file__).resolve().parents[1] / "src" / "gpcoh"
 
 
@@ -120,7 +119,7 @@ def test_no_memo_holds_more_than_its_bound():
     for t in range(1, label_size + 11):
         for memo in LABEL_MEMOS:
             memo(BundleLabel((2, 5), u_part=Partition((1,)), twist=t))
-    assert [memo.cache_info().currsize for memo in LABEL_MEMOS] == [label_size] * 3
+    assert [memo.cache_info().currsize for memo in LABEL_MEMOS] == [label_size] * 2
     clear_memos()
 
 
@@ -162,5 +161,5 @@ def test_every_memo_but_the_one_keyed_by_type_and_rank_is_bounded_by_an_int():
                     or isinstance(bound, ast.Name) and bound.id in ints
                 ):
                     unbounded.append(f"{path.stem}.{node.name}")
-    assert memos >= 7
+    assert memos >= 6
     assert unbounded == ["root_system.build_root_system"]
