@@ -116,15 +116,25 @@ class Scenario(NamedTuple):
 def _read(value, kind, file: str, block: str, key: str) -> None:
     """Check ``value``, the value of ``key`` in ``block``, against ``kind``: its JSON type
     exactly (a bool or a float is no integer), then each item of a list and each key of a
-    nested block. Any fault fails naming the file, the block and the key."""
+    nested block. No list of blocks repeats a ``name``, and a constant's ``name`` and
+    ``provenance`` are not empty once stripped. Any fault fails naming the file, the block and the key."""
     json_type = kind if isinstance(kind, type) else type(kind)
     if type(value) is not json_type:
         raise _fault(file, block, f"key {key!r} must be {_JSON_TYPES[json_type]}, got {json.dumps(value)}")
+    nested = key if block == _TOP else f"{block}.{key}"
     if type(kind) is list:
+        names = set()
         for i, item in enumerate(value):
             _read(item, kind[0], file, block, f"{key}[{i}]")
+            if type(item) is dict and "name" in item:
+                if item["name"] in names:
+                    raise _fault(file, f"{nested}[{i}]", f"key 'name' repeats {item['name']!r}")
+                names.add(item["name"])
     elif type(kind) is dict:
-        _block(value, kind, file, key if block == _TOP else f"{block}.{key}")
+        _block(value, kind, file, nested)
+        for text in ("name", "provenance") if kind is _CONSTANT else ():
+            if not value[text].strip():
+                raise _fault(file, nested, f"key {text!r} is empty")
 
 
 def _block(block: dict, kind: dict, file: str, name: str) -> None:
@@ -141,20 +151,9 @@ def _block(block: dict, kind: dict, file: str, name: str) -> None:
             raise _fault(file, name, f"lacks key {key!r}")
 
 
-def _constants(items: list[dict], file: str, block: str) -> dict[str, ExternalConstant]:
-    """The read constant blocks ``items`` by name; an empty name or provenance, or a name
-    repeated within the list, fails naming the file, the block and the key."""
-    out: dict[str, ExternalConstant] = {}
-    for i, item in enumerate(items):
-        where = f"{block}[{i}]"
-        const = ExternalConstant(item["name"], item["value"], item["provenance"].strip())
-        for key in ("name", "provenance"):
-            if not getattr(const, key):
-                raise _fault(file, where, f"key {key!r} is empty")
-        if const.name in out:
-            raise _fault(file, where, f"key 'name' repeats {const.name!r}")
-        out[const.name] = const
-    return out
+def _constants(items: list[dict]) -> dict[str, ExternalConstant]:
+    """The read constant blocks ``items`` by name, each provenance stripped."""
+    return {c["name"]: ExternalConstant(c["name"], c["value"], c["provenance"].strip()) for c in items}
 
 
 def _read_constants(consts: dict, names: tuple[str, ...], file: str, block: str) -> tuple[ExternalConstant, ...]:
@@ -234,7 +233,7 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     Grassmannian, a label the grammar rejects (an empty one included), a section summand with
     no global sections (H^0 of an irreducible bundle is nonzero exactly when it is globally
     generated, which makes a general section regular; O(-8) on Gr(4,7) has only H^12, so the
-    test is degree 0), or a twist or constant name repeated in its list fails naming the key."""
+    test is degree 0) fails naming the key."""
     file, data = _load(name_or_path, _ZERO_LOCUS_FILE)
     space = _root_system(data["ambient"], file, "ambient")
     with _naming(file, _TOP, "ambient"):
@@ -246,12 +245,9 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
                 raise ValueError(f"summand {label} has no global sections, so no section is regular")
     twists: dict[str, tuple[int, BundleSum, tuple[RankHint, ...]]] = {}
     for i, tw in enumerate(data.get("twists", ())):
-        where, name = f"twists[{i}]", tw["name"]
-        if name in twists:
-            raise _fault(file, where, f"key 'name' repeats {name!r}")
-        with _naming(file, where, "label"):
+        with _naming(file, f"twists[{i}]", "label"):
             bundle = parse_bundle(kn, tw["label"])
-        twists[name] = (i, bundle, tuple(RankHint(**h) for h in tw.get("rank_hints", ())))
+        twists[tw["name"]] = (i, bundle, tuple(RankHint(**h) for h in tw.get("rank_hints", ())))
     return Scenario(
         file=file,
         name=data.get("name", file),
@@ -259,7 +255,7 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
         space=space,
         section_bundle=section,
         twists=twists,
-        external_constants=_constants(data.get("external_constants", ()), file, "external_constants"),
+        external_constants=_constants(data.get("external_constants", ())),
     )
 
 
@@ -614,7 +610,7 @@ def run_theorem1_audit(source: str | Path = "theorem1") -> RigidityReport:
     for i, case in enumerate(data["cases"]):
         where, name = f"cases[{i}]", case["name"]
         block = f"{where}.external_constants"
-        consts = _constants(case["external_constants"], file, block)
+        consts = _constants(case["external_constants"])
         cone_const, h1_const = _read_constants(consts, ("cone_aut_dim", "h1_general_fiber"), file, block)
         aut, cone = case["aut_root_system"], case["cone_aut_semisimple"]
         aut_dim = adjoint_dimension(_root_system(aut, file, f"{where}.aut_root_system"))

@@ -41,10 +41,9 @@ Two label-level helpers are memoized, each keyed by the label alone in a thread-
 ``lru_cache`` of ``_LABEL_MEMO_SIZE``: ``_label_weight`` (``sum_to_weights`` has checked the
 space against the sum's ambient, and every summand lies on it) and ``dual_label``, serving 75%
 (2,888 distinct labels in 11,360 calls) and 94% (129 in 2,084) of their calls on one cold pass
-of the Koszul benchmark pool; ``label_rank``, a product over pairs of rows, measured no faster
-with one. The traced layers (``sum_to_weights``, ``tensor``, ``lr_coefficients`` here) hold
-none: a traced benchmark pass follows a warm one, so a memo in front of a span would hide it
-and change its call counts.
+of the Koszul benchmark pool. ``label_rank``, two ``gl_dimension`` products, has none, nor do
+the traced layers (``sum_to_weights``, ``tensor``, ``lr_coefficients`` here): a traced benchmark
+pass follows a warm one, so a memo in front of a span would hide it and change its call counts.
 
 A label or a sum is checked once, by its constructor: ``BundleLabel`` checks its fields and
 ``BundleSum`` (``from_pairs`` is the same) the ambient and multiplicity of each summand, so no

@@ -171,6 +171,31 @@ def test_lr_of_a_million_box_row_finishes_with_its_dimensions():
     assert result["gl_dimension_sum"] == 3 * math.comb(1000002, 2)
 
 
+def _gpcoh(*argv):
+    """``gpcoh argv`` in a fresh process, bounded by 10 s."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "gpcoh.cli", *argv], env=env, capture_output=True, text=True, timeout=10
+    )
+
+
+def test_a_twenty_digit_rank_exits_2_with_one_line_at_once():
+    # the rank is bounded where it enters, before any Cartan matrix is built
+    proc = _gpcoh("roots", "A", "99999999999999999999")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: invalid rank 99999999999999999999 for type A; valid range: 1 <= n <= 100\n"
+    )
+
+
+def test_a_scenario_ambient_of_rank_2_to_the_70_exits_2_naming_the_block_and_the_key(tmp_path):
+    p = _cayley_copy(tmp_path, lambda d: d["ambient"].update(rank=2**70))
+    proc = _gpcoh("koszul", "--scenario", str(p), "--twist", "normal")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert str(p) in proc.stderr and "block 'ambient'" in proc.stderr and "key 'rank'" in proc.stderr
+
+
 def test_koszul_normal_twist(capsys):
     code, doc, _ = run_json(capsys, "koszul", "--scenario", "cayley.json", "--twist", "normal")
     assert code == 0
@@ -453,6 +478,7 @@ def _set_twist_label(d, label):
         (lambda d: _set_constant(d, value=14.9), "external_constants[0]", "value"),
         (_drop_constant_name, "external_constants[0]", "name"),
         (lambda d: _set_constant(d, name=""), "external_constants[0]", "name"),
+        (lambda d: _set_constant(d, name="  "), "external_constants[0]", "name"),
         (
             lambda d: d["twists"][1].update(rank_hints=[{"target_term": None, "degree": 0, "rank": 0}]),
             "twists[1].rank_hints[0]",
@@ -482,7 +508,7 @@ def _set_twist_label(d, label):
     ],
     ids=[
         "crossed-int", "crossed-float-item", "rank-float", "rank-bool", "constant-not-object",
-        "value-null", "value-float", "name-missing", "name-empty", "hint-term-null",
+        "value-null", "value-float", "name-missing", "name-empty", "name-blank", "hint-term-null",
         "section-int", "hint-not-object",
         "section-empty", "section-blank", "section-missing",
         "twist-label-garbage", "section-unparsable", "twist-exterior-power-too-large",

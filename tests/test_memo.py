@@ -1,12 +1,14 @@
 """The kernel memos are invisible: ``dominantize`` and ``weyl_dimension`` cache by (root
 system, coefficients) after their checks, ``exterior_power_sum`` by (sum, j), the sum
 checked when it was built, and a label's weight and dual by the label alone; each
-memo is bounded. A root system hashes by type and rank only, so equal systems hash equal
-and an unequal system of the same type and rank is a separate key. A warm memo gives what
-a cold one gives, an error is never stored, and no memo outgrows its bound.
+memo is bounded. A root system is one object per type and rank, whatever the spelling of
+its letter, and copy and pickle return that object; it keys a memo as that object, so an
+unequal system of the same type and rank is a separate key. A warm memo gives what a cold
+one gives, an error is never stored, and no memo outgrows its bound.
 """
 
 import ast
+import copy
 import pickle
 from pathlib import Path
 
@@ -50,19 +52,24 @@ def clear_memos() -> None:
 
 def test_a_pickled_root_system_is_equal_hashes_equal_and_gets_equal_results():
     e8 = build_root_system("E", 8)
-    copy = pickle.loads(pickle.dumps(e8))
-    assert copy is not e8
-    assert copy == e8 and hash(copy) == hash(e8)
+    pickled = pickle.loads(pickle.dumps(e8))
+    assert pickled is e8 and copy.copy(e8) is e8 and copy.deepcopy(e8) is e8
+    assert pickled == e8 and hash(pickled) == hash(e8)
     for coeffs in [(1,) * 8, (-1, 2, 0, 1, -3, 1, 1, 2), (3, -1, 1, 1, -2, 1, 1, -1)]:
         w = Weight(coeffs)
-        assert dominantize(copy, w) == dominantize(e8, w)
-    assert weyl_dimension(copy, Weight((0,) * 7 + (1,))) == weyl_dimension(e8, Weight((0,) * 7 + (1,))) == 248
+        assert dominantize(pickled, w) == dominantize(e8, w)
+    assert weyl_dimension(pickled, Weight((0,) * 7 + (1,))) == weyl_dimension(e8, Weight((0,) * 7 + (1,))) == 248
+
+
+def test_every_spelling_of_a_letter_builds_the_one_system_of_its_type_and_rank():
+    assert build_root_system("a", 3) is build_root_system("A", 3)
+    assert build_root_system(" e ", 6) is build_root_system("E", 6) is build_root_system("e", 6)
 
 
 def test_an_unequal_system_of_the_same_type_and_rank_is_never_served_the_canonical_entries():
     b3, c3 = build_root_system("B", 3), build_root_system("C", 3)
     impostor = c3._replace(type_letter="B")  # C3's Cartan matrix and roots under B3's name
-    assert hash(impostor) == hash(b3) and impostor != b3
+    assert impostor != b3
     walked, omega1 = Weight((2, 1, -5)), Weight((1, 0, 0))
     assert dominantize(b3, walked) != dominantize(c3, walked)
     assert weyl_dimension(b3, omega1) == 7 and weyl_dimension(c3, omega1) == 6

@@ -423,6 +423,19 @@ AUDIT_CASE_PROBES = [
         lambda d: (consts := d["cases"][0]["external_constants"]).append(consts[0]),
         "cases[0].external_constants[2]", "name",
     ),
+    # a name repeated in a list of blocks
+    (
+        "case-name-repeated", "vmrt", lambda d: d["cases"][1].update(name=d["cases"][0]["name"]),
+        "cases[1]", "name",
+    ),
+    (
+        "theorem1-case-name-repeated", "theorem1", lambda d: d["cases"][1].update(name=d["cases"][0]["name"]),
+        "cases[1]", "name",
+    ),
+    (
+        "extra-space-name-repeated", "vmrt", lambda d: d["extra_spaces"].append(d["extra_spaces"][0]),
+        "extra_spaces[2]", "name",
+    ),
     (
         "aut-rank-bool", "theorem1", lambda d: d["cases"][0]["aut_root_system"].update(rank=True),
         "cases[0].aut_root_system", "rank",
