@@ -22,7 +22,8 @@ commutative), so the tables are deterministic.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 
 from .root_system import (
     ParabolicSpace,
@@ -45,20 +46,17 @@ __all__ = [
 ]
 
 
-class BWBResult(NamedTuple):
+class BWBResult(namedtuple("BWBResult", "degree weight dimension predual_weight", defaults=(None,) * 4)):
     """Either total vanishing or a single nonzero cohomology degree.
 
     Total vanishing leaves every field None; otherwise ``degree`` is the
-    nonzero degree, ``weight`` the highest weight of the cohomology as a
-    G-representation (already dualized) and ``predual_weight`` the dominant
-    weight produced by the rho-shifted Weyl walk before dualization. The two
-    weights have the same dimension.
+    nonzero degree, ``dimension`` its dimension, ``weight`` the highest weight
+    of the cohomology as a G-representation (already dualized) and
+    ``predual_weight`` the dominant weight produced by the rho-shifted Weyl
+    walk before dualization. The two weights have the same dimension.
     """
 
-    degree: int | None = None
-    weight: Weight | None = None
-    dimension: int | None = None
-    predual_weight: Weight | None = None
+    __slots__ = ()
 
     @property
     def all_vanish(self) -> bool:
@@ -67,18 +65,18 @@ class BWBResult(NamedTuple):
 
 _VANISHING = BWBResult()  # every vanishing result: a tuple of Nones, immutable
 
-class CohomologyTable(NamedTuple):
+class CohomologyTable(namedtuple("CohomologyTable", "total_dims entries", defaults=(None,))):
     """Map from cohomology degree to dimensions, with weight multiplicities.
 
-    ``entries`` lists per degree the (dominant weight, multiplicity) pairs
-    when the table came from Borel-Weil-Bott on a G-space; tables produced by
-    a restriction chase carry dimensions only and have ``entries = None``.
-    Absent degrees mean zero. Distinct weights are never collapsed, even when
+    ``total_dims`` holds the (degree, dimension) pairs of the nonzero degrees in
+    ascending order. ``entries`` lists per degree the (dominant weight,
+    multiplicity) pairs when the table came from Borel-Weil-Bott on a G-space;
+    tables produced by a restriction chase carry dimensions only and have
+    ``entries = None``. Absent degrees mean zero. Distinct weights are never collapsed, even when
     their dimensions coincide.
     """
 
-    total_dims: tuple[tuple[int, int], ...]
-    entries: tuple[tuple[int, tuple[tuple[Weight, int], ...]], ...] | None = None
+    __slots__ = ()
 
     @classmethod
     def from_dimensions(cls, dims: Mapping[int, int]) -> "CohomologyTable":

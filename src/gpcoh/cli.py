@@ -11,20 +11,24 @@ Subcommands::
 Weights are comma-separated fundamental-weight coefficients (negatives
 allowed); partitions are comma lists like "2,1,1". Bundle labels use the
 compact grammar from the schur module: "O(-3)", "L3 U*", "S2 U (-1)",
-"W[2,1]U * Q", "T". Output is text or JSON (--format); both carry the same
-numbers. Each subcommand binds its handler, which returns (payload, failures,
-text lines); the JSON document echoes every parsed argument as ``command.args``.
-Exit status is 0 only when every assertion made by the invoked command holds;
-failures are listed machine-readably. Nothing is read from the environment;
-text output wraps at 100 columns.
+"W[2,1]U * Q", "T". Output is text or JSON (--format, given before the
+subcommand); both carry the same numbers. One table, ``_COMMANDS``, gives each
+subcommand its handler, which returns (payload, failures, text lines), its
+positionals and its required options; one reader takes ``--opt value`` and
+``--opt=value``, and a value may start with one dash (``--weight -3,0``). The
+JSON document echoes every read argument as ``command.args``. ``-h`` or
+``--help`` prints the block above. Exit status is 0 only when every assertion
+made by the invoked command holds; failures are listed machine-readably. A
+fault in the arguments or the input exits 2 with one ``error:`` line on stderr,
+or the JSON error document on stdout under ``--format json``. Nothing is read
+from the environment; text output wraps at 100 columns.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-import textwrap
+from types import SimpleNamespace
 
 from .bott import ParabolicSpace, bwb, euler_characteristic
 from .root_system import Weight, adjoint_dimension, build_root_system
@@ -60,6 +64,8 @@ def _table_payload(table) -> dict:
 
 
 def _cmd_roots(ns) -> tuple[dict, list, list[str]]:
+    import textwrap  # here, its one user, so that no other command compiles its patterns
+
     rs = build_root_system(ns.type, ns.rank)
     payload = {
         "type": rs.type_letter,
@@ -196,68 +202,101 @@ def _cmd_report(ns) -> tuple[dict, list, list[str]]:
     return payload, failures, lines
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gpcoh",
-        description="Exact cohomology of equivariant bundles on G/P and rigidity reports.",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# each subcommand: its handler, its positionals and its required options, each a (name, kind)
+# pair, where a kind is str, int, or the tuple of the values it accepts
+_COMMANDS = {
+    "roots": (_cmd_roots, (("type", str), ("rank", int)), ()),
+    "bwb": (_cmd_bwb, (("type", str), ("rank", int)), (("crossed", str), ("weight", str))),
+    "lr": (_cmd_lr, (("mu", str), ("nu", str)), (("rows", int),)),
+    "koszul": (_cmd_koszul, (), (("scenario", str), ("twist", str))),
+    "report": (_cmd_report, (("name", tuple(REPORTS)),), ()),
+}
+_FRONT_OPTIONS = {"format": ("text", "json")}  # the options read before the subcommand
 
-    p_roots = sub.add_parser("roots", help="build a root system and list its data")
-    p_roots.add_argument("type", help="simple type letter A-G")
-    p_roots.add_argument("rank", type=int)
-    p_roots.set_defaults(handler=_cmd_roots)
 
-    p_bwb = sub.add_parser("bwb", help="Borel-Weil-Bott for one bundle weight")
-    p_bwb.add_argument("type")
-    p_bwb.add_argument("rank", type=int)
-    p_bwb.add_argument("--crossed", required=True, help="comma list of crossed nodes")
-    p_bwb.add_argument(
-        "--weight",
-        required=True,
-        help="comma list of coefficients; use --weight=-3,0 when the first one is negative",
-    )
-    p_bwb.set_defaults(handler=_cmd_bwb)
+def _usage() -> str:
+    """The usage line and the ``Subcommands::`` block of this module's docstring."""
+    block = (__doc__ or "").partition("Subcommands::\n\n")[2].partition("\n\n")[0]
+    return f"usage: gpcoh [--format text|json] SUBCOMMAND ...\n\n{block}"
 
-    p_lr = sub.add_parser("lr", help="Littlewood-Richardson coefficients")
-    p_lr.add_argument("mu")
-    p_lr.add_argument("nu")
-    p_lr.add_argument("--rows", type=int, required=True)
-    p_lr.set_defaults(handler=_cmd_lr)
 
-    p_koszul = sub.add_parser("koszul", help="run one twisted Koszul chase")
-    p_koszul.add_argument("--scenario", required=True)
-    p_koszul.add_argument("--twist", required=True)
-    p_koszul.set_defaults(handler=_cmd_koszul)
+def _value(what: str, kind, text: str):
+    """``text`` read as ``what`` (an argument or an option) of the kind ``kind``."""
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"{what} must be an integer, got {text!r}") from None
+    if kind is not str and text not in kind:
+        raise ValueError(f"{what} must be one of {', '.join(kind)}, got {text!r}")
+    return text
 
-    p_report = sub.add_parser("report", help="run a shipped rigidity report")
-    p_report.add_argument("name", choices=REPORTS)
-    p_report.set_defaults(handler=_cmd_report)
 
-    return parser
+def _read_argv(argv: list[str], args: dict) -> str | None:
+    """Read ``argv`` into the empty dict ``args`` by name and return the subcommand, or None when
+    ``-h`` or ``--help`` asks for the usage. ``args["format"]`` is set as soon as it is read, so
+    a later fault is reported in that format. Every fault raises a one-line ValueError."""
+    command, options, positionals = None, _FRONT_OPTIONS, ()
+    given = 0  # positionals read so far
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        if token.startswith("--"):
+            name, eq, text = token[2:].partition("=")
+            if name not in options:
+                where = f"for subcommand {command!r}" if command else "before the subcommand"
+                known = ", ".join(f"--{o}" for o in options) or "none"
+                raise ValueError(f"unknown option {token!r} {where}; known: {known}")
+            if name in args:
+                raise ValueError(f"option --{name} is given twice")
+            if not eq:
+                text = next(tokens, None)
+                if text is None or text.startswith("--"):
+                    raise ValueError(f"option --{name} needs a value")
+            args[name] = _value(f"option --{name}", options[name], text)
+        elif command is None:
+            if token not in _COMMANDS:
+                raise ValueError(f"unknown subcommand {token!r}; known: {', '.join(_COMMANDS)}")
+            command, (_, positionals, required) = token, _COMMANDS[token]
+            options = dict(required)
+        elif given == len(positionals):
+            takes = ", ".join(name for name, _ in positionals) or "none"
+            raise ValueError(f"subcommand {command!r} got an extra argument {token!r}; it takes: {takes}")
+        else:
+            name, kind = positionals[given]
+            args[name] = _value(f"argument {name!r}", kind, token)
+            given += 1
+    if command is None:
+        raise ValueError(f"no subcommand given; known: {', '.join(_COMMANDS)}")
+    if given < len(positionals):
+        raise ValueError(f"subcommand {command!r} lacks argument {positionals[given][0]!r}")
+    for name in options:
+        if name not in args:
+            raise ValueError(f"subcommand {command!r} lacks option --{name}")
+    return command
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    args: dict = {}
     try:
-        payload, failures, lines = ns.handler(ns)
+        command = _read_argv(sys.argv[1:] if argv is None else argv, args)
+        if command is None:
+            print(_usage())
+            return 0
+        payload, failures, lines = _COMMANDS[command][0](SimpleNamespace(**args))
     except (ValueError, FileNotFoundError) as exc:
         message = str(exc)
-        if ns.format == "json":
+        if args.get("format") == "json":
             print(json.dumps({"schema_version": SCHEMA_VERSION, "error": message}))
         else:
             print(f"error: {message}", file=sys.stderr)
         return 2
-    if ns.format == "json":
-        # the command echo is every parsed argument but the output format and the dispatch
-        args = {k: v for k, v in vars(ns).items() if k not in ("format", "command", "handler")}
+    if args.pop("format", "text") == "json":
+        # the command echo is every read argument but the output format
         document = {
             "schema_version": SCHEMA_VERSION,
-            "command": {"name": ns.command, "args": args},
+            "command": {"name": command, "args": args},
             "result": payload,
             "failures": failures,
         }

@@ -31,7 +31,8 @@ nothing provided it is an engine fault, an AssertionError.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 
 from .bott import CohomologyTable, ParabolicSpace, bundle_cohomology
 from .schur import BundleSum, dual_sum, exterior_power_sum, grassmannian_kn, sum_to_weights
@@ -48,16 +49,15 @@ __all__ = [
 ]
 
 
-class KoszulComplex(NamedTuple):
+class KoszulComplex(namedtuple("KoszulComplex", "ambient terms")):
     """Terms C_j = Lambda^j(E^*) (x) F for j = 0 up to rank E.
 
-    ``terms[j]`` is C_j, so ``terms[0]`` is C_0 = F and ``terms[-1]`` is the
-    top term C_r. The expected codimension condition rank E <= dim G/P is
-    enforced.
+    ``ambient`` is the ``ParabolicSpace`` and ``terms[j]`` the ``BundleSum`` C_j, so
+    ``terms[0]`` is C_0 = F and ``terms[-1]`` is the top term C_r. The expected
+    codimension condition rank E <= dim G/P is enforced.
     """
 
-    ambient: ParabolicSpace
-    terms: tuple[BundleSum, ...]
+    __slots__ = ()
 
     @property
     def section_rank(self) -> int:
@@ -70,20 +70,16 @@ class KoszulComplex(NamedTuple):
         return self.terms[j]
 
 
-class RankHint(NamedTuple):
-    """Caller-supplied rank for the map H^degree(A) -> H^degree(C_target_term),
-    where A is the image sheaf coming from term target_term + 1."""
-
-    target_term: int
-    degree: int
-    rank: int
+RankHint = namedtuple("RankHint", "target_term degree rank")
+RankHint.__doc__ = """Caller-supplied rank for the map H^degree(A) -> H^degree(C_target_term),
+where A is the image sheaf coming from term target_term + 1; all three are ints."""
 
 
-class UsedHint(NamedTuple):
-    target_term: int
-    degree: int
-    rank: int
-    origin: str  # "forced" (pinned by the exactness constraints) | "provided"
+class UsedHint(namedtuple("UsedHint", "target_term degree rank origin")):
+    """A rank the chase used, as in ``RankHint``, and its ``origin``: "forced" (pinned by the
+    exactness constraints) or "provided"."""
+
+    __slots__ = ()
 
     @property
     def assumed(self) -> bool:  # the one rule: a provided rank is assumed, a forced one computed
@@ -96,7 +92,9 @@ class UsedHint(NamedTuple):
         )
 
 
-class ChaseResult(NamedTuple):
+class ChaseResult(
+    namedtuple("ChaseResult", "term_tables hints_used table blocking_positions", defaults=(None, ()))
+):
     """A chase's first page and its outcome.
 
     ``term_tables[j]`` is H^*(C_j). ``grid`` lists them as ((term j, degree q), dim)
@@ -106,10 +104,7 @@ class ChaseResult(NamedTuple):
     ``blocking_positions`` lists each rank whose bounds stay open.
     """
 
-    term_tables: tuple[CohomologyTable, ...]
-    hints_used: tuple[UsedHint, ...]
-    table: CohomologyTable | None = None
-    blocking_positions: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
     @property
     def grid(self) -> tuple[tuple[tuple[int, int], int], ...]:

@@ -34,17 +34,19 @@ All values are immutable after construction and every operation is a pure
 function; concurrent reads from multiple threads are safe. Memos (thread-safe): ``dominantize``
 and ``weyl_dimension`` by (root system, coefficients) after their checks, ``_MEMO_SIZE`` each; a
 root system is one object per type and rank, equal only to itself. ``bott.bwb``, a traced
-layer, has none. Every other record is a tuple of its fields (a ``NamedTuple``, or a ``_Record``
-where construction validates), so records of two types compare equal when their fields do.
+layer, has none. Every other record is a tuple of its fields (a ``collections.namedtuple``, or a
+``_Record`` where construction validates), so records of two types compare equal when their
+fields do.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import lru_cache, partial
 from math import gcd, prod
 from itertools import compress
 from operator import add, gt, itemgetter, sub
-from typing import Iterable, NamedTuple
 
 __all__ = [
     "Weight",
@@ -162,9 +164,16 @@ class Weight(_Record):
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 
 
-class RootSystem(NamedTuple):
+class RootSystem(
+    namedtuple(
+        "RootSystem",
+        "type_letter rank cartan positive_roots rho symmetrizer root_chain rho_product neighbours minus_w0",
+    )
+):
     """Cartan data of one simple type, with its positive roots precomputed.
 
+    ``type_letter`` and ``rank`` name the type; ``cartan`` is the Cartan matrix as a tuple
+    of int rows and ``rho`` the ``Weight`` with every coefficient 1.
     ``positive_roots`` are integer coordinate vectors over the simple roots,
     in graded lexicographic order (so golden outputs are stable).
     ``symmetrizer`` holds the coprime positive integers d_j with
@@ -183,16 +192,7 @@ class RootSystem(NamedTuple):
     ``repr``; equality is identity (one object per type and rank).
     """
 
-    type_letter: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[tuple[int, ...], ...]
-    rho: Weight
-    symmetrizer: tuple[int, ...]
-    root_chain: tuple[tuple[int, int], ...]
-    rho_product: int
-    neighbours: tuple[tuple[tuple[int, int], ...], ...]
-    minus_w0: tuple[int, ...] | None
+    __slots__ = ()
 
     # build_root_system makes one object per type and rank, so a system is equal only to itself
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__

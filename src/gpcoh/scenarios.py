@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 import os
+from collections import namedtuple
 from contextlib import contextmanager
 from pathlib import Path
-from typing import NamedTuple
 
 from .bott import ParabolicSpace, bwb, canonical_twist_weight
 from .koszul import ChaseResult, KoszulComplex, RankHint, build_koszul, chase, solve_sequence
@@ -67,10 +67,7 @@ _THEOREM1_FILE = {**_FILE, "cases": [_THEOREM1_CASE]}
 _JSON_TYPES = {dict: "a JSON object", list: "a list", str: "a string", int: "an integer"}
 
 
-class ExternalConstant(NamedTuple):
-    name: str
-    value: int
-    provenance: str
+ExternalConstant = namedtuple("ExternalConstant", "name value provenance")  # str, int, str
 
 
 def _fault(file: str, block: str, message: str) -> ValueError:
@@ -87,18 +84,14 @@ def _naming(file: str, block: str, key: str):
         raise _fault(file, block, f"key {key!r}: {exc}") from exc
 
 
-class Scenario(NamedTuple):
+class Scenario(
+    namedtuple("Scenario", "file name title space section_bundle twists external_constants")
+):
     """A loaded zero-locus file, named as errors name it: the ambient space, the section
     bundle, each twist by name as (its index in the file's ``twists``, its bundle, its rank
     hints), and the external constants by name."""
 
-    file: str
-    name: str
-    title: str
-    space: ParabolicSpace
-    section_bundle: BundleSum
-    twists: dict[str, tuple[int, BundleSum, tuple[RankHint, ...]]]
-    external_constants: dict[str, ExternalConstant]
+    __slots__ = ()
 
     def chase_twist(self, name: str) -> tuple[KoszulComplex, ChaseResult]:
         """The Koszul resolution twisted by ``name`` and its chase under that twist's own rank
@@ -263,24 +256,14 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
 # Report structure
 
 
-class ReportLine(NamedTuple):
-    key: str
-    text: str
-    value: object
-    source: str  # "computed" | "assumed" (a provided rank hint) | "external"
-    provenance: str
-    passed: bool | None = None  # None marks an informational line
+# ``source`` is "computed", "assumed" (a provided rank hint) or "external"; ``passed`` is a bool,
+# or None on an informational line
+ReportLine = namedtuple("ReportLine", "key text value source provenance passed", defaults=(None,))
+ReportSection = namedtuple("ReportSection", "title lines")  # lines: a tuple of ReportLine
 
 
-class ReportSection(NamedTuple):
-    title: str
-    lines: tuple[ReportLine, ...]
-
-
-class RigidityReport(NamedTuple):
-    name: str
-    title: str
-    sections: tuple[ReportSection, ...]
+class RigidityReport(namedtuple("RigidityReport", "name title sections")):  # sections: of ReportSection
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -62,10 +62,10 @@ bundle U^* (x) Q of Gr(k, n) carries the weight omega_1 + omega_{n-1}.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from math import comb
 from operator import sub
-from typing import Iterable, Iterator
 
 from .root_system import ParabolicSpace, Weight, _Record, _check_multiplicity
 
@@ -550,10 +550,11 @@ def sum_to_weights(bsum: BundleSum, space: ParabolicSpace) -> tuple[tuple[Weight
 #   GEN    := "U" | "U*" | "Q" | "Q*"
 #
 # Examples: "O(-3)", "L3 U*", "S2 U (-1)", "W[2,1]U * Q", "T".
+#
+# Both patterns stay strings: ``re`` compiles and caches each on its first use, so a process that
+# parses no bundle does not compile them.
 
-
-_ATOM_RE = re.compile(
-    r"""
+_ATOM_RE = r"""(?x)
     \s*
     (?:
         (?P<line>O)
@@ -564,10 +565,8 @@ _ATOM_RE = re.compile(
     \s*
     (?: \( \s* (?P<twist>-?\d+) \s* \) )?
     \s*
-    """,
-    re.VERBOSE,
-)
-_ATOM_SEP = re.compile(r"(?<![UQ])\*")  # a star glued to U or Q marks a dual, any other separates
+"""
+_ATOM_SEP = r"(?<![UQ])\*"  # a star glued to U or Q marks a dual, any other separates
 
 
 def parse_partition(text: str) -> Partition:
@@ -583,7 +582,7 @@ def parse_partition(text: str) -> Partition:
 
 
 def _parse_atom(ambient: tuple[int, int], text: str) -> BundleLabel:
-    match = _ATOM_RE.fullmatch(text)
+    match = re.fullmatch(_ATOM_RE, text)
     if not match:
         raise ValueError(f"cannot parse bundle atom {text!r}")
     twist = int(match.group("twist") or 0)
@@ -612,7 +611,7 @@ def parse_bundle(ambient: tuple[int, int], text: str) -> BundleSum:
     """Parse the compact bundle syntax into a canonical sum: the first atom's label, times each
     further atom by ``tensor``. An atom's label is checked once, by ``BundleLabel``, not its sum."""
     ambient = tuple(ambient)
-    atoms = [piece.strip() for piece in _ATOM_SEP.split(text) if piece.strip()]
+    atoms = [piece.strip() for piece in re.split(_ATOM_SEP, text) if piece.strip()]
     if not atoms:
         raise ValueError(f"cannot parse bundle {text!r}")
     k, n = ambient

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from gpcoh import cli
 from gpcoh.cli import main
 
 from conftest import hook_content_dimension, shipped_scenario
@@ -700,3 +701,57 @@ def test_a_hint_above_its_term_dimension_exits_2_naming_the_file_and_the_twist(c
         f"error: scenario file {str(p)!r}: block 'twists[1]' key 'rank_hints': hint "
         "RankHint(target_term=0, degree=0, rank=100000) exceeds the maximal possible rank 35 = dim H^0(E_0)\n"
     )
+
+
+# every kind of fault in the arguments, with the one line it prints
+ARGUMENT_FAULTS = [
+    ((), "no subcommand given; known: roots, bwb, lr, koszul, report"),
+    (("nope",), "unknown subcommand 'nope'; known: roots, bwb, lr, koszul, report"),
+    (("report", "cayley", "--bogus", "1"), "unknown option '--bogus' for subcommand 'report'; known: none"),
+    (("--form", "json", "report", "cayley"), "unknown option '--form' before the subcommand; known: --format"),
+    (("lr", "1", "1", "--rows"), "option --rows needs a value"),
+    (("lr", "1", "1", "--rows", "--rows", "2"), "option --rows needs a value"),
+    (("lr", "1", "1", "--rows", "2", "--rows=3"), "option --rows is given twice"),
+    (("bwb", "A", "2", "--crossed", "1"), "subcommand 'bwb' lacks option --weight"),
+    (("lr", "1", "1"), "subcommand 'lr' lacks option --rows"),
+    (("koszul", "--twist", "normal"), "subcommand 'koszul' lacks option --scenario"),
+    (("koszul", "--scenario", "cayley"), "subcommand 'koszul' lacks option --twist"),
+    (("roots", "A", "2", "3"), "subcommand 'roots' got an extra argument '3'; it takes: type, rank"),
+    (("roots", "A"), "subcommand 'roots' lacks argument 'rank'"),
+    (("report",), "subcommand 'report' lacks argument 'name'"),
+    (("koszul", "cayley", "--scenario", "cayley", "--twist", "normal"),
+     "subcommand 'koszul' got an extra argument 'cayley'; it takes: none"),
+    (("roots", "A", "x"), "argument 'rank' must be an integer, got 'x'"),
+    (("lr", "1", "1", "--rows", "x"), "option --rows must be an integer, got 'x'"),
+    (("report", "nope"), "argument 'name' must be one of cayley, vmrt, theorem1, adjunction, got 'nope'"),
+    (("--format", "yaml", "report", "cayley"), "option --format must be one of text, json, got 'yaml'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", ARGUMENT_FAULTS, ids=[" ".join(a) or "empty" for a, _ in ARGUMENT_FAULTS])
+def test_an_argument_fault_exits_2_with_one_line_in_text_and_one_document_in_json(capsys, argv, message):
+    # main returns the 2 itself: a SystemExit would escape and fail the test
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    code, out, err = run(capsys, "--format", "json", *argv)
+    assert (code, err, out.count("\n")) == (2, "", 1)
+    doc = json.loads(out)
+    assert set(doc) == {"schema_version", "error"} and doc["schema_version"] == 1
+    # under --format json the format is read first, so "--format yaml" is then a second one
+    assert doc["error"] == ("option --format is given twice" if "--format" in argv else message)
+
+
+def test_a_weight_that_starts_with_a_minus_is_read_as_the_value(capsys):
+    code, doc, _ = run_json(capsys, "bwb", "A", "2", "--crossed", "1", "--weight", "-3,0")
+    assert code == 0
+    assert doc["command"]["args"]["weight"] == "-3,0"
+    assert doc["result"]["weight"] == [-3, 0]
+
+
+@pytest.mark.parametrize(
+    "argv", [("--help",), ("-h",), ("--format", "json", "-h"), ("roots", "--help")], ids=" ".join
+)
+def test_help_prints_the_usage_block_naming_every_subcommand_and_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: gpcoh ")
+    assert [line.split()[0] for line in out.splitlines()[2:]] == list(cli._COMMANDS)

@@ -1,5 +1,6 @@
-"""What the record types promise: a cold import without ``dataclasses``, copies and pickles
-equal to the original, no public construction that skips validation, and no assignment."""
+"""What the record types promise: a cold import without ``dataclasses`` or ``typing``, the
+namedtuple protocol on every result record, copies and pickles equal to the original, no public
+construction that skips validation, and no assignment."""
 
 import ast
 import copy
@@ -31,15 +32,17 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 VALIDATING = (Weight, Partition, BundleLabel, BundleSum, ParabolicSpace)
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+def test_importing_the_cli_loads_neither_argparse_typing_textwrap_nor_dataclasses():
     # a fresh process, since the test suite imports inspect itself; under -S no site hook
-    # loads modules first, so the shipped data must be found without importlib.resources
+    # loads modules first, so the shipped data must be found without importlib.resources, and
+    # typing, which a site hook (a .pth file) may load before gpcoh, is banned there only
     env = {**os.environ, "PYTHONPATH": str(SRC)}
+    unused = {"dataclasses", "inspect", "argparse", "gettext", "locale", "textwrap"}
     for flags, banned in (
-        ((), {"dataclasses", "inspect"}),
-        (("-S",), {"dataclasses", "inspect", "importlib.resources", "zipfile", "tempfile"}),
+        ((), unused),
+        (("-S",), unused | {"typing", "importlib.resources", "zipfile", "tempfile"}),
     ):
-        code = f"import sys, gpcoh.cli; print(sorted({banned!r} & set(sys.modules)))"
+        code = f"import sys, gpcoh.cli; print(sorted({sorted(banned)!r} & sys.modules.keys()))"
         proc = subprocess.run(
             [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
@@ -168,6 +171,57 @@ def test_assigning_an_attribute_raises_on_every_record_type(cls):
         setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.extra = 1
+
+
+# each collections.namedtuple record: its fields, and the defaults of its trailing fields
+NAMEDTUPLES = {
+    root_system.RootSystem: (
+        "type_letter rank cartan positive_roots rho symmetrizer root_chain rho_product neighbours minus_w0", ()
+    ),
+    bott.BWBResult: ("degree weight dimension predual_weight", (None, None, None, None)),
+    bott.CohomologyTable: ("total_dims entries", (None,)),
+    koszul.KoszulComplex: ("ambient terms", ()),
+    koszul.RankHint: ("target_term degree rank", ()),
+    koszul.UsedHint: ("target_term degree rank origin", ()),
+    koszul.ChaseResult: ("term_tables hints_used table blocking_positions", (None, ())),
+    scenarios.ExternalConstant: ("name value provenance", ()),
+    scenarios.Scenario: ("file name title space section_bundle twists external_constants", ()),
+    scenarios.ReportLine: ("key text value source provenance passed", (None,)),
+    scenarios.ReportSection: ("title lines", ()),
+    scenarios.RigidityReport: ("name title sections", ()),
+}
+
+
+@pytest.mark.parametrize("cls", NAMEDTUPLES, ids=lambda c: c.__name__)
+def test_a_namedtuple_record_keeps_its_fields_defaults_and_tuple_protocol(cls):
+    names, defaults = NAMEDTUPLES[cls]
+    fields = tuple(names.split())
+    assert cls._fields == fields
+    assert cls._field_defaults == dict(zip(fields[len(fields) - len(defaults):], defaults))
+    required = fields[: len(fields) - len(defaults)]
+    assert tuple(cls(*range(len(required)))) == (*range(len(required)), *defaults)
+    values = {name: f"<{name}>" for name in fields}
+    record = cls(**values)
+    assert tuple(record) == tuple(values.values())
+    assert record._asdict() == values
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(f"{k}={v!r}" for k, v in values.items()) + ")"
+    changed = record._replace(**{fields[-1]: 0})
+    assert type(changed) is cls and changed[:-1] == record[:-1] and changed[-1] == 0
+    if cls is not root_system.RootSystem:  # a root system is equal only to itself
+        assert record == cls(**values) and hash(record) == hash(cls(**values))
+    sample = _samples()[cls]
+    for twin in (copy.copy(sample), copy.deepcopy(sample), pickle.loads(pickle.dumps(sample))):
+        assert type(twin) is cls and twin == sample
+
+
+def test_a_root_system_is_equal_only_to_itself_and_copies_to_the_cached_object():
+    rs = build_root_system("B", 3)
+    twin = rs._replace()
+    assert twin is not rs and tuple(twin) == tuple(rs)
+    assert twin != rs
+    assert rs.__reduce__() == (build_root_system, ("B", 3))
+    for copied in (copy.copy(rs), copy.deepcopy(rs), pickle.loads(pickle.dumps(rs)), copy.copy(twin)):
+        assert copied is rs
 
 
 def test_records_print_their_fields_by_name():
