@@ -7,9 +7,10 @@ read off from the dominant representative. Cohomology of the theorem lands
 in the dual representation; results here always report the highest weight of
 the cohomology itself, keeping the pre-dual weight as provenance.
 
-``bwb`` checks its weight once (rank, P-dominance) and derives the rest unchecked: rho is all
-ones, so it shifts and unshifts the coefficients and builds each weight with
-``Weight._trusted``; each public ``root_system`` call it makes compares the rank once more. A
+``bwb`` checks its weight once (type, rank, P-dominance) and derives the rest unchecked: rho is
+all ones, so it shifts and unshifts the coefficients, a weight being the tuple of them, and
+builds each weight from its list of ints with ``Weight._trusted``; each public ``root_system``
+call it makes tests the type and the rank once more. A
 rho-shift with a zero coefficient is on a wall: it vanishes with no walk, as the one shared
 ``BWBResult()``. ``bundle_cohomology`` reads ``bwb`` from this module once per call, so a
 rebinding of it (a traced run) sees every summand.
@@ -108,7 +109,7 @@ def bwb(space: ParabolicSpace, omega: Weight) -> BWBResult:
     space.check_p_dominant(omega)
     rs = space.rs
     # rho is all ones: shift and unshift on the checked coefficients
-    found = dominantize(rs, Weight._trusted((tuple([c + 1 for c in omega[0]]),)))
+    found = dominantize(rs, Weight._trusted([c + 1 for c in omega]))
     if found is None:
         return _VANISHING
     dominant, degree = found
@@ -116,7 +117,7 @@ def bwb(space: ParabolicSpace, omega: Weight) -> BWBResult:
         raise AssertionError(
             f"cohomology degree {degree} exceeds dim {space} = {space.dimension}"
         )
-    mu = Weight._trusted((tuple([c - 1 for c in dominant[0]]),))
+    mu = Weight._trusted([c - 1 for c in dominant])
     return BWBResult(degree, dual_weight(rs, mu), weyl_dimension(rs, mu), mu)
 
 

@@ -32,7 +32,7 @@ from types import SimpleNamespace
 
 from .bott import ParabolicSpace, bwb, euler_characteristic
 from .root_system import Weight, adjoint_dimension, build_root_system
-from .schur import gl_dimension, lr_coefficients, parse_partition
+from .schur import _parse_int, gl_dimension, lr_coefficients, parse_partition
 from . import scenarios
 from .scenarios import REPORTS, load_scenario
 
@@ -42,7 +42,7 @@ SCHEMA_VERSION = 1
 def _int_list(text: str, what: str) -> tuple[int, ...]:
     """The integers of a comma list; anything else fails naming ``what`` and the text."""
     try:
-        return tuple(int(t) for t in text.split(","))
+        return tuple(_parse_int(t) for t in text.split(","))
     except ValueError as exc:
         raise ValueError(f"cannot parse {what} from {text!r}") from exc
 
@@ -224,7 +224,7 @@ def _value(what: str, kind, text: str):
     """``text`` read as ``what`` (an argument or an option) of the kind ``kind``."""
     if kind is int:
         try:
-            return int(text)
+            return _parse_int(text)
         except ValueError:
             raise ValueError(f"{what} must be an integer, got {text!r}") from None
     if kind is not str and text not in kind:

@@ -1,7 +1,7 @@
 """Simple root systems of types A-G and the weight arithmetic built on them.
 
 Everything downstream (Borel-Weil-Bott, bundle calculus, rigidity audits)
-reduces to exact integer computations done here. A weight is stored by its
+reduces to exact integer computations done here. A weight is the tuple of its
 coefficients over the fundamental weights, so the pairing of a weight with
 the i-th simple coroot is a direct coefficient read, and a simple reflection
 subtracts an integer multiple of a Cartan-matrix row.
@@ -27,12 +27,13 @@ positive root beta plus a simple root (Humphreys, Lie Algebras, 10.2), so its
 pairing with lambda + rho is beta's plus one integer; the denominator is stored.
 
 Inputs are checked once, where they enter: ``Weight`` its coefficients, ``ParabolicSpace`` its
-nodes, each public function the rank of its weight, by one length comparison (``_check_weight``
-runs only to raise). Weights derived here (sums, walks, duals) skip the check.
+nodes, each public function the type and rank of its weight, in one comparison (``_check_weight``
+runs only to raise): a plain tuple equals the ``Weight`` of its ints but was never checked.
+Weights derived here (walks, duals) skip the check.
 
 All values are immutable after construction and every operation is a pure
 function; concurrent reads from multiple threads are safe. Memos (thread-safe): ``dominantize``
-and ``weyl_dimension`` by (root system, coefficients) after their checks, ``_MEMO_SIZE`` each; a
+and ``weyl_dimension`` by (root system, weight) after their checks, ``_MEMO_SIZE`` each; a
 root system is one object per type and rank, equal only to itself. ``bott.bwb``, a traced
 layer, has none. Every other record is a tuple of its fields (a ``collections.namedtuple``, or a
 ``_Record`` where construction validates), so records of two types compare equal when their
@@ -75,12 +76,13 @@ _RANK_RULES = {
 
 
 class _Record(tuple):
-    """A record whose constructor validates: a tuple of the fields its subclass annotates,
-    in order, each read by name. The subclass ``__new__`` runs the checks and ends in
-    ``tuple.__new__``; copy and pickle call it again on ``__getnewargs__``, so they re-run
-    the checks, and there is no ``_make`` or ``_replace`` to skip them. Only ``_trusted``
-    skips them, for fields computed from already validated records in this package: it takes
-    the tuple of fields and is ``tuple.__new__`` bound to the subclass, with no Python frame."""
+    """A record of several fields whose constructor validates (``ParabolicSpace``, ``BundleLabel``,
+    ``BundleSum``; a ``Weight`` or a ``Partition`` is the tuple of its ints instead): a tuple of
+    the fields its subclass annotates, in order, each read by name. The subclass ``__new__`` runs
+    the checks and ends in ``tuple.__new__``; copy and pickle call it again on ``__getnewargs__``,
+    so they re-run the checks, and there is no ``_make`` or ``_replace`` to skip them. Only
+    ``_trusted`` skips them, for fields computed from already validated records in this package: it
+    takes the tuple of fields and is ``tuple.__new__`` bound to the subclass, with no Python frame."""
 
     __slots__ = ()
 
@@ -98,22 +100,25 @@ class _Record(tuple):
         return f"{type(self).__name__}({fields})"
 
 
-class Weight(_Record):
-    """Integral weight in fundamental-weight coordinates.
+class Weight(tuple):
+    """Integral weight in fundamental-weight coordinates: the tuple of its int coefficients.
 
     ``coeffs[i]`` is the pairing with the (i+1)-th simple coroot (1-based
     Bourbaki node i+1). A coefficient that is not an ``int`` is rejected, never truncated.
+    Copy and pickle call the constructor again, so they re-run the check; only ``_trusted``
+    (``tuple.__new__`` bound to the class) skips it, for ints derived from checked ones.
     """
 
     __slots__ = ()
-    coeffs: tuple[int, ...]
+    coeffs = property(tuple)  # the plain tuple of the coefficients
+    _trusted = classmethod(tuple.__new__)
 
     def __new__(cls, coeffs: Iterable[int]) -> "Weight":
-        coeffs = tuple(coeffs)  # a tuple comes back as itself
+        coeffs = tuple(coeffs)
         for c in coeffs:
             if type(c) is not int:
                 raise ValueError(f"weight coefficient {c!r} in {coeffs!r} is not an integer")
-        return tuple.__new__(cls, (coeffs,))
+        return tuple.__new__(cls, coeffs)
 
     @classmethod
     def of(cls, *coeffs: int) -> "Weight":
@@ -132,36 +137,33 @@ class Weight(_Record):
 
     @property
     def rank(self) -> int:
-        return len(self.coeffs)
+        return len(self)
 
     def __add__(self, other: "Weight") -> "Weight":
-        a, b = self[0], other[0] if type(other) is Weight else other.coeffs
-        if len(a) != len(b):
-            self._check_rank(other)
-        return Weight._trusted((tuple(map(add, a, b)),))
+        self._check_rank(other)
+        return Weight._trusted(map(add, self, other))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        a, b = self[0], other[0] if type(other) is Weight else other.coeffs
-        if len(a) != len(b):
-            self._check_rank(other)
-        return Weight._trusted((tuple(map(sub, a, b)),))
+        self._check_rank(other)
+        return Weight._trusted(map(sub, self, other))
 
     def __neg__(self) -> "Weight":
-        return Weight._trusted((tuple(-a for a in self.coeffs),))
+        return Weight._trusted(-a for a in self)
 
     def __mul__(self, scalar: int) -> "Weight":  # checked: the scalar may not be an int
-        return Weight(tuple(scalar * a for a in self.coeffs))
+        return Weight(scalar * a for a in self)
 
     __rmul__ = __mul__
 
     def _check_rank(self, other: "Weight") -> None:
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError(
-                f"rank mismatch: weight of rank {len(self.coeffs)} vs {len(other.coeffs)}"
-            )
+        if type(other) is not Weight or len(self) != len(other):
+            raise ValueError(f"rank mismatch: weight of rank {len(self)} vs {other!r}")
+
+    def __repr__(self) -> str:
+        return f"Weight(coeffs={tuple(self)!r})"
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(c) for c in self.coeffs) + ")"
+        return "(" + ",".join(map(str, self)) + ")"
 
 
 class RootSystem(
@@ -345,7 +347,7 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
     # -w0 maps omega_i to omega_sigma(i), so the walk of the antidominant
     # -(omega_1 + 2 omega_2 + ... + n omega_n) ends at the weight whose coefficient at node
     # sigma(i) is i (Humphreys, 10.3)
-    sigma = tuple(i - 1 for i in _walk(rs, range(-1, -rank - 1, -1))[0][0])
+    sigma = tuple(i - 1 for i in _walk(rs, range(-1, -rank - 1, -1))[0])
     return rs if sigma == tuple(range(rank)) else rs._replace(minus_w0=sigma)
 
 
@@ -355,8 +357,9 @@ def adjoint_dimension(rs: RootSystem) -> int:
 
 
 def _check_weight(rs: RootSystem, w: Weight) -> None:
-    if len(w[0]) != rs.rank:
-        raise ValueError(f"rank mismatch: weight {w} has rank {w.rank}, root system is {rs.name}")
+    if type(w) is not Weight:
+        raise ValueError(f"weight {w!r} is a {type(w).__name__}, not a Weight of rank {rs.rank}")
+    raise ValueError(f"rank mismatch: weight {w} has rank {w.rank}, root system is {rs.name}")
 
 
 def _check_nodes(rs: RootSystem, nodes: Iterable[int]) -> tuple[int, ...]:
@@ -408,7 +411,7 @@ def _walk(rs: RootSystem, coeffs: Iterable[int]) -> tuple[Weight, int]:
         length += 1
         if length > bound:
             raise AssertionError("reflection walk exceeded the longest-element bound")
-    return Weight._trusted((tuple(coeffs),)), length  # int steps from checked ints
+    return Weight._trusted(coeffs), length  # int steps from checked ints
 
 
 def dominantize(rs: RootSystem, w: Weight) -> tuple[Weight, int] | None:
@@ -420,23 +423,21 @@ def dominantize(rs: RootSystem, w: Weight) -> tuple[Weight, int] | None:
     reflection count, which is the length of the unique Weyl element involved.
     A zero coefficient of ``w`` itself is a wall already, so no walk is made.
     """
-    coeffs = w[0]
-    if len(coeffs) != rs.rank:
+    if type(w) is not Weight or len(w) != rs.rank:
         _check_weight(rs, w)
-    return None if 0 in coeffs else _dominantize(rs, coeffs)
+    return None if 0 in w else _dominantize(rs, w)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _dominantize(rs: RootSystem, coeffs: tuple[int, ...]) -> tuple[Weight, int] | None:
-    dominant, length = _walk(rs, coeffs)
-    return None if 0 in dominant[0] else (dominant, length)
+def _dominantize(rs: RootSystem, w: Weight) -> tuple[Weight, int] | None:
+    dominant, length = _walk(rs, w)
+    return None if 0 in dominant else (dominant, length)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _weyl_dimension(rs: RootSystem, coeffs: tuple) -> int:
-    """Product over the positive roots of <weight + rho, alpha^vee> / <rho, alpha^vee>, exactly,
-    for the weight of ``coeffs``."""
-    value, remainder = divmod(prod(_pairings(rs.root_chain, rs.symmetrizer, coeffs)), rs.rho_product)
+def _weyl_dimension(rs: RootSystem, dominant: Weight) -> int:
+    """Product over the positive roots of <weight + rho, alpha^vee> / <rho, alpha^vee>, exactly."""
+    value, remainder = divmod(prod(_pairings(rs.root_chain, rs.symmetrizer, dominant)), rs.rho_product)
     if remainder:
         raise AssertionError("Weyl dimension product failed to be integral")
     return value
@@ -448,23 +449,21 @@ def weyl_dimension(rs: RootSystem, dominant: Weight) -> int:
     Product over positive roots of <lambda + rho, alpha^vee> / <rho, alpha^vee>,
     exact: one addition per root along ``rs.root_chain``, over ``rs.rho_product``.
     """
-    coeffs = dominant[0]
-    if len(coeffs) != rs.rank:
+    if type(dominant) is not Weight or len(dominant) != rs.rank:
         _check_weight(rs, dominant)
-    if min(coeffs) < 0:
-        i, c = next((i, c) for i, c in enumerate(coeffs) if c < 0)
+    if min(dominant) < 0:
+        i, c = next((i, c) for i, c in enumerate(dominant) if c < 0)
         raise ValueError(f"weight {dominant} is not dominant: coefficient {c} at node {i + 1}")
-    return _weyl_dimension(rs, coeffs)
+    return _weyl_dimension(rs, dominant)
 
 
 def dual_weight(rs: RootSystem, dominant: Weight) -> Weight:
     """Highest weight of the dual representation: -w0 permutes the fundamental weights, and
     where it fixes them all (B, C, D even, E7, E8, F4, G2, A1) that is ``dominant`` itself."""
-    coeffs = dominant[0]
-    if len(coeffs) != rs.rank:
+    if type(dominant) is not Weight or len(dominant) != rs.rank:
         _check_weight(rs, dominant)
     sigma = rs.minus_w0
-    return dominant if sigma is None else Weight._trusted((tuple(map(coeffs.__getitem__, sigma)),))
+    return dominant if sigma is None else Weight._trusted(map(dominant.__getitem__, sigma))
 
 
 class ParabolicSpace(_Record):
@@ -505,14 +504,13 @@ class ParabolicSpace(_Record):
         return len(self.nilradical)
 
     def check_p_dominant(self, omega: Weight) -> None:
-        """Reject a weight of the wrong rank or negative at an uncrossed node."""
-        coeffs = omega[0]
-        if len(coeffs) != self[0].rank:  # self[0] is rs, read without its property
+        """Reject anything but a ``Weight`` of the right rank, and one negative at an uncrossed node."""
+        if type(omega) is not Weight or len(omega) != self[0].rank:  # self[0]: rs, with no property call
             _check_weight(self.rs, omega)
-        if min(coeffs) >= 0:
+        if min(omega) >= 0:
             return
         for i in self.uncrossed:
-            if coeffs[i - 1] < 0:
+            if omega[i - 1] < 0:
                 raise ValueError(
                     f"weight {omega} is not P-dominant on {self}: "
                     f"negative coefficient at uncrossed node {i}"

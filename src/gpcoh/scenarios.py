@@ -675,7 +675,7 @@ def run_adjunction_audit(source: str | Path = "adjunction") -> RigidityReport:
     rank = section.rank()
     det = exterior_power_sum(section, rank)[rank]
     (det_label, det_mult), *rest = det.summands  # a top exterior power is never zero
-    if rest or det_mult != 1 or det_label.u_part.parts or det_label.q_part.parts:
+    if rest or det_mult != 1 or det_label.u_part or det_label.q_part:
         raise AssertionError("determinant of the section bundle is not a line bundle")
     det_twist = det_label.twist
     sub_twist = ambient_twist + det_twist

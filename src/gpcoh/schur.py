@@ -45,6 +45,7 @@ of the Koszul benchmark pool. ``label_rank``, two ``gl_dimension`` products, has
 the traced layers (``sum_to_weights``, ``tensor``, ``lr_coefficients`` here): a traced benchmark
 pass follows a warm one, so a memo in front of a span would hide it and change its call counts.
 
+A ``Partition`` is the tuple of its parts, so the kernels index, measure and test it as one.
 A label or a sum is checked once, by its constructor: ``BundleLabel`` checks its fields and
 ``BundleSum`` (``from_pairs`` is the same) the ambient and multiplicity of each summand, so no
 consumer of a sum checks it again. Labels and sums derived from checked ones are trusted: a
@@ -91,11 +92,14 @@ __all__ = [
 ]
 
 
-class Partition(_Record):
-    """Weakly decreasing nonnegative integers, trailing zeros dropped; ordered as ``parts``."""
+class Partition(tuple):
+    """Weakly decreasing nonnegative integers, trailing zeros dropped: the tuple of its parts, so
+    ordered as ``parts``. Copy and pickle call the constructor again; only ``_trusted``
+    (``tuple.__new__`` bound to the class) skips its checks, for parts derived from checked ones."""
 
     __slots__ = ()
-    parts: tuple[int, ...]
+    parts = property(tuple)  # the plain tuple of the parts
+    _trusted = classmethod(tuple.__new__)
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         parts = tuple(parts)
@@ -107,27 +111,30 @@ class Partition(_Record):
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"partition parts must be weakly decreasing: {parts}")
-        return tuple.__new__(cls, (parts,))
+        return tuple.__new__(cls, parts)
 
     @property
     def size(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def length(self) -> int:
-        return len(self.parts)
+        return len(self)
 
     def part(self, i: int) -> int:
         """0-based row length, zero beyond the last row."""
-        return self.parts[i] if i < len(self.parts) else 0
+        return self[i] if i < len(self) else 0
 
     def padded(self, rows: int) -> tuple[int, ...]:
-        if len(self.parts) > rows:
-            raise ValueError(f"partition {self.parts} has more than {rows} rows")
-        return self.parts + (0,) * (rows - len(self.parts))
+        if len(self) > rows:
+            raise ValueError(f"partition {tuple(self)} has more than {rows} rows")
+        return tuple(self) + (0,) * (rows - len(self))
+
+    def __repr__(self) -> str:
+        return f"Partition(parts={tuple(self)!r})"
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")" if self.parts else "()"
+        return "(" + ",".join(map(str, self)) + ")"
 
 
 _EMPTY = Partition()
@@ -136,10 +143,9 @@ _EMPTY = Partition()
 def _reversed_complement(p: Partition, rows: int) -> Partition:
     """Partition of the dual GL(rows)-representation, before the det twist, of a canonical
     label's side (fewer than ``rows`` rows): the complement ends in 0, so it has fewer too."""
-    parts = p[0]
-    first = parts[0] if parts else 0
-    dual = (first,) * (rows - len(parts)) + tuple(first - x for x in reversed(parts))
-    return Partition._trusted((dual[: rows - dual.count(0)],))
+    first = p[0] if p else 0
+    dual = (first,) * (rows - len(p)) + tuple(first - x for x in reversed(p))
+    return Partition._trusted(dual[: rows - dual.count(0)])
 
 
 class BundleLabel(_Record):
@@ -174,18 +180,14 @@ class BundleLabel(_Record):
         cls, ambient: tuple[int, int], u: Partition, q: Partition, t: int
     ) -> "BundleLabel":
         """The label of fields already checked, with at most rank-many rows per side: a full
-        column moves into the twist, and the zeros the move leaves at the end are dropped."""
+        column moves into the twist, and the rows equal to the last, which it empties, are dropped."""
         k, n = ambient
-        parts = u[0]
-        if len(parts) == k:
-            c = parts[-1]
-            parts = tuple(p - c for p in parts)
-            u, t = Partition._trusted((parts[: k - parts.count(0)],)), t - c  # det U = O(-1)
-        parts = q[0]
-        if len(parts) == n - k:
-            c = parts[-1]
-            parts = tuple(p - c for p in parts)
-            q, t = Partition._trusted((parts[: n - k - parts.count(0)],)), t + c  # det Q = O(+1)
+        if len(u) == k:
+            c = u[-1]
+            u, t = Partition._trusted([p - c for p in u[: k - u.count(c)]]), t - c  # det U = O(-1)
+        if len(q) == n - k:
+            c = q[-1]
+            q, t = Partition._trusted([p - c for p in q[: n - k - q.count(c)]]), t + c  # det Q = O(+1)
         return tuple.__new__(cls, (ambient, u, q, t))
 
     def __str__(self) -> str:
@@ -263,23 +265,23 @@ def lr_coefficients(
         raise ValueError(f"max_rows must be an int of at least 1, got {max_rows!r}")
     mu = mu if isinstance(mu, Partition) else Partition(tuple(mu))
     nu = nu if isinstance(nu, Partition) else Partition(tuple(nu))
-    if mu.length > max_rows or nu.length > max_rows:
+    if len(mu) > max_rows or len(nu) > max_rows:
         return {}
-    max_rows = min(max_rows, mu.length + nu.length)  # no shape of the product has more rows
-    if nu.length > mu.length:
+    max_rows = min(max_rows, len(mu) + len(nu))  # no shape of the product has more rows
+    if len(nu) > len(mu):
         mu, nu = nu, mu
-    if not nu.parts:
+    if not nu:
         return {mu: 1}  # c^lam_{mu,()} = delta_{lam,mu}
-    if nu.parts[0] == 1:
-        return _vertical_strips(mu, nu.length, max_rows)
-    if mu.parts[0] == 1:  # the longer factor is the column
-        return _vertical_strips(nu, mu.length, max_rows)
-    width = (mu.parts[0] + nu.parts[0]).bit_length()  # no part of the product is longer
+    if nu[0] == 1:
+        return _vertical_strips(mu, len(nu), max_rows)
+    if mu[0] == 1:  # the longer factor is the column
+        return _vertical_strips(nu, len(mu), max_rows)
+    width = (mu[0] + nu[0]).bit_length()  # no part of the product is longer
     mask, shifts = (1 << width) - 1, range(width * (max_rows - 1), -1, -width)
     # state (shape, its last strip) -> number of tableaux reaching it; the shape alone at the end
-    states = {(sum(p << s for p, s in zip(mu.parts, shifts)), 0): 1}
-    for value, size in enumerate(nu.parts):
-        grown, last = {}, value == nu.length - 1
+    states = {(sum(p << s for p, s in zip(mu, shifts)), 0): 1}
+    for value, size in enumerate(nu):
+        grown, last = {}, value == len(nu) - 1
         for (shape, prev), count in states.items():
             # (cell weight, cap, room gain, caps so far) of each row that can take a cell, top down:
             # row r >= 1 holds at most shape[r-1] - shape[r] cells, row 0 none after the first value.
@@ -314,7 +316,7 @@ def lr_coefficients(
         states = grown
     # a shape is a partition by construction: its nonzero rows are its parts, and nothing checks them
     return {
-        Partition._trusted((tuple([p for s in shifts if (p := shape >> s & mask)]),)): states[shape]
+        Partition._trusted([p for s in shifts if (p := shape >> s & mask)]): states[shape]
         for shape in sorted(states, reverse=True)
     }
 
@@ -325,8 +327,7 @@ def _vertical_strips(mu: Partition, a: int, max_rows: int) -> dict[Partition, in
     rows, keyed and ordered as the strip pass keys and orders them. A strip takes a top run of
     each block of equal rows of mu, the padding zeros the last block, so the counts of the
     blocks, each largest first, give the shapes in decreasing order."""
-    parts = mu[0]
-    shape = parts + (0,) * (max_rows - len(parts))
+    shape = tuple(mu) + (0,) * (max_rows - len(mu))
     out: dict[Partition, int] = {}
     # partial strip: first row of the next block, cells left, rows grown so far
     stack = [(0, a, ())]
@@ -338,7 +339,7 @@ def _vertical_strips(mu: Partition, a: int, max_rows: int) -> dict[Partition, in
         hi = end - start
         if left <= hi:  # the block takes every cell left: the strip ends here
             lam = top + (v + 1,) * left + shape[start + left:]
-            out[Partition._trusted((lam[: max_rows - lam.count(0)],))] = 1
+            out[Partition._trusted(lam[: max_rows - lam.count(0)])] = 1
             hi = left - 1
         # the rows below the block take at most one cell each; pushed smallest first, popped largest
         lo = left - max_rows + end
@@ -357,16 +358,15 @@ def gl_dimension(p: Partition | Iterable[int], r: int) -> int:
     p = p if isinstance(p, Partition) else Partition(tuple(p))
     if type(r) is not int or r < 0:
         raise ValueError(f"rank r must be a nonnegative int, got {r!r}")
-    rows = p.parts
-    length = len(rows)
+    length = len(p)
     if length > r:
         return 0
     num = den = 1
-    for i, row in enumerate(rows):  # row i + 1, 1-based
+    for i, row in enumerate(p):  # row i + 1, 1-based
         num *= comb(row + r - 1 - i, row)
         den *= comb(row + length - 1 - i, row)
         for j in range(i + 1, length):
-            num *= row - rows[j] + j - i
+            num *= row - p[j] + j - i
             den *= j - i
     return num // den
 
@@ -413,9 +413,9 @@ def _product_pairs(a: BundleSum, b: BundleSum) -> Iterator[tuple[BundleLabel, in
     for (_, ua, qa, ta), ma in a.summands:
         for (_, ub, qb, tb), mb in b.summands:
             twist = ta + tb
-            if not ub[0] and not qb[0]:
+            if not ub and not qb:
                 yield BundleLabel._trusted((ambient, ua, qa, twist)), ma * mb
-            elif not ua[0] and not qa[0]:
+            elif not ua and not qa:
                 yield BundleLabel._trusted((ambient, ub, qb, twist)), ma * mb
             else:
                 u_products = lr_coefficients(ua, ub, k)
@@ -442,10 +442,10 @@ def _column_powers(label: BundleLabel, top: int) -> list[BundleSum]:
     whatever ``top`` is, and any other a from Lambda^1 on: both are genuine plethysm."""
     ambient, u, q, t = label
     k, n = ambient
-    if not q[0] and all(p == 1 for p in u[0]):
-        a, r, det = u.length, k, -1
-    elif not u[0] and all(p == 1 for p in q[0]):
-        a, r, det = q.length, n - k, 1
+    if not q and all(p == 1 for p in u):
+        a, r, det = len(u), k, -1
+    elif not u and all(p == 1 for p in q):
+        a, r, det = len(q), n - k, 1
     else:
         raise ValueError(
             f"unsupported plethysm shape: {format_label(label)} is not a column power "
@@ -457,7 +457,7 @@ def _column_powers(label: BundleLabel, top: int) -> list[BundleSum]:
     powers = []
     for j in range(top + 1):
         height, twist = (j * a, j * t) if a <= 1 else (r - j, j * t + det * (j - 1))
-        column = Partition._trusted(((1,) * height,))
+        column = Partition._trusted([1] * height)
         sides = (column, _EMPTY) if det < 0 else (_EMPTY, column)  # det U = O(-1), det Q = O(1)
         powers.append(BundleSum._trusted((ambient, ((BundleLabel._canonical(ambient, *sides, twist), 1),))))
     return powers
@@ -478,7 +478,7 @@ def exterior_power_sum(bsum: BundleSum, j: int) -> tuple[BundleSum, ...]:
     # graded[d] = Lambda^d of the summands folded so far, from O on the checked ambient
     graded = [BundleSum._trusted((ambient, ((BundleLabel._trusted((ambient, _EMPTY, _EMPTY, 0)), 1),)))]
     for lab, m in bsum.summands:
-        if lab.u_part.parts or lab.q_part.parts:
+        if lab.u_part or lab.q_part:
             blocks = [_column_powers(lab, j)] * m
         else:
             _, u, q, t = lab  # L^d is the checked line bundle L with its twist times d
@@ -521,7 +521,7 @@ def _label_weight(label: BundleLabel) -> Weight:
     # the dual fiber's highest weight is (t - mu reversed, -nu reversed) in the standard torus
     # basis; its coefficients are the differences of neighbours there, ints from ints
     r, s = label.u_part.padded(k)[::-1], label.q_part.padded(n - k)[::-1]
-    return Weight._trusted(((*map(sub, r[1:], r), label.twist - r[-1] + s[0], *map(sub, s[1:], s)),))
+    return Weight._trusted([*map(sub, r[1:], r), label.twist - r[-1] + s[0], *map(sub, s[1:], s)])
 
 
 def label_to_weight(label: BundleLabel, space: ParabolicSpace) -> Weight:
@@ -548,6 +548,7 @@ def sum_to_weights(bsum: BundleSum, space: ParabolicSpace) -> tuple[tuple[Weight
 #   atom   := base ["(" INT ")"]
 #   base   := "O" | "T" | GEN | ("L" INT | "S" INT | "W[" INT {"," INT} "]") GEN
 #   GEN    := "U" | "U*" | "Q" | "Q*"
+#   INT    := ASCII digits, after a "-" in a twist (int() also reads other digits, "+" and "_")
 #
 # Examples: "O(-3)", "L3 U*", "S2 U (-1)", "W[2,1]U * Q", "T".
 #
@@ -559,14 +560,23 @@ _ATOM_RE = r"""(?x)
     (?:
         (?P<line>O)
       | (?P<tangent>T)
-      | (?: (?: L(?P<ext>\d+) | S(?P<sym>\d+) | W\[(?P<schur>\d+(?:,\d+)*)\] )? \s*
+      | (?: (?: L(?P<ext>[0-9]+) | S(?P<sym>[0-9]+) | W\[(?P<schur>[0-9]+(?:,[0-9]+)*)\] )? \s*
             (?P<gen>U\*|U|Q\*|Q) )
     )
     \s*
-    (?: \( \s* (?P<twist>-?\d+) \s* \) )?
+    (?: \( \s* (?P<twist>-?[0-9]+) \s* \) )?
     \s*
 """
 _ATOM_SEP = r"(?<![UQ])\*"  # a star glued to U or Q marks a dual, any other separates
+
+
+def _parse_int(text: str) -> int:
+    """An optional minus and ASCII digits, spaces around allowed: every integer read from text
+    (``int`` alone also takes any other Unicode digit, a plus and underscores)."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.removeprefix("-").isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(digits)
 
 
 def parse_partition(text: str) -> Partition:
@@ -575,7 +585,7 @@ def parse_partition(text: str) -> Partition:
     if not text:
         return Partition()
     try:
-        parts = tuple(int(tok) for tok in text.split(","))
+        parts = tuple(_parse_int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"cannot parse partition from {text!r}") from exc
     return Partition(parts)
@@ -624,13 +634,13 @@ def parse_bundle(ambient: tuple[int, int], text: str) -> BundleSum:
 
 
 def _format_side(p: Partition, gen: str) -> str:
-    if not p.parts:
+    if not p:
         return ""
-    if all(x == 1 for x in p.parts):
-        return f"L{p.length} {gen}" if p.length > 1 else gen
-    if p.length == 1:
-        return f"S{p.parts[0]} {gen}"
-    return f"W[{','.join(str(x) for x in p.parts)}] {gen}"
+    if all(x == 1 for x in p):
+        return f"L{len(p)} {gen}" if len(p) > 1 else gen
+    if len(p) == 1:
+        return f"S{p[0]} {gen}"
+    return f"W[{','.join(map(str, p))}] {gen}"
 
 
 def format_label(label: BundleLabel) -> str:

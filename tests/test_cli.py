@@ -725,6 +725,13 @@ ARGUMENT_FAULTS = [
     (("lr", "1", "1", "--rows", "x"), "option --rows must be an integer, got 'x'"),
     (("report", "nope"), "argument 'name' must be one of cayley, vmrt, theorem1, adjunction, got 'nope'"),
     (("--format", "yaml", "report", "cayley"), "option --format must be one of text, json, got 'yaml'"),
+    # an integer is an optional minus and ASCII digits: int() alone takes these
+    (("roots", "A", "\u0663"), "argument 'rank' must be an integer, got '\u0663'"),
+    (("roots", "A", "+3"), "argument 'rank' must be an integer, got '+3'"),
+    (("lr", "2,1", "1", "--rows", "1_0"), "option --rows must be an integer, got '1_0'"),
+    (("lr", "2,1", "\u0661", "--rows", "1"), "cannot parse partition from '\u0661'"),
+    (("bwb", "A", "2", "--crossed", "1", "--weight", "\u0663,0"), "cannot parse weight from '\u0663,0'"),
+    (("bwb", "A", "2", "--crossed", "\uff11", "--weight", "1,0"), "cannot parse crossed nodes from '\uff11'"),
 ]
 
 

@@ -256,6 +256,8 @@ def test_chase_rejects_malformed_hints():
         chase(cx, [RankHint(target_term=4, degree=0, rank=1)])
     with pytest.raises(ValueError, match="malformed hint position"):
         chase(cx, [RankHint(target_term=0, degree=99, rank=1)])
+    with pytest.raises(ValueError, match="malformed hint position: degree 13 not in 0..12"):
+        chase(cx, [RankHint(target_term=0, degree=13, rank=0)])  # the first degree past dim Gr(4,7)
     with pytest.raises(ValueError, match="nonnegative"):
         chase(cx, [RankHint(target_term=0, degree=0, rank=-1)])
     with pytest.raises(ValueError, match="contradict exactness"):  # H^0(C_1) = 1 has no rank 5

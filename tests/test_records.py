@@ -99,6 +99,24 @@ def test_copy_deepcopy_and_pickle_give_an_equal_record(record):
         assert hash(twin) == hash(record)
 
 
+@pytest.mark.parametrize(
+    "cls,ints,refused,reason",
+    [(Weight, (3, -1), (3, 1.5), "weight coefficient 1.5"), (Partition, (3, 1), (1, 3), "weakly decreasing")],
+    ids=["Weight", "Partition"],
+)
+def test_a_weight_and_a_partition_are_the_tuple_of_their_ints(cls, ints, refused, reason):
+    flat = cls(ints)
+    assert flat[0] == 3 and len(flat) == 2 and list(flat) == [3, ints[1]]
+    assert flat == ints and hash(flat) == hash(ints)
+    assert (flat.coeffs if cls is Weight else flat.parts) == ints
+    assert (flat.rank if cls is Weight else flat.length) == 2
+    # copy, deepcopy and pickle call the checking constructor again, so they refuse what it refuses
+    bad = tuple.__new__(cls, refused)
+    for rebuild in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        with pytest.raises(ValueError, match=reason):
+            rebuild(bad)
+
+
 @pytest.mark.parametrize("cls", VALIDATING, ids=lambda c: c.__name__)
 def test_a_validating_record_offers_no_unchecked_constructor(cls):
     assert not hasattr(cls, "_make") and not hasattr(cls, "_replace")
@@ -166,7 +184,7 @@ def test_copy_and_pickle_rebuild_a_parabolic_space_from_its_two_arguments():
 @pytest.mark.parametrize("cls", sorted(_samples(), key=lambda c: c.__name__), ids=lambda c: c.__name__)
 def test_assigning_an_attribute_raises_on_every_record_type(cls):
     record = _samples()[cls]
-    field = record._fields[0]
+    field = {Weight: "coeffs", Partition: "parts"}.get(cls) or record._fields[0]  # the int tuples: one name
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):

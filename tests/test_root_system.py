@@ -12,6 +12,7 @@ from gpcoh import (
     Weight,
     adjoint_dimension,
     build_root_system,
+    bwb,
     dominantize,
     dual_weight,
     weyl_dimension,
@@ -229,7 +230,8 @@ def test_a_coefficient_that_is_not_an_int_is_rejected_by_name(make, coefficient)
 
 def test_a_weight_keeps_a_tuple_and_converts_a_list():
     t = (1, 2)
-    assert Weight(t).coeffs is t
+    assert Weight(t).coeffs == t == Weight(t)
+    assert type(Weight(t).coeffs) is tuple
     assert Weight([1, 2]).coeffs == (1, 2)
     assert type(Weight([1, 2]).coeffs) is tuple
 
@@ -274,13 +276,13 @@ def test_weight_arithmetic_still_checks_what_was_never_validated():
         Weight.of(1, 2) - Weight.of(1, 2, 3)
     with pytest.raises(ValueError, match=re.escape("weight coefficient 1.5 in ")):
         Weight.of(1, 2) * 1.5
-    with pytest.raises(AttributeError):
-        Weight.of(1, 2) + (1, 2)  # a bare tuple has no coeffs
+    with pytest.raises(ValueError, match="rank mismatch"):
+        Weight.of(1, 2) + (1, 2)  # a bare tuple is no Weight, though it equals one
 
 
 def test_copy_and_pickle_revalidate_a_weight():
     # a tuple built around the checks stands for a record the checks would refuse
-    bad = tuple.__new__(Weight, ((1.5, 0),))
+    bad = tuple.__new__(Weight, (1.5, 0))
     for rebuild in (copy.copy, copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))):
         with pytest.raises(ValueError, match=re.escape("weight coefficient 1.5 in ")):
             rebuild(bad)
@@ -497,6 +499,24 @@ def test_every_public_kernel_rejects_a_wrong_rank_with_one_message():
         lambda: weyl_dimension(rs, w),
         lambda: dual_weight(rs, w),
         lambda: ParabolicSpace(rs, {1}).check_p_dominant(w),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("w", [(1, 2), ((1.5, 2.0),)], ids=["int-tuple", "wrapped-floats"])
+def test_every_public_kernel_rejects_what_is_not_a_weight_with_one_message(w):
+    # a tuple equals the Weight of its ints, but only a Weight has had its coefficients checked
+    rs = build_root_system("A", 2)
+    space = ParabolicSpace(rs, {1})
+    message = f"weight {w!r} is a tuple, not a Weight of rank 2"
+    for call in (
+        lambda: dominantize(rs, w),
+        lambda: weyl_dimension(rs, w),
+        lambda: dual_weight(rs, w),
+        lambda: space.check_p_dominant(w),
+        lambda: bwb(space, w),
     ):
         with pytest.raises(ValueError) as exc:
             call()
