@@ -231,7 +231,6 @@ def test_a_coefficient_that_is_not_an_int_is_rejected_by_name(make, coefficient)
 def test_a_weight_keeps_a_tuple_and_converts_a_list():
     t = (1, 2)
     assert Weight(t).coeffs == t == Weight(t)
-    assert type(Weight(t).coeffs) is tuple
     assert Weight([1, 2]).coeffs == (1, 2)
     assert type(Weight([1, 2]).coeffs) is tuple
 

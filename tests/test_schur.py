@@ -693,7 +693,7 @@ def test_parse_bundle_rejects_garbage():
         parse_bundle(AMB, "L3 X")
     with pytest.raises(ValueError, match="parse"):
         parse_bundle(AMB, "")
-    # an integer of the grammar is ASCII digits: \d and int() would read these as 3, 2 and 10
+    # an integer of the grammar is ASCII digits (\d took the Arabic-Indic 3 and 2); "_" and "+" stay out
     for text in ("O(-\u0663)", "L\u0663 U*", "S\u0662 U", "W[\u0662,1]U", "O(1_0)", "O(+1)"):
         with pytest.raises(ValueError, match="cannot parse bundle atom"):
             parse_bundle(AMB, text)
