@@ -156,8 +156,10 @@ class Weight(tuple):
     __rmul__ = __mul__
 
     def _check_rank(self, other: "Weight") -> None:
-        if type(other) is not Weight or len(self) != len(other):
-            raise ValueError(f"rank mismatch: weight of rank {len(self)} vs {other!r}")
+        if type(other) is not Weight:
+            raise ValueError(f"weight {other!r} is a {type(other).__name__}, not a Weight of rank {len(self)}")
+        if len(self) != len(other):
+            raise ValueError(f"rank mismatch: weight of rank {len(self)} vs {len(other)}")
 
     def __repr__(self) -> str:
         return f"Weight(coeffs={tuple(self)!r})"

@@ -3,8 +3,7 @@ with it must fail on that copy.
 
 Run from anywhere, with the test dependencies installed::
 
-    python tests/mutants.py          # every mutant
-    python tests/mutants.py 3 7      # the mutants at these 0-based indices
+    python tests/mutants.py
 
 A mutant is (file under ``src/gpcoh``, exact old text, new text, pytest node id). The runner first
 runs every named test once on an unmutated copy of ``src``, where each must pass. Then, for each
@@ -156,8 +155,7 @@ def _copy(tmp: Path) -> Path:
     return src
 
 
-def main(argv: list[str]) -> int:
-    chosen = [MUTANTS[int(i)] for i in argv] if argv else MUTANTS
+def main() -> int:
     start = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="gpcoh-mutants-") as tmp:
         src = _copy(Path(tmp) / "clean")
@@ -168,12 +166,12 @@ def main(argv: list[str]) -> int:
         if not found.startswith(str(src)):
             print(f"the copy is not what imports: gpcoh comes from {found!r}")
             return 1
-        status, out = _pytest(src, sorted({m[3] for m in chosen}))
+        status, out = _pytest(src, sorted({m[3] for m in MUTANTS}))
         if status != 0:
             print(f"the named tests do not pass unmutated (status {status}):\n{out}")
             return 1
         alive = []
-        for k, (file, old, new, test) in enumerate(chosen):
+        for k, (file, old, new, test) in enumerate(MUTANTS):
             src = _copy(Path(tmp) / f"m{k}")
             path = src / "gpcoh" / file
             text = path.read_text(encoding="utf-8")
@@ -186,11 +184,11 @@ def main(argv: list[str]) -> int:
             print(f"{verdict:>18}  {file}: {old.strip().splitlines()[0][:60]!r}  <- {test}")
             if status != 1:
                 alive.append((file, old, verdict))
-    print(f"{len(chosen) - len(alive)} of {len(chosen)} mutants killed in {time.monotonic() - start:.0f} s")
+    print(f"{len(MUTANTS) - len(alive)} of {len(MUTANTS)} mutants killed in {time.monotonic() - start:.0f} s")
     for file, old, verdict in alive:
         print(f"NOT KILLED ({verdict}): {file}: {old!r}")
     return 1 if alive else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
