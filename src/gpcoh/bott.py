@@ -29,7 +29,7 @@ from collections.abc import Iterable, Mapping
 from .root_system import (
     ParabolicSpace,
     Weight,
-    _check_multiplicity,
+    _check_positive,
     _coroot_pairing,
     dominantize,
     dual_weight,
@@ -130,7 +130,7 @@ def bundle_cohomology(
     bwb_ = bwb  # read from the module once per call, so a rebinding (a traced run) still applies
     for omega, mult in summands:
         if type(mult) is not int or mult <= 0:
-            _check_multiplicity(mult)
+            _check_positive(mult)
         degree, weight, dimension, _ = bwb_(space, omega)
         if degree is None:
             continue

@@ -33,7 +33,8 @@ Weights derived here (walks, duals) skip the check.
 
 All values are immutable after construction and every operation is a pure
 function; concurrent reads from multiple threads are safe. Memos (thread-safe): ``dominantize``
-and ``weyl_dimension`` by (root system, weight) after their checks, ``_MEMO_SIZE`` each; a
+and ``weyl_dimension`` by (root system, weight) after their checks, ``_MEMO_SIZE`` each;
+``ParabolicSpace`` by (root system, crossed set) after its checks, ``_SPACE_MEMO_SIZE``; a
 root system is one object per type and rank, equal only to itself. ``bott.bwb``, a traced
 layer, has none. Every other record is a tuple of its fields (a ``collections.namedtuple``, or a
 ``_Record`` where construction validates), so records of two types compare equal when their
@@ -61,6 +62,7 @@ __all__ = [
 ]
 
 _MEMO_SIZE = 4096  # entries per kernel memo, above the distinct weights of one Koszul pass
+_SPACE_MEMO_SIZE = 256  # parabolic spaces held, above the 44 distinct spaces of one Koszul pass
 # the largest rank of types A-D, that of the largest system any check builds (A100, 5,050
 # positive roots, in about 0.15 s); without it a twenty-digit rank runs the builder without end
 _MAX_RANK = 100
@@ -72,6 +74,17 @@ _RANK_RULES = {
     "E": ("n in {6, 7, 8}", lambda n: n in (6, 7, 8)),
     "F": ("n = 4", lambda n: n == 4),
     "G": ("n = 2", lambda n: n == 2),
+}
+# |Phi+| of each type at rank n (Bourbaki, Plates I-IX): the builder stops past it, so a
+# Cartan matrix of non-finite type fails at once instead of building heights without end
+_POSITIVE_ROOT_COUNT = {
+    "A": lambda n: n * (n + 1) // 2,
+    "B": lambda n: n * n,
+    "C": lambda n: n * n,
+    "D": lambda n: n * (n - 1),
+    "E": {6: 36, 7: 63, 8: 120}.__getitem__,
+    "F": lambda n: 24,
+    "G": lambda n: 6,
 }
 
 
@@ -126,13 +139,15 @@ class Weight(tuple):
 
     @classmethod
     def zero(cls, rank: int) -> "Weight":
+        _check_positive(rank, "weight rank")
         return cls((0,) * rank)
 
     @classmethod
     def fundamental(cls, rank: int, node: int) -> "Weight":
         """omega_node for 1 <= node <= rank."""
-        if not 1 <= node <= rank:
-            raise ValueError(f"node {node} out of range 1..{rank}")
+        _check_positive(rank, "weight rank")
+        if type(node) is not int or not 1 <= node <= rank:
+            raise ValueError(f"node {node!r} is not an int in 1..{rank}")
         return cls(tuple(1 if i == node - 1 else 0 for i in range(rank)))
 
     @property
@@ -150,7 +165,9 @@ class Weight(tuple):
     def __neg__(self) -> "Weight":
         return Weight._trusted(-a for a in self)
 
-    def __mul__(self, scalar: int) -> "Weight":  # checked: the scalar may not be an int
+    def __mul__(self, scalar: int) -> "Weight":
+        if type(scalar) is not int:  # a float or a bool is no scalar
+            raise ValueError(f"weight scalar {scalar!r} is not an int")
         return Weight(scalar * a for a in self)
 
     __rmul__ = __mul__
@@ -275,7 +292,7 @@ def _coroot_pairing(cartan: tuple[tuple[int, ...], ...], coords: Iterable[int], 
 
 
 def _positive_roots(
-    cartan: tuple[tuple[int, ...], ...], rank: int
+    cartan: tuple[tuple[int, ...], ...], rank: int, count: int
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:
     """The positive roots in graded lexicographic order and their root chain, in one pass by height.
 
@@ -286,13 +303,18 @@ def _positive_roots(
     root of this height reaches it through alpha_j). A height is listed in lexicographic order,
     so a root's index is known before the next height is built; and gamma - alpha_i precedes
     gamma - alpha_j for i < j, so the least simple root that reaches a root reaches it first and
-    is kept.
+    is kept. ``count`` is |Phi+| of the type: a root past it, or a total short of it, raises
+    ``AssertionError``, so a Cartan matrix of non-finite type stops the builder at once.
     """
     roots, chain = [], []
     level = {tuple(int(j == i) for j in range(rank)): ((-1, i), cartan[i], [0] * rank) for i in range(rank)}
     while level:
         nxt: dict[tuple[int, ...], tuple] = {}
         for k, beta in enumerate(sorted(level), len(roots)):
+            if k == count:
+                raise AssertionError(
+                    f"root builder passed |Phi+| = {count}: the Cartan matrix is not of finite type"
+                )
             link, pairs, p = level[beta]
             roots.append(beta)
             chain.append(link)
@@ -301,6 +323,8 @@ def _positive_roots(
                 carried = nxt.setdefault(gamma, ((k, i), tuple(map(add, pairs, cartan[i])), [0] * rank))
                 carried[2][i] = p[i] + 1
         level = nxt
+    if len(roots) != count:
+        raise AssertionError(f"root builder found {len(roots)} positive roots, not |Phi+| = {count}")
     return tuple(roots), tuple(chain)
 
 
@@ -331,7 +355,7 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
         return build_root_system(letter, rank)
     cartan = tuple(tuple(row) for row in _cartan_matrix(letter, rank))
     sym = _symmetrizer(cartan)
-    roots, chain = _positive_roots(cartan, rank)
+    roots, chain = _positive_roots(cartan, rank, _POSITIVE_ROOT_COUNT[letter](rank))
     rs = RootSystem(
         type_letter=letter,
         rank=rank,
@@ -379,10 +403,11 @@ def _check_nodes(rs: RootSystem, nodes: Iterable[int]) -> tuple[int, ...]:
     return nodes
 
 
-def _check_multiplicity(mult: int) -> None:
-    """A summand's multiplicity in a direct sum, in ``bott`` and ``schur`` alike."""
-    if type(mult) is not int or mult <= 0:  # a float or a bool is no multiplicity
-        raise ValueError(f"multiplicity must be a positive int, got {mult!r}")
+def _check_positive(value: int, what: str = "multiplicity") -> None:
+    """A positive int: a summand's multiplicity in a direct sum, in ``bott`` and ``schur`` alike,
+    or the rank of ``Weight.zero`` and ``Weight.fundamental``."""
+    if type(value) is not int or value <= 0:  # a float or a bool is no count
+        raise ValueError(f"{what} must be a positive int, got {value!r}")
 
 
 def _walk(rs: RootSystem, coeffs: Iterable[int]) -> tuple[Weight, int]:
@@ -471,11 +496,13 @@ def dual_weight(rs: RootSystem, dominant: Weight) -> Weight:
 class ParabolicSpace(_Record):
     """A rational homogeneous space G/P, P given by crossed Dynkin nodes.
 
-    Construction validates the crossed set and splits the positive roots once, by the
-    crossed nodes' columns: ``nilradical`` holds those whose simple-root support meets a
-    crossed node, one per dimension of G/P. ``uncrossed`` and ``nilradical`` are derived
-    from ``rs`` and ``crossed`` and take part in equality and ``repr``; copy and pickle
-    derive them again.
+    Construction validates the crossed set on every call, then returns the one space of
+    (``rs``, crossed set) from a memo of ``_SPACE_MEMO_SIZE`` spaces, which splits the positive
+    roots once per key, by the crossed nodes' columns: ``nilradical`` holds those whose
+    simple-root support meets a crossed node, one per dimension of G/P. ``uncrossed`` and
+    ``nilradical`` are derived from ``rs`` and ``crossed`` and take part in equality and
+    ``repr``, so a space the memo has evicted and built again equals the old one; copy and
+    pickle call the constructor on ``rs`` and ``crossed``, so they return the memo's object.
     """
 
     __slots__ = ()
@@ -491,12 +518,7 @@ class ParabolicSpace(_Record):
                 "a parabolic space needs at least one crossed node; the crossed node set "
                 "must be nonempty"
             )
-        roots = rs.positive_roots
-        columns = tuple(zip(*roots))  # columns[i - 1]: every root's coefficient at node i
-        meets = tuple(map(any, zip(*[columns[i - 1] for i in crossed])))
-        uncrossed = tuple(i for i in range(1, rs.rank + 1) if i not in crossed)
-        nilradical = tuple(compress(roots, meets))
-        return tuple.__new__(cls, (rs, crossed, uncrossed, nilradical))
+        return _parabolic_space(rs, crossed)
 
     def __getnewargs__(self) -> tuple:
         return self[:2]
@@ -521,3 +543,14 @@ class ParabolicSpace(_Record):
     def __str__(self) -> str:
         nodes = ",".join(str(i) for i in sorted(self.crossed))
         return f"{self.rs.name}/P({nodes})"
+
+
+@lru_cache(maxsize=_SPACE_MEMO_SIZE)
+def _parabolic_space(rs: RootSystem, crossed: frozenset[int]) -> ParabolicSpace:
+    """The space of checked nodes: a root system keys by identity, a frozenset by its cached hash."""
+    roots = rs.positive_roots
+    columns = tuple(zip(*roots))  # columns[i - 1]: every root's coefficient at node i
+    meets = tuple(map(any, zip(*[columns[i - 1] for i in crossed])))
+    uncrossed = tuple(i for i in range(1, rs.rank + 1) if i not in crossed)
+    nilradical = tuple(compress(roots, meets))
+    return tuple.__new__(ParabolicSpace, (rs, crossed, uncrossed, nilradical))

@@ -68,7 +68,7 @@ from functools import lru_cache
 from math import comb
 from operator import sub
 
-from .root_system import ParabolicSpace, Weight, _Record, _check_multiplicity
+from .root_system import ParabolicSpace, Weight, _Record, _check_positive
 
 _FOLD_MEMO_SIZE = 1024  # sections held by the exterior-power memo
 _LABEL_MEMO_SIZE = 4096  # labels held by each label memo: weight, rank and dual
@@ -209,7 +209,7 @@ class BundleSum(_Record):
         for label, mult in pairs:
             if label.ambient != ambient:
                 raise ValueError(f"label on Gr{label.ambient} cannot join a sum on Gr{ambient}")
-            _check_multiplicity(mult)
+            _check_positive(mult)
         if not pairs:
             BundleLabel(ambient)
         return cls._merged(ambient, pairs)
@@ -519,9 +519,11 @@ def _label_weight(label: BundleLabel) -> Weight:
     """``label_to_weight`` on the label's own Gr(k, n), once ``grassmannian_kn`` has checked it."""
     k, n = label.ambient
     # the dual fiber's highest weight is (t - mu reversed, -nu reversed) in the standard torus
-    # basis; its coefficients are the differences of neighbours there, ints from ints
+    # basis; its coefficients are the differences of neighbours there, ints from ints. At the
+    # crossed node that is t - mu_1 + s[0], and s[0], the last of n - k parts of nu, is 0: a
+    # canonical label has fewer than n - k rows on Q
     r, s = label.u_part.padded(k)[::-1], label.q_part.padded(n - k)[::-1]
-    return Weight._trusted([*map(sub, r[1:], r), label.twist - r[-1] + s[0], *map(sub, s[1:], s)])
+    return Weight._trusted([*map(sub, r[1:], r), label.twist - r[-1], *map(sub, s[1:], s)])
 
 
 def label_to_weight(label: BundleLabel, space: ParabolicSpace) -> Weight:

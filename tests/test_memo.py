@@ -1,10 +1,11 @@
 """The kernel memos are invisible: ``dominantize`` and ``weyl_dimension`` cache by (root
-system, coefficients) after their checks, ``exterior_power_sum`` by (sum, j), the sum
-checked when it was built, and a label's weight and dual by the label alone; each
-memo is bounded. A root system is one object per type and rank, whatever the spelling of
-its letter, and copy and pickle return that object; it keys a memo as that object, so an
-unequal system of the same type and rank is a separate key. A warm memo gives what a cold
-one gives, an error is never stored, and no memo outgrows its bound.
+system, coefficients) after their checks, ``ParabolicSpace`` by (root system, crossed set)
+after its checks, ``exterior_power_sum`` by (sum, j), the sum checked when it was built, and
+a label's weight and dual by the label alone; each memo is bounded. A root system is one
+object per type and rank, whatever the spelling of its letter, and copy and pickle return
+that object; it keys a memo as that object, so an unequal system of the same type and rank
+is a separate key. A parabolic space is one object per key while the memo holds it. A warm
+memo gives what a cold one gives, an error is never stored, and no memo outgrows its bound.
 """
 
 import ast
@@ -17,6 +18,7 @@ import pytest
 from gpcoh import (
     BundleLabel,
     BundleSum,
+    ParabolicSpace,
     Partition,
     Weight,
     build_root_system,
@@ -37,6 +39,7 @@ from test_chase_oracle import FAMILIES
 MEMOS = (
     root_system._dominantize,
     root_system._weyl_dimension,
+    root_system._parabolic_space,
     schur.exterior_power_sum,
     schur._label_weight,
     schur.dual_label,
@@ -76,6 +79,53 @@ def test_an_unequal_system_of_the_same_type_and_rank_is_never_served_the_canonic
     # both B3 entries are warm now; the impostor still gets the answers of its own fields
     assert dominantize(impostor, walked) == dominantize(c3, walked)
     assert weyl_dimension(impostor, omega1) == 6
+
+
+def test_a_parabolic_space_is_one_object_per_root_system_and_crossed_set():
+    rs = build_root_system("A", 6)
+    space = ParabolicSpace(rs, {4})
+    assert space is ParabolicSpace(rs=rs, crossed=[4]) is ParabolicSpace(rs, frozenset({4}))
+    assert copy.copy(space) is space and copy.deepcopy(space) is space
+    assert pickle.loads(pickle.dumps(space)) is space
+    assert ParabolicSpace(rs, [4, 2]) is ParabolicSpace(rs, (2, 4)) is not space
+
+
+def test_an_evicted_space_built_again_equals_the_old_one():
+    rs = build_root_system("E", 7)
+    old = ParabolicSpace(rs, {7})
+    root_system._parabolic_space.cache_clear()
+    new = ParabolicSpace(rs, {7})
+    assert new is not old and new == old and hash(new) == hash(old) and new.dimension == 27
+
+
+@pytest.mark.parametrize(
+    "crossed,message",
+    [
+        ([], "^a parabolic space needs at least one crossed node"),
+        ([1, 2, 2], r"^crossed node 2 is given twice in \(1, 2, 2\)$"),
+        ([9], r"^crossed nodes \[9\] out of range 1\.\.6$"),
+        ([1.0], r"^crossed node 1\.0 in \(1\.0,\) is not an integer$"),
+        ([True], r"^crossed node True in \(True,\) is not an integer$"),
+    ],
+    ids=["empty", "repeated", "out-of-range", "float", "bool"],
+)
+def test_a_bad_crossed_set_raises_on_every_call_and_adds_no_space(crossed, message):
+    rs = build_root_system("A", 6)
+    assert ParabolicSpace(rs, [1]).dimension == 6  # the int node's space is held
+    size = root_system._parabolic_space.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            ParabolicSpace(rs, crossed)
+    assert root_system._parabolic_space.cache_info().currsize == size
+
+
+def test_an_unequal_system_of_the_same_type_and_rank_gets_its_own_space():
+    b3, c3 = build_root_system("B", 3), build_root_system("C", 3)
+    impostor = c3._replace(type_letter="B")
+    canonical = ParabolicSpace(b3, {1})
+    own = ParabolicSpace(impostor, {1})
+    assert own is not canonical and own != canonical and own.rs is impostor
+    assert own.nilradical == ParabolicSpace(c3, {1}).nilradical != canonical.nilradical
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -127,6 +177,10 @@ def test_no_memo_holds_more_than_its_bound():
         for memo in LABEL_MEMOS:
             memo(BundleLabel((2, 5), u_part=Partition((1,)), twist=t))
     assert [memo.cache_info().currsize for memo in LABEL_MEMOS] == [label_size] * 2
+    a9, space_size = build_root_system("A", 9), root_system._SPACE_MEMO_SIZE
+    for mask in range(1, space_size + 11):  # each a distinct nonempty subset of the 9 nodes
+        ParabolicSpace(a9, [i for i in range(1, 10) if mask >> (i - 1) & 1])
+    assert root_system._parabolic_space.cache_info().currsize == space_size
     clear_memos()
 
 
