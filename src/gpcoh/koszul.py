@@ -151,19 +151,26 @@ def solve_sequence(
     with j descending, then q ascending, where source is dim H^q(A_{j+1}) once pinned and
     None while open; then H^*(U) by degree, or None while a rank is open. Left exactness
     binds each A_j only for the resolution: with ``kernel`` the cones of the chase are
-    complexes, and H^q(U) is the chased degree q - r. A hint at no map (0 <= j < r, q >= 0)
-    or of a rank outside 0..dim H^q(E_j) is a ValueError naming it, before any propagation; a
-    determined chi(U) other than (-1)^(r if ``kernel``) sum_j (-1)^j chi(E_j) raises AssertionError.
+    complexes, and H^q(U) is the chased degree q - r. A hint or a value with a position, rank,
+    degree or dimension that is not exactly an int (a bool or a float included), a hint at no
+    map (0 <= j < r, q >= 0) or of a rank outside 0..dim H^q(E_j) is a ValueError naming it,
+    before any propagation; a determined chi(U) other than (-1)^(r if ``kernel``) sum_j (-1)^j
+    chi(E_j) raises AssertionError.
     """
     r = len(tables) - 1
     for (j, q), rank in hints.items():
         hint = RankHint(j, q, rank)
+        if any([type(field) is not int for field in hint]):
+            raise ValueError(f"hint {hint!r} has a field that is not an int")
         if not (0 <= j < r and q >= 0):
             raise ValueError(f"malformed hint position: {hint!r} needs 0 <= target_term < {r} and degree >= 0")
         if rank < 0:
             raise ValueError(f"hint {hint!r}: rank must be nonnegative")
         if rank > (bound := tables[j].get(q, 0)):
             raise ValueError(f"hint {hint!r} exceeds the maximal possible rank {bound} = dim H^{q}(E_{j})")
+    for q, v in values.items():
+        if type(q) is not int or type(v) is not int:
+            raise ValueError(f"value dim H^{q!r} = {v!r} of the unknown end: its degree and dimension must be ints")
     low: list[int] = []
     high: list[int] = []
     cells = []  # ((j, q), x, the form of H^q(A_{j+1})) for each rank rho[x]

@@ -92,10 +92,11 @@ class _Record(tuple):
     """A record of several fields whose constructor validates (``ParabolicSpace``, ``BundleLabel``,
     ``BundleSum``; a ``Weight`` or a ``Partition`` is the tuple of its ints instead): a tuple of
     the fields its subclass annotates, in order, each read by name. The subclass ``__new__`` runs
-    the checks and ends in ``tuple.__new__``; copy and pickle call it again on ``__getnewargs__``,
-    so they re-run the checks, and there is no ``_make`` or ``_replace`` to skip them. Only
-    ``_trusted`` skips them, for fields computed from already validated records in this package: it
-    takes the tuple of fields and is ``tuple.__new__`` bound to the subclass, with no Python frame."""
+    the checks and ends in ``tuple.__new__``; copy and pickle, at every protocol, call it again
+    on the fields through ``__reduce__``, so they re-run the checks, and there is no ``_make`` or
+    ``_replace`` to skip them. Only ``_trusted`` skips them, for fields computed from already
+    validated records in this package: it takes the tuple of fields and is ``tuple.__new__`` bound
+    to the subclass, with no Python frame."""
 
     __slots__ = ()
 
@@ -105,8 +106,8 @@ class _Record(tuple):
         for i, name in enumerate(cls._fields):
             setattr(cls, name, property(itemgetter(i)))
 
-    def __getnewargs__(self) -> tuple:
-        return self[:]
+    def __reduce__(self):
+        return type(self), self[:]
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
@@ -118,8 +119,9 @@ class Weight(tuple):
 
     ``coeffs[i]`` is the pairing with the (i+1)-th simple coroot (1-based
     Bourbaki node i+1). A coefficient that is not an ``int`` is rejected, never truncated.
-    Copy and pickle call the constructor again, so they re-run the check; only ``_trusted``
-    (``tuple.__new__`` bound to the class) skips it, for ints derived from checked ones.
+    Copy and pickle, at every protocol, call the constructor again through ``__reduce__``, so
+    they re-run the check; only ``_trusted`` (``tuple.__new__`` bound to the class) skips it,
+    for ints derived from checked ones.
     """
 
     __slots__ = ()
@@ -132,6 +134,9 @@ class Weight(tuple):
             if type(c) is not int:
                 raise ValueError(f"weight coefficient {c!r} in {coeffs!r} is not an integer")
         return tuple.__new__(cls, coeffs)
+
+    def __reduce__(self):
+        return type(self), (tuple(self),)
 
     @classmethod
     def of(cls, *coeffs: int) -> "Weight":
@@ -520,8 +525,8 @@ class ParabolicSpace(_Record):
             )
         return _parabolic_space(rs, crossed)
 
-    def __getnewargs__(self) -> tuple:
-        return self[:2]
+    def __reduce__(self):
+        return ParabolicSpace, self[:2]
 
     @property
     def dimension(self) -> int:

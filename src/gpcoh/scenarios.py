@@ -202,7 +202,7 @@ def _load(name_or_path: str | Path, kind: dict) -> tuple[str, dict]:
             raise FileNotFoundError(f"no scenario file {text!r} and no builtin scenario of that name")
     try:
         data = json.loads(source.read_text(), object_pairs_hook=_json_object)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # a RecursionError: nested past the decoder's depth
         raise ValueError(f"scenario file {text!r} is not valid JSON: {exc}") from exc
     except LookupError as exc:
         raise ValueError(f"scenario file {text!r}: key {exc.args[0]!r} is given twice in one object") from exc

@@ -94,8 +94,9 @@ __all__ = [
 
 class Partition(tuple):
     """Weakly decreasing nonnegative integers, trailing zeros dropped: the tuple of its parts, so
-    ordered as ``parts``. Copy and pickle call the constructor again; only ``_trusted``
-    (``tuple.__new__`` bound to the class) skips its checks, for parts derived from checked ones."""
+    ordered as ``parts``. Copy and pickle, at every protocol, call the constructor again through
+    ``__reduce__``; only ``_trusted`` (``tuple.__new__`` bound to the class) skips its checks, for
+    parts derived from checked ones."""
 
     __slots__ = ()
     parts = property(tuple)  # the plain tuple of the parts
@@ -112,6 +113,9 @@ class Partition(tuple):
             if a < b:
                 raise ValueError(f"partition parts must be weakly decreasing: {parts}")
         return tuple.__new__(cls, parts)
+
+    def __reduce__(self):
+        return type(self), (tuple(self),)
 
     @property
     def size(self) -> int:

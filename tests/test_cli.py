@@ -349,6 +349,19 @@ def test_unparsable_scenario_file_is_named_in_the_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text", ["[" * 100_000 + "]" * 100_000, '{"schema_version": 1, "x": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+    ids=["array", "object"],
+)
+def test_a_scenario_nested_past_the_decoder_depth_exits_2_naming_the_file(capsys, tmp_path, text):
+    p = tmp_path / "deep.json"
+    p.write_text(text)
+    code, out, err = run(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: scenario file {str(p)!r} is not valid JSON: ") and err.count("\n") == 1
+    assert "recursion" in err
+
+
+@pytest.mark.parametrize(
     "once,twice,key",
     [
         ('"section_bundle": "L3 U*"', '"section_bundle": "O(1)", "section_bundle": "L3 U*"', "section_bundle"),

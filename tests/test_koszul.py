@@ -310,27 +310,41 @@ def test_a_value_the_sequence_cannot_carry_raises_naming_it():
 
 
 @pytest.mark.parametrize(
-    "tables,top,hints,kernel,message",
+    "tables,top,hints,values,kernel,message",
     [
         # at rank 3 the kernel end would have h^0 = 2 and h^1 = -2, whose Euler characteristic
         # still balances, so only the rank bound dim H^0(E_0) = 1 catches it
-        (({0: 1}, {0: 5}), 8, {(0, 0): 3}, True,
+        (({0: 1}, {0: 5}), 8, {(0, 0): 3}, {}, True,
          "hint RankHint(target_term=0, degree=0, rank=3) exceeds the maximal possible rank 1 = dim H^0(E_0)"),
         # a two-term sequence has one map, E_1 -> E_0, so no hint at term 7
-        (({0: 1}, {0: 1}), 5, {(7, 0): 1}, False,
+        (({0: 1}, {0: 1}), 5, {(7, 0): 1}, {}, False,
          "malformed hint position: RankHint(target_term=7, degree=0, rank=1) needs 0 <= target_term < 1 "
          "and degree >= 0"),
-        (({0: 1}, {0: 1}), 5, {(0, -3): 0}, False,
+        (({0: 1}, {0: 1}), 5, {(0, -3): 0}, {}, False,
          "malformed hint position: RankHint(target_term=0, degree=-3, rank=0) needs 0 <= target_term < 1 "
          "and degree >= 0"),
-        (({0: 1}, {0: 1}), 5, {(0, 0): -1}, False,
+        (({0: 1}, {0: 1}), 5, {(0, 0): -1}, {}, False,
          "hint RankHint(target_term=0, degree=0, rank=-1): rank must be nonnegative"),
+        # a float or a bool would run through the propagation and come back as a "determined" float
+        (({1: 5}, {1: 2}, {}), 8, {(0, 1): 1.0}, {}, False,
+         "hint RankHint(target_term=0, degree=1, rank=1.0) has a field that is not an int"),
+        (({1: 5}, {1: 2}, {}), 8, {(0, 1): True}, {}, False,
+         "hint RankHint(target_term=0, degree=1, rank=True) has a field that is not an int"),
+        (({1: 5}, {1: 2}, {}), 8, {(0.0, 1): 1}, {}, False,
+         "hint RankHint(target_term=0.0, degree=1, rank=1) has a field that is not an int"),
+        (({1: 5}, {1: 2}, {}), 8, {(0, True): 1}, {}, False,
+         "hint RankHint(target_term=0, degree=True, rank=1) has a field that is not an int"),
+        (({1: 5}, {1: 2}, {}), 8, {}, {1: 3.0}, False,
+         "value dim H^1 = 3.0 of the unknown end: its degree and dimension must be ints"),
+        (({1: 5}, {1: 2}, {}), 8, {}, {True: 3}, False,
+         "value dim H^True = 3 of the unknown end: its degree and dimension must be ints"),
     ],
-    ids=["rank-above-its-term", "term-off-the-sequence", "negative-degree", "negative-rank"],
+    ids=["rank-above-its-term", "term-off-the-sequence", "negative-degree", "negative-rank", "float-rank",
+         "bool-rank", "float-term", "bool-degree", "float-value", "bool-value-degree"],
 )
-def test_the_solver_rejects_a_hint_off_its_maps_or_its_ranks_naming_it(tables, top, hints, kernel, message):
+def test_the_solver_rejects_a_hint_off_its_maps_or_its_ranks_naming_it(tables, top, hints, values, kernel, message):
     with pytest.raises(ValueError) as exc:
-        solve_sequence(tables, top, hints, kernel=kernel)
+        solve_sequence(tables, top, hints, values, kernel)
     assert str(exc.value) == message
 
 

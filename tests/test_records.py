@@ -93,7 +93,8 @@ def test_the_samples_cover_every_record_type():
     ids=lambda r: type(r).__name__,
 )
 def test_copy_deepcopy_and_pickle_give_an_equal_record(record):
-    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+    pickled = [pickle.loads(pickle.dumps(record, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in (copy.copy(record), copy.deepcopy(record), *pickled):
         assert type(twin) is type(record)
         assert twin == record
         assert hash(twin) == hash(record)
@@ -110,9 +111,11 @@ def test_a_weight_and_a_partition_are_the_tuple_of_their_ints(cls, ints):
 
 def test_copy_and_pickle_revalidate_a_partition():
     # as test_root_system.py::test_copy_and_pickle_revalidate_a_weight does for a Weight: a tuple
-    # built around the checks is refused when copy, deepcopy or pickle calls the constructor again
+    # built around the checks is refused when copy, deepcopy or pickle at any protocol calls the
+    # constructor again
     bad = tuple.__new__(Partition, (1, 3))
-    for rebuild in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+    pickles = [lambda r, p=p: pickle.loads(pickle.dumps(r, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for rebuild in (copy.copy, copy.deepcopy, *pickles):
         with pytest.raises(ValueError, match="weakly decreasing"):
             rebuild(bad)
 
@@ -178,7 +181,9 @@ def test_the_unchecked_construction_paths_are_the_pinned_set():
 
 def test_copy_and_pickle_rebuild_a_parabolic_space_from_its_two_arguments():
     space = ParabolicSpace(build_root_system("A", 6), frozenset({4}))
-    assert space.__getnewargs__() == (space.rs, space.crossed)
+    assert space.__reduce__() == (ParabolicSpace, (space.rs, space.crossed))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(space, protocol)) is space
 
 
 @pytest.mark.parametrize("cls", sorted(_samples(), key=lambda c: c.__name__), ids=lambda c: c.__name__)

@@ -3,10 +3,9 @@ import json
 import random
 import re
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given, strategies as st
 
 from gpcoh import (
     BundleLabel,
@@ -116,19 +115,15 @@ def test_equal_bundles_are_equal_labels():
     assert BundleSum.from_pairs(AMB, [(full, 1), (reduced, 1)]).summands == ((reduced, 2),)
 
 
-@given(
-    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
-    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
-    st.integers(-3, 3),
-)
-def test_constructed_labels_are_canonical_and_rank_preserving(u, q, t):
-    u = tuple(sorted(u, reverse=True))
-    q = tuple(sorted(q, reverse=True))
-    label = BundleLabel(AMB, u_part=Partition(u), q_part=Partition(q), twist=t)
-    assert (label.u_part.parts, label.q_part.parts, label.twist) == _canonical(AMB, u, q, t)
-    assert label_rank(label) == ssyt_count(u, 4) * ssyt_count(q, 3)
-    assert label.u_part.length < 4
-    assert label.q_part.length < 3
+def test_constructed_labels_are_canonical_and_rank_preserving():
+    # every u of 4 parts and q of 3 parts in 0..3, trailing zeros and full columns included
+    us, qs = (combinations_with_replacement(range(3, -1, -1), rows) for rows in (4, 3))
+    for u, q, t in product(us, qs, range(-3, 4)):
+        label = BundleLabel(AMB, u_part=Partition(u), q_part=Partition(q), twist=t)
+        assert (label.u_part.parts, label.q_part.parts, label.twist) == _canonical(AMB, u, q, t)
+        assert label_rank(label) == ssyt_count(u, 4) * ssyt_count(q, 3)
+        assert label.u_part.length < 4
+        assert label.q_part.length < 3
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +184,10 @@ def test_gl_dimension_rejects_a_bool_rank():
         gl_dimension((1,), True)
 
 
-@given(
-    st.lists(st.integers(1, 3), min_size=0, max_size=3),
-    st.lists(st.integers(1, 3), min_size=0, max_size=3),
-)
-def test_lr_symmetry_on_random_small_pairs(a, b):
-    mu = Partition(tuple(sorted(a, reverse=True)))
-    nu = Partition(tuple(sorted(b, reverse=True)))
-    assert lr_coefficients(mu, nu, 4) == lr_coefficients(nu, mu, 4)
+def test_lr_symmetry_on_random_small_pairs():
+    small = [Partition(p) for p in _box_partitions(3, 3)]
+    for mu, nu in product(small, repeat=2):
+        assert lr_coefficients(mu, nu, 4) == lr_coefficients(nu, mu, 4)
 
 
 def test_gl_dimension_matches_tableau_count():
@@ -308,20 +299,14 @@ def test_an_empty_sum_on_a_bad_ambient_is_rejected_with_the_label_message(ambien
             make()
 
 
-@given(
-    st.integers(0, 4),
-    st.integers(0, 3),
-    st.integers(-2, 2),
-    st.integers(0, 4),
-    st.integers(0, 3),
-    st.integers(-2, 2),
-)
-def test_tensor_preserves_rank(ua, qa, ta, ub, qb, tb):
-    a = parse_bundle(AMB, f"L{ua} U ({ta})") if qa == 0 else BundleSum(
-        AMB, [(BundleLabel(AMB, Partition((1,) * ua), Partition((1,) * qa), ta), 1)]
-    )
-    b = BundleSum(AMB, [(BundleLabel(AMB, Partition((1,) * ub), Partition((1,) * qb), tb), 1)])
-    assert tensor(a, b).rank() == a.rank() * b.rank()
+def test_tensor_preserves_rank():
+    columns = product(range(5), range(4), range(-2, 3))
+    for (ua, qa, ta), (ub, qb, tb) in product(columns, repeat=2):
+        a = parse_bundle(AMB, f"L{ua} U ({ta})") if qa == 0 else BundleSum(
+            AMB, [(BundleLabel(AMB, Partition((1,) * ua), Partition((1,) * qa), ta), 1)]
+        )
+        b = BundleSum(AMB, [(BundleLabel(AMB, Partition((1,) * ub), Partition((1,) * qb), tb), 1)])
+        assert tensor(a, b).rank() == a.rank() * b.rank()
 
 
 def _lr_product(a, b):
@@ -337,32 +322,35 @@ def _lr_product(a, b):
     return BundleSum.from_pairs(a.ambient, pairs)
 
 
-@st.composite
-def _sums(draw, ambient):
+def _ambient(rng, most):
+    """Gr(k, n) with 2 <= n <= ``most`` and 1 <= k < n."""
+    n = rng.randint(2, most)
+    return rng.randint(1, n - 1), n
+
+
+def _sums(rng, ambient):
     """A sum of 1-3 labels on ``ambient``; partitions may be empty, so line bundles occur."""
     k, n = ambient
 
     def part(rows):
-        return Partition(sorted(draw(st.lists(st.integers(0, 3), max_size=rows)), reverse=True))
+        return Partition(sorted((rng.randint(0, 3) for _ in range(rng.randint(0, rows))), reverse=True))
 
-    items = draw(st.lists(
-        st.tuples(st.integers(0, k), st.integers(0, n - k), st.integers(-4, 4), st.integers(1, 3)),
-        min_size=1, max_size=3,
-    ))
     return BundleSum.from_pairs(ambient, [
-        (BundleLabel(ambient, part(u_rows), part(q_rows), t), m) for u_rows, q_rows, t, m in items
+        (BundleLabel(ambient, part(k), part(n - k), rng.randint(-4, 4)), rng.randint(1, 3))
+        for _ in range(rng.randint(1, 3))
     ])
 
 
-@given(st.data(), st.integers(2, 6), st.integers(-5, 5), st.integers(1, 3))
-def test_tensor_with_a_line_bundle_is_the_lr_product(data, n, t, m):
+def test_tensor_with_a_line_bundle_is_the_lr_product():
     # O(t) (x) E = E(t) takes no LR product, on either side and inside a mixed sum
-    ambient = (data.draw(st.integers(1, n - 1)), n)
-    e = data.draw(_sums(ambient))
-    line = BundleSum(ambient, [(BundleLabel(ambient, twist=t), m)])
-    mixed = BundleSum.from_pairs(ambient, line.summands + data.draw(_sums(ambient)).summands)
-    for a, b in ((e, line), (line, e), (e, mixed), (mixed, e)):
-        assert tensor(a, b) == _lr_product(a, b)
+    rng = random.Random("test_tensor_with_a_line_bundle_is_the_lr_product")
+    for _ in range(200):
+        ambient = _ambient(rng, 6)
+        e = _sums(rng, ambient)
+        line = BundleSum(ambient, [(BundleLabel(ambient, twist=rng.randint(-5, 5)), rng.randint(1, 3))])
+        mixed = BundleSum.from_pairs(ambient, line.summands + _sums(rng, ambient).summands)
+        for a, b in ((e, line), (line, e), (e, mixed), (mixed, e)):
+            assert tensor(a, b) == _lr_product(a, b)
 
 
 def test_tensor_rank_matches_the_levi_weyl_product():
@@ -528,28 +516,26 @@ def _assert_labels_revalidate(bsum):
             assert type(p) is Partition and Partition(p.parts) == p, label
 
 
-@st.composite
-def _column_sums(draw, ambient):
+def _column_sums(rng, ambient):
     """A sum of 1-3 twisted columns Lambda^a U or Lambda^a Q, a in {0, 1, rank - 1, rank}."""
     k, n = ambient
     pairs = []
-    for on_u, a, t, m in draw(st.lists(
-        st.tuples(st.booleans(), st.integers(0, 3), st.integers(-3, 3), st.integers(1, 2)),
-        min_size=1, max_size=3,
-    )):
+    for _ in range(rng.randint(1, 3)):
+        on_u = rng.random() < 0.5
         rank = k if on_u else n - k
-        column = Partition((1,) * (0, 1, rank - 1, rank)[a])
+        column = Partition((1,) * rng.choice((0, 1, rank - 1, rank)))
         sides = (column, Partition()) if on_u else (Partition(), column)
-        pairs.append((BundleLabel(ambient, *sides, t), m))
+        pairs.append((BundleLabel(ambient, *sides, rng.randint(-3, 3)), rng.randint(1, 2)))
     return BundleSum.from_pairs(ambient, pairs)
 
 
-@given(st.data(), st.integers(2, 7))
-def test_tensor_and_exterior_power_labels_revalidate_to_themselves(data, n):
-    ambient = (data.draw(st.integers(1, n - 1)), n)
-    _assert_labels_revalidate(tensor(data.draw(_sums(ambient)), data.draw(_sums(ambient))))
-    for power in exterior_power_sum(data.draw(_column_sums(ambient)), 4):
-        _assert_labels_revalidate(power)
+def test_tensor_and_exterior_power_labels_revalidate_to_themselves():
+    rng = random.Random("test_tensor_and_exterior_power_labels_revalidate_to_themselves")
+    for _ in range(200):
+        ambient = _ambient(rng, 7)
+        _assert_labels_revalidate(tensor(_sums(rng, ambient), _sums(rng, ambient)))
+        for power in exterior_power_sum(_column_sums(rng, ambient), 4):
+            _assert_labels_revalidate(power)
 
 
 def test_koszul_labels_revalidate_to_themselves_on_the_koszul_pool():
@@ -644,18 +630,19 @@ def test_dual_label_is_an_involution():
         assert label_rank(dual_label(label)) == label_rank(label)
 
 
-@given(st.data(), st.integers(2, 7))
-def test_dual_labels_revalidate_to_themselves_and_dualize_back(data, n):
-    k = data.draw(st.integers(1, n - 1))
-    bsum = data.draw(_sums((k, n)))
-    _assert_labels_revalidate(dual_sum(bsum))
-    for label, _ in bsum.summands:
-        assert dual_label(dual_label(label)) == label
-        # each side's complement is canonical itself, not only once the label is built
-        for p, rows in ((label.u_part, k), (label.q_part, n - k)):
-            complement = _reversed_complement(p, rows)
-            assert Partition(complement.parts) == complement and complement.length < rows
-    assert dual_sum(dual_sum(bsum)) == bsum
+def test_dual_labels_revalidate_to_themselves_and_dualize_back():
+    rng = random.Random("test_dual_labels_revalidate_to_themselves_and_dualize_back")
+    for _ in range(200):
+        k, n = _ambient(rng, 7)
+        bsum = _sums(rng, (k, n))
+        _assert_labels_revalidate(dual_sum(bsum))
+        for label, _ in bsum.summands:
+            assert dual_label(dual_label(label)) == label
+            # each side's complement is canonical itself, not only once the label is built
+            for p, rows in ((label.u_part, k), (label.q_part, n - k)):
+                complement = _reversed_complement(p, rows)
+                assert Partition(complement.parts) == complement and complement.length < rows
+        assert dual_sum(dual_sum(bsum)) == bsum
 
 
 def test_a_one_summand_sum_is_the_checked_sum_of_that_summand():
@@ -737,15 +724,11 @@ def test_parse_bundle_equals_the_fold_from_o_on_the_koszul_pool_and_the_goldens(
         _assert_labels_revalidate(parsed)
 
 
-@given(
-    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
-    st.tuples(st.integers(0, 2), st.integers(0, 2)),
-    st.integers(-3, 3),
-)
-def test_format_parse_round_trip(u, q, t):
-    label = BundleLabel(AMB, Partition(sorted(u, reverse=True)), Partition(sorted(q, reverse=True)), t)
-    parsed = parse_bundle(AMB, format_label(label))
-    assert parsed.summands == ((label, 1),)
+def test_format_parse_round_trip():
+    for u, q, t in product(_box_partitions(3, 3), _box_partitions(2, 2), range(-3, 4)):
+        label = BundleLabel(AMB, Partition(u), Partition(q), t)
+        parsed = parse_bundle(AMB, format_label(label))
+        assert parsed.summands == ((label, 1),)
 
 
 def _box_partitions(rows: int, width: int):
