@@ -151,14 +151,17 @@ def solve_sequence(
     with j descending, then q ascending, where source is dim H^q(A_{j+1}) once pinned and
     None while open; then H^*(U) by degree, or None while a rank is open. Left exactness
     binds each A_j only for the resolution: with ``kernel`` the cones of the chase are
-    complexes, and H^q(U) is the chased degree q - r. A hint or a value with a position, rank,
-    degree or dimension that is not exactly an int (a bool or a float included), a hint at no
-    map (0 <= j < r, q >= 0) or of a rank outside 0..dim H^q(E_j) is a ValueError naming it,
-    before any propagation; a determined chi(U) other than (-1)^(r if ``kernel``) sum_j (-1)^j
-    chi(E_j) raises AssertionError.
+    complexes, and H^q(U) is the chased degree q - r. A hint whose key is not a tuple (j, q), a
+    hint or a value with a position, rank, degree or dimension that is not exactly an int (a bool
+    or a float included), a hint at no map (0 <= j < r, q >= 0) or of a rank outside
+    0..dim H^q(E_j) is a ValueError naming it, before any propagation; a determined chi(U)
+    other than (-1)^(r if ``kernel``) sum_j (-1)^j chi(E_j) raises AssertionError.
     """
     r = len(tables) - 1
-    for (j, q), rank in hints.items():
+    for key, rank in hints.items():
+        if type(key) is not tuple or len(key) != 2:
+            raise ValueError(f"hint key {key!r} of rank {rank!r} is not a pair (target_term, degree)")
+        j, q = key
         hint = RankHint(j, q, rank)
         if any([type(field) is not int for field in hint]):
             raise ValueError(f"hint {hint!r} has a field that is not an int")

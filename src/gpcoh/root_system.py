@@ -393,8 +393,10 @@ def _check_weight(rs: RootSystem, w: Weight) -> None:
     raise ValueError(f"rank mismatch: weight {w} has rank {w.rank}, root system is {rs.name}")
 
 
-def _check_nodes(rs: RootSystem, nodes: Iterable[int]) -> tuple[int, ...]:
-    """The 1-based crossed ``nodes`` as given, once each is known to be a distinct int in 1..rank."""
+def _check_nodes(rs: RootSystem, nodes: Iterable[int]) -> frozenset[int]:
+    """The set of the 1-based crossed ``nodes``, once each is known to be a distinct int in
+    1..rank: the first node that is not an int or repeats one before it is named, else every
+    node out of range."""
     nodes, seen = tuple(nodes), set()
     for i in nodes:
         if type(i) is not int:
@@ -402,10 +404,10 @@ def _check_nodes(rs: RootSystem, nodes: Iterable[int]) -> tuple[int, ...]:
         if i in seen:
             raise ValueError(f"crossed node {i} is given twice in {nodes!r}")
         seen.add(i)
-    bad = sorted(i for i in seen if not 1 <= i <= rs.rank)
-    if bad:
+    if seen and (min(seen) < 1 or max(seen) > rs.rank):
+        bad = sorted(i for i in seen if not 1 <= i <= rs.rank)
         raise ValueError(f"crossed nodes {bad} out of range 1..{rs.rank}")
-    return nodes
+    return frozenset(seen)
 
 
 def _check_positive(value: int, what: str = "multiplicity") -> None:
@@ -517,7 +519,7 @@ class ParabolicSpace(_Record):
     nilradical: tuple[tuple[int, ...], ...]
 
     def __new__(cls, rs: RootSystem, crossed: Iterable[int]) -> "ParabolicSpace":
-        crossed = frozenset(_check_nodes(rs, crossed))
+        crossed = _check_nodes(rs, crossed)
         if not crossed:
             raise ValueError(
                 "a parabolic space needs at least one crossed node; the crossed node set "

@@ -47,12 +47,16 @@ pass follows a warm one, so a memo in front of a span would hide it and change i
 
 A ``Partition`` is the tuple of its parts, so the kernels index, measure and test it as one.
 A label or a sum is checked once, by its constructor: ``BundleLabel`` checks its fields and
-``BundleSum`` (``from_pairs`` is the same) the ambient and multiplicity of each summand, so no
-consumer of a sum checks it again. Labels and sums derived from checked ones are trusted: a
-twist shift of a canonical label (a line-bundle factor, a power of a line bundle, a twisted
-``T``) is built as it is, an LR product, a column power and a dual only have their full columns
-moved (``BundleLabel._canonical``), the sums of ``tensor``, ``dual_sum`` and the fold are merged
-unchecked (``BundleSum._merged``), and a sum of one checked summand is built as it is.
+``BundleSum`` (``from_pairs`` is the same) that each summand is a pair of a label and a
+multiplicity, and the ambient and multiplicity of each, so no consumer of a sum checks it again.
+Labels and sums derived from checked ones are trusted: a twist shift of a canonical label (a
+line-bundle factor, a power of a line bundle) is built as it is, an LR product, a column power
+and a dual only have their full columns moved (``BundleLabel._canonical``), the sums of
+``tensor``, ``dual_sum`` and the fold are merged unchecked (``BundleSum._merged``), and a sum of
+one checked summand is built as it is. The grammar builds each atom's label from the ASCII
+digits it matched on an ambient checked first, the same way (``_parse_atom``); it checks only
+what it cannot match: an exterior degree and the rows of a ``W[...]`` list against the rank,
+and that list's order.
 
 Conversion to fundamental-weight coordinates sends a label to the highest
 weight of the dual of its fiber, which is exactly the convention making
@@ -156,7 +160,9 @@ class BundleLabel(_Record):
     """One irreducible bundle on Gr(k, n): partitions on U and Q plus a twist.
 
     Canonical once constructed: full columns move into the twist, so equal
-    bundles are equal labels with equal hashes.
+    bundles are equal labels with equal hashes. The constructor takes a pair (k, n) of ints
+    with 1 <= k < n, a ``Partition`` of at most rank-many rows on each side and an int twist;
+    any other field is a ValueError naming it.
     """
 
     __slots__ = ()
@@ -167,12 +173,18 @@ class BundleLabel(_Record):
 
     def __new__(cls, ambient: tuple[int, int], u_part: Partition = _EMPTY,
                 q_part: Partition = _EMPTY, twist: int = 0) -> "BundleLabel":
-        k, n = ambient
+        try:
+            k, n = ambient
+        except (TypeError, ValueError):
+            raise ValueError(f"ambient {ambient!r} is not a pair (k, n)") from None
         u, q, t = u_part, q_part, twist
         if type(k) is not int or type(n) is not int or type(t) is not int:
             raise ValueError(f"ambient Gr({k!r},{n!r}) and twist {t!r} must be integers")
         if not 1 <= k < n:
             raise ValueError(f"ambient Gr({k},{n}) requires 1 <= k < n")
+        for side, p in (("u", u), ("q", q)):
+            if type(p) is not Partition:
+                raise ValueError(f"{side}-side partition {p!r} is a {type(p).__name__}, not a Partition")
         if u.length > k:
             raise ValueError(f"u-side partition {u} exceeds rank {k}")
         if q.length > n - k:
@@ -200,9 +212,9 @@ class BundleLabel(_Record):
 
 class BundleSum(_Record):
     """Formal direct sum of canonical labels with positive multiplicities, equal labels merged
-    and summands ordered by u parts, q parts and twist. The constructor checks that each label
-    lies on ``ambient`` and each multiplicity is a positive int, and an empty sum's ambient by
-    the ``BundleLabel`` rule (a label's own ambient was checked when the label was built)."""
+    and summands ordered by u parts, q parts and twist. The constructor checks that each summand
+    is a pair of a ``BundleLabel`` on ``ambient`` and a positive int, and an empty sum's ambient
+    by the ``BundleLabel`` rule (a label's own ambient was checked when the label was built)."""
 
     __slots__ = ()
     ambient: tuple[int, int]
@@ -210,10 +222,17 @@ class BundleSum(_Record):
 
     def __new__(cls, ambient: tuple[int, int], pairs: Iterable[tuple[BundleLabel, int]] = ()) -> "BundleSum":
         ambient, pairs = tuple(ambient), list(pairs)
-        for label, mult in pairs:
-            if label.ambient != ambient:
+        for pair in pairs:
+            try:
+                label, mult = pair
+            except (TypeError, ValueError):
+                label = None
+            if type(label) is not BundleLabel:
+                raise ValueError(f"summand {pair!r} is not a pair of a BundleLabel and a multiplicity")
+            if label[0] != ambient:
                 raise ValueError(f"label on Gr{label.ambient} cannot join a sum on Gr{ambient}")
-            _check_positive(mult)
+            if type(mult) is not int or mult <= 0:
+                _check_positive(mult)
         if not pairs:
             BundleLabel(ambient)
         return cls._merged(ambient, pairs)
@@ -558,8 +577,8 @@ def sum_to_weights(bsum: BundleSum, space: ParabolicSpace) -> tuple[tuple[Weight
 #
 # Examples: "O(-3)", "L3 U*", "S2 U (-1)", "W[2,1]U * Q", "T".
 #
-# Both patterns stay strings: ``re`` compiles and caches each on its first use, so a process that
-# parses no bundle does not compile them.
+# Both patterns are compiled on the first parse, by ``_grammar``, so a process that parses no bundle
+# compiles neither, and a parse pays no lookup in ``re``'s pattern cache.
 
 _ATOM_RE = r"""(?x)
     \s*
@@ -574,6 +593,12 @@ _ATOM_RE = r"""(?x)
     \s*
 """
 _ATOM_SEP = r"(?<![UQ])\*"  # a star glued to U or Q marks a dual, any other separates
+
+
+@lru_cache(maxsize=1)
+def _grammar() -> tuple[re.Pattern, re.Pattern]:
+    """The compiled atom and separator patterns."""
+    return re.compile(_ATOM_RE), re.compile(_ATOM_SEP)
 
 
 def _parse_int(text: str) -> int:
@@ -598,39 +623,50 @@ def parse_partition(text: str) -> Partition:
 
 
 def _parse_atom(ambient: tuple[int, int], text: str) -> BundleLabel:
-    match = re.fullmatch(_ATOM_RE, text)
+    """The label of one atom on a checked ``ambient``, built from the pieces the grammar matched.
+    Its integers are ASCII digits, so a twist, a degree and the parts of ``S_d`` need no check;
+    what the grammar cannot check is checked here: an exterior degree above its generator's rank,
+    and a ``W[...]`` partition that is not weakly decreasing or has more rows than that rank."""
+    match = _grammar()[0].fullmatch(text)
     if not match:
         raise ValueError(f"cannot parse bundle atom {text!r}")
-    twist = int(match.group("twist") or 0)
-    if match.group("line"):
-        return BundleLabel(ambient, twist=twist)
-    if match.group("tangent"):
-        _, u, q, t = tangent_label(ambient)  # a twist shift of a canonical label is canonical
-        return BundleLabel._trusted((ambient, u, q, t + twist))
-    gen, ext, sym, schur = match.group("gen", "ext", "sym", "schur")
+    line, tangent, ext, sym, schur, gen, twist = match.groups()
+    twist = int(twist) if twist else 0
+    if line:
+        return BundleLabel._trusted((ambient, _EMPTY, _EMPTY, twist))
+    k, n = ambient
+    if tangent:  # U^* (x) Q = L(k-1) U (x) Q (1), whose Q column is full on a projective space
+        column = Partition._trusted((1,) * (k - 1))
+        return BundleLabel._canonical(ambient, column, Partition._trusted((1,)), twist + 1)
+    on_u = gen[0] == "U"
+    rank = k if on_u else n - k
     if schur is not None:
-        p = parse_partition(schur)
+        p = Partition(map(int, schur.split(",")))  # checked: weakly decreasing, trailing zeros dropped
+        if len(p) > rank:
+            raise ValueError(f"{'u' if on_u else 'q'}-side partition {p} exceeds rank {rank}")
     elif sym is not None:
-        p = Partition((int(sym),))
+        degree = int(sym)
+        p = Partition._trusted((degree,) if degree else ())
     else:
-        degree, rank = int(ext or 1), ambient[0] if gen[0] == "U" else ambient[1] - ambient[0]
+        degree = int(ext) if ext else 1
         if degree > rank:  # checked before the column is built: a degree from text may be huge
             raise ValueError(f"Lambda^{degree} of a rank-{rank} generator vanishes or is undefined")
-        p = Partition((1,) * degree)
-    side = (p, Partition()) if gen[0] == "U" else (Partition(), p)
-    if gen.endswith("*"):  # S_p(W^*) (x) O(t) is the dual of S_p(W) (x) O(-t)
-        return dual_label(BundleLabel(ambient, *side, -twist))
-    return BundleLabel(ambient, *side, twist)
+        p = Partition._trusted((1,) * degree)
+    u, q = (p, _EMPTY) if on_u else (_EMPTY, p)
+    if gen[-1] == "*":  # S_p(W^*) (x) O(t) is the dual of S_p(W) (x) O(-t)
+        return dual_label(BundleLabel._canonical(ambient, u, q, -twist))
+    return BundleLabel._canonical(ambient, u, q, twist)
 
 
 def parse_bundle(ambient: tuple[int, int], text: str) -> BundleSum:
     """Parse the compact bundle syntax into a canonical sum: the first atom's label, times each
-    further atom by ``tensor``. An atom's label is checked once, by ``BundleLabel``, not its sum."""
+    further atom by ``tensor``. The ambient is checked once, before any atom, and each atom's
+    label is built from what the grammar matched (``_parse_atom``)."""
     ambient = tuple(ambient)
-    atoms = [piece.strip() for piece in re.split(_ATOM_SEP, text) if piece.strip()]
+    atoms = list(filter(None, map(str.strip, _grammar()[1].split(text))))
     if not atoms:
         raise ValueError(f"cannot parse bundle {text!r}")
-    k, n = ambient
+    k, n = ambient if len(ambient) == 2 else (None, None)
     if type(k) is not int or type(n) is not int or not 1 <= k < n:
         BundleLabel(ambient)  # a bad ambient fails before any atom, with the constructor's reason
     out = BundleSum._trusted((ambient, ((_parse_atom(ambient, atoms[0]), 1),)))

@@ -138,6 +138,22 @@ MUTANTS = [
     # the Fano index of the zero locus
     ("scenarios.py", "index = -sub_twist", "index = sub_twist",
      "tests/test_scenarios.py::test_adjunction_audit_values"),
+    # the grammar builds each atom's label from the pieces it matched, with the checks it cannot make
+    # a W[...] list of more rows than its generator's rank accepted
+    ("schur.py", "        if len(p) > rank:\n", "        if False:\n",
+     "tests/test_schur.py::test_every_atom_form_parses_to_the_label_the_checked_constructors_give"),
+    # an exterior degree one above its generator's rank accepted
+    ("schur.py", "        if degree > rank:  #", "        if degree > rank + 1:  #",
+     "tests/test_schur.py::test_every_atom_form_parses_to_the_label_the_checked_constructors_give"),
+    # a dual generator read as the dual of S_p(W) (x) O(t), not of S_p(W) (x) O(-t)
+    ("schur.py", "BundleLabel._canonical(ambient, u, q, -twist))", "BundleLabel._canonical(ambient, u, q, twist))",
+     "tests/test_schur.py::test_every_atom_form_parses_to_the_label_the_checked_constructors_give"),
+    # the tangent bundle's twist shifted by one
+    ("schur.py", "Partition._trusted((1,)), twist + 1)", "Partition._trusted((1,)), twist + 2)",
+     "tests/test_schur.py::test_every_atom_form_parses_to_the_label_the_checked_constructors_give"),
+    # a hint key that is not a pair reaches the unpacking
+    ("koszul.py", "        if type(key) is not tuple or len(key) != 2:\n", "        if False:\n",
+     "tests/test_koszul.py::test_the_solver_rejects_a_hint_off_its_maps_or_its_ranks_naming_it"),
 ]
 
 

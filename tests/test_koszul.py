@@ -338,9 +338,17 @@ def test_a_value_the_sequence_cannot_carry_raises_naming_it():
          "value dim H^1 = 3.0 of the unknown end: its degree and dimension must be ints"),
         (({1: 5}, {1: 2}, {}), 8, {}, {True: 3}, False,
          "value dim H^True = 3 of the unknown end: its degree and dimension must be ints"),
+        # a key that is not a pair is named before it is unpacked
+        (({0: 1}, {0: 1}), 5, {5: 1}, {}, False,
+         "hint key 5 of rank 1 is not a pair (target_term, degree)"),
+        (({0: 1}, {0: 1}), 5, {(0,): 1}, {}, False,
+         "hint key (0,) of rank 1 is not a pair (target_term, degree)"),
+        (({0: 1}, {0: 1}), 5, {(0, 1, 2): 1}, {}, False,
+         "hint key (0, 1, 2) of rank 1 is not a pair (target_term, degree)"),
     ],
     ids=["rank-above-its-term", "term-off-the-sequence", "negative-degree", "negative-rank", "float-rank",
-         "bool-rank", "float-term", "bool-degree", "float-value", "bool-value-degree"],
+         "bool-rank", "float-term", "bool-degree", "float-value", "bool-value-degree", "int-key", "one-key",
+         "triple-key"],
 )
 def test_the_solver_rejects_a_hint_off_its_maps_or_its_ranks_naming_it(tables, top, hints, values, kernel, message):
     with pytest.raises(ValueError) as exc:

@@ -299,6 +299,25 @@ def test_an_empty_sum_on_a_bad_ambient_is_rejected_with_the_label_message(ambien
             make()
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: BundleLabel((3, 7), (1, 1), (), 0), "u-side partition (1, 1) is a tuple, not a Partition"),
+    (lambda: BundleLabel((3, 7), [1, 1]), "u-side partition [1, 1] is a list, not a Partition"),
+    (lambda: BundleLabel((3, 7), Partition((1,)), (2,)), "q-side partition (2,) is a tuple, not a Partition"),
+    (lambda: BundleLabel(5), "ambient 5 is not a pair (k, n)"),
+    (lambda: BundleLabel((3, 7, 1)), "ambient (3, 7, 1) is not a pair (k, n)"),
+    (lambda: BundleSum((3, 7), [((1, 2), 1)]),
+     "summand ((1, 2), 1) is not a pair of a BundleLabel and a multiplicity"),
+    (lambda: BundleSum((3, 7), [BundleLabel((3, 7))]),
+     f"summand {BundleLabel((3, 7))!r} is not a pair of a BundleLabel and a multiplicity"),
+    (lambda: BundleSum((3, 7), [5]), "summand 5 is not a pair of a BundleLabel and a multiplicity"),
+], ids=["tuple-part", "list-part", "tuple-q-part", "int-ambient", "triple-ambient", "tuple-label",
+        "bare-label", "int-summand"])
+def test_a_record_field_of_the_wrong_type_is_rejected_naming_it(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_tensor_preserves_rank():
     columns = product(range(5), range(4), range(-2, 3))
     for (ua, qa, ta), (ub, qb, tb) in product(columns, repeat=2):
@@ -697,6 +716,84 @@ def test_parse_bundle_rejects_garbage():
 def test_parse_bundle_reports_a_bad_ambient_before_any_atom(ambient, text, reason):
     with pytest.raises(ValueError, match=re.escape(reason)):
         parse_bundle(ambient, text)
+
+
+# every atom form on every kind of ambient, against the checked constructors
+SWEEP_AMBIENTS = [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (2, 6), (5, 6), (4, 9),
+                  (0, 3), (4, 4), (3, 2), (2.0, 4), (True, 3), (1, "3"), (1, 2, 3)]
+SWEEP_TWISTS = {"": 0, "(1)": 1, "(-2)": -2, "(0)": 0, "( 3 )": 3, "(+1)": None, "(x)": None}
+# a W[...] list: every row count from 0 to 6, two lists that are not weakly decreasing, trailing
+# zeros and a leading zero digit
+SWEEP_SCHUR = ["0", "2", "2,1", "1,1", "3,3,1", "2,2,2,2", "3,1,1,1,1", "1,1,1,1,1,1",
+               "1,2", "2,0,1", "1,0,0", "01,1"]
+
+
+REASONS = ("ambient", "atom", "Lambda", "decreasing", "exceeds")
+
+
+def _sweep_forms():
+    """(text, kind, generator, degree or parts) of each atom form but its twist: O, T, and each
+    generator bare, as L_d and S_d for d in 0..5, and as W[...]."""
+    yield "O", "line", None, None
+    yield "T", "tangent", None, None
+    for gen in ("U", "U*", "Q", "Q*"):
+        yield gen, "ext", gen, 1
+        for d in range(6):
+            yield f"L{d} {gen}", "ext", gen, d
+            yield f"S{d}{gen}", "sym", gen, d
+        for parts in SWEEP_SCHUR:
+            yield f"W[{parts}] {gen}", "schur", gen, tuple(map(int, parts.split(",")))
+
+
+def _checked_atom(ambient, kind, gen, value, twist):
+    """The label of one atom built by the checked constructors alone."""
+    if kind == "line":
+        return BundleLabel(ambient, twist=twist)
+    if kind == "tangent":
+        tangent = tangent_label(ambient)
+        return BundleLabel(ambient, tangent.u_part, tangent.q_part, tangent.twist + twist)
+    k, n = ambient
+    rank = k if gen[0] == "U" else n - k
+    if kind == "ext" and value > rank:
+        raise ValueError(f"Lambda^{value} of a rank-{rank} generator vanishes or is undefined")
+    p = Partition((1,) * value if kind == "ext" else (value,) if kind == "sym" else value)
+    side = (p, Partition()) if gen[0] == "U" else (Partition(), p)
+    if gen.endswith("*"):
+        return dual_label(BundleLabel(ambient, *side, -twist))
+    return BundleLabel(ambient, *side, twist)
+
+
+def _outcome(build):
+    """What ``build`` returns, or the message of the ValueError it raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_every_atom_form_parses_to_the_label_the_checked_constructors_give():
+    # the grammar builds each label from the pieces it matched: on a valid ambient each atom is
+    # the checked label and each rejected atom keeps its message; on an invalid one every text
+    # fails with the ambient's own message, before any atom
+    outcomes = Counter()
+    for ambient in SWEEP_AMBIENTS:
+        empty = _outcome(lambda: BundleLabel(ambient))  # the message of a bad ambient
+        for head, kind, gen, value in _sweep_forms():
+            for twist_text, twist in SWEEP_TWISTS.items():
+                text = head + twist_text
+                if type(empty) is str:
+                    want = empty
+                elif twist is None:
+                    want = f"cannot parse bundle atom {text!r}"
+                else:
+                    want = _outcome(lambda: ((_checked_atom(ambient, kind, gen, value, twist), 1),))
+                got = _outcome(lambda: parse_bundle(ambient, text).summands)
+                assert got == want, (ambient, text)
+                outcomes[next(w for w in REASONS if w in want) if type(want) is str else "label"] += 1
+    # each reason a text is rejected for, on a valid ambient and before any atom on an invalid one
+    assert outcomes == {
+        "label": 2_660, "atom": 1_632, "Lambda": 420, "decreasing": 320, "exceeds": 680, "ambient": 4_998,
+    }
 
 
 def _parse_bundle_fold_oracle(ambient, text):
