@@ -32,19 +32,11 @@ from types import SimpleNamespace
 
 from .bott import ParabolicSpace, bwb, euler_characteristic
 from .root_system import Weight, adjoint_dimension, build_root_system
-from .schur import _parse_int, gl_dimension, lr_coefficients, parse_partition
+from .schur import _int_list, _parse_int, gl_dimension, lr_coefficients, parse_partition
 from . import scenarios
 from .scenarios import REPORTS, load_scenario
 
 SCHEMA_VERSION = 1
-
-
-def _int_list(text: str, what: str) -> tuple[int, ...]:
-    """The integers of a comma list; anything else fails naming ``what`` and the text."""
-    try:
-        return tuple(_parse_int(t) for t in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"cannot parse {what} from {text!r}") from exc
 
 
 def _parse_weight(text: str, rank: int) -> Weight:

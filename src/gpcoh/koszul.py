@@ -24,9 +24,11 @@ A chase is determined when every rank is pinned; each pinned rank between
 nonzero groups is recorded as ``forced``, each hint as ``provided``. A chase
 whose bounds stay open is blocked at each open rank. The solver checks every
 hint's position and rank, and the Euler characteristic of every sequence it
-closes; ``chase`` only what needs its hint list or its space. An empty interval
-means the provided values contradict exactness, a ValueError naming them; with
-nothing provided it is an engine fault, an AssertionError.
+closes; ``chase`` only what needs its hint list or its space. A contradiction
+is found by one check, on each row before it tightens: a row whose sum the
+current bounds cannot reach means the provided values contradict exactness, a
+ValueError naming them; with nothing provided it is an engine fault, an
+AssertionError. A row that passes it leaves every interval nonempty.
 """
 
 from __future__ import annotations
@@ -222,10 +224,7 @@ def solve_sequence(
                 lo = least - ceiling + high[x]
                 hi = most - floor + low[x]
                 if lo > low[x] or hi < high[x]:
-                    lo, hi = max(lo, low[x]), min(hi, high[x])
-                    if lo > hi:
-                        _contradiction(hints, values)
-                    low[x], high[x] = lo, hi
+                    low[x], high[x] = max(lo, low[x]), min(hi, high[x])
                     changed = True
     bounds = [
         (cell, low[x], high[x], c - sum([low[y] for y in xs]) if all([low[y] == high[y] for y in xs]) else None)
@@ -241,8 +240,8 @@ def solve_sequence(
 
 
 def _contradiction(hints: Mapping, values: Mapping):
-    """Fail on an empty interval: the provided values contradict exactness, or with none
-    provided the tables are not those of an exact sequence, an engine fault."""
+    """Fail on a row the bounds cannot meet: the provided values contradict exactness, or with
+    none provided the tables are not those of an exact sequence, an engine fault."""
     given = [repr(RankHint(j, q, rank)) for (j, q), rank in hints.items()]
     given += [f"dim H^{q} = {v} of the unknown end" for q, v in values.items()]
     if not given:

@@ -16,6 +16,9 @@ Node numbering follows Bourbaki throughout::
     F_4   1 - 2 => 3 - 4                      (nodes 1, 2 long)
     G_2   1 <<= 2                             (node 1 short)
 
+What else a type letter fixes, the ranks it takes and its number of positive roots |Phi+|, is
+one entry of one table, ``_TYPES``: the rank check and the root builder's bound read it alike.
+
 The Cartan matrix convention is ``cartan[i][j] = <alpha_i, alpha_j^vee>``, so
 row i is the i-th simple root written in fundamental-weight coordinates. The
 symmetrizer and -w0 on the nodes are derived from it when the root system is built, -w0 by
@@ -66,25 +69,17 @@ _SPACE_MEMO_SIZE = 256  # parabolic spaces held, above the 44 distinct spaces of
 # the largest rank of types A-D, that of the largest system any check builds (A100, 5,050
 # positive roots, in about 0.15 s); without it a twenty-digit rank runs the builder without end
 _MAX_RANK = 100
-_RANK_RULES = {
-    "A": (f"1 <= n <= {_MAX_RANK}", lambda n: 1 <= n <= _MAX_RANK),
-    "B": (f"2 <= n <= {_MAX_RANK}", lambda n: 2 <= n <= _MAX_RANK),
-    "C": (f"3 <= n <= {_MAX_RANK}", lambda n: 3 <= n <= _MAX_RANK),
-    "D": (f"4 <= n <= {_MAX_RANK}", lambda n: 4 <= n <= _MAX_RANK),
-    "E": ("n in {6, 7, 8}", lambda n: n in (6, 7, 8)),
-    "F": ("n = 4", lambda n: n == 4),
-    "G": ("n = 2", lambda n: n == 2),
-}
-# |Phi+| of each type at rank n (Bourbaki, Plates I-IX): the builder stops past it, so a
-# Cartan matrix of non-finite type fails at once instead of building heights without end
-_POSITIVE_ROOT_COUNT = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "E": {6: 36, 7: 63, 8: 120}.__getitem__,
-    "F": lambda n: 24,
-    "G": lambda n: 6,
+# per type letter: the valid ranks as a caller is told them, and |Phi+| at a valid rank n
+# (Bourbaki, Plates I-IX), falsy at any other; the builder stops past |Phi+|, so a Cartan matrix
+# of non-finite type fails at once instead of building heights without end
+_TYPES = {
+    "A": (f"1 <= n <= {_MAX_RANK}", lambda n: 1 <= n <= _MAX_RANK and n * (n + 1) // 2),
+    "B": (f"2 <= n <= {_MAX_RANK}", lambda n: 2 <= n <= _MAX_RANK and n * n),
+    "C": (f"3 <= n <= {_MAX_RANK}", lambda n: 3 <= n <= _MAX_RANK and n * n),
+    "D": (f"4 <= n <= {_MAX_RANK}", lambda n: 4 <= n <= _MAX_RANK and n * (n - 1)),
+    "E": ("n in {6, 7, 8}", {6: 36, 7: 63, 8: 120}.get),
+    "F": ("n = 4", lambda n: n == 4 and 24),
+    "G": ("n = 2", lambda n: n == 2 and 6),
 }
 
 
@@ -244,12 +239,9 @@ def _cartan_matrix(type_letter: str, rank: int) -> list[list[int]]:
     if type_letter in ("A", "B", "C"):
         for i in range(rank - 1):
             edge(i, i + 1)
-        if type_letter == "B":
-            # row n-1 reads -2 against the short node n
+        if type_letter == "B":  # row n-1 reads -2 against the short node n
             a[rank - 2][rank - 1] = -2
-            a[rank - 1][rank - 2] = -1
-        elif type_letter == "C":
-            a[rank - 2][rank - 1] = -1
+        elif type_letter == "C":  # row n reads -2 against the short node n-1
             a[rank - 1][rank - 2] = -2
     elif type_letter == "D":
         for i in range(rank - 2):
@@ -350,17 +342,17 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
     ordering is graded lexicographic in simple-root coordinates.
     """
     letter = str(type_letter).strip().upper()
-    if letter not in _RANK_RULES:
-        valid = ", ".join(f"{t} ({r[0]})" for t, r in _RANK_RULES.items())
+    if letter not in _TYPES:
+        valid = ", ".join(f"{t} ({r[0]})" for t, r in _TYPES.items())
         raise ValueError(f"unknown type {type_letter!r}; valid types: {valid}")
-    rule_text, rule = _RANK_RULES[letter]
-    if type(rank) is not int or not rule(rank):
+    rule_text, rule = _TYPES[letter]
+    if type(rank) is not int or not (count := rule(rank)):
         raise ValueError(f"invalid rank {rank!r} for type {letter}; valid range: {rule_text}")
     if letter != type_letter:  # any other spelling of the letter gets the canonical object
         return build_root_system(letter, rank)
     cartan = tuple(tuple(row) for row in _cartan_matrix(letter, rank))
     sym = _symmetrizer(cartan)
-    roots, chain = _positive_roots(cartan, rank, _POSITIVE_ROOT_COUNT[letter](rank))
+    roots, chain = _positive_roots(cartan, rank, count)
     rs = RootSystem(
         type_letter=letter,
         rank=rank,
@@ -395,8 +387,10 @@ def _check_weight(rs: RootSystem, w: Weight) -> None:
 
 def _check_nodes(rs: RootSystem, nodes: Iterable[int]) -> frozenset[int]:
     """The set of the 1-based crossed ``nodes``, once each is known to be a distinct int in
-    1..rank: the first node that is not an int or repeats one before it is named, else every
-    node out of range."""
+    1..rank: ``nodes`` is named whole if it is not iterable, else the first node that is not an
+    int or repeats one before it, else every node out of range."""
+    if not isinstance(nodes, Iterable):
+        raise ValueError(f"crossed nodes {nodes!r} are not a collection of ints")
     nodes, seen = tuple(nodes), set()
     for i in nodes:
         if type(i) is not int:

@@ -221,6 +221,8 @@ class BundleSum(_Record):
     summands: tuple[tuple[BundleLabel, int], ...]
 
     def __new__(cls, ambient: tuple[int, int], pairs: Iterable[tuple[BundleLabel, int]] = ()) -> "BundleSum":
+        if not isinstance(ambient, Iterable):
+            BundleLabel(ambient)  # fails naming the value, before tuple() can fail unnamed
         ambient, pairs = tuple(ambient), list(pairs)
         for pair in pairs:
             try:
@@ -610,16 +612,19 @@ def _parse_int(text: str) -> int:
     return int(digits)
 
 
+def _int_list(text: str, what: str) -> tuple[int, ...]:
+    """The integers of a comma list, for ``parse_partition`` and the CLI; anything else fails
+    naming ``what`` and the text."""
+    try:
+        return tuple(_parse_int(t) for t in text.split(","))
+    except ValueError as exc:
+        raise ValueError(f"cannot parse {what} from {text!r}") from exc
+
+
 def parse_partition(text: str) -> Partition:
     """Comma list such as "2,1,1"; an empty string is the empty partition."""
     text = text.strip()
-    if not text:
-        return Partition()
-    try:
-        parts = tuple(_parse_int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"cannot parse partition from {text!r}") from exc
-    return Partition(parts)
+    return Partition(_int_list(text, "partition") if text else ())
 
 
 def _parse_atom(ambient: tuple[int, int], text: str) -> BundleLabel:
@@ -662,13 +667,14 @@ def parse_bundle(ambient: tuple[int, int], text: str) -> BundleSum:
     """Parse the compact bundle syntax into a canonical sum: the first atom's label, times each
     further atom by ``tensor``. The ambient is checked once, before any atom, and each atom's
     label is built from what the grammar matched (``_parse_atom``)."""
-    ambient = tuple(ambient)
     atoms = list(filter(None, map(str.strip, _grammar()[1].split(text))))
     if not atoms:
         raise ValueError(f"cannot parse bundle {text!r}")
-    k, n = ambient if len(ambient) == 2 else (None, None)
+    k, n = ambient if type(ambient) is tuple and len(ambient) == 2 else (None, None)
     if type(k) is not int or type(n) is not int or not 1 <= k < n:
-        BundleLabel(ambient)  # a bad ambient fails before any atom, with the constructor's reason
+        # any other ambient takes the constructor's rule before any atom, read as its tuple where
+        # it has one: a bad one fails with the rule's reason, a good one becomes that tuple
+        ambient = BundleLabel(tuple(ambient) if isinstance(ambient, Iterable) else ambient)[0]
     out = BundleSum._trusted((ambient, ((_parse_atom(ambient, atoms[0]), 1),)))
     for atom in atoms[1:]:
         out = tensor(out, BundleSum._trusted((ambient, ((_parse_atom(ambient, atom), 1),))))

@@ -9,15 +9,19 @@ A mutant is (file under ``src/gpcoh``, exact old text, new text, pytest node id)
 runs every named test once on an unmutated copy of ``src``, where each must pass. Then, for each
 mutant, it copies ``src`` to a temporary directory, replaces the old text, which must occur there
 exactly once, by the new, and runs the named test with ``pytest -x`` in a subprocess, under
-``TIMEOUT_S`` and with the copy alone on ``PYTHONPATH``. The mutant is killed when pytest reports a
-failed test (exit status 1). A passing test, any other status or a timeout fails the gate, which
-exits 1 after listing every mutant that was not killed. Standard library only; tier 1 checks
-(``tests/test_mutants.py``) that each old text occurs exactly once and each named test exists.
+``TIMEOUT_S``, with its address space capped at ``MEMORY_CAP`` and the copy alone on
+``PYTHONPATH``: a mutant that allocates without bound fails with ``MemoryError`` in seconds, not
+when the host runs out. The mutant is killed when pytest reports a failed test (exit status 1).
+A passing test, any other status or a timeout fails the gate, which exits 1 after listing every
+mutant that was not killed. Standard library only, on a system with ``resource`` (Unix); tier 1
+checks (``tests/test_mutants.py``) that each old text occurs exactly once and each named test
+exists.
 """
 
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -28,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 TIMEOUT_S = 120  # one pytest run; the slowest named test takes about 3 s
+MEMORY_CAP = 1 << 30  # bytes of address space per pytest run; every named test passes under 400 MiB
 
 # (file, old text, new text, the test that must fail once old is replaced by new)
 MUTANTS = [
@@ -154,7 +159,82 @@ MUTANTS = [
     # a hint key that is not a pair reaches the unpacking
     ("koszul.py", "        if type(key) is not tuple or len(key) != 2:\n", "        if False:\n",
      "tests/test_koszul.py::test_the_solver_rejects_a_hint_off_its_maps_or_its_ranks_naming_it"),
+    # the solver's one contradiction check, before a row tightens; a sequence with no rank has no
+    # other way to fail
+    ("koszul.py", "            if ceiling < least or floor > most:\n", "            if False:\n",
+     "tests/test_koszul.py::test_a_value_the_sequence_cannot_carry_raises_naming_it"),
+    # |Phi+| of E7 one short in the table of type facts
+    ("root_system.py", "{6: 36, 7: 63, 8: 120}.get", "{6: 36, 7: 62, 8: 120}.get",
+     "tests/test_root_system.py::test_positive_root_counts_match_closed_forms"),
+    # the Q side of the column test weakened: S2 Q would fold as if it were a column
+    ("schur.py", "elif not u and all(p == 1 for p in q):", "elif not u:",
+     "tests/test_koszul.py::test_koszul_rejects_unsupported_section_bundles"),
+    # an ambient or a crossed set that is a bare int reaches tuple() unnamed
+    ("schur.py", "        if not isinstance(ambient, Iterable):\n            BundleLabel(ambient)",
+     "        if False:\n            BundleLabel(ambient)",
+     "tests/test_schur.py::test_a_record_field_of_the_wrong_type_is_rejected_naming_it"),
+    ("schur.py", "BundleLabel(tuple(ambient) if isinstance(ambient, Iterable) else ambient)",
+     "BundleLabel(tuple(ambient))",
+     "tests/test_schur.py::test_parse_bundle_reports_a_bad_ambient_before_any_atom"),
+    ("root_system.py", "    if not isinstance(nodes, Iterable):\n", "    if False:\n",
+     "tests/test_bott.py::test_crossed_nodes_that_are_not_integers_are_rejected"),
+    # Lambda^0 of a label no closed form covers is O: it is rejected only from Lambda^1 on
+    ("schur.py", "    if top and a > 1 and a != r - 1:", "    if a > 1 and a != r - 1:",
+     "tests/test_schur.py::test_exterior_power_rejects_general_plethysm"),
+    # a negative dimension accepted into a cohomology table
+    ("bott.py", "type(v) is not int or v < 0:", "type(v) is not int:",
+     "tests/test_bott.py::test_euler_characteristic_examples"),
+    # a term index one past the top term
+    ("koszul.py", "if not 0 <= j <= self.section_rank:", "if not 0 <= j <= self.section_rank + 1:",
+     "tests/test_koszul.py::test_untwisted_koszul_terms_match_the_classical_display"),
+    # a report line that does not exist read as None
+    ("scenarios.py", "        raise KeyError(f\"report {self.name!r} has no line {key!r}\")",
+     "        return None",
+     "tests/test_scenarios.py::test_cayley_report_final_values"),
+    # the chase's int check on a hint: a str degree then fails the degree comparison unnamed
+    ("koszul.py", "        if any([type(field) is not int for field in h]):\n", "        if False:\n",
+     "tests/test_koszul.py::test_chase_rejects_malformed_hints"),
+    # gl_dimension on a negative rank, and on a sequence that is no partition
+    ("schur.py", "    if type(r) is not int or r < 0:", "    if type(r) is not int:",
+     "tests/test_schur.py::test_gl_dimension_rejects_a_negative_rank_and_a_partition_that_is_not_one"),
+    ("schur.py", "p = p if isinstance(p, Partition) else Partition(tuple(p))", "p = tuple(p)",
+     "tests/test_schur.py::test_gl_dimension_rejects_a_negative_rank_and_a_partition_that_is_not_one"),
+    # a blank partition read as its digits
+    ("schur.py", "    text = text.strip()\n    return Partition(_int_list", "    return Partition(_int_list",
+     "tests/test_schur.py::test_parse_partition"),
+    # an ambient list kept as a list in the parsed sum
+    ("schur.py", "        ambient = BundleLabel(tuple(ambient)", "        BundleLabel(tuple(ambient)",
+     "tests/test_schur.py::test_parse_bundle_goldens"),
+    # a Path named like a report read as the shipped file
+    ("scenarios.py", "if isinstance(name_or_path, str) and not os.path.dirname(text)",
+     "if not os.path.dirname(text)",
+     "tests/test_scenarios.py::test_unknown_scenario_rejected"),
+    # a root system printed as its record, not its name
+    ("root_system.py", "    def __str__(self) -> str:\n        return self.name\n",
+     "    def __str__(self) -> str:\n        return repr(self)\n",
+     "tests/test_records.py::test_records_print_their_fields_by_name"),
+    # a normal sequence left open read as solved
+    ("scenarios.py", "        if dims is None:\n            open_cells",
+     "        if False:\n            open_cells",
+     "tests/test_scenarios.py::test_cayley_with_a_normal_sequence_left_open_fails_naming_the_open_ranks"),
+    # cli: each text line that only the text goldens read
+    ("cli.py", 'lines.append(f"dimension sum over GL({ns.rows}): {dim_sum}")',
+     'lines.append(f"dimension sum over GL({ns.rows}) = {dim_sum}")',
+     "tests/test_golden.py::test_cli_output_matches_golden_file"),
+    ("cli.py", '        f"dim g = {adjoint_dimension(rs)}",\n', "",
+     "tests/test_golden.py::test_cli_output_matches_golden_file"),
+    ("cli.py", "{'assumed' if h.assumed else 'forced'}", "{'forced' if h.assumed else 'assumed'}",
+     "tests/test_golden.py::test_cli_output_matches_golden_file"),
+    ("cli.py", 'f" (pre-dual {res.predual_weight})"', '""',
+     "tests/test_golden.py::test_cli_output_matches_golden_file"),
+    ("cli.py", '            print("failures:")\n', "",
+     "tests/test_golden.py::test_a_failing_command_prints_its_golden_file_and_exits_with_its_status"),
 ]
+
+
+def _cap_memory() -> None:
+    """Run in the pytest child before it starts: cap its address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
 def _pytest(src: Path, node_ids: list[str]) -> tuple[int | None, str]:
@@ -162,7 +242,9 @@ def _pytest(src: Path, node_ids: list[str]) -> tuple[int | None, str]:
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *node_ids]
     try:
-        proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        proc = subprocess.run(
+            cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S, preexec_fn=_cap_memory
+        )
     except subprocess.TimeoutExpired:
         return None, ""
     return proc.returncode, proc.stdout + proc.stderr

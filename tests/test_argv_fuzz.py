@@ -6,7 +6,7 @@ with its right neighbour, or replaced by one of ``TOKENS``. However the argv is 
 prints exactly one line (an ``error:`` line, or the JSON error document). The test lists every
 case that breaks one of these rules, so one run shows them all.
 
-The mutations are listed in a fixed order and all of them run: 936 cases, which take under
+The mutations are listed in a fixed order and all of them run: 1,289 cases, which take under
 2 s together, so no random sample is drawn and every run sees the same cases.
 """
 
@@ -51,6 +51,6 @@ def _fault(argv: list[str]) -> str | None:
 def test_every_one_token_mutation_of_a_golden_command_fails_closed(monkeypatch):
     monkeypatch.chdir(ROOT)  # the golden commands name tests/data files relative to the root
     cases = [mutated for _, argv, _ in COMMANDS for mutated in _mutations(argv)]
-    assert len(cases) == 936
+    assert len(cases) == 1289
     faults = [f"{' '.join(argv)}: {fault}" for argv in cases if (fault := _fault(argv))]
     assert faults == []

@@ -56,6 +56,8 @@ def test_crossed_nodes_that_are_not_integers_are_rejected():
         ParabolicSpace(a3, [True])
     with pytest.raises(ValueError, match="crossed node 2.0 in"):
         ParabolicSpace(rs=a3, crossed=frozenset({1, 2.0}))
+    with pytest.raises(ValueError, match="^crossed nodes 2 are not a collection of ints$"):
+        ParabolicSpace(a3, 2)
 
 
 def test_bwb_triple_twist_bundle_vanishes():
@@ -228,6 +230,8 @@ def test_euler_characteristic_examples():
     assert euler_characteristic(t48) == 48
     assert euler_characteristic(CohomologyTable.from_dimensions({})) == 0
     assert euler_characteristic(CohomologyTable.from_dimensions({0: 35, 1: 35})) == 0
+    with pytest.raises(ValueError, match=re.escape("H^0 = -1: need an int degree and an int dimension >= 0")):
+        CohomologyTable.from_dimensions({0: -1})
 
 
 def test_classical_line_bundle_table_on_p1():

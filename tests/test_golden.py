@@ -5,7 +5,9 @@ lies on a wall with no zero coefficient, and H^1 of O(-2) on P^1), one chase
 that blocks (LG(3,6) twisted by S5 U* (-4), from ``tests/data/lg36.json``), one
 chase refused because its file is an audit file, not a zero-locus one, and one refused
 because its section bundle has no regular section (O(-1) on Gr(4,7), from
-``tests/data/non_regular.json``).
+``tests/data/non_regular.json``). The text mode of every subcommand is pinned too: the reports,
+one LR product and the positive roots of G2 in both formats, the Cayley normal chase, the E8
+walk and the blocked chase with its ``failures:`` block.
 
 The files under ``tests/golden/`` are the stdout of ``gpcoh`` for each
 command below; any change to a number, a label or the formatting of these
@@ -42,6 +44,16 @@ CASES = [
         ("e8_p1_vanishing", ["E", "8", "--crossed", "1", "--weight=-10,0,0,0,0,0,0,0"]),
         ("a1_h1", ["A", "1", "--crossed", "1", "--weight", "-2"]),
     )
+] + [
+    (f"{name}.{ext}", ["--format", fmt, *args])
+    for fmt, ext in (("text", "txt"), ("json", "json"))
+    for name, args in (
+        ("lr_21_21_rows3", ["lr", "2,1", "2,1", "--rows", "3"]),
+        ("roots_g2", ["roots", "G", "2"]),
+    )
+] + [
+    ("koszul_cayley_normal.txt", ["koszul", "--scenario", "cayley", "--twist", "normal"]),
+    ("bwb_e8_p1_nonvanishing.txt", ["bwb", "E", "8", "--crossed", "1", "--weight=-26,1,0,0,0,0,0,2"]),
 ]
 # commands that must fail, each with its exit status: a chase that nothing forces blocks, a chase
 # on an audit file is refused because that file is not of the zero-locus kind, and a section with
@@ -50,6 +62,11 @@ FAILING = [
     (
         "koszul_lg36_blocked.json",
         ["--format", "json", "koszul", "--scenario", "tests/data/lg36.json", "--twist", "s5"],
+        1,
+    ),
+    (
+        "koszul_lg36_blocked.txt",
+        ["koszul", "--scenario", "tests/data/lg36.json", "--twist", "s5"],
         1,
     ),
     (

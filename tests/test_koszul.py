@@ -56,6 +56,9 @@ def test_untwisted_koszul_terms_match_the_classical_display():
     got = [format_sum(cx.term(j)) for j in range(4, -1, -1)]
     assert got == ["O(-3)", "U (-2)", "L2 U (-1)", "L3 U", "O"]
     assert cx.term(0) == trivial()
+    for j in (-1, 5):
+        with pytest.raises(ValueError, match=f"^term index {j} out of range 0..4$"):
+            cx.term(j)
 
 
 def test_twisted_koszul_ends_with_the_twisting_bundle():
@@ -138,6 +141,7 @@ def test_koszul_rejects_a_twist_on_another_grassmannian():
         ((4, 8), "L2 U*", "Lambda^1 of L2 U"),
         ((3, 7), "S2 U*", "S2 U is not a column power of U or Q up to twist"),
         ((2, 5), "S2 U*", "S2 U is not a column power of U or Q up to twist"),
+        ((2, 5), "S2 Q*", "S2 Q is not a column power of U or Q up to twist"),
         ((4, 7), "U * Q", "L3 U * L2 Q is not a column power of U or Q up to twist"),
     ],
 )
@@ -266,7 +270,9 @@ def test_chase_rejects_malformed_hints():
         chase(cx, [RankHint(target_term=2, degree=3, rank=1)])
     with pytest.raises(ValueError, match="duplicate"):
         chase(cx, [RankHint(0, 0, 1), RankHint(0, 0, 1)])
-    for hint in (RankHint(0, 0, True), RankHint(0.0, 0, 1), RankHint(0, 0, 1.0), RankHint(0, 0.0, 1)):
+    # a str degree would fail the comparison with dim G/P unnamed: the chase names it first
+    for hint in (RankHint(0, 0, True), RankHint(0.0, 0, 1), RankHint(0, 0, 1.0), RankHint(0, 0.0, 1),
+                 RankHint(0, "1", 1)):
         with pytest.raises(ValueError, match=re.escape(f"hint {hint!r} has a field that is not an int")):
             chase(cx, [hint])
 
@@ -307,6 +313,10 @@ def test_a_value_the_sequence_cannot_carry_raises_naming_it():
     # and h^1(T_S) = 0 with H^1(T|_S) = 1 forces H^1(N|_S) != 0
     with pytest.raises(ValueError, match="contradict exactness"):
         solve_sequence(({0: 34}, {0: 48, 1: 1}), 8, values={0: 14, 1: 0}, kernel=True)
+    # a one-term sequence has no rank to bound: only the row check can see the contradiction
+    with pytest.raises(ValueError) as exc:
+        solve_sequence([{0: 1}], 0, values={0: 2})
+    assert str(exc.value) == "the provided values contradict exactness: dim H^0 = 2 of the unknown end"
 
 
 @pytest.mark.parametrize(

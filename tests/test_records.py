@@ -248,6 +248,7 @@ def test_a_root_system_is_equal_only_to_itself_and_copies_to_the_cached_object()
 
 
 def test_records_print_their_fields_by_name():
+    assert str(build_root_system("E", 8)) == "E8"
     assert repr(Weight((1, -2))) == "Weight(coeffs=(1, -2))"
     assert repr(Partition((2, 1))) == "Partition(parts=(2, 1))"
     assert repr(RankHint(0, 1, 2)) == "RankHint(target_term=0, degree=1, rank=2)"

@@ -45,11 +45,15 @@ def test_load_scenario_from_path(tmp_path):
     assert load_scenario(p).name == "cayley"
 
 
-def test_unknown_scenario_rejected():
+def test_unknown_scenario_rejected(tmp_path, monkeypatch):
     # the file names of the two dimension audits are no longer aliases
     for name in ("nonexistent", "vmrt_audit", "theorem1_audit"):
         with pytest.raises(FileNotFoundError, match="no builtin scenario"):
             load_scenario(name)
+    # a Path is always a path, never the name of a shipped file
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError, match="no scenario file 'cayley' and no builtin scenario"):
+        run_cayley(Path("cayley"))
 
 
 def test_every_report_has_its_shipped_file_and_nothing_else_ships():
@@ -130,6 +134,8 @@ def test_cayley_report_final_values():
     assert v["tangent_restricted_h1"] == 0
     assert v["structure_sheaf_h0"] == 1
     assert v["locally_rigid"] is True
+    with pytest.raises(KeyError, match="report 'cayley' has no line 'nope'"):
+        rep.line("nope")
 
 
 def test_cayley_report_is_deterministic():
@@ -279,6 +285,24 @@ def test_cayley_with_a_constant_that_contradicts_the_normal_sequence_fails_namin
     assert str(exc.value) == (
         f"scenario file {str(p)!r}: block 'external_constants' key 'h0_tangent_subvariety': "
         "the provided values contradict exactness: dim H^0 = 60 of the unknown end"
+    )
+
+
+def test_cayley_with_a_normal_sequence_left_open_fails_naming_the_open_ranks(tmp_path):
+    # T (-4) restricts to H^7 = 1 alone, so as both ends of the normal sequence it leaves the one
+    # rank H^7(T|_S) -> H^7(N|_S) anywhere in 0..1
+    def edit(data):
+        for twist in data["twists"]:
+            if twist["name"] in ("normal", "tangent"):
+                twist["label"] = "T (-4)"
+        data["external_constants"][0]["value"] = 0
+
+    p = _edited_copy(tmp_path, "cayley", edit)
+    with pytest.raises(ValueError) as exc:
+        run_cayley(p)
+    assert str(exc.value) == (
+        f"scenario file {str(p)!r}: block 'external_constants' key 'h0_tangent_subvariety': "
+        "the normal sequence leaves ranks open at [(0, 7)]"
     )
 
 

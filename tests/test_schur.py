@@ -74,8 +74,11 @@ def test_partition_rejects_bad_shapes():
         lambda: BundleLabel((2.5, 4)),
         lambda: BundleLabel((2, 4), twist=1.5),
         lambda: CohomologyTable.from_dimensions({0.5: 3.9}),
+        lambda: CohomologyTable.from_dimensions({0: 1.5}),
+        lambda: CohomologyTable.from_dimensions({True: 1}),
     ],
-    ids=["partition", "ambient", "twist", "from_dimensions"],
+    ids=["partition", "ambient", "twist", "from_dimensions", "from_dimensions-float-dimension",
+         "from_dimensions-bool-degree"],
 )
 def test_a_value_that_is_not_an_int_is_rejected_not_truncated(build):
     with pytest.raises(ValueError, match="integer|int degree"):
@@ -85,6 +88,7 @@ def test_a_value_that_is_not_an_int_is_rejected_not_truncated(build):
 def test_parse_partition():
     assert parse_partition("2,1,1") == Partition((2, 1, 1))
     assert parse_partition("") == Partition(())
+    assert parse_partition("  ") == Partition(())
     with pytest.raises(ValueError, match="parse"):
         parse_partition("2,x")
 
@@ -182,6 +186,13 @@ def test_gl_dimension_rejects_a_float_rank_by_its_own_name():
 def test_gl_dimension_rejects_a_bool_rank():
     with pytest.raises(ValueError, match="rank r must be a nonnegative int, got True"):
         gl_dimension((1,), True)
+
+
+def test_gl_dimension_rejects_a_negative_rank_and_a_partition_that_is_not_one():
+    with pytest.raises(ValueError, match="rank r must be a nonnegative int, got -1"):
+        gl_dimension((), -1)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        gl_dimension((1, 2), 3)
 
 
 def test_lr_symmetry_on_random_small_pairs():
@@ -310,8 +321,9 @@ def test_an_empty_sum_on_a_bad_ambient_is_rejected_with_the_label_message(ambien
     (lambda: BundleSum((3, 7), [BundleLabel((3, 7))]),
      f"summand {BundleLabel((3, 7))!r} is not a pair of a BundleLabel and a multiplicity"),
     (lambda: BundleSum((3, 7), [5]), "summand 5 is not a pair of a BundleLabel and a multiplicity"),
+    (lambda: BundleSum(5), "ambient 5 is not a pair (k, n)"),
 ], ids=["tuple-part", "list-part", "tuple-q-part", "int-ambient", "triple-ambient", "tuple-label",
-        "bare-label", "int-summand"])
+        "bare-label", "int-summand", "int-sum-ambient"])
 def test_a_record_field_of_the_wrong_type_is_rejected_naming_it(make, message):
     with pytest.raises(ValueError) as exc:
         make()
@@ -435,6 +447,11 @@ def test_exterior_power_rejects_general_plethysm():
     # Lambda^2 of a genuine 2-column on Gr(4,7) is plethysm too
     with pytest.raises(ValueError, match="unsupported plethysm"):
         _label_powers(BundleLabel(AMB, u_part=Partition((1, 1))), 2)
+    # on Gr(4,8) L2 U is no closed-form column: Lambda^0 is O, and it is rejected from Lambda^1 on
+    column = BundleLabel((4, 8), u_part=Partition((1, 1)))
+    assert _label_powers(column, 0) == (parse_bundle((4, 8), "O"),)
+    with pytest.raises(ValueError, match=re.escape("unsupported plethysm shape: Lambda^1 of L2 U")):
+        _label_powers(column, 1)
 
 
 def test_exterior_power_of_line_bundles():
@@ -692,6 +709,8 @@ def test_parse_bundle_goldens():
     )
     # a dual star glued to the generator is not a product separator
     assert parse_bundle(AMB, "U* * Q*") == tensor(parse_bundle(AMB, "U*"), parse_bundle(AMB, "Q*"))
+    # an ambient given as a list is read as its tuple
+    assert parse_bundle([4, 7], "L3 U*") == parse_bundle(AMB, "L3 U*")
 
 
 def test_parse_bundle_rejects_garbage():
@@ -712,6 +731,7 @@ def test_parse_bundle_rejects_garbage():
     ((4, 4), "L9 U", "requires 1 <= k < n"),
     ((4.0, 7), "T", "must be integers"),
     ((4, "7"), "Q*", "must be integers"),
+    (5, "O", "ambient 5 is not a pair (k, n)"),
 ])
 def test_parse_bundle_reports_a_bad_ambient_before_any_atom(ambient, text, reason):
     with pytest.raises(ValueError, match=re.escape(reason)):
