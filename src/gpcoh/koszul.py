@@ -153,13 +153,18 @@ def solve_sequence(
     with j descending, then q ascending, where source is dim H^q(A_{j+1}) once pinned and
     None while open; then H^*(U) by degree, or None while a rank is open. Left exactness
     binds each A_j only for the resolution: with ``kernel`` the cones of the chase are
-    complexes, and H^q(U) is the chased degree q - r. A hint whose key is not a tuple (j, q), a
+    complexes, and H^q(U) is the chased degree q - r. A table entry whose degree or dimension is
+    not exactly an int >= 0, a hint whose key is not a tuple (j, q), a
     hint or a value with a position, rank, degree or dimension that is not exactly an int (a bool
     or a float included), a hint at no map (0 <= j < r, q >= 0) or of a rank outside
     0..dim H^q(E_j) is a ValueError naming it, before any propagation; a determined chi(U)
     other than (-1)^(r if ``kernel``) sum_j (-1)^j chi(E_j) raises AssertionError.
     """
     r = len(tables) - 1
+    for j, table in enumerate(tables):
+        for q, d in table.items():
+            if type(q) is not int or type(d) is not int or q < 0 or d < 0:
+                raise ValueError(f"table {j}: dim H^{q!r}(E_{j}) = {d!r}: its degree and dimension must be ints >= 0")
     for key, rank in hints.items():
         if type(key) is not tuple or len(key) != 2:
             raise ValueError(f"hint key {key!r} of rank {rank!r} is not a pair (target_term, degree)")

@@ -25,11 +25,17 @@ Serre duals of a weight and the weights of a cohomology degree, which only
 tests read, are small functions here too.
 
 Tests that edit a shipped scenario file start from ``shipped_scenario``, a fresh copy of its
-JSON object read straight from the source tree.
+JSON object read straight from the source tree. Every test that starts a fresh ``gpcoh`` process
+does so through ``run_python``, which runs the package this suite imports: the checkout's ``src``,
+or the mutation gate's copy of it.
 """
 
+import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
@@ -37,8 +43,20 @@ from math import prod
 from pathlib import Path
 from typing import Iterator
 
-KOSZUL_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "koszul_pool.json"
-SCENARIO_DATA = Path(__file__).resolve().parents[1] / "src" / "gpcoh" / "data"
+ROOT = Path(__file__).resolve().parents[1]
+KOSZUL_POOL = ROOT / "perfbench" / "data" / "koszul_pool.json"
+SCENARIO_DATA = ROOT / "src" / "gpcoh" / "data"
+
+
+def run_python(*args: str, timeout: float = 10) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh process run from the repository root, with its text output
+    captured, bounded by ``timeout`` seconds. ``PYTHONPATH`` is the directory that holds the
+    ``gpcoh`` package this suite imports; ``find_spec`` locates it without running it."""
+    package = Path(importlib.util.find_spec("gpcoh").origin).parent
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=timeout
+    )
 
 
 def shipped_scenario(report: str) -> dict:

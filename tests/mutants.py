@@ -228,7 +228,19 @@ MUTANTS = [
     ("cli.py", 'f" (pre-dual {res.predual_weight})"', '""',
      "tests/test_golden.py::test_cli_output_matches_golden_file"),
     ("cli.py", '            print("failures:")\n', "",
-     "tests/test_golden.py::test_a_failing_command_prints_its_golden_file_and_exits_with_its_status"),
+     "tests/test_golden.py::test_cli_output_matches_golden_file"),
+    # the module entry point drops main's status: the commands that must exit 1 or 2 exit 0
+    ("cli.py", "    sys.exit(main())", "    main()",
+     "tests/test_golden.py::test_cli_output_matches_golden_file"),
+    # the rank bound of types A-D: gone, a twenty-digit rank runs the builder; one short, A100 is refused.
+    # The second old text keeps its line end, so each (file, old) pair names one mutant
+    ("root_system.py", "_MAX_RANK = 100", "_MAX_RANK = 10**30",
+     "tests/test_cli.py::test_a_twenty_digit_rank_exits_2_with_one_line_at_once"),
+    ("root_system.py", "_MAX_RANK = 100\n", "_MAX_RANK = 99\n",
+     "tests/test_cli.py::test_roots_of_a100_are_its_5050_intervals_and_a101_exits_2_naming_the_range"),
+    # a table entry's sign unchecked: a negative dimension comes back as a determined end
+    ("koszul.py", "type(d) is not int or q < 0 or d < 0:", "type(d) is not int or q < 0:",
+     "tests/test_koszul.py::test_the_solver_rejects_a_hint_off_its_maps_or_its_ranks_naming_it"),
 ]
 
 

@@ -1,9 +1,6 @@
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -11,9 +8,7 @@ import pytest
 from gpcoh import cli
 from gpcoh.cli import main
 
-from conftest import hook_content_dimension, shipped_scenario
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import a_type_positive_roots, hook_content_dimension, run_python, shipped_scenario
 
 
 def run(capsys, *argv):
@@ -128,13 +123,14 @@ def test_lr_json_of_the_five_staircase_squared_on_ten_rows(capsys):
     assert doc["result"]["gl_dimension_sum"] == hook_content_dimension((5, 4, 3, 2, 1), 10) ** 2
 
 
+def _gpcoh(*argv):
+    """``gpcoh argv`` in a fresh process, bounded by 10 s."""
+    return run_python("-m", "gpcoh.cli", *argv)
+
+
 def test_lr_on_150_rows_finishes_in_seconds_with_the_hook_content_dimensions():
     # in a fresh process, so that no earlier test has warmed a memo
-    argv = ["--format", "json", "lr", "2,1", "2,1", "--rows", "150"]
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "gpcoh.cli", *argv], env=env, capture_output=True, text=True, timeout=10
-    )
+    proc = _gpcoh("--format", "json", "lr", "2,1", "2,1", "--rows", "150")
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)["result"]
     assert len(result["coefficients"]) == 7
@@ -146,11 +142,7 @@ def test_lr_on_150_rows_finishes_in_seconds_with_the_hook_content_dimensions():
 def test_lr_on_a_twenty_digit_row_bound_finishes_with_its_dimensions():
     # a GL(r) dimension needs no root system, so the row bound does not set the work
     r = 99999999999999999999
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "gpcoh.cli", "--format", "json", "lr", "1", "1", "--rows", str(r)],
-        env=env, capture_output=True, text=True, timeout=10,
-    )
+    proc = _gpcoh("--format", "json", "lr", "1", "1", "--rows", str(r))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)["result"]
     dims = {tuple(e["partition"]): e["gl_dimension"] for e in result["coefficients"]}
@@ -160,24 +152,12 @@ def test_lr_on_a_twenty_digit_row_bound_finishes_with_its_dimensions():
 
 def test_lr_of_a_million_box_row_finishes_with_its_dimensions():
     # a GL(r) dimension is a product over pairs of nonzero rows, so a long row does not set the work
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "gpcoh.cli", "--format", "json", "lr", "1000000", "1", "--rows", "3"],
-        env=env, capture_output=True, text=True, timeout=10,
-    )
+    proc = _gpcoh("--format", "json", "lr", "1000000", "1", "--rows", "3")
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)["result"]
     dims = {tuple(e["partition"]): e["gl_dimension"] for e in result["coefficients"]}
     assert dims[(1000001,)] == math.comb(1000003, 2)
     assert result["gl_dimension_sum"] == 3 * math.comb(1000002, 2)
-
-
-def _gpcoh(*argv):
-    """``gpcoh argv`` in a fresh process, bounded by 10 s."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    return subprocess.run(
-        [sys.executable, "-m", "gpcoh.cli", *argv], env=env, capture_output=True, text=True, timeout=10
-    )
 
 
 def test_a_twenty_digit_rank_exits_2_with_one_line_at_once():
@@ -187,6 +167,30 @@ def test_a_twenty_digit_rank_exits_2_with_one_line_at_once():
     assert proc.stderr == (
         "error: invalid rank 99999999999999999999 for type A; valid range: 1 <= n <= 100\n"
     )
+
+
+def test_roots_of_a100_are_its_5050_intervals_and_a101_exits_2_naming_the_range():
+    # the largest system any check builds; the 10 s bound fails a builder that grows as rank^4 again
+    proc = _gpcoh("--format", "json", "roots", "A", "100")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert result["num_positive_roots"] == 5050
+    assert set(map(tuple, result["positive_roots"])) == a_type_positive_roots(100)
+    proc = _gpcoh("roots", "A", "101")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: invalid rank 101 for type A; valid range: 1 <= n <= 100\n"
+
+
+def test_bwb_of_o_minus_150_on_p100_walks_every_reflection_to_h100():
+    # O(-150) on P^100 = A100/P(1): Serre duality gives H^100 = H^0(O(49))^*, of dimension C(149, 100);
+    # the rho-shifted weight needs all 100 reflections, where -50 omega_1 meets a wall
+    weight = ",".join(["-150"] + ["0"] * 99)
+    proc = _gpcoh("--format", "json", "bwb", "A", "100", "--crossed", "1", f"--weight={weight}")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert (result["outcome"], result["degree"]) == ("cohomology", 100)
+    assert result["dimension"] == math.comb(149, 100) == 6709553636577310764746744793643105249380
+    assert result["cohomology_weight"] == [49] + [0] * 99
 
 
 def test_a_scenario_ambient_of_rank_2_to_the_70_exits_2_naming_the_block_and_the_key(tmp_path):

@@ -11,14 +11,15 @@ walk and the blocked chase with its ``failures:`` block.
 
 The files under ``tests/golden/`` are the stdout of ``gpcoh`` for each
 command below; any change to a number, a label or the formatting of these
-outputs shows up here.
+outputs shows up here. Each command runs as a fresh ``python -m gpcoh.cli`` process from the
+repository root, so its exit status passes through ``sys.exit`` and no memo is warm.
 """
 
 from pathlib import Path
 
 import pytest
 
-from gpcoh.cli import main
+from conftest import run_python
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -80,23 +81,13 @@ FAILING = [
         2,
     ),
 ]
-# every golden command with the exit status it must give, run from the repository root; the CI
-# "Shipped reports" step reads this list and runs each command as a fresh process
+# every golden command with the exit status it must give, run from the repository root
 COMMANDS = [(filename, argv, 0) for filename, argv in CASES] + FAILING
 
 
-@pytest.mark.parametrize("filename,argv", CASES, ids=[c[0] for c in CASES])
-def test_cli_output_matches_golden_file(capsys, monkeypatch, filename, argv):
-    # the g2p2 JSON echoes the scenario path, so it is given relative to the repository root
-    monkeypatch.chdir(GOLDEN.parents[1])
-    assert main(argv) == 0
-    assert capsys.readouterr().out == (GOLDEN / filename).read_text()
-
-
-@pytest.mark.parametrize("filename,argv,status", FAILING, ids=[c[0] for c in FAILING])
-def test_a_failing_command_prints_its_golden_file_and_exits_with_its_status(
-    capsys, monkeypatch, filename, argv, status
-):
-    monkeypatch.chdir(GOLDEN.parents[1])  # the lg36 and non_regular JSON echo their relative paths
-    assert main(argv) == status
-    assert capsys.readouterr().out == (GOLDEN / filename).read_text()
+@pytest.mark.parametrize("filename,argv,status", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_cli_output_matches_golden_file(filename, argv, status):
+    # the g2p2, lg36 and non_regular JSON echo their scenario paths, given relative to the root
+    proc = run_python("-m", "gpcoh.cli", *argv)
+    assert proc.returncode == status, proc.stderr
+    assert proc.stdout == (GOLDEN / filename).read_text()

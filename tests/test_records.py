@@ -5,10 +5,7 @@ construction that skips validation, and no assignment."""
 import ast
 import copy
 import functools
-import os
 import pickle
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -27,7 +24,7 @@ from gpcoh import (
     run_cayley,
 )
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import run_python
 
 VALIDATING = (Weight, Partition, BundleLabel, BundleSum, ParabolicSpace)
 
@@ -36,16 +33,13 @@ def test_importing_the_cli_loads_neither_argparse_typing_textwrap_nor_dataclasse
     # a fresh process, since the test suite imports inspect itself; under -S no site hook
     # loads modules first, so the shipped data must be found without importlib.resources, and
     # typing, which a site hook (a .pth file) may load before gpcoh, is banned there only
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
     unused = {"dataclasses", "inspect", "argparse", "gettext", "locale", "textwrap"}
     for flags, banned in (
         ((), unused),
         (("-S",), unused | {"typing", "importlib.resources", "zipfile", "tempfile"}),
     ):
         code = f"import sys, gpcoh.cli; print(sorted({sorted(banned)!r} & sys.modules.keys()))"
-        proc = subprocess.run(
-            [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
+        proc = run_python(*flags, "-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n", flags
 
@@ -166,7 +160,7 @@ def _unchecked_paths() -> set[str]:
                 found.add(scope)
             visit(child, inner)
 
-    for path in sorted((SRC / "gpcoh").glob("*.py")):
+    for path in sorted(Path(scenarios.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     return found
 
