@@ -66,6 +66,16 @@ class BWBResult(namedtuple("BWBResult", "degree weight dimension predual_weight"
 
 _VANISHING = BWBResult()  # every vanishing result: a tuple of Nones, immutable
 
+
+def check_dims(dims: Mapping[int, int], where: str = "") -> None:
+    """The one rule for the entries of a cohomology table: each degree and each dimension is
+    exactly an int >= 0, a bool or a float being neither. A ValueError names the first entry that
+    breaks it, after ``where``."""
+    for q, d in dims.items():
+        if type(q) is not int or type(d) is not int or q < 0 or d < 0:
+            raise ValueError(f"{where}H^{q!r} = {d!r}: need an int degree >= 0 and an int dimension >= 0")
+
+
 class CohomologyTable(namedtuple("CohomologyTable", "total_dims entries", defaults=(None,))):
     """Map from cohomology degree to dimensions, with weight multiplicities.
 
@@ -81,9 +91,7 @@ class CohomologyTable(namedtuple("CohomologyTable", "total_dims entries", defaul
 
     @classmethod
     def from_dimensions(cls, dims: Mapping[int, int]) -> "CohomologyTable":
-        for d, v in dims.items():
-            if type(d) is not int or type(v) is not int or v < 0:
-                raise ValueError(f"H^{d!r} = {v!r}: need an int degree and an int dimension >= 0")
+        check_dims(dims)
         return cls(total_dims=tuple(sorted((d, v) for d, v in dims.items() if v)), entries=None)
 
     def dims(self) -> dict[int, int]:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 
-from .bott import CohomologyTable, ParabolicSpace, bundle_cohomology
+from .bott import CohomologyTable, ParabolicSpace, bundle_cohomology, check_dims
 from .schur import BundleSum, dual_sum, exterior_power_sum, grassmannian_kn, sum_to_weights
 from .schur import BundleLabel, tensor
 
@@ -162,9 +162,7 @@ def solve_sequence(
     """
     r = len(tables) - 1
     for j, table in enumerate(tables):
-        for q, d in table.items():
-            if type(q) is not int or type(d) is not int or q < 0 or d < 0:
-                raise ValueError(f"table {j}: dim H^{q!r}(E_{j}) = {d!r}: its degree and dimension must be ints >= 0")
+        check_dims(table, f"table {j}: ")
     for key, rank in hints.items():
         if type(key) is not tuple or len(key) != 2:
             raise ValueError(f"hint key {key!r} of rank {rank!r} is not a pair (target_term, degree)")

@@ -48,14 +48,16 @@ KOSZUL_POOL = ROOT / "perfbench" / "data" / "koszul_pool.json"
 SCENARIO_DATA = ROOT / "src" / "gpcoh" / "data"
 
 
-def run_python(*args: str, timeout: float = 10) -> subprocess.CompletedProcess:
+def run_python(*args: str) -> subprocess.CompletedProcess:
     """``python *args`` in a fresh process run from the repository root, with its text output
-    captured, bounded by ``timeout`` seconds. ``PYTHONPATH`` is the directory that holds the
+    captured, bounded by 10 s. As in the suite, every warning is an error there, and the process
+    runs in development mode when the suite does. ``PYTHONPATH`` is the directory that holds the
     ``gpcoh`` package this suite imports; ``find_spec`` locates it without running it."""
     package = Path(importlib.util.find_spec("gpcoh").origin).parent
     env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    flags = ["-W", "error", *(["-X", "dev"] if sys.flags.dev_mode else [])]
     return subprocess.run(
-        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, *flags, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=10
     )
 
 

@@ -182,7 +182,7 @@ MUTANTS = [
     ("schur.py", "    if top and a > 1 and a != r - 1:", "    if a > 1 and a != r - 1:",
      "tests/test_schur.py::test_exterior_power_rejects_general_plethysm"),
     # a negative dimension accepted into a cohomology table
-    ("bott.py", "type(v) is not int or v < 0:", "type(v) is not int:",
+    ("bott.py", "type(d) is not int or q < 0 or d < 0:", "type(d) is not int or q < 0:",
      "tests/test_bott.py::test_euler_characteristic_examples"),
     # a term index one past the top term
     ("koszul.py", "if not 0 <= j <= self.section_rank:", "if not 0 <= j <= self.section_rank + 1:",
@@ -238,8 +238,8 @@ MUTANTS = [
      "tests/test_cli.py::test_a_twenty_digit_rank_exits_2_with_one_line_at_once"),
     ("root_system.py", "_MAX_RANK = 100\n", "_MAX_RANK = 99\n",
      "tests/test_cli.py::test_roots_of_a100_are_its_5050_intervals_and_a101_exits_2_naming_the_range"),
-    # a table entry's sign unchecked: a negative dimension comes back as a determined end
-    ("koszul.py", "type(d) is not int or q < 0 or d < 0:", "type(d) is not int or q < 0:",
+    # the solver's tables unchecked: a negative dimension comes back as a determined end
+    ("koszul.py", '        check_dims(table, f"table {j}: ")\n', "        pass\n",
      "tests/test_koszul.py::test_the_solver_rejects_a_hint_off_its_maps_or_its_ranks_naming_it"),
 ]
 

@@ -230,8 +230,10 @@ def test_euler_characteristic_examples():
     assert euler_characteristic(t48) == 48
     assert euler_characteristic(CohomologyTable.from_dimensions({})) == 0
     assert euler_characteristic(CohomologyTable.from_dimensions({0: 35, 1: 35})) == 0
-    with pytest.raises(ValueError, match=re.escape("H^0 = -1: need an int degree and an int dimension >= 0")):
+    with pytest.raises(ValueError, match=re.escape("H^0 = -1: need an int degree >= 0 and an int dimension >= 0")):
         CohomologyTable.from_dimensions({0: -1})
+    with pytest.raises(ValueError, match=re.escape("H^-1 = 1: need an int degree >= 0 and an int dimension >= 0")):
+        CohomologyTable.from_dimensions({-1: 1})
 
 
 def test_classical_line_bundle_table_on_p1():

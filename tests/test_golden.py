@@ -12,7 +12,8 @@ walk and the blocked chase with its ``failures:`` block.
 The files under ``tests/golden/`` are the stdout of ``gpcoh`` for each
 command below; any change to a number, a label or the formatting of these
 outputs shows up here. Each command runs as a fresh ``python -m gpcoh.cli`` process from the
-repository root, so its exit status passes through ``sys.exit`` and no memo is warm.
+repository root, so its exit status passes through ``sys.exit`` and no memo is warm. Warnings are
+errors in it, and a command that succeeds must write nothing to stderr.
 """
 
 from pathlib import Path
@@ -91,3 +92,5 @@ def test_cli_output_matches_golden_file(filename, argv, status):
     proc = run_python("-m", "gpcoh.cli", *argv)
     assert proc.returncode == status, proc.stderr
     assert proc.stdout == (GOLDEN / filename).read_text()
+    if status == 0:
+        assert proc.stderr == ""  # a warning printed on the way, a ResourceWarning at exit included

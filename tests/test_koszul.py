@@ -356,13 +356,13 @@ def test_a_value_the_sequence_cannot_carry_raises_naming_it():
         (({0: 1}, {0: 1}), 5, {(0, 1, 2): 1}, {}, False,
          "hint key (0, 1, 2) of rank 1 is not a pair (target_term, degree)"),
         # a table entry that is not an int >= 0 would come back as a determined end
-        ([{0: -2}], 5, {}, {}, False, "table 0: dim H^0(E_0) = -2: its degree and dimension must be ints >= 0"),
-        ([{0: 1.5}], 5, {}, {}, False, "table 0: dim H^0(E_0) = 1.5: its degree and dimension must be ints >= 0"),
+        ([{0: -2}], 5, {}, {}, False, "table 0: H^0 = -2: need an int degree >= 0 and an int dimension >= 0"),
+        ([{0: 1.5}], 5, {}, {}, False, "table 0: H^0 = 1.5: need an int degree >= 0 and an int dimension >= 0"),
         ([{0: 2}, {1.0: 1}], 5, {}, {}, False,
-         "table 1: dim H^1.0(E_1) = 1: its degree and dimension must be ints >= 0"),
-        ([{-1: 1}], 5, {}, {}, False, "table 0: dim H^-1(E_0) = 1: its degree and dimension must be ints >= 0"),
+         "table 1: H^1.0 = 1: need an int degree >= 0 and an int dimension >= 0"),
+        ([{-1: 1}], 5, {}, {}, False, "table 0: H^-1 = 1: need an int degree >= 0 and an int dimension >= 0"),
         ([{0: True}], 5, {}, {}, False,
-         "table 0: dim H^0(E_0) = True: its degree and dimension must be ints >= 0"),
+         "table 0: H^0 = True: need an int degree >= 0 and an int dimension >= 0"),
     ],
     ids=["rank-above-its-term", "term-off-the-sequence", "negative-degree", "negative-rank", "float-rank",
          "bool-rank", "float-term", "bool-degree", "float-value", "bool-value-degree", "int-key", "one-key",
