@@ -13,7 +13,12 @@ builds each weight from its list of ints with ``Weight._trusted``; each public `
 call it makes tests the type and the rank once more. A
 rho-shift with a zero coefficient is on a wall: it vanishes with no walk, as the one shared
 ``BWBResult()``. ``bundle_cohomology`` reads ``bwb`` from this module once per call, so a
-rebinding of it (a traced run) sees every summand.
+rebinding of it (a traced run) sees every summand. The two records derived here from checked
+values are built through ``_trusted`` (``tuple.__new__`` bound to the class, from the tuple of all
+fields, with no Python frame): the nonvanishing ``BWBResult`` of ``bwb`` and the
+``CohomologyTable`` of ``bundle_cohomology``, whose totals and weights come from checked
+multiplicities and ``bwb`` results; a sum whose summands all vanish gives the one shared empty
+table, as a vanishing summand gives the one ``BWBResult()``.
 
 Direct sums aggregate into :class:`CohomologyTable` objects, the common
 output currency for the Koszul chase and the reports. Everything is pure and
@@ -58,6 +63,7 @@ class BWBResult(namedtuple("BWBResult", "degree weight dimension predual_weight"
     """
 
     __slots__ = ()
+    _trusted = classmethod(tuple.__new__)  # from the tuple of all four fields, with no Python frame
 
     @property
     def all_vanish(self) -> bool:
@@ -67,13 +73,13 @@ class BWBResult(namedtuple("BWBResult", "degree weight dimension predual_weight"
 _VANISHING = BWBResult()  # every vanishing result: a tuple of Nones, immutable
 
 
-def check_dims(dims: Mapping[int, int], where: str = "") -> None:
+def check_dims(dims: Mapping[int, int]) -> None:
     """The one rule for the entries of a cohomology table: each degree and each dimension is
     exactly an int >= 0, a bool or a float being neither. A ValueError names the first entry that
-    breaks it, after ``where``."""
+    breaks it."""
     for q, d in dims.items():
         if type(q) is not int or type(d) is not int or q < 0 or d < 0:
-            raise ValueError(f"{where}H^{q!r} = {d!r}: need an int degree >= 0 and an int dimension >= 0")
+            raise ValueError(f"H^{q!r} = {d!r}: need an int degree >= 0 and an int dimension >= 0")
 
 
 class CohomologyTable(namedtuple("CohomologyTable", "total_dims entries", defaults=(None,))):
@@ -88,6 +94,7 @@ class CohomologyTable(namedtuple("CohomologyTable", "total_dims entries", defaul
     """
 
     __slots__ = ()
+    _trusted = classmethod(tuple.__new__)  # from the tuple of both fields, with no Python frame
 
     @classmethod
     def from_dimensions(cls, dims: Mapping[int, int]) -> "CohomologyTable":
@@ -108,6 +115,9 @@ class CohomologyTable(namedtuple("CohomologyTable", "total_dims entries", defaul
         return not self.total_dims
 
 
+_ACYCLIC = CohomologyTable(total_dims=(), entries=())  # every sum whose summands all vanish, immutable
+
+
 def bwb(space: ParabolicSpace, omega: Weight) -> BWBResult:
     """Cohomology of the irreducible equivariant bundle with weight ``omega``.
 
@@ -126,7 +136,7 @@ def bwb(space: ParabolicSpace, omega: Weight) -> BWBResult:
             f"cohomology degree {degree} exceeds dim {space} = {space.dimension}"
         )
     mu = Weight._trusted([c - 1 for c in dominant])
-    return BWBResult(degree, dual_weight(rs, mu), weyl_dimension(rs, mu), mu)
+    return BWBResult._trusted((degree, dual_weight(rs, mu), weyl_dimension(rs, mu), mu))
 
 
 def bundle_cohomology(
@@ -145,9 +155,11 @@ def bundle_cohomology(
         at = weights.setdefault(degree, {})
         at[weight] = at.get(weight, 0) + mult
         totals[degree] = totals.get(degree, 0) + mult * dimension
+    if not totals:
+        return _ACYCLIC
     # the weights of one space compare as their coefficients, and no two of one degree are equal
-    entries = tuple((d, tuple(sorted(weights[d].items()))) for d in sorted(weights))
-    return CohomologyTable(total_dims=tuple(sorted(totals.items())), entries=entries)
+    entries = tuple([(d, tuple(sorted(weights[d].items()))) for d in sorted(weights)])
+    return CohomologyTable._trusted((tuple(sorted(totals.items())), entries))
 
 
 def euler_characteristic(table: CohomologyTable) -> int:

@@ -20,13 +20,16 @@ JSON document echoes every read argument as ``command.args``. ``-h`` or
 ``--help`` prints the block above. Exit status is 0 only when every assertion
 made by the invoked command holds; failures are listed machine-readably. A
 fault in the arguments or the input exits 2 with one ``error:`` line on stderr,
-or the JSON error document on stdout under ``--format json``. Nothing is read
+or the JSON error document on stdout under ``--format json``. Under ``python -m gpcoh.cli``,
+a reader that closes stdout early (``| head -1``) ends the process with status 1 and nothing
+on stderr. Nothing is read
 from the environment; text output wraps at 100 columns.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -303,4 +306,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # in the try, so that a reader gone early is met here, not at exit
+    except BrokenPipeError:
+        # Python's signal docs, "Note on SIGPIPE": the flush at exit would fail again, so what is
+        # left goes to devnull, and the process exits 1 with nothing on stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)

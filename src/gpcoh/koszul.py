@@ -15,20 +15,24 @@ kernel dim H^{q+1}(A_{j+1}) - rho(j, q + 1), a constant minus a sum of distinct
 ranks. The constraints: 0 <= rho <= dim H^q(E_j); every kernel >= 0; the
 kernel in degree 0 is 0, as global sections are left exact (Weyman,
 Cohomology of Vector Bundles and Syzygies, ch. 5); nothing above dim S; and a
-provided value, a ``RankHint`` or a known dimension, is an equality. Integer
-bounds on the ranks tighten until nothing changes. Each tightening shrinks a
-finite integer interval, so this ends, and the true ranks meet every
-constraint, so no rank it pins can be wrong.
+provided value, a ``RankHint`` or a known dimension, is an equality. Each
+constraint bounds the sum of one set of ranks, and the solver keeps one
+interval per rank set, the intersection of every constraint that lands on it
+(a kernel >= 0, left exactness, nothing above dim S, a provided dimension).
+Integer bounds on the ranks tighten until nothing changes. Each tightening
+shrinks a finite integer interval, so this ends, and the true ranks meet
+every constraint, so no rank it pins can be wrong.
 
 A chase is determined when every rank is pinned; each pinned rank between
 nonzero groups is recorded as ``forced``, each hint as ``provided``. A chase
 whose bounds stay open is blocked at each open rank. The solver checks every
 hint's position and rank, and the Euler characteristic of every sequence it
-closes; ``chase`` only what needs its hint list or its space. A contradiction
-is found by one check, on each row before it tightens: a row whose sum the
-current bounds cannot reach means the provided values contradict exactness, a
+closes, as one alternating sum over the solved end and the tables; ``chase``
+only what needs its hint list or its space. A contradiction is found by one
+check, on each rank set before it tightens: an empty interval, or a sum the
+current bounds cannot reach, means the provided values contradict exactness, a
 ValueError naming them; with nothing provided it is an engine fault, an
-AssertionError. A row that passes it leaves every interval nonempty.
+AssertionError. A rank set that passes it leaves every interval nonempty.
 """
 
 from __future__ import annotations
@@ -149,20 +153,26 @@ def solve_sequence(
     to dim H^q(E_j) and U has no cohomology above degree ``top``.
 
     ``hints[(j, q)]`` is the rank of H^q(A_{j+1}) -> H^q(E_j) and ``values[q]`` is
-    dim H^q(U), each one more equality. Returns the ranks as ((j, q), low, high, source)
-    with j descending, then q ascending, where source is dim H^q(A_{j+1}) once pinned and
-    None while open; then H^*(U) by degree, or None while a rank is open. Left exactness
-    binds each A_j only for the resolution: with ``kernel`` the cones of the chase are
-    complexes, and H^q(U) is the chased degree q - r. A table entry whose degree or dimension is
-    not exactly an int >= 0, a hint whose key is not a tuple (j, q), a
+    dim H^q(U), each one more equality. Every constraint bounds the sum of a set of ranks, and
+    the constraints on one set are kept as one interval, their intersection, so each sweep of
+    the bounds-consistency fixpoint visits each set once. Returns the ranks as
+    ((j, q), low, high, source) with j descending, then q ascending, where source is
+    dim H^q(A_{j+1}) once pinned and None while open; then H^*(U) by degree, or None while a
+    rank is open. Left exactness binds each A_j only for the resolution: with ``kernel`` the
+    cones of the chase are complexes, and H^q(U) is the chased degree q - r. A table entry whose
+    degree or dimension is not exactly an int >= 0, a hint whose key is not a tuple (j, q), a
     hint or a value with a position, rank, degree or dimension that is not exactly an int (a bool
     or a float included), a hint at no map (0 <= j < r, q >= 0) or of a rank outside
     0..dim H^q(E_j) is a ValueError naming it, before any propagation; a determined chi(U)
-    other than (-1)^(r if ``kernel``) sum_j (-1)^j chi(E_j) raises AssertionError.
+    other than (-1)^(r if ``kernel``) sum_j (-1)^j chi(E_j), checked as one alternating sum
+    over U and the tables that must vanish, raises AssertionError.
     """
     r = len(tables) - 1
     for j, table in enumerate(tables):
-        check_dims(table, f"table {j}: ")
+        try:
+            check_dims(table)
+        except ValueError as exc:  # the prefix is formatted only for the table that fails
+            raise ValueError(f"table {j}: {exc}") from None
     for key, rank in hints.items():
         if type(key) is not tuple or len(key) != 2:
             raise ValueError(f"hint key {key!r} of rank {rank!r} is not a pair (target_term, degree)")
@@ -182,7 +192,7 @@ def solve_sequence(
     low: list[int] = []
     high: list[int] = []
     cells = []  # ((j, q), x, the form of H^q(A_{j+1})) for each rank rho[x]
-    rows = []  # (xs, least, most): least <= the sum of rho[xs] <= most
+    sets = {}  # xs -> (least, most): least <= the sum of rho[xs] <= most, every constraint on xs met
     # after s steps, forms[q + s] = (c, xs) holds dim H^q(A_j) = c - the sum of rho[xs]; a kernel
     # moves one degree down per step, so it keeps its key
     forms = {q: (d, ()) for q, d in tables[r].items()}
@@ -201,7 +211,7 @@ def solve_sequence(
                     cells.append(((j, q), x, c, xs))
                     rank = (x,)
                     forms[q + s] = (c, xs + rank)  # the kernel in degree q, part of H^{q-1}(A_j)
-                    rows.append((xs + rank, 0, c))  # and never negative
+                    sets[xs + rank] = (0, c)  # and never negative; no other set holds rho[x] yet
                 if q in below:  # the cokernel in degree q, part of H^q(A_j)
                     cokernels.append((q + s + 1, below[q], rank))
             for key, d, rank in cokernels:
@@ -209,19 +219,24 @@ def solve_sequence(
                 forms[key] = (c + d, xs + rank)
         if s in forms and not kernel:  # left exactness: the kernel in degree 0 vanishes
             c, xs = forms.pop(s)
-            rows.append((xs, c, c))
+            _meet(sets, xs, c, c)
     shift = 0 if kernel else r  # H^q(U) is at key q + shift: a kernel's is the chased degree q - r
-    rows += [(xs, c, c) for key, (c, xs) in forms.items() if key - shift > top]
+    for key, (c, xs) in forms.items():
+        if key - shift > top:
+            _meet(sets, xs, c, c)
     for q, v in values.items():
         c, xs = forms.get(q + shift, (0, ()))
-        rows.append((xs, c - v, c - v))
-    changed = bool(rows)
+        _meet(sets, xs, c - v, c - v)
+    changed = bool(sets)
     while changed:
         changed = False
-        for xs, least, most in rows:
-            floor = sum([low[x] for x in xs])
-            ceiling = sum([high[x] for x in xs])
-            if ceiling < least or floor > most:
+        for xs, (least, most) in sets.items():
+            floor = ceiling = 0  # one loop, not two comprehensions: most sets hold one or two ranks
+            for x in xs:
+                floor += low[x]
+                ceiling += high[x]
+            # the one contradiction check: a sum the bounds cannot reach, or an empty interval
+            if ceiling < least or floor > most or least > most:
                 _contradiction(hints, values)
             for x in xs:
                 lo = least - ceiling + high[x]
@@ -229,21 +244,35 @@ def solve_sequence(
                 if lo > low[x] or hi < high[x]:
                     low[x], high[x] = max(lo, low[x]), min(hi, high[x])
                     changed = True
-    bounds = [
-        (cell, low[x], high[x], c - sum([low[y] for y in xs]) if all([low[y] == high[y] for y in xs]) else None)
-        for cell, x, c, xs in cells
-    ]
+    bounds = []
+    for cell, x, c, xs in cells:
+        source = c  # dim H^q(A_{j+1}) = c - the sum of rho[xs], once each of them is pinned
+        for y in xs:
+            if low[y] < high[y]:
+                source = None
+                break
+            source -= low[y]
+        bounds.append((cell, low[x], high[x], source))
     if low != high:
         return bounds, None
     dims = {key - shift: d for key, (c, xs) in forms.items() if (d := c - sum([low[x] for x in xs]))}
-    chi = [sum([(-1) ** q * d for q, d in table.items()]) for table in (dims, *tables)]
-    if chi[0] != (-1) ** (r * kernel) * sum([(-1) ** j * c for j, c in enumerate(chi[1:])]):
+    # chi(U) = (-1)^(r if kernel) sum_j (-1)^j chi(E_j) as one alternating sum that vanishes: each
+    # dimension is signed by the parity of its degree plus i, which is 0 for U and
+    # j + 1 (+ r with kernel) for E_j
+    ends = ((0, dims), *enumerate(tables, 1 + r * kernel))
+    if sum([-d if (i + q) & 1 else d for i, table in ends for q, d in table.items()]):
         raise AssertionError("the Euler characteristic of the solved end disagrees with the alternating sum over the sequence")
     return bounds, dims
 
 
+def _meet(sets: dict, xs: tuple, least: int, most: int) -> None:
+    """Intersect the constraint least <= the sum of rho[xs] <= most with the one already on xs."""
+    was_least, was_most = sets.get(xs, (least, most))
+    sets[xs] = (max(least, was_least), min(most, was_most))
+
+
 def _contradiction(hints: Mapping, values: Mapping):
-    """Fail on a row the bounds cannot meet: the provided values contradict exactness, or with
+    """Fail on a rank set the bounds cannot meet: the provided values contradict exactness, or with
     none provided the tables are not those of an exact sequence, an engine fault."""
     given = [repr(RankHint(j, q, rank)) for (j, q), rank in hints.items()]
     given += [f"dim H^{q} = {v} of the unknown end" for q, v in values.items()]

@@ -565,7 +565,7 @@ def label_to_weight(label: BundleLabel, space: ParabolicSpace) -> Weight:
 def sum_to_weights(bsum: BundleSum, space: ParabolicSpace) -> tuple[tuple[Weight, int], ...]:
     """``label_to_weight`` of each summand; the space is checked once, against the sum's ambient."""
     grassmannian_kn(space, bsum.ambient)  # each summand lies on the sum's ambient
-    return tuple((_label_weight(lab), m) for lab, m in bsum.summands)
+    return tuple([(_label_weight(lab), m) for lab, m in bsum.summands])
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,8 @@ MUTANTS = [
     # bott: the rho shift, the degree, multiplicities, the Euler characteristic, the canonical twist
     ("bott.py", "Weight._trusted([c + 1 for c in omega])", "Weight._trusted([c for c in omega])",
      "tests/test_bott.py::test_bwb_tangent_bundle_sections"),
-    ("bott.py", "return BWBResult(degree, dual_weight(rs, mu)", "return BWBResult(degree + 1, dual_weight(rs, mu)",
+    ("bott.py", "return BWBResult._trusted((degree, dual_weight(rs, mu)",
+     "return BWBResult._trusted((degree + 1, dual_weight(rs, mu)",
      "tests/test_bott.py::test_bwb_negative_line_bundle_on_p1_lands_in_degree_one"),
     ("bott.py", "totals[degree] = totals.get(degree, 0) + mult * dimension",
      "totals[degree] = totals.get(degree, 0) + dimension",
@@ -126,8 +127,8 @@ MUTANTS = [
     ("koszul.py", "if h.degree > space.dimension:", "if h.degree > space.dimension + 1:",
      "tests/test_koszul.py::test_chase_rejects_malformed_hints"),
     # the solver's left-exactness row: the kernel in degree 0 vanishes
-    ("koszul.py", "            c, xs = forms.pop(s)\n            rows.append((xs, c, c))",
-     "            c, xs = forms.pop(s)\n            rows.append((xs, 0, c))",
+    ("koszul.py", "            c, xs = forms.pop(s)\n            _meet(sets, xs, c, c)",
+     "            c, xs = forms.pop(s)\n            _meet(sets, xs, 0, c)",
      "tests/test_koszul.py::test_normal_twist_chase_records_one_rank_forced_by_left_exactness"),
     # scenarios: the loader and the reports
     # the loader's unknown-key check
@@ -159,9 +160,9 @@ MUTANTS = [
     # a hint key that is not a pair reaches the unpacking
     ("koszul.py", "        if type(key) is not tuple or len(key) != 2:\n", "        if False:\n",
      "tests/test_koszul.py::test_the_solver_rejects_a_hint_off_its_maps_or_its_ranks_naming_it"),
-    # the solver's one contradiction check, before a row tightens; a sequence with no rank has no
-    # other way to fail
-    ("koszul.py", "            if ceiling < least or floor > most:\n", "            if False:\n",
+    # the solver's one contradiction check, before a rank set tightens; a sequence with no rank has
+    # no other way to fail
+    ("koszul.py", "            if ceiling < least or floor > most or least > most:\n", "            if False:\n",
      "tests/test_koszul.py::test_a_value_the_sequence_cannot_carry_raises_naming_it"),
     # |Phi+| of E7 one short in the table of type facts
     ("root_system.py", "{6: 36, 7: 63, 8: 120}.get", "{6: 36, 7: 62, 8: 120}.get",
@@ -230,7 +231,7 @@ MUTANTS = [
     ("cli.py", '            print("failures:")\n', "",
      "tests/test_golden.py::test_cli_output_matches_golden_file"),
     # the module entry point drops main's status: the commands that must exit 1 or 2 exit 0
-    ("cli.py", "    sys.exit(main())", "    main()",
+    ("cli.py", "    sys.exit(status)", "    sys.exit()",
      "tests/test_golden.py::test_cli_output_matches_golden_file"),
     # the rank bound of types A-D: gone, a twenty-digit rank runs the builder; one short, A100 is refused.
     # The second old text keeps its line end, so each (file, old) pair names one mutant
@@ -239,8 +240,12 @@ MUTANTS = [
     ("root_system.py", "_MAX_RANK = 100\n", "_MAX_RANK = 99\n",
      "tests/test_cli.py::test_roots_of_a100_are_its_5050_intervals_and_a101_exits_2_naming_the_range"),
     # the solver's tables unchecked: a negative dimension comes back as a determined end
-    ("koszul.py", '        check_dims(table, f"table {j}: ")\n', "        pass\n",
+    ("koszul.py", "            check_dims(table)\n", "            pass\n",
      "tests/test_koszul.py::test_the_solver_rejects_a_hint_off_its_maps_or_its_ranks_naming_it"),
+    # the contradiction check without its empty-interval arm: two equalities on a set of three
+    # ranks that each rank's bounds can meet apart leave the bounds open
+    ("koszul.py", " or least > most:", ":",
+     "tests/test_koszul.py::test_two_constraints_on_one_rank_set_that_disagree_raise_naming_what_was_provided"),
 ]
 
 

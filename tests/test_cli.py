@@ -169,6 +169,20 @@ def test_a_twenty_digit_rank_exits_2_with_one_line_at_once():
     )
 
 
+def test_a_reader_that_closes_stdout_early_gets_status_1_and_no_traceback():
+    # as in `python -m gpcoh.cli roots A 3 | head -1` once head has exited: fd 1 is a pipe whose
+    # read end is closed, so the first write to it fails with EPIPE
+    child = (
+        "import os, runpy\n"
+        "read, write = os.pipe()\n"
+        "os.close(read)\n"
+        "os.dup2(write, 1)\n"
+        "runpy.run_module('gpcoh.cli', run_name='__main__')\n"
+    )
+    proc = run_python("-c", child, "roots", "A", "3")
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def test_roots_of_a100_are_its_5050_intervals_and_a101_exits_2_naming_the_range():
     # the largest system any check builds; the 10 s bound fails a builder that grows as rank^4 again
     proc = _gpcoh("--format", "json", "roots", "A", "100")

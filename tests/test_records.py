@@ -127,6 +127,7 @@ UNCHECKED_PATHS = {
     "root_system._walk",
     "root_system.dual_weight",
     "bott.bwb",
+    "bott.bundle_cohomology",
     "schur._reversed_complement",
     "schur.BundleLabel.__new__",
     "schur.BundleLabel._canonical",
