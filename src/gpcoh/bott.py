@@ -1,24 +1,23 @@
 """Borel-Weil-Bott cohomology of irreducible equivariant bundles on G/P.
 
-The single-bundle computation shifts the bundle weight by rho and
-dominantizes: a singular shift kills all cohomology, a regular shift puts
-everything in one degree (the Weyl length), with the group representation
-read off from the dominant representative. Cohomology of the theorem lands
+The single-bundle computation is Bott's dot action on the bundle weight
+(``dominantize``): a singular lambda + rho kills all cohomology, a regular one
+puts everything in one degree (the Weyl length), with the group representation
+read off from the dominant weight w . lambda. Cohomology of the theorem lands
 in the dual representation; results here always report the highest weight of
 the cohomology itself, keeping the pre-dual weight as provenance.
 
-``bwb`` checks its weight once (type, rank, P-dominance) and derives the rest unchecked: rho is
-all ones, so it shifts and unshifts the coefficients, a weight being the tuple of them, and
-builds each weight from its list of ints with ``Weight._trusted``; each public ``root_system``
-call it makes tests the type and the rank once more. A
-rho-shift with a zero coefficient is on a wall: it vanishes with no walk, as the one shared
-``BWBResult()``. ``bundle_cohomology`` reads ``bwb`` from this module once per call, so a
-rebinding of it (a traced run) sees every summand. The two records derived here from checked
-values are built through ``_trusted`` (``tuple.__new__`` bound to the class, from the tuple of all
-fields, with no Python frame): the nonvanishing ``BWBResult`` of ``bwb`` and the
-``CohomologyTable`` of ``bundle_cohomology``, whose totals and weights come from checked
-multiplicities and ``bwb`` results; a sum whose summands all vanish gives the one shared empty
-table, as a vanishing summand gives the one ``BWBResult()``.
+``bwb`` checks its weight once (type, rank, P-dominance) and derives the rest unchecked: it
+hands the weight as given to the dot action, whose shift by rho and unshift run inside the
+``dominantize`` memo, and builds no weight of its own; each public ``root_system`` call it makes
+tests the type and the rank once more. A coefficient -1 puts lambda + rho on a wall: it vanishes
+with no walk, as the one shared ``BWBResult()``. ``bundle_cohomology`` reads ``bwb`` from this
+module once per call, so a rebinding of it (a traced run) sees every summand. The two records
+derived here from checked values are built through ``_trusted`` (``tuple.__new__`` bound to the
+class, from the tuple of all fields, with no Python frame): the nonvanishing ``BWBResult`` of
+``bwb`` and the ``CohomologyTable`` of ``bundle_cohomology``, whose totals and weights come from
+checked multiplicities and ``bwb`` results; a sum whose summands all vanish gives the one shared
+empty table, as a vanishing summand gives the one ``BWBResult()``.
 
 Direct sums aggregate into :class:`CohomologyTable` objects, the common
 output currency for the Koszul chase and the reports. Everything is pure and
@@ -58,8 +57,8 @@ class BWBResult(namedtuple("BWBResult", "degree weight dimension predual_weight"
     Total vanishing leaves every field None; otherwise ``degree`` is the
     nonzero degree, ``dimension`` its dimension, ``weight`` the highest weight
     of the cohomology as a G-representation (already dualized) and
-    ``predual_weight`` the dominant weight produced by the rho-shifted Weyl
-    walk before dualization. The two weights have the same dimension.
+    ``predual_weight`` the dominant weight w . lambda of the dot action
+    before dualization. The two weights have the same dimension.
     """
 
     __slots__ = ()
@@ -126,16 +125,14 @@ def bwb(space: ParabolicSpace, omega: Weight) -> BWBResult:
     """
     space.check_p_dominant(omega)
     rs = space.rs
-    # rho is all ones: shift and unshift on the checked coefficients
-    found = dominantize(rs, Weight._trusted([c + 1 for c in omega]))
+    found = dominantize(rs, omega)
     if found is None:
         return _VANISHING
-    dominant, degree = found
+    mu, degree = found
     if degree > len(space.nilradical):  # dim G/P, without a property call per summand
         raise AssertionError(
             f"cohomology degree {degree} exceeds dim {space} = {space.dimension}"
         )
-    mu = Weight._trusted([c - 1 for c in dominant])
     return BWBResult._trusted((degree, dual_weight(rs, mu), weyl_dimension(rs, mu), mu))
 
 

@@ -20,9 +20,9 @@ JSON document echoes every read argument as ``command.args``. ``-h`` or
 ``--help`` prints the block above. Exit status is 0 only when every assertion
 made by the invoked command holds; failures are listed machine-readably. A
 fault in the arguments or the input exits 2 with one ``error:`` line on stderr,
-or the JSON error document on stdout under ``--format json``. Under ``python -m gpcoh.cli``,
-a reader that closes stdout early (``| head -1``) ends the process with status 1 and nothing
-on stderr. Nothing is read
+or the JSON error document on stdout under ``--format json``. The one entry point ``run``, of the
+``gpcoh`` script and of ``python -m gpcoh.cli``, ends the process with status 1 and nothing on
+stderr when a reader closes stdout early (``| head -1``). Nothing is read
 from the environment; text output wraps at 100 columns.
 """
 
@@ -305,7 +305,9 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if not failures else 1
 
 
-if __name__ == "__main__":
+def run() -> int:
+    """The process entry point, of the ``gpcoh`` script and of ``python -m gpcoh.cli``: the status
+    of ``main`` on ``sys.argv``, or 1 when the reader of stdout has closed it early."""
     try:
         status = main()
         sys.stdout.flush()  # in the try, so that a reader gone early is met here, not at exit
@@ -313,5 +315,9 @@ if __name__ == "__main__":
         # Python's signal docs, "Note on SIGPIPE": the flush at exit would fail again, so what is
         # left goes to devnull, and the process exits 1 with nothing on stderr
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
-    sys.exit(status)
+        return 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(run())

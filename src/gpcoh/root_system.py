@@ -25,6 +25,11 @@ symmetrizer and -w0 on the nodes are derived from it when the root system is bui
 one reflection walk; where -w0 fixes every node (all types but A_n for n >= 2, D_n for n
 odd and E6), a dual is the weight itself.
 
+Bott's dot action w . lambda = w(lambda + rho) - rho is the one walk the engine makes per
+weight: ``dominantize`` takes lambda, and on a memo miss shifts it by rho (all ones), walks and
+unshifts, so a hit costs one lookup; a coefficient -1 of lambda puts lambda + rho on a wall,
+found with no walk.
+
 Weyl dimensions walk a root chain: each non-simple positive root is a
 positive root beta plus a simple root (Humphreys, Lie Algebras, 10.2), so its
 pairing with lambda + rho is beta's plus one integer; the denominator is stored.
@@ -36,7 +41,8 @@ Weights derived here (walks, duals) skip the check.
 
 All values are immutable after construction and every operation is a pure
 function; concurrent reads from multiple threads are safe. Memos (thread-safe): ``dominantize``
-and ``weyl_dimension`` by (root system, weight) after their checks, ``_MEMO_SIZE`` each;
+and ``weyl_dimension`` by (root system, weight) after their checks, the weight as given, before
+the dot action's shift, ``_MEMO_SIZE`` each;
 ``ParabolicSpace`` by (root system, crossed set) after its checks, ``_SPACE_MEMO_SIZE``; a
 root system is one object per type and rank, equal only to itself. ``bott.bwb``, a traced
 layer, has none. Every other record is a tuple of its fields (a ``collections.namedtuple``, or a
@@ -443,23 +449,25 @@ def _walk(rs: RootSystem, coeffs: Iterable[int]) -> tuple[Weight, int]:
 
 
 def dominantize(rs: RootSystem, w: Weight) -> tuple[Weight, int] | None:
-    """Iterate simple reflections at negative coefficients until dominant.
+    """Bott's dot action on lambda = ``w``: x . lambda = x(lambda + rho) - rho, for the Weyl
+    element x that makes it dominant.
 
-    Returns None when the weight is singular: its dominant representative has a
-    zero coefficient (the weight is then orthogonal to a root, a Weyl-invariant
-    property). Otherwise returns the strictly dominant representative and the
-    reflection count, which is the length of the unique Weyl element involved.
-    A zero coefficient of ``w`` itself is a wall already, so no walk is made.
+    Returns None when lambda + rho is singular: its dominant representative has a
+    zero coefficient (lambda + rho is then orthogonal to a root, a Weyl-invariant
+    property). Otherwise returns (mu, length): mu + rho = x(lambda + rho) is strictly
+    dominant, so every coefficient of mu is >= 0, and the reflection count is the length of the
+    unique x. A coefficient -1 of lambda puts lambda + rho on a wall already, so no walk is made.
     """
     if type(w) is not Weight or len(w) != rs.rank:
         _check_weight(rs, w)
-    return None if 0 in w else _dominantize(rs, w)
+    return None if -1 in w else _dominantize(rs, w)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _dominantize(rs: RootSystem, w: Weight) -> tuple[Weight, int] | None:
-    dominant, length = _walk(rs, w)
-    return None if 0 in dominant else (dominant, length)
+    # rho is all ones: the shift and the unshift run on a miss only
+    dominant, length = _walk(rs, [c + 1 for c in w])
+    return None if 0 in dominant else (Weight._trusted([c - 1 for c in dominant]), length)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

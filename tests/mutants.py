@@ -68,9 +68,10 @@ MUTANTS = [
     # P-dominance: a coefficient of -1 at an uncrossed node passes
     ("root_system.py", "            if omega[i - 1] < 0:", "            if omega[i - 1] < -1:",
      "tests/test_root_system.py::test_a_weight_negative_at_an_uncrossed_node_is_not_p_dominant"),
-    # bott: the rho shift, the degree, multiplicities, the Euler characteristic, the canonical twist
-    ("bott.py", "Weight._trusted([c + 1 for c in omega])", "Weight._trusted([c for c in omega])",
+    # the dot action's rho shift, on a miss of the dominantize memo
+    ("root_system.py", "_walk(rs, [c + 1 for c in w])", "_walk(rs, [c for c in w])",
      "tests/test_bott.py::test_bwb_tangent_bundle_sections"),
+    # bott: the degree, multiplicities, the Euler characteristic, the canonical twist
     ("bott.py", "return BWBResult._trusted((degree, dual_weight(rs, mu)",
      "return BWBResult._trusted((degree + 1, dual_weight(rs, mu)",
      "tests/test_bott.py::test_bwb_negative_line_bundle_on_p1_lands_in_degree_one"),
@@ -230,8 +231,8 @@ MUTANTS = [
      "tests/test_golden.py::test_cli_output_matches_golden_file"),
     ("cli.py", '            print("failures:")\n', "",
      "tests/test_golden.py::test_cli_output_matches_golden_file"),
-    # the module entry point drops main's status: the commands that must exit 1 or 2 exit 0
-    ("cli.py", "    sys.exit(status)", "    sys.exit()",
+    # the process entry point drops main's status: the commands that must exit 1 or 2 exit 0
+    ("cli.py", "    return status\n", "    return 0\n",
      "tests/test_golden.py::test_cli_output_matches_golden_file"),
     # the rank bound of types A-D: gone, a twenty-digit rank runs the builder; one short, A100 is refused.
     # The second old text keeps its line end, so each (file, old) pair names one mutant
@@ -246,6 +247,12 @@ MUTANTS = [
     # ranks that each rank's bounds can meet apart leave the bounds open
     ("koszul.py", " or least > most:", ":",
      "tests/test_koszul.py::test_two_constraints_on_one_rank_set_that_disagree_raise_naming_what_was_provided"),
+    # the dot action's wall test read as the linear one: a weight with a zero coefficient vanishes
+    ("root_system.py", "return None if -1 in w else", "return None if 0 in w else",
+     "tests/test_root_system.py::test_dominantize_shifted_adjoint_weight_is_regular_of_length_zero"),
+    # the wall test gone: a coefficient -1 is still None, but only after a memo entry and a walk
+    ("root_system.py", "return None if -1 in w else _dominantize(rs, w)", "return _dominantize(rs, w)",
+     "tests/test_root_system.py::test_dominantize_of_a_weight_with_a_minus_one_is_none_with_no_walk"),
 ]
 
 

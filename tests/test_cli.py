@@ -183,6 +183,20 @@ def test_a_reader_that_closes_stdout_early_gets_status_1_and_no_traceback():
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
+def test_the_installed_script_target_ends_a_closed_pipe_with_status_1_and_no_traceback():
+    # the wrapper that installing generates imports the [project.scripts] target and runs
+    # sys.exit(target()); the target is read as text, with no tomllib on Python 3.10
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    module, function = re.search(r'^\[project\.scripts\]\ngpcoh = "([\w.]+):(\w+)"$', text, re.M).groups()
+    wrapper = f"import sys\nfrom {module} import {function}\nsys.exit({function}())\n"
+    closed = "import os\nread, write = os.pipe()\nos.close(read)\nos.dup2(write, 1)\n"
+    proc = run_python("-c", closed + wrapper, "roots", "A", "3")
+    assert (proc.returncode, proc.stderr) == (1, "")
+    proc = run_python("-c", wrapper, "roots", "A", "101")  # main's status passes through
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: invalid rank 101 for type A; valid range: 1 <= n <= 100\n"
+
+
 def test_roots_of_a100_are_its_5050_intervals_and_a101_exits_2_naming_the_range():
     # the largest system any check builds; the 10 s bound fails a builder that grows as rank^4 again
     proc = _gpcoh("--format", "json", "roots", "A", "100")

@@ -58,7 +58,7 @@ def test_a_pickled_root_system_is_equal_hashes_equal_and_gets_equal_results():
     pickled = pickle.loads(pickle.dumps(e8))
     assert pickled is e8 and copy.copy(e8) is e8 and copy.deepcopy(e8) is e8
     assert pickled == e8 and hash(pickled) == hash(e8)
-    for coeffs in [(1,) * 8, (-1, 2, 0, 1, -3, 1, 1, 2), (3, -1, 1, 1, -2, 1, 1, -1)]:
+    for coeffs in [(0,) * 8, (-2, 1, -1, 0, -4, 0, 0, 1), (2, -2, 0, 0, -3, 0, 0, -2)]:
         w = Weight(coeffs)
         assert dominantize(pickled, w) == dominantize(e8, w)
     assert weyl_dimension(pickled, Weight((0,) * 7 + (1,))) == weyl_dimension(e8, Weight((0,) * 7 + (1,))) == 248
@@ -73,7 +73,7 @@ def test_an_unequal_system_of_the_same_type_and_rank_is_never_served_the_canonic
     b3, c3 = build_root_system("B", 3), build_root_system("C", 3)
     impostor = c3._replace(type_letter="B")  # C3's Cartan matrix and roots under B3's name
     assert impostor != b3
-    walked, omega1 = Weight((2, 1, -5)), Weight((1, 0, 0))
+    walked, omega1 = Weight((1, 0, -6)), Weight((1, 0, 0))
     assert dominantize(b3, walked) != dominantize(c3, walked)
     assert weyl_dimension(b3, omega1) == 7 and weyl_dimension(c3, omega1) == 6
     # both B3 entries are warm now; the impostor still gets the answers of its own fields
@@ -164,7 +164,7 @@ def test_no_memo_holds_more_than_its_bound():
     a1 = build_root_system("A", 1)
     size = root_system._MEMO_SIZE
     for c in range(1, size + 11):
-        dominantize(a1, Weight((-c,)))
+        dominantize(a1, Weight((-c - 1,)))
         weyl_dimension(a1, Weight((c,)))
     assert root_system._dominantize.cache_info().currsize == size
     assert root_system._weyl_dimension.cache_info().currsize == size

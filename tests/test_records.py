@@ -125,6 +125,7 @@ UNCHECKED_PATHS = {
     "root_system.Weight.__sub__",
     "root_system.Weight.__neg__",
     "root_system._walk",
+    "root_system._dominantize",
     "root_system.dual_weight",
     "bott.bwb",
     "bott.bundle_cohomology",

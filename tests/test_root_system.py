@@ -18,6 +18,7 @@ from gpcoh import (
     dual_weight,
     weyl_dimension,
 )
+from gpcoh import root_system
 from gpcoh.root_system import _positive_roots
 
 from conftest import (
@@ -142,36 +143,47 @@ def test_positive_roots_in_graded_lex_order(letter, rank):
 
 
 def test_dominantize_zero_weight_on_p1_is_singular():
+    # lambda = -rho: lambda + rho is the zero weight
     rs = build_root_system("A", 1)
-    assert dominantize(rs, Weight.of(0)) is None
+    assert dominantize(rs, Weight.of(-1)) is None
 
 
 def test_dominantize_shifted_triple_twist_weight_is_singular():
-    # (w3 - 3 w4) + rho on A6
+    # w3 - 3 w4 on A6: lambda + rho = (1, 1, 2, -2, 1, 1) is singular
     rs = build_root_system("A", 6)
-    assert dominantize(rs, Weight.of(1, 1, 2, -2, 1, 1)) is None
+    assert dominantize(rs, Weight.of(0, 0, 1, -3, 0, 0)) is None
 
 
 def test_dominantize_shifted_adjoint_weight_is_regular_of_length_zero():
+    # w1 + w6, the adjoint weight of A6: lambda + rho = (2, 1, 1, 1, 1, 2) is already dominant
     rs = build_root_system("A", 6)
-    assert dominantize(rs, Weight.of(2, 1, 1, 1, 1, 2)) == (Weight.of(2, 1, 1, 1, 1, 2), 0)
+    assert dominantize(rs, Weight.of(1, 0, 0, 0, 0, 1)) == (Weight.of(1, 0, 0, 0, 0, 1), 0)
 
 
 def test_dominantize_rank_mismatch_rejected():
     rs = build_root_system("A", 3)
     with pytest.raises(ValueError, match="rank mismatch"):
-        dominantize(rs, Weight.of(1, 1))
+        dominantize(rs, Weight.of(0, 0))
 
 
 def test_dominantize_regular_output_is_strictly_dominant_and_stable():
     rs = build_root_system("C", 4)
-    for coeffs in product(range(-6, 7), repeat=4):
+    for coeffs in product(range(-7, 6), repeat=4):
         res = dominantize(rs, Weight(coeffs))
         if res is not None:
-            dominant, length = res
-            assert is_strictly_dominant(dominant)
+            mu, length = res
+            assert is_strictly_dominant(mu + rs.rho)
             assert length <= len(rs.positive_roots)
-            assert dominantize(rs, dominant) == (dominant, 0)
+            assert dominantize(rs, mu) == (mu, 0)
+
+
+def test_dominantize_of_a_weight_with_a_minus_one_is_none_with_no_walk():
+    # a coefficient -1 puts lambda + rho on a wall: no memo lookup, no walk, no entry
+    rs = build_root_system("E", 8)
+    w = Weight.of(3, -1, 2, 5, -7, 1, 4, 2)  # no zero coefficient, and a walk would be long
+    before = root_system._dominantize.cache_info()
+    assert dominantize(rs, w) is None
+    assert root_system._dominantize.cache_info() == before
 
 
 def _negative_root_count(rs, coeffs):
@@ -190,14 +202,15 @@ def test_dominantize_matches_the_oracle_walk_and_counts_the_negative_roots(lette
         coeffs = [rng.randint(-40, 40) for _ in range(rank)]
         if trial % 4 == 0:
             coeffs[rng.randrange(rank)] = 0  # orthogonal to a simple root: singular
-        w = Weight(tuple(coeffs))
-        walked, length = reflection_walk_oracle(rs, w, range(1, rank + 1))
+        # the oracle walks lambda + rho, the coefficients drawn; dominantize is given lambda
+        walked, length = reflection_walk_oracle(rs, Weight(tuple(coeffs)), range(1, rank + 1))
         assert is_dominant(walked)
+        w = Weight(tuple(coeffs)) - rs.rho
         if 0 in walked.coeffs:
             assert dominantize(rs, w) is None
             singular += 1
         else:
-            assert dominantize(rs, w) == (walked, length)
+            assert dominantize(rs, w) == (walked - rs.rho, length)
             assert length == _negative_root_count(rs, coeffs)
     assert singular >= 10
 
@@ -300,7 +313,7 @@ def test_dominantize_gives_the_validated_weight():
     for letter, rank in (("A", 6), ("E", 8), ("G", 2)):
         rs = build_root_system(letter, rank)
         for _ in range(20):
-            found = dominantize(rs, Weight(tuple(rng.randint(-6, 6) for _ in range(rank))))
+            found = dominantize(rs, Weight(tuple(rng.randint(-7, 5) for _ in range(rank))))
             if found is not None:
                 walks += 1
                 assert _is_validated_weight(found[0], found[0].coeffs)
