@@ -106,13 +106,6 @@ class CohomologyTable(namedtuple("CohomologyTable", "total_dims entries", defaul
     def total_dimension(self, degree: int) -> int:
         return dict(self.total_dims).get(degree, 0)
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.total_dims)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.total_dims
-
 
 _ACYCLIC = CohomologyTable(total_dims=(), entries=())  # every sum whose summands all vanish, immutable
 

@@ -57,7 +57,7 @@ from collections.abc import Iterable
 from functools import lru_cache, partial
 from math import gcd, prod
 from itertools import compress
-from operator import add, gt, itemgetter, sub
+from operator import add, gt, itemgetter
 
 __all__ = [
     "Weight",
@@ -120,6 +120,8 @@ class Weight(tuple):
 
     ``coeffs[i]`` is the pairing with the (i+1)-th simple coroot (1-based
     Bourbaki node i+1). A coefficient that is not an ``int`` is rejected, never truncated.
+    It has no arithmetic of its own: ``+`` and ``*`` are the tuple's and return a plain tuple,
+    which every public function rejects.
     Copy and pickle, at every protocol, call the constructor again through ``__reduce__``, so
     they re-run the check; only ``_trusted`` (``tuple.__new__`` bound to the class) skips it,
     for ints derived from checked ones.
@@ -138,51 +140,6 @@ class Weight(tuple):
 
     def __reduce__(self):
         return type(self), (tuple(self),)
-
-    @classmethod
-    def of(cls, *coeffs: int) -> "Weight":
-        return cls(coeffs)
-
-    @classmethod
-    def zero(cls, rank: int) -> "Weight":
-        _check_positive(rank, "weight rank")
-        return cls((0,) * rank)
-
-    @classmethod
-    def fundamental(cls, rank: int, node: int) -> "Weight":
-        """omega_node for 1 <= node <= rank."""
-        _check_positive(rank, "weight rank")
-        if type(node) is not int or not 1 <= node <= rank:
-            raise ValueError(f"node {node!r} is not an int in 1..{rank}")
-        return cls(tuple(1 if i == node - 1 else 0 for i in range(rank)))
-
-    @property
-    def rank(self) -> int:
-        return len(self)
-
-    def __add__(self, other: "Weight") -> "Weight":
-        self._check_rank(other)
-        return Weight._trusted(map(add, self, other))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        self._check_rank(other)
-        return Weight._trusted(map(sub, self, other))
-
-    def __neg__(self) -> "Weight":
-        return Weight._trusted(-a for a in self)
-
-    def __mul__(self, scalar: int) -> "Weight":
-        if type(scalar) is not int:  # a float or a bool is no scalar
-            raise ValueError(f"weight scalar {scalar!r} is not an int")
-        return Weight(scalar * a for a in self)
-
-    __rmul__ = __mul__
-
-    def _check_rank(self, other: "Weight") -> None:
-        if type(other) is not Weight:
-            raise ValueError(f"weight {other!r} is a {type(other).__name__}, not a Weight of rank {len(self)}")
-        if len(self) != len(other):
-            raise ValueError(f"rank mismatch: weight of rank {len(self)} vs {len(other)}")
 
     def __repr__(self) -> str:
         return f"Weight(coeffs={tuple(self)!r})"
@@ -388,7 +345,7 @@ def adjoint_dimension(rs: RootSystem) -> int:
 def _check_weight(rs: RootSystem, w: Weight) -> None:
     if type(w) is not Weight:
         raise ValueError(f"weight {w!r} is a {type(w).__name__}, not a Weight of rank {rs.rank}")
-    raise ValueError(f"rank mismatch: weight {w} has rank {w.rank}, root system is {rs.name}")
+    raise ValueError(f"rank mismatch: weight {w} has rank {len(w)}, root system is {rs.name}")
 
 
 def _check_nodes(rs: RootSystem, nodes: Iterable[int]) -> frozenset[int]:
@@ -410,11 +367,10 @@ def _check_nodes(rs: RootSystem, nodes: Iterable[int]) -> frozenset[int]:
     return frozenset(seen)
 
 
-def _check_positive(value: int, what: str = "multiplicity") -> None:
-    """A positive int: a summand's multiplicity in a direct sum, in ``bott`` and ``schur`` alike,
-    or the rank of ``Weight.zero`` and ``Weight.fundamental``."""
+def _check_positive(value: int) -> None:
+    """A positive int: a summand's multiplicity in a direct sum, in ``bott`` and ``schur`` alike."""
     if type(value) is not int or value <= 0:  # a float or a bool is no count
-        raise ValueError(f"{what} must be a positive int, got {value!r}")
+        raise ValueError(f"multiplicity must be a positive int, got {value!r}")
 
 
 def _walk(rs: RootSystem, coeffs: Iterable[int]) -> tuple[Weight, int]:

@@ -188,24 +188,26 @@ def _load(name_or_path: str | Path, kind: dict) -> tuple[str, dict]:
     A string with no directory part that names a report of ``REPORTS``, with or without
     ".json", always means the file ``data/<name>.json`` shipped with the package, whatever
     the current directory holds; a local file of such a name is reached with a directory
-    part, as in "./cayley". Anything else is a path. A key given twice in one object, or a
+    part, as in "./cayley". Anything else is a path. A file that cannot be read (an ``OSError``
+    from ``stat`` or the read, such as a denied permission), a key given twice in one object, or a
     missing or unsupported ``schema_version``, fails naming the file; a missing, mistyped or
     unknown key in any block, one of another file kind included, names the block and the key too.
     """
     text = str(name_or_path)
     key = text.removesuffix(".json")
-    if isinstance(name_or_path, str) and not os.path.dirname(text) and key in REPORTS:
-        source = Path(__file__).with_name("data") / f"{key}.json"
-    else:
-        source = Path(name_or_path)
-        if not source.is_file():
-            raise FileNotFoundError(f"no scenario file {text!r} and no builtin scenario of that name")
+    builtin = isinstance(name_or_path, str) and not os.path.dirname(text) and key in REPORTS
+    source = Path(__file__).with_name("data") / f"{key}.json" if builtin else Path(name_or_path)
     try:
-        data = json.loads(source.read_text(), object_pairs_hook=_json_object)
+        present = builtin or source.is_file()
+        data = json.loads(source.read_text(), object_pairs_hook=_json_object) if present else None
+    except OSError as exc:
+        raise ValueError(f"scenario file {text!r} cannot be read: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # a RecursionError: nested past the decoder's depth
         raise ValueError(f"scenario file {text!r} is not valid JSON: {exc}") from exc
     except LookupError as exc:
         raise ValueError(f"scenario file {text!r}: key {exc.args[0]!r} is given twice in one object") from exc
+    if not present:
+        raise FileNotFoundError(f"no scenario file {text!r} and no builtin scenario of that name")
     if not isinstance(data, dict):
         raise ValueError(f"scenario file {text!r} does not hold a JSON object")
     version = data.get("schema_version")

@@ -75,7 +75,7 @@ from operator import sub
 from .root_system import ParabolicSpace, Weight, _Record, _check_positive
 
 _FOLD_MEMO_SIZE = 1024  # sections held by the exterior-power memo
-_LABEL_MEMO_SIZE = 4096  # labels held by each label memo: weight, rank and dual
+_LABEL_MEMO_SIZE = 4096  # labels held by each label memo: weight and dual
 
 __all__ = [
     "Partition",
@@ -88,7 +88,6 @@ __all__ = [
     "label_rank",
     "gl_dimension",
     "dual_label",
-    "tangent_label",
     "parse_bundle",
     "parse_partition",
     "format_label",
@@ -120,14 +119,6 @@ class Partition(tuple):
 
     def __reduce__(self):
         return type(self), (tuple(self),)
-
-    @property
-    def size(self) -> int:
-        return sum(self)
-
-    @property
-    def length(self) -> int:
-        return len(self)
 
     def part(self, i: int) -> int:
         """0-based row length, zero beyond the last row."""
@@ -185,9 +176,9 @@ class BundleLabel(_Record):
         for side, p in (("u", u), ("q", q)):
             if type(p) is not Partition:
                 raise ValueError(f"{side}-side partition {p!r} is a {type(p).__name__}, not a Partition")
-        if u.length > k:
+        if len(u) > k:
             raise ValueError(f"u-side partition {u} exceeds rank {k}")
-        if q.length > n - k:
+        if len(q) > n - k:
             raise ValueError(f"q-side partition {q} exceeds rank {n - k}")
         return cls._canonical((k, n), u, q, t)
 
@@ -399,18 +390,6 @@ def gl_dimension(p: Partition | Iterable[int], r: int) -> int:
 def label_rank(label: BundleLabel) -> int:
     k, n = label.ambient
     return gl_dimension(label.u_part, k) * gl_dimension(label.q_part, n - k)
-
-
-# ---------------------------------------------------------------------------
-# Constructors
-
-
-def tangent_label(ambient: tuple[int, int]) -> BundleLabel:
-    """Tangent bundle U^* (x) Q of Gr(k, n)."""
-    k, n = ambient
-    return BundleLabel(
-        tuple(ambient), u_part=Partition((1,) * (k - 1)), q_part=Partition((1,)), twist=1
-    )
 
 
 @lru_cache(maxsize=_LABEL_MEMO_SIZE)

@@ -25,9 +25,9 @@ Serre duals of a weight and the weights of a cohomology degree, which only
 tests read, are small functions here too.
 
 Tests that edit a shipped scenario file start from ``shipped_scenario``, a fresh copy of its
-JSON object read straight from the source tree. Every test that starts a fresh ``gpcoh`` process
-does so through ``run_python``, which runs the package this suite imports: the checkout's ``src``,
-or the mutation gate's copy of it.
+JSON object read straight from the source tree; ``deny_reading`` makes one file unreadable. Every
+test that starts a fresh ``gpcoh`` process does so through ``run_python``, which runs the package
+this suite imports: the checkout's ``src``, or the mutation gate's copy of it.
 """
 
 import importlib.util
@@ -40,6 +40,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from math import prod
+from operator import add
 from pathlib import Path
 from typing import Iterator
 
@@ -64,6 +65,22 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
 def shipped_scenario(report: str) -> dict:
     """A fresh copy of the JSON object of the scenario file shipped for ``report``."""
     return json.loads((SCENARIO_DATA / f"{report}.json").read_text())
+
+
+def deny_reading(monkeypatch, path: Path, method: str) -> str:
+    """Make ``Path.<method>`` (``is_file`` or ``read_text``) raise the ``PermissionError`` of a
+    denied read for ``path`` alone, as it does for a user without the permission (the suite may
+    run as root, whom ``chmod`` denies nothing), and return that error's text."""
+    real = getattr(Path, method)
+    denied = PermissionError(13, "Permission denied", str(path))
+
+    def guarded(self, *args, **kwargs):
+        if self == path:
+            raise denied
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, method, guarded)
+    return str(denied)
 
 
 def koszul_pool_sample(seed: int, size: int) -> list:
@@ -183,14 +200,14 @@ def levi_roots(space) -> tuple[tuple[int, ...], ...]:
 def levi_dual_weight(space, omega):
     """Highest weight of the dual irreducible P-representation: the Levi-dominant
     representative of -omega, walked by the oracle at the uncrossed nodes."""
-    return reflection_walk_oracle(space.rs, -omega, space.uncrossed)[0]
+    return reflection_walk_oracle(space.rs, type(omega)(-c for c in omega), space.uncrossed)[0]
 
 
 def serre_dual_weight(space, omega):
     """Weight of the Serre-dual bundle E^* tensored with the canonical bundle."""
     from gpcoh import canonical_twist_weight
 
-    return canonical_twist_weight(space) + levi_dual_weight(space, omega)
+    return type(omega)(map(add, canonical_twist_weight(space), levi_dual_weight(space, omega)))
 
 
 def weights_at(table, degree: int) -> tuple:
@@ -276,20 +293,12 @@ class Partition:
     def __init__(self, parts: tuple[int, ...]) -> None:
         self.parts = tuple(p for p in parts if p)
 
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
     def part(self, i: int) -> int:
         return self.parts[i] if i < len(self.parts) else 0
 
 
 def _candidate_shapes(mu: Partition, nu: Partition, max_rows: int) -> Iterator[Partition]:
-    total = mu.size + nu.size
+    total = sum(mu.parts) + sum(nu.parts)
     cap_first = mu.part(0) + nu.part(0)
 
     def rec(prefix: list[int], remaining: int, row: int) -> Iterator[Partition]:
@@ -317,14 +326,14 @@ def _count_lr_tableaux(lam: Partition, mu: Partition, nu: Partition) -> int:
     Cells are filled in reverse reading order (top row to bottom, right to
     left) so the lattice-word condition is a running check on value counts.
     """
-    rows = lam.length
+    rows = len(lam.parts)
     cells = []
     for r in range(rows):
         for c in range(lam.part(r) - 1, mu.part(r) - 1, -1):
             cells.append((r, c))
-    if len(cells) != nu.size:
+    if len(cells) != sum(nu.parts):
         return 0
-    nvals = nu.length
+    nvals = len(nu.parts)
     counts = [0] * (nvals + 1)
     values: dict[tuple[int, int], int] = {}
     total = 0
@@ -361,7 +370,7 @@ def lr_tableau_oracle(
 ) -> dict[tuple[int, ...], int]:
     """Nonzero c^lam_{mu,nu} with at most ``rows`` rows, keyed by lam's parts."""
     mu, nu = Partition(mu), Partition(nu)
-    if mu.length > rows or nu.length > rows:
+    if len(mu.parts) > rows or len(nu.parts) > rows:
         return {}
     out = {}
     for lam in _candidate_shapes(mu, nu, rows):

@@ -208,8 +208,8 @@ MUTANTS = [
     ("schur.py", "        ambient = BundleLabel(tuple(ambient)", "        BundleLabel(tuple(ambient)",
      "tests/test_schur.py::test_parse_bundle_goldens"),
     # a Path named like a report read as the shipped file
-    ("scenarios.py", "if isinstance(name_or_path, str) and not os.path.dirname(text)",
-     "if not os.path.dirname(text)",
+    ("scenarios.py", "builtin = isinstance(name_or_path, str) and not os.path.dirname(text)",
+     "builtin = not os.path.dirname(text)",
      "tests/test_scenarios.py::test_unknown_scenario_rejected"),
     # a root system printed as its record, not its name
     ("root_system.py", "    def __str__(self) -> str:\n        return self.name\n",
@@ -253,6 +253,11 @@ MUTANTS = [
     # the wall test gone: a coefficient -1 is still None, but only after a memo entry and a walk
     ("root_system.py", "return None if -1 in w else _dominantize(rs, w)", "return _dominantize(rs, w)",
      "tests/test_root_system.py::test_dominantize_of_a_weight_with_a_minus_one_is_none_with_no_walk"),
+    # a scenario file that cannot be read, unwrapped: its PermissionError escapes main as a traceback
+    ("scenarios.py",
+     "    except OSError as exc:\n        raise ValueError(f\"scenario file {text!r} cannot be read: {exc}\") from exc\n",
+     "",
+     "tests/test_cli.py::test_an_unreadable_scenario_file_exits_2_with_one_line_naming_it_in_both_formats"),
 ]
 
 

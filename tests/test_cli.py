@@ -8,7 +8,7 @@ import pytest
 from gpcoh import cli
 from gpcoh.cli import main
 
-from conftest import a_type_positive_roots, hook_content_dimension, run_python, shipped_scenario
+from conftest import a_type_positive_roots, deny_reading, hook_content_dimension, run_python, shipped_scenario
 
 
 def run(capsys, *argv):
@@ -378,6 +378,29 @@ def test_unparsable_scenario_file_is_named_in_the_error(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(p) in err
     assert "Expecting value" in err
+
+
+def test_a_scenario_file_that_is_not_text_exits_2_naming_the_file(capsys, tmp_path):
+    # the decode fault of the read is the file's JSON fault, not an unnamed ValueError
+    p = tmp_path / "binary.json"
+    p.write_bytes(b'{"schema_version": 1, "name": "\xff"}')
+    code, out, err = run(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: scenario file {str(p)!r} is not valid JSON: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", ["is_file", "read_text"])
+def test_an_unreadable_scenario_file_exits_2_with_one_line_naming_it_in_both_formats(
+    capsys, monkeypatch, tmp_path, method
+):
+    # a denied stat (a file under an unsearchable directory) or a denied read: never a traceback
+    p = tmp_path / "cayley.json"
+    p.write_text(json.dumps(shipped_scenario("cayley")))
+    expected = f"scenario file {str(p)!r} cannot be read: {deny_reading(monkeypatch, p, method)}"
+    code, out, err = run(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
+    assert (code, out, err) == (2, "", f"error: {expected}\n")
+    code, doc, err = run_json(capsys, "koszul", "--scenario", str(p), "--twist", "normal")
+    assert (code, doc["error"], err) == (2, expected, "")
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from gpcoh import (
     lr_coefficients,
     parse_bundle,
     solve_sequence,
-    tangent_label,
 )
 from gpcoh.schur import format_sum, sum_to_weights
 
@@ -44,7 +43,7 @@ def trivial():
 
 
 def tangent():
-    return BundleSum(AMB, [(tangent_label(AMB), 1)])
+    return parse_bundle(AMB, "T")
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from gpcoh import (
     Weight,
     adjoint_dimension,
     build_root_system,
+    bundle_cohomology,
     bwb,
     dominantize,
     dual_weight,
@@ -145,25 +146,25 @@ def test_positive_roots_in_graded_lex_order(letter, rank):
 def test_dominantize_zero_weight_on_p1_is_singular():
     # lambda = -rho: lambda + rho is the zero weight
     rs = build_root_system("A", 1)
-    assert dominantize(rs, Weight.of(-1)) is None
+    assert dominantize(rs, Weight((-1,))) is None
 
 
 def test_dominantize_shifted_triple_twist_weight_is_singular():
     # w3 - 3 w4 on A6: lambda + rho = (1, 1, 2, -2, 1, 1) is singular
     rs = build_root_system("A", 6)
-    assert dominantize(rs, Weight.of(0, 0, 1, -3, 0, 0)) is None
+    assert dominantize(rs, Weight((0, 0, 1, -3, 0, 0))) is None
 
 
 def test_dominantize_shifted_adjoint_weight_is_regular_of_length_zero():
     # w1 + w6, the adjoint weight of A6: lambda + rho = (2, 1, 1, 1, 1, 2) is already dominant
     rs = build_root_system("A", 6)
-    assert dominantize(rs, Weight.of(1, 0, 0, 0, 0, 1)) == (Weight.of(1, 0, 0, 0, 0, 1), 0)
+    assert dominantize(rs, Weight((1, 0, 0, 0, 0, 1))) == (Weight((1, 0, 0, 0, 0, 1)), 0)
 
 
 def test_dominantize_rank_mismatch_rejected():
     rs = build_root_system("A", 3)
     with pytest.raises(ValueError, match="rank mismatch"):
-        dominantize(rs, Weight.of(0, 0))
+        dominantize(rs, Weight((0, 0)))
 
 
 def test_dominantize_regular_output_is_strictly_dominant_and_stable():
@@ -172,7 +173,7 @@ def test_dominantize_regular_output_is_strictly_dominant_and_stable():
         res = dominantize(rs, Weight(coeffs))
         if res is not None:
             mu, length = res
-            assert is_strictly_dominant(mu + rs.rho)
+            assert is_strictly_dominant(Weight([c + 1 for c in mu]))
             assert length <= len(rs.positive_roots)
             assert dominantize(rs, mu) == (mu, 0)
 
@@ -180,7 +181,7 @@ def test_dominantize_regular_output_is_strictly_dominant_and_stable():
 def test_dominantize_of_a_weight_with_a_minus_one_is_none_with_no_walk():
     # a coefficient -1 puts lambda + rho on a wall: no memo lookup, no walk, no entry
     rs = build_root_system("E", 8)
-    w = Weight.of(3, -1, 2, 5, -7, 1, 4, 2)  # no zero coefficient, and a walk would be long
+    w = Weight((3, -1, 2, 5, -7, 1, 4, 2))  # no zero coefficient, and a walk would be long
     before = root_system._dominantize.cache_info()
     assert dominantize(rs, w) is None
     assert root_system._dominantize.cache_info() == before
@@ -205,12 +206,12 @@ def test_dominantize_matches_the_oracle_walk_and_counts_the_negative_roots(lette
         # the oracle walks lambda + rho, the coefficients drawn; dominantize is given lambda
         walked, length = reflection_walk_oracle(rs, Weight(tuple(coeffs)), range(1, rank + 1))
         assert is_dominant(walked)
-        w = Weight(tuple(coeffs)) - rs.rho
+        w = Weight([c - 1 for c in coeffs])
         if 0 in walked.coeffs:
             assert dominantize(rs, w) is None
             singular += 1
         else:
-            assert dominantize(rs, w) == (walked - rs.rho, length)
+            assert dominantize(rs, w) == (Weight([c - 1 for c in walked]), length)
             assert length == _negative_root_count(rs, coeffs)
     assert singular >= 10
 
@@ -254,29 +255,6 @@ def test_a_coefficient_that_is_not_an_int_is_rejected_by_name(make, coefficient)
         make()
 
 
-@pytest.mark.parametrize(
-    "make,message",
-    [
-        (lambda: Weight.of(1, 2) * True, "weight scalar True is not an int"),
-        (lambda: True * Weight.of(1, 2), "weight scalar True is not an int"),
-        (lambda: Weight.of(1) * 2.5, "weight scalar 2.5 is not an int"),
-        (lambda: Weight.of(1) * "2", "weight scalar '2' is not an int"),
-        (lambda: Weight.zero(True), "weight rank must be a positive int, got True"),
-        (lambda: Weight.zero(0), "weight rank must be a positive int, got 0"),
-        (lambda: Weight.zero(-1), "weight rank must be a positive int, got -1"),
-        (lambda: Weight.zero(2.0), "weight rank must be a positive int, got 2.0"),
-        (lambda: Weight.fundamental(True, 1), "weight rank must be a positive int, got True"),
-        (lambda: Weight.fundamental(0, 1), "weight rank must be a positive int, got 0"),
-        (lambda: Weight.fundamental(3, True), "node True is not an int in 1..3"),
-        (lambda: Weight.fundamental(3, 2.0), "node 2.0 is not an int in 1..3"),
-        (lambda: Weight.fundamental(3, 4), "node 4 is not an int in 1..3"),
-    ],
-)
-def test_a_scalar_rank_or_node_that_is_not_an_int_in_range_is_rejected_with_one_message(make, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        make()
-
-
 def test_a_weight_keeps_a_tuple_and_converts_a_list():
     t = (1, 2)
     assert Weight(t).coeffs == t == Weight(t)
@@ -295,18 +273,6 @@ def _is_validated_weight(w, coeffs):
     )
 
 
-def test_weight_arithmetic_gives_the_validated_weight():
-    rng = random.Random("test_weight_arithmetic_gives_the_validated_weight")
-    for _ in range(500):
-        rank = rng.randint(1, 8)
-        a = [rng.randint(-10**20, 10**20) for _ in range(rank)]
-        b = [rng.randint(-10**20, 10**20) for _ in range(rank)]
-        x, y = Weight(a), Weight(b)
-        assert _is_validated_weight(x + y, [p + q for p, q in zip(a, b)])
-        assert _is_validated_weight(x - y, [p - q for p, q in zip(a, b)])
-        assert _is_validated_weight(-x, [-p for p in a])
-
-
 def test_dominantize_gives_the_validated_weight():
     rng = random.Random(29)
     walks = 0
@@ -320,13 +286,26 @@ def test_dominantize_gives_the_validated_weight():
     assert walks >= 10
 
 
-def test_weight_arithmetic_still_checks_what_was_never_validated():
-    with pytest.raises(ValueError, match="rank mismatch: weight of rank 2 vs 1"):
-        Weight.of(1, 2) + Weight.of(1)
-    with pytest.raises(ValueError, match="rank mismatch: weight of rank 2 vs 3"):
-        Weight.of(1, 2) - Weight.of(1, 2, 3)
-    with pytest.raises(ValueError, match=re.escape("weight (1, 2) is a tuple, not a Weight of rank 2")):
-        Weight.of(1, 2) + (1, 2)  # a bare tuple is no Weight, though it equals one
+# each public entry of a weight, on A4 and its space with node 2 crossed
+PUBLIC_WEIGHT_CALLS = {
+    "dominantize": lambda rs, space, w: dominantize(rs, w),
+    "weyl_dimension": lambda rs, space, w: weyl_dimension(rs, w),
+    "dual_weight": lambda rs, space, w: dual_weight(rs, w),
+    "bwb": lambda rs, space, w: bwb(space, w),
+    "bundle_cohomology": lambda rs, space, w: bundle_cohomology(space, [(w, 1)]),
+}
+
+
+@pytest.mark.parametrize("leftover", ["sum", "repeat"])
+@pytest.mark.parametrize("call", sorted(PUBLIC_WEIGHT_CALLS))
+def test_a_tuple_sum_or_repeat_of_weights_is_rejected_by_every_public_function(call, leftover):
+    # a Weight has no arithmetic: + and * are the tuple's, and give a plain tuple of the system's
+    # rank here, so the type test alone rejects it
+    w, rs = Weight((1, 2)), build_root_system("A", 4)
+    value = w + w if leftover == "sum" else w * 2
+    assert type(value) is tuple and value == (1, 2, 1, 2)
+    with pytest.raises(ValueError, match=re.escape("weight (1, 2, 1, 2) is a tuple, not a Weight of rank 4")):
+        PUBLIC_WEIGHT_CALLS[call](rs, ParabolicSpace(rs, {2}), value)
 
 
 def test_copy_and_pickle_revalidate_a_weight():
@@ -344,22 +323,22 @@ def test_copy_and_pickle_revalidate_a_weight():
 
 def test_weyl_dimension_examples():
     a6 = build_root_system("A", 6)
-    assert weyl_dimension(a6, Weight.fundamental(6, 3)) == 35  # binomial(7, 3)
-    assert weyl_dimension(a6, Weight.of(1, 0, 0, 0, 0, 1)) == 48  # 7^2 - 1
+    assert weyl_dimension(a6, Weight((0, 0, 1, 0, 0, 0))) == 35  # binomial(7, 3)
+    assert weyl_dimension(a6, Weight((1, 0, 0, 0, 0, 1))) == 48  # 7^2 - 1
     c3 = build_root_system("C", 3)
-    assert weyl_dimension(c3, Weight.zero(3)) == 1
+    assert weyl_dimension(c3, Weight((0, 0, 0))) == 1
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_weyl_dimension_of_the_vector_representation(n):
     rs = build_root_system("A", n)
-    assert weyl_dimension(rs, Weight.fundamental(n, 1)) == n + 1
+    assert weyl_dimension(rs, Weight((1,) + (0,) * (n - 1))) == n + 1
 
 
 @pytest.mark.parametrize("letter,rank", ALL_TYPES)
 def test_weyl_dimension_of_zero_weight_is_one(letter, rank):
     rs = build_root_system(letter, rank)
-    assert weyl_dimension(rs, Weight.zero(rank)) == 1
+    assert weyl_dimension(rs, Weight((0,) * rank)) == 1
 
 
 def test_weyl_dimension_matches_tableau_count_on_small_partitions():
@@ -379,13 +358,13 @@ def test_weyl_dimension_matches_tableau_count_on_small_partitions():
 def test_weyl_dimension_rejects_nondominant_weight():
     rs = build_root_system("A", 3)
     with pytest.raises(ValueError, match="node 2"):
-        weyl_dimension(rs, Weight.of(1, -1, 0))
+        weyl_dimension(rs, Weight((1, -1, 0)))
 
 
 def test_exceptional_fundamental_dimensions():
-    assert weyl_dimension(build_root_system("E", 6), Weight.fundamental(6, 6)) == 27
-    assert weyl_dimension(build_root_system("G", 2), Weight.fundamental(2, 1)) == 7
-    assert weyl_dimension(build_root_system("G", 2), Weight.fundamental(2, 2)) == 14
+    assert weyl_dimension(build_root_system("E", 6), Weight((0, 0, 0, 0, 0, 1))) == 27
+    assert weyl_dimension(build_root_system("G", 2), Weight((1, 0))) == 7
+    assert weyl_dimension(build_root_system("G", 2), Weight((0, 1))) == 14
 
 
 @pytest.mark.parametrize(
@@ -427,15 +406,15 @@ def test_classical_representation_dimensions(letter, rank, coeffs, expected):
 
 def test_dual_weight_examples():
     a6 = build_root_system("A", 6)
-    assert dual_weight(a6, Weight.fundamental(6, 3)) == Weight.fundamental(6, 4)
-    assert dual_weight(a6, Weight.of(1, 0, 0, 0, 0, 1)) == Weight.of(1, 0, 0, 0, 0, 1)
+    assert dual_weight(a6, Weight((0, 0, 1, 0, 0, 0))) == Weight((0, 0, 0, 1, 0, 0))
+    assert dual_weight(a6, Weight((1, 0, 0, 0, 0, 1))) == Weight((1, 0, 0, 0, 0, 1))
     f4 = build_root_system("F", 4)
-    assert dual_weight(f4, Weight.of(1, 2, 0, 3)) == Weight.of(1, 2, 0, 3)
+    assert dual_weight(f4, Weight((1, 2, 0, 3))) == Weight((1, 2, 0, 3))
 
 
 def test_dual_weight_rank_mismatch_rejected():
     with pytest.raises(ValueError, match="rank mismatch"):
-        dual_weight(build_root_system("A", 4), Weight.of(1, 0))
+        dual_weight(build_root_system("A", 4), Weight((1, 0)))
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 5), ("D", 5), ("D", 6), ("E", 6), ("B", 4)])
@@ -468,7 +447,7 @@ def test_dual_weight_is_the_dominant_end_of_the_walk_of_the_negative(letter, ran
     for _ in range(6):
         w = Weight(tuple(rng.randint(0, 9) for _ in range(rank)))
         dual = dual_weight(rs, w)
-        assert dual == reflection_walk_oracle(rs, -w, range(1, rank + 1))[0]
+        assert dual == reflection_walk_oracle(rs, Weight([-c for c in w]), range(1, rank + 1))[0]
         assert type(dual) is Weight and type(dual.coeffs) is tuple
         if not _minus_w0_moves_a_node(letter, rank):
             assert dual is w  # no permutation to apply: the checked weight comes back
@@ -479,8 +458,8 @@ def test_dual_weight_is_the_dominant_end_of_the_walk_of_the_negative(letter, ran
 
 def test_e6_dual_exchanges_the_two_minimal_representations():
     e6 = build_root_system("E", 6)
-    assert dual_weight(e6, Weight.fundamental(6, 1)) == Weight.fundamental(6, 6)
-    assert dual_weight(e6, Weight.fundamental(6, 2)) == Weight.fundamental(6, 2)
+    assert dual_weight(e6, Weight((1, 0, 0, 0, 0, 0))) == Weight((0, 0, 0, 0, 0, 1))
+    assert dual_weight(e6, Weight((0, 1, 0, 0, 0, 0))) == Weight((0, 1, 0, 0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +505,14 @@ def test_homogeneous_dimension_rejects_bad_crossings():
 def test_a_weight_negative_at_an_uncrossed_node_is_not_p_dominant():
     space = ParabolicSpace(build_root_system("A", 6), {4})
     with pytest.raises(ValueError, match="uncrossed node 3"):
-        space.check_p_dominant(Weight.of(0, 0, -1, 0, 0, 0))
+        space.check_p_dominant(Weight((0, 0, -1, 0, 0, 0)))
 
 
 def test_p_dominance_reads_only_the_uncrossed_nodes_and_names_the_first_negative_one():
     space = ParabolicSpace(build_root_system("A", 6), {2, 4})
-    assert space.check_p_dominant(Weight.of(0, -3, 0, -1, 0, 0)) is None
+    assert space.check_p_dominant(Weight((0, -3, 0, -1, 0, 0))) is None
     with pytest.raises(ValueError) as exc:
-        space.check_p_dominant(Weight.of(0, -3, 0, -1, -2, -1))
+        space.check_p_dominant(Weight((0, -3, 0, -1, -2, -1)))
     assert str(exc.value) == (
         "weight (0,-3,0,-1,-2,-1) is not P-dominant on A6/P(2,4): negative coefficient at uncrossed node 5"
     )
@@ -541,7 +520,7 @@ def test_p_dominance_reads_only_the_uncrossed_nodes_and_names_the_first_negative
 
 def test_every_public_kernel_rejects_a_wrong_rank_with_one_message():
     rs = build_root_system("A", 3)
-    w = Weight.of(1, 1)
+    w = Weight((1, 1))
     message = "rank mismatch: weight (1,1) has rank 2, root system is A3"
     for call in (
         lambda: dominantize(rs, w),

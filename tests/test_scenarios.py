@@ -20,7 +20,7 @@ from gpcoh import (
 from gpcoh.scenarios import REPORTS
 from gpcoh.schur import sum_to_weights
 
-from conftest import shipped_scenario
+from conftest import deny_reading, shipped_scenario
 
 
 def test_load_builtin_scenarios():
@@ -54,6 +54,19 @@ def test_unknown_scenario_rejected(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(FileNotFoundError, match="no scenario file 'cayley' and no builtin scenario"):
         run_cayley(Path("cayley"))
+
+
+@pytest.mark.parametrize("method", ["is_file", "read_text"])
+@pytest.mark.parametrize("report", sorted(REPORTS))
+def test_a_runner_called_on_an_unreadable_path_raises_one_value_error_naming_it(
+    monkeypatch, tmp_path, report, method
+):
+    p = tmp_path / f"{report}.json"
+    p.write_text(json.dumps(shipped_scenario(report)))
+    reason = deny_reading(monkeypatch, p, method)
+    with pytest.raises(ValueError) as exc:
+        REPORTS[report](p)
+    assert str(exc.value) == f"scenario file {str(p)!r} cannot be read: {reason}"
 
 
 def test_every_report_has_its_shipped_file_and_nothing_else_ships():

@@ -25,7 +25,6 @@ from gpcoh import (
     lr_coefficients,
     parse_bundle,
     parse_partition,
-    tangent_label,
     tensor,
     weyl_dimension,
 )
@@ -45,6 +44,8 @@ from conftest import (
 )
 
 AMB = (4, 7)
+# the tangent bundle U^* (x) Q of Gr(4, 7), Lambda^3 U (x) Q (x) O(1), by the checked constructor
+TANGENT = BundleLabel(AMB, Partition((1, 1, 1)), Partition((1,)), 1)
 
 
 def gr47():
@@ -126,8 +127,8 @@ def test_constructed_labels_are_canonical_and_rank_preserving():
         label = BundleLabel(AMB, u_part=Partition(u), q_part=Partition(q), twist=t)
         assert (label.u_part.parts, label.q_part.parts, label.twist) == _canonical(AMB, u, q, t)
         assert label_rank(label) == ssyt_count(u, 4) * ssyt_count(q, 3)
-        assert label.u_part.length < 4
-        assert label.q_part.length < 3
+        assert len(label.u_part) < 4
+        assert len(label.q_part) < 3
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +596,10 @@ def test_label_to_weight_pinned_generators():
     space = gr47()
     ((l3_twisted, _),) = parse_bundle(AMB, "L3 U* (-3)").summands
     ((l3, _),) = parse_bundle(AMB, "L3 U*").summands
-    assert label_to_weight(l3_twisted, space) == Weight.of(0, 0, 1, -3, 0, 0)
-    assert label_to_weight(BundleLabel(AMB, twist=1), space) == Weight.fundamental(6, 4)
-    assert label_to_weight(tangent_label(AMB), space) == Weight.of(1, 0, 0, 0, 0, 1)
-    assert label_to_weight(l3, space) == Weight.of(0, 0, 1, 0, 0, 0)
+    assert label_to_weight(l3_twisted, space) == Weight((0, 0, 1, -3, 0, 0))
+    assert label_to_weight(BundleLabel(AMB, twist=1), space) == Weight((0, 0, 0, 1, 0, 0))
+    assert label_to_weight(TANGENT, space) == Weight((1, 0, 0, 0, 0, 1))
+    assert label_to_weight(l3, space) == Weight((0, 0, 1, 0, 0, 0))
 
 
 def test_label_to_weight_output_is_p_dominant():
@@ -643,7 +644,7 @@ def test_a_sum_on_the_space_holds_no_label_from_another_grassmannian():
 
 
 def test_rank_of_the_tangent_bundle():
-    assert label_rank(tangent_label(AMB)) == 12
+    assert label_rank(TANGENT) == 12
     ((l3, _),) = parse_bundle(AMB, "L3 U*").summands
     assert label_rank(l3) == 4
 
@@ -677,7 +678,7 @@ def test_dual_labels_revalidate_to_themselves_and_dualize_back():
             # each side's complement is canonical itself, not only once the label is built
             for p, rows in ((label.u_part, k), (label.q_part, n - k)):
                 complement = _reversed_complement(p, rows)
-                assert Partition(complement.parts) == complement and complement.length < rows
+                assert Partition(complement.parts) == complement and len(complement) < rows
         assert dual_sum(dual_sum(bsum)) == bsum
 
 
@@ -700,7 +701,9 @@ def test_parse_bundle_goldens():
     assert parse_bundle(AMB, "L3 U*").summands == (
         (BundleLabel(AMB, u_part=Partition((1,)), twist=1), 1),
     )
-    assert parse_bundle(AMB, "T").summands == ((tangent_label(AMB), 1),)
+    assert parse_bundle(AMB, "T").summands == ((TANGENT, 1),)
+    # on Gr(1, 2) the Q column is full: T = U^* (x) Q = O(1) (x) O(1) = O(2)
+    assert parse_bundle((1, 2), "T").summands == ((BundleLabel((1, 2), twist=2), 1),)
     assert parse_bundle(AMB, "L3 U* (-3)").summands == (
         (BundleLabel(AMB, u_part=Partition((1,)), twist=-2), 1),
     )
@@ -770,8 +773,8 @@ def _checked_atom(ambient, kind, gen, value, twist):
     if kind == "line":
         return BundleLabel(ambient, twist=twist)
     if kind == "tangent":
-        tangent = tangent_label(ambient)
-        return BundleLabel(ambient, tangent.u_part, tangent.q_part, tangent.twist + twist)
+        k, n = ambient  # U^* (x) Q = Lambda^(k-1) U (x) Q (x) O(1)
+        return BundleLabel(ambient, Partition((1,) * (k - 1)), Partition((1,)), 1 + twist)
     k, n = ambient
     rank = k if gen[0] == "U" else n - k
     if kind == "ext" and value > rank:
