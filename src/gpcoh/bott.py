@@ -103,9 +103,6 @@ class CohomologyTable(namedtuple("CohomologyTable", "total_dims entries", defaul
     def dims(self) -> dict[int, int]:
         return dict(self.total_dims)
 
-    def total_dimension(self, degree: int) -> int:
-        return dict(self.total_dims).get(degree, 0)
-
 
 _ACYCLIC = CohomologyTable(total_dims=(), entries=())  # every sum whose summands all vanish, immutable
 

@@ -138,7 +138,7 @@ def _cmd_koszul(ns) -> tuple[dict, list, list[str]]:
     complex_, result = sc.chase_twist(ns.twist)
     space = sc.space
     terms_payload = [
-        {"index": j, "bundle": str(complex_.term(j))}
+        {"index": j, "bundle": str(complex_.terms[j])}
         for j in range(complex_.section_rank, -1, -1)
     ]
     grid_payload = [

@@ -25,10 +25,11 @@ every constraint, so no rank it pins can be wrong.
 
 A chase is determined when every rank is pinned; each pinned rank between
 nonzero groups is recorded as ``forced``, each hint as ``provided``. A chase
-whose bounds stay open is blocked at each open rank. The solver checks every
-hint's position and rank, and the Euler characteristic of every sequence it
-closes, as one alternating sum over the solved end and the tables; ``chase``
-only what needs its hint list or its space. A contradiction is found by one
+whose bounds stay open is blocked at each open rank. A hint is checked once,
+in the solver: its record type, its int fields, its position, a repeat and its
+rank; ``chase`` passes its hints through unchecked. The solver also checks the
+Euler characteristic of every sequence it closes, as one alternating sum over
+the solved end and the tables. A contradiction is found by one
 check, on each rank set before it tightens: an empty interval, or a sum the
 current bounds cannot reach, means the provided values contradict exactness, a
 ValueError naming them; with nothing provided it is an engine fault, an
@@ -42,7 +43,7 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from .bott import CohomologyTable, ParabolicSpace, bundle_cohomology, check_dims
 from .schur import BundleSum, dual_sum, exterior_power_sum, grassmannian_kn, sum_to_weights
-from .schur import BundleLabel, tensor
+from .schur import tensor
 
 __all__ = [
     "KoszulComplex",
@@ -68,12 +69,6 @@ class KoszulComplex(namedtuple("KoszulComplex", "ambient terms")):
     @property
     def section_rank(self) -> int:
         return len(self.terms) - 1
-
-    def term(self, j: int) -> BundleSum:
-        """C_j for 0 <= j <= rank E."""
-        if not 0 <= j <= self.section_rank:
-            raise ValueError(f"term index {j} out of range 0..{self.section_rank}")
-        return self.terms[j]
 
 
 RankHint = namedtuple("RankHint", "target_term degree rank")
@@ -125,13 +120,11 @@ class ChaseResult(
         return self.table is not None
 
 
-def build_koszul(ambient: ParabolicSpace, section: BundleSum, twist: BundleSum | None = None) -> KoszulComplex:
+def build_koszul(ambient: ParabolicSpace, section: BundleSum, twist: BundleSum) -> KoszulComplex:
     """Assemble the Koszul complex of a section of E, twisted by F: one
     exterior-power fold of E^* gives every Lambda^j E^*, each tensored with F.
     ``ambient`` must be the Grassmannian the bundles live on."""
     grassmannian_kn(ambient, section.ambient)
-    if twist is None:
-        twist = BundleSum(section.ambient, [(BundleLabel(section.ambient), 1)])
     rank = section.rank()
     if rank < 1:
         raise ValueError("section bundle must have positive rank")
@@ -146,26 +139,28 @@ def build_koszul(ambient: ParabolicSpace, section: BundleSum, twist: BundleSum |
 
 
 def solve_sequence(
-    tables: Sequence[Mapping[int, int]], top: int, hints: Mapping = {}, values: Mapping = {}, kernel: bool = False
+    tables: Sequence[Mapping[int, int]], top: int, hints: Iterable[RankHint] = (),
+    values: Mapping[int, int] = {}, kernel: bool = False,
 ):
     """Bound the ranks of the exact sequence 0 -> E_r -> ... -> E_0 -> U -> 0, or with
     ``kernel`` of 0 -> U -> E_r -> ... -> E_0 -> 0, where ``tables[j]`` maps each degree q
     to dim H^q(E_j) and U has no cohomology above degree ``top``.
 
-    ``hints[(j, q)]`` is the rank of H^q(A_{j+1}) -> H^q(E_j) and ``values[q]`` is
-    dim H^q(U), each one more equality. Every constraint bounds the sum of a set of ranks, and
-    the constraints on one set are kept as one interval, their intersection, so each sweep of
-    the bounds-consistency fixpoint visits each set once. Returns the ranks as
+    Each ``RankHint`` in ``hints``, read once, gives the rank of H^q(A_{j+1}) -> H^q(E_j) and
+    ``values[q]`` is dim H^q(U), each one more equality. Every constraint bounds the sum of a set
+    of ranks, and the constraints on one set are kept as one interval, their intersection, so
+    each sweep of the bounds-consistency fixpoint visits each set once. Returns the ranks as
     ((j, q), low, high, source) with j descending, then q ascending, where source is
     dim H^q(A_{j+1}) once pinned and None while open; then H^*(U) by degree, or None while a
     rank is open. Left exactness binds each A_j only for the resolution: with ``kernel`` the
-    cones of the chase are complexes, and H^q(U) is the chased degree q - r. A table entry whose
-    degree or dimension is not exactly an int >= 0, a hint whose key is not a tuple (j, q), a
-    hint or a value with a position, rank, degree or dimension that is not exactly an int (a bool
-    or a float included), a hint at no map (0 <= j < r, q >= 0) or of a rank outside
-    0..dim H^q(E_j) is a ValueError naming it, before any propagation; a determined chi(U)
-    other than (-1)^(r if ``kernel``) sum_j (-1)^j chi(E_j), checked as one alternating sum
-    over U and the tables that must vanish, raises AssertionError.
+    cones of the chase are complexes, and H^q(U) is the chased degree q - r. It is the one place
+    a hint is checked: before any propagation, a table entry or a value whose degree or dimension
+    is not exactly an int >= 0 (``check_dims``), a hint that is not a ``RankHint``, has a field
+    that is not exactly an int (a bool or a float included), sits at no map (0 <= j < r and
+    0 <= q <= top + r, dim G/P for a chase), repeats a position or has a rank outside
+    0..dim H^q(E_j) is a ValueError naming it; a determined chi(U) other than
+    (-1)^(r if ``kernel``) sum_j (-1)^j chi(E_j), checked as one alternating sum over U and the
+    tables that must vanish, raises AssertionError.
     """
     r = len(tables) - 1
     for j, table in enumerate(tables):
@@ -173,22 +168,26 @@ def solve_sequence(
             check_dims(table)
         except ValueError as exc:  # the prefix is formatted only for the table that fails
             raise ValueError(f"table {j}: {exc}") from None
-    for key, rank in hints.items():
-        if type(key) is not tuple or len(key) != 2:
-            raise ValueError(f"hint key {key!r} of rank {rank!r} is not a pair (target_term, degree)")
-        j, q = key
-        hint = RankHint(j, q, rank)
-        if any([type(field) is not int for field in hint]):
-            raise ValueError(f"hint {hint!r} has a field that is not an int")
-        if not (0 <= j < r and q >= 0):
-            raise ValueError(f"malformed hint position: {hint!r} needs 0 <= target_term < {r} and degree >= 0")
+    try:
+        check_dims(values)
+    except ValueError as exc:
+        raise ValueError(f"the unknown end: {exc}") from None
+    given = {}  # (j, q) -> the rank of each hint, in the order given
+    for h in hints:
+        if not isinstance(h, RankHint):
+            raise ValueError(f"a rank hint is a RankHint, got {type(h).__name__}")
+        if any([type(field) is not int for field in h]):
+            raise ValueError(f"hint {h!r} has a field that is not an int")
+        j, q, rank = h
+        if not (0 <= j < r and 0 <= q <= top + r):
+            raise ValueError(f"malformed hint position: {h!r} needs 0 <= target_term < {r} and 0 <= degree <= {top + r}")
+        if (j, q) in given:
+            raise ValueError(f"duplicate hint for position {(j, q)}")
         if rank < 0:
-            raise ValueError(f"hint {hint!r}: rank must be nonnegative")
+            raise ValueError(f"hint {h!r}: rank must be nonnegative")
         if rank > (bound := tables[j].get(q, 0)):
-            raise ValueError(f"hint {hint!r} exceeds the maximal possible rank {bound} = dim H^{q}(E_{j})")
-    for q, v in values.items():
-        if type(q) is not int or type(v) is not int:
-            raise ValueError(f"value dim H^{q!r} = {v!r} of the unknown end: its degree and dimension must be ints")
+            raise ValueError(f"hint {h!r} exceeds the maximal possible rank {bound} = dim H^{q}(E_{j})")
+        given[j, q] = rank
     low: list[int] = []
     high: list[int] = []
     cells = []  # ((j, q), x, the form of H^q(A_{j+1})) for each rank rho[x]
@@ -198,14 +197,14 @@ def solve_sequence(
     forms = {q: (d, ()) for q, d in tables[r].items()}
     for s, j in enumerate(range(r - 1, -1, -1)):
         below = tables[j]
-        if below or hints:  # an acyclic term with no hint adds no rank
+        if below or given:  # an acyclic term with no hint adds no rank
             cokernels = []
-            for q in sorted(below.keys() | {q for i, q in hints if i == j}) if hints else below:
+            for q in sorted(below.keys() | {q for i, q in given if i == j}) if given else below:
                 c, xs = forms.get(q + s, (0, ()))
                 rank = ()
-                if (j, q) in hints or c or xs:
+                if (j, q) in given or c or xs:
                     x = len(low)
-                    fixed = hints.get((j, q))
+                    fixed = given.get((j, q))
                     low.append(0 if fixed is None else fixed)
                     high.append(below.get(q, 0) if fixed is None else fixed)
                     cells.append(((j, q), x, c, xs))
@@ -237,7 +236,7 @@ def solve_sequence(
                 ceiling += high[x]
             # the one contradiction check: a sum the bounds cannot reach, or an empty interval
             if ceiling < least or floor > most or least > most:
-                _contradiction(hints, values)
+                _contradiction(given, values)
             for x in xs:
                 lo = least - ceiling + high[x]
                 hi = most - floor + low[x]
@@ -271,44 +270,32 @@ def _meet(sets: dict, xs: tuple, least: int, most: int) -> None:
     sets[xs] = (max(least, was_least), min(most, was_most))
 
 
-def _contradiction(hints: Mapping, values: Mapping):
+def _contradiction(given: Mapping, values: Mapping):
     """Fail on a rank set the bounds cannot meet: the provided values contradict exactness, or with
     none provided the tables are not those of an exact sequence, an engine fault."""
-    given = [repr(RankHint(j, q, rank)) for (j, q), rank in hints.items()]
-    given += [f"dim H^{q} = {v} of the unknown end" for q, v in values.items()]
-    if not given:
+    named = [repr(RankHint(j, q, rank)) for (j, q), rank in given.items()]
+    named += [f"dim H^{q} = {v} of the unknown end" for q, v in values.items()]
+    if not named:
         raise AssertionError(
             "the tables admit no ranks of an exact sequence; with no value provided, the engine is at "
             "fault or the section is not regular"
         )
-    raise ValueError("the provided values contradict exactness: " + ", ".join(given))
+    raise ValueError("the provided values contradict exactness: " + ", ".join(named))
 
 
 def chase(complex_: KoszulComplex, rank_hints: Iterable[RankHint] = ()) -> ChaseResult:
     """Solve the term tables of the resolution for H^*(F|_S) with ``solve_sequence``, which
-    admits no cohomology above dim S = dim G/P - rank E and checks each hint's position and
-    rank. A hint that is not a ``RankHint``, has a field that is not an int (a bool included),
-    sits above degree dim G/P or repeats a position is rejected with ValueError here first.
-    """
+    admits no cohomology above dim S = dim G/P - rank E. The hints are read once, into a tuple,
+    and passed through: the solver is the one place that checks them."""
     space = complex_.ambient
-    hints = {}
-    for h in rank_hints:
-        if not isinstance(h, RankHint):
-            raise ValueError(f"a rank hint is a RankHint, got {type(h).__name__}")
-        if any([type(field) is not int for field in h]):
-            raise ValueError(f"hint {h} has a field that is not an int")
-        if h.degree > space.dimension:
-            raise ValueError(f"malformed hint position: degree {h.degree} not in 0..{space.dimension}")
-        key = (h.target_term, h.degree)
-        if key in hints:
-            raise ValueError(f"duplicate hint for position {key}")
-        hints[key] = h.rank
+    hints = tuple(rank_hints)
     tables = [bundle_cohomology(space, sum_to_weights(term, space)) for term in complex_.terms]
     bounds, dims = solve_sequence([t.dims() for t in tables], space.dimension - complex_.section_rank, hints)
+    provided = {h[:2] for h in hints}
     used = tuple([
-        UsedHint(j, q, low, "provided" if (j, q) in hints else "forced")
+        UsedHint(j, q, low, "provided" if (j, q) in provided else "forced")
         for (j, q), low, high, source in bounds
-        if (j, q) in hints or (low == high and source)
+        if (j, q) in provided or (low == high and source)
     ])
     if dims is None:
         blocking = tuple(cell for cell, low, high, _ in bounds if low < high)

@@ -373,7 +373,7 @@ def _chase_record(ledger: _Ledger, twist: str, complex_: KoszulComplex, result: 
                   "left exactness of global sections")
         )
         ledger._line(f"{twist}_hint_{h.target_term}_{h.degree}", f"{word} rank: {h.describe()}", h.rank, source, why)
-    terms = [f"C_{j} = {complex_.term(j)}" for j in range(complex_.section_rank, -1, -1)]
+    terms = [f"C_{j} = {complex_.terms[j]}" for j in range(complex_.section_rank, -1, -1)]
     page = {f"H^{q}(C_{j})": dim for (j, q), dim in result.grid}
     ledger.add(
         f"resolution_{twist}",
@@ -399,7 +399,7 @@ def run_cayley(source: str | Path = "cayley") -> RigidityReport:
     ledger = _Ledger()
 
     triv_complex, triv = _chase_step(ledger, sc, "trivial", "Structure sheaf of the zero locus")
-    h0_o = triv.table.total_dimension(0)
+    h0_o = triv.table.dims().get(0, 0)
     ledger.add(
         "structure_sheaf_h0",
         f"h^0(O_S) = {h0_o}",
@@ -413,9 +413,10 @@ def run_cayley(source: str | Path = "cayley") -> RigidityReport:
     normal_complex, normal = _chase_step(
         ledger, sc, "normal", "Sections of the normal bundle on the zero locus"
     )
-    normal_h0_ambient = normal.term_tables[0].total_dimension(0)
-    normal_h0 = normal.table.total_dimension(0)
-    normal_higher = sum(v for d, v in normal.table.total_dims if d >= 1)
+    normal_h0_ambient = normal.term_tables[0].dims().get(0, 0)
+    normal_dims = normal.table.dims()
+    normal_h0 = normal_dims.get(0, 0)
+    normal_higher = sum(v for d, v in normal_dims.items() if d >= 1)
     ledger.add(
         "normal_ambient_h0",
         f"h^0(ambient, section bundle) = {normal_h0_ambient}",
@@ -442,9 +443,9 @@ def run_cayley(source: str | Path = "cayley") -> RigidityReport:
     tangent_complex, tangent = _chase_step(
         ledger, sc, "tangent", "Ambient tangent bundle and its restriction"
     )
-    t_amb = tangent.term_tables[0]
-    t_amb_h0, t_amb_h1 = t_amb.total_dimension(0), t_amb.total_dimension(1)
-    t_res_h0, t_res_h1 = tangent.table.total_dimension(0), tangent.table.total_dimension(1)
+    t_amb, t_res = tangent.term_tables[0].dims(), tangent.table.dims()
+    t_amb_h0, t_amb_h1 = t_amb.get(0, 0), t_amb.get(1, 0)
+    t_res_h0, t_res_h1 = t_res.get(0, 0), t_res.get(1, 0)
     ledger.add("tangent_ambient_h0", f"h^0(ambient, T) = {t_amb_h0}", t_amb_h0, "Borel-Weil-Bott")
     ledger.add(
         "tangent_ambient_h1",
@@ -472,9 +473,7 @@ def run_cayley(source: str | Path = "cayley") -> RigidityReport:
     # the normal sequence 0 -> T_S -> T|_S -> N|_S -> 0, solved for H^*(T_S) with the external h^0
     dim_s = sc.space.dimension - normal_complex.section_rank
     with _naming(sc.file, "external_constants", "h0_tangent_subvariety"):
-        bounds, dims = solve_sequence(
-            (normal.table.dims(), tangent.table.dims()), dim_s, values={0: h0_const.value}, kernel=True
-        )
+        bounds, dims = solve_sequence((normal_dims, t_res), dim_s, values={0: h0_const.value}, kernel=True)
         if dims is None:
             open_cells = [cell for cell, low, high, _ in bounds if low < high]
             raise ValueError(f"the normal sequence leaves ranks open at {open_cells}")

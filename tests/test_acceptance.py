@@ -111,8 +111,8 @@ def test_criterion_3_decomposition_golden_files():
         assert parse_bundle(AMB, "U* (-1)") == BundleSum(AMB, [(BundleLabel(AMB, Partition((1, 1, 1))), 1)])
         # 3. the untwisted resolution of the structure sheaf
         E = parse_bundle(AMB, "L3 U*")
-        cx = build_koszul(space, E)
-        assert [format_sum(cx.term(j)) for j in range(4, -1, -1)] == [
+        cx = build_koszul(space, E, parse_bundle(AMB, "O"))
+        assert [format_sum(cx.terms[j]) for j in range(4, -1, -1)] == [
             "O(-3)",
             "U (-2)",
             "L2 U (-1)",
@@ -139,7 +139,7 @@ def test_criterion_3_decomposition_golden_files():
             0: [((1, 0, 0, 0, 0, 1), 1)],
         }
         for j, want in expected.items():
-            assert sorted(weights(cxt.term(j))) == sorted(want), f"term {j}"
+            assert sorted(weights(cxt.terms[j])) == sorted(want), f"term {j}"
 
 
 def test_criterion_4_dimension_audits():

@@ -207,11 +207,11 @@ def test_table_totals_are_multiplicity_weighted_weyl_dimensions():
         space,
         [(Weight((0, 0, 1, 0, 0, 0)), 2), (Weight((1, 0, 0, 0, 0, 1)), 1), (Weight((0, 0, 0, 0, 0, 0)), 3)],
     )
-    for degree in table.dims():
+    for degree, total in table.dims().items():
         expected = sum(
             m * weyl_dimension(space.rs, w) for w, m in weights_at(table, degree)
         )
-        assert table.total_dimension(degree) == expected
+        assert total == expected
 
 
 def test_tables_keep_distinct_weights_of_equal_dimension_apart():

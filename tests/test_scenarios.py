@@ -229,10 +229,10 @@ def test_cayley_intermediates_match_standalone_engine_runs():
     ):
         _, twist, hints = sc.twists[twist_name]
         cx = build_koszul(space, sc.section_bundle, twist)
-        ambient = bundle_cohomology(space, sum_to_weights(cx.term(0), space))
+        ambient = bundle_cohomology(space, sum_to_weights(cx.terms[0], space))
         res = chase(cx, hints)
-        assert rep.values()[keys[0]] == ambient.total_dimension(0)
-        assert rep.values()[keys[1]] == res.table.total_dimension(0)
+        assert rep.values()[keys[0]] == ambient.dims().get(0, 0)
+        assert rep.values()[keys[1]] == res.table.dims().get(0, 0)
 
 
 def test_cayley_external_constants_are_labelled():
