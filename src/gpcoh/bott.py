@@ -8,11 +8,12 @@ in the dual representation; results here always report the highest weight of
 the cohomology itself, keeping the pre-dual weight as provenance.
 
 ``bwb`` checks its weight once (type, rank, P-dominance) and derives the rest unchecked: it
-hands the weight as given to the dot action, whose shift by rho and unshift run inside the
-``dominantize`` memo, and builds no weight of its own; each public ``root_system`` call it makes
-tests the type and the rank once more. A coefficient -1 puts lambda + rho on a wall: it vanishes
-with no walk, as the one shared ``BWBResult()``. ``bundle_cohomology`` reads ``bwb`` from this
-module once per call, so a rebinding of it (a traced run) sees every summand. The two records
+hands the weight as given to the dot action, whose shift by rho and unshift run inside
+``dominantize`` on a memo miss only, and builds no weight of its own. Each kernel it calls holds
+its own memo, whose miss tests the type and the rank once more; ``bwb`` holds none. A
+coefficient -1 puts lambda + rho on a wall: it vanishes with no walk, as the one shared
+``BWBResult()``. ``bundle_cohomology`` reads ``bwb`` from this module once per call, so a
+rebinding of it (a traced run) sees every summand. The two records
 derived here from checked values are built through ``_trusted`` (``tuple.__new__`` bound to the
 class, from the tuple of all fields, with no Python frame): the nonvanishing ``BWBResult`` of
 ``bwb`` and the ``CohomologyTable`` of ``bundle_cohomology``, whose totals and weights come from

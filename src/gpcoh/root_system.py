@@ -27,8 +27,8 @@ odd and E6), a dual is the weight itself.
 
 Bott's dot action w . lambda = w(lambda + rho) - rho is the one walk the engine makes per
 weight: ``dominantize`` takes lambda, and on a memo miss shifts it by rho (all ones), walks and
-unshifts, so a hit costs one lookup; a coefficient -1 of lambda puts lambda + rho on a wall,
-found with no walk.
+unshifts, so a hit costs one lookup and no Python frame; a coefficient -1 of lambda puts
+lambda + rho on a wall, found with no walk.
 
 Weyl dimensions walk a root chain: each non-simple positive root is a
 positive root beta plus a simple root (Humphreys, Lie Algebras, 10.2), so its
@@ -40,14 +40,15 @@ runs only to raise): a plain tuple equals the ``Weight`` of its ints but was nev
 Weights derived here (walks, duals) skip the check.
 
 All values are immutable after construction and every operation is a pure
-function; concurrent reads from multiple threads are safe. Memos (thread-safe): ``dominantize``
-and ``weyl_dimension`` by (root system, weight) after their checks, the weight as given, before
-the dot action's shift, ``_MEMO_SIZE`` each;
-``ParabolicSpace`` by (root system, crossed set) after its checks, ``_SPACE_MEMO_SIZE``; a
-root system is one object per type and rank, equal only to itself. ``bott.bwb``, a traced
-layer, has none. Every other record is a tuple of its fields (a ``collections.namedtuple``, or a
-``_Record`` where construction validates), so records of two types compare equal when their
-fields do.
+function; concurrent reads from multiple threads are safe. A memo (a thread-safe, typed
+``lru_cache``, so a plain tuple never gets a ``Weight``'s entry) sits on the checked public
+function whose work it saves: a miss runs the check, a hit needs none, a raise stores nothing.
+``dominantize`` and ``weyl_dimension`` key by (root system, weight as given), ``_MEMO_SIZE``
+each; ``ParabolicSpace``, its nodes checked and made a frozenset, by (root system, crossed set)
+in ``_parabolic_space``, ``_SPACE_MEMO_SIZE``; a root system is one object per type and rank,
+equal only to itself. ``bott.bwb``, a traced layer, has none. Every other record is a tuple of
+its fields (a ``collections.namedtuple``, or a ``_Record`` where construction validates), so
+records of two types compare equal when their fields do.
 """
 
 from __future__ import annotations
@@ -404,6 +405,7 @@ def _walk(rs: RootSystem, coeffs: Iterable[int]) -> tuple[Weight, int]:
     return Weight._trusted(coeffs), length  # int steps from checked ints
 
 
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)  # typed: a plain tuple is no Weight
 def dominantize(rs: RootSystem, w: Weight) -> tuple[Weight, int] | None:
     """Bott's dot action on lambda = ``w``: x . lambda = x(lambda + rho) - rho, for the Weyl
     element x that makes it dominant.
@@ -416,25 +418,14 @@ def dominantize(rs: RootSystem, w: Weight) -> tuple[Weight, int] | None:
     """
     if type(w) is not Weight or len(w) != rs.rank:
         _check_weight(rs, w)
-    return None if -1 in w else _dominantize(rs, w)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _dominantize(rs: RootSystem, w: Weight) -> tuple[Weight, int] | None:
+    if -1 in w:
+        return None
     # rho is all ones: the shift and the unshift run on a miss only
     dominant, length = _walk(rs, [c + 1 for c in w])
     return None if 0 in dominant else (Weight._trusted([c - 1 for c in dominant]), length)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _weyl_dimension(rs: RootSystem, dominant: Weight) -> int:
-    """Product over the positive roots of <weight + rho, alpha^vee> / <rho, alpha^vee>, exactly."""
-    value, remainder = divmod(prod(_pairings(rs.root_chain, rs.symmetrizer, dominant)), rs.rho_product)
-    if remainder:
-        raise AssertionError("Weyl dimension product failed to be integral")
-    return value
-
-
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)  # typed: a plain tuple is no Weight
 def weyl_dimension(rs: RootSystem, dominant: Weight) -> int:
     """Exact dimension of the irreducible representation with this highest weight.
 
@@ -446,7 +437,10 @@ def weyl_dimension(rs: RootSystem, dominant: Weight) -> int:
     if min(dominant) < 0:
         i, c = next((i, c) for i, c in enumerate(dominant) if c < 0)
         raise ValueError(f"weight {dominant} is not dominant: coefficient {c} at node {i + 1}")
-    return _weyl_dimension(rs, dominant)
+    value, remainder = divmod(prod(_pairings(rs.root_chain, rs.symmetrizer, dominant)), rs.rho_product)
+    if remainder:
+        raise AssertionError("Weyl dimension product failed to be integral")
+    return value
 
 
 def dual_weight(rs: RootSystem, dominant: Weight) -> Weight:

@@ -21,7 +21,7 @@ from pathlib import Path
 from .bott import ParabolicSpace, bwb, canonical_twist_weight
 from .koszul import ChaseResult, KoszulComplex, RankHint, build_koszul, chase, solve_sequence
 from .root_system import Weight, adjoint_dimension, build_root_system, weyl_dimension
-from .schur import BundleSum, exterior_power_sum, grassmannian_kn, label_to_weight, parse_bundle
+from .schur import BundleSum, exterior_power_sum, grassmannian_kn, parse_bundle, sum_to_weights
 
 __all__ = [
     "ExternalConstant",
@@ -235,8 +235,8 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
         kn = grassmannian_kn(space)
     with _naming(file, _TOP, "section_bundle"):
         section = parse_bundle(kn, data["section_bundle"])
-        for label, _ in section.summands:
-            if bwb(space, label_to_weight(label, space)).degree != 0:  # None when all vanishes
+        for (label, _), (omega, _) in zip(section.summands, sum_to_weights(section, space)):
+            if bwb(space, omega).degree != 0:  # None when all vanishes
                 raise ValueError(f"summand {label} has no global sections, so no section is regular")
     twists: dict[str, tuple[int, BundleSum, tuple[RankHint, ...]]] = {}
     for i, tw in enumerate(data.get("twists", ())):

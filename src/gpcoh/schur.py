@@ -37,13 +37,15 @@ closed-form cases a Koszul complex of a column bundle requires: powers of
 scope and rejected. The fold is memoized on ``exterior_power_sum``, keyed by (sum, j), in a thread-safe
 ``lru_cache`` of ``_FOLD_MEMO_SIZE``; ``lr_coefficients`` is not, as it returns a mutable dict.
 
-Two label-level helpers are memoized, each keyed by the label alone in a thread-safe
-``lru_cache`` of ``_LABEL_MEMO_SIZE``: ``_label_weight`` (``sum_to_weights`` has checked the
-space against the sum's ambient, and every summand lies on it) and ``dual_label``, serving 75%
-(2,888 distinct labels in 11,360 calls) and 94% (129 in 2,084) of their calls on one cold pass
-of the Koszul benchmark pool. ``label_rank``, two ``gl_dimension`` products, has none, nor do
-the traced layers (``sum_to_weights``, ``tensor``, ``lr_coefficients`` here): a traced benchmark
-pass follows a warm one, so a memo in front of a span would hide it and change its call counts.
+Two label-level memos, each keyed by the label alone in a thread-safe ``lru_cache`` of
+``_LABEL_MEMO_SIZE``, serve 75% (2,888 distinct labels in 11,360 calls) and 94% (129 in 2,084)
+of their calls on one cold pass of the Koszul benchmark pool: ``dual_label`` on itself, and a
+label's weight in ``_label_weight``, which ``sum_to_weights``, the one public way to it, looks up
+per summand once it has checked the space against the sum's ambient. ``label_rank``, two
+``gl_dimension`` products, has none. A span that calls another span (``tensor`` here) holds no
+memo: a traced benchmark pass follows a warm one, so such a memo would hide the spans behind it
+and change their call counts; ``exterior_power_sum`` is the one exception, whose hits skip the
+LR products behind it.
 
 A ``Partition`` is the tuple of its parts, so the kernels index, measure and test it as one.
 A label or a sum is checked once, by its constructor: ``BundleLabel`` checks its fields and
@@ -84,7 +86,6 @@ __all__ = [
     "lr_coefficients",
     "tensor",
     "exterior_power_sum",
-    "label_to_weight",
     "label_rank",
     "gl_dimension",
     "dual_label",
@@ -520,7 +521,8 @@ def grassmannian_kn(space: ParabolicSpace, ambient: tuple[int, int] | None = Non
 
 @lru_cache(maxsize=_LABEL_MEMO_SIZE)
 def _label_weight(label: BundleLabel) -> Weight:
-    """``label_to_weight`` on the label's own Gr(k, n), once ``grassmannian_kn`` has checked it."""
+    """Fundamental-weight coordinates of a label on its own Gr(k, n), once ``grassmannian_kn``
+    has checked the space; a canonical label gives a P-dominant weight with no further check."""
     k, n = label.ambient
     # the dual fiber's highest weight is (t - mu reversed, -nu reversed) in the standard torus
     # basis; its coefficients are the differences of neighbours there, ints from ints. At the
@@ -530,19 +532,8 @@ def _label_weight(label: BundleLabel) -> Weight:
     return Weight._trusted([*map(sub, r[1:], r), label.twist - r[-1], *map(sub, s[1:], s)])
 
 
-def label_to_weight(label: BundleLabel, space: ParabolicSpace) -> Weight:
-    """Fundamental-weight coordinates of a label.
-
-    ``space`` must be the A-type space Gr(k, n) = SL(n)/P_k matching the
-    label's ambient. Every label is canonical once constructed, so the
-    result is P-dominant without a further check.
-    """
-    grassmannian_kn(space, label.ambient)
-    return _label_weight(label)
-
-
 def sum_to_weights(bsum: BundleSum, space: ParabolicSpace) -> tuple[tuple[Weight, int], ...]:
-    """``label_to_weight`` of each summand; the space is checked once, against the sum's ambient."""
+    """(weight, multiplicity) of each summand, the space checked once against the sum's ambient."""
     grassmannian_kn(space, bsum.ambient)  # each summand lies on the sum's ambient
     return tuple([(_label_weight(lab), m) for lab, m in bsum.summands])
 

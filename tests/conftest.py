@@ -22,7 +22,8 @@ rule (a), a loop that visits every degree of every term and takes each rank
 forced in degree 0 or provided, else blocks: wherever the peel answers, the
 solver must give the same answer. Dominance tests, Levi roots, the Levi and
 Serre duals of a weight and the weights of a cohomology degree, which only
-tests read, are small functions here too.
+tests read, are small functions here too. ``dual_grassmannian`` is no oracle but a metamorphic
+map: it carries a sum on Gr(k, n) to Gr(n - k, n) with the package's own labels.
 
 Tests that edit a shipped scenario file start from ``shipped_scenario``, a fresh copy of its
 JSON object read straight from the source tree; ``deny_reading`` makes one file unreadable. Every
@@ -427,6 +428,17 @@ def general_schur_oracle(
         return _canonical(ambient, _reversed_complement(p, k), (), twist + first)
     # S_p(Q^*) = S_rc(Q) (x) (det Q)^{-p_1} = S_rc(Q) (x) O(-p_1)
     return _canonical(ambient, (), _reversed_complement(p, m), twist - first)
+
+
+def dual_grassmannian(bsum):
+    """``bsum`` on Gr(k, n) carried to Gr(n - k, n) by the duality that sends U to Q*, Q to U* and
+    fixes O(1): S_mu U (x) S_nu Q (x) O(t) becomes the dual of S_nu U (x) S_mu Q (x) O(-t)."""
+    from gpcoh.schur import BundleLabel, BundleSum, dual_label
+
+    k, n = bsum.ambient
+    ambient = (n - k, n)
+    pairs = [(dual_label(BundleLabel(ambient, q, u, -t)), m) for (_, u, q, t), m in bsum.summands]
+    return BundleSum(ambient, pairs)
 
 
 def dense_peel_oracle(term_tables, hints: dict, max_degree: int):

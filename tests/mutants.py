@@ -59,8 +59,8 @@ MUTANTS = [
     ("root_system.py", "return dominant if sigma is None else Weight._trusted(map(dominant.__getitem__, sigma))",
      "return dominant", "tests/test_root_system.py::test_dual_weight_examples"),
     # the entry type test: a plain tuple of the right length passes as a weight
-    ("root_system.py", "    if type(w) is not Weight or len(w) != rs.rank:\n        _check_weight(rs, w)\n    return None",
-     "    if len(w) != rs.rank:\n        _check_weight(rs, w)\n    return None",
+    ("root_system.py", "    if type(w) is not Weight or len(w) != rs.rank:\n        _check_weight(rs, w)\n    if -1 in w:",
+     "    if len(w) != rs.rank:\n        _check_weight(rs, w)\n    if -1 in w:",
      "tests/test_root_system.py::test_every_public_kernel_rejects_what_is_not_a_weight_with_one_message"),
     # the nilradical: roots whose support meets some crossed node, not every one
     ("root_system.py", "meets = tuple(map(any,", "meets = tuple(map(all,",
@@ -245,11 +245,18 @@ MUTANTS = [
     ("koszul.py", " or least > most:", ":",
      "tests/test_koszul.py::test_two_constraints_on_one_rank_set_that_disagree_raise_naming_what_was_provided"),
     # the dot action's wall test read as the linear one: a weight with a zero coefficient vanishes
-    ("root_system.py", "return None if -1 in w else", "return None if 0 in w else",
+    ("root_system.py", "    if -1 in w:\n", "    if 0 in w:\n",
      "tests/test_root_system.py::test_dominantize_shifted_adjoint_weight_is_regular_of_length_zero"),
-    # the wall test gone: a coefficient -1 is still None, but only after a memo entry and a walk
-    ("root_system.py", "return None if -1 in w else _dominantize(rs, w)", "return _dominantize(rs, w)",
+    # the wall test gone: a coefficient -1 is still None, but only after a walk
+    ("root_system.py", "    if -1 in w:\n        return None\n", "",
      "tests/test_root_system.py::test_dominantize_of_a_weight_with_a_minus_one_is_none_with_no_walk"),
+    # an untyped memo: a plain tuple equal to a warm Weight is served its entry, never checked
+    ("root_system.py", "@lru_cache(maxsize=_MEMO_SIZE, typed=True)  # typed: a plain tuple is no Weight\ndef dominantize(",
+     "@lru_cache(maxsize=_MEMO_SIZE, typed=False)\ndef dominantize(",
+     "tests/test_root_system.py::test_every_public_kernel_rejects_what_is_not_a_weight_with_one_message"),
+    ("root_system.py", "@lru_cache(maxsize=_MEMO_SIZE, typed=True)  # typed: a plain tuple is no Weight\ndef weyl_dimension(",
+     "@lru_cache(maxsize=_MEMO_SIZE, typed=False)\ndef weyl_dimension(",
+     "tests/test_root_system.py::test_every_public_kernel_rejects_what_is_not_a_weight_with_one_message"),
     # a scenario file that cannot be read, unwrapped: its PermissionError escapes main as a traceback
     ("scenarios.py",
      "    except OSError as exc:\n        raise ValueError(f\"scenario file {text!r} cannot be read: {exc}\") from exc\n",

@@ -20,7 +20,6 @@ from gpcoh import (
     bwb,
     chase,
     euler_characteristic,
-    label_to_weight,
     lr_coefficients,
     parse_bundle,
     run_adjunction_audit,
@@ -29,7 +28,7 @@ from gpcoh import (
     run_vmrt_audit,
     tensor,
 )
-from gpcoh.schur import format_sum
+from gpcoh.schur import format_sum, sum_to_weights
 
 from conftest import ssyt_count
 
@@ -103,7 +102,7 @@ def test_criterion_3_decomposition_golden_files():
         space = gr47()
 
         def weights(bsum):
-            return [(label_to_weight(lab, space).coeffs, m) for lab, m in bsum.summands]
+            return [(w.coeffs, m) for w, m in sum_to_weights(bsum, space)]
 
         # 1. top exterior power of U is O(-1)
         assert BundleLabel(AMB, u_part=Partition((1, 1, 1, 1))) == BundleLabel(AMB, twist=-1)

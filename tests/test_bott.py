@@ -317,6 +317,25 @@ def test_serre_duality_consistency_on_random_parabolics(letter, rank):
         assert weyl_product_oracle(rs, w, levi) == weyl_product_oracle(rs, levi_dual_weight(space, w), levi)
 
 
+def test_bwb_signed_dimension_is_the_weyl_product_at_the_undominantized_weight():
+    # Weyl's product at a weight that is not dominant is the Euler characteristic
+    # (-1)^l(w) dim V(w . lambda), and 0 when lambda + rho is singular: a chi oracle with no walk
+    rng = random.Random("chi oracle")
+    checked = vanishing = 0
+    for letter, rank in ALL_TYPES:
+        rs = build_root_system(letter, rank)
+        for k in range(1, rank + 1):
+            space = ParabolicSpace(rs, {k})
+            for _ in range(8):
+                w = Weight(rng.randint(-30, 3) if i == k else rng.randint(0, 3) for i in range(1, rank + 1))
+                got = bwb(space, w)
+                chi = 0 if got.all_vanish else (-1) ** got.degree * got.dimension
+                assert chi == weyl_product_oracle(rs, w, rs.positive_roots), (space, w)
+                checked += 1
+                vanishing += got.all_vanish
+    assert checked == 8 * 161 and 0 < vanishing < checked
+
+
 class _OracleWeight(NamedTuple):
     """Coefficients for the oracles, built with no package code."""
 

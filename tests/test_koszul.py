@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import re
 import time
@@ -13,6 +14,7 @@ from gpcoh import (
     CohomologyTable,
     ParabolicSpace,
     RankHint,
+    Weight,
     build_koszul,
     build_root_system,
     bundle_cohomology,
@@ -25,7 +27,7 @@ from gpcoh import (
 )
 from gpcoh.schur import format_sum, sum_to_weights
 
-from conftest import dense_peel_oracle, koszul_pool_sample
+from conftest import KOSZUL_POOL, dense_peel_oracle, dual_grassmannian, koszul_pool_sample
 
 AMB = (4, 7)
 
@@ -598,13 +600,22 @@ def test_the_solver_is_sound_on_random_exact_sequences_with_known_ranks(kernel):
 # the solver answers wherever the peel of rule (a) answers
 
 
-def _pool_complex(k, n, atoms, twist):
+def _pool_sums(k, n, atoms, twist):
+    """(section, twist) of a pool case, as sums on Gr(k, n)."""
     amb = (k, n)
     section = BundleSum.from_pairs(
         amb, [p for atom in atoms for p in parse_bundle(amb, atom).summands]
     )
+    return section, parse_bundle(amb, twist)
+
+
+def _pool_complex(k, n, atoms, twist, dual=False):
+    """The Koszul complex of a pool case, or of its image on Gr(n - k, n) under the duality."""
+    section, twist = _pool_sums(k, n, atoms, twist)
+    if dual:
+        k, section, twist = n - k, dual_grassmannian(section), dual_grassmannian(twist)
     space = ParabolicSpace(rs=build_root_system("A", n - 1), crossed=frozenset({k}))
-    return build_koszul(space, section, parse_bundle(amb, twist))
+    return build_koszul(space, section, twist)
 
 
 CAYLEY_CASES = [[4, 7, ["L3 U*"], twist] for twist in ("O", "L3 U*", "T")]
@@ -731,6 +742,27 @@ def test_chase_answers_on_a_pool_sample_match_the_pinned_digest():
         )
         digest.update(f"{record!r}\n".encode())
     assert digest.hexdigest() == CHASE_PIN
+
+
+def _through_minus_w0(table):
+    """A page table of SL(n) with each weight sent through -w0: its coefficients reversed."""
+    entries = [(d, tuple(sorted((Weight(w[::-1]), m) for w, m in pairs))) for d, pairs in table.entries]
+    return CohomologyTable(table.total_dims, tuple(entries))
+
+
+def test_every_pool_chase_agrees_with_its_grassmannian_dual():
+    # Gr(k, n) = Gr(n - k, n) sends U to Q*, Q to U* and fixes O(1): the dual side takes other LR
+    # products, other weights and another parabolic to the same page, on which SL(n) acts through
+    # its outer automorphism, and to the same ranks and the same answer
+    blocked = 0
+    for case in json.loads(KOSZUL_POOL.read_text())["cases"]:
+        res, dual = chase(_pool_complex(*case)), chase(_pool_complex(*case, dual=True))
+        assert [_through_minus_w0(t) for t in res.term_tables] == list(dual.term_tables), case
+        assert (res.table, res.blocking_positions, res.hints_used) == (
+            dual.table, dual.blocking_positions, dual.hints_used
+        ), case
+        blocked += bool(res.blocking_positions)
+    assert blocked > 0
 
 
 def test_build_koszul_rejects_an_empty_section_sum():

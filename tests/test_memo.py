@@ -1,6 +1,6 @@
-"""The kernel memos are invisible: ``dominantize`` and ``weyl_dimension`` cache by (root
-system, coefficients) after their checks, ``ParabolicSpace`` by (root system, crossed set)
-after its checks, ``exterior_power_sum`` by (sum, j), the sum checked when it was built, and
+"""The kernel memos are invisible: ``dominantize`` and ``weyl_dimension`` each cache on
+themselves, by (root system, weight), a miss running the check; ``ParabolicSpace`` by (root
+system, crossed set) after its checks, ``exterior_power_sum`` by (sum, j), the sum checked when it was built, and
 a label's weight and dual by the label alone; each memo is bounded. A root system is one
 object per type and rank, whatever the spelling of its letter, and copy and pickle return
 that object; it keys a memo as that object, so an unequal system of the same type and rank
@@ -37,8 +37,8 @@ from gpcoh import root_system, schur
 from test_chase_oracle import FAMILIES
 
 MEMOS = (
-    root_system._dominantize,
-    root_system._weyl_dimension,
+    root_system.dominantize,
+    root_system.weyl_dimension,
     root_system._parabolic_space,
     schur.exterior_power_sum,
     schur._label_weight,
@@ -166,8 +166,8 @@ def test_no_memo_holds_more_than_its_bound():
     for c in range(1, size + 11):
         dominantize(a1, Weight((-c - 1,)))
         weyl_dimension(a1, Weight((c,)))
-    assert root_system._dominantize.cache_info().currsize == size
-    assert root_system._weyl_dimension.cache_info().currsize == size
+    assert root_system.dominantize.cache_info().currsize == size
+    assert root_system.weyl_dimension.cache_info().currsize == size
     fold_size = schur._FOLD_MEMO_SIZE
     for t in range(1, fold_size + 11):
         exterior_power_sum(BundleSum((1, 2), [(BundleLabel((1, 2), twist=t), 1)]), 1)

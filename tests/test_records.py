@@ -121,7 +121,7 @@ def test_a_validating_record_offers_no_unchecked_constructor(cls):
 # every function of the package that builds a record through ``_trusted``, ``_canonical`` or ``_merged``
 UNCHECKED_PATHS = {
     "root_system._walk",
-    "root_system._dominantize",
+    "root_system.dominantize",
     "root_system.dual_weight",
     "bott.bwb",
     "bott.bundle_cohomology",

@@ -178,13 +178,16 @@ def test_dominantize_regular_output_is_strictly_dominant_and_stable():
             assert dominantize(rs, mu) == (mu, 0)
 
 
-def test_dominantize_of_a_weight_with_a_minus_one_is_none_with_no_walk():
-    # a coefficient -1 puts lambda + rho on a wall: no memo lookup, no walk, no entry
+def test_dominantize_of_a_weight_with_a_minus_one_is_none_with_no_walk(monkeypatch):
+    # a coefficient -1 puts lambda + rho on a wall: the kernel behind the memo makes no walk
+    def no_walk(*args):
+        raise AssertionError("walked a weight with a coefficient -1")
+
     rs = build_root_system("E", 8)
     w = Weight((3, -1, 2, 5, -7, 1, 4, 2))  # no zero coefficient, and a walk would be long
-    before = root_system._dominantize.cache_info()
+    monkeypatch.setattr(root_system, "_walk", no_walk)
+    assert dominantize.__wrapped__(rs, w) is None
     assert dominantize(rs, w) is None
-    assert root_system._dominantize.cache_info() == before
 
 
 def _negative_root_count(rs, coeffs):
@@ -539,6 +542,10 @@ def test_every_public_kernel_rejects_what_is_not_a_weight_with_one_message(w):
     rs = build_root_system("A", 2)
     space = ParabolicSpace(rs, {1})
     message = f"weight {w!r} is a tuple, not a Weight of rank 2"
+    memos = (dominantize, weyl_dimension)
+    if w == (1, 2):  # the memos are typed: the Weight's entries are never served to the tuple
+        assert [memo(rs, Weight(w)) for memo in memos] == [(Weight(w), 0), 15]
+    sizes = [memo.cache_info().currsize for memo in memos]
     for call in (
         lambda: dominantize(rs, w),
         lambda: weyl_dimension(rs, w),
@@ -546,9 +553,11 @@ def test_every_public_kernel_rejects_what_is_not_a_weight_with_one_message(w):
         lambda: space.check_p_dominant(w),
         lambda: bwb(space, w),
     ):
-        with pytest.raises(ValueError) as exc:
-            call()
-        assert str(exc.value) == message
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
+    assert [memo.cache_info().currsize for memo in memos] == sizes
 
 
 @pytest.mark.parametrize("letter,rank", ALL_TYPES)

@@ -21,7 +21,6 @@ from gpcoh import (
     format_label,
     gl_dimension,
     label_rank,
-    label_to_weight,
     lr_coefficients,
     parse_bundle,
     parse_partition,
@@ -391,10 +390,7 @@ def test_tensor_rank_matches_the_levi_weyl_product():
     a = BundleSum(AMB, [(BundleLabel(AMB, u_part=Partition((2, 1)), twist=-1), 1)])
     b = BundleSum(AMB, [(BundleLabel(AMB, u_part=Partition((1,)), q_part=Partition((1, 1))), 1)])
     prod = tensor(a, b)
-    total = sum(
-        m * weyl_product_oracle(rs, label_to_weight(lab, space), levi_roots(space))
-        for lab, m in prod.summands
-    )
+    total = sum(m * weyl_product_oracle(rs, w, levi_roots(space)) for w, m in sum_to_weights(prod, space))
     assert total == a.rank() * b.rank()
 
 
@@ -425,10 +421,8 @@ def test_exterior_power_rank_is_binomial():
     space = gr47()
     l3u = BundleLabel(AMB, u_part=Partition((1, 1, 1)))
     for out, expected in zip(_label_powers(l3u, 4), (1, 4, 6, 4, 1), strict=True):
-        total = sum(
-            m * weyl_product_oracle(space.rs, label_to_weight(lab, space), levi_roots(space))
-            for lab, m in out.summands
-        )
+        weights = sum_to_weights(out, space)
+        total = sum(m * weyl_product_oracle(space.rs, w, levi_roots(space)) for w, m in weights)
         assert total == expected
 
 
@@ -592,14 +586,20 @@ def test_koszul_labels_revalidate_to_themselves_on_the_koszul_pool():
 # weights
 
 
+def _weight(label, space):
+    """A label's weight, through ``sum_to_weights`` of its one-summand sum."""
+    ((w, _),) = sum_to_weights(BundleSum(label.ambient, [(label, 1)]), space)
+    return w
+
+
 def test_label_to_weight_pinned_generators():
     space = gr47()
     ((l3_twisted, _),) = parse_bundle(AMB, "L3 U* (-3)").summands
     ((l3, _),) = parse_bundle(AMB, "L3 U*").summands
-    assert label_to_weight(l3_twisted, space) == Weight((0, 0, 1, -3, 0, 0))
-    assert label_to_weight(BundleLabel(AMB, twist=1), space) == Weight((0, 0, 0, 1, 0, 0))
-    assert label_to_weight(TANGENT, space) == Weight((1, 0, 0, 0, 0, 1))
-    assert label_to_weight(l3, space) == Weight((0, 0, 1, 0, 0, 0))
+    assert _weight(l3_twisted, space) == Weight((0, 0, 1, -3, 0, 0))
+    assert _weight(BundleLabel(AMB, twist=1), space) == Weight((0, 0, 0, 1, 0, 0))
+    assert _weight(TANGENT, space) == Weight((1, 0, 0, 0, 0, 1))
+    assert _weight(l3, space) == Weight((0, 0, 1, 0, 0, 0))
 
 
 def test_label_to_weight_output_is_p_dominant():
@@ -609,7 +609,7 @@ def test_label_to_weight_output_is_p_dominant():
         u = tuple(sorted((rng.randint(0, 3) for _ in range(3)), reverse=True))
         q = tuple(sorted((rng.randint(0, 3) for _ in range(2)), reverse=True))
         label = BundleLabel(AMB, u_part=Partition(u), q_part=Partition(q), twist=rng.randint(-3, 3))
-        w = label_to_weight(label, space)
+        w = _weight(label, space)
         assert all(w.coeffs[i - 1] >= 0 for i in space.uncrossed)
         assert weyl_product_oracle(space.rs, w, levi_roots(space)) == label_rank(label)
 
@@ -617,7 +617,7 @@ def test_label_to_weight_output_is_p_dominant():
 def test_label_to_weight_rejects_the_wrong_space():
     wrong = ParabolicSpace(rs=build_root_system("A", 6), crossed=frozenset({3}))
     with pytest.raises(ValueError, match="needs the space"):
-        label_to_weight(BundleLabel(AMB, twist=1), wrong)
+        _weight(BundleLabel(AMB, twist=1), wrong)
 
 
 def test_sum_to_weights_checks_the_space_once_and_fails_closed_on_an_empty_sum():
@@ -625,7 +625,7 @@ def test_sum_to_weights_checks_the_space_once_and_fails_closed_on_an_empty_sum()
     terms = build_koszul(gr47(), parse_bundle(AMB, "L3 U*"), parse_bundle(AMB, "T")).terms
     for term in terms:
         assert sum_to_weights(term, gr47()) == tuple(
-            (label_to_weight(lab, gr47()), m) for lab, m in term.summands
+            (_weight(lab, gr47()), m) for lab, m in term.summands
         )
     for bsum in (BundleSum.from_pairs(AMB, []), terms[1]):
         with pytest.raises(ValueError, match=re.escape("label on Gr(4,7) needs the space A6/P(4)")):
