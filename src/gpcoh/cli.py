@@ -20,10 +20,12 @@ JSON document echoes every read argument as ``command.args``. ``-h`` or
 ``--help`` prints the block above. Exit status is 0 only when every assertion
 made by the invoked command holds; failures are listed machine-readably. A
 fault in the arguments or the input exits 2 with one ``error:`` line on stderr,
-or the JSON error document on stdout under ``--format json``. The one entry point ``run``, of the
-``gpcoh`` script and of ``python -m gpcoh.cli``, ends the process with status 1 and nothing on
-stderr when a reader closes stdout early (``| head -1``). Nothing is read
-from the environment; text output wraps at 100 columns.
+or the JSON error document on stdout under ``--format json``. ``main`` is the in-process API: it
+returns the status. The one process entry point ``run``, of the ``gpcoh`` script and of
+``python -m gpcoh.cli``, flushes stdout and stderr after ``main`` and ends the process with
+``os._exit``, so the interpreter skips its teardown and no atexit handler runs; it exits 1 with
+nothing on stderr when a reader closes stdout early (``| head -1``). Nothing is read from the
+environment; text output wraps at 100 columns.
 """
 
 from __future__ import annotations
@@ -305,19 +307,24 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if not failures else 1
 
 
-def run() -> int:
-    """The process entry point, of the ``gpcoh`` script and of ``python -m gpcoh.cli``: the status
-    of ``main`` on ``sys.argv``, or 1 when the reader of stdout has closed it early."""
+def run() -> None:
+    """The process entry point, of the ``gpcoh`` script and of ``python -m gpcoh.cli``: runs
+    ``main`` on ``sys.argv``, flushes stdout and stderr and ends the process with ``os._exit`` and
+    main's status, or 1 when the reader of stdout has closed it early. So the interpreter does not
+    tear its modules down, and no atexit handler runs; gpcoh registers none and leaves no file or
+    thread open. An exception that escapes ``main`` ends the process the usual way, with its
+    traceback. ``main`` is the in-process API, which returns the status."""
     try:
         status = main()
-        sys.stdout.flush()  # in the try, so that a reader gone early is met here, not at exit
+        sys.stdout.flush()  # in the try, so that a reader gone early is met here
     except BrokenPipeError:
-        # Python's signal docs, "Note on SIGPIPE": the flush at exit would fail again, so what is
-        # left goes to devnull, and the process exits 1 with nothing on stderr
+        # Python's signal docs, "Note on SIGPIPE": with stdout on devnull, what is left in its
+        # buffer can fail no flush again, should the process still end the usual way
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    return status
+        status = 1
+    sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

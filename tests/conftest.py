@@ -54,9 +54,12 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     """``python *args`` in a fresh process run from the repository root, with its text output
     captured, bounded by 10 s. As in the suite, every warning is an error there, and the process
     runs in development mode when the suite does. ``PYTHONPATH`` is the directory that holds the
-    ``gpcoh`` package this suite imports; ``find_spec`` locates it without running it."""
+    ``gpcoh`` package this suite imports; ``find_spec`` locates it without running it. The child
+    has no ``PYTHONUNBUFFERED``, so its stdout is block-buffered, as in a shell that does not set
+    it: output that a process leaves in its buffer when it ends is lost there too."""
     package = Path(importlib.util.find_spec("gpcoh").origin).parent
     env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    env.pop("PYTHONUNBUFFERED", None)
     flags = ["-W", "error", *(["-X", "dev"] if sys.flags.dev_mode else [])]
     return subprocess.run(
         [sys.executable, *flags, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=10

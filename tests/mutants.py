@@ -229,8 +229,11 @@ MUTANTS = [
     ("cli.py", '            print("failures:")\n', "",
      "tests/test_golden.py::test_cli_output_matches_golden_file"),
     # the process entry point drops main's status: the commands that must exit 1 or 2 exit 0
-    ("cli.py", "    return status\n", "    return 0\n",
+    ("cli.py", "    os._exit(status)\n", "    os._exit(0)\n",
      "tests/test_golden.py::test_cli_output_matches_golden_file"),
+    # the process entry point ends without flushing stdout: the tail of its output is lost
+    ("cli.py", "        sys.stdout.flush()", "        pass",
+     "tests/test_cli.py::test_a_process_ends_only_once_all_of_mains_output_is_written"),
     # the rank bound of types A-D: gone, a twenty-digit rank runs the builder; one short, A100 is refused.
     # The second old text keeps its line end, so each (file, old) pair names one mutant
     ("root_system.py", "_MAX_RANK = 100", "_MAX_RANK = 10**30",

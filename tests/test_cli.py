@@ -197,6 +197,41 @@ def test_the_installed_script_target_ends_a_closed_pipe_with_status_1_and_no_tra
     assert proc.stderr == "error: invalid rank 101 for type A; valid range: 1 <= n <= 100\n"
 
 
+@pytest.mark.parametrize(
+    "argv,size",
+    [
+        # more output than a 64 KiB pipe holds, so the child writes while the reader drains it
+        (("--format", "json", "lr", "5,4,3,2,1", "5,4,3,2,1", "--rows", "10"), 309_624),
+        (("report", "cayley"), 2_412),
+    ],
+    ids=["lr_json", "report_cayley"],
+)
+def test_a_process_ends_only_once_all_of_mains_output_is_written(capsys, argv, size):
+    # run ends the process with os._exit, which flushes nothing: what it left in the buffer of the
+    # block-buffered stdout of a run_python child would be lost
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    proc = _gpcoh(*argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(out.encode()) == size
+    assert proc.stdout == out
+
+
+def test_an_exception_that_escapes_main_exits_1_with_its_traceback():
+    # run's fast exit follows main's return, so an engine fault still ends the usual way
+    child = (
+        "import gpcoh.cli\n"
+        "def fault(argv=None):\n"
+        "    raise AssertionError('engine fault')\n"
+        "gpcoh.cli.main = fault\n"
+        "gpcoh.cli.run()\n"
+    )
+    proc = run_python("-c", child, "report", "cayley")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert proc.stderr.endswith("AssertionError: engine fault\n")
+
+
 def test_roots_of_a100_are_its_5050_intervals_and_a101_exits_2_naming_the_range():
     # the largest system any check builds; the 10 s bound fails a builder that grows as rank^4 again
     proc = _gpcoh("--format", "json", "roots", "A", "100")

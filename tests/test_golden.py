@@ -93,4 +93,4 @@ def test_cli_output_matches_golden_file(filename, argv, status):
     assert proc.returncode == status, proc.stderr
     assert proc.stdout == (GOLDEN / filename).read_text()
     if status == 0:
-        assert proc.stderr == ""  # a warning printed on the way, a ResourceWarning at exit included
+        assert proc.stderr == ""  # a warning printed on the way included
