@@ -135,6 +135,9 @@ MUTANTS = [
     # the loader's unknown-key check
     ("scenarios.py", "        if key not in keys:\n", "        if False:\n",
      "tests/test_scenarios.py::test_runners_needing_a_zero_locus_reject_a_scenario_without_one"),
+    # the loader's report-kind check: a report key that names no report escapes as a KeyError
+    ("scenarios.py", "    if type(kind) is not str or kind not in REPORTS:\n", "    if False:\n",
+     "tests/test_cli.py::test_a_file_whose_report_key_names_no_report_it_fits_exits_2_naming_the_file_and_the_key"),
     # a ledger line's passed forced to true: h^1(S, T_S) = 0 whatever it is
     ("scenarios.py", "        h1_sub == 0,\n    )\n    ledger.add(\n        \"locally_rigid\",",
      "        True,\n    )\n    ledger.add(\n        \"locally_rigid\",",

@@ -22,10 +22,7 @@ from gpcoh import (
     euler_characteristic,
     lr_coefficients,
     parse_bundle,
-    run_adjunction_audit,
-    run_cayley,
-    run_theorem1_audit,
-    run_vmrt_audit,
+    report,
     tensor,
 )
 from gpcoh.schur import format_sum, sum_to_weights
@@ -52,7 +49,7 @@ def gr47():
 def test_criterion_1_cayley_local_rigidity():
     with criterion("1 cayley local rigidity"):
         start = time.perf_counter()
-        rep = run_cayley()
+        rep = report("cayley")
         elapsed = time.perf_counter() - start
         v = rep.values()
         assert rep.passed
@@ -143,7 +140,7 @@ def test_criterion_3_decomposition_golden_files():
 
 def test_criterion_4_dimension_audits():
     with criterion("4 dimension audits"):
-        v = run_vmrt_audit().values()
+        v = report("vmrt").values()
         assert v["dim_C3_P2"] == 7
         assert v["dim_F4_P4"] == 15
         assert v["dim_A6_P4"] == 12
@@ -154,12 +151,12 @@ def test_criterion_4_dimension_audits():
         assert v["dim_e6_mod_f4"] == 26
         assert v["nondegeneracy_sl6_mod_sp6"] is True and v["bound_sl6_mod_sp6"] == 6
         assert v["nondegeneracy_e6_mod_f4"] is True and v["bound_e6_mod_f4"] == 12
-        t = run_theorem1_audit().values()
+        t = report("theorem1").values()
         assert t["balance_lhs_sl6_mod_sp6"] == 36 == t["balance_rhs_sl6_mod_sp6"]
         assert t["balance_lhs_e6_mod_f4"] == 79 == t["balance_rhs_e6_mod_f4"]
         assert t["h1_upper_bound_sl6_mod_sp6"] == 1
         assert t["h1_upper_bound_e6_mod_f4"] == 1
-        a = run_adjunction_audit().values()
+        a = report("adjunction").values()
         assert a["ambient_canonical_twist"] == -7
         assert a["section_det_twist"] == 3
         assert a["subvariety_canonical_twist"] == -4
@@ -248,7 +245,7 @@ def test_criterion_5_property_suites():
 
 def test_criterion_6_external_inputs_are_labelled_non_claims():
     with criterion("6 externally sourced constants and non-claims"):
-        for rep in (run_cayley(), run_theorem1_audit()):
+        for rep in (report("cayley"), report("theorem1")):
             v = rep.values()
             assert v["non_claim_global_rigidity"] == "not claimed"
             assert v["non_claim_prolongation"] == "input only"
@@ -257,9 +254,9 @@ def test_criterion_6_external_inputs_are_labelled_non_claims():
             for ln in externals:
                 assert ln.provenance.strip(), ln.key
         # the imported constants are labelled external, never computed
-        rep = run_cayley()
+        rep = report("cayley")
         assert rep.line("h0_tangent_subvariety").source == "external"
-        t = run_theorem1_audit()
+        t = report("theorem1")
         assert t.line("cone_aut_dim_sl6_mod_sp6").source == "external"
         assert t.line("cone_aut_dim_e6_mod_f4").source == "external"
         assert t.line("h1_general_fiber_sl6_mod_sp6").source == "external"

@@ -8,7 +8,11 @@ import pytest
 from gpcoh import cli
 from gpcoh.cli import main
 
-from conftest import a_type_positive_roots, deny_reading, hook_content_dimension, run_python, shipped_scenario
+from conftest import (
+    SCENARIO_DATA, a_type_positive_roots, deny_reading, hook_content_dimension, run_python, shipped_scenario,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -703,6 +707,7 @@ UNKNOWN_KEY_PROBES = [
     ("cayley", ("twists", 1), "twists[1]", "rank_hint"),
     ("cayley", ("twists", 1, "rank_hints", 0), "twists[1].rank_hints[0]", "degre"),
     ("cayley", ("external_constants", 0), "external_constants[0]", "provenence"),
+    ("cayley", ("expect",), "expect", "normal_h0"),
     ("adjunction", ("ambient",), "ambient", "weight"),
     ("vmrt", ("cases", 0), "cases[0]", "hyperplane_section"),
     ("vmrt", ("cases", 0, "vmrt"), "cases[0].vmrt", "crosed"),
@@ -740,10 +745,8 @@ UNKNOWN_KEY_PROBES = [
     ids=[f"{r}:{b}" if path else f"{r}:{b}:{k}" for r, path, b, k in UNKNOWN_KEY_PROBES],
 )
 def test_an_unknown_key_in_any_block_exits_2_naming_the_file_the_block_and_the_key(
-    capsys, tmp_path, monkeypatch, report, path, block, key
+    capsys, tmp_path, report, path, block, key
 ):
-    from gpcoh import scenarios
-
     data = shipped_scenario(report)
     if report == "cayley":  # a hint the chase accepts, so the hint block exists
         data["twists"][1]["rank_hints"] = [{"target_term": 2, "degree": 3, "rank": 0}]
@@ -753,14 +756,44 @@ def test_an_unknown_key_in_any_block_exits_2_naming_the_file_the_block_and_the_k
     target[key] = 0
     p = tmp_path / "edited.json"
     p.write_text(json.dumps(data))
-    # gpcoh report looks its runner up on the module, so the rebound one reads the edited copy
-    runner = scenarios.REPORTS[report]
-    monkeypatch.setattr(scenarios, runner.__name__, lambda: runner(str(p)))
-    code, out, err = run(capsys, "report", report)
+    code, out, err = run(capsys, "report", str(p))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"scenario file {str(p)!r}: block {block!r} has unknown key {key!r}; known: " in err
+
+
+@pytest.mark.parametrize("name", ["cayley", "vmrt", "theorem1", "adjunction"])
+def test_report_of_a_copy_of_a_shipped_file_prints_the_golden_of_that_report(capsys, tmp_path, name):
+    # the path form: the file names its report, so a copy anywhere prints what the builtin prints
+    p = tmp_path / "elsewhere" / "mine.json"
+    p.parent.mkdir()
+    p.write_bytes((SCENARIO_DATA / f"{name}.json").read_bytes())
+    assert run(capsys, "report", str(p)) == (0, (GOLDEN / f"report_{name}.txt").read_text(), "")
+    code, doc, _ = run_json(capsys, "report", str(p))
+    assert (code, doc["result"]) == (0, json.loads((GOLDEN / f"report_{name}.json").read_text())["result"])
+
+
+REPORTS = "cayley, vmrt, theorem1, adjunction"
+# a fault in the report key of a copy of a shipped file: (id, file copied, edit, the end of the message)
+REPORT_KEY_FAULTS = [
+    ("missing", "cayley", lambda d: d.pop("report"), "lacks key 'report'"),
+    ("unknown", "cayley", lambda d: d.update(report="nope"), f'key \'report\' must be one of {REPORTS}, got "nope"'),
+    ("not-a-string", "vmrt", lambda d: d.update(report=["vmrt"]), f'key \'report\' must be one of {REPORTS}, got ["vmrt"]'),
+    ("another-kind", "adjunction", lambda d: d.update(report="vmrt"),
+     "has unknown key 'ambient'; known: schema_version, name, title, description, cases, extra_spaces"),
+]
+
+
+@pytest.mark.parametrize("base,edit,message", [f[1:] for f in REPORT_KEY_FAULTS], ids=[f[0] for f in REPORT_KEY_FAULTS])
+def test_a_file_whose_report_key_names_no_report_it_fits_exits_2_naming_the_file_and_the_key(
+    capsys, tmp_path, base, edit, message
+):
+    data = shipped_scenario(base)
+    edit(data)
+    p = tmp_path / "edited.json"
+    p.write_text(json.dumps(data))
+    assert run(capsys, "report", str(p)) == (2, "", f"error: scenario file {str(p)!r}: block 'top level' {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -826,7 +859,7 @@ ARGUMENT_FAULTS = [
      "subcommand 'koszul' got an extra argument 'cayley'; it takes: none"),
     (("roots", "A", "x"), "argument 'rank' must be an integer, got 'x'"),
     (("lr", "1", "1", "--rows", "x"), "option --rows must be an integer, got 'x'"),
-    (("report", "nope"), "argument 'name' must be one of cayley, vmrt, theorem1, adjunction, got 'nope'"),
+    (("report", "nope"), "no scenario file 'nope' and no builtin scenario of that name; known: cayley, vmrt, theorem1, adjunction"),
     (("--format", "yaml", "report", "cayley"), "option --format must be one of text, json, got 'yaml'"),
     # an integer is an optional minus and ASCII digits: int() alone takes these
     (("roots", "A", "\u0663"), "argument 'rank' must be an integer, got '\u0663'"),

@@ -21,7 +21,7 @@ from gpcoh import (
     build_root_system,
     bwb,
     load_scenario,
-    run_cayley,
+    report,
 )
 
 from conftest import run_python
@@ -49,14 +49,14 @@ def _samples() -> dict:
     """One instance of every record type, taken from a real run where one exists."""
     sc = load_scenario("cayley")
     complex_, result = sc.chase_twist("normal")
-    report = run_cayley()
+    rep = report("cayley")
     label = complex_.terms[1].summands[0][0]
     records = [
         Weight((1, 0, -2)), label.u_part, label, sc.space, sc.space.rs,
         bwb(sc.space, Weight((0, 0, 0, 1, 0, 0))), result.term_tables[0],
         complex_, RankHint(0, 0, 1), result.hints_used[0], result, complex_.terms[1],
-        sc.external_constants["h0_tangent_subvariety"], sc, report.sections[0].lines[0],
-        report.sections[0], report,
+        sc.external_constants["h0_tangent_subvariety"], sc, rep.sections[0].lines[0],
+        rep.sections[0], rep,
     ]
     return {type(r): r for r in records}
 

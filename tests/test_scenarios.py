@@ -12,10 +12,7 @@ from gpcoh import (
     bundle_cohomology,
     chase,
     load_scenario,
-    run_adjunction_audit,
-    run_cayley,
-    run_theorem1_audit,
-    run_vmrt_audit,
+    report,
 )
 from gpcoh.scenarios import REPORTS
 from gpcoh.schur import sum_to_weights
@@ -28,7 +25,7 @@ def test_load_builtin_scenarios():
     for name in ("cayley", "adjunction"):
         assert load_scenario(name).name == name
     for name in ("vmrt", "theorem1"):
-        assert REPORTS[name]().name == name
+        assert report(name).name == name
     sc = load_scenario("cayley.json")
     assert sc.name == "cayley"
     assert sc.space is not None
@@ -53,25 +50,27 @@ def test_unknown_scenario_rejected(tmp_path, monkeypatch):
     # a Path is always a path, never the name of a shipped file
     monkeypatch.chdir(tmp_path)
     with pytest.raises(FileNotFoundError, match="no scenario file 'cayley' and no builtin scenario"):
-        run_cayley(Path("cayley"))
+        report(Path("cayley"))
 
 
 @pytest.mark.parametrize("method", ["is_file", "read_text"])
-@pytest.mark.parametrize("report", sorted(REPORTS))
+@pytest.mark.parametrize("kind", sorted(REPORTS))
 def test_a_runner_called_on_an_unreadable_path_raises_one_value_error_naming_it(
-    monkeypatch, tmp_path, report, method
+    monkeypatch, tmp_path, kind, method
 ):
-    p = tmp_path / f"{report}.json"
-    p.write_text(json.dumps(shipped_scenario(report)))
+    p = tmp_path / f"{kind}.json"
+    p.write_text(json.dumps(shipped_scenario(kind)))
     reason = deny_reading(monkeypatch, p, method)
     with pytest.raises(ValueError) as exc:
-        REPORTS[report](p)
+        report(p)
     assert str(exc.value) == f"scenario file {str(p)!r} cannot be read: {reason}"
 
 
 def test_every_report_has_its_shipped_file_and_nothing_else_ships():
     stems = sorted(p.stem for p in (Path(gpcoh.__file__).parent / "data").glob("*.json"))
     assert sorted(REPORTS) == stems
+    # each shipped file names its own report
+    assert [shipped_scenario(stem)["report"] for stem in stems] == stems
 
 
 def test_scenario_without_provenance_fails_closed(tmp_path):
@@ -89,7 +88,7 @@ def test_case_constants_without_provenance_fail_closed(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="provenance"):
-        run_theorem1_audit(p)
+        report(p)
 
 
 def test_a_file_holding_a_json_list_fails_naming_the_file(tmp_path):
@@ -110,6 +109,7 @@ def test_a_file_holding_a_json_list_fails_naming_the_file(tmp_path):
 def test_a_twist_label_too_tall_for_its_bundle_names_the_file_the_block_and_the_key(tmp_path, label, reason):
     data = {
         "schema_version": 1,
+        "report": "adjunction",
         "ambient": {"type": "A", "rank": 4, "crossed": [2]},
         "section_bundle": "L2 U*",
         "twists": [{"name": "tall", "label": label}],
@@ -134,7 +134,7 @@ def test_unknown_twist_rejected():
 
 
 def test_cayley_report_final_values():
-    rep = run_cayley()
+    rep = report("cayley")
     assert rep.passed
     v = rep.values()
     assert v["h0_tangent_subvariety"] == 14
@@ -151,12 +151,31 @@ def test_cayley_report_final_values():
         rep.line("nope")
 
 
+def test_cayley_checks_the_two_values_its_expect_block_names(tmp_path):
+    # without the block the two lines are informational; with a wrong value the line fails
+    plain = report(_edited_copy(tmp_path, "cayley", lambda d: d.pop("expect")))
+    keys = ("normal_ambient_h0", "normal_restricted_h0")
+    assert [plain.line(key).passed for key in keys] == [None, None]
+    assert plain.passed and plain.values() == report("cayley").values()
+    wrong = report(_edited_copy(tmp_path, "cayley", lambda d: d["expect"].update(normal_restricted_h0=35)))
+    assert [wrong.line(key).passed for key in keys] == [True, False]
+    assert wrong.failures() == [wrong.line("normal_restricted_h0")]
+
+
+def test_report_runs_the_runner_bound_on_the_module_when_it_runs(monkeypatch):
+    # a tracing wrapper rebinds a runner on the module, and report must run the wrapper
+    runner, files = gpcoh.scenarios.run_vmrt_audit, []
+    monkeypatch.setattr(gpcoh.scenarios, "run_vmrt_audit", lambda file, data: files.append(file) or runner(file, data))
+    assert report("vmrt").name == "vmrt"
+    assert files == ["vmrt"]
+
+
 def test_cayley_report_is_deterministic():
-    assert run_cayley().to_dict() == run_cayley().to_dict()
+    assert report("cayley").to_dict() == report("cayley").to_dict()
 
 
 def test_cayley_report_records_the_rank_that_left_exactness_forces():
-    rep = run_cayley()
+    rep = report("cayley")
     line = rep.line("normal_hint_0_0")
     assert line.value == 1
     assert "H^0(A_1) -> H^0(C_0)" in line.text
@@ -193,7 +212,7 @@ def test_a_rank_hint_applies_to_its_own_twist_only(tmp_path):
 
 def test_a_provided_rank_on_any_twist_is_reported_as_assumed(tmp_path):
     # the tangent page is H^0(C_0) = 48 alone, so (0, 0) is a cell of capacity 0
-    rep = run_cayley(_cayley_with_hints(tmp_path, tangent=[(0, 0, 0)]))
+    rep = report(_cayley_with_hints(tmp_path, tangent=[(0, 0, 0)]))
     assert rep.passed
     assert rep.line("h1_tangent_subvariety").value == 0
     hinted = [ln for ln in rep.lines() if ln.key.startswith("tangent_hint_")]
@@ -205,7 +224,7 @@ def test_a_provided_rank_on_any_twist_is_reported_as_assumed(tmp_path):
 
 
 def test_cayley_report_carries_resolutions_and_pages():
-    rep = run_cayley()
+    rep = report("cayley")
     terms = rep.line("resolution_trivial").value
     assert terms == [
         "C_4 = O(-3)",
@@ -222,7 +241,7 @@ def test_cayley_intermediates_match_standalone_engine_runs():
     # the report must not shortcut the engines: rerun them directly
     sc = load_scenario("cayley")
     space = sc.space
-    rep = run_cayley()
+    rep = report("cayley")
     for twist_name, keys in (
         ("normal", ("normal_ambient_h0", "normal_restricted_h0")),
         ("tangent", ("tangent_ambient_h0", "tangent_restricted_h0")),
@@ -236,7 +255,7 @@ def test_cayley_intermediates_match_standalone_engine_runs():
 
 
 def test_cayley_external_constants_are_labelled():
-    rep = run_cayley()
+    rep = report("cayley")
     externals = [ln for ln in rep.lines() if ln.source == "external"]
     assert externals
     for ln in externals:
@@ -251,7 +270,7 @@ def test_cayley_engine_failures_name_the_file_and_the_twist(tmp_path):
     p = tmp_path / "sabotaged.json"
     p.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=re.escape(f"scenario file {str(p)!r}: block 'twists[1]' key 'rank_hints': ")):
-        run_cayley(p)
+        report(p)
 
 
 @pytest.mark.parametrize("twist", ["trivial", "normal", "tangent"])
@@ -261,7 +280,7 @@ def test_cayley_without_a_twist_it_reads_fails_before_any_chase(tmp_path, monkey
     ]))
     monkeypatch.setattr(gpcoh.scenarios.Scenario, "chase_twist", lambda *args: pytest.fail("a chase ran"))
     with pytest.raises(ValueError) as exc:
-        run_cayley(p)
+        report(p)
     assert str(exc.value) == f"scenario file {str(p)!r}: block 'twists' lacks twist {twist!r}"
 
 
@@ -273,7 +292,7 @@ def _set_normal_label(data):
 def test_cayley_with_an_indeterminate_chase_fails_naming_the_file_and_the_twist(tmp_path):
     p = _edited_copy(tmp_path, "cayley", _set_normal_label)
     with pytest.raises(ValueError) as exc:
-        run_cayley(p)
+        report(p)
     assert str(exc.value) == (
         f"scenario file {str(p)!r}: block 'twists[1]' leaves the chase indeterminate at ((3, 9),)"
     )
@@ -282,7 +301,7 @@ def test_cayley_with_an_indeterminate_chase_fails_naming_the_file_and_the_twist(
 def test_cayley_with_a_nonzero_h1_does_not_claim_rigidity(tmp_path):
     # h^0(S, T_S) = 15 leaves h^1(S, T_S) = 1: the criterion does not apply, and the line says so
     p = _edited_copy(tmp_path, "cayley", lambda d: d["external_constants"][0].__setitem__("value", 15))
-    rep = run_cayley(p)
+    rep = report(p)
     assert rep.line("h1_tangent_subvariety").value == 1
     line = rep.line("locally_rigid")
     assert (line.value, line.passed) == (False, None)
@@ -294,7 +313,7 @@ def test_cayley_with_a_nonzero_h1_does_not_claim_rigidity(tmp_path):
 def test_cayley_with_a_constant_that_contradicts_the_normal_sequence_fails_naming_it(tmp_path):
     p = _edited_copy(tmp_path, "cayley", lambda d: d["external_constants"][0].__setitem__("value", 60))
     with pytest.raises(ValueError) as exc:
-        run_cayley(p)
+        report(p)
     assert str(exc.value) == (
         f"scenario file {str(p)!r}: block 'external_constants' key 'h0_tangent_subvariety': "
         "the provided values contradict exactness: dim H^0 = 60 of the unknown end"
@@ -312,7 +331,7 @@ def test_cayley_with_a_normal_sequence_left_open_fails_naming_the_open_ranks(tmp
 
     p = _edited_copy(tmp_path, "cayley", edit)
     with pytest.raises(ValueError) as exc:
-        run_cayley(p)
+        report(p)
     assert str(exc.value) == (
         f"scenario file {str(p)!r}: block 'external_constants' key 'h0_tangent_subvariety': "
         "the normal sequence leaves ranks open at [(0, 7)]"
@@ -335,12 +354,12 @@ _UNREAD = {"name": "h1_tangent_subvariety", "value": 7, "provenance": "a constan
 
 
 @pytest.mark.parametrize(
-    "report,known", [("cayley", "h0_tangent_subvariety"), ("adjunction", "none")], ids=["cayley", "adjunction"]
+    "kind,known", [("cayley", "h0_tangent_subvariety"), ("adjunction", "none")], ids=["cayley", "adjunction"]
 )
-def test_a_constant_the_report_does_not_read_fails_naming_the_file_and_the_constant(tmp_path, report, known):
-    p = _edited_copy(tmp_path, report, lambda d: d["external_constants"].append(_UNREAD))
+def test_a_constant_the_report_does_not_read_fails_naming_the_file_and_the_constant(tmp_path, kind, known):
+    p = _edited_copy(tmp_path, kind, lambda d: d["external_constants"].append(_UNREAD))
     with pytest.raises(ValueError) as exc:
-        REPORTS[report](p)
+        report(p)
     assert str(exc.value) == (
         f"scenario file {str(p)!r}: block 'external_constants' has unknown constant "
         f"'h1_tangent_subvariety'; known: {known}"
@@ -350,7 +369,7 @@ def test_a_constant_the_report_does_not_read_fails_naming_the_file_and_the_const
 def test_a_cayley_file_without_its_constant_fails_naming_the_file_and_the_constant(tmp_path):
     p = _edited_copy(tmp_path, "cayley", lambda d: d.pop("external_constants"))
     with pytest.raises(ValueError) as exc:
-        run_cayley(p)
+        report(p)
     assert str(exc.value) == (
         f"scenario file {str(p)!r}: block 'external_constants' lacks key 'h0_tangent_subvariety'"
     )
@@ -375,7 +394,7 @@ def test_a_chase_reads_no_constant_and_checks_none(tmp_path):
 def test_a_theorem1_case_reads_exactly_its_two_constants(tmp_path, edit, message):
     p = _edited_copy(tmp_path, "theorem1", edit)
     with pytest.raises(ValueError) as exc:
-        run_theorem1_audit(p)
+        report(p)
     assert str(exc.value) == f"scenario file {str(p)!r}: block 'cases[0].external_constants' {message}"
 
 
@@ -384,7 +403,7 @@ def test_a_theorem1_case_reads_exactly_its_two_constants(tmp_path, edit, message
 
 
 def test_vmrt_audit_values():
-    rep = run_vmrt_audit()
+    rep = report("vmrt")
     assert rep.passed
     v = rep.values()
     assert v["dim_C3_P2"] == 7
@@ -410,7 +429,7 @@ def test_vmrt_audit_with_an_odd_dimensional_space_serializes_its_bound(tmp_path)
     data["cases"][0]["symmetric_space"]["subgroup_root_system"] = {"type": "B", "rank": 2}
     p = tmp_path / "odd.json"
     p.write_text(json.dumps(data))
-    rep = run_vmrt_audit(p)
+    rep = report(p)
     v = rep.values()
     assert v["dim_sl6_mod_sp6"] == 35 - 10
     assert v["bound_sl6_mod_sp6"] == "23/2"
@@ -509,30 +528,36 @@ AUDIT_CASE_PROBES = [
 
 
 @pytest.mark.parametrize(
-    "report,edit,block,key", [p[1:] for p in AUDIT_CASE_PROBES], ids=[p[0] for p in AUDIT_CASE_PROBES]
+    "kind,edit,block,key", [p[1:] for p in AUDIT_CASE_PROBES], ids=[p[0] for p in AUDIT_CASE_PROBES]
 )
 def test_a_malformed_audit_case_names_the_file_the_block_and_the_key(
-    tmp_path, monkeypatch, report, edit, block, key
+    tmp_path, monkeypatch, kind, edit, block, key
 ):
-    data = shipped_scenario(report)
+    data = shipped_scenario(kind)
     edit(data)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "x.json").write_text(json.dumps(data))
     with pytest.raises(ValueError) as exc:
-        REPORTS[report]("./x.json")
+        report("./x.json")
     message = str(exc.value)
     assert "'./x.json'" in message and repr(block) in message and repr(key) in message
 
 
-@pytest.mark.parametrize("runner", [run_cayley, run_adjunction_audit])
-def test_runners_needing_a_zero_locus_reject_a_scenario_without_one(runner):
+@pytest.mark.parametrize("kind", ["cayley", "adjunction"])
+def test_runners_needing_a_zero_locus_reject_a_scenario_without_one(tmp_path, kind):
+    # an audit file that names a zero-locus report is read against that report's file kind
+    p = _edited_copy(tmp_path, "vmrt", lambda d: d.update(report=kind))
     with pytest.raises(ValueError) as exc:
-        runner("vmrt")
+        report(p)
+    assert str(exc.value).startswith(f"scenario file {str(p)!r}: block 'top level' has unknown key 'cases'; known: ")
+    # the zero-locus loader reads an audit file as a zero-locus file
+    with pytest.raises(ValueError) as exc:
+        load_scenario("vmrt")
     assert str(exc.value).startswith("scenario file 'vmrt': block 'top level' has unknown key 'cases'; known: ")
 
 
 def test_theorem1_audit_values():
-    rep = run_theorem1_audit()
+    rep = report("theorem1")
     assert rep.passed
     v = rep.values()
     assert v["aut_dim_sl6_mod_sp6"] == 35
@@ -550,7 +575,7 @@ def test_theorem1_audit_values():
 
 
 def test_theorem1_constants_are_external_with_provenance():
-    rep = run_theorem1_audit()
+    rep = report("theorem1")
     for key in ("cone_aut_dim_sl6_mod_sp6", "cone_aut_dim_e6_mod_f4"):
         line = rep.line(key)
         assert line.source == "external"
@@ -558,7 +583,7 @@ def test_theorem1_constants_are_external_with_provenance():
 
 
 def test_adjunction_audit_values():
-    rep = run_adjunction_audit()
+    rep = report("adjunction")
     assert rep.passed
     v = rep.values()
     assert v["ambient_canonical_twist"] == -7
@@ -569,21 +594,28 @@ def test_adjunction_audit_values():
     assert v["fano_index"] == 4
 
 
+@pytest.mark.parametrize("name,index,dim", [("g2p2", 3, 5), ("lg36", 4, 6)])
+def test_the_adjunction_report_of_a_file_that_ships_with_the_tests(name, index, dim):
+    # G2/P2, the adjoint G2-variety, has Fano index 3, and LG(3,6) index 3 + 1
+    v = report(Path(__file__).parent / "data" / f"{name}.json").values()
+    assert (v["fano_index"], v["subvariety_dim"]) == (index, dim)
+
+
 def test_reports_render_text():
-    for runner in (run_cayley, run_vmrt_audit, run_theorem1_audit, run_adjunction_audit):
-        text = runner().to_text()
+    for name in REPORTS:
+        text = report(name).to_text()
         assert "== result: PASS ==" in text
 
 
 def test_report_json_round_trip():
-    doc = run_cayley().to_dict()
+    doc = report("cayley").to_dict()
     assert json.loads(json.dumps(doc)) == doc
 
 
 def test_lines_that_cannot_fail_are_informational():
     # h1_upper_bound is (aut_dim + 1) - aut_dim, sub_twist is set to the sum it was checked
     # against, and locally_rigid repeats the h1_sub == 0 check of h1_tangent_subvariety
-    t, a, c = run_theorem1_audit(), run_adjunction_audit(), run_cayley()
+    t, a, c = report("theorem1"), report("adjunction"), report("cayley")
     for line in (
         t.line("h1_upper_bound_sl6_mod_sp6"),
         t.line("h1_upper_bound_e6_mod_f4"),
@@ -599,7 +631,7 @@ def test_the_scope_section_holds_the_non_claims_and_only_when_a_constant_was_rea
     data["cases"] = [case for case in data["cases"] if case["name"] == "e6_mod_f4"]
     p = tmp_path / "one_case.json"
     p.write_text(json.dumps(data))
-    rep = run_theorem1_audit(p)
+    rep = report(p)
     scope = rep.sections[-1]
     assert scope.title == "Scope: externally sourced inputs and non-claims"
     assert [ln.key for ln in scope.lines] == ["non_claim_global_rigidity", "non_claim_prolongation"]
@@ -608,7 +640,7 @@ def test_the_scope_section_holds_the_non_claims_and_only_when_a_constant_was_rea
     assert sorted(ln.value for ln in external) == [0, 53]
     data["cases"] = []
     p.write_text(json.dumps(data))
-    assert run_theorem1_audit(p).sections == ()
+    assert report(p).sections == ()
     # the dimension audit and the adjunction report read no constant, so they have no scope section
-    for rep in (run_vmrt_audit(), run_adjunction_audit()):
+    for rep in (report("vmrt"), report("adjunction")):
         assert all(not sec.title.startswith("Scope") for sec in rep.sections)
