@@ -7,18 +7,17 @@ read off from the dominant weight w . lambda. Cohomology of the theorem lands
 in the dual representation; results here always report the highest weight of
 the cohomology itself, keeping the pre-dual weight as provenance.
 
-``bwb`` checks its weight once (type, rank, P-dominance) and derives the rest unchecked: it
-hands the weight as given to the dot action, whose shift by rho and unshift run inside
-``dominantize`` on a memo miss only, and builds no weight of its own. Each kernel it calls holds
-its own memo, whose miss tests the type and the rank once more; ``bwb`` holds none. A
-coefficient -1 puts lambda + rho on a wall: it vanishes with no walk, as the one shared
-``BWBResult()``. ``bundle_cohomology`` reads ``bwb`` from this module once per call, so a
-rebinding of it (a traced run) sees every summand. The two records
-derived here from checked values are built through ``_trusted`` (``tuple.__new__`` bound to the
-class, from the tuple of all fields, with no Python frame): the nonvanishing ``BWBResult`` of
-``bwb`` and the ``CohomologyTable`` of ``bundle_cohomology``, whose totals and weights come from
-checked multiplicities and ``bwb`` results; a sum whose summands all vanish gives the one shared
-empty table, as a vanishing summand gives the one ``BWBResult()``.
+``bwb`` does each summand's work in its own frame: it unpacks the space once, tests the weight's
+type and rank in one comparison (``_check_weight`` runs only to raise), reads the uncrossed nodes
+only when a coefficient is negative, and permutes mu by ``rs.minus_w0`` for the dual. The dot
+action's shift by rho and unshift run inside ``dominantize``, on a memo miss only. Each kernel it
+calls holds its own memo; ``bwb`` holds none. A coefficient -1 puts lambda + rho on a wall: it
+vanishes with no walk, as the one shared ``BWBResult()``. ``bundle_cohomology`` reads ``bwb``
+from this module once per call, so a rebinding of it (a traced run) sees every summand. The two
+records derived here from checked values are built through ``_trusted`` (``tuple.__new__`` bound
+to the class, with no Python frame): the nonvanishing ``BWBResult`` of ``bwb`` and the
+``CohomologyTable`` of ``bundle_cohomology``; a sum whose summands all vanish gives the one
+shared empty table.
 
 Direct sums aggregate into :class:`CohomologyTable` objects, the common
 output currency for the Koszul chase and the reports. Everything is pure and
@@ -35,9 +34,9 @@ from .root_system import (
     ParabolicSpace,
     Weight,
     _check_positive,
+    _check_weight,
     _coroot_pairing,
     dominantize,
-    dual_weight,
     weyl_dimension,
 )
 
@@ -111,20 +110,30 @@ _ACYCLIC = CohomologyTable(total_dims=(), entries=())  # every sum whose summand
 def bwb(space: ParabolicSpace, omega: Weight) -> BWBResult:
     """Cohomology of the irreducible equivariant bundle with weight ``omega``.
 
-    ``omega`` must be P-dominant (nonnegative at every uncrossed node); the
-    crossed-node coefficients are unrestricted.
+    ``omega`` must be a ``Weight`` of the system's rank and P-dominant (nonnegative at every
+    uncrossed node); the crossed-node coefficients are unrestricted.
     """
-    space.check_p_dominant(omega)
-    rs = space.rs
+    rs, _, uncrossed, nilradical = space
+    if type(omega) is not Weight or len(omega) != rs.rank:
+        _check_weight(rs, omega)
+    if min(omega) < 0:
+        for i in uncrossed:
+            if omega[i - 1] < 0:
+                raise ValueError(
+                    f"weight {omega} is not P-dominant on {space}: "
+                    f"negative coefficient at uncrossed node {i}"
+                )
     found = dominantize(rs, omega)
     if found is None:
         return _VANISHING
     mu, degree = found
-    if degree > len(space.nilradical):  # dim G/P, without a property call per summand
+    if degree > len(nilradical):  # dim G/P, without a property call per summand
         raise AssertionError(
             f"cohomology degree {degree} exceeds dim {space} = {space.dimension}"
         )
-    return BWBResult._trusted((degree, dual_weight(rs, mu), weyl_dimension(rs, mu), mu))
+    sigma = rs.minus_w0  # the dual has at index j mu's coefficient at sigma[j]
+    dual = mu if sigma is None else Weight._trusted(map(mu.__getitem__, sigma))
+    return BWBResult._trusted((degree, dual, weyl_dimension(rs, mu), mu))
 
 
 def bundle_cohomology(

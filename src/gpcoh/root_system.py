@@ -22,8 +22,9 @@ one entry of one table, ``_TYPES``: the rank check and the root builder's bound 
 The Cartan matrix convention is ``cartan[i][j] = <alpha_i, alpha_j^vee>``, so
 row i is the i-th simple root written in fundamental-weight coordinates. The
 symmetrizer and -w0 on the nodes are derived from it when the root system is built, -w0 by
-one reflection walk; where -w0 fixes every node (all types but A_n for n >= 2, D_n for n
-odd and E6), a dual is the weight itself.
+one reflection walk, and stored as the node permutation ``minus_w0`` that ``bott.bwb`` applies
+to each cohomology weight; where -w0 fixes every node (all types but A_n for n >= 2, D_n for n
+odd and E6) that field is None and a dual is the weight itself.
 
 Bott's dot action w . lambda = w(lambda + rho) - rho is the one walk the engine makes per
 weight: ``dominantize`` takes lambda, and on a memo miss shifts it by rho (all ones), walks and
@@ -35,9 +36,9 @@ positive root beta plus a simple root (Humphreys, Lie Algebras, 10.2), so its
 pairing with lambda + rho is beta's plus one integer; the denominator is stored.
 
 Inputs are checked once, where they enter: ``Weight`` its coefficients, ``ParabolicSpace`` its
-nodes, each public function the type and rank of its weight, in one comparison (``_check_weight``
-runs only to raise): a plain tuple equals the ``Weight`` of its ints but was never checked.
-Weights derived here (walks, duals) skip the check.
+nodes, each public function (and ``bott.bwb``, which also checks P-dominance) the type and rank of
+its weight, in one comparison (``_check_weight`` runs only to raise): a plain tuple equals the
+``Weight`` of its ints but was never checked. Weights derived here (walks) skip the check.
 
 All values are immutable after construction and every operation is a pure
 function; concurrent reads from multiple threads are safe. A memo (a thread-safe, typed
@@ -67,7 +68,6 @@ __all__ = [
     "build_root_system",
     "dominantize",
     "weyl_dimension",
-    "dual_weight",
     "adjoint_dimension",
 ]
 
@@ -443,15 +443,6 @@ def weyl_dimension(rs: RootSystem, dominant: Weight) -> int:
     return value
 
 
-def dual_weight(rs: RootSystem, dominant: Weight) -> Weight:
-    """Highest weight of the dual representation: -w0 permutes the fundamental weights, and
-    where it fixes them all (B, C, D even, E7, E8, F4, G2, A1) that is ``dominant`` itself."""
-    if type(dominant) is not Weight or len(dominant) != rs.rank:
-        _check_weight(rs, dominant)
-    sigma = rs.minus_w0
-    return dominant if sigma is None else Weight._trusted(map(dominant.__getitem__, sigma))
-
-
 class ParabolicSpace(_Record):
     """A rational homogeneous space G/P, P given by crossed Dynkin nodes.
 
@@ -485,19 +476,6 @@ class ParabolicSpace(_Record):
     @property
     def dimension(self) -> int:
         return len(self.nilradical)
-
-    def check_p_dominant(self, omega: Weight) -> None:
-        """Reject anything but a ``Weight`` of the right rank, and one negative at an uncrossed node."""
-        if type(omega) is not Weight or len(omega) != self[0].rank:  # self[0]: rs, with no property call
-            _check_weight(self.rs, omega)
-        if min(omega) >= 0:
-            return
-        for i in self.uncrossed:
-            if omega[i - 1] < 0:
-                raise ValueError(
-                    f"weight {omega} is not P-dominant on {self}: "
-                    f"negative coefficient at uncrossed node {i}"
-                )
 
     def __str__(self) -> str:
         nodes = ",".join(str(i) for i in sorted(self.crossed))

@@ -672,11 +672,12 @@ def run_theorem1_audit(file: str, data: dict) -> RigidityReport:
             f"h^1(S, T_S) = {h1_const.value} on the general fiber",
             h1_const,
         )
-        ledger.add(
+        ledger._line(  # a computed value, but the bound it states is an imported theorem
             f"h0_bound_{name}",
             f"h^0(X_0, T) <= dim aut(S) + 1 = {aut_dim + 1}",
             aut_dim + 1,
-            "prolongation chain bound applied to the cone structure",
+            "external",
+            "prolongation chain bound (Fu-Hwang 2018) applied to the cone structure; imported, not proved here",
         )
         ledger.add(
             f"h1_upper_bound_{name}",

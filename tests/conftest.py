@@ -21,8 +21,8 @@ use of the label calculus. The chase's solver is checked against the peel of
 rule (a), a loop that visits every degree of every term and takes each rank
 forced in degree 0 or provided, else blocks: wherever the peel answers, the
 solver must give the same answer. Dominance tests, Levi roots, the Levi and
-Serre duals of a weight and the weights of a cohomology degree, which only
-tests read, are small functions here too. ``dual_grassmannian`` is no oracle but a metamorphic
+Serre duals of a weight, the graded pieces of the tangent bundle of a maximal G/P and the
+weights of a cohomology degree, which only tests read, are small functions here too. ``dual_grassmannian`` is no oracle but a metamorphic
 map: it carries a sum on Gr(k, n) to Gr(n - k, n) with the package's own labels.
 
 Tests that edit a shipped scenario file start from ``shipped_scenario``, a fresh copy of its
@@ -212,6 +212,32 @@ def serre_dual_weight(space, omega):
     from gpcoh import canonical_twist_weight
 
     return type(omega)(map(add, canonical_twist_weight(space), levi_dual_weight(space, omega)))
+
+
+def tangent_pieces(rs, k: int) -> dict[int, tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """The graded pieces of T and of Omega^1 on the maximal G/P_k, keyed by the alpha_k-degree j >= 1
+    of the positive roots: {j: (weight of piece j of T, weight of piece j of Omega^1, rank)}.
+
+    T^* = G x_P u_P, and u_P is graded by the alpha_k-degree of its roots; each piece g_j is an
+    irreducible Levi module (Azad, Barry and Seitz 1990) whose rank is its number of roots. A
+    bundle is named by the highest weight of its dual fibre, so piece j of T is named by the
+    highest root of degree j, and piece j of Omega^1 by minus the lowest root of degree j. The
+    weights are the roots' coroot pairings, read off the Cartan matrix directly."""
+    by_degree: dict[int, list] = {}
+    for root in rs.positive_roots:
+        if root[k - 1]:
+            by_degree.setdefault(root[k - 1], []).append(root)
+
+    def pairing(root):
+        return tuple(sum(c * row[i] for c, row in zip(root, rs.cartan)) for i in range(rs.rank))
+
+    pieces = {}
+    for j, roots in sorted(by_degree.items()):
+        heights = [sum(root) for root in roots]
+        assert heights.count(max(heights)) == heights.count(min(heights)) == 1  # one top, one bottom
+        top, bottom = max(roots, key=sum), min(roots, key=sum)
+        pieces[j] = (pairing(top), tuple(-c for c in pairing(bottom)), len(roots))
+    return pieces
 
 
 def weights_at(table, degree: int) -> tuple:

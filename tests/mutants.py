@@ -36,7 +36,7 @@ MEMORY_CAP = 1 << 30  # bytes of address space per pytest run; every named test 
 
 # (file, old text, new text, the test that must fail once old is replaced by new)
 MUTANTS = [
-    # root_system: the builder, the walk, the Weyl product, duals and P-dominance
+    # root_system: the builder, the walk and the Weyl product
     # G2's Cartan matrix of affine type: without the |Phi+| bound the builder runs without end
     ("root_system.py", "edge(0, 1, aij=-1, aji=-3)", "edge(0, 1, aij=-1, aji=-4)",
      "tests/test_root_system.py::test_positive_root_counts_match_closed_forms"),
@@ -55,9 +55,6 @@ MUTANTS = [
     # a root dropped from the Weyl product, numerator and denominator alike
     ("root_system.py", "for parent, i in chain:", "for parent, i in chain[:-1]:",
      "tests/test_root_system.py::test_weyl_dimension_examples"),
-    # -w0 on the nodes: the dual of a weight is the weight itself
-    ("root_system.py", "return dominant if sigma is None else Weight._trusted(map(dominant.__getitem__, sigma))",
-     "return dominant", "tests/test_root_system.py::test_dual_weight_examples"),
     # the entry type test: a plain tuple of the right length passes as a weight
     ("root_system.py", "    if type(w) is not Weight or len(w) != rs.rank:\n        _check_weight(rs, w)\n    if -1 in w:",
      "    if len(w) != rs.rank:\n        _check_weight(rs, w)\n    if -1 in w:",
@@ -65,15 +62,20 @@ MUTANTS = [
     # the nilradical: roots whose support meets some crossed node, not every one
     ("root_system.py", "meets = tuple(map(any,", "meets = tuple(map(all,",
      "tests/test_root_system.py::test_parabolic_space_splits_the_roots_as_the_per_root_oracle"),
-    # P-dominance: a coefficient of -1 at an uncrossed node passes
-    ("root_system.py", "            if omega[i - 1] < 0:", "            if omega[i - 1] < -1:",
-     "tests/test_root_system.py::test_a_weight_negative_at_an_uncrossed_node_is_not_p_dominant"),
     # the dot action's rho shift, on a miss of the dominantize memo
     ("root_system.py", "_walk(rs, [c + 1 for c in w])", "_walk(rs, [c for c in w])",
      "tests/test_bott.py::test_bwb_tangent_bundle_sections"),
-    # bott: the degree, multiplicities, the Euler characteristic, the canonical twist
-    ("bott.py", "return BWBResult._trusted((degree, dual_weight(rs, mu)",
-     "return BWBResult._trusted((degree + 1, dual_weight(rs, mu)",
+    # bott: P-dominance, -w0, the degree, multiplicities, the Euler characteristic, the canonical twist
+    # P-dominance: a coefficient of -1 at an uncrossed node passes
+    ("bott.py", "            if omega[i - 1] < 0:", "            if omega[i - 1] < -1:",
+     "tests/test_root_system.py::test_a_weight_negative_at_an_uncrossed_node_is_not_p_dominant"),
+    # P-dominance unchecked: the uncrossed nodes are never read
+    ("bott.py", "    if min(omega) < 0:\n        for i in uncrossed:", "    if False:\n        for i in uncrossed:",
+     "tests/test_bott.py::test_bwb_rejects_non_p_dominant_weight_naming_the_node"),
+    # -w0 on the nodes: the cohomology weight is mu itself, not its dual
+    ("bott.py", "dual = mu if sigma is None else Weight._trusted(map(mu.__getitem__, sigma))", "dual = mu",
+     "tests/test_root_system.py::test_e6_dual_exchanges_the_two_minimal_representations"),
+    ("bott.py", "return BWBResult._trusted((degree, dual,", "return BWBResult._trusted((degree + 1, dual,",
      "tests/test_bott.py::test_bwb_negative_line_bundle_on_p1_lands_in_degree_one"),
     ("bott.py", "totals[degree] = totals.get(degree, 0) + mult * dimension",
      "totals[degree] = totals.get(degree, 0) + dimension",
@@ -145,6 +147,17 @@ MUTANTS = [
     # the VMRT's projective space: a hyperplane section of P^(dim - 1)
     ("scenarios.py", "proj_dim = rep_dim - 2", "proj_dim = rep_dim - 1",
      "tests/test_scenarios.py::test_vmrt_audit_values"),
+    # theorem1: the automorphism balance's pass/fail comparison flipped
+    ("scenarios.py", "\"automorphism balance identity\",\n            aut_dim + 1 == space_dim + cone_dim,",
+     "\"automorphism balance identity\",\n            aut_dim + 1 != space_dim + cone_dim,",
+     "tests/test_scenarios.py::test_theorem1_audit_values"),
+    # theorem1: the cone's constant checked against the semisimple part alone, without the scalars
+    ("scenarios.py", "cone_dim == cone_ss + 1,", "cone_dim == cone_ss,",
+     "tests/test_scenarios.py::test_theorem1_audit_values"),
+    # theorem1: the imported prolongation bound labelled as computed
+    ("scenarios.py", "            \"external\",\n            \"prolongation chain bound",
+     "            \"computed\",\n            \"prolongation chain bound",
+     "tests/test_scenarios.py::test_the_h0_bound_is_an_imported_theorem_labelled_external"),
     # the Fano index of the zero locus
     ("scenarios.py", "index = -sub_twist", "index = sub_twist",
      "tests/test_scenarios.py::test_adjunction_audit_values"),

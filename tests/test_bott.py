@@ -15,15 +15,17 @@ from gpcoh import (
     canonical_twist_weight,
     euler_characteristic,
 )
-from gpcoh.schur import BundleLabel, BundleSum
+from gpcoh.schur import BundleLabel, BundleSum, Partition, parse_bundle, sum_to_weights
 
 from conftest import (
     ALL_TYPES,
+    dual_grassmannian,
     is_dominant,
     levi_dual_weight,
     levi_roots,
     reflection_walk_oracle,
     serre_dual_weight,
+    tangent_pieces,
     weights_at,
     weyl_product_oracle,
 )
@@ -297,6 +299,100 @@ def test_tangent_sections_and_canonical_cohomology_across_grassmannians():
         assert (tangent.degree, tangent.dimension) == (0, n * n - 1)
         canonical = bwb(space, canonical_twist_weight(space))
         assert (canonical.degree, canonical.dimension) == (space.dimension, 1)
+
+
+# dim g of each simple type (Bourbaki, Plates I-IX)
+DIM_G = {
+    "A": lambda n: n * (n + 2),
+    "B": lambda n: n * (2 * n + 1),
+    "C": lambda n: n * (2 * n + 1),
+    "D": lambda n: n * (2 * n - 1),
+    "E": {6: 78, 7: 133, 8: 248}.get,
+    "F": lambda n: 52,
+    "G": lambda n: 14,
+}
+
+
+def dim_aut(letter, rank, k):
+    """dim Aut(G/P_k): dim g, but for Demazure's three families (Demazure 1977; Onishchik 1962)."""
+    if letter == "B" and k == rank:
+        return (rank + 1) * (2 * rank + 1)  # B_n/P_n = D_(n+1)/P_(n+1), Aut = SO(2n + 2)
+    if letter == "C" and k == 1:
+        return 4 * rank * rank - 1  # C_n/P_1 = P^(2n - 1), Aut = PGL(2n)
+    if (letter, k) == ("G", 1):
+        return 21  # G2/P1 = Q^5, Aut = SO(7)
+    return DIM_G[letter](rank)
+
+
+def test_the_tangent_bundle_of_every_maximal_parabolic_has_h0_dim_aut_and_omega1_only_h11():
+    # Bott (1957), Demazure (1977): H^0(T) = Lie Aut(G/P) and H^(>0)(T) = 0. Each graded piece of T
+    # gives one bwb result; the filtration 0 = F_0 < F_1 < ... of T has connecting maps from
+    # H^q(gr_j) to H^(q+1)(F_(j-1)), so where no piece j has a cell in a degree q with a piece i < j
+    # in degree q + 1, H^*(T) is the sum of the pieces' cells, with no rank input
+    open_spaces, demazure = {}, []
+    for letter, rank in ALL_TYPES:
+        rs = build_root_system(letter, rank)
+        for k in range(1, rank + 1):
+            space = ParabolicSpace(rs, {k})
+            pieces = tangent_pieces(rs, k)
+            levi = levi_roots(space)
+            assert sum(r for _, _, r in pieces.values()) == space.dimension
+            cells, omega1 = {}, {}
+            for j, (t, o, r) in pieces.items():
+                assert weyl_product_oracle(rs, Weight(t), levi) == r == weyl_product_oracle(rs, Weight(o), levi)
+                res = bwb(space, Weight(t))
+                cells[j] = {} if res.all_vanish else {res.degree: res.dimension}
+                res = bwb(space, Weight(o))
+                if not res.all_vanish:
+                    omega1[res.degree] = omega1.get(res.degree, 0) + res.dimension
+            assert omega1 == {1: 1}, space  # h^(1,1) = 1: Picard number one
+            chi = sum((-1) ** q * d for at in cells.values() for q, d in at.items())
+            assert chi == dim_aut(letter, rank, k), space
+            if chi != DIM_G[letter](rank):
+                demazure.append(str(space))
+            if any(q + 1 in cells[i] for j in cells for q in cells[j] for i in cells if i < j):
+                open_spaces[str(space)] = cells
+            else:
+                assert all(q == 0 for at in cells.values() for q in at), space
+            if letter == "A" and rank <= 8:  # Gr(k, n) with n <= 9: one piece, the grammar's T
+                (t, _, _), = pieces.values()
+                assert sum_to_weights(parse_bundle((k, rank + 1), "T"), space) == ((Weight(t), 1),)
+    # F4/P3: H^1 = 26 on piece 2 faces H^0 = 26 on piece 3, both V(omega_4), which dimensions
+    # alone cannot decide; Demazure's theorem says the map is an isomorphism
+    assert open_spaces == {"F4/P(3)": {1: {}, 2: {1: 26}, 3: {0: 26}, 4: {0: 52}}}
+    assert demazure == (
+        [f"B{n}/P({n})" for n in range(2, 9)] + [f"C{n}/P(1)" for n in range(3, 9)] + ["G2/P(1)"]
+    )
+
+
+def test_bwb_of_every_single_label_agrees_with_its_grassmannian_dual():
+    # Gr(k, n) = Gr(n - k, n) sends U to Q*, Q to U* and fixes O(1): the dual side has another
+    # parabolic and another weight, and SL(n) acts on it through its outer automorphism, -w0, which
+    # reverses the nodes of A_(n-1). So the degrees and dimensions agree, each side's cohomology
+    # weight is its pre-dual weight reversed, and the dual side's is the first side's reversed
+    rng = random.Random("bwb grassmannian dual")
+    degrees, labels = set(), 0
+    for n in range(2, 10):
+        rs = build_root_system("A", n - 1)
+        for k in range(1, n):
+            space, dual_space = ParabolicSpace(rs, {k}), ParabolicSpace(rs, {n - k})
+            for _ in range(30):
+                u = sorted((rng.randint(0, 3) for _ in range(k)), reverse=True)
+                q = sorted((rng.randint(0, 3) for _ in range(n - k)), reverse=True)
+                label = BundleLabel((k, n), Partition(p for p in u if p), Partition(p for p in q if p),
+                                    rng.randint(-n - 4, 3))
+                bsum = BundleSum((k, n), [(label, 1)])
+                ((w, _),) = sum_to_weights(bsum, space)
+                ((dw, _),) = sum_to_weights(dual_grassmannian(bsum), dual_space)
+                a, b = bwb(space, w), bwb(dual_space, dw)
+                assert (a.degree, a.dimension) == (b.degree, b.dimension), label
+                if not a.all_vanish:
+                    assert a.weight == Weight(a.predual_weight[::-1]), label
+                    assert b.weight == Weight(b.predual_weight[::-1]), label
+                    assert b.weight == Weight(a.weight[::-1]), label
+                    degrees.add(a.degree)
+                labels += 1
+    assert labels == 36 * 30 and len(degrees) > 5
 
 
 @pytest.mark.parametrize("letter,rank", ALL_TYPES)

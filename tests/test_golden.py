@@ -1,13 +1,14 @@
 """Byte-for-byte CLI output of the shipped reports, the Cayley chases, one chase
-only the integer rank bounds solve (G2/P2 twisted by O(-7), from ``tests/data/g2p2.json``), three
+only the integer rank bounds solve (G2/P2 twisted by O(-7), from ``tests/data/g2p2.json``), four
 Borel-Weil-Bott runs (a walk of length 77 on E8/P(1), a weight whose rho-shift
-lies on a wall with no zero coefficient, and H^1 of O(-2) on P^1), one chase
+lies on a wall with no zero coefficient, H^1 of O(-2) on P^1, and H^16 on E6/P(1), whose
+cohomology weight is the pre-dual one moved by -w0), one chase
 that blocks (LG(3,6) twisted by S5 U* (-4), from ``tests/data/lg36.json``), one
 chase refused because its file is an audit file, not a zero-locus one, and one refused
 because its section bundle has no regular section (O(-1) on Gr(4,7), from
 ``tests/data/non_regular.json``). The text mode of every subcommand is pinned too: the reports,
 one LR product and the positive roots of G2 in both formats, the Cayley normal chase, the E8
-walk and the blocked chase with its ``failures:`` block.
+and E6 walks and the blocked chase with its ``failures:`` block.
 
 The files under ``tests/golden/`` are the stdout of ``gpcoh`` for each
 command below; any change to a number, a label or the formatting of these
@@ -23,6 +24,8 @@ import pytest
 from conftest import run_python
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# H^16 = 27 on E6/P(1), where -w0 moves the weight: pre-dual (0,0,0,0,0,1), cohomology (1,0,0,0,0,0)
+E6_DUAL = ["E", "6", "--crossed", "1", "--weight=-13,0,0,0,0,0"]
 
 CASES = [
     (f"report_{name}.{ext}", ["--format", fmt, "report", name])
@@ -45,6 +48,7 @@ CASES = [
         ("e8_p1_nonvanishing", ["E", "8", "--crossed", "1", "--weight=-26,1,0,0,0,0,0,2"]),
         ("e8_p1_vanishing", ["E", "8", "--crossed", "1", "--weight=-10,0,0,0,0,0,0,0"]),
         ("a1_h1", ["A", "1", "--crossed", "1", "--weight", "-2"]),
+        ("e6_p1_dual", E6_DUAL),
     )
 ] + [
     (f"{name}.{ext}", ["--format", fmt, *args])
@@ -56,6 +60,7 @@ CASES = [
 ] + [
     ("koszul_cayley_normal.txt", ["koszul", "--scenario", "cayley", "--twist", "normal"]),
     ("bwb_e8_p1_nonvanishing.txt", ["bwb", "E", "8", "--crossed", "1", "--weight=-26,1,0,0,0,0,0,2"]),
+    ("bwb_e6_p1_dual.txt", ["bwb", *E6_DUAL]),
 ]
 # commands that must fail, each with its exit status: a chase that nothing forces blocks, a chase
 # on an audit file is refused because that file is not of the zero-locus kind, and a section with

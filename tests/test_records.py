@@ -122,7 +122,6 @@ def test_a_validating_record_offers_no_unchecked_constructor(cls):
 UNCHECKED_PATHS = {
     "root_system._walk",
     "root_system.dominantize",
-    "root_system.dual_weight",
     "bott.bwb",
     "bott.bundle_cohomology",
     "schur._reversed_complement",

@@ -16,7 +16,6 @@ from gpcoh import (
     bundle_cohomology,
     bwb,
     dominantize,
-    dual_weight,
     weyl_dimension,
 )
 from gpcoh import root_system
@@ -293,7 +292,6 @@ def test_dominantize_gives_the_validated_weight():
 PUBLIC_WEIGHT_CALLS = {
     "dominantize": lambda rs, space, w: dominantize(rs, w),
     "weyl_dimension": lambda rs, space, w: weyl_dimension(rs, w),
-    "dual_weight": lambda rs, space, w: dual_weight(rs, w),
     "bwb": lambda rs, space, w: bwb(space, w),
     "bundle_cohomology": lambda rs, space, w: bundle_cohomology(space, [(w, 1)]),
 }
@@ -404,30 +402,38 @@ def test_classical_representation_dimensions(letter, rank, coeffs, expected):
 
 
 # ---------------------------------------------------------------------------
-# dual_weight
+# -w0: the dual that bwb reports
 
 
-def test_dual_weight_examples():
+def _h0(rs, dominant):
+    """``bwb`` of a dominant weight on G/P_1: H^0, whose highest weight is the dual of the one the
+    weight names, -w0 applied through ``rs.minus_w0``."""
+    res = bwb(ParabolicSpace(rs, {1}), dominant)
+    assert (res.degree, res.predual_weight) == (0, dominant)
+    return res
+
+
+def test_bwb_reports_the_dual_through_minus_w0_on_a6_and_f4():
     a6 = build_root_system("A", 6)
-    assert dual_weight(a6, Weight((0, 0, 1, 0, 0, 0))) == Weight((0, 0, 0, 1, 0, 0))
-    assert dual_weight(a6, Weight((1, 0, 0, 0, 0, 1))) == Weight((1, 0, 0, 0, 0, 1))
+    assert a6.minus_w0 == (5, 4, 3, 2, 1, 0)
+    assert _h0(a6, Weight((0, 0, 1, 0, 0, 0))).weight == Weight((0, 0, 0, 1, 0, 0))
+    assert _h0(a6, Weight((1, 0, 0, 0, 0, 1))).weight == Weight((1, 0, 0, 0, 0, 1))
     f4 = build_root_system("F", 4)
-    assert dual_weight(f4, Weight((1, 2, 0, 3))) == Weight((1, 2, 0, 3))
-
-
-def test_dual_weight_rank_mismatch_rejected():
-    with pytest.raises(ValueError, match="rank mismatch"):
-        dual_weight(build_root_system("A", 4), Weight((1, 0)))
+    assert f4.minus_w0 is None
+    assert _h0(f4, Weight((1, 2, 0, 3))).weight == Weight((1, 2, 0, 3))
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 5), ("D", 5), ("D", 6), ("E", 6), ("B", 4)])
-def test_dual_weight_is_a_dimension_preserving_involution(letter, rank):
+def test_the_dual_through_minus_w0_is_a_dimension_preserving_involution(letter, rank):
     rs = build_root_system(letter, rank)
+    sigma = rs.minus_w0 or range(rank)
+    assert sorted(sigma) == list(range(rank)) and all(sigma[sigma[j]] == j for j in range(rank))
     for coeffs in product(range(4), repeat=rank):
         w = Weight(coeffs)
-        d = dual_weight(rs, w)
-        assert dual_weight(rs, d) == w
-        assert weyl_dimension(rs, d) == weyl_dimension(rs, w)
+        res = _h0(rs, w)
+        assert res.weight == Weight([coeffs[j] for j in sigma])
+        assert _h0(rs, res.weight).weight == w
+        assert res.dimension == weyl_dimension(rs, res.weight) == weyl_dimension(rs, w)
 
 
 def _minus_w0_moves_a_node(letter, rank):
@@ -442,18 +448,19 @@ def test_the_sweep_has_types_with_and_without_an_identity_minus_w0():
 
 
 @pytest.mark.parametrize("letter,rank", ALL_TYPES)
-def test_dual_weight_is_the_dominant_end_of_the_walk_of_the_negative(letter, rank):
+def test_the_reported_dual_is_the_dominant_end_of_the_walk_of_the_negative(letter, rank):
     rs = build_root_system(letter, rank)
     assert (rs.minus_w0 is not None) == _minus_w0_moves_a_node(letter, rank)
     rng = random.Random(f"dual {letter}{rank}")
     moved = 0
     for _ in range(6):
         w = Weight(tuple(rng.randint(0, 9) for _ in range(rank)))
-        dual = dual_weight(rs, w)
+        res = _h0(rs, w)
+        dual = res.weight
         assert dual == reflection_walk_oracle(rs, Weight([-c for c in w]), range(1, rank + 1))[0]
         assert type(dual) is Weight and type(dual.coeffs) is tuple
         if not _minus_w0_moves_a_node(letter, rank):
-            assert dual is w  # no permutation to apply: the checked weight comes back
+            assert dual is res.predual_weight  # no permutation to apply: mu itself comes back
         moved += dual != w
     # where -w0 is the identity the dual is the weight itself; elsewhere some draw moves
     assert bool(moved) == _minus_w0_moves_a_node(letter, rank)
@@ -461,8 +468,8 @@ def test_dual_weight_is_the_dominant_end_of_the_walk_of_the_negative(letter, ran
 
 def test_e6_dual_exchanges_the_two_minimal_representations():
     e6 = build_root_system("E", 6)
-    assert dual_weight(e6, Weight((1, 0, 0, 0, 0, 0))) == Weight((0, 0, 0, 0, 0, 1))
-    assert dual_weight(e6, Weight((0, 1, 0, 0, 0, 0))) == Weight((0, 1, 0, 0, 0, 0))
+    assert _h0(e6, Weight((1, 0, 0, 0, 0, 0))).weight == Weight((0, 0, 0, 0, 0, 1))
+    assert _h0(e6, Weight((0, 1, 0, 0, 0, 0))).weight == Weight((0, 1, 0, 0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -508,14 +515,14 @@ def test_homogeneous_dimension_rejects_bad_crossings():
 def test_a_weight_negative_at_an_uncrossed_node_is_not_p_dominant():
     space = ParabolicSpace(build_root_system("A", 6), {4})
     with pytest.raises(ValueError, match="uncrossed node 3"):
-        space.check_p_dominant(Weight((0, 0, -1, 0, 0, 0)))
+        bwb(space, Weight((0, 0, -1, 0, 0, 0)))
 
 
 def test_p_dominance_reads_only_the_uncrossed_nodes_and_names_the_first_negative_one():
     space = ParabolicSpace(build_root_system("A", 6), {2, 4})
-    assert space.check_p_dominant(Weight((0, -3, 0, -1, 0, 0))) is None
+    assert bwb(space, Weight((0, -3, 0, -1, 0, 0))).all_vanish  # a -1 at crossed node 4: a wall
     with pytest.raises(ValueError) as exc:
-        space.check_p_dominant(Weight((0, -3, 0, -1, -2, -1)))
+        bwb(space, Weight((0, -3, 0, -1, -2, -1)))
     assert str(exc.value) == (
         "weight (0,-3,0,-1,-2,-1) is not P-dominant on A6/P(2,4): negative coefficient at uncrossed node 5"
     )
@@ -528,8 +535,7 @@ def test_every_public_kernel_rejects_a_wrong_rank_with_one_message():
     for call in (
         lambda: dominantize(rs, w),
         lambda: weyl_dimension(rs, w),
-        lambda: dual_weight(rs, w),
-        lambda: ParabolicSpace(rs, {1}).check_p_dominant(w),
+        lambda: bwb(ParabolicSpace(rs, {1}), w),
     ):
         with pytest.raises(ValueError) as exc:
             call()
@@ -549,8 +555,6 @@ def test_every_public_kernel_rejects_what_is_not_a_weight_with_one_message(w):
     for call in (
         lambda: dominantize(rs, w),
         lambda: weyl_dimension(rs, w),
-        lambda: dual_weight(rs, w),
-        lambda: space.check_p_dominant(w),
         lambda: bwb(space, w),
     ):
         for _ in range(2):

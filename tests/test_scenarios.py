@@ -582,6 +582,15 @@ def test_theorem1_constants_are_external_with_provenance():
         assert "Fu-Hwang" in line.provenance
 
 
+def test_the_h0_bound_is_an_imported_theorem_labelled_external():
+    # the value dim aut(S) + 1 is computed, but that it bounds h^0(X_0, T) is Fu-Hwang's theorem
+    rep = report("theorem1")
+    for key, value in (("h0_bound_sl6_mod_sp6", 36), ("h0_bound_e6_mod_f4", 79)):
+        line = rep.line(key)
+        assert (line.value, line.source, line.passed) == (value, "external", None)
+        assert "Fu-Hwang 2018" in line.provenance
+
+
 def test_adjunction_audit_values():
     rep = report("adjunction")
     assert rep.passed
@@ -637,7 +646,8 @@ def test_the_scope_section_holds_the_non_claims_and_only_when_a_constant_was_rea
     assert [ln.key for ln in scope.lines] == ["non_claim_global_rigidity", "non_claim_prolongation"]
     assert all(ln.source == "external" and ln.provenance.strip() for ln in scope.lines)
     external = [ln for ln in rep.lines() if ln.source == "external" and ln not in scope.lines]
-    assert sorted(ln.value for ln in external) == [0, 53]
+    # the case's two constants, and the value of the imported prolongation bound
+    assert sorted(ln.value for ln in external) == [0, 53, 79]
     data["cases"] = []
     p.write_text(json.dumps(data))
     assert report(p).sections == ()
