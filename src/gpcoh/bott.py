@@ -7,7 +7,8 @@ read off from the dominant weight w . lambda. Cohomology of the theorem lands
 in the dual representation; results here always report the highest weight of
 the cohomology itself, keeping the pre-dual weight as provenance.
 
-``bwb`` does each summand's work in its own frame: it unpacks the space once, tests the weight's
+``bwb`` does each summand's work in its own frame: it takes only a ``ParabolicSpace`` (a plain tuple
+of its fields would skip the P-dominance check), unpacks the space once, tests the weight's
 type and rank in one comparison (``_check_weight`` runs only to raise), reads the uncrossed nodes
 only when a coefficient is negative, and permutes mu by ``rs.minus_w0`` for the dual. The dot
 action's shift by rho and unshift run inside ``dominantize``, on a memo miss only. Each kernel it
@@ -110,9 +111,11 @@ _ACYCLIC = CohomologyTable(total_dims=(), entries=())  # every sum whose summand
 def bwb(space: ParabolicSpace, omega: Weight) -> BWBResult:
     """Cohomology of the irreducible equivariant bundle with weight ``omega``.
 
-    ``omega`` must be a ``Weight`` of the system's rank and P-dominant (nonnegative at every
-    uncrossed node); the crossed-node coefficients are unrestricted.
+    ``space`` must be a ``ParabolicSpace``, and ``omega`` a ``Weight`` of the system's rank and
+    P-dominant (nonnegative at every uncrossed node); the crossed-node coefficients are unrestricted.
     """
+    if type(space) is not ParabolicSpace:
+        raise ValueError(f"space is a {type(space).__name__}, not a ParabolicSpace")
     rs, _, uncrossed, nilradical = space
     if type(omega) is not Weight or len(omega) != rs.rank:
         _check_weight(rs, omega)

@@ -1,14 +1,15 @@
 """Declarative scenarios binding the engines to auditable rigidity reports.
 
 Every scenario file names the report that reads it in its ``report`` key, and that report's file
-kind says what else it holds. ``report(source)`` reads a file whole, once (``_load``), and runs the
-runner of its report. A zero-locus file (``cayley``, ``adjunction``) names an ambient homogeneous
-space, a section bundle whose zero locus is under study, bundles to restrict, and exactly the
-external constants its report reads (``_read_constants``); an audit file (``vmrt``, ``theorem1``)
-lists the cases of its report. Every external constant must carry a provenance string, and reports
-label each numeric claim as computed or external. A fault in a file names the file and the block one
-way (``_fault``). Each report is written through one ledger (``_Ledger``); ``Scenario.chase_twist``
-serves ``cayley`` and ``gpcoh koszul``.
+kind says what else it holds. ``report(source)`` is the one frame around every report: it reads a
+file whole, once (``_load``), opens a ledger (``_Ledger``) on the file's ``expect`` block, hands it
+to the runner of its report, which only writes lines, and closes it under the report's name and the
+file's title. A zero-locus file (``cayley``, ``adjunction``) names an ambient homogeneous space, a
+section bundle whose zero locus is under study, bundles to restrict, and exactly the external
+constants its report reads, which one reader checks (``_read_constants``); an audit file (``vmrt``,
+``theorem1``) lists the cases of its report. Every external constant must carry a provenance string,
+and reports label each numeric claim as computed or external. A fault in a file names the file and
+the block one way (``_fault``). ``Scenario.chase_twist`` serves ``cayley`` and ``gpcoh koszul``.
 """
 
 from __future__ import annotations
@@ -92,12 +93,10 @@ def _naming(file: str, block: str, key: str):
         raise _fault(file, block, f"key {key!r}: {exc}") from exc
 
 
-class Scenario(
-    namedtuple("Scenario", "file name title space section_bundle twists external_constants")
-):
+class Scenario(namedtuple("Scenario", "file name space section_bundle twists")):
     """A loaded zero-locus file, named as errors name it: the ambient space, the section
-    bundle, each twist by name as (its index in the file's ``twists``, its bundle, its rank
-    hints), and the external constants by name."""
+    bundle, and each twist by name as (its index in the file's ``twists``, its bundle, its rank
+    hints)."""
 
     __slots__ = ()
 
@@ -152,14 +151,11 @@ def _block(block: dict, kind: dict, file: str, name: str) -> None:
             raise _fault(file, name, f"lacks key {key!r}")
 
 
-def _constants(items: list[dict]) -> dict[str, ExternalConstant]:
-    """The read constant blocks ``items`` by name, each provenance stripped."""
-    return {c["name"]: ExternalConstant(c["name"], c["value"], c["provenance"].strip()) for c in items}
-
-
-def _read_constants(consts: dict, names: tuple[str, ...], file: str, block: str) -> tuple[ExternalConstant, ...]:
-    """The constants ``names``, those a report reads, from ``consts``: a constant the report
-    does not read, or one it reads that ``consts`` lacks, fails naming the file and the block."""
+def _read_constants(items: list[dict], names: tuple[str, ...], file: str, block: str) -> tuple[ExternalConstant, ...]:
+    """The constants ``names``, those a report reads, from the read constant blocks ``items``, each
+    provenance stripped: a constant the report does not read, or one it reads that ``items`` lacks,
+    fails naming the file and the block."""
+    consts = {c["name"]: ExternalConstant(c["name"], c["value"], c["provenance"].strip()) for c in items}
     for name in consts:
         if name not in names:
             raise _fault(file, block, f"has unknown constant {name!r}; known: {', '.join(names) or 'none'}")
@@ -232,11 +228,6 @@ def _load(name_or_path: str | Path) -> tuple[str, str, dict]:
     return text, kind, data
 
 
-def _title(data: dict) -> str:
-    """A report's title: the file's ``title``, else its ``name``, else empty."""
-    return data.get("title", data.get("name", ""))
-
-
 def load_scenario(name_or_path: str | Path) -> Scenario:
     """The zero-locus file ``name_or_path``, found and read as by ``_load``. An audit file fails
     as a zero-locus file: at the first of its keys that the zero-locus kind does not declare."""
@@ -265,15 +256,7 @@ def _scenario(file: str, data: dict) -> Scenario:
         with _naming(file, f"twists[{i}]", "label"):
             bundle = parse_bundle(kn, tw["label"])
         twists[tw["name"]] = (i, bundle, tuple(RankHint(**h) for h in tw.get("rank_hints", ())))
-    return Scenario(
-        file=file,
-        name=data.get("name", file),
-        title=_title(data),
-        space=space,
-        section_bundle=section,
-        twists=twists,
-        external_constants=_constants(data.get("external_constants", ())),
-    )
+    return Scenario(file=file, name=data.get("name", file), space=space, section_bundle=section, twists=twists)
 
 
 # ---------------------------------------------------------------------------
@@ -340,37 +323,29 @@ _NON_CLAIMS = (  # (key, text, value, provenance) of the lines that open a scope
 
 
 class _Ledger:
-    """One report, written top to bottom: ``section`` opens a section, ``add`` writes a
-    computed line into it and ``external`` a line read from an external constant. A computed
-    line whose key ``expect`` names passes exactly when its value is the expected one.
-    ``report`` closes the report; when it read at least one constant it first adds a
-    scope section of the non-claims. Each constant is said once, on its own line."""
+    """One report, written top to bottom by its runner: ``section`` opens a section and ``add``,
+    the one writer of a line, writes a line into it, computed unless ``source`` says otherwise. A
+    computed line whose key ``expect`` names passes exactly when its value is the expected one.
+    ``report`` closes the report; when it holds an external line it first adds a scope section of
+    the non-claims. Each constant is said once, on its own external line."""
 
-    def __init__(self, expect: dict | None = None) -> None:
+    def __init__(self, expect: dict) -> None:
         self._sections: list[tuple[str, list[ReportLine]]] = []
-        self._read = False
-        self._expect = expect or {}
+        self._expect = expect
 
     def section(self, title: str):
         self._sections.append((title, []))
 
-    def _line(self, key: str, text: str, value, source: str, provenance: str, passed=None):
+    def add(self, key: str, text: str, value, provenance: str, passed: bool | None = None, source: str = "computed"):
+        if source == "computed" and key in self._expect:
+            passed = value == self._expect[key]
         self._sections[-1][1].append(ReportLine(key, text, value, source, provenance, passed))
 
-    def add(self, key: str, text: str, value, provenance: str, passed: bool | None = None):
-        if key in self._expect:
-            passed = value == self._expect[key]
-        self._line(key, text, value, "computed", provenance, passed)
-
-    def external(self, key: str, text: str, const: ExternalConstant, passed: bool | None = None):
-        self._read = True
-        self._line(key, text, const.value, "external", const.provenance, passed)
-
     def report(self, name: str, title: str) -> RigidityReport:
-        if self._read:
+        if any(ln.source == "external" for _, lines in self._sections for ln in lines):
             self.section("Scope: externally sourced inputs and non-claims")
             for key, text, value, provenance in _NON_CLAIMS:
-                self._line(key, text, value, "external", provenance)
+                self.add(key, text, value, provenance, source="external")
         sections = tuple(ReportSection(t, tuple(lines)) for t, lines in self._sections)
         return RigidityReport(name=name, title=title, sections=sections)
 
@@ -398,7 +373,9 @@ def _chase_record(ledger: _Ledger, twist: str, complex_: KoszulComplex, result: 
             else ("forced", "computed", "integer rank bounds on the resolution" if h.degree else
                   "left exactness of global sections")
         )
-        ledger._line(f"{twist}_hint_{h.target_term}_{h.degree}", f"{word} rank: {h.describe()}", h.rank, source, why)
+        ledger.add(
+            f"{twist}_hint_{h.target_term}_{h.degree}", f"{word} rank: {h.describe()}", h.rank, why, source=source
+        )
     terms = [f"C_{j} = {complex_.terms[j]}" for j in range(complex_.section_rank, -1, -1)]
     page = {f"H^{q}(C_{j})": dim for (j, q), dim in result.grid}
     ledger.add(
@@ -415,14 +392,20 @@ def _chase_record(ledger: _Ledger, twist: str, complex_: KoszulComplex, result: 
     )
 
 
-def run_cayley(file: str, data: dict) -> RigidityReport:
+def run_cayley(ledger: _Ledger, file: str, data: dict) -> None:
     """Full local-rigidity computation for the Cayley Grassmannian file ``file``, read as ``data``."""
     sc = _scenario(file, data)
-    (h0_const,) = _read_constants(sc.external_constants, ("h0_tangent_subvariety",), sc.file, "external_constants")
-    for twist in ("trivial", "normal", "tangent"):  # checked before any chase runs
+    (h0,) = _read_constants(
+        data.get("external_constants", ()), ("h0_tangent_subvariety",), file, "external_constants"
+    )
+    # each twist that the normal sequence reads, and the bundle it reads it as; checked before any chase
+    for twist, text in (("trivial", "O"), ("normal", data["section_bundle"]), ("tangent", "T")):
         if twist not in sc.twists:
-            raise _fault(sc.file, "twists", f"lacks twist {twist!r}")
-    ledger = _Ledger(data.get("expect"))
+            raise _fault(file, "twists", f"lacks twist {twist!r}")
+        i, bundle, _ = sc.twists[twist]
+        if bundle != parse_bundle(bundle.ambient, text):
+            raise _fault(file, f"twists[{i}]", f"key 'label': the normal sequence reads {twist!r} as "
+                         f"{text!r}, got {data['twists'][i]['label']!r}")
 
     triv_complex, triv = _chase_step(ledger, sc, "trivial", "Structure sheaf of the zero locus")
     h0_o = triv.table.dims().get(0, 0)
@@ -497,13 +480,13 @@ def run_cayley(file: str, data: dict) -> RigidityReport:
     # the normal sequence 0 -> T_S -> T|_S -> N|_S -> 0, solved for H^*(T_S) with the external h^0
     dim_s = sc.space.dimension - normal_complex.section_rank
     with _naming(sc.file, "external_constants", "h0_tangent_subvariety"):
-        bounds, dims = solve_sequence((normal_dims, t_res), dim_s, values={0: h0_const.value}, kernel=True)
+        bounds, dims = solve_sequence((normal_dims, t_res), dim_s, values={0: h0.value}, kernel=True)
         if dims is None:
             open_cells = [cell for cell, low, high, _ in bounds if low < high]
             raise ValueError(f"the normal sequence leaves ranks open at {open_cells}")
     h1_sub = dims.get(1, 0)
     ledger.section("Normal exact sequence and the conclusion")
-    ledger.external("h0_tangent_subvariety", f"h^0(S, T_S) = {h0_const.value}", h0_const)
+    ledger.add("h0_tangent_subvariety", f"h^0(S, T_S) = {h0.value}", h0.value, h0.provenance, source="external")
     ledger.add(
         "h1_tangent_subvariety",
         f"h^1(S, T_S) = {h1_sub}",
@@ -519,7 +502,6 @@ def run_cayley(file: str, data: dict) -> RigidityReport:
         h1_sub == 0,
         "Kodaira-Spencer criterion on the computed h^1",  # h1_tangent_subvariety checks it
     )
-    return ledger.report("cayley", sc.title)
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +533,9 @@ def _gp_dim(ledger: _Ledger, block: dict, file: str, where: str) -> int:
     return dim
 
 
-def run_vmrt_audit(file: str, data: dict) -> RigidityReport:
+def run_vmrt_audit(ledger: _Ledger, file: str, data: dict) -> None:
     """Nondegeneracy ledger of the vmrt file ``file``, read as ``data``: each VMRT dimension
     beats half the space dimension minus one."""
-    ledger = _Ledger()
     for i, case in enumerate(data["cases"]):
         where, name, ss = f"cases[{i}]", case["name"], case["symmetric_space"]
         group, fixed, vmrt_name = ss["group"], ss["fixed_subgroup"], case["vmrt"]["name"]
@@ -606,18 +587,16 @@ def run_vmrt_audit(file: str, data: dict) -> RigidityReport:
         if i == 0:
             ledger.section("Companion homogeneous dimensions")
         _gp_dim(ledger, sp, file, f"extra_spaces[{i}]")
-    return ledger.report("vmrt", _title(data))
 
 
-def run_theorem1_audit(file: str, data: dict) -> RigidityReport:
+def run_theorem1_audit(ledger: _Ledger, file: str, data: dict) -> None:
     """Automorphism balance dim aut(S) + 1 = dim S + dim aut(cone), plus the h^1 <= 1 bound,
     for each case of the theorem1 file ``file``, read as ``data``."""
-    ledger = _Ledger()
     for i, case in enumerate(data["cases"]):
         where, name = f"cases[{i}]", case["name"]
-        block = f"{where}.external_constants"
-        consts = _constants(case["external_constants"])
-        cone_const, h1_const = _read_constants(consts, ("cone_aut_dim", "h1_general_fiber"), file, block)
+        cone_const, h1_const = _read_constants(
+            case["external_constants"], ("cone_aut_dim", "h1_general_fiber"), file, f"{where}.external_constants"
+        )
         aut, cone = case["aut_root_system"], case["cone_aut_semisimple"]
         aut_dim = adjoint_dimension(_root_system(aut, file, f"{where}.aut_root_system"))
         g_dim, h_dim, space_dim = _pair_dims(case["space_dim"], file, f"{where}.space_dim")
@@ -642,11 +621,13 @@ def run_theorem1_audit(file: str, data: dict) -> RigidityReport:
             cone_ss,
             "adjoint dimension from the root system",
         )
-        ledger.external(
+        ledger.add(
             f"cone_aut_dim_{name}",
             f"dim aut(affine VMRT cone) = {cone_dim}",
-            cone_const,
+            cone_dim,
+            cone_const.provenance,
             cone_dim == cone_ss + 1,
+            source="external",
         )
         ledger.add(
             f"balance_lhs_{name}",
@@ -667,17 +648,19 @@ def run_theorem1_audit(file: str, data: dict) -> RigidityReport:
             "automorphism balance identity",
             aut_dim + 1 == space_dim + cone_dim,
         )
-        ledger.external(
+        ledger.add(
             f"h1_general_fiber_{name}",
             f"h^1(S, T_S) = {h1_const.value} on the general fiber",
-            h1_const,
+            h1_const.value,
+            h1_const.provenance,
+            source="external",
         )
-        ledger._line(  # a computed value, but the bound it states is an imported theorem
+        ledger.add(  # a computed value, but the bound it states is an imported theorem
             f"h0_bound_{name}",
             f"h^0(X_0, T) <= dim aut(S) + 1 = {aut_dim + 1}",
             aut_dim + 1,
-            "external",
             "prolongation chain bound (Fu-Hwang 2018) applied to the cone structure; imported, not proved here",
+            source="external",
         )
         ledger.add(
             f"h1_upper_bound_{name}",
@@ -685,13 +668,12 @@ def run_theorem1_audit(file: str, data: dict) -> RigidityReport:
             1,  # (aut_dim + 1) - aut_dim by construction, so no pass/fail check
             "Euler characteristic constancy in the family plus the h^0 bound",
         )
-    return ledger.report("theorem1", _title(data))
 
 
-def run_adjunction_audit(file: str, data: dict) -> RigidityReport:
+def run_adjunction_audit(ledger: _Ledger, file: str, data: dict) -> None:
     """Adjunction arithmetic for the zero-locus file ``file``, read as ``data``: canonical twist, index, dimension."""
     sc = _scenario(file, data)
-    _read_constants(sc.external_constants, (), sc.file, "external_constants")  # it reads none
+    _read_constants(data.get("external_constants", ()), (), file, "external_constants")  # it reads none
     space, section = sc.space, sc.section_bundle
     kappa = canonical_twist_weight(space)
     (k,) = tuple(space.crossed)
@@ -706,7 +688,6 @@ def run_adjunction_audit(file: str, data: dict) -> RigidityReport:
     ambient_dim = space.dimension
     sub_dim = ambient_dim - rank
     index = -sub_twist
-    ledger = _Ledger()
     ledger.section("Adjunction")
     ledger.add(
         "ambient_canonical_twist",
@@ -745,11 +726,14 @@ def run_adjunction_audit(file: str, data: dict) -> RigidityReport:
         "minus the canonical twist",
         index > 0,
     )
-    return ledger.report("adjunction", sc.title)
 
 
 def report(source: str | Path) -> RigidityReport:
-    """The report of the scenario file ``source``, found and read once as by ``_load``, by the
-    runner of the report that the file names."""
+    """The report of the scenario file ``source``, found and read once as by ``_load``: the one
+    frame around every runner. It opens a ledger on the file's ``expect`` block, has the runner of
+    the report that the file names write its lines into it, and closes it under that report's name
+    and the file's ``title``, else its ``name``, else an empty title."""
     file, kind, data = _load(source)
-    return globals()[REPORTS[kind][0]](file, data)
+    ledger = _Ledger(data.get("expect", {}))
+    globals()[REPORTS[kind][0]](ledger, file, data)
+    return ledger.report(kind, data.get("title", data.get("name", "")))

@@ -66,6 +66,9 @@ MUTANTS = [
     ("root_system.py", "_walk(rs, [c + 1 for c in w])", "_walk(rs, [c for c in w])",
      "tests/test_bott.py::test_bwb_tangent_bundle_sections"),
     # bott: P-dominance, -w0, the degree, multiplicities, the Euler characteristic, the canonical twist
+    # any 4-item iterable unpacked as the space: a plain tuple skips the P-dominance check
+    ("bott.py", "    if type(space) is not ParabolicSpace:\n", "    if False:\n",
+     "tests/test_bott.py::test_bwb_takes_only_a_parabolic_space_naming_what_it_got"),
     # P-dominance: a coefficient of -1 at an uncrossed node passes
     ("bott.py", "            if omega[i - 1] < 0:", "            if omega[i - 1] < -1:",
      "tests/test_root_system.py::test_a_weight_negative_at_an_uncrossed_node_is_not_p_dominant"),
@@ -155,9 +158,18 @@ MUTANTS = [
     ("scenarios.py", "cone_dim == cone_ss + 1,", "cone_dim == cone_ss,",
      "tests/test_scenarios.py::test_theorem1_audit_values"),
     # theorem1: the imported prolongation bound labelled as computed
-    ("scenarios.py", "            \"external\",\n            \"prolongation chain bound",
-     "            \"computed\",\n            \"prolongation chain bound",
+    ("scenarios.py", "not proved here\",\n            source=\"external\",",
+     "not proved here\",\n            source=\"computed\",",
      "tests/test_scenarios.py::test_the_h0_bound_is_an_imported_theorem_labelled_external"),
+    # the report frame: the scope section read off a computed line, not an external one
+    ("scenarios.py", 'if any(ln.source == "external" for', 'if any(ln.source == "computed" for',
+     "tests/test_scenarios.py::test_the_scope_section_holds_the_non_claims_and_only_when_a_constant_was_read"),
+    # the report frame: the ledger opened without the file's expect block
+    ("scenarios.py", 'ledger = _Ledger(data.get("expect", {}))', "ledger = _Ledger({})",
+     "tests/test_scenarios.py::test_cayley_checks_the_two_values_its_expect_block_names"),
+    # cayley: a twist chased as whatever bundle its label names
+    ("scenarios.py", "        if bundle != parse_bundle(bundle.ambient, text):\n", "        if False:\n",
+     "tests/test_scenarios.py::test_a_cayley_twist_that_is_not_the_bundle_the_normal_sequence_reads_fails_before_any_chase"),
     # the Fano index of the zero locus
     ("scenarios.py", "index = -sub_twist", "index = sub_twist",
      "tests/test_scenarios.py::test_adjunction_audit_values"),

@@ -90,6 +90,14 @@ def test_bwb_rejects_non_p_dominant_weight_naming_the_node():
         bwb(gr47(), Weight((0, -1, 0, 0, 0, 0)))
 
 
+def test_bwb_takes_only_a_parabolic_space_naming_what_it_got():
+    # a plain tuple of a space's fields, with no node uncrossed, would skip the P-dominance check
+    for space, kind in (((gr47().rs, frozenset(), (), ()), "tuple"), (None, "NoneType")):
+        with pytest.raises(ValueError) as exc:
+            bwb(space, Weight((0, -1, 0, 0, 0, 0)))
+        assert str(exc.value) == f"space is a {kind}, not a ParabolicSpace"
+
+
 def test_bwb_degree_zero_iff_dominant():
     rng = random.Random(11)
     space = gr47()

@@ -24,7 +24,7 @@ from gpcoh import (
     report,
 )
 
-from conftest import run_python
+from conftest import run_python, shipped_scenario
 
 VALIDATING = (Weight, Partition, BundleLabel, BundleSum, ParabolicSpace)
 
@@ -51,11 +51,14 @@ def _samples() -> dict:
     complex_, result = sc.chase_twist("normal")
     rep = report("cayley")
     label = complex_.terms[1].summands[0][0]
+    (constant,) = scenarios._read_constants(
+        shipped_scenario("cayley")["external_constants"], ("h0_tangent_subvariety",), "cayley", "external_constants"
+    )
     records = [
         Weight((1, 0, -2)), label.u_part, label, sc.space, sc.space.rs,
         bwb(sc.space, Weight((0, 0, 0, 1, 0, 0))), result.term_tables[0],
         complex_, RankHint(0, 0, 1), result.hints_used[0], result, complex_.terms[1],
-        sc.external_constants["h0_tangent_subvariety"], sc, rep.sections[0].lines[0],
+        constant, sc, rep.sections[0].lines[0],
         rep.sections[0], rep,
     ]
     return {type(r): r for r in records}
@@ -199,7 +202,7 @@ NAMEDTUPLES = {
     koszul.UsedHint: ("target_term degree rank origin", ()),
     koszul.ChaseResult: ("term_tables hints_used table blocking_positions", (None, ())),
     scenarios.ExternalConstant: ("name value provenance", ()),
-    scenarios.Scenario: ("file name title space section_bundle twists external_constants", ()),
+    scenarios.Scenario: ("file name space section_bundle twists", ()),
     scenarios.ReportLine: ("key text value source provenance passed", (None,)),
     scenarios.ReportSection: ("title lines", ()),
     scenarios.RigidityReport: ("name title sections", ()),

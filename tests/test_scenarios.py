@@ -15,7 +15,7 @@ from gpcoh import (
     report,
 )
 from gpcoh.scenarios import REPORTS
-from gpcoh.schur import sum_to_weights
+from gpcoh.schur import parse_bundle, sum_to_weights
 
 from conftest import deny_reading, shipped_scenario
 
@@ -32,7 +32,6 @@ def test_load_builtin_scenarios():
     assert str(sc.space) == "A6/P(4)"
     assert list(sc.twists) == ["trivial", "normal", "tangent"]
     assert [i for i, _, _ in sc.twists.values()] == [0, 1, 2]
-    assert sc.external_constants["h0_tangent_subvariety"].value == 14
 
 
 def test_load_scenario_from_path(tmp_path):
@@ -165,9 +164,29 @@ def test_cayley_checks_the_two_values_its_expect_block_names(tmp_path):
 def test_report_runs_the_runner_bound_on_the_module_when_it_runs(monkeypatch):
     # a tracing wrapper rebinds a runner on the module, and report must run the wrapper
     runner, files = gpcoh.scenarios.run_vmrt_audit, []
-    monkeypatch.setattr(gpcoh.scenarios, "run_vmrt_audit", lambda file, data: files.append(file) or runner(file, data))
+    monkeypatch.setattr(
+        gpcoh.scenarios, "run_vmrt_audit", lambda ledger, file, data: files.append(file) or runner(ledger, file, data)
+    )
     assert report("vmrt").name == "vmrt"
     assert files == ["vmrt"]
+
+
+_DATA = Path(__file__).parent / "data"
+
+
+# every file that ships with the package or the tests and has a report; non_regular.json fails at load
+@pytest.mark.parametrize("source", [*REPORTS, _DATA / "g2p2.json", _DATA / "lg36.json"], ids=str)
+def test_report_names_each_report_by_the_files_report_key(source):
+    data = json.loads(Path(source).read_text()) if isinstance(source, Path) else shipped_scenario(source)
+    assert report(source).name == data["report"]
+
+
+@pytest.mark.parametrize("kind", sorted(REPORTS))
+def test_a_reports_title_is_the_files_title_else_its_name_else_empty(tmp_path, kind):
+    data = shipped_scenario(kind)
+    assert report(kind).title == data["title"]
+    assert report(_edited_copy(tmp_path, kind, lambda d: d.pop("title"))).title == data["name"]
+    assert report(_edited_copy(tmp_path, kind, lambda d: (d.pop("title"), d.pop("name")))).title == ""
 
 
 def test_cayley_report_is_deterministic():
@@ -284,18 +303,45 @@ def test_cayley_without_a_twist_it_reads_fails_before_any_chase(tmp_path, monkey
     assert str(exc.value) == f"scenario file {str(p)!r}: block 'twists' lacks twist {twist!r}"
 
 
-def _set_normal_label(data):
-    (normal,) = [t for t in data["twists"] if t["name"] == "normal"]
-    normal["label"] = "S5 U* (-4)"
-
-
-def test_cayley_with_an_indeterminate_chase_fails_naming_the_file_and_the_twist(tmp_path):
-    p = _edited_copy(tmp_path, "cayley", _set_normal_label)
+@pytest.mark.parametrize("i,twist,reads", [(0, "trivial", "O"), (1, "normal", "L3 U*"), (2, "tangent", "T")])
+def test_a_cayley_twist_that_is_not_the_bundle_the_normal_sequence_reads_fails_before_any_chase(
+    tmp_path, monkeypatch, i, twist, reads
+):
+    p = _edited_copy(tmp_path, "cayley", lambda d: d["twists"][i].update(label="O(1)"))
+    monkeypatch.setattr(gpcoh.scenarios.Scenario, "chase_twist", lambda *args: pytest.fail("a chase ran"))
     with pytest.raises(ValueError) as exc:
         report(p)
     assert str(exc.value) == (
-        f"scenario file {str(p)!r}: block 'twists[1]' leaves the chase indeterminate at ((3, 9),)"
+        f"scenario file {str(p)!r}: block 'twists[{i}]' key 'label': "
+        f"the normal sequence reads {twist!r} as {reads!r}, got 'O(1)'"
     )
+
+
+def test_a_cayley_twist_is_compared_as_a_bundle_not_as_text(tmp_path):
+    # on Gr(4,7), L3 U* = U (x) det U* = U (1)
+    rep = report(_edited_copy(tmp_path, "cayley", lambda d: d["twists"][1].update(label="U (1)")))
+    assert rep.to_dict() == report("cayley").to_dict()
+
+
+def _chasing_as(monkeypatch, **labels):
+    """Have ``Scenario.chase_twist`` chase each twist that ``labels`` names as the bundle of its label
+    there, with no rank hint: a fail-closed branch that no twist of the right bundle reaches."""
+    chase_twist = gpcoh.scenarios.Scenario.chase_twist
+
+    def chase_as(sc, name):
+        if name not in labels:
+            return chase_twist(sc, name)
+        complex_ = build_koszul(sc.space, sc.section_bundle, parse_bundle(sc.section_bundle.ambient, labels[name]))
+        return complex_, chase(complex_, ())
+
+    monkeypatch.setattr(gpcoh.scenarios.Scenario, "chase_twist", chase_as)
+
+
+def test_cayley_with_an_indeterminate_chase_fails_naming_the_file_and_the_twist(monkeypatch):
+    _chasing_as(monkeypatch, normal="S5 U* (-4)")
+    with pytest.raises(ValueError) as exc:
+        report("cayley")
+    assert str(exc.value) == "scenario file 'cayley': block 'twists[1]' leaves the chase indeterminate at ((3, 9),)"
 
 
 def test_cayley_with_a_nonzero_h1_does_not_claim_rigidity(tmp_path):
@@ -320,16 +366,11 @@ def test_cayley_with_a_constant_that_contradicts_the_normal_sequence_fails_namin
     )
 
 
-def test_cayley_with_a_normal_sequence_left_open_fails_naming_the_open_ranks(tmp_path):
+def test_cayley_with_a_normal_sequence_left_open_fails_naming_the_open_ranks(tmp_path, monkeypatch):
     # T (-4) restricts to H^7 = 1 alone, so as both ends of the normal sequence it leaves the one
     # rank H^7(T|_S) -> H^7(N|_S) anywhere in 0..1
-    def edit(data):
-        for twist in data["twists"]:
-            if twist["name"] in ("normal", "tangent"):
-                twist["label"] = "T (-4)"
-        data["external_constants"][0]["value"] = 0
-
-    p = _edited_copy(tmp_path, "cayley", edit)
+    _chasing_as(monkeypatch, normal="T (-4)", tangent="T (-4)")
+    p = _edited_copy(tmp_path, "cayley", lambda d: d["external_constants"][0].__setitem__("value", 0))
     with pytest.raises(ValueError) as exc:
         report(p)
     assert str(exc.value) == (
