@@ -18,14 +18,16 @@ two sides, truncated to the side's rank. The rule is evaluated in one pass
 that grows LR tableaux whose content is the factor with fewer rows, a value
 at a time, each value a horizontal strip laid top down over the rows that can
 take a cell, every row taking at least what the rows below it cannot hold, and
-merges tableaux that agree on shape and last strip. A shape and a strip are
-each one int of a fixed number of bits per row, row 0 the most significant, so
-a state key is two ints and the ints in decreasing order are the shapes in
-decreasing padded order. A factor that is a single column (1^a), shorter or
-longer, takes Pieri's rule instead: c^lam_{mu,(1^a)} is 1 when lam/mu is a
-vertical strip of a cells, at most one per row, and 0 otherwise (Macdonald I
-(5.17)), so its shapes are listed directly, keyed and ordered as the pass
-orders them.
+merges tableaux that agree on shape and last strip. Each row is a whole
+number of bytes, one whenever mu_1 + nu_1 < 256, row 0 the most significant,
+and a state is one int, the shape's rows and then the strip's, so one
+``int.to_bytes`` gives all of them and the shape ints in decreasing order are
+the shapes in decreasing padded order. The last row that can take a cell takes
+every cell left or the strip dies there, so it is closed inline, with no push.
+A factor that is a single column (1^a), shorter or longer, takes Pieri's rule
+instead: c^lam_{mu,(1^a)} is 1 when lam/mu is a vertical strip of a cells, at
+most one per row, and 0 otherwise (Macdonald I (5.17)), so its shapes are
+listed directly, keyed and ordered as the pass orders them.
 
 Exterior powers of a direct sum come from one fold over its summands that
 keeps every degree at once and merges each degree once per step. A line
@@ -270,11 +272,15 @@ def lr_coefficients(
     grow a value at a time, each value a horizontal strip of its row's length
     obeying the lattice-word rule, and tableaux with the same shape and the
     same last strip extend alike, so each such state carries only its count.
-    A shape or a strip is one int of (mu_1 + nu_1).bit_length() bits per row,
-    row 0 the most significant; the keys decode once, in decreasing order. A
+    A row takes as many whole bytes as mu_1 + nu_1 needs, one below 256, row 0
+    the most significant, and a state is one int: the shape's rows, then its
+    last strip's counts, all read by one ``int.to_bytes``. The shapes decode
+    once, in decreasing order, each as its bytes with the zero rows stripped. A
     strip fills the rows that can take a cell top down, each taking at least
     what the rows below it cannot hold, so a partial strip dies only where the
-    lattice-word rule leaves it no room. A factor that is a single column
+    lattice-word rule leaves it no room; the last such row takes every cell
+    left or none, so the row above it closes each strip inline, with no push
+    and no pop. A factor that is a single column
     (1^a), the content or the other one, skips the pass: Pieri's rule gives
     its products in closed form (``_vertical_strips``).
     """
@@ -293,49 +299,97 @@ def lr_coefficients(
         return _vertical_strips(mu, len(nu), max_rows)
     if mu[0] == 1:  # the longer factor is the column
         return _vertical_strips(nu, len(mu), max_rows)
-    width = (mu[0] + nu[0]).bit_length()  # no part of the product is longer
-    mask, shifts = (1 << width) - 1, range(width * (max_rows - 1), -1, -width)
-    # state (shape, its last strip) -> number of tableaux reaching it; the shape alone at the end
-    states = {(sum(p << s for p, s in zip(mu, shifts)), 0): 1}
+    nbytes = (mu[0] + nu[0]).bit_length() + 7 >> 3  # bytes per row: no part of the product is longer
+    span = 8 * nbytes * max_rows  # bits of a shape, and of a strip
+    plain = [1 << s for s in range(span - 8 * nbytes, -1, -8 * nbytes)]  # one cell in row r
+    both = [w << span | w for w in plain]  # one cell in row r of the shape and of its strip
+    wide, size_of = nbytes > 1, 2 * nbytes * max_rows
+    # state: shape << span | its last strip -> number of tableaux reaching it; the shape alone at the end
+    states = {sum(p * w for p, w in zip(mu, plain)) << span: 1}
     for value, size in enumerate(nu):
         grown, last = {}, value == len(nu) - 1
-        for (shape, prev), count in states.items():
-            # (cell weight, cap, room gain, caps so far) of each row that can take a cell, top down:
-            # row r >= 1 holds at most shape[r-1] - shape[r] cells, row 0 none after the first value.
-            # The lattice-word rule bounds the cells in rows <= r by prev's cells in rows < r (plus
-            # size in the first round): that bound less the cells placed is the room
-            rows, gain, held = [], size if value == 0 else 0, 0
-            above = (shape >> shifts[0]) + gain
-            for s in shifts:
-                part = shape >> s & mask
+        weights = plain if last else both
+        lift, drop = (size, 0) if value == 0 else (0, size)
+        for key, count in states.items():
+            data = key.to_bytes(size_of, "big")  # the shape's rows, then its last strip's counts
+            if wide:
+                data = _byte_rows(data, nbytes)
+            above, tail = data[0] + lift, data[max_rows - 1]
+            if above - tail < size:  # the caps telescope to above - tail: too few cells in all
+                continue
+            base = key >> span if last else key >> span << span
+            # (cell weight, cap, slack, cells the rows below can hold) of each row that can take a
+            # cell, top down: row r >= 1 holds at most shape[r-1] - shape[r] cells, row 0 none after
+            # the first value, so the rows below row r hold shape[r] - shape[-1]. The lattice-word
+            # rule bounds the cells in rows <= r by prev's cells in rows < r (by size in the first
+            # round): the slack is that bound less size, and the room of a row the slack plus the
+            # cells left
+            rows, slack = [], -drop
+            for part, got, weight in zip(data, data[max_rows:], weights):
                 if above > part:
-                    held += above - part
-                    rows.append((1 << s, above - part, gain, held))
-                    gain = 0
-                gain += prev >> s & mask
+                    rows.append((weight, above - part, slack, part - tail))
+                    if not part:  # no row below a zero row takes a cell
+                        break
+                slack += got
                 above = part
-            # partial strip: next row, cells left, lattice room, cells placed; none if no room
-            stack = [(0, size, 0, 0)] if held >= size else []
-            while stack:
-                i, left, room, strip = stack.pop()
-                weight, hi, gain, lo = rows[i]
-                room += gain
-                lo += left - held  # each row takes at least what the rows below it cannot hold
-                if hi > room:  # inline: min() and max() cost a fifth
+            # the last row that can take a cell takes every cell left, which its lattice room always
+            # admits: all size cells lie in rows up to it, so prev must have size cells above it
+            end_weight, _, end_slack, _ = rows.pop()
+            if end_slack < 0:
+                continue
+            if not rows:
+                key = base + size * end_weight
+                grown[key] = grown.get(key, 0) + count
+                continue
+            penult = len(rows) - 1
+            # partial strip: its next row, cells left, cells placed; the fewest cells a row may
+            # take go on at once, every larger count waits on the stack
+            i, left, strip, stack = 0, size, 0, []
+            while True:
+                weight, hi, room, lo = rows[i]  # room and lo are offsets from the cells left
+                room += left  # the lattice room
+                lo = left - lo  # each row takes at least what the rows below it cannot hold
+                if lo < 0:  # inline: min() and max() cost a fifth
+                    lo = 0
+                if hi > room:
                     hi = room
-                if hi >= left:  # row i can take every cell left: the strip ends here
-                    end = strip + left * weight
-                    key = shape + end if last else (shape + end, end)
-                    grown[key] = grown.get(key, 0) + count
-                    hi = left - 1
-                for a in range(lo if lo > 0 else 0, hi + 1):
-                    stack.append((i + 1, left - a, room - a, strip + a * weight))
+                if i == penult:  # a cells here, left - a in the last row: no push
+                    if hi > left:
+                        hi = left
+                    start, step = base + strip + left * end_weight, weight - end_weight
+                    for key in range(start + lo * step, start + hi * step + 1, step):
+                        grown[key] = grown.get(key, 0) + count
+                else:
+                    if hi >= left:  # row i can take every cell left: the strip ends here
+                        key = base + strip + left * weight
+                        grown[key] = grown.get(key, 0) + count
+                        hi = left - 1
+                    if lo <= hi:
+                        i += 1
+                        for a in range(lo + 1, hi + 1):
+                            stack.append((i, left - a, strip + a * weight))
+                        left, strip = left - lo, strip + lo * weight
+                        continue
+                if not stack:
+                    break
+                i, left, strip = stack.pop()
         states = grown
     # a shape is a partition by construction: its nonzero rows are its parts, and nothing checks them
+    if wide:
+        return {
+            Partition._trusted([p for p in _byte_rows(shape.to_bytes(size_of >> 1, "big"), nbytes) if p]):
+                states[shape]
+            for shape in sorted(states, reverse=True)
+        }
     return {
-        Partition._trusted([p for s in shifts if (p := shape >> s & mask)]): states[shape]
+        Partition._trusted(shape.to_bytes(max_rows, "big").rstrip(b"\0")): states[shape]
         for shape in sorted(states, reverse=True)
     }
+
+
+def _byte_rows(data: bytes, nbytes: int) -> list[int]:
+    """The rows of a packed shape or state of ``nbytes`` big-endian bytes per row."""
+    return [int.from_bytes(data[j:j + nbytes], "big") for j in range(0, len(data), nbytes)]
 
 
 def _vertical_strips(mu: Partition, a: int, max_rows: int) -> dict[Partition, int]:

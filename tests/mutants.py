@@ -100,11 +100,15 @@ MUTANTS = [
     # the LR row clamp: no product shape has more than l(mu) + l(nu) rows, and none fewer is cut
     ("schur.py", "max_rows = min(max_rows, len(mu) + len(nu))", "max_rows = min(max_rows, len(mu) + len(nu) - 1)",
      "tests/test_lr.py::test_lr_matches_the_tableau_oracle_on_every_small_pair"),
-    # the LR row width: one bit short when mu_1 + nu_1 is a power of two
-    ("schur.py", "width = (mu[0] + nu[0]).bit_length()", "width = (mu[0] + nu[0] - 1).bit_length()",
+    # the LR row width in bytes: one byte short when mu_1 + nu_1 is 256
+    ("schur.py", "nbytes = (mu[0] + nu[0]).bit_length() + 7 >> 3", "nbytes = (mu[0] + nu[0] - 1).bit_length() + 7 >> 3",
      "tests/test_lr.py::test_the_packed_pass_matches_the_tableau_oracle_across_row_widths"),
+    # the inlined last row: its lattice room one cell too large, so a state whose last strip has
+    # one cell too few above it still closes strips there
+    ("schur.py", "if end_slack < 0:", "if end_slack < -1:",
+     "tests/test_lr.py::test_lr_matches_the_tableau_oracle_on_every_small_pair"),
     # the lattice-word room one cell too large
-    ("schur.py", "room += gain", "room += gain + 1",
+    ("schur.py", "room += left", "room += left + 1",
      "tests/test_lr.py::test_lr_matches_the_tableau_oracle_on_every_small_pair"),
     # the Pieri row clamp: a block takes what the rows below it cannot hold
     ("schur.py", "lo = left - max_rows + end", "lo = left - max_rows + end - 1",

@@ -7,7 +7,8 @@ that blocks (LG(3,6) twisted by S5 U* (-4), from ``tests/data/lg36.json``), one
 chase refused because its file is an audit file, not a zero-locus one, and one refused
 because its section bundle has no regular section (O(-1) on Gr(4,7), from
 ``tests/data/non_regular.json``). The text mode of every subcommand is pinned too: the reports,
-one LR product and the positive roots of G2 in both formats, the Cayley normal chase, the E8
+two LR products (one of them with rows two bytes wide, mu_1 + nu_1 = 302) and the positive
+roots of G2 in both formats, the Cayley normal chase, the E8
 and E6 walks and the blocked chase with its ``failures:`` block.
 
 The files under ``tests/golden/`` are the stdout of ``gpcoh`` for each
@@ -55,6 +56,7 @@ CASES = [
     for fmt, ext in (("text", "txt"), ("json", "json"))
     for name, args in (
         ("lr_21_21_rows3", ["lr", "2,1", "2,1", "--rows", "3"]),
+        ("lr_300_1_21_rows3", ["lr", "300,1", "2,1", "--rows", "3"]),
         ("roots_g2", ["roots", "G", "2"]),
     )
 ] + [

@@ -118,8 +118,8 @@ def test_pieri_past_the_sweep_matches_the_tableau_oracle(monkeypatch, mu, nu, ro
 
 
 
-# mu_1 + nu_1 on each side of a step of the row width, (mu_1 + nu_1).bit_length() bits,
-# on at most l(mu) + l(nu) rows and below it; then tall factors at 10-14 rows
+# mu_1 + nu_1 on each side of a power of two, on at most l(mu) + l(nu) rows and below it;
+# then tall factors at 10-14 rows
 PACKED_CASES = [
     ((4, 2), (3, 1), 4), ((5, 2), (3, 1), 3),
     ((9, 3), (6, 2), 4), ((10, 3), (6, 2), 3),
@@ -129,6 +129,19 @@ PACKED_CASES = [
     ((4, 2, 2, 1, 1, 1, 1), (4, 2, 1, 1, 1, 1, 1), 14),
     ((4, 2, 2, 1, 1, 1, 1), (4, 2, 1, 1, 1, 1, 1), 11),
     ((9, 2, 1, 1, 1), (7, 2, 1, 1, 1), 10),
+]
+# a row is a whole number of bytes: mu_1 + nu_1 of 255, 256 and 257, on either side of the step
+# from one byte to two; parts of 70,000 (three bytes) and of 10^20 (nine bytes), in the top row
+# and in the top two; each on fewer rows than l(mu) + l(nu) and on more
+PACKED_CASES += [
+    (mu, nu, rows)
+    for mu, nu in [
+        ((252, 3, 1), (3, 2)), ((253, 3, 1), (3, 2)), ((254, 3, 1), (3, 2)),
+        ((253, 253, 2, 1), (3, 2, 1)),
+        ((70_000, 5, 2), (4, 2, 1)), ((70_000, 69_999, 2), (3, 1)),
+        ((10**20, 3, 1), (2, 1)), ((10**20, 10**20, 1), (3, 2)),
+    ]
+    for rows in (len(mu) + len(nu) - 2, len(mu) + len(nu) + 1)
 ]
 
 
